@@ -6,6 +6,9 @@ cd "$(dirname "$0")"
 echo "==> cargo build --release"
 cargo build --release --offline
 
+echo "==> cargo check benchmark/ (own workspace: a deleted public item it names passes 'cargo test --workspace')"
+cargo check --offline --manifest-path benchmark/Cargo.toml --target-dir target
+
 echo "==> cargo test -q --workspace"
 cargo test -q --offline --workspace
 
@@ -41,10 +44,10 @@ if [ "$rc" -ne 1 ]; then
   exit 1
 fi
 
-echo "==> exp_kernels smoke (list pipeline vs scalar callback, bitwise gate)"
-cargo run -q --offline --release -p hot-bench --bin exp_kernels -- 4096 2
+echo "==> events migration stress (np=128, two workers, 600 launches)"
+cargo test -q --offline --release -p hot-comm --test events_migration -- --ignored
 
-echo "==> exp_latency smoke (walk pipeline vs blocking baseline, bitwise gate)"
+echo "==> exp_latency smoke (walk pipeline configs bitwise, >= 2 keys per request message)"
 cargo run -q --offline --release -p hot-bench --bin exp_latency -- 8192 4
 test -s results/BENCH_latency.json
 

@@ -103,9 +103,7 @@ const FLOP_EVIDENCE: [&str; 3] = ["counter.add(", "FlopCounter", "add(Kind::"];
 
 /// Benchmark/experiment crates: self-timing by design, so the wall-clock
 /// and flop-accounting rules skip them. The NPB suite's whole contract is
-/// "time yourself and report Mop/s", and `bench` drives experiments (and
-/// keeps a scalar-callback `Evaluator` baseline for the kernel-throughput
-/// comparison, so `evaluator-api` skips it too).
+/// "time yourself and report Mop/s", and `bench` drives experiments.
 const SELF_TIMING_CRATES: [&str; 2] = ["crates/npb/", "crates/bench/"];
 
 /// Callback-era force entry points, removed from the tree: production code
@@ -134,6 +132,18 @@ const RUNTIME_EXEMPT: [&str; 3] =
 /// runtime cannot see them.
 const THREAD_SPAWN_CALLS: [&str; 3] =
     ["thread::spawn(", "thread::scope(", "thread::Builder"];
+
+/// Crates whose non-test code can run on a rank fiber. A fiber may be
+/// resumed on a different worker thread than the one it yielded on, and
+/// the compiler treats a thread-local's address as constant within a
+/// function, so a `thread_local!` read after a switch can hit the previous
+/// worker's slot.
+const FIBER_CODE_CRATES: [&str; 4] =
+    ["crates/comm/", "crates/core/", "crates/gravity/", "crates/cosmo/"];
+
+/// The fiber switch's own `CURRENT` pointer: the one thread-local allowed
+/// in fiber-run code, read only through never-inlined accessors.
+const THREAD_LOCAL_EXEMPT: &str = "comm/src/fiber.rs";
 
 /// The pre-redesign entry points, kept only as deprecated shims.
 const DEPRECATED_RUN_CALLS: [&str; 3] =
@@ -201,16 +211,16 @@ fn lint_filemap(rel: &str, fm: &FileMap, allow_unwrap: &[String]) -> Vec<Finding
     }
 
     // Rule: wall-clock.
-    if !rel.ends_with("timer.rs") && !self_timing {
+    if !self_timing {
         for (i, code) in fm.code.iter().enumerate() {
             if code.contains("Instant::now") || code.contains("SystemTime") {
                 emit(
                     "wall-clock",
                     i,
                     "wall-clock read in simulation logic: results must be a pure \
-                     function of inputs and seeds; time only through \
-                     hot_base::timer, or suppress with a justification that the \
-                     value never reaches simulation state"
+                     function of inputs and seeds; time the library from \
+                     outside (benchmark/), or suppress with a justification that \
+                     the value never reaches simulation state"
                         .to_string(),
                 );
             }
@@ -264,7 +274,7 @@ fn lint_filemap(rel: &str, fm: &FileMap, allow_unwrap: &[String]) -> Vec<Finding
     }
 
     // Rule: evaluator-api.
-    if !EVALUATOR_EXEMPT.iter().any(|s| rel.ends_with(s)) && !self_timing {
+    if !EVALUATOR_EXEMPT.iter().any(|s| rel.ends_with(s)) {
         for (i, code) in fm.code.iter().enumerate() {
             let impls_callback = code.contains("impl") && has_bare_evaluator(code);
             let calls_deprecated =
@@ -301,6 +311,25 @@ fn lint_filemap(rel: &str, fm: &FileMap, allow_unwrap: &[String]) -> Vec<Finding
                      the scheduler hooks); the World::run* trio is deprecated \
                      and ad-hoc std::thread use hides work from fuzzed \
                      schedules and fault injection"
+                        .to_string(),
+                );
+            }
+        }
+    }
+
+    // Rule: runtime-api, thread-local half.
+    if FIBER_CODE_CRATES.iter().any(|c| rel.starts_with(c)) && !rel.ends_with(THREAD_LOCAL_EXEMPT)
+    {
+        for (i, code) in fm.code.iter().enumerate() {
+            if code.contains("thread_local!") {
+                emit(
+                    "runtime-api",
+                    i,
+                    "thread-local in code a rank fiber can run: a fiber may resume \
+                     on a different worker thread, and a thread-local's address \
+                     cached across the switch then names the previous worker's \
+                     slot; keep the state per rank (EventSched's per-rank atomics) \
+                     or pass it explicitly"
                         .to_string(),
                 );
             }
@@ -532,10 +561,9 @@ mod tests {
     }
 
     #[test]
-    fn wall_clock_rule_fires_outside_timer() {
+    fn wall_clock_rule_fires_outside_self_timing_crates() {
         let bad = "fn step() {\n    let t = std::time::Instant::now();\n}\n";
         assert_eq!(rules_hit("crates/core/src/tree.rs", bad), ["wall-clock"]);
-        assert!(rules_hit("crates/base/src/timer.rs", bad).is_empty());
         // Benchmark crates time themselves by design.
         assert!(rules_hit("crates/npb/src/ft.rs", bad).is_empty());
         assert!(rules_hit("crates/bench/src/bin/exp_costs.rs", bad).is_empty());
@@ -599,7 +627,15 @@ mod tests {
         let world_bad2 =
             "fn go() {\n    let out = World::run_with_scheduler(4, sched, body);\n}\n";
         assert_eq!(rules_hit("crates/gravity/src/other.rs", world_bad2), ["runtime-api"]);
+        // Thread-locals in the crates a rank fiber can run.
+        for rel in ["crates/comm/src/events.rs", "crates/core/src/dwalk.rs",
+            "crates/gravity/src/dist.rs", "crates/cosmo/src/supervisor.rs"]
+        {
+            assert_eq!(rules_hit(rel, TLS), ["runtime-api"], "{rel}");
+        }
     }
+
+    const TLS: &str = "thread_local! {\n    static SLOT: Cell<u64> = const { Cell::new(0) };\n}\n";
 
     #[test]
     fn runtime_api_rule_exempts_runtime_modules_tests_and_imports() {
@@ -613,6 +649,10 @@ mod tests {
                        let h = std::thread::spawn(|| 1);\n        \
                        let o = World::run(2, |c| c.rank());\n    }\n}\n";
         assert!(rules_hit("crates/base/src/flops.rs", in_test).is_empty());
+        // The fiber switch's CURRENT pointer is the one allowed
+        // thread-local; crates no fiber runs are out of scope.
+        assert!(rules_hit("crates/comm/src/fiber.rs", TLS).is_empty());
+        assert!(rules_hit("crates/base/src/flops.rs", TLS).is_empty());
         // Importing the name is not using it.
         let use_line = "use std::thread::Builder;\n";
         assert!(rules_hit("crates/cosmo/src/other.rs", use_line).is_empty());
@@ -646,8 +686,6 @@ mod tests {
         assert_eq!(rules_hit("crates/gravity/src/other.rs", use_line), ["evaluator-api"]);
         let imp = "impl<M: Moments> Evaluator<M> for ListBuilder<'_, M> {\n}\n";
         assert!(rules_hit("crates/core/src/ilist.rs", imp).is_empty());
-        // Bench keeps the scalar-callback baseline on purpose.
-        assert!(rules_hit("crates/bench/src/bin/exp_kernels.rs", imp).is_empty());
         // Suppression works like every other rule.
         let sup = "// hot-lint: allow(evaluator-api): migration shim\n\
                    impl Evaluator<MassMoments> for Thing {\n}\n";

@@ -18,8 +18,6 @@
 //!   paper's counting convention.
 //! * [`stats`] — Welford online statistics and RMS-error helpers used by the
 //!   force-accuracy experiments.
-//! * [`timer`] — lightweight named wall-clock regions for the per-phase
-//!   breakdowns the benchmark harness prints.
 
 #![warn(missing_docs)]
 
@@ -30,7 +28,6 @@ mod proptests;
 pub mod rsqrt;
 pub mod stats;
 pub mod sym3;
-pub mod timer;
 pub mod vec3;
 
 pub use aabb::Aabb;

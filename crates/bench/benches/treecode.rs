@@ -46,7 +46,6 @@ fn bench_force(c: &mut Criterion) {
                 bucket: 16,
                 eps2: 1e-8,
                 quadrupole: true,
-                ..Default::default()
             };
             g.bench_with_input(
                 BenchmarkId::new(format!("theta{theta}"), n),

@@ -70,7 +70,7 @@ fn ablation_mac() {
     let pos = uniform_box(&mut rng, n, &Aabb::unit());
     let mass = vec![1.0 / n as f64; n];
     for mac in [Mac::BarnesHut { theta: 0.55 }, Mac::SalmonWarren { delta: 3e-6 }] {
-        let opts = TreecodeOptions { mac, bucket: 16, eps2: 1e-10, quadrupole: true, ..Default::default() };
+        let opts = TreecodeOptions { mac, bucket: 16, eps2: 1e-10, quadrupole: true };
         let rep = force_accuracy(Aabb::unit(), &pos, &mass, &opts);
         println!(
             "  {:>18}: rms {:.2e}  interactions {}",
@@ -95,7 +95,6 @@ fn ablation_multipole() {
             bucket: 16,
             eps2: 1e-10,
             quadrupole: quad,
-            ..Default::default()
         };
         let rep = force_accuracy(Aabb::unit(), &pos, &mass, &opts);
         let flops = rep.tree_interactions

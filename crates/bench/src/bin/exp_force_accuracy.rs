@@ -30,7 +30,7 @@ fn main() {
         Mac::SalmonWarren { delta: 1e-4 },
         Mac::SalmonWarren { delta: 1e-6 },
     ] {
-        let opts = TreecodeOptions { mac, bucket: 16, eps2: 1e-10, quadrupole: true, ..Default::default() };
+        let opts = TreecodeOptions { mac, bucket: 16, eps2: 1e-10, quadrupole: true };
         let rep = force_accuracy(Aabb::unit(), &pos, &mass, &opts);
         println!(
             "{:>22} {:>12.2e} {:>12.2e} {:>14} {:>9.1}x",
@@ -48,7 +48,6 @@ fn main() {
             bucket: 16,
             eps2: 1e-10,
             quadrupole: quad,
-            ..Default::default()
         };
         let rep = force_accuracy(Aabb::unit(), &pos, &mass, &opts);
         println!(

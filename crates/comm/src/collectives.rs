@@ -22,32 +22,15 @@ pub(crate) const TAG_ALLGATHER_RING: u32 = COLL_BASE + 0x400;
 pub(crate) const TAG_ALLTOALL: u32 = COLL_BASE + 0x500;
 pub(crate) const TAG_ALLGATHER_BRUCK: u32 = COLL_BASE + 0x600;
 
-/// Which algorithm family [`Comm::allgather`] (and everything built on it,
-/// e.g. the prefix sums feeding domain decomposition) uses.
-///
-/// Barrier, bcast, reduce and allreduce are already O(log p)
-/// (dissemination / binomial); allgather is the one collective with both a
-/// linear baseline (the ring) and a log-round algorithm (Bruck), so it is
-/// the one this knob selects. The two are *bitwise equivalent* — allgather
-/// moves bits, it never combines them — which is what lets `Auto` switch
-/// by machine size without perturbing any golden.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub enum CollectiveShape {
-    /// Ring below [`AUTO_TREE_MIN_NP`] ranks (the bandwidth-optimal
-    /// pattern for the paper's switched-ethernet Loki/Hyglac class),
-    /// Bruck at or above it (latency-bound big machines). The default.
-    #[default]
-    Auto,
-    /// Always the np−1-step ring — the linear comparison baseline.
-    Ring,
-    /// Always the ⌈log₂ np⌉-round Bruck doubling algorithm.
-    Tree,
-}
-
-/// Machine size at which [`CollectiveShape::Auto`] switches the allgather
-/// from the ring baseline to the Bruck log-round algorithm. Every golden
-/// and pinned-traffic test runs below this bound, so their wire footprints
-/// are unchanged by the shape machinery.
+/// Machine size at which [`Comm::allgather`] switches from the ring (the
+/// bandwidth-optimal pattern for the paper's switched-ethernet
+/// Loki/Hyglac class) to the Bruck log-round algorithm (latency-bound big
+/// machines). Allgather is the one collective with two shapes — barrier,
+/// bcast, reduce and allreduce are O(log p) throughout — and the two are
+/// *bitwise equivalent*: allgather moves bits, it never combines them, so
+/// switching by machine size perturbs no result. Every golden and
+/// pinned-traffic test runs below this bound, so their wire footprints
+/// are those of the ring.
 pub const AUTO_TREE_MIN_NP: u32 = 16;
 
 impl Comm {
@@ -223,12 +206,12 @@ impl Comm {
     }
 
     /// All ranks obtain every rank's value, indexed by rank. Dispatches on
-    /// the run's [`CollectiveShape`]: the np−1-step ring
-    /// ([`Comm::allgather_ring`]) or the ⌈log₂ np⌉-round Bruck doubling
-    /// algorithm ([`Comm::allgather_bruck`]). Both produce bitwise
-    /// identical results — allgather is pure data movement.
+    /// machine size: the np−1-step ring ([`Comm::allgather_ring`]) below
+    /// [`AUTO_TREE_MIN_NP`] ranks, the ⌈log₂ np⌉-round Bruck doubling
+    /// algorithm ([`Comm::allgather_bruck`]) from there up. Both produce
+    /// bitwise identical results — allgather is pure data movement.
     pub fn allgather<T: Wire + Clone>(&mut self, v: T) -> Vec<T> {
-        if self.tree_allgather() {
+        if self.size() >= AUTO_TREE_MIN_NP {
             self.allgather_bruck(v)
         } else {
             self.allgather_ring(v)
@@ -238,7 +221,7 @@ impl Comm {
     /// Ring allgather: np−1 steps, each rank forwarding to its right
     /// neighbour the block it received the step before — the
     /// bandwidth-optimal pattern for switched ethernet, and the linear
-    /// baseline the Bruck algorithm is checked bitwise against.
+    /// reference the Bruck algorithm is checked bitwise against.
     pub fn allgather_ring<T: Wire + Clone>(&mut self, v: T) -> Vec<T> {
         let np = self.size();
         let mut out: Vec<Option<T>> = (0..np).map(|_| None).collect();

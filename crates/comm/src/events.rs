@@ -29,8 +29,8 @@
 //! ## The lost-wakeup protocol
 //!
 //! A fiber that wants to block records the per-rank notify `version` it
-//! observed *before* its final mailbox check, then yields with
-//! `Reason::Block { seen }`. The worker — after the fiber is fully
+//! observed *before* its final mailbox check, stores it in its rank's
+//! `yield_reason` slot and yields. The worker — after the fiber is fully
 //! suspended — compares the live version against `seen` under the state
 //! lock: if a notify landed in the window, the rank is requeued instead of
 //! parked. `notify` itself bumps the version first and only then flips
@@ -43,7 +43,6 @@
 
 use crate::fiber::{fiber_yield, Fiber};
 use crate::sched::{Deadlock, SchedOp, Scheduler, Want};
-use std::cell::Cell;
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
@@ -53,22 +52,10 @@ use std::time::Duration;
 /// without blocking, so busy-polling ranks share the worker pool fairly.
 pub const PREEMPT_EVERY: u64 = 256;
 
-/// Why a fiber yielded back to its worker.
-#[derive(Clone, Copy)]
-enum Reason {
-    /// Voluntary / fairness yield: requeue immediately.
-    Preempt,
-    /// Blocked waiting for a message; `seen` is the notify version
-    /// observed before the final failed check.
-    Block { seen: u64 },
-}
-
-thread_local! {
-    /// Side-channel from the yielding fiber to the worker that resumed it.
-    /// Set immediately before `fiber_yield`; read exactly once after
-    /// `resume` returns on the same worker thread.
-    static REASON: Cell<Reason> = const { Cell::new(Reason::Preempt) };
-}
+/// `yield_reason` value for a voluntary / fairness yield: requeue
+/// immediately. Any other value is the notify version a blocking rank
+/// observed before its final failed check.
+const PREEMPT: u64 = u64::MAX;
 
 #[derive(Clone, Copy, PartialEq, Eq)]
 enum RankState {
@@ -173,6 +160,14 @@ pub struct EventSched {
     version: Vec<AtomicU64>,
     /// Per-rank channel-op counters driving Fifo fairness preemption.
     ops: Vec<AtomicU64>,
+    /// Per-rank side-channel from a yielding fiber to the worker that
+    /// resumed it: [`PREEMPT`], or the notify version seen before blocking.
+    /// Per rank, not per thread — a fiber can be resumed on a different
+    /// worker than the one it last yielded on, so it must not carry a
+    /// thread-local's address across a switch. Written just before
+    /// `fiber_yield` and read after `resume` returns, both on the resuming
+    /// worker's OS thread, so `Relaxed` suffices.
+    yield_reason: Vec<AtomicU64>,
     /// Some = requeue blocked ranks this often while quiescent (failure-
     /// detection rounds on kill-armed runs). None = quiescence is final:
     /// prove a deadlock.
@@ -196,6 +191,7 @@ impl EventSched {
             cv: Condvar::new(),
             version: (0..np).map(|_| AtomicU64::new(0)).collect(),
             ops: (0..np).map(|_| AtomicU64::new(0)).collect(),
+            yield_reason: (0..np).map(|_| AtomicU64::new(PREEMPT)).collect(),
             tick,
             seeded,
         }
@@ -318,22 +314,14 @@ impl EventSched {
                 st.wants[r] = None;
                 st.unfinished -= 1;
             } else {
-                match REASON.with(Cell::get) {
-                    Reason::Preempt => {
-                        st.status[r] = RankState::Ready;
-                        st.wants[r] = None;
-                        st.ready.push_back(rank);
-                    }
-                    Reason::Block { seen } => {
-                        if self.version[r].load(Ordering::SeqCst) != seen {
-                            // A notify raced the suspend: don't park.
-                            st.status[r] = RankState::Ready;
-                            st.wants[r] = None;
-                            st.ready.push_back(rank);
-                        } else {
-                            st.status[r] = RankState::Blocked;
-                        }
-                    }
+                let seen = self.yield_reason[r].load(Ordering::Relaxed);
+                // Preempted, or a notify raced the suspend: don't park.
+                if seen == PREEMPT || self.version[r].load(Ordering::SeqCst) != seen {
+                    st.status[r] = RankState::Ready;
+                    st.wants[r] = None;
+                    st.ready.push_back(rank);
+                } else {
+                    st.status[r] = RankState::Blocked;
                 }
             }
             // Wake peers: for new ready work, for the final exit, and for
@@ -350,13 +338,13 @@ impl Scheduler for EventSched {
         if self.seeded {
             // Serialized exploration: every channel op is a schedule
             // decision point, exactly like FuzzScheduler.
-            REASON.with(|r| r.set(Reason::Preempt));
+            self.yield_reason[rank as usize].store(PREEMPT, Ordering::Relaxed);
             fiber_yield();
             return;
         }
         let n = self.ops[rank as usize].fetch_add(1, Ordering::Relaxed) + 1;
         if n.is_multiple_of(PREEMPT_EVERY) {
-            REASON.with(|r| r.set(Reason::Preempt));
+            self.yield_reason[rank as usize].store(PREEMPT, Ordering::Relaxed);
             fiber_yield();
         }
     }
@@ -385,7 +373,7 @@ impl Scheduler for EventSched {
                 }
                 st.wants[r] = Some(want.clone());
             }
-            REASON.with(|c| c.set(Reason::Block { seen }));
+            self.yield_reason[r].store(seen, Ordering::Relaxed);
             fiber_yield();
             let st = self.state.lock().expect("event sched lock");
             if let Some(d) = &st.deadlock {

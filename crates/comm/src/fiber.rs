@@ -17,8 +17,14 @@
 //! * A fiber is resumed by at most one worker at a time (the executor's
 //!   `Running` status transition enforces exclusivity under a lock).
 //! * A suspended fiber's state lives entirely on its own stack; it may be
-//!   resumed from a *different* worker thread — nothing thread-local leaks
-//!   across a switch because `CURRENT` is re-pinned on every resume.
+//!   resumed from a *different* worker thread. Re-pinning `CURRENT` on
+//!   every resume is not enough to make that safe: the compiler treats a
+//!   thread-local's *address* as constant within a function, so code
+//!   inlined around a switch keeps using the previous worker's slot.
+//!   Hence `CURRENT` is read only through the never-inlined [`current`],
+//!   [`fiber_yield`] is never inlined into a caller's loop, and no other
+//!   code a fiber can run uses thread-locals at all (`hot-analyze lint`,
+//!   rule `runtime-api`, with this file the single exemption).
 //! * Unwinding never crosses the assembly frames: the entry trampoline
 //!   catches every panic and aborts the process if one escapes (rank
 //!   bodies catch their own panics before this backstop is reachable).
@@ -207,10 +213,23 @@ impl Drop for Fiber {
     }
 }
 
+/// The fiber running on the calling OS thread, null outside any fiber.
+/// Never inlined, so the thread-local's address is computed on the thread
+/// that is executing *now*, not one the caller was on before a switch.
+#[inline(never)]
+fn current() -> *mut Fiber {
+    CURRENT.with(Cell::get)
+}
+
 /// Suspend the current fiber and return control to the worker that resumed
 /// it. Panics when called from outside any fiber (a scheduler-wiring bug).
+///
+/// Never inlined: folded into a caller's loop, a fiber that migrated
+/// workers would look itself up on the worker it left and switch into
+/// the wrong fiber's context.
+#[inline(never)]
 pub(crate) fn fiber_yield() {
-    let f = CURRENT.with(std::cell::Cell::get);
+    let f = current();
     assert!(!f.is_null(), "fiber_yield outside a fiber");
     // SAFETY: `f` is pinned for the duration of `resume` by the worker
     // holding `&mut Fiber`; we are that resumed context.
@@ -222,7 +241,7 @@ pub(crate) fn fiber_yield() {
 /// Whether the caller is running on a fiber (vs. a plain OS thread).
 #[cfg(test)]
 pub(crate) fn on_fiber() -> bool {
-    CURRENT.with(|c| !c.get().is_null())
+    !current().is_null()
 }
 
 /// First-activation entry, called by the asm trampoline with the payload
@@ -240,7 +259,7 @@ extern "C" fn hot97_fiber_entry(payload: *mut Payload) -> ! {
         eprintln!("fatal: panic escaped a fiber body; aborting");
         std::process::abort();
     }
-    let f = CURRENT.with(std::cell::Cell::get);
+    let f = current();
     // SAFETY: a finishing fiber is by definition the CURRENT one.
     unsafe {
         (*f).finished = true;

@@ -14,7 +14,8 @@
 //! * [`collectives`] — barrier / bcast / reduce / allreduce / gather /
 //!   allgather / alltoall / prefix sums, all built from point-to-point
 //!   messages so the traffic counters reflect real wire activity;
-//!   [`CollectiveShape`] picks ring vs log-round allgather.
+//!   allgather is a ring below np = [`AUTO_TREE_MIN_NP`] and the log-round
+//!   Bruck algorithm from there up, chosen by np.
 //! * [`abm`] — the paper's "asynchronous batched messages" active-message
 //!   layer with quiescence detection, used by the latency-hiding tree walk.
 //! * [`wire`] — explicit little-endian message encoding.
@@ -49,7 +50,7 @@ pub mod sched;
 pub mod wire;
 
 pub use abm::{Abm, AbmStats};
-pub use collectives::{CollectiveShape, AUTO_TREE_MIN_NP};
+pub use collectives::AUTO_TREE_MIN_NP;
 pub use events::EventSched;
 pub use fault::{
     DetectionPath, DetectionRecord, FaultConfig, FaultDecision, FaultMonitor, FaultPlan,
@@ -73,8 +74,8 @@ pub use wire::{
 /// One-stop imports for SPMD programs on the simulated machine.
 ///
 /// The nesting story, in one place: a run is configured by
-/// [`RunConfig::builder`] (machine size, runtime, scheduler, faults,
-/// collective shapes — everything about *how* the machine executes).
+/// [`RunConfig::builder`] (machine size, runtime, scheduler, faults —
+/// everything about *how* the machine executes).
 /// Everything about *what* the program computes lives in the options
 /// struct of the subsystem you call (`hot_gravity::DistOptions`, which
 /// nests `hot_core::WalkConfig`; `hot_gravity::TreecodeOptions`;
@@ -82,7 +83,6 @@ pub use wire::{
 /// with `Default` + `with_*` builder methods; none of them nests a
 /// `RunConfig`.
 pub mod prelude {
-    pub use crate::collectives::CollectiveShape;
     pub use crate::fault::{FaultConfig, FaultPlan};
     pub use crate::runtime::{Comm, RunConfig, RunOutput, Runtime, TrafficStats};
     pub use crate::sched::{FuzzScheduler, Scheduler};

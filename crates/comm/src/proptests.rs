@@ -5,7 +5,7 @@
 
 use crate::wire::{frame_message, from_bytes, to_bytes, unframe_message, KeyBatchRequest, Wire};
 use crate::{
-    Abm, CollectiveShape, Comm, FaultConfig, FaultDecision, FaultPlan, FuzzScheduler,
+    Abm, Comm, FaultConfig, FaultDecision, FaultPlan, FuzzScheduler,
     RunConfig,
 };
 use proptest::prelude::*;
@@ -219,7 +219,7 @@ proptest! {
     /// The ring and Bruck allgathers are pure data movement, so their
     /// results must be *bitwise* identical for arbitrary bit patterns —
     /// across machine sizes, fuzzed thread schedules, and seeded event
-    /// schedules. This is the license for CollectiveShape::Auto to switch
+    /// schedules. This is the license for `Comm::allgather` to switch
     /// algorithms on np alone.
     #[test]
     fn allgather_shapes_bitwise_equivalent(
@@ -230,33 +230,22 @@ proptest! {
     ) {
         // Per-rank contribution: an arbitrary 64-bit pattern (covers f64
         // NaN payloads when reinterpreted; allgather never looks inside).
+        // Both shapes run back to back in the same machine.
         let body = move |c: &mut Comm| {
             let v = base ^ (0x9E37_79B9_7F4A_7C15u64.wrapping_mul(u64::from(c.rank()) + 1));
-            c.allgather(v)
+            (c.allgather_ring(v), c.allgather_bruck(v))
         };
-        let ring = RunConfig::builder()
-            .np(np)
-            .collectives(CollectiveShape::Ring)
-            .run(body);
-        let tree = RunConfig::builder()
-            .np(np)
-            .collectives(CollectiveShape::Tree)
-            .run(body);
-        prop_assert_eq!(&ring.results, &tree.results);
-        // Fuzzed thread schedule, tree shape.
+        let threads = RunConfig::builder().np(np).run(body);
+        for (ring, bruck) in &threads.results {
+            prop_assert_eq!(ring, bruck);
+        }
         let fuzzed = RunConfig::builder()
             .np(np)
             .scheduler(Arc::new(FuzzScheduler::new(np, sched_seed)))
-            .collectives(CollectiveShape::Tree)
             .run(body);
-        prop_assert_eq!(&ring.results, &fuzzed.results);
-        // Seeded event schedule (fibers), tree shape.
-        let events = RunConfig::builder()
-            .np(np)
-            .event_seed(event_seed)
-            .collectives(CollectiveShape::Tree)
-            .run(body);
-        prop_assert_eq!(&ring.results, &events.results);
+        prop_assert_eq!(&threads.results, &fuzzed.results);
+        let events = RunConfig::builder().np(np).event_seed(event_seed).run(body);
+        prop_assert_eq!(&threads.results, &events.results);
     }
 
     /// The production binomial-tree allreduce agrees with a linear

@@ -17,7 +17,6 @@
 //! and audit teardown for undrained messages.
 
 use crate::chan::{Mailbox, Scan};
-use crate::collectives::{CollectiveShape, AUTO_TREE_MIN_NP};
 use crate::events::EventSched;
 use crate::fault::{DetectionPath, FaultPlan, InjectedFaults, KillSite};
 use crate::reliable::{
@@ -104,9 +103,6 @@ struct Machine {
     /// Reliable transport over a faulty wire; present iff the run installed
     /// a [`FaultPlan`].
     transport: Option<Transport>,
-    /// Which allgather algorithm this run uses (ring baseline vs Bruck
-    /// log-round); `Auto` resolves by machine size.
-    shape: CollectiveShape,
 }
 
 /// Panic payload of a rank whose [`FaultPlan`] kill fired: the crash-stop
@@ -148,16 +144,6 @@ impl Comm {
     #[must_use]
     pub fn size(&self) -> u32 {
         self.machine.np
-    }
-
-    /// Whether this run's allgather uses the Bruck log-round algorithm
-    /// (`true`) or the ring baseline (`false`); `Auto` picks by size.
-    pub(crate) fn tree_allgather(&self) -> bool {
-        match self.machine.shape {
-            CollectiveShape::Auto => self.machine.np >= AUTO_TREE_MIN_NP,
-            CollectiveShape::Ring => false,
-            CollectiveShape::Tree => true,
-        }
     }
 
     /// Communication counters so far. These are *logical* counters — under
@@ -573,8 +559,8 @@ pub enum Runtime {
     Events,
 }
 
-/// Per-run machine configuration: size, runtime, scheduling policy, fault
-/// injection, and collective shapes. Build one with [`RunConfig::builder`]:
+/// Per-run machine configuration: size, runtime, scheduling policy and
+/// fault injection. Build one with [`RunConfig::builder`]:
 ///
 /// ```
 /// use hot_comm::RunConfig;
@@ -591,12 +577,11 @@ pub struct RunConfig {
     workers: Option<usize>,
     stack_size: Option<usize>,
     event_seed: Option<u64>,
-    collectives: CollectiveShape,
 }
 
 impl RunConfig {
     /// Start building a run configuration. `np` defaults to 1, the runtime
-    /// to [`Runtime::Threads`], collectives to [`CollectiveShape::Auto`].
+    /// to [`Runtime::Threads`].
     #[must_use]
     pub fn builder() -> RunConfigBuilder {
         RunConfigBuilder {
@@ -608,7 +593,6 @@ impl RunConfig {
                 workers: None,
                 stack_size: None,
                 event_seed: None,
-                collectives: CollectiveShape::default(),
             },
         }
     }
@@ -645,7 +629,7 @@ impl RunConfig {
                         Arc::new(RealScheduler::new(np)) as Arc<dyn Scheduler>
                     }
                 });
-                let machine = Machine::build(np, sched, self.faults, self.collectives);
+                let machine = Machine::build(np, sched, self.faults);
                 let stack = self.stack_size.unwrap_or(16 << 20);
                 run_threads(np, &machine, stack, &f)
             }
@@ -663,12 +647,8 @@ impl RunConfig {
                     ),
                     None => EventSched::new(np),
                 });
-                let machine = Machine::build(
-                    np,
-                    sched.clone() as Arc<dyn Scheduler>,
-                    self.faults,
-                    self.collectives,
-                );
+                let machine =
+                    Machine::build(np, sched.clone() as Arc<dyn Scheduler>, self.faults);
                 let workers = if sched.is_seeded() {
                     1
                 } else {
@@ -768,14 +748,6 @@ impl RunConfigBuilder {
         self
     }
 
-    /// Force a collective algorithm family instead of the size-based
-    /// [`CollectiveShape::Auto`] default.
-    #[must_use]
-    pub fn collectives(mut self, shape: CollectiveShape) -> Self {
-        self.cfg.collectives = shape;
-        self
-    }
-
     /// Finish building.
     #[must_use]
     pub fn build(self) -> RunConfig {
@@ -794,18 +766,12 @@ impl RunConfigBuilder {
 }
 
 impl Machine {
-    fn build(
-        np: u32,
-        sched: Arc<dyn Scheduler>,
-        faults: Option<FaultPlan>,
-        shape: CollectiveShape,
-    ) -> Arc<Machine> {
+    fn build(np: u32, sched: Arc<dyn Scheduler>, faults: Option<FaultPlan>) -> Arc<Machine> {
         Arc::new(Machine {
             np,
             mailboxes: (0..np).map(|_| Mailbox::default()).collect(),
             sched,
             transport: faults.map(|plan| Transport::new(np, plan)),
-            shape,
         })
     }
 }
@@ -1412,8 +1378,7 @@ mod tests {
         };
         let run = |seed: u64| {
             let sched = Arc::new(EventSched::seeded(4, seed));
-            let machine =
-                Machine::build(4, sched.clone() as Arc<dyn Scheduler>, None, CollectiveShape::Auto);
+            let machine = Machine::build(4, sched.clone() as Arc<dyn Scheduler>, None);
             let out = run_events(4, &machine, &sched, 1, 256 << 10, &body);
             (out.results, out.stats, sched.trace())
         };

@@ -9,8 +9,8 @@
 //! [`InteractionList`] — the distributed flavour of the list-build stage.
 //! When a walk needs data that is not resident — the children of a remote
 //! cell, or the bodies of a remote leaf — it is *parked* and the rank
-//! switches to another group's walk instead of stalling. The default
-//! pipeline ([`WalkConfig`]) then hides the network latency three ways:
+//! switches to another group's walk instead of stalling. The pipeline
+//! (tuned by [`WalkConfig`]) then hides the network latency three ways:
 //!
 //! * **Request coalescing** — parked wants are gathered per *round* and
 //!   every distinct key wanted from one owner goes out in a single
@@ -33,15 +33,13 @@
 //!   the deterministic walk-completion order, and sink groups are
 //!   disjoint, so accelerations stay bitwise identical.
 //!
-//! Setting `coalesce: false` selects the original blocking pipeline (one
-//! message per key, replies reactivate immediately, lists applied inline)
-//! — kept as the measured baseline for `exp_latency`. Both pipelines
-//! produce bitwise-identical interaction lists, and therefore forces: a
-//! parked walk resumes exactly where it stopped (the blocking node is
+//! A parked walk resumes exactly where it stopped (the blocking node is
 //! pushed back and re-popped), so each group's list is written in the same
-//! traversal order no matter when its data arrived. The whole exchange
-//! runs to quiescence with ABM's termination protocol, every rank serving
-//! its peers' fetch requests from its local tree throughout.
+//! traversal order no matter when its data arrived, and forces are bitwise
+//! identical across every [`WalkConfig`]. The per-key blocking walk this
+//! pipeline replaced is frozen as row L1 of EXPERIMENTS.md. The whole
+//! exchange runs to quiescence with ABM's termination protocol, every rank
+//! serving its peers' fetch requests from its local tree throughout.
 
 use crate::dtree::{CellRecord, DChildren, DistTree};
 use crate::ilist::{InteractionList, ListConsumer};
@@ -54,12 +52,9 @@ use hot_comm::{from_bytes, Abm, Comm, KeyBatchRequest, Wire};
 use hot_morton::Key;
 use std::collections::{BTreeMap, VecDeque};
 
-/// Message kinds on the ABM channel. Kinds 1–4 are the blocking baseline's
-/// per-key protocol; kinds 5–7 carry the coalesced pipeline.
-const K_REQ_CHILDREN: u16 = 1;
-const K_REP_CHILDREN: u16 = 2;
-const K_REQ_BODIES: u16 = 3;
-const K_REP_BODIES: u16 = 4;
+// Message kinds on the ABM channel. Kinds 1–4 belonged to the retired
+// per-key protocol and stay unassigned.
+
 /// One multi-key request per (requester, owner) pair per round.
 const K_REQ_BATCH: u16 = 5;
 /// Batched children replies: `Vec<(parent key, child records)>`, parents
@@ -86,46 +81,21 @@ pub struct WalkConfig {
     /// 62.3 ms at 64 KiB for N = 32768/np = 8); buffering more only delays
     /// the first batch and fattens reply chunks.
     pub abm_batch: usize,
-    /// Coalesce parked wants into per-owner multi-key requests issued in
-    /// globally synchronized rounds. `false` selects the blocking per-key
-    /// baseline (which also disables prefetch and overlapped apply).
-    pub coalesce: bool,
     /// Levels of descendants an owner piggybacks onto a children reply
     /// (0 disables prefetch).
     pub prefetch_levels: u32,
     /// Byte budget for speculative records per served request message.
     pub prefetch_budget: usize,
-    /// Apply finished interaction lists in poll-idle windows instead of
-    /// inline at walk completion.
-    pub overlap_apply: bool,
 }
 
 impl Default for WalkConfig {
     fn default() -> Self {
-        WalkConfig {
-            abm_batch: 4096,
-            coalesce: true,
-            prefetch_levels: 1,
-            prefetch_budget: 8192,
-            overlap_apply: true,
-        }
+        WalkConfig { abm_batch: 4096, prefetch_levels: 1, prefetch_budget: 8192 }
     }
 }
 
 impl WalkConfig {
-    /// The pre-coalescing pipeline: one message per key, immediate
-    /// reactivation, inline apply. The measured baseline in `exp_latency`.
-    pub fn blocking() -> Self {
-        WalkConfig {
-            coalesce: false,
-            prefetch_levels: 0,
-            prefetch_budget: 0,
-            overlap_apply: false,
-            ..WalkConfig::default()
-        }
-    }
-
-    // Per-field builders off `Default` (or `blocking()`), matching the
+    // Per-field builders off `Default`, matching the
     // `DistOptions` / `TreecodeOptions` / `FaultConfig` idiom.
 
     /// Set the ABM batch capacity (flush threshold) in bytes.
@@ -135,27 +105,12 @@ impl WalkConfig {
         self
     }
 
-    /// Enable or disable coalesced multi-key request rounds.
-    #[must_use]
-    pub fn with_coalesce(mut self, on: bool) -> Self {
-        self.coalesce = on;
-        self
-    }
-
     /// Set prefetch depth (levels piggybacked per reply; 0 disables) and
     /// the speculative-record byte budget per served request.
     #[must_use]
     pub fn with_prefetch(mut self, levels: u32, budget: usize) -> Self {
         self.prefetch_levels = levels;
         self.prefetch_budget = budget;
-        self
-    }
-
-    /// Apply finished interaction lists in poll-idle windows instead of
-    /// inline at walk completion.
-    #[must_use]
-    pub fn with_overlap_apply(mut self, on: bool) -> Self {
-        self.overlap_apply = on;
         self
     }
 }
@@ -207,15 +162,13 @@ pub struct DwalkStats {
     pub cell_requests: u64,
     /// Distinct leaf-body keys requested.
     pub body_requests: u64,
-    /// Times a walk parked (the "context switches"). Schedule-dependent in
-    /// blocking mode: how often a walk blocks depends on reply timing.
+    /// Times a walk parked (the "context switches").
     pub parks: u64,
     /// Coalesced multi-key request messages sent (≤ one per owner per
-    /// round). In blocking mode this counts per-key request messages, so
-    /// it equals `cell_requests + body_requests`.
+    /// round).
     pub request_msgs: u64,
     /// Request rounds this rank participated in with at least one request
-    /// of its own (coalesced mode only).
+    /// of its own.
     pub rounds: u64,
     /// Cells installed speculatively from piggybacked reply records.
     pub prefetched_cells: u64,
@@ -293,11 +246,7 @@ pub fn dwalk_with_traced<M: Moments, C: ListConsumer<M>>(
     trace: &mut hot_trace::Ledger,
 ) -> DwalkStats {
     trace.begin(hot_trace::Phase::Walk);
-    let stats = if cfg.coalesce {
-        dwalk_pipelined(comm, dt, mac, consumer, group_size, cfg)
-    } else {
-        dwalk_blocking(comm, dt, mac, consumer, group_size, cfg)
-    };
+    let stats = dwalk_pipelined(comm, dt, mac, consumer, group_size, cfg);
     stats.walk.record_traversal(trace);
     trace.add(hot_trace::Counter::CellRequests, stats.cell_requests);
     trace.add(hot_trace::Counter::BodyRequests, stats.body_requests);
@@ -313,22 +262,7 @@ pub fn dwalk_with_traced<M: Moments, C: ListConsumer<M>>(
     stats
 }
 
-/// Initial per-group walks, all starting at the global root.
-fn initial_walks<M: Moments>(dt: &DistTree<M>, group_size: usize) -> Vec<GroupWalk<M>> {
-    let root = Ref::Node(dt.root);
-    dt.local
-        .groups(group_size)
-        .into_iter()
-        .map(|gi| GroupWalk {
-            gi,
-            stack: vec![root],
-            list: InteractionList::new(),
-            stats: WalkStats::default(),
-        })
-        .collect()
-}
-
-/// The coalesced, prefetching, overlapping pipeline (`cfg.coalesce`).
+/// The coalesced, prefetching, overlapping pipeline.
 ///
 /// Structured as globally synchronized request rounds:
 ///
@@ -336,7 +270,7 @@ fn initial_walks<M: Moments>(dt: &DistTree<M>, group_size: usize) -> Vec<GroupWa
 ///    keys per owner (deduplicated against walks already parked);
 /// 2. post at most one [`KeyBatchRequest`] per owner;
 /// 3. serve peers / absorb replies until no message is pollable, applying
-///    one queued finished list per idle window (`overlap_apply`);
+///    one queued finished list per idle window;
 /// 4. join the round's count consensus. Parked walks reactivate **only**
 ///    when the allreduce proves every posted message machine-wide has been
 ///    delivered — i.e. all of this round's replies (including prefetches)
@@ -360,7 +294,19 @@ fn dwalk_pipelined<M: Moments, C: ListConsumer<M>>(
     cfg: &WalkConfig,
 ) -> DwalkStats {
     let mut stats = DwalkStats::default();
-    let mut active = initial_walks(dt, group_size);
+    // One walk per sink group, all starting at the global root.
+    let root = Ref::Node(dt.root);
+    let mut active: Vec<GroupWalk<M>> = dt
+        .local
+        .groups(group_size)
+        .into_iter()
+        .map(|gi| GroupWalk {
+            gi,
+            stack: vec![root],
+            list: InteractionList::new(),
+            stats: WalkStats::default(),
+        })
+        .collect();
     let mut parked: BTreeMap<Want, Vec<GroupWalk<M>>> = BTreeMap::new();
     let mut finished: VecDeque<GroupWalk<M>> = VecDeque::new();
     let mut pf = PrefetchLedger::default();
@@ -374,11 +320,7 @@ fn dwalk_pipelined<M: Moments, C: ListConsumer<M>>(
             match run_walk(dt, mac, &mut w, &mut pf) {
                 WalkOutcome::Done => {
                     pin_walk(dt, &mut w, &mut stats);
-                    if cfg.overlap_apply {
-                        finished.push_back(w);
-                    } else {
-                        apply_walk(dt, consumer, &w);
-                    }
+                    finished.push_back(w);
                 }
                 WalkOutcome::Park { want, owner } => {
                     stats.parks += 1;
@@ -439,95 +381,12 @@ fn dwalk_pipelined<M: Moments, C: ListConsumer<M>>(
         }
         prev = totals;
     }
-    while let Some(w) = finished.pop_front() {
-        apply_walk(dt, consumer, &w);
-    }
-    debug_assert!(active.is_empty() && parked.is_empty());
+    // Step (3) only goes idle once `finished` is drained.
+    debug_assert!(active.is_empty() && parked.is_empty() && finished.is_empty());
     stats.prefetched_cells = pf.cells;
     stats.prefetched_bytes = pf.bytes;
     stats.prefetch_hits = pf.hits;
     stats.prefetch_wasted_bytes = pf.unused.values().sum();
-    stats.abm = abm.stats();
-    stats.group_costs.sort_unstable();
-    stats
-}
-
-/// The blocking baseline (`!cfg.coalesce`): one request message per key,
-/// replies reactivate parked walks immediately, finished lists applied
-/// inline. Kept verbatim from the pre-coalescing pipeline so `exp_latency`
-/// measures the real before/after.
-fn dwalk_blocking<M: Moments, C: ListConsumer<M>>(
-    comm: &mut Comm,
-    dt: &mut DistTree<M>,
-    mac: &Mac,
-    consumer: &mut C,
-    group_size: usize,
-    cfg: &WalkConfig,
-) -> DwalkStats {
-    let mut stats = DwalkStats::default();
-    let mut active = initial_walks(dt, group_size);
-    let mut parked: BTreeMap<Want, Vec<GroupWalk<M>>> = BTreeMap::new();
-    let mut pf = PrefetchLedger::default();
-    let mut abm = Abm::new(comm, cfg.abm_batch);
-
-    // Main service loop, structured so that termination detection can use
-    // blocking collectives without deadlock: a rank must never block in
-    // the consensus while a peer still needs its data to make progress, so
-    // every rank (1) drains its runnable walks, (2) serves/absorbs every
-    // message available right now, and only then (3) joins the count
-    // exchange. The exchange terminates when the machine-wide (posted,
-    // delivered, runnable+parked) triple is stable at (n, n, 0) for two
-    // consecutive iterations (double-count termination detection, as in
-    // the ABM layer).
-    let mut prev = (u64::MAX, u64::MAX, u64::MAX);
-    loop {
-        loop {
-            while let Some(mut w) = active.pop() {
-                match run_walk(dt, mac, &mut w, &mut pf) {
-                    WalkOutcome::Done => {
-                        pin_walk(dt, &mut w, &mut stats);
-                        apply_walk(dt, consumer, &w);
-                    }
-                    WalkOutcome::Park { want, owner } => {
-                        stats.parks += 1;
-                        if !parked.contains_key(&want) {
-                            stats.request_msgs += 1;
-                            match want {
-                                Want::Children(key) => {
-                                    abm.post(owner, K_REQ_CHILDREN, &key);
-                                    stats.cell_requests += 1;
-                                }
-                                Want::Bodies(key) => {
-                                    abm.post(owner, K_REQ_BODIES, &key);
-                                    stats.body_requests += 1;
-                                }
-                            }
-                        }
-                        parked.entry(want).or_default().push(w);
-                    }
-                }
-            }
-            abm.flush_all();
-            let mut handler = make_handler(dt, &mut active, &mut parked);
-            let handled = abm.poll(&mut handler);
-            drop(handler);
-            if active.is_empty() && handled == 0 {
-                break;
-            }
-        }
-        let pending = parked.values().map(|v| v.len() as u64).sum::<u64>();
-        let s = abm.stats();
-        let totals = abm
-            .comm_mut()
-            .allreduce((s.posted, s.delivered, pending), |a, b| {
-                (a.0 + b.0, a.1 + b.1, a.2 + b.2)
-            });
-        if totals.0 == totals.1 && totals.2 == 0 && totals == prev {
-            break;
-        }
-        prev = totals;
-    }
-    debug_assert!(active.is_empty() && parked.is_empty());
     stats.abm = abm.stats();
     stats.group_costs.sort_unstable();
     stats
@@ -800,7 +659,7 @@ fn post_chunked<T: Wire>(ep: &mut Abm<'_>, dst: u32, kind: u16, entries: Vec<T>,
     }
 }
 
-/// ABM handler for the coalesced pipeline. Replies install data but never
+/// The ABM handler. Replies install data but never
 /// reactivate walks — reactivation waits for the round boundary, which is
 /// what keeps request sets schedule-independent. A reply entry whose key
 /// nobody here parked on is a speculative prefetch and is ledgered as
@@ -833,43 +692,6 @@ fn make_batch_handler<'h, M: Moments>(
             let entries: Vec<BodyBatchEntry<M>> = from_bytes(payload);
             for (key, pairs) in entries {
                 install_bodies(dt, key, pairs);
-            }
-        }
-        other => panic!("unknown ABM message kind {other}"),
-    }
-}
-
-/// ABM handler for the blocking baseline: serves per-key requests and
-/// reactivates parked walks the moment their reply installs.
-fn make_handler<'h, M: Moments>(
-    dt: &'h mut DistTree<M>,
-    active: &'h mut Vec<GroupWalk<M>>,
-    parked: &'h mut BTreeMap<Want, Vec<GroupWalk<M>>>,
-) -> impl FnMut(&mut Abm<'_>, u32, u16, Bytes) + 'h {
-    move |ep, src, kind, payload| match kind {
-        K_REQ_CHILDREN => {
-            let key: u64 = from_bytes(payload);
-            let records = dt.children_records(Key(key)).unwrap_or_default();
-            ep.post(src, K_REP_CHILDREN, &(key, records));
-        }
-        K_REQ_BODIES => {
-            let key: u64 = from_bytes(payload);
-            let (pos, charge) = dt.bodies_of(Key(key)).unwrap_or_default();
-            let pairs: Vec<(Vec3, M::Charge)> = pos.into_iter().zip(charge).collect();
-            ep.post(src, K_REP_BODIES, &(key, pairs));
-        }
-        K_REP_CHILDREN => {
-            let (key, records): (u64, Vec<CellRecord<M>>) = from_bytes(payload);
-            dt.install_children(Key(key), &records);
-            if let Some(walks) = parked.remove(&Want::Children(key)) {
-                active.extend(walks);
-            }
-        }
-        K_REP_BODIES => {
-            let (key, pairs): (u64, Vec<(Vec3, M::Charge)>) = from_bytes(payload);
-            install_bodies(dt, key, pairs);
-            if let Some(walks) = parked.remove(&Want::Bodies(key)) {
-                active.extend(walks);
             }
         }
         other => panic!("unknown ABM message kind {other}"),
@@ -1006,20 +828,10 @@ mod tests {
     }
 
     #[test]
-    fn coverage_blocking_baseline() {
-        coverage_run_with(3, 300, 0.5, false, WalkConfig::blocking());
-    }
-
-    #[test]
     fn coverage_deep_prefetch_tiny_batches() {
         // Aggressive prefetch with a tiny batch capacity forces reply
         // chunking across many physical batches.
-        let cfg = WalkConfig {
-            abm_batch: 256,
-            prefetch_levels: 3,
-            prefetch_budget: 1 << 16,
-            ..WalkConfig::default()
-        };
+        let cfg = WalkConfig { abm_batch: 256, prefetch_levels: 3, prefetch_budget: 1 << 16 };
         coverage_run_with(3, 300, 0.5, false, cfg);
     }
 
@@ -1029,15 +841,9 @@ mod tests {
     #[test]
     fn pipeline_configs_agree_bitwise() {
         let configs = [
-            WalkConfig::blocking(),
-            WalkConfig { prefetch_levels: 0, overlap_apply: false, ..WalkConfig::default() },
+            WalkConfig { prefetch_levels: 0, ..WalkConfig::default() },
             WalkConfig::default(),
-            WalkConfig {
-                abm_batch: 512,
-                prefetch_levels: 2,
-                prefetch_budget: 1 << 15,
-                ..WalkConfig::default()
-            },
+            WalkConfig { abm_batch: 512, prefetch_levels: 2, prefetch_budget: 1 << 15 },
         ];
         type RankResult = (Vec<u64>, u64, u64, u64);
         let mut reference: Option<Vec<RankResult>> = None;
@@ -1062,9 +868,11 @@ mod tests {
         }
     }
 
-    /// Coalescing must collapse the per-key message count: with prefetch
-    /// off, the same distinct keys are fetched, but in (far) fewer request
-    /// messages; with prefetch on, hits replace whole requests.
+    /// Coalescing must collapse the per-key message count. A per-key
+    /// protocol posts exactly one request message per distinct key, so
+    /// with prefetch off the ratio keys / request messages *is* the saving
+    /// (frozen against the retired blocking walk in EXPERIMENTS.md L1);
+    /// with prefetch on, hits replace whole requests.
     #[test]
     fn coalescing_reduces_request_messages() {
         let run = |cfg: WalkConfig| {
@@ -1086,30 +894,18 @@ mod tests {
                 )
             })
         };
-        let blocking = run(WalkConfig::blocking());
         let coalesced = run(WalkConfig { prefetch_levels: 0, ..WalkConfig::default() });
         let prefetching = run(WalkConfig::default());
         let sum = |r: &hot_comm::RunOutput<(u64, u64, u64, u64)>, f: fn(&(u64, u64, u64, u64)) -> u64| {
             r.results.iter().map(f).sum::<u64>()
         };
-        let blocking_msgs = sum(&blocking, |r| r.0);
-        let coalesced_msgs = sum(&coalesced, |r| r.0);
-        assert_eq!(
-            blocking_msgs,
-            sum(&blocking, |r| r.1),
-            "blocking mode posts one message per distinct key"
-        );
-        // Same keys, coalesced into one message per owner per round.
-        assert_eq!(sum(&blocking, |r| r.1), sum(&coalesced, |r| r.1));
-        assert!(
-            coalesced_msgs * 2 <= blocking_msgs,
-            "coalescing saved too little: {coalesced_msgs} vs {blocking_msgs}"
-        );
+        let (msgs, keys) = (sum(&coalesced, |r| r.0), sum(&coalesced, |r| r.1));
+        assert!(msgs * 2 <= keys, "coalescing saved too little: {msgs} messages for {keys} keys");
         assert!(sum(&coalesced, |r| r.2) > 0, "no rounds counted");
         // Prefetch must convert some would-be requests into hits...
         assert!(sum(&prefetching, |r| r.3) > 0, "prefetch never hit");
         // ...which strictly reduces the number of distinct keys requested.
-        assert!(sum(&prefetching, |r| r.1) < sum(&coalesced, |r| r.1));
+        assert!(sum(&prefetching, |r| r.1) < keys);
     }
 
     /// The distributed walk must agree with a serial walk over the union of

@@ -29,7 +29,8 @@
 //! body:
 //!   steps u64, a f64, center 3×f64,
 //!   mac_kind u8 (0 = BarnesHut, 1 = SalmonWarren), mac_param f64,
-//!   bucket u64, eps2 f64, flags u8 (bit 0 = quadrupole, bit 1 = parallel),
+//!   bucket u64, eps2 f64, flags u8 (bit 0 = quadrupole, bit 1 reserved: written
+//!   as 0, ignored on read; higher bits rejected),
 //!   n u64, pos 3n×f64, mom 3n×f64, mass n×f64
 //! ```
 //!
@@ -51,7 +52,7 @@ const MAGIC: u64 = 0x484F_5439_3743_4B50; // "HOT97CKP"
 /// Checkpoint schema version. Version 1 was the lossy snapshot-backed
 /// checkpoint; version 2 stored raw momenta and the full configuration;
 /// version 3 widens the quadrupole byte into a flags byte (bit 0 =
-/// quadrupole, bit 1 = parallel force schedule).
+/// quadrupole, bit 1 reserved).
 pub const CHECKPOINT_VERSION: u64 = 3;
 
 /// Why a checkpoint failed to load. Typed so recovery code — the
@@ -204,7 +205,8 @@ fn encode_body(sim: &CosmoSim) -> Vec<u8> {
     put_f64(&mut body, param);
     put_u64(&mut body, sim.opts.bucket as u64);
     put_f64(&mut body, sim.opts.eps2);
-    body.push(u8::from(sim.opts.quadrupole) | (u8::from(sim.opts.parallel) << 1));
+    // Flags: bit 0 quadrupole; bit 1 reserved, written as 0.
+    body.push(u8::from(sim.opts.quadrupole));
     put_u64(&mut body, n as u64);
     for &p in &sim.pos {
         put_vec3(&mut body, p);
@@ -234,16 +236,13 @@ fn decode_body(body: &[u8]) -> Result<CosmoSim, CheckpointError> {
     let bucket = c.u64()? as usize;
     let eps2 = c.f64()?;
     let flags = c.u8()?;
+    // Bit 1 is reserved: checkpoints written before the treecode's
+    // `parallel` option was removed have it set, so it is accepted and
+    // ignored.
     if flags & !0b11 != 0 {
         return Err(bad(format!("unknown option flags {flags:#04x}")));
     }
-    let opts = TreecodeOptions {
-        mac,
-        bucket,
-        eps2,
-        quadrupole: flags & 0b01 != 0,
-        parallel: flags & 0b10 != 0,
-    };
+    let opts = TreecodeOptions { mac, bucket, eps2, quadrupole: flags & 0b01 != 0 };
     let n = c.u64()? as usize;
     let mut pos = Vec::with_capacity(n);
     for _ in 0..n {
@@ -413,7 +412,6 @@ mod tests {
                     bucket: 24,
                     eps2: 0.0025,
                     quadrupole: false,
-                    parallel: true,
                 },
             ),
         ] {

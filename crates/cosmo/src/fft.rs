@@ -4,10 +4,8 @@
 //! FFT from a Cold Dark Matter power spectrum of density fluctuations" (and
 //! a 512³ FFT run *on Loki itself* for the 9.75M-particle simulation). This
 //! module supplies that substrate: an iterative radix-2 Cooley–Tukey
-//! complex transform and a 3-D transform built from axis passes, with rayon
-//! parallelism across lines — no external FFT dependency.
-
-use rayon::prelude::*;
+//! complex transform and a 3-D transform built from axis passes over independent
+//! lines — no external FFT dependency.
 
 /// A complex number (kept local: the FFT is the only consumer heavy enough
 /// to warrant the type, and `num-complex` would be a new dependency).
@@ -171,14 +169,14 @@ impl Grid3 {
     }
 
     /// In-place 3-D FFT (forward or inverse-unnormalized), one axis at a
-    /// time with rayon across independent lines.
+    /// time.
     pub fn fft3(&mut self, inverse: bool) {
         let n = self.n;
         // X lines: contiguous.
-        self.data.par_chunks_mut(n).for_each(|line| fft_inplace(line, inverse));
+        self.data.chunks_mut(n).for_each(|line| fft_inplace(line, inverse));
         // Y lines: stride n within each z-plane. Transpose-free: gather.
         let plane = n * n;
-        self.data.par_chunks_mut(plane).for_each(|zplane| {
+        self.data.chunks_mut(plane).for_each(|zplane| {
             let mut line = vec![Complex::ZERO; n];
             for x in 0..n {
                 for y in 0..n {
@@ -190,30 +188,21 @@ impl Grid3 {
                 }
             }
         });
-        // Z lines: stride n² — process per (x, y) column, parallel over y.
+        // Z lines: stride n² — gather each (x, y) column, transform, scatter.
         let data = &mut self.data;
-        // Split into per-y mutable views is awkward with stride n²; do a
-        // sequential-outer, parallel-inner pass over xy pairs by unsafe-free
-        // transposition: copy columns out, transform, copy back.
-        let mut columns: Vec<Vec<Complex>> = (0..plane)
-            .into_par_iter()
-            .map(|xy| {
-                let mut line = Vec::with_capacity(n);
-                for z in 0..n {
-                    line.push(data[z * plane + xy]);
-                }
-                fft_inplace(&mut line, inverse);
-                line
-            })
-            .collect();
-        for (xy, line) in columns.drain(..).enumerate() {
-            for (z, v) in line.into_iter().enumerate() {
-                data[z * plane + xy] = v;
+        let mut line = vec![Complex::ZERO; n];
+        for xy in 0..plane {
+            for z in 0..n {
+                line[z] = data[z * plane + xy];
+            }
+            fft_inplace(&mut line, inverse);
+            for z in 0..n {
+                data[z * plane + xy] = line[z];
             }
         }
         if inverse {
             let s = 1.0 / (n * n * n) as f64;
-            data.par_iter_mut().for_each(|v| *v = v.scale(s));
+            data.iter_mut().for_each(|v| *v = v.scale(s));
         }
     }
 

@@ -40,7 +40,9 @@ proptest! {
 
     /// A checkpoint round-trips the *entire* resume state bit-for-bit:
     /// positions, momenta, masses, scale factor, step count, center, and
-    /// every treecode option.
+    /// every treecode option. Flags bit 1 is reserved: older checkpoints
+    /// have it set, so a body carrying it loads to the same state and is
+    /// re-saved without it, while any higher bit is still `Malformed`.
     #[test]
     fn checkpoint_roundtrips_state_exactly(
         particles in proptest::collection::vec((any_vec3(), any_vec3(), any_f64_bits()), 0..40),
@@ -50,7 +52,7 @@ proptest! {
         bucket in 1usize..1000,
         eps2 in any_f64_bits(),
         quadrupole in any::<bool>(),
-        parallel in any::<bool>(),
+        reserved_bit in any::<bool>(),
         steps in any::<u64>(),
         case in any::<u64>(),
     ) {
@@ -60,7 +62,7 @@ proptest! {
             mass: particles.iter().map(|p| p.2).collect(),
             a,
             center,
-            opts: TreecodeOptions { mac, bucket, eps2, quadrupole, parallel },
+            opts: TreecodeOptions { mac, bucket, eps2, quadrupole },
             steps,
             calc: hot_gravity::ForceCalc::new(),
         };
@@ -70,7 +72,27 @@ proptest! {
         // while another test thread holds the previous file.
         let path = dir.join(format!("ck_{case:016x}.bin"));
         checkpoint::save(&sim, &path).unwrap();
+        let clean = std::fs::read(&path).unwrap();
+        // Header 28, then steps 8 + a 8 + center 24 + mac 1 + 8 + bucket 8
+        // + eps2 8 bytes precede the flags byte.
+        const FLAGS_AT: usize = 28 + 65;
+        prop_assert_eq!(clean[FLAGS_AT], u8::from(quadrupole), "bit 1 must be written as 0");
+        let with_flags = |flags: u8| {
+            let mut data = clean.clone();
+            data[FLAGS_AT] = flags;
+            let crc = hot_comm::crc32(&data[28..]);
+            data[24..28].copy_from_slice(&crc.to_le_bytes());
+            data
+        };
+        std::fs::write(&path, with_flags(clean[FLAGS_AT] | 0b100)).unwrap();
+        prop_assert!(matches!(
+            checkpoint::load(&path),
+            Err(checkpoint::CheckpointError::Malformed(_))
+        ));
+        std::fs::write(&path, with_flags(clean[FLAGS_AT] | (u8::from(reserved_bit) << 1))).unwrap();
         let back = checkpoint::load(&path).unwrap();
+        checkpoint::save(&back, &path).unwrap();
+        prop_assert_eq!(std::fs::read(&path).unwrap(), clean, "save -> load -> save moved bytes");
         std::fs::remove_file(&path).ok();
 
         prop_assert_eq!(back.steps, sim.steps);
@@ -79,7 +101,6 @@ proptest! {
         prop_assert_eq!(back.opts.bucket, sim.opts.bucket);
         prop_assert_eq!(back.opts.eps2.to_bits(), sim.opts.eps2.to_bits());
         prop_assert_eq!(back.opts.quadrupole, sim.opts.quadrupole);
-        prop_assert_eq!(back.opts.parallel, sim.opts.parallel);
         match (back.opts.mac, sim.opts.mac) {
             (Mac::BarnesHut { theta: x }, Mac::BarnesHut { theta: y }) => {
                 prop_assert_eq!(x.to_bits(), y.to_bits());

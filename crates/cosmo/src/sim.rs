@@ -76,12 +76,10 @@ impl CosmoSim {
         mass: Vec<f64>,
         a0: f64,
         center: Vec3,
-        mut opts: TreecodeOptions,
+        opts: TreecodeOptions,
     ) -> Self {
         assert_eq!(pos.len(), vel.len());
         assert_eq!(pos.len(), mass.len());
-        // Production steps always use the deterministic parallel schedule.
-        opts.parallel = true;
         let mom = vel.into_iter().map(|u| u * (a0 * a0)).collect();
         CosmoSim { pos, mom, mass, a: a0, center, opts, steps: 0, calc: ForceCalc::new() }
     }

@@ -5,11 +5,9 @@
 //! processors for 10⁶ particles) to compare raw machine speed against the
 //! GRAPE special-purpose hardware, and to quantify how much a smart
 //! algorithm buys: ~10⁵× for the 322-million-particle problem. We implement
-//! all three forms used there:
+//! both forms used there:
 //!
 //! * a serial double loop,
-//! * a shared-memory parallel version (rayon over sinks — both Pentium Pro
-//!   processors per node were used as compute processors),
 //! * the distributed **ring** algorithm: blocks of bodies circulate around
 //!   the ranks, each rank accumulating partial forces on its own block
 //!   (communication O(N), computation O(N²/P) — the property that makes
@@ -19,7 +17,6 @@ use crate::kernels::{pp_acc, pp_acc_pot};
 use hot_base::flops::{FlopCounter, Kind};
 use hot_base::Vec3;
 use hot_comm::Comm;
-use rayon::prelude::*;
 
 /// Serial direct sum: accelerations on every particle.
 pub fn direct_serial(pos: &[Vec3], mass: &[f64], eps2: f64, counter: &FlopCounter) -> Vec<Vec3> {
@@ -67,25 +64,6 @@ pub fn direct_serial_pot(
     (acc, pot)
 }
 
-/// Shared-memory parallel direct sum (rayon over sinks).
-pub fn direct_parallel(pos: &[Vec3], mass: &[f64], eps2: f64, counter: &FlopCounter) -> Vec<Vec3> {
-    let n = pos.len();
-    counter.add(Kind::GravPP, (n * n.saturating_sub(1)) as u64);
-    (0..n)
-        .into_par_iter()
-        .map(|i| {
-            let xi = pos[i];
-            let mut a = Vec3::ZERO;
-            for j in 0..n {
-                if i != j {
-                    a += pp_acc(xi - pos[j], mass[j], eps2);
-                }
-            }
-            a
-        })
-        .collect()
-}
-
 /// Distributed ring direct sum. Each rank passes its source block around
 /// the ring `np − 1` times; after the last hop every rank has accumulated
 /// the force of every body on its own block. Returns the accelerations for
@@ -111,7 +89,7 @@ pub fn direct_ring(
             pos.len() * spos.len()
         } as u64;
         counter.add(Kind::GravPP, pairs);
-        acc.par_iter_mut().enumerate().for_each(|(i, a)| {
+        acc.iter_mut().enumerate().for_each(|(i, a)| {
             let xi = pos[i];
             for (j, (&xj, &mj)) in spos.iter().zip(smass).enumerate() {
                 if skip_self && i == j {
@@ -158,19 +136,6 @@ mod tests {
         let net: Vec3 = acc.iter().zip(&mass).map(|(&a, &m)| a * m).sum();
         assert!(net.norm() < 1e-10, "net force {net:?}");
         assert_eq!(counter.get(Kind::GravPP), 200 * 199);
-    }
-
-    #[test]
-    fn parallel_matches_serial() {
-        let (pos, mass) = random_system(300, 2);
-        let c1 = FlopCounter::new();
-        let c2 = FlopCounter::new();
-        let a1 = direct_serial(&pos, &mass, 1e-6, &c1);
-        let a2 = direct_parallel(&pos, &mass, 1e-6, &c2);
-        for (x, y) in a1.iter().zip(&a2) {
-            assert!((*x - *y).norm() < 1e-12);
-        }
-        assert_eq!(c1.get(Kind::GravPP), c2.get(Kind::GravPP));
     }
 
     #[test]

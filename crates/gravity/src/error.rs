@@ -81,7 +81,6 @@ mod tests {
             bucket: 16,
             eps2: 1e-8,
             quadrupole: true,
-            ..Default::default()
         };
         let rep = force_accuracy(Aabb::unit(), &pos, &mass, &opts);
         assert!(rep.rms < 1e-3, "rms {0}", rep.rms);
@@ -101,7 +100,6 @@ mod tests {
                 bucket: 8,
                 eps2: 1e-8,
                 quadrupole: false,
-                ..Default::default()
             };
             force_accuracy(Aabb::unit(), &pos, &mass, &opts).rms
         };
@@ -122,7 +120,6 @@ mod tests {
             bucket: 8,
             eps2: 1e-8,
             quadrupole: true,
-            ..Default::default()
         };
         let rep = force_accuracy(Aabb::unit(), &pos, &mass, &opts);
         // Typical accelerations are O(1) in these units; the absolute bound

@@ -19,9 +19,8 @@ use hot_core::moments::MassMoments;
 use std::ops::Range;
 
 /// Accumulates accelerations into `acc` for the sink groups it is handed.
-/// One instance per rank (or per parallel task over disjoint sink groups,
-/// with `base` mapping absolute sink indices into the task's span-local
-/// buffers).
+/// One instance per rank; `base` maps absolute sink indices into
+/// span-local buffers when `acc` covers only part of the problem.
 pub struct GravityEvaluator<'a> {
     /// Acceleration output; sink `i` lands in `acc[i - base]`.
     pub acc: &'a mut [Vec3],
@@ -210,7 +209,7 @@ mod tests {
     }
 
     /// A span-local evaluator (`base != 0`) must agree bitwise with a
-    /// whole-problem one — the parallel path's scatter depends on it.
+    /// whole-problem one.
     #[test]
     fn base_offset_buffers_match() {
         let mut rng = <rand::rngs::StdRng as rand::SeedableRng>::seed_from_u64(7);

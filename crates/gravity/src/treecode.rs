@@ -4,12 +4,9 @@
 //! paper's two-stage pipeline: build each sink group's
 //! [`InteractionList`] (list-build, the `Walk` phase), then apply it with
 //! the batched kernels through [`GravityEvaluator`] (list-apply, the
-//! `Force` phase). Parallelism and tracing are options, not separate
-//! functions: `opts.parallel` fans sink-group chunks out on rayon, and
-//! the `_traced` variant attributes phases to a [`Ledger`]. Serial and
-//! parallel evaluation are bitwise identical — every sink's accumulation
-//! order is fixed by its group's list, regardless of which worker applies
-//! it.
+//! `Force` phase). Tracing is an option, not a separate function: the
+//! `_traced` variant attributes phases to a [`Ledger`]. Every sink's
+//! accumulation order is fixed by its group's list.
 
 use crate::evaluator::{record_force_phase, GravityEvaluator};
 use hot_base::flops::FlopCounter;
@@ -20,7 +17,6 @@ use hot_core::tree::Tree;
 use hot_core::walk::{default_group_size, walk_group_list, WalkStats};
 use hot_core::Mac;
 use hot_trace::{Ledger, Phase};
-use rayon::prelude::*;
 
 /// Options for a treecode force evaluation.
 #[derive(Clone, Copy, Debug, PartialEq)]
@@ -33,10 +29,6 @@ pub struct TreecodeOptions {
     pub eps2: f64,
     /// Include the quadrupole term.
     pub quadrupole: bool,
-    /// Apply sink-group chunks on the rayon pool (the "both processors
-    /// per node compute" configuration). Results are bitwise identical to
-    /// serial evaluation.
-    pub parallel: bool,
 }
 
 impl Default for TreecodeOptions {
@@ -46,7 +38,6 @@ impl Default for TreecodeOptions {
             bucket: 16,
             eps2: 0.0,
             quadrupole: true,
-            parallel: false,
         }
     }
 }
@@ -82,14 +73,6 @@ impl TreecodeOptions {
         self.quadrupole = on;
         self
     }
-
-    /// Evaluate sink-group chunks on the rayon pool (bitwise identical to
-    /// serial evaluation).
-    #[must_use]
-    pub fn with_parallel(mut self, on: bool) -> Self {
-        self.parallel = on;
-        self
-    }
 }
 
 /// Result of a treecode force evaluation, in the *original* particle order.
@@ -106,22 +89,17 @@ pub struct ForceResult {
     pub stats: WalkStats,
 }
 
-/// Number of sink-group chunks the parallel path splits into. Fixed (not
-/// derived from the worker count) so the chunking — and with it every
-/// buffer boundary — is deterministic on any machine.
-const PARALLEL_CHUNKS: usize = 16;
-
 /// The treecode force calculator: one entry point, holding the
-/// interaction-list buffers that are reused across calls and substeps so
+/// interaction-list buffer that is reused across calls and substeps so
 /// steady-state evaluation does not allocate list storage.
 #[derive(Clone, Default)]
 pub struct ForceCalc {
-    lists: Vec<InteractionList<MassMoments>>,
+    list: InteractionList<MassMoments>,
 }
 
 impl std::fmt::Debug for ForceCalc {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("ForceCalc").field("list_buffers", &self.lists.len()).finish()
+        f.debug_struct("ForceCalc").finish_non_exhaustive()
     }
 }
 
@@ -173,75 +151,19 @@ impl ForceCalc {
         let mut work_sorted = vec![0.0f32; n];
         let mut stats = WalkStats::default();
 
-        if opts.parallel && groups.len() > 1 {
-            let chunks = chunk_ranges(groups.len(), PARALLEL_CHUNKS);
-            if self.lists.len() < chunks.len() {
-                self.lists.resize_with(chunks.len(), InteractionList::new);
-            }
-            let results: Vec<ChunkBuffers> = self.lists[..chunks.len()]
-                .par_iter_mut()
-                .zip(chunks)
-                .map(|(list, gr)| {
-                    let spans: Vec<std::ops::Range<usize>> = groups[gr.clone()]
-                        .iter()
-                        .map(|&gi| tree.cells[gi as usize].span())
-                        .collect();
-                    let base = spans.iter().map(|s| s.start).min().unwrap_or(0);
-                    let end = spans.iter().map(|s| s.end).max().unwrap_or(0);
-                    let len = end - base;
-                    let mut acc = vec![Vec3::ZERO; len];
-                    let mut pot = vec![0.0f64; len];
-                    let mut work = vec![0.0f32; len];
-                    let mut stats = WalkStats::default();
-                    {
-                        let mut ev = GravityEvaluator {
-                            acc: &mut acc,
-                            pot: want_pot.then_some(&mut pot[..]),
-                            eps2: opts.eps2,
-                            quadrupole: opts.quadrupole,
-                            counter,
-                            work: &mut work,
-                            base,
-                        };
-                        for (k, &gi) in groups[gr].iter().enumerate() {
-                            use hot_core::ilist::ListConsumer as _;
-                            stats.merge(&walk_group_list(&tree, &opts.mac, gi, list));
-                            ev.consume(&tree.pos, &tree.charge, spans[k].clone(), list);
-                        }
-                    }
-                    (spans, base, acc, pot, work, stats)
-                })
-                .collect();
-            for (spans, base, a, p, w, s) in results {
-                // Scatter per group span: groups are disjoint, so chunk
-                // buffers never overlap where they carry data.
-                for span in spans {
-                    let local = span.start - base..span.end - base;
-                    acc_sorted[span.clone()].copy_from_slice(&a[local.clone()]);
-                    pot_sorted[span.clone()].copy_from_slice(&p[local.clone()]);
-                    work_sorted[span].copy_from_slice(&w[local]);
-                }
-                stats.merge(&s);
-            }
-        } else {
-            if self.lists.is_empty() {
-                self.lists.push(InteractionList::new());
-            }
-            let list = &mut self.lists[0];
-            let mut ev = GravityEvaluator {
-                acc: &mut acc_sorted,
-                pot: want_pot.then_some(&mut pot_sorted[..]),
-                eps2: opts.eps2,
-                quadrupole: opts.quadrupole,
-                counter,
-                work: &mut work_sorted,
-                base: 0,
-            };
-            for gi in groups {
-                use hot_core::ilist::ListConsumer as _;
-                stats.merge(&walk_group_list(&tree, &opts.mac, gi, list));
-                ev.consume(&tree.pos, &tree.charge, tree.cells[gi as usize].span(), list);
-            }
+        let mut ev = GravityEvaluator {
+            acc: &mut acc_sorted,
+            pot: want_pot.then_some(&mut pot_sorted[..]),
+            eps2: opts.eps2,
+            quadrupole: opts.quadrupole,
+            counter,
+            work: &mut work_sorted,
+            base: 0,
+        };
+        for gi in groups {
+            use hot_core::ilist::ListConsumer as _;
+            stats.merge(&walk_group_list(&tree, &opts.mac, gi, &mut self.list));
+            ev.consume(&tree.pos, &tree.charge, tree.cells[gi as usize].span(), &self.list);
         }
         stats.record_traversal(trace);
         trace.end();
@@ -249,26 +171,6 @@ impl ForceCalc {
         unsort(&tree, &acc_sorted, &pot_sorted, &work_sorted, stats, want_pot)
     }
 }
-
-/// Split `0..len` into at most `parts` contiguous, nearly equal ranges.
-fn chunk_ranges(len: usize, parts: usize) -> Vec<std::ops::Range<usize>> {
-    let parts = parts.min(len).max(1);
-    let base = len / parts;
-    let extra = len % parts;
-    let mut out = Vec::with_capacity(parts);
-    let mut at = 0;
-    for i in 0..parts {
-        let sz = base + usize::from(i < extra);
-        out.push(at..at + sz);
-        at += sz;
-    }
-    out
-}
-
-/// One chunk's apply output: its group spans, buffer base, span-local
-/// acc/pot/work buffers and the merged walk statistics.
-type ChunkBuffers =
-    (Vec<std::ops::Range<usize>>, usize, Vec<Vec3>, Vec<f64>, Vec<f32>, WalkStats);
 
 fn unsort(
     tree: &Tree<MassMoments>,
@@ -329,26 +231,10 @@ mod tests {
     }
 
     #[test]
-    fn parallel_matches_serial_exactly() {
-        let (pos, mass) = random_system(1200, 11);
-        let counter = FlopCounter::new();
-        let serial = TreecodeOptions::default();
-        let parallel = TreecodeOptions { parallel: true, ..serial };
-        let mut calc = ForceCalc::new();
-        let a = calc.compute(Aabb::unit(), &pos, &mass, &serial, &counter, true);
-        let b = calc.compute(Aabb::unit(), &pos, &mass, &parallel, &counter, true);
-        assert_eq!(a.stats, b.stats, "same traversal, same counts");
-        for i in 0..pos.len() {
-            assert_eq!(a.acc[i], b.acc[i], "parallel apply must be bitwise");
-            assert_eq!(a.pot[i], b.pot[i]);
-        }
-    }
-
-    #[test]
     fn buffers_reused_across_calls_bitwise() {
         let (pos, mass) = random_system(700, 13);
         let counter = FlopCounter::new();
-        let opts = TreecodeOptions { parallel: true, ..Default::default() };
+        let opts = TreecodeOptions::default();
         let mut calc = ForceCalc::new();
         let a = calc.compute(Aabb::unit(), &pos, &mass, &opts, &counter, false);
         let b = calc.compute(Aabb::unit(), &pos, &mass, &opts, &counter, false);
@@ -382,4 +268,83 @@ mod tests {
         assert!(quad < mono, "quad {quad} must beat mono {mono}");
     }
 
+    /// Reference implementation: scalar kernels invoked straight from the
+    /// traversal callbacks, arithmetic interleaved with the walk. Its
+    /// accumulation order is the contract the list pipeline reproduces —
+    /// per sink, each P-P callback sums into a fresh accumulator added
+    /// once, each accepted cell adds directly.
+    struct ScalarCallback<'a> {
+        acc: &'a mut [Vec3],
+        eps2: f64,
+        quadrupole: bool,
+    }
+
+    impl hot_core::walk::Evaluator<MassMoments> for ScalarCallback<'_> {
+        fn particle_cell(
+            &mut self,
+            tree: &Tree<MassMoments>,
+            sinks: std::ops::Range<usize>,
+            center: Vec3,
+            m: &MassMoments,
+        ) {
+            use crate::kernels::{pc_mono_acc, pc_quad_acc};
+            for i in sinks {
+                let d = tree.pos[i] - center;
+                self.acc[i] += if self.quadrupole {
+                    pc_quad_acc(d, m.mass, &m.quad, self.eps2)
+                } else {
+                    pc_mono_acc(d, m.mass, self.eps2)
+                };
+            }
+        }
+
+        fn particle_particle(
+            &mut self,
+            tree: &Tree<MassMoments>,
+            sinks: std::ops::Range<usize>,
+            src_pos: &[Vec3],
+            src_charge: &[f64],
+            src_start: Option<usize>,
+        ) {
+            for i in sinks {
+                let xi = tree.pos[i];
+                let mut a = Vec3::ZERO;
+                for (j, (&xj, &mj)) in src_pos.iter().zip(src_charge).enumerate() {
+                    if src_start.is_some_and(|s0| s0 + j == i) {
+                        continue;
+                    }
+                    a += crate::kernels::pp_acc(xi - xj, mj, self.eps2);
+                }
+                self.acc[i] += a;
+            }
+        }
+    }
+
+    /// The whole-tree list pipeline (list build + batched apply) must
+    /// agree *bitwise*, sink for sink, with scalar callback evaluation of
+    /// the same tree, with and without the quadrupole term.
+    #[test]
+    fn list_pipeline_matches_scalar_callbacks_bitwise() {
+        let (pos, mass) = random_system(4096, 1997);
+        let counter = FlopCounter::new();
+        for quadrupole in [false, true] {
+            let opts = TreecodeOptions { eps2: 1e-8, quadrupole, ..Default::default() };
+            let res = ForceCalc::new().compute(Aabb::unit(), &pos, &mass, &opts, &counter, false);
+
+            let tree = Tree::<MassMoments>::build(Aabb::unit(), &pos, &mass, opts.bucket);
+            let mut acc_sorted = vec![Vec3::ZERO; pos.len()];
+            let mut oracle =
+                ScalarCallback { acc: &mut acc_sorted, eps2: opts.eps2, quadrupole };
+            let stats = hot_core::walk::walk(&tree, &opts.mac, &mut oracle);
+            assert_eq!((stats.pp, stats.pc), (res.stats.pp, res.stats.pc));
+            let bits = |v: Vec3| [v.x.to_bits(), v.y.to_bits(), v.z.to_bits()];
+            for (sorted_i, &orig) in tree.order.iter().enumerate() {
+                assert_eq!(
+                    bits(res.acc[orig as usize]),
+                    bits(acc_sorted[sorted_i]),
+                    "quadrupole = {quadrupole}: sink {orig} differs"
+                );
+            }
+        }
+    }
 }

@@ -29,7 +29,6 @@ fn main() {
         bucket: 16,
         eps2: 1e-4,
         quadrupole: true,
-        ..Default::default()
     };
     let domain = bounding_domain(&pos);
     let mut trace = Ledger::new(ModelClock::paper_loki());

@@ -81,6 +81,37 @@ fn lint_json_matches_committed_golden() {
     check("analyze_lint_fixture.json", &json::lint_json(&findings));
 }
 
+/// A fiber-run source keeping state in a thread-local: the `runtime-api`
+/// finding the event runtime's worker-migration bug earned. The expected
+/// document is pinned here rather than under `tests/goldens/`.
+const THREAD_LOCAL_FIXTURE: &str = "\
+use std::cell::Cell;
+thread_local! {
+    static REASON: Cell<u64> = const { Cell::new(0) };
+}
+";
+
+const THREAD_LOCAL_GOLDEN: &str = r#"{
+  "schema": "hot-analyze/lint-v1",
+  "findings": [
+    {"rule":"runtime-api","file":"crates/comm/src/events.rs","line":2,"excerpt":"thread_local! {","message":"thread-local in code a rank fiber can run: a fiber may resume on a different worker thread, and a thread-local's address cached across the switch then names the previous worker's slot; keep the state per rank (EventSched's per-rank atomics) or pass it explicitly"}
+  ]
+}
+"#;
+
+#[test]
+fn thread_local_in_fiber_code_matches_pinned_finding() {
+    let planted = lint::lint_source("crates/comm/src/events.rs", THREAD_LOCAL_FIXTURE, &[]);
+    let actual = json::lint_json(&planted);
+    assert!(
+        actual == THREAD_LOCAL_GOLDEN,
+        "thread-local fixture diverged\n{}",
+        first_diff(THREAD_LOCAL_GOLDEN, &actual)
+    );
+    // The fiber switch's own CURRENT pointer is the single exemption.
+    assert!(lint::lint_source("crates/comm/src/fiber.rs", THREAD_LOCAL_FIXTURE, &[]).is_empty());
+}
+
 /// A comm-scope fixture tripping all three protocol rules: a
 /// rank-guarded barrier, an orphan tag in each direction, and a counter
 /// incremented from two crates.

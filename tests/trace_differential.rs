@@ -46,7 +46,6 @@ fn treecode_ledger_agrees_with_direct_oracle() {
         bucket: 8,
         eps2: EPS2,
         quadrupole: true,
-        ..Default::default()
     };
     let mut trace = Ledger::new(ModelClock::paper_loki());
     let res =
