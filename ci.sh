@@ -12,6 +12,11 @@ cargo check --offline --manifest-path benchmark/Cargo.toml --target-dir target
 echo "==> cargo test -q --workspace"
 cargo test -q --offline --workspace
 
+echo "==> cargo test --release -p hot-base -p hot-gravity (vector code is only generated under optimisation)"
+cargo test -q --offline --release -p hot-base -p hot-gravity
+# Which instantiation of the span kernels the step above exercised on this host.
+cargo test -q --offline --release -p hot-gravity span_instantiation -- --nocapture | grep "span kernels:"
+
 echo "==> cargo clippy --all-targets -- -D warnings"
 cargo clippy --offline --workspace --all-targets -- -D warnings
 

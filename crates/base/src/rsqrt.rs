@@ -22,7 +22,11 @@
 //!    bits each pass. One pass suffices for `f32`; two for `f64`.
 //!
 //! No division or square root instruction appears anywhere on the fast path.
-
+//!
+//! [`rsqrt`] is the scalar definition and the oracle; [`rsqrt_lanes`] does
+//! the same steps on several values at once, bit for bit, in a shape the
+//! compiler vectorises — the gravity span kernels call it with one sink
+//! per lane.
 
 /// log2 of the seed-table size.
 pub const TABLE_BITS: u32 = 6;
@@ -137,17 +141,53 @@ pub fn rsqrt_f32(x: f32) -> f32 {
     (y1 * scale) as f32
 }
 
-/// `x^(-3/2)` via one [`rsqrt`] and two multiplies — the combination the
-/// gravity kernel needs (`1/r³` from `r²`).
-#[inline]
-pub fn rsqrt_cubed(x: f64) -> f64 {
-    let r = rsqrt(x);
-    r * r * r
+/// `[f(0), …, f(W − 1)]`, filled by a plain counted loop. The lane code
+/// here and in `hot-gravity`'s span kernels builds every intermediate with
+/// it: unlike `std::array::from_fn` (an iterator over uninitialised
+/// storage), this shape is one the compiler turns into a single vector
+/// operation when the caller is compiled with vector registers.
+#[inline(always)]
+pub fn per_lane<T: Copy + Default, const W: usize>(mut f: impl FnMut(usize) -> T) -> [T; W] {
+    let mut out = [T::default(); W];
+    for (l, o) in out.iter_mut().enumerate() {
+        *o = f(l);
+    }
+    out
+}
+
+/// [`rsqrt`] of `W` values at once, lane by lane: the same table lookup,
+/// seed polynomial, two Newton–Raphson passes and exponent scale, in the
+/// same order, so lane `l` of the result is *bitwise* `rsqrt(x[l])`. Each
+/// step is one pass over the lanes ([`per_lane`]), so a caller compiled
+/// with vector registers gets vector arithmetic; the table lookup stays a
+/// scalar load per lane. The exponent is handled without signed shifts:
+/// with `u = biased_exponent + 1`, the scale's exponent field
+/// `1023 − ⌊e/2⌋` is `1535 − (u >> 1)`, and `e` is odd exactly when `u` is.
+///
+/// Same domain as [`rsqrt`], per lane.
+#[inline(always)]
+pub fn rsqrt_lanes<const W: usize>(x: [f64; W]) -> [f64; W] {
+    debug_assert!(x.iter().all(|x| x.is_normal() && *x > 0.0), "rsqrt domain: got {x:?}");
+    let bits: [u64; W] = per_lane(|l| x[l].to_bits());
+    let m: [f64; W] =
+        per_lane(|l| f64::from_bits((bits[l] & MANT_MASK) | ((EXP_BIAS as u64) << 52)));
+    let idx: [usize; W] = per_lane(|l| ((bits[l] & MANT_MASK) >> (52 - TABLE_BITS)) as usize);
+    let r: [f64; W] = per_lane(|l| TABLE[idx[l]].r);
+    let inv_m: [f64; W] = per_lane(|l| TABLE[idx[l]].inv_m);
+    let t: [f64; W] = per_lane(|l| m[l] * inv_m[l] - 1.0);
+    let y0: [f64; W] = per_lane(|l| r[l] * (1.0 + t[l] * (-0.5 + t[l] * 0.375)));
+    let y1: [f64; W] = per_lane(|l| y0[l] * (1.5 - 0.5 * m[l] * y0[l] * y0[l]));
+    let y2: [f64; W] = per_lane(|l| y1[l] * (1.5 - 0.5 * m[l] * y1[l] * y1[l]));
+    per_lane(|l| {
+        let u = ((bits[l] >> 52) & 0x7ff) + 1;
+        let scale = f64::from_bits((1535 - (u >> 1)) << 52);
+        y2[l] * if u & 1 == 1 { scale * INV_SQRT2 } else { scale }
+    })
 }
 
 /// Maximum relative error of [`rsqrt`] observed across a deterministic sweep
-/// of the mantissa/exponent space. Used by tests and reported by the kernel
-/// bench; kept here so the sweep logic lives next to the implementation.
+/// of the mantissa/exponent space. Used by the accuracy tests; kept here so
+/// the sweep logic lives next to the implementation.
 pub fn max_relative_error_sweep(samples_per_octave: usize, octaves: std::ops::Range<i32>) -> f64 {
     let mut worst = 0.0f64;
     for e in octaves {
@@ -210,13 +250,31 @@ mod tests {
         assert!(worst < 1e-6, "worst f32 relative error {worst:e}");
     }
 
+    /// Every lane of [`rsqrt_lanes`] is bit-for-bit [`rsqrt`]: random
+    /// mantissas under every normal exponent (so both parities, and a
+    /// different exponent in each lane), then the extremes of
+    /// `f64_accuracy_extreme_exponents` and the ends of the normal range.
     #[test]
-    fn cubed_matches() {
-        for &x in &[0.5f64, 1.0, 2.0, 9.81, 1e6] {
-            let want = x.powf(-1.5);
-            let got = rsqrt_cubed(x);
-            assert!(((got - want) / want).abs() < 2e-15);
+    fn lanes_match_scalar_bitwise() {
+        use rand::{Rng, SeedableRng};
+        fn check(x: [f64; 4]) {
+            let got = rsqrt_lanes(x);
+            for l in 0..4 {
+                assert_eq!(got[l].to_bits(), rsqrt(x[l]).to_bits(), "lane {l} of {x:?}");
+            }
         }
+        let mut rng = rand::rngs::StdRng::seed_from_u64(17);
+        for e in 0u64..2046 {
+            for _ in 0..16 {
+                check(std::array::from_fn(|l| {
+                    let biased = 1 + (e + 511 * l as u64) % 2046;
+                    f64::from_bits((biased << 52) | (rng.gen::<u64>() & MANT_MASK))
+                }));
+            }
+        }
+        check([1e-300, 3.7e-250, 1e300, 2.2e250]);
+        check([5e-1, 123456.789, f64::MIN_POSITIVE, f64::MAX]);
+        assert_eq!(rsqrt_lanes([4.0])[0].to_bits(), rsqrt(4.0).to_bits());
     }
 
     #[test]
@@ -232,12 +290,14 @@ mod tests {
     }
 
     #[test]
+    #[cfg(debug_assertions)]
     #[should_panic(expected = "rsqrt domain")]
     fn rejects_zero_in_debug() {
         let _ = rsqrt(0.0);
     }
 
     #[test]
+    #[cfg(debug_assertions)]
     #[should_panic(expected = "rsqrt domain")]
     fn rejects_negative_in_debug() {
         let _ = rsqrt(-1.0);

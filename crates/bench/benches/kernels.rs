@@ -2,7 +2,7 @@
 //! add/multiply-only reciprocal square root against the hardware
 //! `1/sqrt`, and the full gravity/vortex kernels built on it.
 
-use criterion::{black_box, criterion_group, criterion_main, Criterion};
+use criterion::{black_box, criterion_group, criterion_main, Criterion, Throughput};
 use std::time::Duration;
 
 fn quick() -> Criterion {
@@ -13,7 +13,9 @@ fn quick() -> Criterion {
 }
 use hot_base::rsqrt::{rsqrt, rsqrt_f32};
 use hot_base::{SymMat3, Vec3};
-use hot_gravity::kernels::{pc_quad_acc, pp_acc};
+use hot_core::ilist::{PcView, PpView};
+use hot_core::moments::MassMoments;
+use hot_gravity::kernels::{pc_quad_acc, pc_quad_acc_span, pp_acc, pp_acc_span, span_uses_avx2};
 use hot_vortex::kernel::velocity_and_stretching;
 
 fn bench_rsqrt(c: &mut Criterion) {
@@ -67,5 +69,43 @@ fn bench_interactions(c: &mut Criterion) {
     g.finish();
 }
 
-criterion_group! { name = benches; config = quick(); targets = bench_rsqrt, bench_interactions }
+/// The production apply path: one 32-sink group against a 1 024-cell
+/// quadrupole segment and a 16-source ghost P-P segment, through the lane
+/// body the host selects. Reported per interaction, next to the scalar
+/// `interaction` rows above.
+fn bench_span(c: &mut Criterion) {
+    println!("span kernels: {} instantiation", if span_uses_avx2() { "AVX2" } else { "baseline" });
+    let coord = |i: usize, s: f64| 0.5 + (i as f64 * s).sin() * 0.4;
+    let sinks: Vec<Vec3> =
+        (0..32).map(|i| Vec3::new(coord(i, 0.7), coord(i, 1.3), coord(i, 2.1)) * 0.1).collect();
+    let far = |n: usize| -> [Vec<f64>; 3] {
+        [0.37, 0.91, 1.57].map(|s| (0..n).map(|j| 2.0 + coord(j, s)).collect())
+    };
+    let mut acc = vec![Vec3::ZERO; sinks.len()];
+    let mut g = c.benchmark_group("span");
+
+    let [x, y, z] = far(1024);
+    let quad = SymMat3::new(0.1, 0.2, 0.3, 0.01, 0.02, 0.03);
+    let m = vec![MassMoments { mass: 1.5, quad, b2: quad.trace() }; 1024];
+    let cells = PcView::<MassMoments> { x: &x, y: &y, z: &z, m: &m };
+    g.throughput(Throughput::Elements(32 * 1024));
+    g.bench_function("quadrupole_32_sinks_x_1024_cells", |b| {
+        b.iter(|| pc_quad_acc_span(&sinks, 0..32, black_box(&cells), 1e-6, &mut acc));
+    });
+
+    let [x, y, z] = far(16);
+    let (q, idx) = (vec![1.5; 16], vec![u32::MAX; 16]);
+    let src = PpView::<MassMoments> { x: &x, y: &y, z: &z, q: &q, idx: &idx };
+    g.throughput(Throughput::Elements(32 * 16));
+    g.bench_function("monopole_32_sinks_x_16_sources", |b| {
+        b.iter(|| pp_acc_span(&sinks, 0..32, black_box(&src), 1e-6, &mut acc));
+    });
+    g.finish();
+}
+
+criterion_group! {
+    name = benches;
+    config = quick();
+    targets = bench_rsqrt, bench_interactions, bench_span
+}
 criterion_main!(benches);

@@ -110,7 +110,7 @@ impl FaultConfig {
 
     // Per-field builders, so call sites tweak one knob off a named base
     // (`FaultConfig::clean(seed).with_drop(0.2)`) instead of spelling the
-    // whole struct. Same idiom as `WalkConfig` / `DistOptions`.
+    // whole struct. Same idiom as `DistOptions` / `TreecodeOptions`.
 
     /// Replace the decision seed.
     #[must_use]

@@ -94,27 +94,6 @@ impl Default for WalkConfig {
     }
 }
 
-impl WalkConfig {
-    // Per-field builders off `Default`, matching the
-    // `DistOptions` / `TreecodeOptions` / `FaultConfig` idiom.
-
-    /// Set the ABM batch capacity (flush threshold) in bytes.
-    #[must_use]
-    pub fn with_abm_batch(mut self, bytes: usize) -> Self {
-        self.abm_batch = bytes;
-        self
-    }
-
-    /// Set prefetch depth (levels piggybacked per reply; 0 disables) and
-    /// the speculative-record byte budget per served request.
-    #[must_use]
-    pub fn with_prefetch(mut self, levels: u32, budget: usize) -> Self {
-        self.prefetch_levels = levels;
-        self.prefetch_budget = budget;
-        self
-    }
-}
-
 /// A reference into the hybrid tree: either a local cell or a global node.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 enum Ref {
@@ -210,18 +189,6 @@ pub fn dwalk_with<M: Moments, C: ListConsumer<M>>(
     cfg: &WalkConfig,
 ) -> DwalkStats {
     dwalk_with_traced(comm, dt, mac, consumer, group_size, cfg, &mut hot_trace::Ledger::scratch())
-}
-
-/// [`dwalk`], recording a `Walk` span into `trace`.
-pub fn dwalk_traced<M: Moments, C: ListConsumer<M>>(
-    comm: &mut Comm,
-    dt: &mut DistTree<M>,
-    mac: &Mac,
-    consumer: &mut C,
-    group_size: usize,
-    trace: &mut hot_trace::Ledger,
-) -> DwalkStats {
-    dwalk_with_traced(comm, dt, mac, consumer, group_size, &WalkConfig::default(), trace)
 }
 
 /// [`dwalk_with`], recording a `Walk` span into `trace`.

@@ -61,8 +61,8 @@ impl Default for DistOptions {
 }
 
 impl DistOptions {
-    // Per-field builders off `Default`, matching the `WalkConfig` /
-    // `TreecodeOptions` / `FaultConfig` idiom.
+    // Per-field builders off `Default`, matching the `TreecodeOptions` /
+    // `FaultConfig` idiom.
 
     /// Set the acceptance criterion.
     #[must_use]
@@ -103,14 +103,6 @@ impl DistOptions {
     #[must_use]
     pub fn with_oversample(mut self, oversample: usize) -> Self {
         self.oversample = oversample;
-        self
-    }
-
-    /// Install a walk pipeline configuration (data movement only; never
-    /// affects computed forces).
-    #[must_use]
-    pub fn with_walk(mut self, walk: WalkConfig) -> Self {
-        self.walk = walk;
         self
     }
 

@@ -63,9 +63,9 @@ impl ListConsumer<MassMoments> for GravityEvaluator<'_> {
         // span kernels — per sink, each P-P segment still adds its own
         // fresh sub-sum once and each P-C cell adds directly, in list
         // order: bitwise the old sink-outer evaluation, but one segment
-        // dispatch per group instead of per sink, the segment's source
-        // arrays streamed exactly once, and several sinks' independent
-        // accumulation chains in flight at once. (A sink-block-outer
+        // dispatch per group instead of per sink, each source loaded
+        // once per block of sinks, and the block's sinks evaluated
+        // together, one per SIMD lane. (A sink-block-outer
         // variant that holds accumulators in registers across segments
         // was measured slower: it re-streams the whole list once per
         // block instead of once per group.)

@@ -8,9 +8,19 @@
 //! quadrupole correction (the dipole vanishes because expansions are formed
 //! about cell centers of mass).
 //!
+//! Three layers, one arithmetic. The scalar kernels ([`pp_acc`],
+//! [`pc_quad_acc`], …) define the operations and their order; the per-sink
+//! `*_batch` kernels sum them over a list segment in list order; the
+//! `*_span` kernels — the production apply path — do the same for a whole
+//! sink group, [`LANES`] sinks at a time with one sink per SIMD lane, and
+//! are compiled a second time for AVX2 and chosen by the CPU at run time.
+//! The first two are the oracle the third is pinned against bit for bit
+//! (`proptests.rs`): vectorising across sinks leaves every sink's own
+//! sequence of IEEE operations untouched.
+//!
 //! Units: G = 1 throughout.
 
-use hot_base::rsqrt::rsqrt;
+use hot_base::rsqrt::{per_lane, rsqrt, rsqrt_lanes};
 use hot_base::{SymMat3, Vec3};
 use hot_core::ilist::{PcView, PpView};
 use hot_core::moments::MassMoments;
@@ -195,7 +205,7 @@ pub fn pc_quad_acc_pot_batch(
 /// Whether a P-P segment can contain a self-pair of *any* sink in `sinks`.
 /// Same consecutive-indices assumption as [`may_alias`].
 #[inline(always)]
-fn span_may_alias(src: &PpView<'_, MassMoments>, sinks: &Range<usize>) -> bool {
+pub(crate) fn span_may_alias(src: &PpView<'_, MassMoments>, sinks: &Range<usize>) -> bool {
     match (src.idx.first(), src.idx.last()) {
         (Some(&f), Some(&l)) => {
             f != u32::MAX && (f as usize) < sinks.end && sinks.start <= l as usize
@@ -204,19 +214,195 @@ fn span_may_alias(src: &PpView<'_, MassMoments>, sinks: &Range<usize>) -> bool {
     }
 }
 
-/// Sink lanes processed together by the span kernels. Each lane is an
-/// independent accumulation chain, so a block keeps `LANES` interactions
-/// in flight through the long rsqrt dependency chain instead of one.
+/// Sinks per block of the span kernels: one sink per SIMD lane, every
+/// source broadcast to all of them. Four `f64` lanes fill one AVX2
+/// register; eight were measured slower (spills under AVX2, and under
+/// AVX-512 the padding of short groups eats the gain — EXPERIMENTS.md K2).
 pub const LANES: usize = 4;
 
-/// Span-blocked P-P kernel: one segment against a whole sink group.
+/// One value per sink of a block.
+type Lanes = [f64; LANES];
+
+/// One list entry as the lane body takes it: position, mass and raw
+/// second-moment tensor (zero, and never read, for a particle).
+type Entry<'a> = (f64, f64, f64, f64, &'a SymMat3);
+
+/// A P-P segment's sources as lane-body entries.
+pub(crate) fn pp_entries<'a>(
+    src: &PpView<'a, MassMoments>,
+) -> impl Iterator<Item = Entry<'a>> + Clone {
+    let xyz = src.x.iter().zip(src.y).zip(src.z);
+    xyz.zip(src.q).map(|(((&x, &y), &z), &q)| (x, y, z, q, &SymMat3::ZERO))
+}
+
+/// A P-C segment's cells as lane-body entries.
+pub(crate) fn pc_entries<'a>(
+    cells: &PcView<'a, MassMoments>,
+) -> impl Iterator<Item = Entry<'a>> + Clone {
+    let xyz = cells.x.iter().zip(cells.y).zip(cells.z);
+    xyz.zip(cells.m).map(|(((&x, &y), &z), m)| (x, y, z, m.mass, &m.quad))
+}
+
+/// A block of points as one [`Lanes`] per coordinate.
+#[inline(always)]
+fn per_axis(point: impl Fn(usize) -> Vec3) -> [Lanes; 3] {
+    [per_lane(|l| point(l).x), per_lane(|l| point(l).y), per_lane(|l| point(l).z)]
+}
+
+/// One list segment against one sink group: what every span kernel is
+/// handed, and the argument of the lane body.
+pub(crate) struct Span<'s, I> {
+    pub(crate) sink_pos: &'s [Vec3],
+    pub(crate) sinks: Range<usize>,
+    pub(crate) entries: I,
+    pub(crate) eps2: f64,
+    /// Sink `sinks.start + k` accumulates into `acc[k]`.
+    pub(crate) acc: &'s mut [Vec3],
+    /// Indexed like `acc`; empty when no potential is wanted.
+    pub(crate) pot: &'s mut [f64],
+}
+
+impl<'a, I: Iterator<Item = Entry<'a>> + Clone> Span<'_, I> {
+    /// The lane body behind all six span kernels: [`LANES`] sinks at a
+    /// time, lane = sink.
+    ///
+    /// Every lane runs, entry by entry in list order, exactly the IEEE
+    /// operations of [`pp_acc`] / [`pc_quad_acc`] / [`pc_quad_pot`] on its
+    /// own sink (`a * b + c` is never contracted, nothing is reassociated
+    /// across entries), so the result is bitwise the per-sink `*_batch`
+    /// kernels'. `SUBSUM` is the P-P contract — the segment's sum starts
+    /// at zero and is added to `acc` once; without it each entry is added
+    /// to `acc` directly (the P-C contract). `QUAD` adds the quadrupole
+    /// terms, `POT` fills `pot`. A last block shorter than `LANES` is
+    /// padded with copies of its last sink — a real sink, so `rsqrt`'s
+    /// domain holds in the padding exactly when it holds for the group —
+    /// and only the valid lanes are written back. Self-pairs are the
+    /// caller's business: a segment that may alias the sinks never gets
+    /// here.
+    ///
+    /// Each step is one pass over the lanes ([`per_lane`]), which the
+    /// compiler turns into vector arithmetic where vector registers are
+    /// enabled ([`Span::lanes_avx2`]); at baseline features it is the
+    /// four interleaved scalar chains it replaced, at the same speed.
+    #[inline(always)]
+    pub(crate) fn lanes<const QUAD: bool, const POT: bool, const SUBSUM: bool>(self) {
+        let Span { sink_pos, sinks, entries, eps2, acc, pot } = self;
+        debug_assert_eq!(acc.len(), sinks.len());
+        debug_assert_eq!(pot.len(), if POT { sinks.len() } else { 0 });
+        for k in (0..sinks.len()).step_by(LANES) {
+            let valid = LANES.min(sinks.len() - k);
+            let at = |l: usize| k + l.min(valid - 1);
+            let [xs, ys, zs] = per_axis(|l| sink_pos[sinks.start + at(l)]);
+            let [mut ax, mut ay, mut az, mut p] = [[0.0; LANES]; 4];
+            if !SUBSUM {
+                [ax, ay, az] = per_axis(|l| acc[at(l)]);
+                if POT {
+                    p = per_lane(|l| pot[at(l)]);
+                }
+            }
+            for (sx, sy, sz, m, quad) in entries.clone() {
+                let dx: Lanes = per_lane(|l| xs[l] - sx);
+                let dy: Lanes = per_lane(|l| ys[l] - sy);
+                let dz: Lanes = per_lane(|l| zs[l] - sz);
+                let r2: Lanes = per_lane(|l| dx[l] * dx[l] + dy[l] * dy[l] + dz[l] * dz[l] + eps2);
+                let rinv = rsqrt_lanes(r2);
+                let rinv2: Lanes = per_lane(|l| rinv[l] * rinv[l]);
+                let rinv3: Lanes = per_lane(|l| rinv2[l] * rinv[l]);
+                let mono: Lanes = per_lane(|l| -m * rinv3[l]);
+                if QUAD {
+                    let [xx, yy, zz, xy, xz, yz] = quad.m;
+                    let tr = quad.trace();
+                    let rinv5: Lanes = per_lane(|l| rinv3[l] * rinv2[l]);
+                    let rinv7: Lanes = per_lane(|l| rinv5[l] * rinv2[l]);
+                    let qx: Lanes = per_lane(|l| xx * dx[l] + xy * dy[l] + xz * dz[l]);
+                    let qy: Lanes = per_lane(|l| xy * dx[l] + yy * dy[l] + yz * dz[l]);
+                    let qz: Lanes = per_lane(|l| xz * dx[l] + yz * dy[l] + zz * dz[l]);
+                    // 3 dᵀQd − r² tr Q, shared by the force and the potential.
+                    let s: Lanes = per_lane(|l| {
+                        3.0 * (dx[l] * qx[l] + dy[l] * qy[l] + dz[l] * qz[l]) - r2[l] * tr
+                    });
+                    let radial: Lanes = per_lane(|l| 2.5 * s[l] * rinv7[l]);
+                    for (a, d, q) in [(&mut ax, dx, qx), (&mut ay, dy, qy), (&mut az, dz, qz)] {
+                        for l in 0..LANES {
+                            a[l] += d[l] * mono[l] + (q[l] * 3.0 - d[l] * tr) * rinv5[l]
+                                - d[l] * radial[l];
+                        }
+                    }
+                    if POT {
+                        for l in 0..LANES {
+                            p[l] += -m * rinv[l] - 0.5 * s[l] * rinv5[l];
+                        }
+                    }
+                } else {
+                    for (a, d) in [(&mut ax, dx), (&mut ay, dy), (&mut az, dz)] {
+                        for l in 0..LANES {
+                            a[l] += d[l] * mono[l];
+                        }
+                    }
+                    if POT {
+                        for l in 0..LANES {
+                            p[l] += -m * rinv[l];
+                        }
+                    }
+                }
+            }
+            for l in 0..valid {
+                let (i, sum) = (k + l, Vec3::new(ax[l], ay[l], az[l]));
+                if SUBSUM {
+                    acc[i] += sum;
+                } else {
+                    acc[i] = sum;
+                }
+                if POT {
+                    pot[i] = if SUBSUM { pot[i] + p[l] } else { p[l] };
+                }
+            }
+        }
+    }
+
+    /// [`Span::lanes`] compiled a second time with AVX2 enabled, so the
+    /// four sink lanes of a block are one 256-bit register. Only `avx2` —
+    /// not `fma` — is enabled, so no fused multiply-add can appear and the
+    /// result stays bitwise the baseline instantiation's.
+    #[cfg(target_arch = "x86_64")]
+    #[target_feature(enable = "avx2")]
+    fn lanes_avx2<const QUAD: bool, const POT: bool, const SUBSUM: bool>(self) {
+        self.lanes::<QUAD, POT, SUBSUM>();
+    }
+
+    /// Run the lane body in the widest instantiation this CPU supports.
+    #[allow(unsafe_code)]
+    #[inline]
+    fn apply<const QUAD: bool, const POT: bool, const SUBSUM: bool>(self) {
+        #[cfg(target_arch = "x86_64")]
+        if span_uses_avx2() {
+            // SAFETY: `lanes_avx2` requires only the `avx2` target feature,
+            // which `span_uses_avx2` has just detected on the running CPU.
+            return unsafe { self.lanes_avx2::<QUAD, POT, SUBSUM>() };
+        }
+        self.lanes::<QUAD, POT, SUBSUM>();
+    }
+}
+
+/// Whether the span kernels run their AVX2 instantiation on this CPU.
+/// `std` detects once per process and caches in an atomic — not a
+/// thread-local, so a fiber resumed on another worker reads it safely.
+pub fn span_uses_avx2() -> bool {
+    #[cfg(target_arch = "x86_64")]
+    return std::arch::is_x86_feature_detected!("avx2");
+    #[cfg(not(target_arch = "x86_64"))]
+    return false;
+}
+
+/// Span P-P kernel: one segment against a whole sink group.
 ///
 /// `acc[k]` receives sink `sinks.start + k`'s segment sum, accumulated
 /// source-by-source in list order and added once — bitwise-identical to
-/// calling [`pp_acc_batch`] per sink, but with `LANES` sinks interleaved
-/// so their independent chains pipeline and each source is loaded once
-/// per block instead of once per sink. The source arrays are walked with
-/// zipped iterators so the inner loop carries no bounds checks.
+/// calling [`pp_acc_batch`] per sink. A segment that may hold a self-pair
+/// (the group's own leaves: a few dozen of a list's ≈ 1 400 entries) *is*
+/// evaluated per sink, since a masked lane would still compute
+/// `rsqrt(0 + ε²)`, outside `rsqrt`'s domain when `ε = 0`; every other
+/// segment goes through the lane body (`Span::lanes`).
 pub fn pp_acc_span(
     sink_pos: &[Vec3],
     sinks: Range<usize>,
@@ -224,43 +410,17 @@ pub fn pp_acc_span(
     eps2: f64,
     acc: &mut [Vec3],
 ) {
-    debug_assert_eq!(acc.len(), sinks.len());
-    let alias = span_may_alias(src, &sinks);
-    let mut k = 0;
-    while k + LANES <= sinks.len() {
-        let i0 = sinks.start + k;
-        let xi: [Vec3; LANES] = std::array::from_fn(|l| sink_pos[i0 + l]);
-        let mut a = [Vec3::ZERO; LANES];
-        if alias {
-            for ((((&sx, &sy), &sz), &q), &id) in
-                src.x.iter().zip(src.y).zip(src.z).zip(src.q).zip(src.idx)
-            {
-                let sj = Vec3::new(sx, sy, sz);
-                for l in 0..LANES {
-                    if id != (i0 + l) as u32 {
-                        a[l] += pp_acc(xi[l] - sj, q, eps2);
-                    }
-                }
-            }
-        } else {
-            for (((&sx, &sy), &sz), &q) in src.x.iter().zip(src.y).zip(src.z).zip(src.q) {
-                let sj = Vec3::new(sx, sy, sz);
-                for l in 0..LANES {
-                    a[l] += pp_acc(xi[l] - sj, q, eps2);
-                }
-            }
+    if span_may_alias(src, &sinks) {
+        for (a, i) in acc.iter_mut().zip(sinks) {
+            *a += pp_acc_batch(sink_pos[i], i as u32, src, eps2);
         }
-        for l in 0..LANES {
-            acc[k + l] += a[l];
-        }
-        k += LANES;
-    }
-    for i in sinks.start + k..sinks.end {
-        acc[i - sinks.start] += pp_acc_batch(sink_pos[i], i as u32, src, eps2);
+    } else {
+        let entries = pp_entries(src);
+        Span { sink_pos, sinks, entries, eps2, acc, pot: &mut [] }.apply::<false, false, true>();
     }
 }
 
-/// Span-blocked P-P kernel with potential; see [`pp_acc_span`].
+/// Span P-P kernel with potential; see [`pp_acc_span`].
 pub fn pp_acc_pot_span(
     sink_pos: &[Vec3],
     sinks: Range<usize>,
@@ -269,140 +429,70 @@ pub fn pp_acc_pot_span(
     acc: &mut [Vec3],
     pot: &mut [f64],
 ) {
-    debug_assert_eq!(acc.len(), sinks.len());
-    debug_assert_eq!(pot.len(), sinks.len());
-    let alias = span_may_alias(src, &sinks);
-    let mut k = 0;
-    while k + LANES <= sinks.len() {
-        let i0 = sinks.start + k;
-        let xi: [Vec3; LANES] = std::array::from_fn(|l| sink_pos[i0 + l]);
-        let mut a = [Vec3::ZERO; LANES];
-        let mut p = [0.0f64; LANES];
-        for ((((&sx, &sy), &sz), &q), &id) in
-            src.x.iter().zip(src.y).zip(src.z).zip(src.q).zip(src.idx)
-        {
-            let sj = Vec3::new(sx, sy, sz);
-            let id = if alias { id } else { u32::MAX };
-            for l in 0..LANES {
-                if id != (i0 + l) as u32 {
-                    let (aj, pj) = pp_acc_pot(xi[l] - sj, q, eps2);
-                    a[l] += aj;
-                    p[l] += pj;
-                }
-            }
+    if span_may_alias(src, &sinks) {
+        for ((a, p), i) in acc.iter_mut().zip(pot).zip(sinks) {
+            let (aj, pj) = pp_acc_pot_batch(sink_pos[i], i as u32, src, eps2);
+            *a += aj;
+            *p += pj;
         }
-        for l in 0..LANES {
-            acc[k + l] += a[l];
-            pot[k + l] += p[l];
-        }
-        k += LANES;
-    }
-    for i in sinks.start + k..sinks.end {
-        let (a, p) = pp_acc_pot_batch(sink_pos[i], i as u32, src, eps2);
-        acc[i - sinks.start] += a;
-        pot[i - sinks.start] += p;
+    } else {
+        let entries = pp_entries(src);
+        Span { sink_pos, sinks, entries, eps2, acc, pot }.apply::<false, true, true>();
     }
 }
 
-macro_rules! pc_span_kernel {
-    ($name:ident, $batch:ident, $cell:expr) => {
-        /// Span-blocked P-C kernel: each cell's contribution is added to
-        /// each sink directly, cell-by-cell in list order — bitwise the
-        /// per-sink batch kernel, `LANES` sinks at a time.
-        pub fn $name(
-            sink_pos: &[Vec3],
-            sinks: Range<usize>,
-            cells: &PcView<'_, MassMoments>,
-            eps2: f64,
-            acc: &mut [Vec3],
-        ) {
-            debug_assert_eq!(acc.len(), sinks.len());
-            let mut k = 0;
-            while k + LANES <= sinks.len() {
-                let i0 = sinks.start + k;
-                let xi: [Vec3; LANES] = std::array::from_fn(|l| sink_pos[i0 + l]);
-                let mut a: [Vec3; LANES] = std::array::from_fn(|l| acc[k + l]);
-                for (((&cx, &cy), &cz), m) in
-                    cells.x.iter().zip(cells.y).zip(cells.z).zip(cells.m)
-                {
-                    let cj = Vec3::new(cx, cy, cz);
-                    for l in 0..LANES {
-                        a[l] += $cell(xi[l] - cj, m, eps2);
-                    }
-                }
-                for l in 0..LANES {
-                    acc[k + l] = a[l];
-                }
-                k += LANES;
-            }
-            for i in sinks.start + k..sinks.end {
-                $batch(sink_pos[i], cells, eps2, &mut acc[i - sinks.start]);
-            }
-        }
-    };
+/// Span monopole P-C kernel: each cell's contribution is added to each
+/// sink directly, cell by cell in list order — bitwise
+/// [`pc_mono_acc_batch`] per sink.
+pub fn pc_mono_acc_span(
+    sink_pos: &[Vec3],
+    sinks: Range<usize>,
+    cells: &PcView<'_, MassMoments>,
+    eps2: f64,
+    acc: &mut [Vec3],
+) {
+    let entries = pc_entries(cells);
+    Span { sink_pos, sinks, entries, eps2, acc, pot: &mut [] }.apply::<false, false, false>();
 }
 
-pc_span_kernel!(pc_mono_acc_span, pc_mono_acc_batch, |d, m: &MassMoments, eps2| pc_mono_acc(
-    d, m.mass, eps2
-));
-pc_span_kernel!(pc_quad_acc_span, pc_quad_acc_batch, |d, m: &MassMoments, eps2| pc_quad_acc(
-    d,
-    m.mass,
-    &m.quad,
-    eps2
-));
-
-macro_rules! pc_span_pot_kernel {
-    ($name:ident, $batch:ident, $cell:expr) => {
-        /// Span-blocked P-C kernel with potential; see the acceleration
-        /// variant for the accumulation-order contract.
-        pub fn $name(
-            sink_pos: &[Vec3],
-            sinks: Range<usize>,
-            cells: &PcView<'_, MassMoments>,
-            eps2: f64,
-            acc: &mut [Vec3],
-            pot: &mut [f64],
-        ) {
-            debug_assert_eq!(acc.len(), sinks.len());
-            debug_assert_eq!(pot.len(), sinks.len());
-            let mut k = 0;
-            while k + LANES <= sinks.len() {
-                let i0 = sinks.start + k;
-                let xi: [Vec3; LANES] = std::array::from_fn(|l| sink_pos[i0 + l]);
-                let mut a: [Vec3; LANES] = std::array::from_fn(|l| acc[k + l]);
-                let mut p: [f64; LANES] = std::array::from_fn(|l| pot[k + l]);
-                for (((&cx, &cy), &cz), m) in
-                    cells.x.iter().zip(cells.y).zip(cells.z).zip(cells.m)
-                {
-                    let cj = Vec3::new(cx, cy, cz);
-                    for l in 0..LANES {
-                        let (aj, pj) = $cell(xi[l] - cj, m, eps2);
-                        a[l] += aj;
-                        p[l] += pj;
-                    }
-                }
-                for l in 0..LANES {
-                    acc[k + l] = a[l];
-                    pot[k + l] = p[l];
-                }
-                k += LANES;
-            }
-            for i in sinks.start + k..sinks.end {
-                $batch(sink_pos[i], cells, eps2, &mut acc[i - sinks.start], &mut pot[i - sinks.start]);
-            }
-        }
-    };
+/// Span monopole P-C kernel with potential; see [`pc_mono_acc_span`].
+pub fn pc_mono_acc_pot_span(
+    sink_pos: &[Vec3],
+    sinks: Range<usize>,
+    cells: &PcView<'_, MassMoments>,
+    eps2: f64,
+    acc: &mut [Vec3],
+    pot: &mut [f64],
+) {
+    let entries = pc_entries(cells);
+    Span { sink_pos, sinks, entries, eps2, acc, pot }.apply::<false, true, false>();
 }
 
-pc_span_pot_kernel!(pc_mono_acc_pot_span, pc_mono_acc_pot_batch, |d, m: &MassMoments, eps2| {
-    let a = pc_mono_acc(d, m.mass, eps2);
-    let (_, p) = pp_acc_pot(d, m.mass, eps2);
-    (a, p)
-});
-pc_span_pot_kernel!(pc_quad_acc_pot_span, pc_quad_acc_pot_batch, |d, m: &MassMoments, eps2| {
-    (pc_quad_acc(d, m.mass, &m.quad, eps2), pc_quad_pot(d, m.mass, &m.quad, eps2))
-});
+/// Span monopole+quadrupole P-C kernel; bitwise [`pc_quad_acc_batch`] per
+/// sink, see [`pc_mono_acc_span`].
+pub fn pc_quad_acc_span(
+    sink_pos: &[Vec3],
+    sinks: Range<usize>,
+    cells: &PcView<'_, MassMoments>,
+    eps2: f64,
+    acc: &mut [Vec3],
+) {
+    let entries = pc_entries(cells);
+    Span { sink_pos, sinks, entries, eps2, acc, pot: &mut [] }.apply::<true, false, false>();
+}
+
+/// Span monopole+quadrupole P-C kernel with potential.
+pub fn pc_quad_acc_pot_span(
+    sink_pos: &[Vec3],
+    sinks: Range<usize>,
+    cells: &PcView<'_, MassMoments>,
+    eps2: f64,
+    acc: &mut [Vec3],
+    pot: &mut [f64],
+) {
+    let entries = pc_entries(cells);
+    Span { sink_pos, sinks, entries, eps2, acc, pot }.apply::<true, true, false>();
+}
 
 #[cfg(test)]
 mod tests {

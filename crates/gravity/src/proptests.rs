@@ -7,12 +7,13 @@
 
 use crate::evaluator::GravityEvaluator;
 use crate::kernels::{
+    pc_entries, pc_mono_acc_batch, pc_mono_acc_pot_batch, pc_mono_acc_pot_span, pc_mono_acc_span,
     pc_quad_acc, pc_quad_acc_batch, pc_quad_acc_pot_batch, pc_quad_acc_pot_span,
     pc_quad_acc_span, pp_acc, pp_acc_batch, pp_acc_pot, pp_acc_pot_batch, pp_acc_pot_span,
-    pp_acc_span,
+    pp_acc_span, pp_entries, span_may_alias, span_uses_avx2, Span, LANES,
 };
 use hot_base::flops::{FlopCounter, Kind};
-use hot_base::{Vec3, FLOPS_PER_GRAV_INTERACTION, FLOPS_PER_QUAD_INTERACTION};
+use hot_base::{SymMat3, Vec3, FLOPS_PER_GRAV_INTERACTION, FLOPS_PER_QUAD_INTERACTION};
 use hot_core::ilist::{InteractionList, ListConsumer, PcView, PpView};
 use hot_core::moments::{MassMoments, Moments};
 use proptest::prelude::*;
@@ -48,6 +49,17 @@ impl Soa {
     fn view(&self) -> PpView<'_, MassMoments> {
         PpView { x: &self.x, y: &self.y, z: &self.z, q: &self.q, idx: &self.idx }
     }
+}
+
+/// Which instantiation the entry-point calls below exercise on this host
+/// (`ci.sh` prints the line). The choice must be a process-wide fact, never
+/// a per-thread one: a fiber can resume on another worker mid-list.
+#[test]
+fn span_instantiation_is_process_wide() {
+    let here = span_uses_avx2();
+    println!("span kernels: {} instantiation", if here { "AVX2" } else { "baseline" });
+    let there = std::thread::spawn(span_uses_avx2).join().expect("detection does not panic");
+    assert_eq!(here, there);
 }
 
 proptest! {
@@ -132,48 +144,40 @@ proptest! {
     }
 
     /// The span kernels — the production apply path — are bitwise the
-    /// per-sink batch kernels for any sink-span length (including tails
-    /// shorter than the lane width) and any self-pair overlap between the
-    /// segment's index span and the sinks.
+    /// per-sink batch kernels, in both instantiations of the lane body:
+    /// every kernel runs through its public entry point (the instantiation
+    /// the host selects — AVX2 where the CPU has it) and, wherever the lane
+    /// body runs at all, through the baseline instantiation called
+    /// directly. Every case runs group sizes 1 ..= 2·LANES + 1, so every
+    /// padding count; the P-P segment is a ghost one, a local one clear of
+    /// the sinks, or one aliasing them; P-C runs mono and quad; all with
+    /// and without potential, onto non-zero accumulators. `acc`/`pot` are
+    /// exactly `sinks.len()` long, so writing a padding lane back panics.
     #[test]
     fn span_matches_batch_bitwise(
-        all in unit_points(1..24),
+        all in unit_points(2 * LANES + 6..24),
         start in 0usize..6,
-        span_len in 1usize..11,
         src_pts in unit_points(0..30),
-        s0 in 0u32..24,
+        s0 in 0u32..40,
+        ghost in any::<bool>(),
+        quads in proptest::collection::vec(-1.0f64..1.0, 30..31),
         eps2 in 1e-10f64..1e-2,
     ) {
-        let n = all.len();
-        let start = start.min(n - 1);
-        let sinks = start..(start + span_len).min(n);
         let q: Vec<f64> = (0..src_pts.len()).map(|j| 0.3 + j as f64 * 0.4).collect();
-        let soa = Soa::new(&src_pts, &q, s0);
-
-        let mut acc = vec![Vec3::ZERO; sinks.len()];
-        pp_acc_span(&all, sinks.clone(), &soa.view(), eps2, &mut acc);
-        let mut acc_p = vec![Vec3::ZERO; sinks.len()];
-        let mut pot = vec![0.0f64; sinks.len()];
-        pp_acc_pot_span(&all, sinks.clone(), &soa.view(), eps2, &mut acc_p, &mut pot);
-        for (k, i) in sinks.clone().enumerate() {
-            let want = pp_acc_batch(all[i], i as u32, &soa.view(), eps2);
-            prop_assert_eq!(acc[k].x.to_bits(), want.x.to_bits());
-            prop_assert_eq!(acc[k].y.to_bits(), want.y.to_bits());
-            prop_assert_eq!(acc[k].z.to_bits(), want.z.to_bits());
-            let (wa, wp) = pp_acc_pot_batch(all[i], i as u32, &soa.view(), eps2);
-            prop_assert_eq!(acc_p[k].x.to_bits(), wa.x.to_bits());
-            prop_assert_eq!(pot[k].to_bits(), wp.to_bits());
+        let mut soa = Soa::new(&src_pts, &q, s0);
+        if ghost {
+            soa.idx.fill(u32::MAX);
         }
+        let src = soa.view();
 
-        // P-C: a short run of cells with nontrivial quadrupoles.
-        let centers: Vec<Vec3> = (0..4).map(|k| Vec3::new(5.0 + k as f64, 5.0, 5.0)).collect();
-        let moments: Vec<MassMoments> = centers
-            .iter()
-            .map(|&c| {
-                let off = Vec3::new(0.01, 0.02, 0.005);
-                let mut m = MassMoments::from_particle(c + off, &1.5, c);
-                m.accumulate_shifted(&MassMoments::from_particle(c - off, &2.0, c), c, c);
-                m
+        // P-C: a short run of cells whose quadrupole terms outweigh their
+        // monopole, so a reordered operation in either shows in the sum.
+        let centers: Vec<Vec3> = (0..5).map(|k| Vec3::new(5.0 + k as f64, 5.0, 5.0)).collect();
+        let moments: Vec<MassMoments> = quads
+            .chunks_exact(6)
+            .map(|m| {
+                let quad = SymMat3::new(m[0], m[1], m[2], m[3], m[4], m[5]) * 30.0;
+                MassMoments { mass: 0.5, quad, b2: quad.trace() }
             })
             .collect();
         let (cx, cy, cz): (Vec<f64>, Vec<f64>, Vec<f64>) = (
@@ -182,21 +186,90 @@ proptest! {
             centers.iter().map(|c| c.z).collect(),
         );
         let cells = PcView::<MassMoments> { x: &cx, y: &cy, z: &cz, m: &moments };
-        let mut acc_c = vec![Vec3::ZERO; sinks.len()];
-        pc_quad_acc_span(&all, sinks.clone(), &cells, eps2, &mut acc_c);
-        let mut acc_cp = vec![Vec3::ZERO; sinks.len()];
-        let mut pot_c = vec![0.0f64; sinks.len()];
-        pc_quad_acc_pot_span(&all, sinks.clone(), &cells, eps2, &mut acc_cp, &mut pot_c);
-        for (k, i) in sinks.clone().enumerate() {
-            let mut want = Vec3::ZERO;
-            pc_quad_acc_batch(all[i], &cells, eps2, &mut want);
-            prop_assert_eq!(acc_c[k].x.to_bits(), want.x.to_bits());
-            prop_assert_eq!(acc_c[k].y.to_bits(), want.y.to_bits());
-            prop_assert_eq!(acc_c[k].z.to_bits(), want.z.to_bits());
-            let (mut wa, mut wp) = (Vec3::ZERO, 0.0f64);
-            pc_quad_acc_pot_batch(all[i], &cells, eps2, &mut wa, &mut wp);
-            prop_assert_eq!(acc_cp[k].x.to_bits(), wa.x.to_bits());
-            prop_assert_eq!(pot_c[k].to_bits(), wp.to_bits());
+
+        for span_len in 1..=2 * LANES + 1 {
+            let sinks = start..start + span_len;
+            // Bit patterns of (acc, pot) after `f` ran on the same non-zero
+            // starting buffers.
+            let run = |f: &dyn Fn(&mut [Vec3], &mut [f64])| {
+                let mut acc: Vec<Vec3> = (0..span_len)
+                    .map(|k| Vec3::new(0.5, -0.25, 0.125) * (k as f64 - 3.0))
+                    .collect();
+                let mut pot: Vec<f64> = (0..span_len).map(|k| 0.75 - k as f64).collect();
+                f(&mut acc, &mut pot);
+                let acc: Vec<[u64; 3]> =
+                    acc.iter().map(|a| [a.x.to_bits(), a.y.to_bits(), a.z.to_bits()]).collect();
+                (acc, pot.iter().map(|p| p.to_bits()).collect::<Vec<u64>>())
+            };
+            // The baseline instantiation, called directly.
+            macro_rules! baseline {
+                ($entries:expr, $acc:expr, $pot:expr, $quad:literal, $p:literal, $sub:literal) => {{
+                    let (sink_pos, entries) = (&all[..], $entries);
+                    Span { sink_pos, sinks: sinks.clone(), entries, eps2, acc: $acc, pot: $pot }
+                        .lanes::<$quad, $p, $sub>()
+                }};
+            }
+            // Per kernel: the per-sink oracle, the public entry point, the
+            // baseline lane body.
+            type Oracle<'c> = &'c dyn Fn(Vec3, u32, &mut Vec3, &mut f64);
+            type Kernel<'c> = &'c dyn Fn(&mut [Vec3], &mut [f64]);
+            let kernels: [(&str, Oracle, Kernel, Kernel); 6] = [
+                (
+                    "pp_acc",
+                    &|xi, i, a, _| *a += pp_acc_batch(xi, i, &src, eps2),
+                    &|a, _| pp_acc_span(&all, sinks.clone(), &src, eps2, a),
+                    &|a, _| baseline!(pp_entries(&src), a, &mut [], false, false, true),
+                ),
+                (
+                    "pp_acc_pot",
+                    &|xi, i, a, p| {
+                        let (aj, pj) = pp_acc_pot_batch(xi, i, &src, eps2);
+                        *a += aj;
+                        *p += pj;
+                    },
+                    &|a, p| pp_acc_pot_span(&all, sinks.clone(), &src, eps2, a, p),
+                    &|a, p| baseline!(pp_entries(&src), a, p, false, true, true),
+                ),
+                (
+                    "pc_mono_acc",
+                    &|xi, _, a, _| pc_mono_acc_batch(xi, &cells, eps2, a),
+                    &|a, _| pc_mono_acc_span(&all, sinks.clone(), &cells, eps2, a),
+                    &|a, _| baseline!(pc_entries(&cells), a, &mut [], false, false, false),
+                ),
+                (
+                    "pc_mono_acc_pot",
+                    &|xi, _, a, p| pc_mono_acc_pot_batch(xi, &cells, eps2, a, p),
+                    &|a, p| pc_mono_acc_pot_span(&all, sinks.clone(), &cells, eps2, a, p),
+                    &|a, p| baseline!(pc_entries(&cells), a, p, false, true, false),
+                ),
+                (
+                    "pc_quad_acc",
+                    &|xi, _, a, _| pc_quad_acc_batch(xi, &cells, eps2, a),
+                    &|a, _| pc_quad_acc_span(&all, sinks.clone(), &cells, eps2, a),
+                    &|a, _| baseline!(pc_entries(&cells), a, &mut [], true, false, false),
+                ),
+                (
+                    "pc_quad_acc_pot",
+                    &|xi, _, a, p| pc_quad_acc_pot_batch(xi, &cells, eps2, a, p),
+                    &|a, p| pc_quad_acc_pot_span(&all, sinks.clone(), &cells, eps2, a, p),
+                    &|a, p| baseline!(pc_entries(&cells), a, p, true, true, false),
+                ),
+            ];
+            // An aliasing P-P segment takes the per-sink path inside the
+            // entry point; the lane body must never see it.
+            let aliasing = span_may_alias(&src, &sinks);
+            prop_assert!(!(ghost && aliasing));
+            for (name, oracle, entry, lane_body) in kernels {
+                let want = run(&|acc, pot| {
+                    for (k, i) in sinks.clone().enumerate() {
+                        oracle(all[i], i as u32, &mut acc[k], &mut pot[k]);
+                    }
+                });
+                prop_assert_eq!(&run(entry), &want, "{}_span, {} sinks", name, span_len);
+                if !(aliasing && name.starts_with("pp")) {
+                    prop_assert_eq!(&run(lane_body), &want, "{} lane body, {} sinks", name, span_len);
+                }
+            }
         }
     }
 

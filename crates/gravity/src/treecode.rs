@@ -44,7 +44,7 @@ impl Default for TreecodeOptions {
 
 impl TreecodeOptions {
     // Per-field builders off `Default`, matching the `DistOptions` /
-    // `WalkConfig` / `FaultConfig` idiom.
+    // `FaultConfig` idiom.
 
     /// Set the acceptance criterion.
     #[must_use]

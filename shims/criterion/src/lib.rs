@@ -61,6 +61,7 @@ impl Criterion {
             criterion: self,
             group: name.to_string(),
             sample_size: None,
+            throughput: None,
         }
     }
 }
@@ -84,17 +85,32 @@ impl BenchmarkId {
     }
 }
 
+/// How much work one iteration does, so a result can be shown per unit.
+#[derive(Clone, Copy, Debug)]
+pub enum Throughput {
+    /// Each iteration processes this many elements.
+    Elements(u64),
+}
+
 /// A named set of benchmarks sharing configuration.
 pub struct BenchmarkGroup<'a> {
     criterion: &'a mut Criterion,
     group: String,
     sample_size: Option<usize>,
+    throughput: Option<Throughput>,
 }
 
 impl BenchmarkGroup<'_> {
     /// Override the sample count for this group.
     pub fn sample_size(&mut self, n: usize) -> &mut Self {
         self.sample_size = Some(n.max(1));
+        self
+    }
+
+    /// Work per iteration of the benchmarks that follow: their results
+    /// are also reported per element.
+    pub fn throughput(&mut self, t: Throughput) -> &mut Self {
+        self.throughput = Some(t);
         self
     }
 
@@ -137,7 +153,14 @@ impl BenchmarkGroup<'_> {
         }
         b.per_iter.sort_unstable();
         let med = b.per_iter.get(b.per_iter.len() / 2).copied().unwrap_or_default();
-        println!("  {}/{label}: median {med:?} over {} samples", self.group, b.per_iter.len());
+        let per_elem = self.throughput.map_or(String::new(), |Throughput::Elements(n)| {
+            format!(" ({:.2} ns/element)", med.as_secs_f64() * 1e9 / n as f64)
+        });
+        println!(
+            "  {}/{label}: median {med:?}{per_elem} over {} samples",
+            self.group,
+            b.per_iter.len()
+        );
     }
 }
 
@@ -199,6 +222,7 @@ mod tests {
         let mut g = c.benchmark_group("shim");
         g.sample_size(3);
         g.bench_function("add", |b| b.iter(|| black_box(1u64) + black_box(2u64)));
+        g.throughput(Throughput::Elements(4));
         g.bench_with_input(BenchmarkId::new("param", 7), &7u32, |b, &n| {
             b.iter(|| n * 2);
         });
