@@ -52,7 +52,7 @@ fi
 echo "==> events migration stress (np=128, two workers, 600 launches)"
 cargo test -q --offline --release -p hot-comm --test events_migration -- --ignored
 
-echo "==> exp_latency smoke (walk pipeline configs bitwise, >= 2 keys per request message)"
+echo "==> exp_latency smoke (walk pipeline configs bitwise, >= 8 keys per request message, <= 16 request rounds)"
 cargo run -q --offline --release -p hot-bench --bin exp_latency -- 8192 4
 test -s results/BENCH_latency.json
 

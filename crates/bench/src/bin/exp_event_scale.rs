@@ -14,8 +14,10 @@
 //!    trees → branch exchange → latency-hiding walk) at np = 1024.
 //!
 //! Each stage asserts a wall-clock budget so CI catches a runtime that
-//! stops scaling, and everything is written to
-//! `results/BENCH_event_scale.json`.
+//! stops scaling, and a bound on the busiest rank's send count so it also
+//! catches a step whose *structure* regressed (a linear collective; a walk
+//! whose request rounds follow the key count instead of the tree depth).
+//! Everything is written to `results/BENCH_event_scale.json`.
 //!
 //! Args: `exp_event_scale [np_collectives] [np_treecode] [n_per_rank]`
 //! (defaults 6800, 1024, 24).
@@ -26,6 +28,10 @@ use hot_bench::{arg_usize, header, random_bodies, rule};
 use hot_comm::{RunConfig, Runtime};
 use hot_gravity::dist::{distributed_accelerations, DistOptions};
 use std::time::Instant;
+
+fn ceil_log2(np: u32) -> u64 {
+    u64::from(32 - (np - 1).leading_zeros())
+}
 
 /// Collectives at machine size `np` on the event runtime. Returns
 /// (wall seconds, max per-rank messages sent) and checks the log-p
@@ -53,8 +59,7 @@ fn collectives_at(np: u32) -> (f64, u64) {
     // Two barriers + allreduce + Bruck allgather are all ⌈log2 np⌉-round:
     // a generous structural bound that a linear collective (np - 1 sends)
     // blows through immediately at these sizes.
-    let log2 = u64::from(32 - (np - 1).leading_zeros());
-    let bound = 8 * log2 + 16;
+    let bound = 8 * ceil_log2(np) + 16;
     assert!(
         max_sends <= bound,
         "collective rounds are not O(log p): {max_sends} sends > bound {bound} at np = {np}"
@@ -63,8 +68,8 @@ fn collectives_at(np: u32) -> (f64, u64) {
 }
 
 /// One reduced-N treecode force evaluation at `np` on the event runtime.
-/// Returns (wall seconds, total interactions).
-fn treecode_at(np: u32, n_per_rank: usize) -> (f64, u64) {
+/// Returns (wall seconds, total interactions, max per-rank messages sent).
+fn treecode_at(np: u32, n_per_rank: usize) -> (f64, u64, u64) {
     let t0 = Instant::now();
     let out = RunConfig::builder()
         .np(np)
@@ -78,7 +83,21 @@ fn treecode_at(np: u32, n_per_rank: usize) -> (f64, u64) {
             res.stats.walk.interactions()
         });
     let wall = t0.elapsed().as_secs_f64();
-    (wall, out.results.iter().sum())
+    let max_sends = out.stats.iter().map(|s| s.sends).max().unwrap_or(0);
+    // A step is a few exchanges with every peer (the sample sort's
+    // alltoall; one coalesced request and its replies per owner per walk
+    // round) plus O(log p) collectives, one quiescence allreduce per walk
+    // round among them — measured 570 sends at np = 256, 2113 at np = 1024.
+    // A walk that spends a round per missing key multiplies the allreduce
+    // term by the keys a group opens (28 110 and 184 185 sends at the same
+    // sizes), which the wall-clock budget is far too loose to notice.
+    let bound = 4 * u64::from(np) + 64 * ceil_log2(np);
+    assert!(
+        max_sends <= bound,
+        "treecode step is not a few exchanges per peer: {max_sends} sends > bound {bound} \
+         at np = {np} (walk rounds no longer bounded by tree depth?)"
+    );
+    (wall, out.results.iter().sum(), max_sends)
 }
 
 fn main() {
@@ -94,17 +113,17 @@ fn main() {
         println!(
             "collectives np = {np:>5}: {wall:>7.2} s wall, max {max_sends} sends/rank \
              (log2 np = {})",
-            32 - (np - 1).leading_zeros()
+            ceil_log2(np)
         );
         coll.push((np, wall, max_sends));
     }
 
     // Stage 2: a full treecode step at np = 1024.
-    let (tree_wall, interactions) = treecode_at(np_tree, n_per_rank);
+    let (tree_wall, interactions, tree_sends) = treecode_at(np_tree, n_per_rank);
     let n_total = np_tree as usize * n_per_rank;
     println!(
         "treecode  np = {np_tree:>5}: {tree_wall:>7.2} s wall, N = {n_total}, \
-         {interactions} interactions"
+         {interactions} interactions, max {tree_sends} sends/rank"
     );
     rule();
 
@@ -129,7 +148,8 @@ fn main() {
     }
     json.push_str(&format!(
         "  ],\n  \"treecode\": {{\"np\": {np_tree}, \"n_per_rank\": {n_per_rank}, \
-         \"wall_s\": {tree_wall:.3}, \"interactions\": {interactions}}}\n}}\n"
+         \"wall_s\": {tree_wall:.3}, \"interactions\": {interactions}, \
+         \"max_sends_per_rank\": {tree_sends}}}\n}}\n"
     ));
     let path = std::path::Path::new("results").join("BENCH_event_scale.json");
     std::fs::create_dir_all("results").expect("create results dir");

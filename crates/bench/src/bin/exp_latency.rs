@@ -6,19 +6,23 @@
 //! 11.5 MB/s fast ethernet) and ASCI Red (20.5 µs / 290 MB/s). The
 //! accelerations of every configuration must be bitwise identical — the
 //! pipeline moves data earlier, it never changes what the walk computes.
-//! The comparison against the retired blocking per-key walk is frozen as
-//! row L1 of EXPERIMENTS.md.
+//! The comparisons against the retired blocking per-key walk and against
+//! the one-key-per-group-per-round walk are frozen as rows L1 and L2 of
+//! EXPERIMENTS.md.
 //!
 //! Also sweeps the ABM physical batch capacity and reports the knee (the
 //! smallest capacity whose modeled wire time is within 10% of the best),
 //! which is how the shipped `WalkConfig::default().abm_batch` was chosen.
 //!
 //! Results go to `results/BENCH_latency.json`. From N ≥ 8192 (CI's smoke
-//! size) the run *asserts* that coalescing carries ≥ 2 distinct keys per
-//! request message with prefetch off (a per-key protocol posts exactly
-//! one message per distinct key, so this ratio is the saving over it); at
-//! full size (N ≥ 32768) it additionally asserts the shipped `abm_batch`
-//! default equals the sweep's measured knee.
+//! size) the run *asserts*, with prefetch off, that coalescing carries ≥ 8
+//! distinct keys per request message (a per-key protocol posts exactly one
+//! message per distinct key, so this ratio is the saving over it; measured
+//! 17.0 at `8192 4`) and that no rank needs more than 16 request rounds
+//! (measured 8: a round asks for a whole level of every remote subtree the
+//! parked groups reach; the walk that parked a group on its first missing
+//! key took 55); at full size (N ≥ 32768) it additionally asserts the
+//! shipped `abm_batch` default equals the sweep's measured knee.
 //!
 //! Args: `exp_latency [n_total] [np]` (defaults 32768, 8).
 
@@ -263,10 +267,18 @@ fn main() {
     // smoke size; only the capacity knee needs the full problem.
     if n_total >= 8192 {
         assert!(
-            keys_per_msg >= 2.0,
+            keys_per_msg >= 8.0,
             "request-message gate failed: only {keys_per_msg:.2} keys per message at N = {n_total}"
         );
-        println!("gate passed: {keys_per_msg:.1} keys per request message");
+        assert!(
+            coalesced.rounds <= 16,
+            "round gate failed: {} request rounds with prefetch off at N = {n_total}",
+            coalesced.rounds
+        );
+        println!(
+            "gates passed: {keys_per_msg:.1} keys per request message, {} rounds",
+            coalesced.rounds
+        );
     } else {
         println!("(smoke size N = {n_total} < 8192: gate reported, not enforced)");
     }

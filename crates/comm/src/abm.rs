@@ -19,6 +19,7 @@
 use crate::runtime::Comm;
 use crate::wire::{crc32, to_bytes, Wire};
 use bytes::{Buf, BufMut, Bytes, BytesMut};
+use std::collections::BTreeSet;
 
 /// Internal tag for ABM batch traffic.
 pub(crate) const ABM_TAG: u32 = 0x9000_0000;
@@ -79,6 +80,9 @@ pub struct Abm<'a> {
     comm: &'a mut Comm,
     batch_capacity: usize,
     out: Vec<BytesMut>,
+    /// Destinations whose `out` buffer holds unsent bytes, so a flush
+    /// visits only those (ascending) instead of all `np`.
+    pending: BTreeSet<u32>,
     stats: AbmStats,
     /// Next batch sequence number per destination.
     out_seq: Vec<u64>,
@@ -100,6 +104,7 @@ impl<'a> Abm<'a> {
             comm,
             batch_capacity: batch_capacity.max(16),
             out: (0..np).map(|_| BytesMut::new()).collect(),
+            pending: BTreeSet::new(),
             stats: AbmStats::default(),
             out_seq: vec![0; np],
             in_expected: vec![0; np],
@@ -134,6 +139,9 @@ impl<'a> Abm<'a> {
     pub fn post<T: Wire>(&mut self, dst: u32, kind: u16, payload: &T) {
         let data = to_bytes(payload);
         let buf = &mut self.out[dst as usize];
+        if buf.is_empty() {
+            self.pending.insert(dst);
+        }
         buf.put_u16_le(kind);
         buf.put_u32_le(data.len() as u32);
         buf.put_slice(&data);
@@ -151,6 +159,7 @@ impl<'a> Abm<'a> {
         if buf.is_empty() {
             return;
         }
+        self.pending.remove(&dst);
         let body = buf.split().freeze();
         let seq = self.out_seq[dst as usize];
         self.out_seq[dst as usize] += 1;
@@ -170,9 +179,9 @@ impl<'a> Abm<'a> {
         self.peer_acked[peer as usize]
     }
 
-    /// Ship every pending batch.
+    /// Ship every pending batch, in ascending destination order.
     pub fn flush_all(&mut self) {
-        for dst in 0..self.size() {
+        while let Some(dst) = self.pending.first().copied() {
             self.flush_one(dst);
         }
     }
@@ -400,6 +409,36 @@ mod tests {
             abm.stats()
         });
         assert!(out.results[0].batches_sent > 1, "tiny capacity must produce several batches");
+    }
+
+    /// `flush_all` visits only destinations with pending bytes — k batches
+    /// for k of np destinations, however they were posted — in ascending
+    /// order, and leaves nothing pending.
+    #[test]
+    fn flush_all_sends_one_batch_per_pending_destination_ascending() {
+        let out = RunConfig::builder().np(8).run(|c| {
+            let before = c.stats();
+            let mut abm = Abm::new(c, 1 << 20);
+            if abm.rank() == 0 {
+                for dst in [5u32, 1, 3, 5] {
+                    abm.post(dst, 2, &u64::from(dst));
+                }
+                // What flush_all walks, in the order it walks it.
+                assert_eq!(abm.pending.iter().copied().collect::<Vec<_>>(), [1, 3, 5]);
+                abm.flush_all();
+                let sent = abm.comm_mut().stats().since(&before).sends;
+                assert_eq!((sent, abm.stats().batches_sent), (3, 3));
+                assert_eq!(abm.out_seq, [0, 1, 0, 1, 0, 1, 0, 0]);
+                assert!(abm.pending.is_empty());
+                abm.flush_all();
+                assert_eq!(abm.stats().batches_sent, 3, "nothing pending, nothing sent");
+            }
+            let mut got = Vec::new();
+            abm.complete(|_, _, _, payload| got.push(crate::wire::from_bytes::<u64>(payload)));
+            got
+        });
+        assert_eq!(out.results[5], [5, 5]);
+        assert_eq!(out.results[2], [0u64; 0]);
     }
 
     /// The byte-accounting contract: logical `bytes_posted` (header +

@@ -4,42 +4,51 @@
 //! traversal phase of the algorithm is critical. To avoid stalls during
 //! non-local data access, we effectively do explicit 'context switching'."*
 //!
-//! Each sink group carries an independent walk (an explicit stack of node
-//! references) that records its accepted sources into the group's
+//! Each sink group carries an independent walk in two stages. *Resolve*
+//! MAC-tests the global nodes the group's traversal reaches and collects
+//! **every** one whose data is not resident — the children of a remote
+//! cell, or the bodies of a remote leaf — not just the first. A group with
+//! anything missing is *parked* and the rank switches to another group
+//! instead of stalling; a group with nothing missing *emits*: one
+//! uninterrupted depth-first traversal (an explicit stack of node
+//! references) recording its accepted sources into the group's
 //! [`InteractionList`] — the distributed flavour of the list-build stage.
-//! When a walk needs data that is not resident — the children of a remote
-//! cell, or the bodies of a remote leaf — it is *parked* and the rank
-//! switches to another group's walk instead of stalling. The pipeline
-//! (tuned by [`WalkConfig`]) then hides the network latency three ways:
+//! The pipeline (tuned by [`WalkConfig`]) then hides the network latency
+//! three ways:
 //!
-//! * **Request coalescing** — parked wants are gathered per *round* and
-//!   every distinct key wanted from one owner goes out in a single
-//!   multi-key [`KeyBatchRequest`] message, with replies batched the same
-//!   way. Rounds are globally synchronized: parked walks resume only at a
-//!   machine-wide quiescent point (every outstanding request answered),
-//!   which makes the per-round request sets — and therefore every logical
-//!   message and byte count — a pure function of the walk, independent of
-//!   message schedules.
+//! * **Request coalescing** — the wants of all parked groups are gathered
+//!   per *round* and every distinct key wanted from one owner goes out in a
+//!   single multi-key [`KeyBatchRequest`] message, with replies batched the
+//!   same way. Since a group asks for its whole missing frontier at once, a
+//!   round fetches one level of every remote subtree being descended, and
+//!   rounds number the remote trees' depth below the branch level — not the
+//!   count of remote cells opened. Rounds are globally synchronized: parked
+//!   groups resume only at a machine-wide quiescent point (every
+//!   outstanding request answered), which makes the per-round request sets
+//!   — and therefore every logical message and byte count — a pure function
+//!   of the walk, independent of message schedules.
 //! * **Speculative subtree prefetch** — when serving a children request
 //!   the owner piggybacks descendant cell records ([`WalkConfig`]
 //!   `prefetch_levels` deep, within `prefetch_budget` wire bytes) onto the
 //!   reply, so a descent that will open the child anyway saves a full
 //!   round-trip. Prefetched cells install into the [`DistTree`] cache
 //!   exactly as if requested; hits and wasted bytes are counted.
-//! * **Overlapped apply** — completed walks enqueue their finished lists
-//!   (after pinning interaction counts) and the service loop hands them to
+//! * **Overlapped apply** — groups whose closure is resident emit at once
+//!   (round 0 for a wholly local closure) and enqueue their finished lists
+//!   (after pinning interaction counts); the service loop hands them to
 //!   the rank's [`ListConsumer`] only when no messages are pollable, so
-//!   local force arithmetic fills the latency window. The apply order is
-//!   the deterministic walk-completion order, and sink groups are
-//!   disjoint, so accelerations stay bitwise identical.
+//!   local force arithmetic fills the latency window while other groups
+//!   wait. The apply order is the deterministic walk-completion order, and
+//!   sink groups are disjoint, so accelerations stay bitwise identical.
 //!
-//! A parked walk resumes exactly where it stopped (the blocking node is
-//! pushed back and re-popped), so each group's list is written in the same
-//! traversal order no matter when its data arrived, and forces are bitwise
-//! identical across every [`WalkConfig`]. The per-key blocking walk this
-//! pipeline replaced is frozen as row L1 of EXPERIMENTS.md. The whole
-//! exchange runs to quiescence with ABM's termination protocol, every rank
-//! serving its peers' fetch requests from its local tree throughout.
+//! Emit never starts before everything it will touch is resident, so each
+//! group's list is written in the one canonical depth-first order no matter
+//! which rounds its data arrived in, and forces are bitwise identical
+//! across every [`WalkConfig`]. The per-key blocking walk and the
+//! one-key-per-group-per-round walk this pipeline replaced are frozen as
+//! rows L1 and L2 of EXPERIMENTS.md. The whole exchange runs to quiescence
+//! with ABM's termination protocol, every rank serving its peers' fetch
+//! requests from its local tree throughout.
 
 use crate::dtree::{CellRecord, DChildren, DistTree};
 use crate::ilist::{InteractionList, ListConsumer};
@@ -50,7 +59,7 @@ use bytes::Bytes;
 use hot_base::Vec3;
 use hot_comm::{from_bytes, Abm, Comm, KeyBatchRequest, Wire};
 use hot_morton::Key;
-use std::collections::{BTreeMap, VecDeque};
+use std::collections::{BTreeMap, BTreeSet, VecDeque};
 
 // Message kinds on the ABM channel. Kinds 1–4 belonged to the retired
 // per-key protocol and stay unassigned.
@@ -77,9 +86,10 @@ pub struct WalkConfig {
     /// ABM physical batch capacity in bytes (flush threshold), which also
     /// bounds the reply chunk size. The default is the knee of the
     /// `exp_latency` capacity sweep — the smallest capacity whose modeled
-    /// wire time on Loki is within 10% of the asymptote (4 KiB: 65.5 ms vs
-    /// 62.3 ms at 64 KiB for N = 32768/np = 8); buffering more only delays
-    /// the first batch and fattens reply chunks.
+    /// wire time on Loki is within 10% of the asymptote (16 KiB: 32.3 ms vs
+    /// 31.7 ms at 64 KiB for N = 32768/np = 8, where 4 KiB costs 35.3 ms: a
+    /// round carries a whole tree level per owner, so replies are long);
+    /// buffering more only delays the first batch and fattens reply chunks.
     pub abm_batch: usize,
     /// Levels of descendants an owner piggybacks onto a children reply
     /// (0 disables prefetch).
@@ -90,7 +100,7 @@ pub struct WalkConfig {
 
 impl Default for WalkConfig {
     fn default() -> Self {
-        WalkConfig { abm_batch: 4096, prefetch_levels: 1, prefetch_budget: 8192 }
+        WalkConfig { abm_batch: 16384, prefetch_levels: 1, prefetch_budget: 8192 }
     }
 }
 
@@ -103,27 +113,26 @@ enum Ref {
     Node(u32),
 }
 
-/// One sink group's suspended traversal: its stack, the interaction list
-/// it is building, and its own interaction counts (pinned against the
-/// list when the walk completes).
+/// One sink group's walk. While the group is in its resolve stage only
+/// `untested` and `missing` move; `list` and `stats` are written in one go
+/// by the emit stage, once everything the traversal reaches is resident.
 struct GroupWalk<M: Moments> {
     /// Index of the group cell in the local tree.
     gi: u32,
-    /// Remaining node references to process.
-    stack: Vec<Ref>,
-    /// The group's interaction list under construction.
+    /// Global nodes the resolve stage has reached but not yet MAC-tested.
+    untested: Vec<u32>,
+    /// Global nodes that failed the MAC and whose children (or bodies) are
+    /// not resident: what the group is parked on. Their data lands during
+    /// the round, so the next resolve goes straight to their children.
+    missing: Vec<u32>,
+    /// The group's interaction list.
     list: InteractionList<M>,
-    /// This walk's interaction counts so far.
+    /// This walk's interaction counts.
     stats: WalkStats,
 }
 
-/// Why a walk parked. `Ord` so parked walks live in a `BTreeMap` and
-/// round-boundary reactivation happens in a deterministic order.
-#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Debug)]
-enum Want {
-    Children(u64),
-    Bodies(u64),
-}
+/// One round's new wants: per owner, the (cell keys, leaf keys) to request.
+type Wants = BTreeMap<u32, (Vec<u64>, Vec<u64>)>;
 
 /// Statistics of one rank's distributed walk.
 #[derive(Clone, Debug, Default)]
@@ -141,13 +150,19 @@ pub struct DwalkStats {
     pub cell_requests: u64,
     /// Distinct leaf-body keys requested.
     pub body_requests: u64,
-    /// Times a walk parked (the "context switches").
+    /// Times a group parked (the "context switches"): once per group per
+    /// round in which its traversal still reached non-resident data, however
+    /// many keys it was missing. A group whose closure is resident never
+    /// parks. Schedule-independent, like `rounds`.
     pub parks: u64,
     /// Coalesced multi-key request messages sent (≤ one per owner per
     /// round).
     pub request_msgs: u64,
     /// Request rounds this rank participated in with at least one request
-    /// of its own.
+    /// of its own. A round asks for every key any parked group is missing,
+    /// so this is bounded by the depth of the remote trees below the branch
+    /// level (plus one for leaf bodies), not by how many remote cells the
+    /// walks open.
     pub rounds: u64,
     /// Cells installed speculatively from piggybacked reply records.
     pub prefetched_cells: u64,
@@ -201,7 +216,7 @@ pub fn dwalk_with<M: Moments, C: ListConsumer<M>>(
 /// structure (see [`WalkConfig`]). Raw `TrafficStats` deltas are
 /// deliberately **not** folded in here: the number of
 /// termination-detection rounds — and therefore the allreduce traffic —
-/// depends on arrival interleaving, as do batch counts and `parks`.
+/// depends on arrival interleaving, as do batch counts.
 #[allow(clippy::too_many_arguments)]
 pub fn dwalk_with_traced<M: Moments, C: ListConsumer<M>>(
     comm: &mut Comm,
@@ -233,25 +248,35 @@ pub fn dwalk_with_traced<M: Moments, C: ListConsumer<M>>(
 ///
 /// Structured as globally synchronized request rounds:
 ///
-/// 1. drain every runnable walk, accumulating the round's newly wanted
-///    keys per owner (deduplicated against walks already parked);
+/// 1. drain every runnable group. Its *resolve* stage MAC-tests the global
+///    nodes its traversal newly reaches and collects **every** one whose
+///    children or bodies are not resident — not just the first — into the
+///    round's wants per owner (deduplicated against what other groups
+///    already asked for this round). A group with nothing missing *emits*
+///    its interaction list in one uninterrupted depth-first pass and
+///    queues it for apply; the others park;
 /// 2. post at most one [`KeyBatchRequest`] per owner;
 /// 3. serve peers / absorb replies until no message is pollable, applying
 ///    one queued finished list per idle window;
-/// 4. join the round's count consensus. Parked walks reactivate **only**
+/// 4. join the round's count consensus. Parked groups reactivate **only**
 ///    when the allreduce proves every posted message machine-wide has been
 ///    delivered — i.e. all of this round's replies (including prefetches)
 ///    have landed everywhere.
 ///
-/// Step 4 is the determinism keystone: because wakes happen only at
-/// globally agreed quiescent points, which walks run in a round — and so
-/// which keys each round requests, how many rounds there are, and every
-/// logical message/byte/prefetch count — is a pure function of the walk
-/// state, never of reply arrival timing. (The *number of allreduce
-/// iterations* between rounds does vary with the schedule, which is why
-/// termination traffic is excluded from the trace.) The exchange
-/// terminates when the machine-wide (posted, delivered, parked) triple is
-/// stable at (n, n, 0) for two consecutive iterations.
+/// A round therefore requests one whole level of every remote subtree the
+/// parked groups reach, and rounds number the remote trees' depth below the
+/// branch level rather than the count of remote cells opened.
+///
+/// Step 4 is the determinism keystone, and the reason discovery happens in
+/// step 1 only, never between polls in step 3: because the tree a resolve
+/// sees changes only at globally agreed quiescent points, which keys each
+/// round requests, how many rounds there are, and every logical
+/// message/byte/prefetch count is a pure function of the walk state, never
+/// of reply arrival timing. (The *number of allreduce iterations* between
+/// rounds does vary with the schedule, which is why termination traffic is
+/// excluded from the trace.) The exchange terminates when the machine-wide
+/// (posted, delivered, parked) triple is stable at (n, n, 0) for two
+/// consecutive iterations.
 fn dwalk_pipelined<M: Moments, C: ListConsumer<M>>(
     comm: &mut Comm,
     dt: &mut DistTree<M>,
@@ -262,44 +287,39 @@ fn dwalk_pipelined<M: Moments, C: ListConsumer<M>>(
 ) -> DwalkStats {
     let mut stats = DwalkStats::default();
     // One walk per sink group, all starting at the global root.
-    let root = Ref::Node(dt.root);
     let mut active: Vec<GroupWalk<M>> = dt
         .local
         .groups(group_size)
         .into_iter()
         .map(|gi| GroupWalk {
             gi,
-            stack: vec![root],
+            untested: vec![dt.root],
+            missing: Vec::new(),
             list: InteractionList::new(),
             stats: WalkStats::default(),
         })
         .collect();
-    let mut parked: BTreeMap<Want, Vec<GroupWalk<M>>> = BTreeMap::new();
+    let mut parked: Vec<GroupWalk<M>> = Vec::new();
+    // Keys requested in the current round: dedups wants across groups, and
+    // tells a requested reply entry from a speculative one.
+    let mut requested: BTreeSet<u64> = BTreeSet::new();
     let mut finished: VecDeque<GroupWalk<M>> = VecDeque::new();
     let mut pf = PrefetchLedger::default();
     let mut abm = Abm::new(comm, cfg.abm_batch);
 
     let mut prev = (u64::MAX, u64::MAX, u64::MAX);
     loop {
-        // (1) Drain runnable walks; gather the round's new wants per owner.
-        let mut wants: BTreeMap<u32, (Vec<u64>, Vec<u64>)> = BTreeMap::new();
+        // (1) Drain runnable groups; gather the round's new wants per owner.
+        let mut wants = Wants::new();
         while let Some(mut w) = active.pop() {
-            match run_walk(dt, mac, &mut w, &mut pf) {
-                WalkOutcome::Done => {
-                    pin_walk(dt, &mut w, &mut stats);
-                    finished.push_back(w);
-                }
-                WalkOutcome::Park { want, owner } => {
-                    stats.parks += 1;
-                    if !parked.contains_key(&want) {
-                        let (cells, bodies) = wants.entry(owner).or_default();
-                        match want {
-                            Want::Children(key) => cells.push(key),
-                            Want::Bodies(key) => bodies.push(key),
-                        }
-                    }
-                    parked.entry(want).or_default().push(w);
-                }
+            resolve(dt, mac, &mut w, &mut requested, &mut wants);
+            if w.missing.is_empty() {
+                emit(dt, mac, &mut w, &mut pf);
+                pin_walk(dt, &mut w, &mut stats);
+                finished.push_back(w);
+            } else {
+                stats.parks += 1;
+                parked.push(w);
             }
         }
         // (2) One coalesced multi-key request per owner.
@@ -317,7 +337,7 @@ fn dwalk_pipelined<M: Moments, C: ListConsumer<M>>(
         loop {
             abm.flush_all();
             let handled = {
-                let mut handler = make_batch_handler(dt, &parked, &mut pf, cfg);
+                let mut handler = make_batch_handler(dt, &requested, &mut pf, cfg);
                 abm.poll(&mut handler)
             };
             if handled > 0 {
@@ -331,20 +351,18 @@ fn dwalk_pipelined<M: Moments, C: ListConsumer<M>>(
         }
         // (4) Round consensus: wake everything parked once the machine is
         // quiescent (every request answered, every reply delivered).
-        let pending = parked.values().map(|v| v.len() as u64).sum::<u64>();
         let s = abm.stats();
         let totals = abm
             .comm_mut()
-            .allreduce((s.posted, s.delivered, pending), |a, b| {
+            .allreduce((s.posted, s.delivered, parked.len() as u64), |a, b| {
                 (a.0 + b.0, a.1 + b.1, a.2 + b.2)
             });
         if totals.0 == totals.1 {
             if totals.2 == 0 && totals == prev {
                 break;
             }
-            for (_, walks) in std::mem::take(&mut parked) {
-                active.extend(walks);
-            }
+            active.append(&mut parked);
+            requested.clear();
         }
         prev = totals;
     }
@@ -395,28 +413,64 @@ struct PrefetchLedger {
     unused: BTreeMap<u64, u64>,
 }
 
-enum WalkOutcome {
-    Done,
-    /// The walk blocked on non-resident data; the caller posts the fetch
-    /// (once per distinct key) and parks the walk under `want`.
-    Park { want: Want, owner: u32 },
-}
-
-/// Drive one walk until it completes or blocks on non-resident data,
-/// recording accepted sources into the walk's own interaction list.
-fn run_walk<M: Moments>(
+/// The resolve stage: MAC-test the global nodes this group's traversal has
+/// newly reached and record in `w.missing` every one whose children or
+/// bodies are not resident, adding each key nobody asked for yet this round
+/// to `wants`. Only global nodes are looked at — a `LocalSubtree` cannot
+/// miss — and each at most once per group: a node found missing has its
+/// data by the next call (rounds end quiescent), so that call starts from
+/// its children. Leaves `w.missing` empty iff [`emit`] can run.
+fn resolve<M: Moments>(
     dt: &DistTree<M>,
     mac: &Mac,
     w: &mut GroupWalk<M>,
-    pf: &mut PrefetchLedger,
-) -> WalkOutcome {
+    requested: &mut BTreeSet<u64>,
+    wants: &mut Wants,
+) {
+    let g = &dt.local.cells[w.gi as usize];
+    for ni in w.missing.drain(..) {
+        if let DChildren::Nodes(kids) = &dt.nodes[ni as usize].children {
+            w.untested.extend(kids);
+        }
+    }
+    while let Some(ni) = w.untested.pop() {
+        let node = &dt.nodes[ni as usize];
+        if node.n == 0
+            || mac.accepts_raw(node.center, node.bmax, node.moments.b2(), g.center, g.bmax)
+        {
+            continue;
+        }
+        let leaf = match &node.children {
+            DChildren::Nodes(kids) => {
+                w.untested.extend(kids);
+                continue;
+            }
+            DChildren::LocalSubtree => continue,
+            DChildren::RemoteLeaf if dt.body_cache.contains_key(&ni) => continue,
+            DChildren::RemoteLeaf => true,
+            DChildren::RemoteUnfetched => false,
+        };
+        w.missing.push(ni);
+        if requested.insert(node.key.0) {
+            let (cells, bodies) = wants.entry(node.owner).or_default();
+            if leaf { bodies } else { cells }.push(node.key.0);
+        }
+    }
+}
+
+/// The emit stage: one uninterrupted depth-first traversal recording the
+/// group's accepted sources into its interaction list. Runs only once
+/// [`resolve`] found everything it reaches resident, so the list is written
+/// in the one canonical order whatever round its data arrived in.
+fn emit<M: Moments>(dt: &DistTree<M>, mac: &Mac, w: &mut GroupWalk<M>, pf: &mut PrefetchLedger) {
+    let mut stack = vec![Ref::Node(dt.root)];
     let g = &dt.local.cells[w.gi as usize];
     let gc = g.center;
     let gr = g.bmax;
     let sinks = g.span();
     let gn = g.n as u64;
 
-    while let Some(r) = w.stack.pop() {
+    while let Some(r) = stack.pop() {
         match r {
             Ref::Local(ci) => {
                 if ci == w.gi {
@@ -444,7 +498,7 @@ fn run_walk<M: Moments>(
                     w.stats.pp += gn * c.n as u64;
                 } else {
                     w.stats.opened += 1;
-                    w.stack.extend(dt.local.children(c).map(|k| Ref::Local(k as u32)));
+                    stack.extend(dt.local.children(c).map(|k| Ref::Local(k as u32)));
                 }
             }
             Ref::Node(ni) => {
@@ -462,18 +516,18 @@ fn run_walk<M: Moments>(
                         w.stats.opened += 1;
                         // Opening a parent whose children arrived
                         // speculatively is a prefetch hit: the round-trip
-                        // this descent would have parked on was saved.
+                        // this group would have parked on was saved.
                         if pf.unused.remove(&node.key.0).is_some() {
                             pf.hits += 1;
                         }
-                        w.stack.extend(kids.iter().map(|&k| Ref::Node(k)));
+                        stack.extend(kids.iter().map(|&k| Ref::Node(k)));
                     }
                     DChildren::LocalSubtree => {
                         // Graft into the local cell structure. Virtual
                         // branches (no resident cell) fall back to a direct
                         // span evaluation.
                         if let Some(ci) = dt.local.table.get(node.key) {
-                            w.stack.push(Ref::Local(ci));
+                            stack.push(Ref::Local(ci));
                         } else {
                             // Virtual branch: its particles live in a span
                             // of the local arrays (possibly aliasing the
@@ -499,32 +553,21 @@ fn run_walk<M: Moments>(
                         }
                     }
                     DChildren::RemoteLeaf => {
-                        if let Some((bp, bq)) = dt.body_cache.get(&ni) {
-                            w.list.push_pp(bp, bq, None);
-                            w.stats.pp += gn * bp.len() as u64;
-                        } else {
-                            // Park: remember the blocking node by pushing it
-                            // back; the resume path re-pops it with the
-                            // cache filled.
-                            w.stack.push(Ref::Node(ni));
-                            return WalkOutcome::Park {
-                                want: Want::Bodies(node.key.0),
-                                owner: node.owner,
-                            };
-                        }
+                        let (bp, bq) = dt
+                            .body_cache
+                            .get(&ni)
+                            // hot-lint: allow(unwrap-audit)
+                            .expect("emit reached a remote leaf resolve left unfetched");
+                        w.list.push_pp(bp, bq, None);
+                        w.stats.pp += gn * bp.len() as u64;
                     }
                     DChildren::RemoteUnfetched => {
-                        w.stack.push(Ref::Node(ni));
-                        return WalkOutcome::Park {
-                            want: Want::Children(node.key.0),
-                            owner: node.owner,
-                        };
+                        unreachable!("emit reached a remote cell resolve left unfetched")
                     }
                 }
             }
         }
     }
-    WalkOutcome::Done
 }
 
 /// Install a body reply into the remote-leaf cache.
@@ -629,11 +672,11 @@ fn post_chunked<T: Wire>(ep: &mut Abm<'_>, dst: u32, kind: u16, entries: Vec<T>,
 /// The ABM handler. Replies install data but never
 /// reactivate walks — reactivation waits for the round boundary, which is
 /// what keeps request sets schedule-independent. A reply entry whose key
-/// nobody here parked on is a speculative prefetch and is ledgered as
-/// such.
+/// this rank did not request this round is a speculative prefetch and is
+/// ledgered as such.
 fn make_batch_handler<'h, M: Moments>(
     dt: &'h mut DistTree<M>,
-    parked: &'h BTreeMap<Want, Vec<GroupWalk<M>>>,
+    requested: &'h BTreeSet<u64>,
     pf: &'h mut PrefetchLedger,
     cfg: &'h WalkConfig,
 ) -> impl FnMut(&mut Abm<'_>, u32, u16, Bytes) + 'h {
@@ -645,9 +688,8 @@ fn make_batch_handler<'h, M: Moments>(
         K_REP_CELL_BATCH => {
             let entries: Vec<(u64, Vec<CellRecord<M>>)> = from_bytes(payload);
             for (key, records) in entries {
-                let requested = parked.contains_key(&Want::Children(key));
                 let installed = dt.install_children(Key(key), &records);
-                if !requested && !installed.is_empty() {
+                if !requested.contains(&key) && !installed.is_empty() {
                     let bytes = records.wire_size() as u64;
                     pf.cells += records.len() as u64;
                     pf.bytes += bytes;
@@ -706,6 +748,17 @@ mod tests {
         }
     }
 
+    /// Body `i` of this rank's initial set, at `pos`.
+    fn body_at(c: &Comm, i: usize, pos: Vec3) -> Body<f64> {
+        Body {
+            key: Key::from_point(pos, &Aabb::unit()),
+            pos,
+            charge: 1.0 + (i % 4) as f64 * 0.5,
+            work: 1.0,
+            id: c.rank() as u64 * 1_000_000 + i as u64,
+        }
+    }
+
     fn make_bodies(c: &Comm, n_per: usize, seed: u64, clustered: bool) -> Vec<Body<f64>> {
         let mut rng = rand::rngs::StdRng::seed_from_u64(seed + c.rank() as u64);
         (0..n_per)
@@ -719,13 +772,7 @@ mod tests {
                 } else {
                     Vec3::new(rng.gen(), rng.gen(), rng.gen())
                 };
-                Body {
-                    key: Key::from_point(pos, &Aabb::unit()),
-                    pos,
-                    charge: 1.0 + (i % 4) as f64 * 0.5,
-                    work: 1.0,
-                    id: c.rank() as u64 * 1_000_000 + i as u64,
-                }
+                body_at(c, i, pos)
             })
             .collect()
     }
@@ -873,6 +920,336 @@ mod tests {
         assert!(sum(&prefetching, |r| r.3) > 0, "prefetch never hit");
         // ...which strictly reduces the number of distinct keys requested.
         assert!(sum(&prefetching, |r| r.1) < keys);
+    }
+
+    /// Two clumps in opposite corners, a third of the bodies in the first:
+    /// ranks holding only the small clump accept every remote branch by the
+    /// MAC, so their groups' closures are wholly local, while the ranks
+    /// sharing the big clump must fetch from each other.
+    fn two_clumps(c: &Comm, n_per: usize, seed: u64) -> Vec<Body<f64>> {
+        let mut rng = rand::rngs::StdRng::seed_from_u64(seed + c.rank() as u64);
+        (0..n_per)
+            .map(|i| {
+                let corner = if i % 3 == 0 { 0.05 } else { 0.9 };
+                let mut coord = || corner + rng.gen::<f64>() * 0.05;
+                body_at(c, i, Vec3::new(coord(), coord(), coord()))
+            })
+            .collect()
+    }
+
+    /// What one rank's walk must compute, worked out by recursing over the
+    /// rank's global view with *every* rank's local tree in hand, so nothing
+    /// is ever missing: the list is a pure function of trees + MAC. Shares
+    /// no code with `resolve`/`emit`. Recursion order differs from the
+    /// walk's stack order, which the mass sums cannot see: every charge is
+    /// a multiple of 0.5, so they are exact in any order.
+    struct Oracle<'a> {
+        dt: &'a DistTree<MassMoments>,
+        trees: &'a [Tree<MassMoments>],
+        mac: Mac,
+        gi: u32,
+        pp: u64,
+        pc: u64,
+        opened: u64,
+        /// Source mass listed for the current group.
+        mass: f64,
+        /// Remote cells opened + remote leaves summed by the current group:
+        /// zero means its closure is wholly local.
+        remote_uses: u64,
+        /// Remote cells opened / remote leaves summed directly: the keys
+        /// whose children / bodies the walk must obtain somehow.
+        cell_keys: BTreeSet<u64>,
+        body_keys: BTreeSet<u64>,
+    }
+
+    impl Oracle<'_> {
+        fn group(&self) -> &crate::tree::Cell<MassMoments> {
+            &self.dt.local.cells[self.gi as usize]
+        }
+
+        /// The current group needs `key`'s children (or, for a leaf, its
+        /// bodies) from another rank.
+        fn fetch(&mut self, key: Key, leaf: bool) {
+            self.remote_uses += 1;
+            if leaf {
+                &mut self.body_keys
+            } else {
+                &mut self.cell_keys
+            }
+            .insert(key.0);
+        }
+
+        fn bodies(&mut self, tree: &Tree<MassMoments>, span: Range<usize>, pairs_per_sink: u64) {
+            self.pp += self.group().n as u64 * pairs_per_sink;
+            self.mass += tree.charge[span].iter().sum::<f64>();
+        }
+
+        fn node(&mut self, ni: u32) {
+            let dt = self.dt;
+            let node = &dt.nodes[ni as usize];
+            let (gc, gr, gn) = (
+                self.group().center,
+                self.group().bmax,
+                self.group().n as u64,
+            );
+            if node.n == 0 {
+                return;
+            }
+            if self
+                .mac
+                .accepts_raw(node.center, node.bmax, node.moments.b2(), gc, gr)
+            {
+                self.pc += gn;
+                self.mass += node.moments.mass;
+                return;
+            }
+            if let DChildren::Nodes(kids) = &node.children {
+                self.opened += 1;
+                kids.iter().for_each(|&k| self.node(k));
+                return;
+            }
+            // A branch: continue in its owner's tree. A branch record is its
+            // cell's summary, so `cell` repeats the MAC test just failed.
+            let remote = node.owner != dt.rank;
+            let tree = if remote {
+                &self.trees[node.owner as usize]
+            } else {
+                &dt.local
+            };
+            if let Some(ci) = tree.table.get(node.key) {
+                return self.cell(tree, ci, remote);
+            }
+            // Virtual branch: a span of the owner's bodies, no cell.
+            let i0 = tree.keys.partition_point(|&k| k < node.key.range_begin());
+            let i1 = tree.keys.partition_point(|&k| k <= node.key.range_last());
+            if remote {
+                self.fetch(node.key, true);
+            }
+            let own = !remote && (i0..i1) == self.group().span();
+            self.bodies(tree, i0..i1, (i1 - i0) as u64 - u64::from(own));
+        }
+
+        fn cell(&mut self, tree: &Tree<MassMoments>, ci: u32, remote: bool) {
+            let c = &tree.cells[ci as usize];
+            let (gc, gr, gn) = (
+                self.group().center,
+                self.group().bmax,
+                self.group().n as u64,
+            );
+            if !remote && ci == self.gi {
+                return self.bodies(tree, c.span(), gn - 1);
+            }
+            if c.n == 0 {
+                return;
+            }
+            if self.mac.accepts(c, gc, gr) {
+                self.pc += gn;
+                self.mass += c.moments.mass;
+                return;
+            }
+            if remote {
+                self.fetch(c.key, c.is_leaf());
+            }
+            if c.is_leaf() {
+                self.bodies(tree, c.span(), c.n as u64);
+            } else {
+                self.opened += 1;
+                tree.children(c)
+                    .for_each(|k| self.cell(tree, k as u32, remote));
+            }
+        }
+    }
+
+    /// Coverage plus the order groups were applied in (by sink-span start).
+    struct Ordered {
+        cov: MassCoverage,
+        order: Vec<usize>,
+    }
+
+    impl ListConsumer<MassMoments> for Ordered {
+        fn consume(
+            &mut self,
+            pos: &[Vec3],
+            charge: &[f64],
+            sinks: Range<usize>,
+            list: &InteractionList<MassMoments>,
+        ) {
+            self.order.push(sinks.start);
+            self.cov.consume(pos, charge, sinks, list);
+        }
+    }
+
+    /// One walk checked against the oracle on every rank. Returns, per
+    /// rank, (groups whose closure was wholly local, groups, keys needed).
+    fn round_structure_run(
+        np: u32,
+        make: fn(&Comm, usize, u64) -> Vec<Body<f64>>,
+        cfg: WalkConfig,
+    ) -> Vec<(usize, usize, usize)> {
+        let out = RunConfig::builder().np(np).run(move |c| {
+            let mac = Mac::BarnesHut { theta: 0.6 };
+            let (mine, iv) = decompose(c, make(c, 350, 31), 32);
+            let pos: Vec<Vec3> = mine.iter().map(|b| b.pos).collect();
+            let q: Vec<f64> = mine.iter().map(|b| b.charge).collect();
+            let everyone: Vec<Vec<(Vec3, f64)>> = c.allgather(
+                pos.iter()
+                    .copied()
+                    .zip(q.iter().copied())
+                    .collect::<Vec<_>>(),
+            );
+            let trees: Vec<Tree<MassMoments>> = everyone
+                .iter()
+                .map(|b| {
+                    let (p, q): (Vec<Vec3>, Vec<f64>) = b.iter().copied().unzip();
+                    Tree::build(Aabb::unit(), &p, &q, 8)
+                })
+                .collect();
+            let mut dt =
+                DistTree::build(c, Tree::<MassMoments>::build(Aabb::unit(), &pos, &q, 8), iv);
+            let rank = dt.rank;
+            let groups = dt.local.groups(16);
+
+            // The oracle, and which groups can finish without any fetch,
+            // both from the tree as the walk will first see it.
+            let mut want_seen = vec![0u64; dt.local.n_particles()];
+            let mut local_closure = BTreeSet::new();
+            let mut o = Oracle {
+                dt: &dt,
+                trees: &trees,
+                mac,
+                gi: 0,
+                pp: 0,
+                pc: 0,
+                opened: 0,
+                mass: 0.0,
+                remote_uses: 0,
+                cell_keys: BTreeSet::new(),
+                body_keys: BTreeSet::new(),
+            };
+            for &gi in &groups {
+                (o.gi, o.mass, o.remote_uses) = (gi, 0.0, 0);
+                o.node(dt.root);
+                for i in o.group().span() {
+                    want_seen[i] = o.mass.to_bits();
+                }
+                if o.remote_uses == 0 {
+                    local_closure.insert(o.group().span().start);
+                }
+            }
+            let (pp, pc, opened) = (o.pp, o.pc, o.opened);
+            let (cell_keys, body_keys) = (o.cell_keys, o.body_keys);
+            let level = |k: &u64| Key(*k).level();
+            let deepest = cell_keys.iter().chain(&body_keys).map(level).max();
+            let shallowest = dt
+                .nodes
+                .iter()
+                .filter(|n| n.owner != rank && n.owner != crate::dtree::SHARED)
+                .map(|n| n.key.level())
+                .min();
+
+            let mut ordered = Ordered {
+                cov: MassCoverage {
+                    seen: vec![0.0; dt.local.n_particles()],
+                },
+                order: Vec::new(),
+            };
+            let stats = dwalk_with(c, &mut dt, &mac, &mut ordered, 16, &cfg);
+            let tag = format!("np={np} rank={rank} {cfg:?}");
+
+            // (c) the list is the oracle's, whatever rounds delivered it.
+            assert_eq!(
+                (stats.walk.pp, stats.walk.pc, stats.walk.opened),
+                (pp, pc, opened),
+                "{tag}"
+            );
+            let seen: Vec<u64> = ordered.cov.seen.iter().map(|s| s.to_bits()).collect();
+            assert_eq!(seen, want_seen, "{tag}");
+            // (b) + (c) every needed key is obtained exactly once: bodies
+            // only by request, children by request or by a prefetch that a
+            // walk then opened. A key requested twice, or one no walk uses,
+            // breaks the equalities; with prefetch off they pin the counts.
+            assert_eq!(stats.body_requests, body_keys.len() as u64, "{tag}");
+            assert_eq!(
+                stats.cell_requests + stats.prefetch_hits,
+                cell_keys.len() as u64,
+                "{tag}"
+            );
+            if cfg.prefetch_levels == 0 {
+                assert_eq!(stats.prefetch_hits + stats.prefetched_cells, 0, "{tag}");
+            }
+            // (a) rounds follow the depth fetched, not the key count.
+            let keys = stats.cell_requests + stats.body_requests;
+            match deepest {
+                Some(deepest) => {
+                    let depth = u64::from(deepest - shallowest.expect("a key was fetched"));
+                    assert!(
+                        stats.rounds <= depth + 2,
+                        "{tag}: {} rounds for depth {depth}",
+                        stats.rounds
+                    );
+                    assert!(
+                        keys <= 8 || stats.rounds < keys,
+                        "{tag}: {} rounds, {keys} keys",
+                        stats.rounds
+                    );
+                }
+                None => assert_eq!((stats.rounds, keys), (0, 0), "{tag}"),
+            }
+            // (d) groups with a wholly local closure never park and are
+            // applied first; every other group parks once per round it waits.
+            let (closed, waiting) = (local_closure.len(), groups.len() - local_closure.len());
+            let first: BTreeSet<usize> = ordered.order[..closed].iter().copied().collect();
+            assert_eq!(
+                first, local_closure,
+                "{tag}: round 0 applied other groups first"
+            );
+            assert!(
+                waiting as u64 <= stats.parks && stats.parks <= waiting as u64 * stats.rounds,
+                "{tag}: {} parks, {waiting} waiting groups, {} rounds",
+                stats.parks,
+                stats.rounds
+            );
+            (closed, groups.len(), cell_keys.len() + body_keys.len())
+        });
+        out.results
+    }
+
+    /// The round structure of the frontier-at-once fetch (see
+    /// `round_structure_run` for what is asserted on every rank).
+    #[test]
+    fn rounds_follow_remote_depth_not_key_count() {
+        let uniform: fn(&Comm, usize, u64) -> Vec<Body<f64>> =
+            |c, n, s| make_bodies(c, n, s, false);
+        let clustered: fn(&Comm, usize, u64) -> Vec<Body<f64>> =
+            |c, n, s| make_bodies(c, n, s, true);
+        for cfg in [
+            WalkConfig {
+                prefetch_levels: 0,
+                ..WalkConfig::default()
+            },
+            WalkConfig::default(),
+        ] {
+            for np in [2, 4, 8] {
+                for make in [uniform, clustered] {
+                    let ranks = round_structure_run(np, make, cfg);
+                    assert!(
+                        ranks.iter().any(|r| r.2 > 8),
+                        "np={np}: no rank fetched > 8 keys"
+                    );
+                }
+            }
+            // Non-vacuity of (d): some groups finish in round 0 beside
+            // others that wait.
+            let ranks = round_structure_run(3, two_clumps, cfg);
+            assert!(
+                ranks.iter().any(|r| r.0 > 0),
+                "no wholly local closure: {ranks:?}"
+            );
+            assert!(
+                ranks.iter().any(|r| r.0 < r.1),
+                "no group had to fetch: {ranks:?}"
+            );
+        }
     }
 
     /// The distributed walk must agree with a serial walk over the union of
