@@ -16,6 +16,12 @@ echo "==> cargo test --release -p hot-base -p hot-gravity (vector code is only g
 cargo test -q --offline --release -p hot-base -p hot-gravity
 # Which instantiation of the span kernels the step above exercised on this host.
 cargo test -q --offline --release -p hot-gravity span_instantiation -- --nocapture | grep "span kernels:"
+# How many threads ForceCalc fanned its sink groups out over in the step above.
+cargo test -q --offline --release -p hot-gravity fan_out_public -- --nocapture | grep "force threads:"
+
+echo "==> fan-out tests pinned to one CPU (the public compute path with one available thread)"
+cpu=$(taskset -cp $$ | sed 's/.*: *//; s/[,-].*//')
+taskset -c "$cpu" cargo test -q --offline --release -p hot-gravity fan_out -- --nocapture | grep "force threads:"
 
 echo "==> cargo clippy --all-targets -- -D warnings"
 cargo clippy --offline --workspace --all-targets -- -D warnings

@@ -126,12 +126,22 @@ const EVALUATOR_EXEMPT: [&str; 2] = ["core/src/walk.rs", "core/src/ilist.rs"];
 const RUNTIME_EXEMPT: [&str; 3] =
     ["comm/src/runtime.rs", "comm/src/events.rs", "comm/src/fiber.rs"];
 
+/// The one file allowed `thread::scope(` outside the substrate: it owns
+/// the *compute*-thread fan-out (`ForceCalc` spreading one shared-memory
+/// evaluation's sink groups over the hardware threads). The rule exists
+/// to keep *rank* concurrency inside `RunConfig`; compute threads perform
+/// no channel operation, end before the call returns, and so are invisible
+/// to schedules, fault plans and the event runtime by construction. Scoped
+/// threads only — a detached `thread::spawn(` there is still a finding.
+const COMPUTE_THREADS_EXEMPT: &str = "gravity/src/treecode.rs";
+const SCOPED_SPAWN_CALL: &str = "thread::scope(";
+
 /// Direct OS-thread spawn forms. Rank concurrency must come from
 /// `RunConfig` (which picks threads or fibers); ad-hoc threads bypass the
 /// scheduler hooks, so fuzzed schedules, fault injection, and the event
 /// runtime cannot see them.
 const THREAD_SPAWN_CALLS: [&str; 3] =
-    ["thread::spawn(", "thread::scope(", "thread::Builder"];
+    ["thread::spawn(", SCOPED_SPAWN_CALL, "thread::Builder"];
 
 /// Crates whose non-test code can run on a rank fiber. A fiber may be
 /// resumed on a different worker thread than the one it yielded on, and
@@ -295,9 +305,11 @@ fn lint_filemap(rel: &str, fm: &FileMap, allow_unwrap: &[String]) -> Vec<Finding
 
     // Rule: runtime-api.
     if !RUNTIME_EXEMPT.iter().any(|s| rel.ends_with(s)) {
+        let owns_compute_threads = rel.ends_with(COMPUTE_THREADS_EXEMPT);
         for (i, code) in fm.code.iter().enumerate() {
             let spawns_thread = THREAD_SPAWN_CALLS
                 .iter()
+                .filter(|&&k| !(owns_compute_threads && k == SCOPED_SPAWN_CALL))
                 .any(|k| code.contains(k) && !code.contains("use "));
             let calls_deprecated_run =
                 DEPRECATED_RUN_CALLS.iter().any(|k| code.contains(k));
@@ -618,7 +630,11 @@ mod tests {
         let spawn_bad = "fn go() {\n    let h = std::thread::spawn(|| work());\n}\n";
         assert_eq!(rules_hit("crates/cosmo/src/other.rs", spawn_bad), ["runtime-api"]);
         let scope_bad = "fn go() {\n    std::thread::scope(|s| { s.spawn(|| work()); });\n}\n";
-        assert_eq!(rules_hit("crates/core/src/other.rs", scope_bad), ["runtime-api"]);
+        for rel in ["crates/core/src/walk.rs", "crates/gravity/src/dist.rs",
+            "crates/gravity/src/evaluator.rs", "crates/cosmo/src/sim.rs"]
+        {
+            assert_eq!(rules_hit(rel, scope_bad), ["runtime-api"], "{rel}");
+        }
         let builder_bad =
             "fn go() {\n    thread::Builder::new().stack_size(n).spawn(f);\n}\n";
         assert_eq!(rules_hit("crates/npb/src/other.rs", builder_bad), ["runtime-api"]);
@@ -644,6 +660,11 @@ mod tests {
         assert!(rules_hit("crates/comm/src/runtime.rs", spawn).is_empty());
         assert!(rules_hit("crates/comm/src/events.rs", spawn).is_empty());
         assert!(rules_hit("crates/comm/src/fiber.rs", spawn).is_empty());
+        // The compute fan-out's one file may use scoped threads — and only
+        // those.
+        let scope = "fn go() {\n    std::thread::scope(|s| { s.spawn(|| work()); });\n}\n";
+        assert!(rules_hit("crates/gravity/src/treecode.rs", scope).is_empty());
+        assert_eq!(rules_hit("crates/gravity/src/treecode.rs", spawn), ["runtime-api"]);
         // Tests may spawn helper threads.
         let in_test = "#[cfg(test)]\nmod tests {\n    fn t() {\n        \
                        let h = std::thread::spawn(|| 1);\n        \

@@ -3,7 +3,10 @@
 
 #![cfg(test)]
 
-use crate::wire::{frame_message, from_bytes, to_bytes, unframe_message, KeyBatchRequest, Wire};
+use crate::wire::{
+    crc32, crc32_bytewise, frame_message, from_bytes, to_bytes, unframe_message, KeyBatchRequest,
+    Wire,
+};
 use crate::{
     Abm, Comm, FaultConfig, FaultDecision, FaultPlan, FuzzScheduler,
     RunConfig,
@@ -17,6 +20,18 @@ fn roundtrip<T: Wire + PartialEq + std::fmt::Debug>(v: &T) -> bool {
 }
 
 proptest! {
+    /// Slicing-by-8 against the byte-at-a-time oracle: lengths 0..=4096,
+    /// starting at any alignment within a word.
+    #[test]
+    fn crc32_matches_bytewise_oracle(
+        data in proptest::collection::vec(any::<u8>(), 4104..4105),
+        start in 0usize..8,
+        len in 0usize..4097,
+    ) {
+        let s = &data[start..start + len];
+        prop_assert_eq!(crc32(s), crc32_bytewise(s));
+    }
+
     #[test]
     fn u64_roundtrip(v in any::<u64>()) {
         prop_assert!(roundtrip(&v));

@@ -263,10 +263,12 @@ impl Wire for KeyBatchRequest {
 // CRC32 framing: the integrity layer under reliable delivery.
 // ---------------------------------------------------------------------------
 
-/// CRC-32 (IEEE 802.3, reflected, polynomial `0xEDB8_8320`) lookup table,
-/// built at compile time.
-const CRC32_TABLE: [u32; 256] = {
-    let mut table = [0u32; 256];
+/// CRC-32 (IEEE 802.3, reflected, polynomial `0xEDB8_8320`) lookup
+/// tables for slicing-by-8, built at compile time. `[0]` is the classic
+/// byte-at-a-time table; `[k][b]` is the CRC of byte `b` followed by `k`
+/// zero bytes, so eight table reads advance the sum by eight bytes.
+const CRC32_TABLES: [[u32; 256]; 8] = {
+    let mut tables = [[0u32; 256]; 8];
     let mut i = 0;
     while i < 256 {
         let mut c = i as u32;
@@ -275,23 +277,61 @@ const CRC32_TABLE: [u32; 256] = {
             c = if c & 1 != 0 { 0xEDB8_8320 ^ (c >> 1) } else { c >> 1 };
             k += 1;
         }
-        table[i] = c;
+        tables[0][i] = c;
         i += 1;
     }
-    table
+    let mut k = 1;
+    while k < 8 {
+        let mut i = 0;
+        while i < 256 {
+            let prev = tables[k - 1][i];
+            tables[k][i] = tables[0][(prev & 0xFF) as usize] ^ (prev >> 8);
+            i += 1;
+        }
+        k += 1;
+    }
+    tables
 };
+
+/// One byte of the table-driven CRC recurrence.
+#[inline]
+fn crc32_byte(c: u32, b: u8) -> u32 {
+    CRC32_TABLES[0][((c ^ u32::from(b)) & 0xFF) as usize] ^ (c >> 8)
+}
 
 /// CRC-32 (IEEE 802.3) of `data` — the checksum used by the reliable
 /// transport frames, the ABM batch header, and the cosmology checkpoint
 /// format. One implementation so every layer agrees on what "corrupt"
-/// means.
+/// means. Eight bytes a step (slicing-by-8), the tail bytewise: every ABM
+/// batch and frame is summed on both ends, and the bytewise loop alone
+/// was most of the framing cost.
 #[must_use]
 pub fn crc32(data: &[u8]) -> u32 {
+    let t = &CRC32_TABLES;
     let mut c = 0xFFFF_FFFFu32;
-    for &b in data {
-        c = CRC32_TABLE[((c ^ u32::from(b)) & 0xFF) as usize] ^ (c >> 8);
+    let mut words = data.chunks_exact(8);
+    for w in &mut words {
+        let lo = c ^ u32::from_le_bytes([w[0], w[1], w[2], w[3]]);
+        let hi = u32::from_le_bytes([w[4], w[5], w[6], w[7]]);
+        c = t[7][(lo & 0xFF) as usize]
+            ^ t[6][((lo >> 8) & 0xFF) as usize]
+            ^ t[5][((lo >> 16) & 0xFF) as usize]
+            ^ t[4][(lo >> 24) as usize]
+            ^ t[3][(hi & 0xFF) as usize]
+            ^ t[2][((hi >> 8) & 0xFF) as usize]
+            ^ t[1][((hi >> 16) & 0xFF) as usize]
+            ^ t[0][(hi >> 24) as usize];
+    }
+    for &b in words.remainder() {
+        c = crc32_byte(c, b);
     }
     !c
+}
+
+/// The byte-at-a-time CRC-32: the oracle [`crc32`] is tested against.
+#[cfg(test)]
+pub(crate) fn crc32_bytewise(data: &[u8]) -> u32 {
+    !data.iter().fold(0xFFFF_FFFFu32, |c, &b| crc32_byte(c, b))
 }
 
 /// Bytes a transport frame adds around its payload: a 24-byte header
@@ -481,6 +521,20 @@ mod tests {
         // The standard IEEE check value for "123456789".
         assert_eq!(crc32(b"123456789"), 0xCBF4_3926);
         assert_eq!(crc32(b""), 0);
+        assert_eq!(crc32_bytewise(b"123456789"), 0xCBF4_3926);
+    }
+
+    /// Every length around the eight-byte step, at every alignment.
+    #[test]
+    fn crc32_matches_bytewise_oracle_at_every_length_and_offset() {
+        let data: Vec<u8> =
+            (0..96u32).map(|i| (i.wrapping_mul(2_654_435_761) >> 24) as u8).collect();
+        for start in 0..8 {
+            for end in start..=data.len() {
+                let s = &data[start..end];
+                assert_eq!(crc32(s), crc32_bytewise(s), "bytes {start}..{end}");
+            }
+        }
     }
 
     #[test]

@@ -190,8 +190,24 @@ pub fn walk_lists<M: Moments, C: ListConsumer<M>>(
     consumer: &mut C,
     scratch: &mut InteractionList<M>,
 ) -> WalkStats {
+    let groups = tree.groups(default_group_size(tree.bucket));
+    walk_lists_of(tree, mac, &groups, consumer, scratch)
+}
+
+/// [`walk_lists`] over the sink groups `groups` only. This is the one
+/// group loop: groups are independent units of work (a group's list and
+/// its sinks' outputs depend on no other group), so a caller may hand
+/// disjoint runs of groups to consumers that own disjoint outputs — in
+/// any order, on any thread — and add the returned stats.
+pub fn walk_lists_of<M: Moments, C: ListConsumer<M>>(
+    tree: &Tree<M>,
+    mac: &Mac,
+    groups: &[u32],
+    consumer: &mut C,
+    scratch: &mut InteractionList<M>,
+) -> WalkStats {
     let mut stats = WalkStats::default();
-    for gi in tree.groups(default_group_size(tree.bucket)) {
+    for &gi in groups {
         stats.merge(&walk_group_list(tree, mac, gi, scratch));
         let sinks = tree.cells[gi as usize].span();
         consumer.consume(&tree.pos, &tree.charge, sinks, scratch);
