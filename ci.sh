@@ -26,6 +26,9 @@ taskset -c "$cpu" cargo test -q --offline --release -p hot-gravity fan_out -- --
 echo "==> cargo clippy --all-targets -- -D warnings"
 cargo clippy --offline --workspace --all-targets -- -D warnings
 
+echo "==> cargo bench --no-run (the criterion benches build; their numbers are wall clock and gate nothing)"
+cargo bench --offline -p hot-bench --no-run
+
 echo "==> trace + analyze golden + differential suites"
 cargo test -q --offline --test trace_golden --test trace_differential --test analyze_golden --test faults_golden
 

@@ -75,7 +75,7 @@ const SEND_FNS: [(&str, usize); 5] = [
 ];
 
 /// Receive family with the tag-argument index.
-const RECV_FNS: [(&str, usize); 8] = [
+const RECV_FNS: [(&str, usize); 11] = [
     ("recv", 1),
     ("recv_bytes", 1),
     ("recv_any", 0),
@@ -84,6 +84,10 @@ const RECV_FNS: [(&str, usize); 8] = [
     ("drain_tag", 0),
     ("take_match", 1),
     ("has_match_or_poison", 1),
+    // One message from every peer (`alltoall`, `gather`): tag comes first.
+    ("recv_each", 0),
+    ("take_each", 0),
+    ("has_each_or_poison", 0),
 ];
 
 /// Poll-side entry points (tagless: they drain the ABM stream).
@@ -780,6 +784,22 @@ mod tests {
             && f.message.contains("never received")));
         assert!(rep.findings.iter().any(|f| f.message.contains("TAG_GHOST")
             && f.message.contains("never sent")));
+    }
+
+    #[test]
+    fn every_peer_receive_counts_as_a_receive_of_its_tag() {
+        // `alltoall` and `gather` receive through `recv_each`: it must
+        // match the sends of its tag, and be flagged on a tag nobody sends.
+        let src = "fn f(c: &mut Comm) {\n    c.send(d, TAG_ALLTOALL, &bucket);\n    \
+                   c.recv_each(TAG_ALLTOALL, &mut |src, data| keep(src, data));\n    \
+                   c.recv_each(TAG_NOBODY, &mut |src, data| keep(src, data));\n    \
+                   c.barrier();\n}\n";
+        let rep = run(&[("crates/comm/src/runtime.rs", src)]);
+        assert_eq!(rules_of(&rep), ["tag-matching"], "{:?}", rep.findings);
+        assert_eq!(rep.findings[0].line, 4);
+        assert!(rep.findings[0].message.contains("TAG_NOBODY")
+            && rep.findings[0].message.contains("never sent"));
+        assert_eq!(rep.summary.tags["TAG_ALLTOALL"].recvs.len(), 1);
     }
 
     #[test]

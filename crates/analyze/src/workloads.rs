@@ -12,8 +12,9 @@
 use hot_comm::{Abm, Comm};
 
 /// Output of [`collectives`]: reduction bit patterns, gathered vectors,
-/// broadcast and scan results.
-pub(crate) type CollectivesOut = (u64, u64, Vec<u64>, Vec<Vec<u64>>, u64, u64, u64);
+/// both all-to-all exchanges, both gathers, broadcast and scan results.
+pub(crate) type CollectivesOut =
+    (u64, u64, Vec<u64>, [Vec<Vec<u64>>; 2], [Option<Vec<u64>>; 2], u64, u64, u64);
 
 /// Output of [`traced_pipeline`]: the reduced trace-report JSON, an
 /// acceleration checksum, and the local body count after migration.
@@ -25,21 +26,28 @@ pub(crate) type PipelineOut = (String, u64, usize);
 pub(crate) type RebalanceOut = (String, u64, usize, u64, u64);
 
 /// Collectives sweep: every collective the runtime offers, chained so that
-/// tag reuse across phases is also exercised. Deterministic by
-/// construction, so results *and* traffic must match bitwise across
-/// schedules (and fault plans).
+/// tag reuse across phases is also exercised. The two all-to-alls (uneven
+/// buckets, some empty) and the two gathers run back to back with no
+/// barrier between, so under most schedules some rank is a call ahead of
+/// the one receiving from it: a receive that takes "the next np − 1
+/// messages" instead of "one from every peer" mixes the calls.
+/// Deterministic by construction, so results *and* traffic must match
+/// bitwise across schedules (and fault plans).
 pub(crate) fn collectives(c: &mut Comm) -> CollectivesOut {
     let r = f64::from(c.rank());
     c.barrier();
     let s1 = c.allreduce_sum_f64(r + 1.0);
     let s2 = c.allreduce_max_f64(r * 2.0);
     let v = c.allgather(c.rank() as u64);
-    let sends: Vec<Vec<u64>> = (0..c.size()).map(|d| vec![u64::from(c.rank() * 100 + d)]).collect();
-    let a2a = c.alltoall(sends);
+    let a2a = [0, 1].map(|call| {
+        let bucket = |d: u32| vec![u64::from(c.rank() * 100 + d); ((call + c.rank() + d) % 3) as usize];
+        c.alltoall((0..c.size()).map(bucket).collect())
+    });
+    let gathered = [0, 1].map(|call| c.gather(c.size() - 1, u64::from(call * 1000 + c.rank())));
     let bc = c.bcast(0, if c.rank() == 0 { 42u64 } else { 0 });
     let (before, total) = c.exscan_sum_u64(u64::from(c.rank()) + 1);
     c.barrier();
-    (s1.to_bits(), s2.to_bits(), v, a2a, bc, before, total)
+    (s1.to_bits(), s2.to_bits(), v, a2a, gathered, bc, before, total)
 }
 
 /// ABM traversal: the cascading request/reply pattern of the latency-hiding

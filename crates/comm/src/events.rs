@@ -36,6 +36,14 @@
 //! parked. `notify` itself bumps the version first and only then flips
 //! Blocked → Ready. Every interleaving therefore either parks with no
 //! pending notify or requeues; no wakeup is lost.
+//!
+//! Idle *workers* are woken the same way one level down: a worker counts
+//! itself into `ExecState::parked` around each condvar wait, under the
+//! state lock, and whatever makes work for a worker happens under that
+//! lock too. A notifier that reads `parked == 0` therefore knows nobody
+//! waits or can start to before it unlocks, and skips `notify_all` — with
+//! one worker a fiber switch makes no futex call. Only the exit path
+//! notifies unconditionally.
 
 #![allow(unsafe_code)] // one `unsafe` call: the scoped-fiber constructor,
                        // made sound here by joining all workers (and hence
@@ -88,6 +96,8 @@ struct ExecState {
     wants: Vec<Option<Want>>,
     running: u32,
     unfinished: u32,
+    /// Workers waiting on `cv` (see the module doc).
+    parked: u32,
     deadlock: Option<Deadlock>,
     pick: Pick,
 }
@@ -185,6 +195,7 @@ impl EventSched {
                 wants: vec![None; np as usize],
                 running: 0,
                 unfinished: np,
+                parked: 0,
                 deadlock: None,
                 pick,
             }),
@@ -277,17 +288,21 @@ impl EventSched {
                     }
                     if st.running > 0 {
                         // Another worker's fiber may unblock someone.
+                        st.parked += 1;
                         st = self.cv.wait(st).expect("event sched lock");
+                        st.parked -= 1;
                         continue;
                     }
                     // Quiescent: every unfinished rank is Blocked.
                     match self.tick {
                         Some(tick) => {
+                            st.parked += 1;
                             let (guard, timeout) = self
                                 .cv
                                 .wait_timeout(st, tick)
                                 .expect("event sched lock");
                             st = guard;
+                            st.parked -= 1;
                             if timeout.timed_out() {
                                 // One failure-detection round per blocked
                                 // rank; their checks read model clocks.
@@ -297,7 +312,7 @@ impl EventSched {
                         None => {
                             st.declare_deadlock();
                             st.requeue_blocked();
-                            self.cv.notify_all();
+                            self.wake_parked(&st);
                         }
                     }
                 }
@@ -326,6 +341,13 @@ impl EventSched {
             }
             // Wake peers: for new ready work, for the final exit, and for
             // quiescence decisions (which need running == 0 observed).
+            self.wake_parked(&st);
+        }
+    }
+
+    /// Wake the workers waiting on `cv`, if there are any.
+    fn wake_parked(&self, st: &ExecState) {
+        if st.parked > 0 {
             self.cv.notify_all();
         }
     }
@@ -391,7 +413,7 @@ impl Scheduler for EventSched {
             st.status[dst as usize] = RankState::Ready;
             st.wants[dst as usize] = None;
             st.ready.push_back(dst);
-            self.cv.notify_all();
+            self.wake_parked(&st);
         }
     }
 

@@ -14,6 +14,61 @@ use crate::{
 use proptest::prelude::*;
 use std::sync::Arc;
 
+/// `Comm::alltoall` as it was before the every-peer receive: np − 1
+/// receives by source, in rank order. Kept as the oracle the one-pass
+/// receive is checked against.
+fn alltoall_by_source<T: Wire>(c: &mut Comm, mut sends: Vec<Vec<T>>) -> Vec<Vec<T>> {
+    use crate::collectives::TAG_ALLTOALL;
+    let (me, np) = (c.rank(), c.size());
+    for d in (0..np).filter(|&d| d != me) {
+        c.send(d, TAG_ALLTOALL, &std::mem::take(&mut sends[d as usize]));
+    }
+    (0..np)
+        .map(|s| if s == me { std::mem::take(&mut sends[s as usize]) } else { c.recv(s, TAG_ALLTOALL) })
+        .collect()
+}
+
+type Buckets = Vec<Vec<u64>>;
+type AllToAll = fn(&mut Comm, Buckets) -> Buckets;
+
+/// Three alltoalls back to back with no barrier between, so fast ranks run
+/// a call or two ahead. Buckets are uneven — about a quarter of them empty
+/// — and a word says which call, source and destination it belongs to.
+fn alltoall_storm(c: &mut Comm, alltoall: AllToAll) -> Vec<Buckets> {
+    let (me, np) = (u64::from(c.rank()), u64::from(c.size()));
+    (0..3u64)
+        .map(|call| {
+            let sends = (0..np)
+                .map(|d| {
+                    let word = (call << 40) | (me << 20) | d;
+                    vec![word; ((call + 3 * me + 5 * d) % 4) as usize]
+                })
+                .collect();
+            alltoall(c, sends)
+        })
+        .collect()
+}
+
+#[test]
+fn alltoall_matches_by_source_oracle_under_every_schedule() {
+    for np in [2u32, 5, 16, 33] {
+        let want = RunConfig::builder().np(np).run(|c| alltoall_storm(c, alltoall_by_source));
+        let got = |c: &mut Comm| alltoall_storm(c, Comm::alltoall);
+        let check = |out: crate::RunOutput<Vec<Buckets>>, what: &str| {
+            assert!(out.results == want.results, "np={np} {what}");
+            assert_eq!(out.stats, want.stats, "np={np} {what}");
+            assert!(out.undrained.is_empty(), "np={np} {what}");
+        };
+        check(RunConfig::builder().np(np).run(got), "threads");
+        check(RunConfig::builder().np(np).runtime(crate::Runtime::Events).run(got), "events");
+        for seed in 0..3 {
+            let fuzz = Arc::new(FuzzScheduler::new(np, seed));
+            check(RunConfig::builder().np(np).scheduler(fuzz).run(got), "fuzz seed");
+            check(RunConfig::builder().np(np).event_seed(seed).run(got), "event seed");
+        }
+    }
+}
+
 fn roundtrip<T: Wire + PartialEq + std::fmt::Debug>(v: &T) -> bool {
     let b = to_bytes(v);
     b.len() == v.wire_size() && &from_bytes::<T>(b) == v

@@ -25,6 +25,7 @@ use crate::reliable::{
 use crate::sched::{RealScheduler, SchedOp, Scheduler, Want};
 use crate::wire::{from_bytes, to_bytes, Wire};
 use bytes::Bytes;
+use std::cell::Cell;
 use std::fmt;
 use std::sync::{Arc, Mutex};
 // Wall-clock here times the host machine's run for Gflop/s reporting; the
@@ -171,11 +172,13 @@ impl Comm {
         }
     }
 
-    /// Fault-plan hook at every channel operation: advance and publish the
-    /// model clock, fire a pending crash-stop kill, and possibly stall
-    /// this rank by spending extra schedule yields (a transient node
-    /// hiccup — the rank loses its turn a few times but performs no I/O).
-    fn maybe_stall(&mut self, op: SchedOp) {
+    /// What every channel operation starts with: the schedule point, then
+    /// the fault plan's hook — advance and publish the model clock, fire a
+    /// pending crash-stop kill, and possibly stall this rank by spending
+    /// extra schedule yields (a transient node hiccup — the rank loses its
+    /// turn a few times but performs no I/O).
+    fn channel_op(&mut self, op: SchedOp) {
+        self.machine.sched.yield_point(self.rank, op);
         if let Some(t) = &self.machine.transport {
             let idx = self.ops;
             self.ops += 1;
@@ -224,8 +227,7 @@ impl Comm {
     pub fn send_bytes(&mut self, dst: u32, tag: u32, data: Bytes) {
         assert!(dst < self.machine.np, "send to rank {dst} of {}", self.machine.np);
         let op = SchedOp::Send { dst, tag };
-        self.machine.sched.yield_point(self.rank, op);
-        self.maybe_stall(op);
+        self.channel_op(op);
         self.stats.sends += 1;
         self.stats.bytes_sent += data.len() as u64;
         self.stats.max_message = self.stats.max_message.max(data.len() as u64);
@@ -268,8 +270,56 @@ impl Comm {
     /// scheduler blocks forever like a real MPI).
     pub fn recv_bytes(&mut self, src: Option<u32>, tag: u32) -> (u32, Bytes) {
         let op = SchedOp::Recv { src, tag };
-        self.machine.sched.yield_point(self.rank, op);
-        self.maybe_stall(op);
+        self.channel_op(op);
+        let ready = |m: &Mailbox| m.has_match_or_poison(src, tag);
+        let e = self.wait_take(src, tag, &mut |m| m.take_match(src, tag), &ready);
+        self.stats.recvs += 1;
+        self.stats.bytes_recvd += e.data.len() as u64;
+        (e.src, e.data)
+    }
+
+    /// One `tag` message from every peer, handed to `sink` with its source:
+    /// the np − 1 by-source receives of `alltoall` and `gather`, in arrival
+    /// order ([`Mailbox::take_each`]) — a peer already in its next call
+    /// cannot satisfy this one twice. Blocks as a receive from the first
+    /// peer still missing; every delivered message is one channel operation.
+    pub(crate) fn recv_each(&mut self, tag: u32, sink: &mut dyn FnMut(u32, Bytes)) {
+        let missing: Vec<_> = (0..self.size()).map(|r| Cell::new(r != self.rank)).collect();
+        let (mut left, mut first, mut bytes) = (u64::from(self.size()) - 1, 0, 0);
+        while left > 0 {
+            // Marks only ever clear, so the cursor only ever advances.
+            while !missing[first as usize].get() {
+                first += 1;
+            }
+            let op = SchedOp::Recv { src: Some(first), tag };
+            self.channel_op(op);
+            let mut take = |m: &Mailbox| {
+                m.take_each(tag, &missing, &mut |src, data| {
+                    bytes += data.len() as u64;
+                    sink(src, data);
+                })
+            };
+            let ready = |m: &Mailbox| m.has_each_or_poison(tag, &missing);
+            let got = self.wait_take(Some(first), tag, &mut take, &ready);
+            for _ in 1..got {
+                self.channel_op(op);
+            }
+            self.stats.recvs += got;
+            left -= got;
+        }
+        self.stats.bytes_recvd += bytes;
+    }
+
+    /// The one blocking receive loop: `take` from this rank's mailbox until
+    /// it matches, asleep in the scheduler until `ready` in between. `src`
+    /// and `tag` name the wait to the failure detector and deadlock report.
+    fn wait_take<M>(
+        &self,
+        src: Option<u32>,
+        tag: u32,
+        take: &mut dyn FnMut(&Mailbox) -> Scan<M>,
+        ready: &dyn Fn(&Mailbox) -> bool,
+    ) -> M {
         let rank = self.rank;
         let transport = self.machine.transport.as_ref();
         let mbox = &self.machine.mailboxes[self.rank as usize];
@@ -288,12 +338,8 @@ impl Comm {
                     );
                 }
             }
-            match mbox.take_match(src, tag) {
-                Scan::Matched(e) => {
-                    self.stats.recvs += 1;
-                    self.stats.bytes_recvd += e.data.len() as u64;
-                    return (e.src, e.data);
-                }
+            match take(mbox) {
+                Scan::Matched(m) => return m,
                 Scan::Poisoned { src } => {
                     panic!("rank {}: peer rank {src} died (poison received)", self.rank);
                 }
@@ -316,7 +362,7 @@ impl Comm {
                             return true;
                         }
                     }
-                    mbox.has_match_or_poison(src, tag)
+                    ready(mbox)
                 })
             {
                 // The serialized checker proved global quiescence. With a
@@ -367,8 +413,7 @@ impl Comm {
     /// Panics when a peer rank died and no matching message remains.
     pub fn try_recv_bytes(&mut self, src: Option<u32>, tag: u32) -> Option<(u32, Bytes)> {
         let op = SchedOp::TryRecv { tag };
-        self.machine.sched.yield_point(self.rank, op);
-        self.maybe_stall(op);
+        self.channel_op(op);
         self.pump_transport();
         match self.machine.mailboxes[self.rank as usize].take_match(src, tag) {
             Scan::Matched(e) => {
@@ -1242,6 +1287,67 @@ mod tests {
             });
         });
         assert!(result.is_err());
+    }
+
+    #[test]
+    fn poison_wakes_rank_blocked_inside_alltoall() {
+        // Ranks 0 and 1 have each other's bucket and wait for rank 2's,
+        // which never comes: only the poison scan of the every-peer
+        // receive can end the run.
+        for events in [false, true] {
+            let result = std::panic::catch_unwind(|| {
+                let b = RunConfig::builder().np(3);
+                let b = if events { b.runtime(Runtime::Events) } else { b };
+                b.run(|c| {
+                    if c.rank() == 2 {
+                        panic!("rank 2 exploded");
+                    }
+                    c.alltoall(vec![vec![c.rank()]; 3])
+                });
+            });
+            let msg = panic_text(&result.expect_err("panic must propagate"));
+            assert!(
+                msg.contains("rank 2 exploded") || msg.contains("rank 2 died"),
+                "events={events}: {msg}"
+            );
+        }
+    }
+
+    #[test]
+    fn undecodable_bucket_is_an_ordinary_panic() {
+        // The bucket is decoded under the mailbox lock. The unwind poisons
+        // that lock, and the dying rank then drains the same mailbox: it
+        // must do so without a second panic, which would abort the process.
+        let result = std::panic::catch_unwind(|| {
+            RunConfig::builder().np(2).run(|c| {
+                if c.rank() == 1 {
+                    c.send(0, crate::collectives::TAG_ALLTOALL, &7u8);
+                } else {
+                    c.alltoall(vec![vec![0u64], vec![1u64]]);
+                }
+            });
+        });
+        let msg = panic_text(&result.expect_err("a one-byte bucket cannot decode"));
+        assert!(msg.contains("buffer underflow"), "{msg}");
+    }
+
+    #[test]
+    fn deadlock_inside_alltoall_names_the_first_missing_source() {
+        // Rank 2 skips the collective. At quiescence ranks 0 and 1 hold
+        // each other's bucket, so both report waiting for rank 2.
+        let result = std::panic::catch_unwind(|| {
+            RunConfig::builder().np(3).event_seed(5).run(|c| {
+                if c.rank() != 2 {
+                    c.alltoall(vec![vec![c.rank()]; 3]);
+                }
+            });
+        });
+        let msg = panic_text(&result.expect_err("deadlock must panic"));
+        assert!(msg.contains("deadlock"), "{msg}");
+        for rank in 0..2 {
+            let line = format!("rank {rank}: blocked in recv(src=2, tag=0x80000500)");
+            assert!(msg.contains(&line), "{msg}");
+        }
     }
 
     #[test]

@@ -11,55 +11,85 @@
 use std::ops::Deref;
 use std::sync::Arc;
 
-/// Cheaply cloneable immutable byte buffer (a view into shared storage).
-#[derive(Clone, Default)]
-pub struct Bytes {
-    data: Arc<[u8]>,
-    start: usize,
-    end: usize,
+/// Longest payload stored in place instead of behind an `Arc`.
+const INLINE: usize = 24;
+
+/// Cheaply cloneable immutable byte buffer. Up to [`INLINE`] bytes live in
+/// the value itself — a barrier token, a reduction scalar or a one-word
+/// bucket travels inside its envelope, with no allocation for the sender
+/// and no cold line for the receiver; anything longer is a view into
+/// shared storage. Either way the value is 32 bytes.
+#[derive(Clone)]
+pub struct Bytes(Repr);
+
+#[derive(Clone)]
+enum Repr {
+    Inline { start: u8, end: u8, buf: [u8; INLINE] },
+    Shared { start: u32, end: u32, data: Arc<[u8]> },
+}
+
+impl Default for Bytes {
+    fn default() -> Bytes {
+        Bytes::new()
+    }
 }
 
 impl Bytes {
     /// Empty buffer.
     #[must_use]
     pub fn new() -> Bytes {
-        Bytes { data: Arc::from([] as [u8; 0]), start: 0, end: 0 }
+        Bytes(Repr::Inline { start: 0, end: 0, buf: [0; INLINE] })
     }
 
     /// Bytes remaining in the view.
     #[must_use]
     pub fn len(&self) -> usize {
-        self.end - self.start
+        match &self.0 {
+            Repr::Inline { start, end, .. } => usize::from(end - start),
+            Repr::Shared { start, end, .. } => (end - start) as usize,
+        }
     }
 
     /// True when no bytes remain.
     #[must_use]
     pub fn is_empty(&self) -> bool {
-        self.start == self.end
+        self.len() == 0
     }
 
     /// Split off the first `n` bytes into a new `Bytes`, advancing `self`
     /// past them. Panics when `n` exceeds the remaining length.
     pub fn split_to(&mut self, n: usize) -> Bytes {
         assert!(n <= self.len(), "split_to({n}) of {} bytes", self.len());
-        let front = Bytes { data: self.data.clone(), start: self.start, end: self.start + n };
-        self.start += n;
+        let mut front = self.clone();
+        match &mut front.0 {
+            Repr::Inline { start, end, .. } => *end = *start + n as u8,
+            Repr::Shared { start, end, .. } => *end = *start + n as u32,
+        }
+        self.advance(n);
         front
     }
 
     /// Copy a slice into a new buffer.
     #[must_use]
     pub fn copy_from_slice(data: &[u8]) -> Bytes {
-        let data: Arc<[u8]> = Arc::from(data);
-        let end = data.len();
-        Bytes { data, start: 0, end }
+        if data.len() <= INLINE {
+            let mut buf = [0; INLINE];
+            buf[..data.len()].copy_from_slice(data);
+            Bytes(Repr::Inline { start: 0, end: data.len() as u8, buf })
+        } else {
+            let end = u32::try_from(data.len()).expect("a Bytes holds less than 4 GiB");
+            Bytes(Repr::Shared { start: 0, end, data: Arc::from(data) })
+        }
     }
 }
 
 impl Deref for Bytes {
     type Target = [u8];
     fn deref(&self) -> &[u8] {
-        &self.data[self.start..self.end]
+        match &self.0 {
+            Repr::Inline { start, end, buf } => &buf[usize::from(*start)..usize::from(*end)],
+            Repr::Shared { start, end, data } => &data[*start as usize..*end as usize],
+        }
     }
 }
 
@@ -77,8 +107,8 @@ impl std::fmt::Debug for Bytes {
 
 impl From<Vec<u8>> for Bytes {
     fn from(v: Vec<u8>) -> Bytes {
-        let end = v.len();
-        Bytes { data: Arc::from(v), start: 0, end }
+        // `Arc<[u8]>` cannot adopt a `Vec`'s allocation: either way a copy.
+        Bytes::copy_from_slice(&v)
     }
 }
 
@@ -201,7 +231,11 @@ impl Buf for Bytes {
     }
     fn advance(&mut self, n: usize) {
         assert!(n <= self.len(), "advance({n}) of {} bytes", self.len());
-        self.start += n;
+        // Here as in `split_to`, `n` fits the offset type: it is at most `len()`.
+        match &mut self.0 {
+            Repr::Inline { start, .. } => *start += n as u8,
+            Repr::Shared { start, .. } => *start += n as u32,
+        }
     }
 }
 
@@ -283,6 +317,79 @@ mod tests {
         let front = b.split_to(2);
         assert_eq!(&front[..], &[1, 2]);
         assert_eq!(&b[..], &[3, 4, 5]);
+    }
+
+    fn pattern(n: usize) -> Vec<u8> {
+        (0..n).map(|i| (i * 7 + 3) as u8).collect()
+    }
+
+    /// Lengths either side of the in-place / shared boundary.
+    const LENGTHS: [usize; 6] = [0, 1, 23, 24, 25, 4096];
+
+    #[test]
+    fn every_constructor_roundtrips_either_side_of_the_inline_boundary() {
+        for n in LENGTHS {
+            let want = pattern(n);
+            let mut b = BytesMut::with_capacity(n);
+            b.put_slice(&want);
+            for got in [b.freeze(), Bytes::copy_from_slice(&want), Bytes::from(want.clone())] {
+                assert_eq!(got.len(), n);
+                assert_eq!(got.is_empty(), n == 0);
+                assert_eq!(&got[..], &want[..], "{n} bytes");
+            }
+        }
+        assert!(Bytes::new().is_empty() && Bytes::default().is_empty());
+    }
+
+    #[test]
+    fn split_and_advance_across_the_inline_boundary() {
+        let want = pattern(25);
+        for at in [24, 1, 0] {
+            // 25 bytes are shared storage; both halves may be short enough
+            // to have been stored in place, and must read the same anyway.
+            let mut rest = Bytes::from(want.clone());
+            let front = rest.split_to(at);
+            assert_eq!(&front[..], &want[..at], "front of split_to({at})");
+            assert_eq!(&rest[..], &want[at..], "rest of split_to({at})");
+            let mut skipped = Bytes::from(want.clone());
+            skipped.advance(at);
+            assert_eq!(&skipped[..], &want[at..], "advance({at})");
+        }
+        // The same on a buffer that starts in place.
+        let mut rest = Bytes::from(pattern(24));
+        rest.advance(3);
+        let front = rest.split_to(20);
+        assert_eq!(&front[..], &pattern(24)[3..23]);
+        assert_eq!(&rest[..], &pattern(24)[23..]);
+        assert!(rest.split_to(1).len() == 1 && rest.is_empty());
+    }
+
+    #[test]
+    fn clones_are_independent_views() {
+        for n in [24, 25] {
+            let original = Bytes::from(pattern(n));
+            let mut a = original.clone();
+            let mut b = original.clone();
+            a.advance(5);
+            let b_front = b.split_to(2);
+            assert_eq!(&original[..], &pattern(n)[..]);
+            assert_eq!(&a[..], &pattern(n)[5..]);
+            assert_eq!(&b[..], &pattern(n)[2..]);
+            assert_eq!(&b_front[..], &pattern(n)[..2]);
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "split_to(25) of 24 bytes")]
+    fn split_past_the_end_panics() {
+        let _ = Bytes::from(pattern(24)).split_to(25);
+    }
+
+    /// A message is one cache line: `hot-comm`'s envelope is this plus a
+    /// source and a tag, 40 bytes, whatever the payload's representation.
+    #[test]
+    fn bytes_is_32_bytes() {
+        assert_eq!(std::mem::size_of::<Bytes>(), 32);
     }
 
     #[test]
