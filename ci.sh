@@ -12,16 +12,19 @@ cargo check --offline --manifest-path benchmark/Cargo.toml --target-dir target
 echo "==> cargo test -q --workspace"
 cargo test -q --offline --workspace
 
-echo "==> cargo test --release -p hot-base -p hot-gravity (vector code is only generated under optimisation)"
-cargo test -q --offline --release -p hot-base -p hot-gravity
+echo "==> cargo test --release -p hot-base -p hot-core -p hot-gravity -p hot-cosmo (vector code and the threaded walk only run optimised here)"
+cargo test -q --offline --release -p hot-base -p hot-core -p hot-gravity -p hot-cosmo
 # Which instantiation of the span kernels the step above exercised on this host.
 cargo test -q --offline --release -p hot-gravity span_instantiation -- --nocapture | grep "span kernels:"
 # How many threads ForceCalc fanned its sink groups out over in the step above.
 cargo test -q --offline --release -p hot-gravity fan_out_public -- --nocapture | grep "force threads:"
+# How many threads a rank's distributed walk computed its ready batches on.
+cargo test -q --offline --release -p hot-gravity fan_out_distributed -- --nocapture | grep "dwalk compute threads:"
 
-echo "==> fan-out tests pinned to one CPU (the public compute path with one available thread)"
+echo "==> fan-out tests pinned to one CPU (the public compute paths with one available thread)"
 cpu=$(taskset -cp $$ | sed 's/.*: *//; s/[,-].*//')
-taskset -c "$cpu" cargo test -q --offline --release -p hot-gravity fan_out -- --nocapture | grep "force threads:"
+taskset -c "$cpu" cargo test -q --offline --release -p hot-core -p hot-gravity fan_out -- --nocapture \
+    | grep -E "force threads:|dwalk compute threads:"
 
 echo "==> cargo clippy --all-targets -- -D warnings"
 cargo clippy --offline --workspace --all-targets -- -D warnings

@@ -127,13 +127,14 @@ const RUNTIME_EXEMPT: [&str; 3] =
     ["comm/src/runtime.rs", "comm/src/events.rs", "comm/src/fiber.rs"];
 
 /// The one file allowed `thread::scope(` outside the substrate: it owns
-/// the *compute*-thread fan-out (`ForceCalc` spreading one shared-memory
-/// evaluation's sink groups over the hardware threads). The rule exists
-/// to keep *rank* concurrency inside `RunConfig`; compute threads perform
-/// no channel operation, end before the call returns, and so are invisible
+/// the *compute*-thread fan-out (`hot_core::walk::fan_out`, spreading the
+/// sink groups of one `ForceCalc` evaluation, or of one distributed-walk
+/// round's ready batch, over the hardware threads). The rule exists to
+/// keep *rank* concurrency inside `RunConfig`; compute threads perform no
+/// channel operation, end before the call returns, and so are invisible
 /// to schedules, fault plans and the event runtime by construction. Scoped
 /// threads only — a detached `thread::spawn(` there is still a finding.
-const COMPUTE_THREADS_EXEMPT: &str = "gravity/src/treecode.rs";
+const COMPUTE_THREADS_EXEMPT: &str = "core/src/walk.rs";
 const SCOPED_SPAWN_CALL: &str = "thread::scope(";
 
 /// Direct OS-thread spawn forms. Rank concurrency must come from
@@ -630,8 +631,9 @@ mod tests {
         let spawn_bad = "fn go() {\n    let h = std::thread::spawn(|| work());\n}\n";
         assert_eq!(rules_hit("crates/cosmo/src/other.rs", spawn_bad), ["runtime-api"]);
         let scope_bad = "fn go() {\n    std::thread::scope(|s| { s.spawn(|| work()); });\n}\n";
-        for rel in ["crates/core/src/walk.rs", "crates/gravity/src/dist.rs",
-            "crates/gravity/src/evaluator.rs", "crates/cosmo/src/sim.rs"]
+        for rel in ["crates/core/src/dwalk.rs", "crates/gravity/src/treecode.rs",
+            "crates/gravity/src/dist.rs", "crates/gravity/src/evaluator.rs",
+            "crates/cosmo/src/sim.rs"]
         {
             assert_eq!(rules_hit(rel, scope_bad), ["runtime-api"], "{rel}");
         }
@@ -663,8 +665,8 @@ mod tests {
         // The compute fan-out's one file may use scoped threads — and only
         // those.
         let scope = "fn go() {\n    std::thread::scope(|s| { s.spawn(|| work()); });\n}\n";
-        assert!(rules_hit("crates/gravity/src/treecode.rs", scope).is_empty());
-        assert_eq!(rules_hit("crates/gravity/src/treecode.rs", spawn), ["runtime-api"]);
+        assert!(rules_hit("crates/core/src/walk.rs", scope).is_empty());
+        assert_eq!(rules_hit("crates/core/src/walk.rs", spawn), ["runtime-api"]);
         // Tests may spawn helper threads.
         let in_test = "#[cfg(test)]\nmod tests {\n    fn t() {\n        \
                        let h = std::thread::spawn(|| 1);\n        \

@@ -59,3 +59,15 @@ pub const FLOPS_PER_QUAD_INTERACTION: u64 = 70;
 /// arithmetic explicitly (see `hot-vortex::kernel`) and arrive at a similar
 /// "substantially more complex than gravity" figure.
 pub const FLOPS_PER_VORTEX_INTERACTION: u64 = 123;
+
+/// Hardware threads this process may use (affinity mask and cgroup quota
+/// honoured; one when the platform cannot say), read once per process.
+///
+/// [`std::thread::available_parallelism`] re-reads the affinity mask and
+/// the cgroup quota files on every call; the compute fan-outs and the
+/// event runtime's default worker count ask on every evaluation, so the
+/// answer is cached. A fact about the machine, not an option.
+pub fn available_threads() -> usize {
+    static THREADS: std::sync::OnceLock<usize> = std::sync::OnceLock::new();
+    *THREADS.get_or_init(|| std::thread::available_parallelism().map_or(1, std::num::NonZero::get))
+}

@@ -104,6 +104,9 @@ struct Machine {
     /// Reliable transport over a faulty wire; present iff the run installed
     /// a [`FaultPlan`].
     transport: Option<Transport>,
+    /// Each rank's share of the hardware threads (see
+    /// [`Comm::compute_threads`]).
+    compute_threads: usize,
 }
 
 /// Panic payload of a rank whose [`FaultPlan`] kill fired: the crash-stop
@@ -145,6 +148,20 @@ impl Comm {
     #[must_use]
     pub fn size(&self) -> u32 {
         self.machine.np
+    }
+
+    /// This rank's share of the hardware threads, for compute fanned out
+    /// *inside* one call (threads that perform no channel operation and
+    /// are joined before the rank's next one): the process's available
+    /// threads divided by the ranks that can run at once — the event
+    /// runtime's worker count (one when seeded), or `np` on the thread
+    /// runtime — and at least 1. A fact about the run, not an option: with
+    /// a rank per processor, or a default event run (workers = cores), it
+    /// is 1 and nothing fans out.
+    #[inline]
+    #[must_use]
+    pub fn compute_threads(&self) -> usize {
+        self.machine.compute_threads
     }
 
     /// Communication counters so far. These are *logical* counters — under
@@ -674,7 +691,7 @@ impl RunConfig {
                         Arc::new(RealScheduler::new(np)) as Arc<dyn Scheduler>
                     }
                 });
-                let machine = Machine::build(np, sched, self.faults);
+                let machine = Machine::build(np, sched, self.faults, np as usize);
                 let stack = self.stack_size.unwrap_or(16 << 20);
                 run_threads(np, &machine, stack, &f)
             }
@@ -692,18 +709,17 @@ impl RunConfig {
                     ),
                     None => EventSched::new(np),
                 });
-                let machine =
-                    Machine::build(np, sched.clone() as Arc<dyn Scheduler>, self.faults);
                 let workers = if sched.is_seeded() {
                     1
                 } else {
-                    self.workers.unwrap_or_else(|| {
-                        std::thread::available_parallelism()
-                            .map(std::num::NonZeroUsize::get)
-                            .unwrap_or(1)
-                            .min(8)
-                    })
+                    self.workers.unwrap_or_else(|| hot_base::available_threads().min(8))
                 };
+                let machine = Machine::build(
+                    np,
+                    sched.clone() as Arc<dyn Scheduler>,
+                    self.faults,
+                    workers,
+                );
                 let stack = self.stack_size.unwrap_or(4 << 20);
                 run_events(np, &machine, &sched, workers, stack, &f)
             }
@@ -811,14 +827,27 @@ impl RunConfigBuilder {
 }
 
 impl Machine {
-    fn build(np: u32, sched: Arc<dyn Scheduler>, faults: Option<FaultPlan>) -> Arc<Machine> {
+    /// `concurrent` is how many ranks can run at once.
+    fn build(
+        np: u32,
+        sched: Arc<dyn Scheduler>,
+        faults: Option<FaultPlan>,
+        concurrent: usize,
+    ) -> Arc<Machine> {
         Arc::new(Machine {
             np,
             mailboxes: (0..np).map(|_| Mailbox::default()).collect(),
             sched,
             transport: faults.map(|plan| Transport::new(np, plan)),
+            compute_threads: rank_share(hot_base::available_threads(), concurrent),
         })
     }
+}
+
+/// A rank's share of `available` hardware threads when `concurrent` ranks
+/// can run at once: at least one.
+fn rank_share(available: usize, concurrent: usize) -> usize {
+    (available / concurrent.max(1)).max(1)
 }
 
 /// How one rank's body ended.
@@ -1056,6 +1085,25 @@ mod tests {
             .cloned()
             .or_else(|| payload.downcast_ref::<&str>().map(|s| (*s).to_string()))
             .unwrap_or_else(|| "non-string panic".into())
+    }
+
+    /// A rank's compute share is the available threads over the ranks that
+    /// can run at once: the event workers (one when seeded) or, on threads,
+    /// every rank.
+    #[test]
+    fn compute_threads_are_the_ranks_share() {
+        let avail = hot_base::available_threads();
+        assert_eq!((rank_share(2, 1), rank_share(2, 2), rank_share(2, 16)), (2, 1, 1));
+        assert_eq!((rank_share(8, 3), rank_share(1, 0)), (2, 1));
+        let shares = |b: RunConfigBuilder| b.run(|c| c.compute_threads()).results;
+        let events = || RunConfig::builder().np(4).runtime(Runtime::Events);
+        assert_eq!(shares(events().workers(1)), vec![avail; 4], "one worker: every thread");
+        for w in [2, 3, 8] {
+            assert_eq!(shares(events().workers(w)), vec![(avail / w).max(1); 4], "{w} workers");
+        }
+        assert_eq!(shares(RunConfig::builder().np(1)), vec![avail], "threads, np = 1");
+        assert_eq!(shares(RunConfig::builder().np(4)), vec![(avail / 4).max(1); 4], "threads");
+        assert_eq!(shares(RunConfig::builder().np(4).event_seed(7)), vec![avail; 4], "seeded");
     }
 
     #[test]
@@ -1484,7 +1532,7 @@ mod tests {
         };
         let run = |seed: u64| {
             let sched = Arc::new(EventSched::seeded(4, seed));
-            let machine = Machine::build(4, sched.clone() as Arc<dyn Scheduler>, None);
+            let machine = Machine::build(4, sched.clone() as Arc<dyn Scheduler>, None, 1);
             let out = run_events(4, &machine, &sched, 1, 256 << 10, &body);
             (out.results, out.stats, sched.trace())
         };

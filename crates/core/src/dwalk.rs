@@ -33,33 +33,40 @@
 //!   reply, so a descent that will open the child anyway saves a full
 //!   round-trip. Prefetched cells install into the [`DistTree`] cache
 //!   exactly as if requested; hits and wasted bytes are counted.
-//! * **Overlapped apply** — groups whose closure is resident emit at once
-//!   (round 0 for a wholly local closure) and enqueue their finished lists
-//!   (after pinning interaction counts); the service loop hands them to
-//!   the rank's [`ListConsumer`] only when no messages are pollable, so
-//!   local force arithmetic fills the latency window while other groups
-//!   wait. The apply order is the deterministic walk-completion order, and
-//!   sink groups are disjoint, so accelerations stay bitwise identical.
+//! * **Resolve → post → compute the ready batch → serve** — a round first
+//!   only *resolves* groups; those with nothing missing (all of round 0
+//!   for a wholly local closure) form the round's *ready batch*. The
+//!   round's requests are posted and flushed, so they travel while the
+//!   rank computes the batch — each group emitted, its interaction counts
+//!   pinned, and its list handed to the rank's [`ListConsumer`] — and only
+//!   then serves and absorbs messages. The batch runs in tree order through
+//!   [`crate::walk::fan_out`] on the rank's share of the hardware threads
+//!   ([`Comm::compute_threads`]): compute threads touch no channel and are
+//!   joined before the rank serves. Sink groups are disjoint and each
+//!   group's list is its own, so accelerations stay bitwise identical
+//!   under any thread count.
 //!
 //! Emit never starts before everything it will touch is resident, so each
 //! group's list is written in the one canonical depth-first order no matter
 //! which rounds its data arrived in, and forces are bitwise identical
 //! across every [`WalkConfig`]. The per-key blocking walk and the
 //! one-key-per-group-per-round walk this pipeline replaced are frozen as
-//! rows L1 and L2 of EXPERIMENTS.md. The whole exchange runs to quiescence
-//! with ABM's termination protocol, every rank serving its peers' fetch
-//! requests from its local tree throughout.
+//! rows L1 and L2 of EXPERIMENTS.md; the overlapped apply that computed
+//! one finished list per poll-idle window before the ready batch replaced
+//! it is row D1. The whole exchange runs to quiescence with ABM's
+//! termination protocol, every rank serving its peers' fetch requests from
+//! its local tree throughout.
 
 use crate::dtree::{CellRecord, DChildren, DistTree};
 use crate::ilist::{InteractionList, ListConsumer};
 use crate::mac::Mac;
 use crate::moments::Moments;
-use crate::walk::WalkStats;
+use crate::walk::{fan_out, workers_for, WalkStats};
 use bytes::Bytes;
 use hot_base::Vec3;
 use hot_comm::{from_bytes, Abm, Comm, KeyBatchRequest, Wire};
 use hot_morton::Key;
-use std::collections::{BTreeMap, BTreeSet, VecDeque};
+use std::collections::{BTreeMap, BTreeSet};
 
 // Message kinds on the ABM channel. Kinds 1–4 belonged to the retired
 // per-key protocol and stay unassigned.
@@ -113,10 +120,9 @@ enum Ref {
     Node(u32),
 }
 
-/// One sink group's walk. While the group is in its resolve stage only
-/// `untested` and `missing` move; `list` and `stats` are written in one go
-/// by the emit stage, once everything the traversal reaches is resident.
-struct GroupWalk<M: Moments> {
+/// One sink group's resolve stage. Once nothing is missing the group joins
+/// its round's ready batch, which emits and applies it in one go.
+struct GroupWalk {
     /// Index of the group cell in the local tree.
     gi: u32,
     /// Global nodes the resolve stage has reached but not yet MAC-tested.
@@ -125,10 +131,6 @@ struct GroupWalk<M: Moments> {
     /// not resident: what the group is parked on. Their data lands during
     /// the round, so the next resolve goes straight to their children.
     missing: Vec<u32>,
-    /// The group's interaction list.
-    list: InteractionList<M>,
-    /// This walk's interaction counts.
-    stats: WalkStats,
 }
 
 /// One round's new wants: per owner, the (cell keys, leaf keys) to request.
@@ -228,7 +230,9 @@ pub fn dwalk_with_traced<M: Moments, C: ListConsumer<M>>(
     trace: &mut hot_trace::Ledger,
 ) -> DwalkStats {
     trace.begin(hot_trace::Phase::Walk);
-    let stats = dwalk_pipelined(comm, dt, mac, consumer, group_size, cfg);
+    let share = comm.compute_threads();
+    let workers = |sinks| workers_for(sinks, share);
+    let stats = dwalk_pipelined(comm, dt, mac, consumer, group_size, cfg, workers);
     stats.walk.record_traversal(trace);
     trace.add(hot_trace::Counter::CellRequests, stats.cell_requests);
     trace.add(hot_trace::Counter::BodyRequests, stats.body_requests);
@@ -244,7 +248,8 @@ pub fn dwalk_with_traced<M: Moments, C: ListConsumer<M>>(
     stats
 }
 
-/// The coalesced, prefetching, overlapping pipeline.
+/// The coalesced, prefetching pipeline. `workers` maps a ready batch's sink
+/// count to the threads it is computed on.
 ///
 /// Structured as globally synchronized request rounds:
 ///
@@ -252,12 +257,12 @@ pub fn dwalk_with_traced<M: Moments, C: ListConsumer<M>>(
 ///    nodes its traversal newly reaches and collects **every** one whose
 ///    children or bodies are not resident — not just the first — into the
 ///    round's wants per owner (deduplicated against what other groups
-///    already asked for this round). A group with nothing missing *emits*
-///    its interaction list in one uninterrupted depth-first pass and
-///    queues it for apply; the others park;
-/// 2. post at most one [`KeyBatchRequest`] per owner;
-/// 3. serve peers / absorb replies until no message is pollable, applying
-///    one queued finished list per idle window;
+///    already asked for this round). A group with nothing missing joins
+///    the round's ready batch; the others park;
+/// 2. post at most one [`KeyBatchRequest`] per owner and flush, then
+///    compute the ready batch (see [`compute_batch`]) while the requests
+///    travel;
+/// 3. serve peers / absorb replies until no message is pollable;
 /// 4. join the round's count consensus. Parked groups reactivate **only**
 ///    when the allreduce proves every posted message machine-wide has been
 ///    delivered — i.e. all of this round's replies (including prefetches)
@@ -284,45 +289,40 @@ fn dwalk_pipelined<M: Moments, C: ListConsumer<M>>(
     consumer: &mut C,
     group_size: usize,
     cfg: &WalkConfig,
+    workers: impl Fn(usize) -> usize,
 ) -> DwalkStats {
     let mut stats = DwalkStats::default();
     // One walk per sink group, all starting at the global root.
-    let mut active: Vec<GroupWalk<M>> = dt
+    let mut active: Vec<GroupWalk> = dt
         .local
         .groups(group_size)
         .into_iter()
-        .map(|gi| GroupWalk {
-            gi,
-            untested: vec![dt.root],
-            missing: Vec::new(),
-            list: InteractionList::new(),
-            stats: WalkStats::default(),
-        })
+        .map(|gi| GroupWalk { gi, untested: vec![dt.root], missing: Vec::new() })
         .collect();
-    let mut parked: Vec<GroupWalk<M>> = Vec::new();
+    let mut parked: Vec<GroupWalk> = Vec::new();
     // Keys requested in the current round: dedups wants across groups, and
     // tells a requested reply entry from a speculative one.
     let mut requested: BTreeSet<u64> = BTreeSet::new();
-    let mut finished: VecDeque<GroupWalk<M>> = VecDeque::new();
     let mut pf = PrefetchLedger::default();
     let mut abm = Abm::new(comm, cfg.abm_batch);
 
     let mut prev = (u64::MAX, u64::MAX, u64::MAX);
     loop {
-        // (1) Drain runnable groups; gather the round's new wants per owner.
+        // (1) Resolve runnable groups; gather the round's new wants per
+        // owner and its ready batch.
         let mut wants = Wants::new();
+        let mut ready = Vec::new();
         while let Some(mut w) = active.pop() {
             resolve(dt, mac, &mut w, &mut requested, &mut wants);
             if w.missing.is_empty() {
-                emit(dt, mac, &mut w, &mut pf);
-                pin_walk(dt, &mut w, &mut stats);
-                finished.push_back(w);
+                ready.push(w.gi);
             } else {
                 stats.parks += 1;
                 parked.push(w);
             }
         }
-        // (2) One coalesced multi-key request per owner.
+        // (2) One coalesced multi-key request per owner, on the wire before
+        // the ready batch is computed.
         if !wants.is_empty() {
             stats.rounds += 1;
         }
@@ -332,22 +332,18 @@ fn dwalk_pipelined<M: Moments, C: ListConsumer<M>>(
             stats.request_msgs += 1;
             abm.post(owner, K_REQ_BATCH, &KeyBatchRequest::new(cells, bodies));
         }
-        // (3) Serve and absorb until locally idle; queued applies fill the
-        // poll-idle windows, keeping the CPU busy under the latency.
+        abm.flush_all();
+        compute_batch(dt, mac, consumer, &mut ready, &mut pf, &mut stats, &workers);
+        // (3) Serve and absorb until locally idle.
         loop {
             abm.flush_all();
             let handled = {
                 let mut handler = make_batch_handler(dt, &requested, &mut pf, cfg);
                 abm.poll(&mut handler)
             };
-            if handled > 0 {
-                continue;
+            if handled == 0 {
+                break;
             }
-            if let Some(w) = finished.pop_front() {
-                apply_walk(dt, consumer, &w);
-                continue;
-            }
-            break;
         }
         // (4) Round consensus: wake everything parked once the machine is
         // quiescent (every request answered, every reply delivered).
@@ -366,8 +362,7 @@ fn dwalk_pipelined<M: Moments, C: ListConsumer<M>>(
         }
         prev = totals;
     }
-    // Step (3) only goes idle once `finished` is drained.
-    debug_assert!(active.is_empty() && parked.is_empty() && finished.is_empty());
+    debug_assert!(active.is_empty() && parked.is_empty());
     stats.prefetched_cells = pf.cells;
     stats.prefetched_bytes = pf.bytes;
     stats.prefetch_hits = pf.hits;
@@ -377,28 +372,72 @@ fn dwalk_pipelined<M: Moments, C: ListConsumer<M>>(
     stats
 }
 
-/// Pin a completed walk's incremental pair accounting against the finished
-/// list's closed form and fold its counts into the rank totals.
-fn pin_walk<M: Moments>(dt: &DistTree<M>, w: &mut GroupWalk<M>, stats: &mut DwalkStats) {
-    let sinks = dt.local.cells[w.gi as usize].span();
-    let (pp, pc) = w.list.expected_stats(&sinks);
-    assert_eq!(
-        (w.stats.pp, w.stats.pc),
-        (pp, pc),
-        "dwalk stats for group {} disagree with its interaction list",
-        w.gi
-    );
-    w.stats.listed_pp = w.list.pp_entries();
-    w.stats.listed_pc = w.list.pc_entries();
-    stats.walk.merge(&w.stats);
-    stats.group_costs.push((w.gi, w.stats.opened));
+/// What one chunk of a ready batch hands back to be merged.
+#[derive(Default)]
+struct BatchOut {
+    walk: WalkStats,
+    group_costs: Vec<(u32, u64)>,
+    /// Prefetch-installed parents the chunk's emits opened.
+    opened_prefetched: Vec<u64>,
 }
 
-/// Hand a finished walk's list to the consumer (the apply stage). Sink
-/// groups are disjoint, so apply order cannot affect any per-sink sum.
-fn apply_walk<M: Moments, C: ListConsumer<M>>(dt: &DistTree<M>, consumer: &mut C, w: &GroupWalk<M>) {
-    let sinks = dt.local.cells[w.gi as usize].span();
-    consumer.consume(&dt.local.pos, &dt.local.charge, sinks, &w.list);
+/// Compute one round's ready batch: per group, [`emit`] its list, pin the
+/// walk's incremental pair accounting against the list's closed form, and
+/// hand the list to `consumer` (the apply stage). The groups run in tree
+/// order through [`fan_out`] on `workers(sinks in the batch)` threads,
+/// each with a list of its own that lives for this batch only. Emits read
+/// the prefetch ledger but do not write it: the parents they open are
+/// merged after the join, a hit being a removal from `unused`, so the
+/// count is the one-thread count. Sink groups are disjoint, so neither the
+/// order nor the thread of a group's apply can change a per-sink sum.
+fn compute_batch<M: Moments, C: ListConsumer<M>>(
+    dt: &DistTree<M>,
+    mac: &Mac,
+    consumer: &mut C,
+    ready: &mut [u32],
+    pf: &mut PrefetchLedger,
+    stats: &mut DwalkStats,
+    workers: impl Fn(usize) -> usize,
+) {
+    let cells = &dt.local.cells;
+    ready.sort_unstable_by_key(|&gi| cells[gi as usize].first);
+    let sinks = ready.iter().map(|&gi| cells[gi as usize].n as usize).sum();
+    let unused = &pf.unused;
+    let outs = fan_out(
+        workers(sinks),
+        ready,
+        |gi| cells[gi as usize].span(),
+        consumer,
+        &mut Vec::new(),
+        |groups, part, list| {
+            let mut out = BatchOut::default();
+            for &gi in groups {
+                let mut walk = emit(dt, mac, gi, list, unused, &mut out.opened_prefetched);
+                let sinks = cells[gi as usize].span();
+                let (pp, pc) = list.expected_stats(&sinks);
+                assert_eq!(
+                    (walk.pp, walk.pc),
+                    (pp, pc),
+                    "dwalk stats for group {gi} disagree with its interaction list"
+                );
+                walk.listed_pp = list.pp_entries();
+                walk.listed_pc = list.pc_entries();
+                out.walk.merge(&walk);
+                out.group_costs.push((gi, walk.opened));
+                part.consume(&dt.local.pos, &dt.local.charge, sinks, list);
+            }
+            out
+        },
+    );
+    for out in outs {
+        stats.walk.merge(&out.walk);
+        stats.group_costs.extend(out.group_costs);
+        for key in out.opened_prefetched {
+            if pf.unused.remove(&key).is_some() {
+                pf.hits += 1;
+            }
+        }
+    }
 }
 
 /// Accounting for speculatively installed cells. `unused` maps a
@@ -423,7 +462,7 @@ struct PrefetchLedger {
 fn resolve<M: Moments>(
     dt: &DistTree<M>,
     mac: &Mac,
-    w: &mut GroupWalk<M>,
+    w: &mut GroupWalk,
     requested: &mut BTreeSet<u64>,
     wants: &mut Wants,
 ) {
@@ -458,13 +497,24 @@ fn resolve<M: Moments>(
     }
 }
 
-/// The emit stage: one uninterrupted depth-first traversal recording the
-/// group's accepted sources into its interaction list. Runs only once
-/// [`resolve`] found everything it reaches resident, so the list is written
-/// in the one canonical order whatever round its data arrived in.
-fn emit<M: Moments>(dt: &DistTree<M>, mac: &Mac, w: &mut GroupWalk<M>, pf: &mut PrefetchLedger) {
+/// The emit stage: one uninterrupted depth-first traversal recording group
+/// `gi`'s accepted sources into `list` (cleared first), returning the
+/// walk's counts. Runs only once [`resolve`] found everything it reaches
+/// resident, so the list is written in the one canonical order whatever
+/// round its data arrived in. Every prefetch-installed parent (a key of
+/// `unused`) it opens is pushed to `opened_prefetched`.
+fn emit<M: Moments>(
+    dt: &DistTree<M>,
+    mac: &Mac,
+    gi: u32,
+    list: &mut InteractionList<M>,
+    unused: &BTreeMap<u64, u64>,
+    opened_prefetched: &mut Vec<u64>,
+) -> WalkStats {
+    list.clear();
+    let mut stats = WalkStats::default();
     let mut stack = vec![Ref::Node(dt.root)];
-    let g = &dt.local.cells[w.gi as usize];
+    let g = &dt.local.cells[gi as usize];
     let gc = g.center;
     let gr = g.bmax;
     let sinks = g.span();
@@ -473,13 +523,13 @@ fn emit<M: Moments>(dt: &DistTree<M>, mac: &Mac, w: &mut GroupWalk<M>, pf: &mut 
     while let Some(r) = stack.pop() {
         match r {
             Ref::Local(ci) => {
-                if ci == w.gi {
-                    w.list.push_pp(
+                if ci == gi {
+                    list.push_pp(
                         &dt.local.pos[sinks.clone()],
                         &dt.local.charge[sinks.clone()],
                         Some(sinks.start),
                     );
-                    w.stats.pp += gn * (gn - 1);
+                    stats.pp += gn * (gn - 1);
                     continue;
                 }
                 let c = &dt.local.cells[ci as usize];
@@ -487,17 +537,17 @@ fn emit<M: Moments>(dt: &DistTree<M>, mac: &Mac, w: &mut GroupWalk<M>, pf: &mut 
                     continue;
                 }
                 if mac.accepts(c, gc, gr) {
-                    w.list.push_pc(c.center, &c.moments);
-                    w.stats.pc += gn;
+                    list.push_pc(c.center, &c.moments);
+                    stats.pc += gn;
                 } else if c.is_leaf() {
-                    w.list.push_pp(
+                    list.push_pp(
                         &dt.local.pos[c.span()],
                         &dt.local.charge[c.span()],
                         Some(c.first as usize),
                     );
-                    w.stats.pp += gn * c.n as u64;
+                    stats.pp += gn * c.n as u64;
                 } else {
-                    w.stats.opened += 1;
+                    stats.opened += 1;
                     stack.extend(dt.local.children(c).map(|k| Ref::Local(k as u32)));
                 }
             }
@@ -507,18 +557,18 @@ fn emit<M: Moments>(dt: &DistTree<M>, mac: &Mac, w: &mut GroupWalk<M>, pf: &mut 
                     continue;
                 }
                 if mac.accepts_raw(node.center, node.bmax, node.moments.b2(), gc, gr) {
-                    w.list.push_pc(node.center, &node.moments);
-                    w.stats.pc += gn;
+                    list.push_pc(node.center, &node.moments);
+                    stats.pc += gn;
                     continue;
                 }
                 match &node.children {
                     DChildren::Nodes(kids) => {
-                        w.stats.opened += 1;
+                        stats.opened += 1;
                         // Opening a parent whose children arrived
                         // speculatively is a prefetch hit: the round-trip
                         // this group would have parked on was saved.
-                        if pf.unused.remove(&node.key.0).is_some() {
-                            pf.hits += 1;
+                        if unused.contains_key(&node.key.0) {
+                            opened_prefetched.push(node.key.0);
                         }
                         stack.extend(kids.iter().map(|&k| Ref::Node(k)));
                     }
@@ -538,13 +588,13 @@ fn emit<M: Moments>(dt: &DistTree<M>, mac: &Mac, w: &mut GroupWalk<M>, pf: &mut 
                             // historical double-count this path had.
                             let span = dt.span_of(node.key);
                             if !span.is_empty() {
-                                w.list.push_pp(
+                                list.push_pp(
                                     &dt.local.pos[span.clone()],
                                     &dt.local.charge[span.clone()],
                                     Some(span.start),
                                 );
                                 let len = span.len() as u64;
-                                w.stats.pp += if span == sinks {
+                                stats.pp += if span == sinks {
                                     gn * (len - 1)
                                 } else {
                                     gn * len
@@ -558,8 +608,8 @@ fn emit<M: Moments>(dt: &DistTree<M>, mac: &Mac, w: &mut GroupWalk<M>, pf: &mut 
                             .get(&ni)
                             // hot-lint: allow(unwrap-audit)
                             .expect("emit reached a remote leaf resolve left unfetched");
-                        w.list.push_pp(bp, bq, None);
-                        w.stats.pp += gn * bp.len() as u64;
+                        list.push_pp(bp, bq, None);
+                        stats.pp += gn * bp.len() as u64;
                     }
                     DChildren::RemoteUnfetched => {
                         unreachable!("emit reached a remote cell resolve left unfetched")
@@ -568,6 +618,7 @@ fn emit<M: Moments>(dt: &DistTree<M>, mac: &Mac, w: &mut GroupWalk<M>, pf: &mut 
             }
         }
     }
+    stats
 }
 
 /// Install a body reply into the remote-leaf cache.
@@ -878,6 +929,75 @@ mod tests {
             match &reference {
                 None => reference = Some(out.results),
                 Some(r) => assert_eq!(r, &out.results, "pipeline {cfg:?} diverged"),
+            }
+        }
+    }
+
+    /// What one rank's walk must give under any compute thread count:
+    /// coverage bits, walk counts, sorted group costs, and
+    /// `[prefetch hits, cell requests, body requests, request messages,
+    /// rounds, parks]`; beside them, the rank's largest ready batch.
+    type Forced = (Vec<u64>, WalkStats, Vec<(u32, u64)>, [u64; 6], usize);
+
+    /// Walk with a splittable consumer, every ready batch forced onto
+    /// `workers` threads through the crate-private entry.
+    fn forced_workers_run(np: u32, clustered: bool, cfg: WalkConfig, workers: usize) -> Vec<Forced> {
+        let out = RunConfig::builder().np(np).run(move |c| {
+            let bodies = make_bodies(c, 2000, 4242, clustered);
+            let (mine, iv) = decompose(c, bodies, 32);
+            let pos: Vec<Vec3> = mine.iter().map(|b| b.pos).collect();
+            let q: Vec<f64> = mine.iter().map(|b| b.charge).collect();
+            let tree = Tree::<MassMoments>::build(Aabb::unit(), &pos, &q, 8);
+            let mut dt = DistTree::build(c, tree, iv);
+            let mut seen = vec![0.0; dt.local.n_particles()];
+            let biggest = std::cell::Cell::new(0);
+            let s = dwalk_pipelined(
+                c,
+                &mut dt,
+                &Mac::BarnesHut { theta: 0.5 },
+                &mut crate::walk::tests::Coverage { seen: &mut seen, base: 0 },
+                16,
+                &cfg,
+                |sinks| {
+                    biggest.set(biggest.get().max(sinks));
+                    workers
+                },
+            );
+            let counts =
+                [s.prefetch_hits, s.cell_requests, s.body_requests, s.request_msgs, s.rounds, s.parks];
+            let bits = seen.iter().map(|x| x.to_bits()).collect();
+            (bits, s.walk, s.group_costs, counts, biggest.get())
+        });
+        out.results
+    }
+
+    /// Ready batches computed on 2, 3 or 8 threads give the one-thread
+    /// walk bit for bit — coverage, counts, group costs, prefetch hits,
+    /// requests, rounds and parks — on uniform and clustered bodies, with
+    /// prefetch on and off, in batches the public rule would fan out.
+    #[test]
+    fn dwalk_fan_out_is_bitwise_for_any_worker_count() {
+        let prefetch_off = WalkConfig { prefetch_levels: 0, ..WalkConfig::default() };
+        for np in [2, 4] {
+            for clustered in [false, true] {
+                for cfg in [prefetch_off, WalkConfig::default()] {
+                    let one = forced_workers_run(np, clustered, cfg, 1);
+                    let tag = format!("np={np} clustered={clustered} {cfg:?}");
+                    let biggest: Vec<usize> = one.iter().map(|r| r.4).collect();
+                    assert!(
+                        biggest.iter().any(|&b| b >= 2 * crate::walk::MIN_SINKS_PER_THREAD),
+                        "{tag}: no ready batch above the fan-out threshold: {biggest:?}"
+                    );
+                    if cfg.prefetch_levels > 0 {
+                        assert!(one.iter().any(|r| r.3[0] > 0), "{tag}: prefetch never hit");
+                    }
+                    for workers in [2, 3, 8] {
+                        let many = forced_workers_run(np, clustered, cfg, workers);
+                        for (rank, (a, b)) in one.iter().zip(&many).enumerate() {
+                            assert!(a == b, "{tag}: rank {rank} differs on {workers} workers");
+                        }
+                    }
+                }
             }
         }
     }

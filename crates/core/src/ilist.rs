@@ -309,6 +309,21 @@ pub trait ListConsumer<M: Moments> {
         sinks: Range<usize>,
         list: &InteractionList<M>,
     );
+
+    /// Cut this consumer into one `Send` part per range of `parts`
+    /// (ascending and disjoint; gaps between them are allowed), part `k`
+    /// owning the outputs of the sinks in `parts[k]` — so that parts may
+    /// consume the groups inside their ranges on different threads and do
+    /// exactly what `self` would. The default, `None`, means the consumer
+    /// cannot be split, and callers run it inline. This is how the compute
+    /// fan-out ([`crate::walk::fan_out`]) divides outputs between threads.
+    fn split(
+        &mut self,
+        parts: &[Range<usize>],
+    ) -> Option<Vec<Box<dyn ListConsumer<M> + Send + '_>>> {
+        let _ = parts;
+        None
+    }
 }
 
 #[cfg(test)]

@@ -13,6 +13,7 @@ use crate::mac::Mac;
 use crate::moments::Moments;
 use crate::tree::Tree;
 use std::ops::Range;
+use std::sync::{Mutex, PoisonError};
 
 /// Consumer of traversal decisions.
 pub trait Evaluator<M: Moments> {
@@ -184,7 +185,7 @@ pub fn walk_group_list<M: Moments>(
 /// The two-stage evaluation: build each sink group's interaction list,
 /// then hand it to `consumer` (the apply stage). `scratch` is the reused
 /// list buffer — steady state allocates nothing.
-pub fn walk_lists<M: Moments, C: ListConsumer<M>>(
+pub fn walk_lists<M: Moments, C: ListConsumer<M> + ?Sized>(
     tree: &Tree<M>,
     mac: &Mac,
     consumer: &mut C,
@@ -199,7 +200,7 @@ pub fn walk_lists<M: Moments, C: ListConsumer<M>>(
 /// its sinks' outputs depend on no other group), so a caller may hand
 /// disjoint runs of groups to consumers that own disjoint outputs — in
 /// any order, on any thread — and add the returned stats.
-pub fn walk_lists_of<M: Moments, C: ListConsumer<M>>(
+pub fn walk_lists_of<M: Moments, C: ListConsumer<M> + ?Sized>(
     tree: &Tree<M>,
     mac: &Mac,
     groups: &[u32],
@@ -215,6 +216,145 @@ pub fn walk_lists_of<M: Moments, C: ListConsumer<M>>(
     stats
 }
 
+/// Sinks a thread must have to itself before another one pays for its
+/// spawn and join — one constant for both callers of [`fan_out`]. Measured
+/// (release, 2 hardware threads, group size 32, walk + apply only; the
+/// median of 7 alternating series of two workers against one — single
+/// series ran 0.6–2.6×, the host being shared): "whole" is an N-body
+/// `ForceCalc` problem, "batch" a contiguous run of groups holding N sinks
+/// of a 65 536-body tree, as the distributed walk hands it one round's
+/// ready batch.
+///
+/// | N sinks | whole θ = 0.7 | whole θ = 0.4 | batch θ = 0.7 | batch θ = 0.4 |
+/// |---------|---------------|---------------|---------------|---------------|
+/// | 128     | 0.83×         | 1.39×         | 1.18×         | 1.42×         |
+/// | 256     | 0.91×         | 1.82×         | 1.35×         | 1.79×         |
+/// | 512     | 1.48×         | 1.41×         | 1.60×         | 1.78×         |
+/// | 1024    | 2.07×         | 1.79×         | 1.62×         | 1.83×         |
+/// | 2048    | 1.80×         | 1.62×         | 1.61×         | 1.82×         |
+///
+/// A sink costs more the smaller θ and the bigger its tree, so the floor
+/// is set by the cheapest case, a small θ = 0.7 problem, which loses at
+/// 256 sinks and gains from 512: fan-out starts at 512. The previous
+/// floor, 1024 per thread (set on whole θ = 0.7 problems), fans out few of
+/// `dist_coarse`'s ready batches (mostly 1000–1650 sinks at θ = 0.4):
+/// `dwalk.phase_s` 1.08–1.13 s there against 0.76–0.77 s at 256, back to
+/// back (EXPERIMENTS.md D1). A measured constant, not an option.
+pub(crate) const MIN_SINKS_PER_THREAD: usize = 256;
+
+/// Chunks cut per worker: enough that a clustered problem, whose deep
+/// groups cost several times the shallow ones, still balances when the
+/// workers pull chunks as they finish.
+const CHUNKS_PER_WORKER: usize = 16;
+
+/// Workers for `n` sinks with `available` hardware threads: one per 256
+/// sinks (a measured floor, see `MIN_SINKS_PER_THREAD`), at most
+/// `available`, at least one.
+pub fn workers_for(n: usize, available: usize) -> usize {
+    available.min(n / MIN_SINKS_PER_THREAD).max(1)
+}
+
+/// The compute fan-out: the one queue-and-scope driver, used by
+/// `ForceCalc` over a whole tree and by the distributed walk over each
+/// round's ready sink groups.
+///
+/// `groups` (in tree order, so their sink spans `span(g)` ascend) are cut
+/// into contiguous chunks; `consumer` is [split](ListConsumer::split) into
+/// one part per chunk, owning the sinks from the chunk's first span to its
+/// last; and `job(chunk, part, list)` runs every chunk, on the calling
+/// thread and `workers - 1` scoped threads that pull chunks from a shared
+/// queue, each owning one list of `lists` (grown to the workers used,
+/// never shrunk). With one worker, one chunk, or a consumer that cannot
+/// split, one job runs inline over all of `groups` with `consumer` itself.
+///
+/// Returns the jobs' results in chunk order. Workers share `job`'s
+/// captures read-only and own their part and list; nothing else is touched
+/// before the join, so a caller whose results merge by integer sums and
+/// set operations gets bitwise the one-worker outcome under any thread
+/// count and schedule. The threads perform no channel operation and are
+/// joined before this returns. A worker's panic is re-raised in the
+/// caller, after every thread has stopped.
+pub fn fan_out<M, R>(
+    workers: usize,
+    groups: &[u32],
+    span: impl Fn(u32) -> Range<usize>,
+    consumer: &mut dyn ListConsumer<M>,
+    lists: &mut Vec<InteractionList<M>>,
+    job: impl Fn(&[u32], &mut dyn ListConsumer<M>, &mut InteractionList<M>) -> R + Sync,
+) -> Vec<R>
+where
+    M: Moments,
+    R: Send,
+{
+    if lists.is_empty() {
+        lists.push(InteractionList::new());
+    }
+    let per_chunk = groups.len().div_ceil(workers.max(1) * CHUNKS_PER_WORKER).max(1);
+    let runs: Vec<&[u32]> = groups.chunks(per_chunk).collect();
+    if workers > 1 && runs.len() > 1 {
+        let mut end = 0;
+        let ranges: Vec<Range<usize>> = runs
+            .iter()
+            .map(|run| {
+                let (first, last) = (span(run[0]), span(run[run.len() - 1]));
+                assert!(first.start >= end, "sink groups must be disjoint and in tree order");
+                end = last.end;
+                first.start..last.end
+            })
+            .collect();
+        if let Some(parts) = consumer.split(&ranges) {
+            return run_parts(workers.min(runs.len()), runs, parts, lists, &job);
+        }
+    }
+    vec![job(groups, consumer, &mut lists[0])]
+}
+
+/// [`fan_out`]'s threads: `workers` (≥ 2) drain the queue of `(run, part)`
+/// chunks, each with a list of `lists`; results come back in chunk order.
+fn run_parts<M, R>(
+    workers: usize,
+    runs: Vec<&[u32]>,
+    parts: Vec<Box<dyn ListConsumer<M> + Send + '_>>,
+    lists: &mut Vec<InteractionList<M>>,
+    job: &(impl Fn(&[u32], &mut dyn ListConsumer<M>, &mut InteractionList<M>) -> R + Sync),
+) -> Vec<R>
+where
+    M: Moments,
+    R: Send,
+{
+    if lists.len() < workers {
+        lists.resize_with(workers, InteractionList::new);
+    }
+    let queue = Mutex::new(runs.into_iter().zip(parts).enumerate());
+    let drain = |list: &mut InteractionList<M>| {
+        let mut done = Vec::new();
+        loop {
+            // The guard is dropped at the end of this statement, so the
+            // lock is never held while a chunk runs; `next` cannot panic,
+            // so a poisoned lock still guards a valid queue.
+            let next = queue.lock().unwrap_or_else(PoisonError::into_inner).next();
+            let Some((k, (run, mut part))) = next else { return done };
+            done.push((k, job(run, &mut *part, list)));
+        }
+    };
+    let [own, helpers @ ..] = &mut lists[..workers] else {
+        unreachable!("two or more workers here")
+    };
+    let mut done = std::thread::scope(|s| {
+        let handles: Vec<_> = helpers.iter_mut().map(|list| s.spawn(|| drain(list))).collect();
+        let mut done = drain(own);
+        for h in handles {
+            match h.join() {
+                Ok(d) => done.extend(d),
+                Err(payload) => std::panic::resume_unwind(payload),
+            }
+        }
+        done
+    });
+    done.sort_unstable_by_key(|&(k, _)| k);
+    done.into_iter().map(|(_, r)| r).collect()
+}
+
 /// Group size heuristic: a few leaf buckets per walk amortizes traversal
 /// overhead without bloating the near-field work.
 pub fn default_group_size(bucket: usize) -> usize {
@@ -222,11 +362,61 @@ pub fn default_group_size(bucket: usize) -> usize {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
+    use crate::ilist::Segment;
     use crate::moments::MassMoments;
     use hot_base::{Aabb, Vec3};
     use rand::{Rng, SeedableRng};
+
+    /// Source mass in a list: every P-P charge and every accepted cell's
+    /// mass, in list order.
+    fn list_mass(list: &InteractionList<MassMoments>) -> f64 {
+        let mut total = 0.0;
+        for seg in list.segments() {
+            match seg {
+                Segment::Pp(v) => total += v.q.iter().sum::<f64>(),
+                Segment::Pc(c) => total += c.m.iter().map(|m| m.mass).sum::<f64>(),
+            }
+        }
+        total
+    }
+
+    /// A splittable mass-coverage consumer: every sink of a group "sees"
+    /// its list's source mass, landing in `seen[i - base]`.
+    pub(crate) struct Coverage<'a> {
+        pub(crate) seen: &'a mut [f64],
+        pub(crate) base: usize,
+    }
+
+    impl ListConsumer<MassMoments> for Coverage<'_> {
+        fn consume(
+            &mut self,
+            _pos: &[Vec3],
+            _charge: &[f64],
+            sinks: Range<usize>,
+            list: &InteractionList<MassMoments>,
+        ) {
+            let total = list_mass(list);
+            for i in sinks {
+                self.seen[i - self.base] += total;
+            }
+        }
+
+        fn split(
+            &mut self,
+            parts: &[Range<usize>],
+        ) -> Option<Vec<Box<dyn ListConsumer<MassMoments> + Send + '_>>> {
+            let (mut rest, mut at) = (&mut self.seen[..], self.base);
+            let mut out: Vec<Box<dyn ListConsumer<MassMoments> + Send + '_>> = Vec::new();
+            for r in parts {
+                let (seen, tail) = std::mem::take(&mut rest)[r.start - at..].split_at_mut(r.len());
+                (rest, at) = (tail, r.end);
+                out.push(Box::new(Coverage { seen, base: r.start }));
+            }
+            Some(out)
+        }
+    }
 
     /// Accumulates, per sink index, the total source mass it has "seen".
     struct MassCoverage {
@@ -367,5 +557,165 @@ mod tests {
         assert_eq!(stats.pp, 0);
         assert_eq!(stats.pc, 0);
         assert_eq!(cov.seen[0], 1.0); // itself, via the self-span
+    }
+
+    /// A tight clump plus a sparse background: a deep tree whose groups —
+    /// and so whose chunks — cost very different amounts.
+    fn clumped_points(n: usize, seed: u64) -> Vec<Vec3> {
+        let mut pos = random_points(n, seed);
+        for p in &mut pos[..n * 3 / 4] {
+            *p = Vec3::splat(0.5) + (*p - Vec3::splat(0.5)) * 1e-4;
+        }
+        pos
+    }
+
+    /// Tree and its sink groups in tree order.
+    fn grouped(pos: &[Vec3]) -> (Tree<MassMoments>, Vec<u32>) {
+        let masses: Vec<f64> = (0..pos.len()).map(|i| 1.0 + (i % 3) as f64 * 0.5).collect();
+        let tree = Tree::<MassMoments>::build(Aabb::unit(), pos, &masses, 8);
+        let mut groups = tree.groups(16);
+        groups.sort_unstable_by_key(|&gi| tree.cells[gi as usize].first);
+        (tree, groups)
+    }
+
+    /// `fan_out` of the list pipeline over `groups`: coverage bits, the
+    /// per-chunk stats summed, and the lists it ended up holding.
+    fn fan_out_run(
+        tree: &Tree<MassMoments>,
+        groups: &[u32],
+        workers: usize,
+    ) -> (Vec<u64>, WalkStats, usize) {
+        let mac = Mac::BarnesHut { theta: 0.5 };
+        let mut seen = vec![0.0; tree.n_particles()];
+        let mut lists = Vec::new();
+        let per_chunk = fan_out(
+            workers,
+            groups,
+            |gi| tree.cells[gi as usize].span(),
+            &mut Coverage { seen: &mut seen, base: 0 },
+            &mut lists,
+            |run, part, list| walk_lists_of(tree, &mac, run, part, list),
+        );
+        let mut stats = WalkStats::default();
+        per_chunk.iter().for_each(|s| stats.merge(s));
+        (seen.iter().map(|s| s.to_bits()).collect(), stats, lists.len())
+    }
+
+    /// Any worker count gives the one-worker coverage and stats bitwise —
+    /// on all groups, and on every other group, where the parts have gaps
+    /// that no part may touch.
+    #[test]
+    fn fan_out_is_bitwise_for_any_worker_count() {
+        for pos in [random_points(3000, 51), clumped_points(3000, 52)] {
+            let (tree, groups) = grouped(&pos);
+            let alternate: Vec<u32> = groups.iter().copied().step_by(2).collect();
+            for gs in [&groups, &alternate] {
+                let one = fan_out_run(&tree, gs, 1);
+                assert_eq!(one.2, 1);
+                for workers in [2, 3, 8] {
+                    let many = fan_out_run(&tree, gs, workers);
+                    assert_eq!((&many.0, many.1), (&one.0, one.1), "{workers} workers");
+                    assert_eq!(many.2, workers, "one list per worker");
+                }
+            }
+            let skipped: Vec<usize> =
+                groups.iter().skip(1).step_by(2).flat_map(|&g| tree.cells[g as usize].span()).collect();
+            let gaps = fan_out_run(&tree, &alternate, 3).0;
+            assert!(skipped.iter().all(|&i| gaps[i] == 0), "a part wrote outside its groups");
+        }
+    }
+
+    /// A consumer that cannot split runs inline: one job over every group,
+    /// on the calling thread, however many workers were offered.
+    #[test]
+    fn fan_out_runs_an_unsplittable_consumer_inline() {
+        struct Inline(Vec<std::thread::ThreadId>);
+        impl ListConsumer<MassMoments> for Inline {
+            fn consume(&mut self, _: &[Vec3], _: &[f64], _: Range<usize>, _: &InteractionList<MassMoments>) {
+                self.0.push(std::thread::current().id());
+            }
+        }
+        let (tree, groups) = grouped(&random_points(2000, 53));
+        let mac = Mac::BarnesHut { theta: 0.7 };
+        let mut inline = Inline(Vec::new());
+        let mut lists = Vec::new();
+        let runs = fan_out(8, &groups, |gi| tree.cells[gi as usize].span(), &mut inline, &mut lists, |run, part, list| {
+            walk_lists_of(&tree, &mac, run, part, list);
+            run.len()
+        });
+        assert_eq!(runs, [groups.len()]);
+        assert_eq!(lists.len(), 1);
+        let caller = std::thread::current().id();
+        assert!(inline.0.len() == groups.len() && inline.0.iter().all(|&t| t == caller));
+    }
+
+    #[test]
+    fn fan_out_worker_count_has_a_floor() {
+        assert_eq!(workers_for(0, 8), 1);
+        assert_eq!(workers_for(2 * MIN_SINKS_PER_THREAD - 1, 8), 1, "below the floor: inline");
+        assert_eq!(workers_for(2 * MIN_SINKS_PER_THREAD, 8), 2);
+        assert_eq!(workers_for(131_072, 2), 2);
+        assert_eq!(workers_for(131_072, 1), 1, "one hardware thread: inline");
+    }
+
+    /// A consumer that fails on the caller's thread or on a helper's.
+    #[derive(Clone, Copy)]
+    struct Failing<'a> {
+        caller: std::thread::ThreadId,
+        on_caller: bool,
+        /// Holds the caller in its first chunk until a helper has one too.
+        both_busy: &'a std::sync::Barrier,
+        caller_waited: &'a std::sync::atomic::AtomicBool,
+    }
+
+    impl ListConsumer<MassMoments> for Failing<'_> {
+        fn consume(&mut self, _: &[Vec3], _: &[f64], _: Range<usize>, _: &InteractionList<MassMoments>) {
+            use std::sync::atomic::Ordering::SeqCst;
+            let on_caller = std::thread::current().id() == self.caller;
+            if on_caller == self.on_caller {
+                if !on_caller {
+                    self.both_busy.wait();
+                }
+                panic!("consumer failed");
+            }
+            if on_caller && !self.caller_waited.swap(true, SeqCst) {
+                self.both_busy.wait();
+            }
+        }
+
+        fn split(
+            &mut self,
+            parts: &[Range<usize>],
+        ) -> Option<Vec<Box<dyn ListConsumer<MassMoments> + Send + '_>>> {
+            Some(parts.iter().map(|_| Box::new(*self) as Box<dyn ListConsumer<_> + Send>).collect())
+        }
+    }
+
+    /// A worker's panic reaches the caller as that panic — not a hang, not
+    /// "a scoped thread panicked", not a poisoned-lock message.
+    #[test]
+    fn fan_out_reraises_a_workers_panic() {
+        let (tree, groups) = grouped(&random_points(2000, 40));
+        let mac = Mac::BarnesHut { theta: 0.7 };
+        for on_caller in [false, true] {
+            let both_busy = std::sync::Barrier::new(2);
+            let caller_waited = std::sync::atomic::AtomicBool::new(false);
+            let caller = std::thread::current().id();
+            let mut failing =
+                Failing { caller, on_caller, both_busy: &both_busy, caller_waited: &caller_waited };
+            let caught = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                fan_out(
+                    2,
+                    &groups,
+                    |gi| tree.cells[gi as usize].span(),
+                    &mut failing,
+                    &mut Vec::new(),
+                    |run, part, list| walk_lists_of(&tree, &mac, run, part, list),
+                )
+            }));
+            let payload = caught.expect_err("the panic must surface");
+            let text = payload.downcast_ref::<&str>();
+            assert_eq!(text, Some(&"consumer failed"), "on_caller {on_caller}");
+        }
     }
 }

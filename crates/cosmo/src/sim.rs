@@ -187,8 +187,18 @@ impl CosmoSim {
 }
 
 /// Cubic domain comfortably containing all positions.
+///
+/// Panics, naming the body, when a position is not finite: a NaN state
+/// must stop the run here, in release builds too, rather than reach the
+/// tree build (whose own check is a `debug_assert!`) as NaN keys.
 pub fn domain_for(pos: &[Vec3]) -> Aabb {
-    Aabb::containing(pos.iter().copied()).bounding_cube().scaled(1.01 + 1e-9)
+    let mut bounds = Aabb::EMPTY;
+    for (i, &p) in pos.iter().enumerate() {
+        // `f64::min`/`max` skip NaN, so the box alone cannot tell.
+        assert!(p.is_finite(), "domain_for: body {i} is at {p:?}, not a finite position");
+        bounds.expand(p);
+    }
+    bounds.bounding_cube().scaled(1.01 + 1e-9)
 }
 
 #[cfg(test)]

@@ -787,7 +787,8 @@ mod tests {
             ..SupervisorConfig::golden(2, 1, f64::NAN, 1, tmp("bug.ckpt"))
         };
         let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            // NaN da => NaN positions => the tree build asserts.
+            // NaN da => NaN positions => `domain_for` asserts (in release
+            // builds too: the tree build's own check is debug-only).
             run_supervised(demo_state(64, 5), &cfg)
         }));
         assert!(result.is_err(), "genuine bug was 'recovered'");

@@ -33,9 +33,8 @@ pub struct DistOptions {
     pub quadrupole: bool,
     /// Sample-sort oversampling.
     pub oversample: usize,
-    /// Latency-hiding walk pipeline configuration (coalescing, prefetch,
-    /// overlapped apply). Never affects the computed forces — only how the
-    /// remote data moves.
+    /// Latency-hiding walk pipeline configuration (coalescing, prefetch).
+    /// Never affects the computed forces — only how the remote data moves.
     pub walk: WalkConfig,
     /// Domain-decomposition policy for the step entry
     /// ([`distributed_step_traced`]). `Static` keeps the sample-sort
@@ -461,6 +460,58 @@ mod tests {
             if np >= 2 {
                 assert!(hits > 0, "np={np}: prefetch never hit");
             }
+        }
+    }
+
+    /// The public path on a rank's share of the hardware threads — all of
+    /// them on the event runtime with one worker, one per rank on threads
+    /// with a rank per CPU — gives the same accelerations, work weights and
+    /// walk counts bit for bit. `ci.sh` prints the line below and runs this
+    /// again pinned to one CPU, where both shares are 1 and the comparison
+    /// is vacuous.
+    #[test]
+    fn fan_out_distributed_accelerations_match_across_shares() {
+        use hot_comm::Runtime;
+        let n_per = 4096usize;
+        let run = |rt: Runtime| {
+            RunConfig::builder().np(2).runtime(rt).workers(1).run(|c| {
+                let mut rng = rand::rngs::StdRng::seed_from_u64(900 + u64::from(c.rank()));
+                let bodies: Vec<Body<f64>> = (0..n_per)
+                    .map(|i| {
+                        let pos = Vec3::new(rng.gen(), rng.gen(), rng.gen());
+                        Body {
+                            key: Key::from_point(pos, &Aabb::unit()),
+                            pos,
+                            charge: 1.0 / (2 * n_per) as f64,
+                            work: 1.0,
+                            id: u64::from(c.rank()) * n_per as u64 + i as u64,
+                        }
+                    })
+                    .collect();
+                let opts = DistOptions { mac: Mac::BarnesHut { theta: 0.5 }, ..Default::default() };
+                let res = distributed_accelerations(c, bodies, Aabb::unit(), &opts, &FlopCounter::new());
+                let mut out: Vec<(u64, [u64; 3], u32)> = res
+                    .bodies
+                    .iter()
+                    .zip(&res.acc)
+                    .map(|(b, a)| (b.id, [a.x.to_bits(), a.y.to_bits(), a.z.to_bits()], b.work.to_bits()))
+                    .collect();
+                out.sort_unstable();
+                let s = &res.stats;
+                let counts = [s.prefetch_hits, s.cell_requests, s.body_requests, s.rounds, s.parks];
+                (c.compute_threads(), out, s.walk, s.group_costs.clone(), counts)
+            })
+            .results
+        };
+        let events = run(Runtime::Events);
+        let threads = run(Runtime::Threads);
+        println!(
+            "dwalk compute threads: {} (events, one worker), {} (threads, np = 2)",
+            events[0].0, threads[0].0
+        );
+        for (rank, (e, t)) in events.iter().zip(&threads).enumerate() {
+            assert!(e.1 == t.1, "rank {rank}: accelerations or work differ");
+            assert_eq!((e.2, &e.3, e.4), (t.2, &t.3, t.4), "rank {rank}: walk counts differ");
         }
     }
 

@@ -126,6 +126,42 @@ impl ListConsumer<MassMoments> for GravityEvaluator<'_> {
             }
         }
     }
+
+    /// Parts over disjoint slices of `acc`, `pot` and `work` (an empty
+    /// `work` stays empty), each with its range's start as its `base`.
+    fn split(
+        &mut self,
+        parts: &[Range<usize>],
+    ) -> Option<Vec<Box<dyn ListConsumer<MassMoments> + Send + '_>>> {
+        let tally = !self.work.is_empty();
+        let (mut acc, mut pot, mut work) =
+            (&mut self.acc[..], self.pot.as_deref_mut(), &mut self.work[..]);
+        let mut at = self.base;
+        let mut out: Vec<Box<dyn ListConsumer<MassMoments> + Send + '_>> =
+            Vec::with_capacity(parts.len());
+        for r in parts {
+            assert!(r.start >= at, "split parts must ascend and be disjoint");
+            let (skip, len) = (r.start - at, r.len());
+            out.push(Box::new(GravityEvaluator {
+                acc: carve(&mut acc, skip, len),
+                pot: pot.as_mut().map(|p| carve(p, skip, len)),
+                eps2: self.eps2,
+                quadrupole: self.quadrupole,
+                counter: self.counter,
+                work: if tally { carve(&mut work, skip, len) } else { &mut [] },
+                base: r.start,
+            }));
+            at = r.end;
+        }
+        Some(out)
+    }
+}
+
+/// Cut `len` elements off `rest` after skipping `skip`, leaving the tail.
+fn carve<'s, T>(rest: &mut &'s mut [T], skip: usize, len: usize) -> &'s mut [T] {
+    let (head, tail) = std::mem::take(rest)[skip..].split_at_mut(len);
+    *rest = tail;
+    head
 }
 
 /// Record the force-phase counters for one walk's worth of interactions:
@@ -254,6 +290,80 @@ mod tests {
             lev.consume(&tree.pos, &tree.charge, sinks.clone(), &scratch);
             for (k, i) in sinks.enumerate() {
                 assert_eq!(local[k], full[i], "sink {i}");
+            }
+        }
+    }
+
+    /// The parts of a split — with gaps between them, over buffers whose
+    /// `base` is not 0, with and without potentials and the work tally —
+    /// each give exactly what the whole evaluator gives its sinks, and
+    /// leave the gaps alone.
+    #[test]
+    fn split_parts_equal_the_whole_evaluator() {
+        use hot_core::walk::walk_lists_of;
+        let mut rng = <rand::rngs::StdRng as rand::SeedableRng>::seed_from_u64(11);
+        let n = 600;
+        let pos: Vec<Vec3> = (0..n)
+            .map(|_| {
+                use rand::Rng;
+                Vec3::new(rng.gen(), rng.gen(), rng.gen())
+            })
+            .collect();
+        let mass = vec![1.0 / n as f64; n];
+        let tree = Tree::<MassMoments>::build(Aabb::unit(), &pos, &mass, 4);
+        let mac = Mac::BarnesHut { theta: 0.6 };
+        let mut groups = tree.groups(8);
+        groups.sort_unstable_by_key(|&gi| tree.cells[gi as usize].first);
+        let span = |gi: u32| tree.cells[gi as usize].span();
+        let mut scratch = InteractionList::new();
+        // Every other group from the third on, in parts of three groups.
+        let kept: Vec<u32> = groups[2..].iter().copied().step_by(2).collect();
+        let runs: Vec<&[u32]> = kept.chunks(3).collect();
+        let ranges: Vec<Range<usize>> =
+            runs.iter().map(|r| span(r[0]).start..span(r[r.len() - 1]).end).collect();
+        let base = ranges[0].start;
+        assert!(base > 0);
+        let kept_sinks: Vec<usize> = kept.iter().flat_map(|&g| span(g)).collect();
+        for (want_pot, tally) in [(false, false), (false, true), (true, false), (true, true)] {
+            let counter = FlopCounter::new();
+            let (mut acc, mut pot, mut work) = (vec![Vec3::ZERO; n], vec![0.0; n], vec![0.0f32; n]);
+            let mut whole = GravityEvaluator {
+                acc: &mut acc,
+                pot: want_pot.then_some(&mut pot[..]),
+                eps2: 1e-6,
+                quadrupole: true,
+                counter: &counter,
+                work: if tally { &mut work[..] } else { &mut [] },
+                base: 0,
+            };
+            walk_lists_of(&tree, &mac, &kept, &mut whole, &mut scratch);
+
+            let len = n - base;
+            let (mut acc_p, mut pot_p, mut work_p) =
+                (vec![Vec3::ZERO; len], vec![0.0; len], vec![0.0f32; len]);
+            let mut cut = GravityEvaluator {
+                acc: &mut acc_p,
+                pot: want_pot.then_some(&mut pot_p[..]),
+                eps2: 1e-6,
+                quadrupole: true,
+                counter: &counter,
+                work: if tally { &mut work_p[..] } else { &mut [] },
+                base,
+            };
+            let mut parts = cut.split(&ranges).expect("the gravity evaluator splits");
+            assert_eq!(parts.len(), runs.len());
+            for (run, part) in runs.iter().zip(&mut parts) {
+                walk_lists_of(&tree, &mac, run, &mut **part, &mut scratch);
+            }
+            drop(parts);
+            let bits = |v: Vec3| [v.x.to_bits(), v.y.to_bits(), v.z.to_bits()];
+            for i in base..n {
+                let kept = kept_sinks.contains(&i);
+                let tag = format!("sink {i} (kept {kept}), pot {want_pot}, tally {tally}");
+                assert_eq!(bits(acc_p[i - base]), bits(acc[i]), "{tag}");
+                assert_eq!(pot_p[i - base].to_bits(), pot[i].to_bits(), "{tag}");
+                assert_eq!(work_p[i - base].to_bits(), work[i].to_bits(), "{tag}");
+                assert_eq!(acc[i] == Vec3::ZERO, !kept, "{tag}");
             }
         }
     }

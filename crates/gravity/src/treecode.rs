@@ -10,14 +10,13 @@
 
 use crate::evaluator::{record_force_phase, GravityEvaluator};
 use hot_base::flops::FlopCounter;
-use hot_base::{Aabb, Vec3};
-use hot_core::ilist::{InteractionList, ListConsumer};
-use hot_core::moments::{MassMoments, Moments};
+use hot_base::{available_threads, Aabb, Vec3};
+use hot_core::ilist::InteractionList;
+use hot_core::moments::MassMoments;
 use hot_core::tree::Tree;
-use hot_core::walk::{default_group_size, walk_lists_of, WalkStats};
+use hot_core::walk::{default_group_size, fan_out, walk_lists_of, workers_for, WalkStats};
 use hot_core::Mac;
 use hot_trace::{Ledger, Phase};
-use std::sync::{Mutex, PoisonError};
 
 /// Options for a treecode force evaluation.
 #[derive(Clone, Copy, Debug, PartialEq)]
@@ -90,47 +89,24 @@ pub struct ForceResult {
     pub stats: WalkStats,
 }
 
-/// Sinks a thread must have to itself before a second one pays for its
-/// spawn and join. Measured (release, θ = 0.7, 2 hardware threads, two
-/// series of 20–400 calls): two workers against one are 0.6–0.9× at
-/// N ≤ 256, tie somewhere in N = 512–2048 depending on the host's other
-/// load, and are 1.3–1.5× at N = 4096, 1.6–1.7× from N = 8192 on. So the
-/// fan-out starts at N = 2048. A measured constant, not an option.
-const MIN_SINKS_PER_THREAD: usize = 1024;
-
-/// Chunks cut per worker: enough that a clustered problem, whose deep
-/// groups cost several times the shallow ones, still balances when the
-/// workers pull chunks as they finish.
-const CHUNKS_PER_WORKER: usize = 16;
-
-/// Workers for `n` sinks on a machine with `available` hardware threads.
-fn workers_for(n: usize, available: usize) -> usize {
-    available.min(n / MIN_SINKS_PER_THREAD).max(1)
-}
-
-/// Hardware threads this process may use (affinity mask and cgroup quota
-/// honoured); one when the platform cannot say.
-fn available_threads() -> usize {
-    std::thread::available_parallelism().map_or(1, std::num::NonZero::get)
-}
-
 /// The treecode force calculator: one entry point, holding the
 /// interaction-list buffers that are reused across calls and substeps so
 /// steady-state evaluation does not allocate list storage.
 ///
-/// The sink groups of one evaluation are fanned out over every hardware
-/// thread the process may use
-/// ([`std::thread::available_parallelism`] — a fact about the machine,
+/// The sink groups of one evaluation are fanned out
+/// ([`hot_core::walk::fan_out`]) over every hardware thread the process
+/// may use ([`hot_base::available_threads`] — a fact about the machine,
 /// like the span kernels' run-time AVX2 choice, not an option). Workers
 /// *share*, read-only, the tree, the options and the (atomic)
 /// [`FlopCounter`]; each worker *owns* one interaction list of `lists`
-/// and, chunk by chunk, the disjoint output slices of the contiguous run
-/// of groups it pulled. Nothing else is touched until the join: the
-/// per-worker [`WalkStats`] are then added and the [`Ledger`] written by
-/// the caller alone. A sink's accumulation order is fixed by its own
-/// group's list and every merged quantity is an integer sum, so results,
-/// stats, flop counts and trace counters are bitwise the one-thread ones
-/// under any thread count and any schedule.
+/// and, chunk by chunk, the part of the [`GravityEvaluator`]
+/// ([`split`](hot_core::ilist::ListConsumer::split)) owning the outputs
+/// of the contiguous run of groups it pulled. Nothing else is touched
+/// until the join: the per-chunk [`WalkStats`] are then added and the
+/// [`Ledger`] written by the caller alone. A sink's accumulation order is
+/// fixed by its own group's list and every merged quantity is an integer
+/// sum, so results, stats, flop counts and trace counters are bitwise the
+/// one-thread ones under any thread count and any schedule.
 #[derive(Clone, Default)]
 pub struct ForceCalc {
     /// One list per worker; index 0 is the calling thread's.
@@ -211,93 +187,31 @@ impl ForceCalc {
         let mut acc_sorted = vec![Vec3::ZERO; n];
         let mut pot_sorted = vec![0.0f64; if want_pot { n } else { 0 }];
         let mut work_sorted = vec![0.0f32; n];
-
-        // Cut the groups into contiguous chunks, each with an evaluator
-        // over its own slice of the outputs. With no particles there are
-        // no groups, no chunks, and the fan-out below does nothing.
-        let per_chunk = groups.len().div_ceil(workers * CHUNKS_PER_WORKER).max(1);
-        let (mut acc, mut pot, mut work) =
-            (&mut acc_sorted[..], want_pot.then_some(&mut pot_sorted[..]), &mut work_sorted[..]);
-        let mut chunks = Vec::with_capacity(groups.len().div_ceil(per_chunk));
-        let mut base = 0;
-        for run in groups.chunks(per_chunk) {
-            let mut end = base;
-            for &gi in run {
-                let span = tree.cells[gi as usize].span();
-                assert_eq!(span.start, end, "sink groups must tile the sinks in tree order");
-                end = span.end;
-            }
-            let len = end - base;
-            let (a, p, w);
-            (a, acc) = acc.split_at_mut(len);
-            (p, pot) = pot.map(|p| p.split_at_mut(len)).unzip();
-            (w, work) = work.split_at_mut(len);
-            let ev = GravityEvaluator {
-                acc: a,
-                pot: p,
-                eps2: opts.eps2,
-                quadrupole: opts.quadrupole,
-                counter,
-                work: w,
-                base,
-            };
-            chunks.push((run, ev));
-            base = end;
+        let mut ev = GravityEvaluator {
+            acc: &mut acc_sorted,
+            pot: want_pot.then_some(&mut pot_sorted[..]),
+            eps2: opts.eps2,
+            quadrupole: opts.quadrupole,
+            counter,
+            work: &mut work_sorted,
+            base: 0,
+        };
+        let mut stats = WalkStats::default();
+        for chunk in fan_out(
+            workers,
+            &groups,
+            |gi| tree.cells[gi as usize].span(),
+            &mut ev,
+            &mut self.lists,
+            |run, part, list| walk_lists_of(&tree, &opts.mac, run, part, list),
+        ) {
+            stats.merge(&chunk);
         }
-        assert_eq!(base, n, "sink groups must cover every sink");
-
-        let workers = workers.min(chunks.len()).max(1);
-        if self.lists.len() < workers {
-            self.lists.resize_with(workers, InteractionList::new);
-        }
-        let stats = fan_out(&tree, &opts.mac, chunks, &mut self.lists[..workers]);
         stats.record_traversal(trace);
         trace.end();
         record_force_phase(trace, &stats, counter.report().flops() - flops_before);
         unsort(&tree, &acc_sorted, &pot_sorted, &work_sorted, stats)
     }
-}
-
-/// Walk and apply every chunk — a run of sink groups and the consumer that
-/// owns their outputs — on `lists.len()` workers, one list each: the
-/// calling thread and `lists.len() - 1` scoped threads pull chunks from a
-/// shared queue until it is empty. Returns the summed stats. A worker's
-/// panic is re-raised in the caller, after every thread has stopped.
-fn fan_out<M, C>(
-    tree: &Tree<M>,
-    mac: &Mac,
-    chunks: Vec<(&[u32], C)>,
-    lists: &mut [InteractionList<M>],
-) -> WalkStats
-where
-    M: Moments + Send + Sync,
-    M::Charge: Sync,
-    C: ListConsumer<M> + Send,
-{
-    let queue = Mutex::new(chunks.into_iter());
-    let drain = |list: &mut InteractionList<M>| {
-        let mut stats = WalkStats::default();
-        loop {
-            // The guard is dropped at the end of this statement, so the
-            // lock is never held while a chunk runs; `next` cannot panic,
-            // so a poisoned lock still guards a valid queue.
-            let next = queue.lock().unwrap_or_else(PoisonError::into_inner).next();
-            let Some((groups, mut consumer)) = next else { return stats };
-            stats.merge(&walk_lists_of(tree, mac, groups, &mut consumer, list));
-        }
-    };
-    let [own, helpers @ ..] = lists else { panic!("fan_out needs the calling thread's list") };
-    std::thread::scope(|s| {
-        let handles: Vec<_> = helpers.iter_mut().map(|list| s.spawn(|| drain(list))).collect();
-        let mut stats = drain(own);
-        for h in handles {
-            match h.join() {
-                Ok(st) => stats.merge(&st),
-                Err(payload) => std::panic::resume_unwind(payload),
-            }
-        }
-        stats
-    })
 }
 
 fn unsort(
@@ -425,8 +339,8 @@ mod tests {
     /// against the one-worker answer, at a size above the floor.
     #[test]
     fn fan_out_public_entry_matches_one_worker() {
-        println!("force threads: {} (available_parallelism)", available_threads());
-        let system = random_system(4 * MIN_SINKS_PER_THREAD, 23);
+        println!("force threads: {} (available_threads)", available_threads());
+        let system = random_system(4096, 23);
         let opts = TreecodeOptions { eps2: 1e-8, ..Default::default() };
         let one = outcome_on(&mut ForceCalc::new(), 1, &system, &opts, true);
         let counter = FlopCounter::new();
@@ -452,77 +366,12 @@ mod tests {
     }
 
     #[test]
-    fn fan_out_worker_count_has_a_floor() {
-        assert_eq!(workers_for(0, 8), 1);
-        assert_eq!(workers_for(2 * MIN_SINKS_PER_THREAD - 1, 8), 1, "below the floor: inline");
-        assert_eq!(workers_for(2 * MIN_SINKS_PER_THREAD, 8), 2);
-        assert_eq!(workers_for(131_072, 2), 2);
-        assert_eq!(workers_for(131_072, 1), 1, "one hardware thread: inline");
-    }
-
-    #[test]
     #[should_panic(expected = "must pair up")]
     fn mismatched_lengths_are_refused() {
         let (pos, mass) = random_system(9, 1);
         let counter = FlopCounter::new();
         let opts = TreecodeOptions::default();
         ForceCalc::new().compute(Aabb::unit(), &pos, &mass[..8], &opts, &counter, false);
-    }
-
-    /// A consumer that fails on the caller's thread or on a helper's.
-    struct Failing<'a> {
-        caller: std::thread::ThreadId,
-        on_caller: bool,
-        /// Holds the caller in its first chunk until a helper has one too.
-        both_busy: &'a std::sync::Barrier,
-        caller_waited: &'a std::sync::atomic::AtomicBool,
-    }
-
-    impl ListConsumer<MassMoments> for Failing<'_> {
-        fn consume(
-            &mut self,
-            _: &[Vec3],
-            _: &[f64],
-            _: std::ops::Range<usize>,
-            _: &InteractionList<MassMoments>,
-        ) {
-            use std::sync::atomic::Ordering::SeqCst;
-            let on_caller = std::thread::current().id() == self.caller;
-            if on_caller == self.on_caller {
-                if !on_caller {
-                    self.both_busy.wait();
-                }
-                panic!("consumer failed");
-            }
-            if on_caller && !self.caller_waited.swap(true, SeqCst) {
-                self.both_busy.wait();
-            }
-        }
-    }
-
-    /// A worker's panic reaches the caller as that panic — not a hang, not
-    /// "a scoped thread panicked", not a poisoned-lock message.
-    #[test]
-    fn fan_out_reraises_a_workers_panic() {
-        let (pos, mass) = random_system(2000, 40);
-        let tree = Tree::<MassMoments>::build(Aabb::unit(), &pos, &mass, 16);
-        let groups = tree.groups(32);
-        for on_caller in [false, true] {
-            let both_busy = std::sync::Barrier::new(2);
-            let caller_waited = std::sync::atomic::AtomicBool::new(false);
-            let caller = std::thread::current().id();
-            let (both_busy, caller_waited) = (&both_busy, &caller_waited);
-            let failing = || Failing { caller, on_caller, both_busy, caller_waited };
-            let chunks: Vec<_> = groups.chunks(4).map(|run| (run, failing())).collect();
-            let mut lists = vec![InteractionList::new(), InteractionList::new()];
-            let mac = Mac::BarnesHut { theta: 0.7 };
-            let caught = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                fan_out(&tree, &mac, chunks, &mut lists)
-            }));
-            let payload = caught.expect_err("the panic must surface");
-            let text = payload.downcast_ref::<&str>();
-            assert_eq!(text, Some(&"consumer failed"), "on_caller {on_caller}");
-        }
     }
 
     /// One calculator reused across problems of different sizes — its
