@@ -71,7 +71,7 @@ test -s results/BENCH_latency.json
 echo "==> hot-analyze schedules --seeds 32 (tracing enabled)"
 cargo run -q --offline --release -p hot-analyze -- schedules --seeds 32
 
-echo "==> hot-analyze faults --seeds 32 (fault plans × fuzzed schedules)"
+echo "==> hot-analyze faults --seeds 32 (fault plans × seeded schedules)"
 cargo run -q --offline --release -p hot-analyze -- faults --seeds 32
 
 echo "==> hot-analyze kills --seeds 8 (crash-stop detection + bitwise rollback recovery)"

@@ -2,7 +2,8 @@
 //!
 //! Crosses seeded [`FaultPlan`]s (every fault class at ≥ 10%: drop,
 //! duplicate, reorder/delay, bit-flip corruption, rank stalls) with seeded
-//! [`FuzzScheduler`] interleavings, and asserts that each workload still
+//! rank interleavings (`RunConfigBuilder::event_seed`), and asserts that
+//! each workload still
 //! produces output **bitwise identical** to a fault-free reference run:
 //!
 //! 1. **Completion** — every faulted run terminates (the reliable
@@ -19,11 +20,10 @@
 //!    touched nothing proves nothing and is reported as a failure.
 
 use crate::workloads;
-use hot_comm::{Comm, FaultConfig, FaultPlan, FuzzScheduler, RunConfig};
+use hot_comm::{Comm, FaultConfig, FaultPlan, RunConfig};
 use hot_trace::FaultReport;
 use std::fmt::Debug;
 use std::panic::AssertUnwindSafe;
-use std::sync::Arc;
 
 /// Outcome of one workload swept across fault plans × schedules.
 #[derive(Debug)]
@@ -32,7 +32,7 @@ pub struct FaultSweepReport {
     pub name: &'static str,
     /// Fault seeds exercised.
     pub fault_seeds: u64,
-    /// Fuzzed schedules per fault seed.
+    /// Seeded schedules per fault seed.
     pub schedules: u64,
     /// Human-readable failures; empty means the workload passed.
     pub failures: Vec<String>,
@@ -57,7 +57,7 @@ struct Snapshot<T> {
     injected: hot_comm::InjectedFaults,
 }
 
-/// Run `body` on `np` ranks under a fuzzed schedule and an optional fault
+/// Run `body` on `np` ranks under a seeded schedule and an optional fault
 /// plan, catching rank panics into `Err`.
 fn run_one<T, F>(
     np: u32,
@@ -71,7 +71,7 @@ where
 {
     let cfg = RunConfig::builder()
         .np(np)
-        .scheduler(Arc::new(FuzzScheduler::new(np, sched_seed)))
+        .event_seed(sched_seed)
         .faults_opt(fault.map(FaultPlan::new))
         .build();
     let out = std::panic::catch_unwind(AssertUnwindSafe(|| cfg.run(body)))
@@ -93,7 +93,7 @@ where
 }
 
 /// Sweep one workload: a fault-free reference, then `fault_seeds` hostile
-/// plans × `schedules` fuzzed interleavings, each compared bitwise against
+/// plans × `schedules` seeded interleavings, each compared bitwise against
 /// the reference.
 fn sweep_workload<T, F>(
     name: &'static str,

@@ -5,11 +5,12 @@
 //!
 //! 1. **Detection** ([`check_detection`]) — seeded crash-stop plans
 //!    ([`FaultConfig::lethal`]) crossed with schedules (the production
-//!    timed scheduler *and* seeded [`FuzzScheduler`] interleavings) over a
-//!    chatty point-to-point workload. Every run where a kill fired must
-//!    abort with at least one failure-detection record, every detection
-//!    must accuse a rank that actually died (no false accusations of live
-//!    peers), and a run where no kill fired must complete cleanly.
+//!    executor with its detection tick *and* seeded serialized
+//!    interleavings) over a chatty point-to-point workload. Every run
+//!    where a kill fired must abort with at least one failure-detection
+//!    record, every detection must accuse a rank that actually died (no
+//!    false accusations of live peers), and a run where no kill fired
+//!    must complete cleanly.
 //! 2. **Recovery** ([`check_recovery`]) — targeted kills at step positions
 //!    crossing checkpoint boundaries (top-of-step and mid-step, np ∈
 //!    {2, 4, 8}) driven through the cosmology supervisor
@@ -24,14 +25,10 @@
 //! the detector nothing to observe, the runtime's teardown audit flags the
 //! undetected death, and the checker *must* report it (CI asserts exit 1).
 
-use hot_comm::{
-    Comm, DetectionRecord, FaultConfig, FaultPlan, FuzzScheduler, RunConfig, Runtime,
-    Scheduler,
-};
+use hot_comm::{Comm, DetectionRecord, FaultConfig, FaultPlan, RunConfig};
 use hot_core::decomp::DecompPolicy;
 use hot_cosmo::supervisor::{self, KillSpec, SupervisorConfig};
 use std::panic::AssertUnwindSafe;
-use std::sync::Arc;
 
 /// Outcome of one kill sweep.
 #[derive(Debug)]
@@ -84,12 +81,11 @@ fn ring_workload(c: &mut Comm) -> u64 {
 }
 
 /// Cross seeded crash-stop plans with schedules and demand every fired
-/// kill is detected. Schedule 0 is the production timed scheduler
-/// (timeout-escalation detection path); schedules ≥ 1 are seeded
-/// [`FuzzScheduler`] interleavings (quiescence detection path); one extra
-/// run per plan uses the event runtime (fibers whose quiescent pool ticks
-/// failure-detection rounds), so the sweep also gates the thread→fiber
-/// substrate swap.
+/// kill is detected. Schedule 0 is the production executor on its default
+/// workers, whose quiescent pool ticks failure-detection rounds that
+/// decide on the model clock (timeout-escalation detection path);
+/// schedules ≥ 1 are seeded serialized interleavings (quiescence
+/// detection path).
 #[must_use]
 pub fn check_detection(np: u32, kill_seeds: u64, schedules: u64) -> KillSweepReport {
     let mut failures = Vec::new();
@@ -101,28 +97,13 @@ pub fn check_detection(np: u32, kill_seeds: u64, schedules: u64) -> KillSweepRep
         // Per-rank death probability well under 1: a plan that kills every
         // rank leaves no survivor to do the detecting and proves nothing.
         let config = FaultConfig::lethal(0x4B11 + kill_seed, 0.4, (16, 96));
-        // Index `schedules` is the extra event-runtime run for this plan.
-        for sched_seed in 0..=schedules {
+        for sched_seed in 0..schedules {
             let plan = FaultPlan::new(config);
             let monitor = plan.monitor();
-            let on_events = sched_seed == schedules;
-            let scheduler: Option<Arc<dyn Scheduler>> = if on_events || sched_seed == 0 {
-                None // production scheduler, timed detection rounds
-            } else {
-                Some(Arc::new(FuzzScheduler::new(np, sched_seed)))
-            };
-            let label = if on_events {
-                format!("np {np} kill seed {kill_seed} × event runtime")
-            } else {
-                format!("np {np} kill seed {kill_seed} × schedule {sched_seed}")
-            };
+            let label = format!("np {np} kill seed {kill_seed} × schedule {sched_seed}");
             let result = std::panic::catch_unwind(AssertUnwindSafe(|| {
                 let b = RunConfig::builder().np(np).faults(plan);
-                let b = if on_events {
-                    b.runtime(Runtime::Events)
-                } else {
-                    b.scheduler_opt(scheduler)
-                };
+                let b = if sched_seed == 0 { b } else { b.event_seed(sched_seed) };
                 b.run(ring_workload);
             }));
             let kills = monitor.kills();
@@ -212,8 +193,8 @@ fn boundary_kills(np: u32) -> [KillSpec; 3] {
 
 /// Drive the cosmology supervisor through targeted kills × schedules and
 /// demand bitwise recovery: final state digest and trace totals equal to
-/// the fault-free golden's. Schedule 0 is the production scheduler;
-/// schedules ≥ 1 are fuzzed.
+/// the fault-free golden's. Schedule 0 is the production executor;
+/// schedules ≥ 1 are seeded.
 #[must_use]
 pub fn check_recovery(np: u32, schedules: u64) -> KillSweepReport {
     recovery_sweep("kill-recovery", np, schedules, DecompPolicy::Static)
@@ -395,7 +376,7 @@ pub fn check_planted_undetected(np: u32) -> KillSweepReport {
 /// The full kill sweep CI runs. `kill_seeds` scales the detection sweep;
 /// the supervised recovery sweep is fixed at the acceptance-gate shape
 /// (np ∈ {2, 4, 8} × 3 boundary-crossing kill positions × production +
-/// fuzzed schedules).
+/// seeded schedules).
 #[must_use]
 pub fn check_all(kill_seeds: u64) -> Vec<KillSweepReport> {
     let mut reports = Vec::new();
@@ -412,7 +393,7 @@ pub fn check_all(kill_seeds: u64) -> Vec<KillSweepReport> {
 }
 
 /// Kill-seed budget for the detection sweep inside [`check_all`]: each
-/// seed runs `np` ranks to quiescence under multiple schedulers, so the
+/// seed runs `np` ranks to quiescence under several schedules, so the
 /// sweep is capped like the traced-pipeline fault sweep (the cap is
 /// printed by the CLI, never silently applied).
 #[must_use]

@@ -19,8 +19,9 @@
 //! * [`json`] — schema-versioned finding output for CI artifacts.
 //! * [`schedules`] — a dynamic checker that reruns the comm runtime's
 //!   collectives and ABM traversal under many seeded rank interleavings
-//!   (via [`hot_comm::FuzzScheduler`]) and asserts freedom from deadlock,
-//!   undrained teardown messages, and schedule-dependent results.
+//!   (via [`hot_comm::RunConfigBuilder::event_seed`]) and asserts freedom
+//!   from deadlock, undrained teardown messages, and schedule-dependent
+//!   results.
 //! * [`faults`] — the same workloads crossed with seeded fault plans
 //!   (drop/duplicate/reorder/corrupt/stall at ≥ 10% each), asserting the
 //!   reliable transport keeps results and the `hot-trace` report bitwise

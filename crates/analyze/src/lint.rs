@@ -122,9 +122,8 @@ const DEPRECATED_FORCE_CALLS: [&str; 4] = [
 const EVALUATOR_EXEMPT: [&str; 2] = ["core/src/walk.rs", "core/src/ilist.rs"];
 
 /// The execution substrate's own modules: the only places allowed to spawn
-/// OS threads or mention the deprecated `World::run*` trio outside tests.
-const RUNTIME_EXEMPT: [&str; 3] =
-    ["comm/src/runtime.rs", "comm/src/events.rs", "comm/src/fiber.rs"];
+/// OS threads outside tests (the executor's worker pool).
+const RUNTIME_EXEMPT: [&str; 2] = ["comm/src/events.rs", "comm/src/fiber.rs"];
 
 /// The one file allowed `thread::scope(` outside the substrate: it owns
 /// the *compute*-thread fan-out (`hot_core::walk::fan_out`, spreading the
@@ -138,9 +137,9 @@ const COMPUTE_THREADS_EXEMPT: &str = "core/src/walk.rs";
 const SCOPED_SPAWN_CALL: &str = "thread::scope(";
 
 /// Direct OS-thread spawn forms. Rank concurrency must come from
-/// `RunConfig` (which picks threads or fibers); ad-hoc threads bypass the
-/// scheduler hooks, so fuzzed schedules, fault injection, and the event
-/// runtime cannot see them.
+/// `RunConfig` (every rank a fiber on the executor); ad-hoc threads bypass
+/// the scheduler hooks, so seeded schedules, fault injection, and deadlock
+/// proofs cannot see them.
 const THREAD_SPAWN_CALLS: [&str; 3] =
     ["thread::spawn(", SCOPED_SPAWN_CALL, "thread::Builder"];
 
@@ -155,10 +154,6 @@ const FIBER_CODE_CRATES: [&str; 4] =
 /// The fiber switch's own `CURRENT` pointer: the one thread-local allowed
 /// in fiber-run code, read only through never-inlined accessors.
 const THREAD_LOCAL_EXEMPT: &str = "comm/src/fiber.rs";
-
-/// The pre-redesign entry points, kept only as deprecated shims.
-const DEPRECATED_RUN_CALLS: [&str; 3] =
-    ["World::run(", "World::run_with_scheduler(", "World::run_config("];
 
 /// Lint one source file. `rel` is the workspace-relative path with `/`
 /// separators; `allow_unwrap` is the list of allowlisted paths for the
@@ -312,18 +307,15 @@ fn lint_filemap(rel: &str, fm: &FileMap, allow_unwrap: &[String]) -> Vec<Finding
                 .iter()
                 .filter(|&&k| !(owns_compute_threads && k == SCOPED_SPAWN_CALL))
                 .any(|k| code.contains(k) && !code.contains("use "));
-            let calls_deprecated_run =
-                DEPRECATED_RUN_CALLS.iter().any(|k| code.contains(k));
-            if spawns_thread || calls_deprecated_run {
+            if spawns_thread {
                 emit(
                     "runtime-api",
                     i,
                     "rank concurrency outside the runtime modules: spawn ranks \
-                     through RunConfig::builder() (which selects the thread or \
-                     event substrate and keeps every blocking point visible to \
-                     the scheduler hooks); the World::run* trio is deprecated \
-                     and ad-hoc std::thread use hides work from fuzzed \
-                     schedules and fault injection"
+                     through RunConfig::builder() (which runs every rank as a \
+                     fiber on the executor and keeps every blocking point \
+                     visible to the scheduler hooks); ad-hoc std::thread use \
+                     hides work from seeded schedules and fault injection"
                         .to_string(),
                 );
             }
@@ -627,7 +619,7 @@ mod tests {
     }
 
     #[test]
-    fn runtime_api_rule_flags_thread_spawns_and_deprecated_world_calls() {
+    fn runtime_api_rule_flags_thread_spawns() {
         let spawn_bad = "fn go() {\n    let h = std::thread::spawn(|| work());\n}\n";
         assert_eq!(rules_hit("crates/cosmo/src/other.rs", spawn_bad), ["runtime-api"]);
         let scope_bad = "fn go() {\n    std::thread::scope(|s| { s.spawn(|| work()); });\n}\n";
@@ -640,11 +632,8 @@ mod tests {
         let builder_bad =
             "fn go() {\n    thread::Builder::new().stack_size(n).spawn(f);\n}\n";
         assert_eq!(rules_hit("crates/npb/src/other.rs", builder_bad), ["runtime-api"]);
-        let world_bad = "fn go() {\n    let out = World::run(4, |c| c.rank());\n}\n";
-        assert_eq!(rules_hit("crates/gravity/src/other.rs", world_bad), ["runtime-api"]);
-        let world_bad2 =
-            "fn go() {\n    let out = World::run_with_scheduler(4, sched, body);\n}\n";
-        assert_eq!(rules_hit("crates/gravity/src/other.rs", world_bad2), ["runtime-api"]);
+        // The runtime front door spawns nothing itself: the executor does.
+        assert_eq!(rules_hit("crates/comm/src/runtime.rs", spawn_bad), ["runtime-api"]);
         // Thread-locals in the crates a rank fiber can run.
         for rel in ["crates/comm/src/events.rs", "crates/core/src/dwalk.rs",
             "crates/gravity/src/dist.rs", "crates/cosmo/src/supervisor.rs"]
@@ -659,7 +648,6 @@ mod tests {
     fn runtime_api_rule_exempts_runtime_modules_tests_and_imports() {
         let spawn = "fn go() {\n    let h = std::thread::spawn(|| work());\n}\n";
         // The substrate's own modules may spawn.
-        assert!(rules_hit("crates/comm/src/runtime.rs", spawn).is_empty());
         assert!(rules_hit("crates/comm/src/events.rs", spawn).is_empty());
         assert!(rules_hit("crates/comm/src/fiber.rs", spawn).is_empty());
         // The compute fan-out's one file may use scoped threads — and only
@@ -669,8 +657,7 @@ mod tests {
         assert_eq!(rules_hit("crates/core/src/walk.rs", spawn), ["runtime-api"]);
         // Tests may spawn helper threads.
         let in_test = "#[cfg(test)]\nmod tests {\n    fn t() {\n        \
-                       let h = std::thread::spawn(|| 1);\n        \
-                       let o = World::run(2, |c| c.rank());\n    }\n}\n";
+                       let h = std::thread::spawn(|| 1);\n    }\n}\n";
         assert!(rules_hit("crates/base/src/flops.rs", in_test).is_empty());
         // The fiber switch's CURRENT pointer is the one allowed
         // thread-local; crates no fiber runs are out of scope.

@@ -1,10 +1,10 @@
 //! Dynamic schedule checker for the rank runtime.
 //!
 //! Reruns communication-heavy workloads under many seeded rank
-//! interleavings ([`FuzzScheduler`]) and asserts the three properties the
-//! paper's reported numbers depend on:
+//! interleavings (`RunConfigBuilder::event_seed`) and asserts the three
+//! properties the paper's reported numbers depend on:
 //!
-//! 1. **No deadlock** — the fuzz scheduler serializes ranks, so "every rank
+//! 1. **No deadlock** — a seeded run serializes ranks, so "every rank
 //!    blocked with no matching in-flight or future send" is *proved*, not
 //!    timed out; the failure report names each rank's wanted
 //!    `(source, tag)` and its queued mailbox state.
@@ -17,17 +17,15 @@
 //!    boundaries legitimately vary with the schedule (documented in
 //!    VERIFICATION.md).
 //!
-//! Every workload is swept twice: once under [`FuzzScheduler`] on the
-//! thread runtime, and once under the event runtime's seeded serialized
-//! mode (`RunConfig::event_seed`), with the event results compared against
-//! the thread-runtime reference — so the checker also proves the
-//! thread→fiber substrate swap is invisible to workload behavior.
+//! The reference every seed is compared against is one production run on
+//! two workers — a truly concurrent execution — so a result that depends
+//! on the interleaving, or on the serialization itself, shows up as a
+//! difference.
 
 use crate::workloads;
-use hot_comm::{Comm, FuzzScheduler, RunConfig, TrafficStats};
+use hot_comm::{Comm, RunConfig, RunConfigBuilder, TrafficStats};
 use std::fmt::Debug;
 use std::panic::AssertUnwindSafe;
-use std::sync::Arc;
 
 /// Outcome of one workload checked across seeds.
 #[derive(Debug)]
@@ -53,66 +51,31 @@ struct RunSnapshot<T> {
     results: Vec<T>,
     stats: Vec<TrafficStats>,
     undrained: usize,
-    trace: Vec<u32>,
 }
 
-/// Run `body` on `np` ranks under the seeded fuzz scheduler, catching rank
-/// panics (deadlock reports arrive as panics) into `Err`.
-fn run_one<T, F>(np: u32, seed: u64, body: F) -> Result<RunSnapshot<T>, String>
+/// Run `body` as configured by `cfg`, catching rank panics (deadlock
+/// reports arrive as panics) into `Err`.
+fn run_one<T, F>(label: &str, cfg: RunConfigBuilder, body: F) -> Result<RunSnapshot<T>, String>
 where
     T: Send,
     F: Fn(&mut Comm) -> T + Sync,
 {
-    let sched = Arc::new(FuzzScheduler::new(np, seed));
-    let sched2 = sched.clone();
-    let out = std::panic::catch_unwind(AssertUnwindSafe(|| {
-        RunConfig::builder().np(np).scheduler(sched2).run(body)
-    }))
-    .map_err(|p| {
+    let out = std::panic::catch_unwind(AssertUnwindSafe(|| cfg.run(body))).map_err(|p| {
         let msg = p
             .downcast_ref::<String>()
             .cloned()
             .or_else(|| p.downcast_ref::<&str>().map(ToString::to_string))
             .unwrap_or_else(|| "non-string panic payload".to_string());
-        format!("seed {seed}: rank panic: {msg}")
+        format!("{label}: rank panic: {msg}")
     })?;
-    Ok(RunSnapshot {
-        results: out.results,
-        stats: out.stats,
-        undrained: out.undrained.len(),
-        trace: sched.trace(),
-    })
+    Ok(RunSnapshot { results: out.results, stats: out.stats, undrained: out.undrained.len() })
 }
 
-/// The same run on the event runtime's seeded serialized mode (fibers on
-/// one worker, splitmix64 schedule): the thread→fiber substrate swap must
-/// be invisible to results, traffic, and teardown.
-fn run_one_events<T, F>(np: u32, seed: u64, body: F) -> Result<RunSnapshot<T>, String>
-where
-    T: Send,
-    F: Fn(&mut Comm) -> T + Sync,
-{
-    let out = std::panic::catch_unwind(AssertUnwindSafe(|| {
-        RunConfig::builder().np(np).event_seed(seed).run(body)
-    }))
-    .map_err(|p| {
-        let msg = p
-            .downcast_ref::<String>()
-            .cloned()
-            .or_else(|| p.downcast_ref::<&str>().map(ToString::to_string))
-            .unwrap_or_else(|| "non-string panic payload".to_string());
-        format!("event seed {seed}: rank panic: {msg}")
-    })?;
-    Ok(RunSnapshot {
-        results: out.results,
-        stats: out.stats,
-        undrained: out.undrained.len(),
-        trace: Vec::new(),
-    })
-}
-
-/// Check one workload across `seeds` schedules. `compare_traffic` demands
-/// bitwise-identical per-rank [`TrafficStats`] on top of identical results.
+/// Check one workload: a production reference on two workers, then
+/// `seeds` seeded schedules compared against it. `compare_traffic`
+/// demands bitwise-identical per-rank [`TrafficStats`] on top of
+/// identical results. Should the reference itself fail, the first seed
+/// that runs clean stands in for it.
 fn check_workload<T, F>(
     name: &'static str,
     np: u32,
@@ -125,74 +88,41 @@ where
     F: Fn(&mut Comm) -> T + Sync,
 {
     let mut failures = Vec::new();
-    let mut reference: Option<RunSnapshot<T>> = None;
-    for seed in 0..seeds {
-        match run_one(np, seed, &body) {
-            Err(e) => failures.push(e),
-            Ok(snap) => {
-                if snap.undrained > 0 {
-                    failures.push(format!(
-                        "seed {seed}: {} message(s) left undrained at teardown \
-                         (schedule trace: {:?})",
-                        snap.undrained, snap.trace
-                    ));
-                }
-                match &reference {
-                    None => reference = Some(snap),
-                    Some(r) => {
-                        if snap.results != r.results {
-                            failures.push(format!(
-                                "seed {seed}: results differ from seed 0 — the \
-                                 reduction is schedule-dependent\n  seed 0: {:?}\n  \
-                                 seed {seed}: {:?}\n  trace: {:?}",
-                                r.results, snap.results, snap.trace
-                            ));
-                        }
-                        if compare_traffic && snap.stats != r.stats {
-                            failures.push(format!(
-                                "seed {seed}: TrafficStats differ from seed 0 — \
-                                 message pattern is schedule-dependent\n  seed 0: \
-                                 {:?}\n  seed {seed}: {:?}",
-                                r.stats, snap.stats
-                            ));
-                        }
-                    }
-                }
+    let mut reference: Option<(String, RunSnapshot<T>)> = None;
+    let machine = || RunConfig::builder().np(np);
+    let production = ("production (2 workers)".to_string(), machine().workers(2));
+    let seeded = (0..seeds).map(|seed| (format!("seed {seed}"), machine().event_seed(seed)));
+    for (label, cfg) in std::iter::once(production).chain(seeded) {
+        let snap = match run_one(&label, cfg, &body) {
+            Err(e) => {
+                failures.push(e);
+                continue;
             }
+            Ok(snap) => snap,
+        };
+        if snap.undrained > 0 {
+            failures.push(format!(
+                "{label}: {} message(s) left undrained at teardown",
+                snap.undrained
+            ));
         }
-    }
-    // The same seeds on the event runtime (seeded serialized fibers),
-    // compared against the thread-runtime reference: one more way a
-    // schedule-dependent reduction or a substrate-visible difference in
-    // the thread→fiber swap would surface.
-    for seed in 0..seeds {
-        match run_one_events(np, seed, &body) {
-            Err(e) => failures.push(e),
-            Ok(snap) => {
-                if snap.undrained > 0 {
-                    failures.push(format!(
-                        "event seed {seed}: {} message(s) left undrained at teardown",
-                        snap.undrained
-                    ));
-                }
-                if let Some(r) = &reference {
-                    if snap.results != r.results {
-                        failures.push(format!(
-                            "event seed {seed}: results differ from the thread-runtime \
-                             reference\n  reference: {:?}\n  event seed {seed}: {:?}",
-                            r.results, snap.results
-                        ));
-                    }
-                    if compare_traffic && snap.stats != r.stats {
-                        failures.push(format!(
-                            "event seed {seed}: TrafficStats differ from the \
-                             thread-runtime reference\n  reference: {:?}\n  \
-                             event seed {seed}: {:?}",
-                            r.stats, snap.stats
-                        ));
-                    }
-                }
-            }
+        let Some((ref_label, r)) = &reference else {
+            reference = Some((label, snap));
+            continue;
+        };
+        if snap.results != r.results {
+            failures.push(format!(
+                "{label}: results differ from {ref_label} — the reduction is \
+                 schedule-dependent\n  {ref_label}: {:?}\n  {label}: {:?}",
+                r.results, snap.results
+            ));
+        }
+        if compare_traffic && snap.stats != r.stats {
+            failures.push(format!(
+                "{label}: TrafficStats differ from {ref_label} — message pattern \
+                 is schedule-dependent\n  {ref_label}: {:?}\n  {label}: {:?}",
+                r.stats, snap.stats
+            ));
         }
     }
     WorkloadReport { name, seeds, failures }
@@ -270,7 +200,7 @@ mod tests {
     }
 
     /// The trace ledger (reduced report JSON included) must be bitwise
-    /// identical across fuzzed schedules — tracing with the deterministic
+    /// identical across seeded schedules — tracing with the deterministic
     /// model clock never records wall-clock or schedule-dependent state.
     #[test]
     fn traced_pipeline_ledger_is_schedule_independent() {

@@ -6,7 +6,7 @@
 //! message; wall clock, so nothing gates on it.
 
 use criterion::{criterion_group, criterion_main, Criterion, Throughput};
-use hot_comm::{Comm, RunConfig, Runtime, Wire};
+use hot_comm::{Comm, RunConfig, Wire};
 use std::time::Duration;
 
 fn quick() -> Criterion {
@@ -21,7 +21,6 @@ fn quick() -> Criterion {
 fn launch(np: u32, body: impl Fn(&mut Comm) -> u64 + Sync) -> u64 {
     let out = RunConfig::builder()
         .np(np)
-        .runtime(Runtime::Events)
         .workers(1)
         .stack_size(256 << 10)
         .run(body);

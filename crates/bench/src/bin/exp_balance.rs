@@ -31,7 +31,7 @@
 use hot_base::flops::FlopCounter;
 use hot_base::Aabb;
 use hot_bench::{arg_usize, clustered_bodies, header, rule};
-use hot_comm::{RunConfig, Runtime};
+use hot_comm::RunConfig;
 use hot_core::decomp::DecompPolicy;
 use hot_gravity::dist::{distributed_step_traced, DecompState, DistOptions};
 use hot_morton::dilate::interleave3;
@@ -72,7 +72,6 @@ fn run_arm(np: u32, n_per_rank: usize, steps: usize, policy: DecompPolicy) -> Ar
     let t0 = Instant::now();
     let out = RunConfig::builder()
         .np(np)
-        .runtime(Runtime::Events)
         .stack_size(2 << 20)
         .run(move |c| -> ArmRankOut {
             let mut bodies = clustered_bodies(c.rank(), n_per_rank, SEED, N_CLUMPS);

@@ -25,7 +25,7 @@
 use hot_base::flops::FlopCounter;
 use hot_base::Aabb;
 use hot_bench::{arg_usize, header, random_bodies, rule};
-use hot_comm::{RunConfig, Runtime};
+use hot_comm::RunConfig;
 use hot_gravity::dist::{distributed_accelerations, DistOptions};
 use std::time::Instant;
 
@@ -40,7 +40,6 @@ fn collectives_at(np: u32) -> (f64, u64) {
     let t0 = Instant::now();
     let out = RunConfig::builder()
         .np(np)
-        .runtime(Runtime::Events)
         .stack_size(256 << 10)
         .run(|c| {
             c.barrier();
@@ -73,7 +72,6 @@ fn treecode_at(np: u32, n_per_rank: usize) -> (f64, u64, u64) {
     let t0 = Instant::now();
     let out = RunConfig::builder()
         .np(np)
-        .runtime(Runtime::Events)
         .stack_size(2 << 20)
         .run(move |c| {
             let bodies = random_bodies(c.rank(), n_per_rank, 7);

@@ -9,11 +9,11 @@
 //! distribution to measure the load-imbalance and traversal overheads that
 //! explain the 430 → 170 drop.
 //!
-//! Args: `exp_treecode_asci [np] [threads|events] [n_per_rank]` (defaults
-//! 8, threads, a built-in ladder). With `events`, np = 1024+ machines run
-//! for real on the fiber runtime instead of extrapolating from np = 8.
+//! Args: `exp_treecode_asci [np] [n_per_rank]` (defaults 8 and a built-in
+//! ladder). Ranks are fibers, so np = 1024+ machines run for real instead
+//! of extrapolating from np = 8.
 
-use hot_comm::{RunConfig, Runtime};
+use hot_comm::RunConfig;
 use hot_base::flops::FlopCounter;
 use hot_base::{Aabb, FLOPS_PER_GRAV_INTERACTION};
 use hot_bench::{arg_usize, clustered_bodies, header, random_bodies};
@@ -51,15 +51,13 @@ fn calibrate_kernel_ns() -> f64 {
     t0.elapsed().as_nanos() as f64 / reps as f64
 }
 
-fn run_at(np: u32, n_local: usize, clustered: bool, kernel_ns: f64, rt: Runtime) -> Sample {
+/// Per-rank fiber stack: pages map lazily, and 2 MiB carries the full
+/// pipeline.
+const STACK: usize = 2 << 20;
+
+fn run_at(np: u32, n_local: usize, clustered: bool, kernel_ns: f64) -> Sample {
     let t0 = Instant::now();
-    // Fibers map stack pages lazily, so a modest reservation carries the
-    // full pipeline; threads keep the roomy default.
-    let stack = match rt {
-        Runtime::Events => 2 << 20,
-        Runtime::Threads => 16 << 20,
-    };
-    let out = RunConfig::builder().np(np).runtime(rt).stack_size(stack).run(move |c| {
+    let out = RunConfig::builder().np(np).stack_size(STACK).run(move |c| {
         let bodies = if clustered {
             clustered_bodies(c.rank(), n_local, 99, 8)
         } else {
@@ -95,12 +93,8 @@ fn run_at(np: u32, n_local: usize, clustered: bool, kernel_ns: f64, rt: Runtime)
 /// `DecompPolicy::adaptive()` so the cost loop converges, reporting the
 /// last step's max/mean walk-interaction skew next to the static
 /// one-shot's.
-fn clustered_adaptive_imbalance(np: u32, n_local: usize, rt: Runtime) -> f64 {
-    let stack = match rt {
-        Runtime::Events => 2 << 20,
-        Runtime::Threads => 16 << 20,
-    };
-    let out = RunConfig::builder().np(np).runtime(rt).stack_size(stack).run(move |c| {
+fn clustered_adaptive_imbalance(np: u32, n_local: usize) -> f64 {
+    let out = RunConfig::builder().np(np).stack_size(STACK).run(move |c| {
         let mut bodies = clustered_bodies(c.rank(), n_local, 99, 8);
         let counter = FlopCounter::new();
         let opts = DistOptions {
@@ -134,20 +128,16 @@ fn clustered_adaptive_imbalance(np: u32, n_local: usize, rt: Runtime) -> f64 {
 
 fn main() {
     let np = arg_usize(1, 8) as u32;
-    let rt = match std::env::args().nth(2).as_deref() {
-        Some("events") => Runtime::Events,
-        _ => Runtime::Threads,
-    };
-    let n_per_rank = arg_usize(3, 0); // 0 = the default ladder below
+    let n_per_rank = arg_usize(2, 0); // 0 = the default ladder below
     header("Experiment H2: treecode on ASCI Red (paper: 430 Gflops early, 170 sustained)");
-    println!("np = {np}, runtime = {rt:?}");
+    println!("np = {np}");
     let kernel_ns = calibrate_kernel_ns();
     println!("kernel calibration: {kernel_ns:.1} ns per 38-flop interaction on this machine");
 
     // Interactions/particle vs N (uniform = early universe).
     println!("interactions per particle vs N (uniform distribution, theta=0.7):");
-    // At event-runtime machine sizes (np >= 1024) total N explodes, so the
-    // ladder is per-rank-scaled (or overridden by argv[3]) to keep a
+    // At the paper's machine sizes (np >= 1024) total N explodes, so the
+    // ladder is per-rank-scaled (or overridden by argv[2]) to keep a
     // measured step affordable while still exercising the full pipeline.
     let ladder: Vec<usize> = if n_per_rank > 0 {
         vec![n_per_rank]
@@ -158,7 +148,7 @@ fn main() {
     };
     let mut samples = Vec::new();
     for &per in &ladder {
-        let s = run_at(np, per, false, kernel_ns, rt);
+        let s = run_at(np, per, false, kernel_ns);
         println!(
             "  N = {:>7}:  {:>7.1} inter/particle   imbalance {:.2}   overhead x{:.2}",
             s.n, s.inter_per_particle, s.max_over_mean_work, s.overhead
@@ -204,12 +194,12 @@ fn main() {
 
     // Clustered stage: imbalance + deeper traversals.
     println!("\nclustered (late-universe) stage:");
-    let s = run_at(np, ladder[ladder.len() - 1], true, kernel_ns, rt);
+    let s = run_at(np, ladder[ladder.len() - 1], true, kernel_ns);
     println!(
         "  N = {:>7}:  {:>7.1} inter/particle   imbalance {:.2}   overhead x{:.2}",
         s.n, s.inter_per_particle, s.max_over_mean_work, s.overhead
     );
-    let imb_ad = clustered_adaptive_imbalance(np, ladder[ladder.len() - 1], rt);
+    let imb_ad = clustered_adaptive_imbalance(np, ladder[ladder.len() - 1]);
     println!(
         "  adaptive decomposition (3 steps, converged): imbalance {:.2} (static {:.2})",
         imb_ad, s.max_over_mean_work

@@ -1,30 +1,29 @@
-//! The event-driven rank runtime: thousands of simulated ranks as
-//! cooperative fibers on a small worker pool.
+//! The rank executor: every simulated rank is a cooperative fiber on a
+//! small worker pool — thousands of them, the paper's np = 1024–6800
+//! machines run for real instead of extrapolated from np = 8.
 //!
-//! [`EventSched`] implements [`Scheduler`], so nothing in `Comm`, the
-//! collectives, the reliable transport, or the fault machinery changes:
-//! every blocking point already routes through `yield_point` /
-//! `wait_message`, and under this scheduler those hooks suspend the
-//! calling *fiber* (see [`crate::fiber`]) instead of parking an OS thread.
-//! That is what makes np = 1024–6800 — the paper's actual machine sizes —
-//! runnable for real instead of extrapolated from np = 8.
+//! Every blocking point in `Comm`, the collectives, the reliable transport
+//! and the fault machinery routes through [`EventSched::yield_point`] /
+//! [`EventSched::wait_message`], and those suspend the calling *fiber*
+//! (see [`crate::fiber`]); [`EventSched::notify`] makes a blocked rank
+//! ready again.
 //!
 //! Three operating modes, chosen by the `RunConfig` builder:
 //!
-//! * **Fifo** — the production event mode. Ready ranks run in FIFO order;
-//!   a rank that performs many channel ops without blocking is preempted
+//! * **Fifo** — the production mode. Ready ranks run in FIFO order; a
+//!   rank that performs many channel ops without blocking is preempted
 //!   every [`PREEMPT_EVERY`] ops so `try_recv` poll loops cannot starve
-//!   the pool.
+//!   the pool. At quiescence (every unfinished rank blocked) the
+//!   deadlock is proved instead of hung on.
 //! * **Fifo + tick** — installed automatically on kill-armed fault runs:
 //!   when every rank is blocked, the pool waits one detection tick and
 //!   then requeues all blocked ranks so their `check` closures run
-//!   failure-detection rounds (the fiber analogue of
-//!   `RealScheduler::timed`).
-//! * **Seeded** — serialized, splitmix64-driven schedule exploration with
-//!   a replayable trace: the event-runtime analogue of
-//!   [`crate::sched::FuzzScheduler`] (whose blocking turn protocol would
-//!   wedge a fiber pool). Like the fuzz scheduler it proves deadlocks at
-//!   quiescence instead of hanging.
+//!   failure-detection rounds. Wall time only wakes the pool; every
+//!   detection decision reads model clocks.
+//! * **Seeded** — serialized, splitmix64-driven schedule exploration on
+//!   one worker: every channel op is a schedule decision, a schedule is a
+//!   pure function of the seed (replayable), and deadlocks are proved at
+//!   quiescence with each rank's wanted `(source, tag)`.
 //!
 //! ## The lost-wakeup protocol
 //!
@@ -50,20 +49,73 @@
                        // all fibers) before `execute_scoped` returns.
 
 use crate::fiber::{fiber_yield, Fiber};
-use crate::sched::{Deadlock, SchedOp, Scheduler, Want};
 use std::collections::VecDeque;
+use std::fmt;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 use std::time::Duration;
 
 /// In Fifo mode, a rank is preempted after this many channel operations
 /// without blocking, so busy-polling ranks share the worker pool fairly.
-pub const PREEMPT_EVERY: u64 = 256;
+pub(crate) const PREEMPT_EVERY: u64 = 256;
 
 /// `yield_reason` value for a voluntary / fairness yield: requeue
 /// immediately. Any other value is the notify version a blocking rank
 /// observed before its final failed check.
 const PREEMPT: u64 = u64::MAX;
+
+/// What a blocked rank is waiting for, plus the tag state of its mailbox —
+/// the raw material of an actionable deadlock report.
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub(crate) struct Want {
+    /// Required source rank, `None` for any-source.
+    pub src: Option<u32>,
+    /// Required tag.
+    pub tag: u32,
+    /// `(source, tag)` of every envelope queued at this rank, oldest first.
+    pub queued: Vec<(u32, u32)>,
+}
+
+impl fmt::Display for Want {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self.src {
+            Some(s) => write!(f, "recv(src={s}, tag={:#x})", self.tag)?,
+            None => write!(f, "recv(src=any, tag={:#x})", self.tag)?,
+        }
+        if self.queued.is_empty() {
+            write!(f, "; mailbox empty")
+        } else {
+            let tags: Vec<String> =
+                self.queued.iter().map(|(s, t)| format!("(src={s}, tag={t:#x})")).collect();
+            write!(f, "; queued unmatched: [{}]", tags.join(", "))
+        }
+    }
+}
+
+/// A proven deadlock: the per-rank picture at the moment no progress was
+/// possible anywhere in the machine.
+#[derive(Clone, Debug)]
+pub(crate) struct Deadlock {
+    /// For each rank: `Some(want)` when blocked, `None` when finished.
+    pub blocked: Vec<(u32, Option<Want>)>,
+}
+
+impl fmt::Display for Deadlock {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        writeln!(
+            f,
+            "deadlock: every rank is blocked or finished and no queued or future \
+             send can match any blocked recv"
+        )?;
+        for (rank, want) in &self.blocked {
+            match want {
+                Some(w) => writeln!(f, "  rank {rank}: blocked in {w}")?,
+                None => writeln!(f, "  rank {rank}: finished")?,
+            }
+        }
+        Ok(())
+    }
+}
 
 #[derive(Clone, Copy, PartialEq, Eq)]
 enum RankState {
@@ -77,7 +129,7 @@ enum Pick {
     /// Production: FIFO over the ready queue, any number of workers.
     Fifo,
     /// Checker: uniform seeded choice over the sorted ready set, one
-    /// worker, trace recorded — mirrors `FuzzScheduler::grant_next`.
+    /// worker, trace recorded.
     Seeded { rng: u64, trace: Vec<u32> },
 }
 
@@ -138,8 +190,8 @@ impl ExecState {
     }
 
     /// Record the quiescence verdict: every unfinished rank blocked, no
-    /// queued or future send can match — the same proof `FuzzScheduler`
-    /// constructs, reported per rank with its wanted `(source, tag)`.
+    /// queued or future send can match — reported per rank with its wanted
+    /// `(source, tag)`.
     fn declare_deadlock(&mut self) {
         if self.deadlock.is_some() {
             return;
@@ -160,10 +212,10 @@ impl ExecState {
     }
 }
 
-/// Scheduler + executor state for the event-driven (fiber) rank runtime.
-/// Created by `World` when `RunConfig` selects `Runtime::Events`; also the
-/// home of the seeded serialized mode the analyzers use on fibers.
-pub struct EventSched {
+/// Scheduler + executor state for the fiber rank runtime, created by
+/// `RunConfig::run`; also the home of the seeded serialized mode the
+/// analyzers use.
+pub(crate) struct EventSched {
     state: Mutex<ExecState>,
     cv: Condvar,
     /// Per-rank notify counters for the lost-wakeup protocol.
@@ -210,38 +262,32 @@ impl EventSched {
 
     /// Production event scheduler for an `np`-rank machine.
     #[must_use]
-    pub fn new(np: u32) -> EventSched {
+    pub(crate) fn new(np: u32) -> EventSched {
         EventSched::with(np, Pick::Fifo, None)
     }
 
     /// Event scheduler whose quiescent pool requeues blocked ranks every
     /// `tick` so failure-detection rounds run (kill-armed fault runs).
     #[must_use]
-    pub fn timed(np: u32, tick: Duration) -> EventSched {
+    pub(crate) fn timed(np: u32, tick: Duration) -> EventSched {
         EventSched::with(np, Pick::Fifo, Some(tick))
     }
 
     /// Serialized seeded mode: one rank runs between hook points, chosen
-    /// by splitmix64 from `seed`; deadlocks are proven at quiescence. The
-    /// fiber-runtime analogue of [`crate::sched::FuzzScheduler`].
+    /// by splitmix64 from `seed`; deadlocks are proven at quiescence.
     #[must_use]
-    pub fn seeded(np: u32, seed: u64) -> EventSched {
+    pub(crate) fn seeded(np: u32, seed: u64) -> EventSched {
         EventSched::with(np, Pick::Seeded { rng: seed, trace: Vec::new() }, None)
     }
 
     /// The schedule decided so far in seeded mode: each entry is a rank
     /// granted the worker. Empty in Fifo mode.
-    pub fn trace(&self) -> Vec<u32> {
+    #[cfg(test)]
+    pub(crate) fn trace(&self) -> Vec<u32> {
         match &self.state.lock().expect("event sched lock").pick {
             Pick::Seeded { trace, .. } => trace.clone(),
             Pick::Fifo => Vec::new(),
         }
-    }
-
-    /// Whether this scheduler serializes ranks (forces one worker).
-    #[must_use]
-    pub fn is_seeded(&self) -> bool {
-        self.seeded
     }
 
     /// Run each of `bodies` as a fiber and drive all of them to completion
@@ -351,15 +397,11 @@ impl EventSched {
             self.cv.notify_all();
         }
     }
-}
 
-impl Scheduler for EventSched {
-    fn rank_started(&self, _rank: u32) {}
-
-    fn yield_point(&self, rank: u32, _op: SchedOp) {
+    /// `rank` is at a channel operation: in seeded mode every one is a
+    /// schedule decision; in Fifo mode every [`PREEMPT_EVERY`]-th yields.
+    pub(crate) fn yield_point(&self, rank: u32) {
         if self.seeded {
-            // Serialized exploration: every channel op is a schedule
-            // decision point, exactly like FuzzScheduler.
             self.yield_reason[rank as usize].store(PREEMPT, Ordering::Relaxed);
             fiber_yield();
             return;
@@ -371,7 +413,12 @@ impl Scheduler for EventSched {
         }
     }
 
-    fn wait_message(
+    /// `rank` found no matching message and must wait until `check` can
+    /// return true. Returns `Err` when the machine is provably deadlocked.
+    /// `check` observes the caller's mailbox and may first drive the
+    /// caller's *own* reliable-transport progress; it never calls back
+    /// into the scheduler.
+    pub(crate) fn wait_message(
         &self,
         rank: u32,
         want: &Want,
@@ -404,7 +451,8 @@ impl Scheduler for EventSched {
         }
     }
 
-    fn notify(&self, dst: u32) {
+    /// A message was enqueued for `dst` (possibly by `dst` itself).
+    pub(crate) fn notify(&self, dst: u32) {
         // Version first: a worker deciding whether to park `dst` compares
         // against this counter after the fiber suspends.
         self.version[dst as usize].fetch_add(1, Ordering::SeqCst);
@@ -416,9 +464,31 @@ impl Scheduler for EventSched {
             self.wake_parked(&st);
         }
     }
+}
 
-    fn rank_finished(&self, _rank: u32) {
-        // Completion is observed structurally by the worker (the fiber's
-        // body returned); nothing to record here.
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn want_display_names_tag_state() {
+        let w = Want { src: Some(3), tag: 0x11, queued: vec![(0, 7)] };
+        let s = w.to_string();
+        assert!(s.contains("src=3"), "{s}");
+        assert!(s.contains("0x11"), "{s}");
+        assert!(s.contains("src=0, tag=0x7"), "{s}");
+    }
+
+    #[test]
+    fn deadlock_display_lists_every_rank() {
+        let d = Deadlock {
+            blocked: vec![
+                (0, Some(Want { src: Some(1), tag: 5, queued: vec![] })),
+                (1, None),
+            ],
+        };
+        let s = d.to_string();
+        assert!(s.contains("rank 0: blocked"), "{s}");
+        assert!(s.contains("rank 1: finished"), "{s}");
     }
 }

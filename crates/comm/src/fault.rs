@@ -6,11 +6,11 @@
 //! hostility *deterministically*: every fault decision is a pure function
 //! of the plan's seed and the message's flow identity `(src, dst, seq,
 //! attempt)`, never of wall-clock or arrival interleaving — so a failing
-//! fault run replays exactly from its seed, the same way a
-//! [`crate::sched::FuzzScheduler`] schedule replays.
+//! fault run replays exactly from its seed, the same way a seeded
+//! schedule (`RunConfigBuilder::event_seed`) replays.
 //!
 //! The plan decides; the reliable transport in [`crate::reliable`] recovers.
-//! `hot-analyze faults` crosses fault seeds with fuzzed schedules and
+//! `hot-analyze faults` crosses fault seeds with seeded schedules and
 //! asserts results stay bitwise identical to a fault-free run.
 
 use std::sync::{Arc, Mutex};
@@ -93,7 +93,7 @@ impl FaultConfig {
 
     /// A crash-stop plan: no message-level faults, but each rank dies with
     /// probability `kill` at a seeded model-clock op in `window`. Used by
-    /// `hot-analyze kills` to cross kill plans with fuzzed schedules.
+    /// `hot-analyze kills` to cross kill plans with seeded schedules.
     #[must_use]
     pub fn lethal(seed: u64, kill: f64, window: (u64, u64)) -> FaultConfig {
         FaultConfig { kill, kill_window: window, ..FaultConfig::clean(seed) }
@@ -260,7 +260,7 @@ pub enum DetectionPath {
     /// Heartbeat/ack silence escalated through suspect to confirmed-dead
     /// in the reliable transport's per-peer detector.
     Timeout,
-    /// The serialized fuzz scheduler proved global quiescence while a
+    /// The executor proved global quiescence while a
     /// rank was down — the analogue of the process manager reaping a dead
     /// process and broadcasting the failure.
     Quiescence,
@@ -344,7 +344,7 @@ pub struct FaultPlan {
     monitor: Arc<FaultMonitor>,
 }
 
-/// splitmix64: the same generator the fuzz scheduler uses, so a fault
+/// splitmix64: the same generator seeded schedules use, so a fault
 /// decision is a pure function of `seed ^ identity`.
 fn splitmix64(mut z: u64) -> u64 {
     z = z.wrapping_add(0x9E37_79B9_7F4A_7C15);
@@ -405,7 +405,7 @@ impl FaultPlan {
     }
 
     /// True when this plan can kill ranks: the runtime arms failure
-    /// detection (and timed scheduler waits) only for such plans, so
+    /// detection (and the worker pool's detection tick) only for such plans, so
     /// kill-free runs behave exactly as before.
     #[must_use]
     pub fn kill_armed(&self) -> bool {

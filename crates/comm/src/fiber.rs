@@ -1,12 +1,12 @@
-//! Stackful fibers: the substrate of the event-driven rank runtime.
+//! Stackful fibers: the substrate of the rank runtime.
 //!
-//! The paper's machines ran one heavyweight process per node; our `Threads`
-//! runtime mirrors that with one OS thread per rank, which caps simulations
-//! near np≈100. To *measure* (not model) the paper's 1024–6800 processor
-//! configurations, the `Events` runtime multiplexes thousands of rank
-//! bodies onto a few worker threads. Each rank becomes a fiber: a private
-//! stack plus a saved register frame, switched cooperatively at the
-//! scheduler hooks every channel operation already passes through.
+//! The paper's machines ran one heavyweight process per node. An OS thread
+//! per rank caps a simulation near np≈100; to *measure* (not model) the
+//! paper's 1024–6800 processor configurations, the executor multiplexes
+//! thousands of rank bodies onto a few worker threads. Each rank is a
+//! fiber: a private stack plus a saved register frame, switched
+//! cooperatively at the scheduler hooks every channel operation passes
+//! through.
 //!
 //! The context switch saves exactly what the `SysV` x86-64 ABI makes the
 //! callee's problem: rbp, rbx, r12–r15, the SSE control/status word and the

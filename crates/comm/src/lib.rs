@@ -5,12 +5,11 @@
 //! MPI-over-fast-ethernet).
 //!
 //! * [`runtime`] — the `(source, tag)`-matched send/recv machine, per-rank
-//!   traffic counters, panic-safe teardown, and the [`RunConfig`] builder
-//!   that selects the execution substrate: one OS thread per rank
-//!   ([`Runtime::Threads`]) or thousands of cooperative fibers on a worker
-//!   pool ([`Runtime::Events`] — the paper's 1024–6800 rank machines, run
-//!   for real).
-//! * [`events`] / fibers — the event-driven rank substrate.
+//!   traffic counters, panic-safe teardown, and the [`RunConfig`] builder,
+//!   the one front door: every rank is a cooperative fiber on a small
+//!   worker pool, so the paper's 1024–6800 rank machines run for real. The
+//!   same executor serializes ranks under a seeded schedule for the
+//!   checkers ([`RunConfigBuilder::event_seed`]).
 //! * [`collectives`] — barrier / bcast / reduce / allreduce / gather /
 //!   allgather / alltoall / prefix sums, all built from point-to-point
 //!   messages so the traffic counters reflect real wire activity;
@@ -28,7 +27,6 @@
 //! use hot_comm::prelude::*;
 //! let out = RunConfig::builder()
 //!     .np(4)
-//!     .runtime(Runtime::Events)
 //!     .run(|comm| comm.allreduce_sum_u64(u64::from(comm.rank())));
 //! assert!(out.results.iter().all(|&t| t == 6));
 //! ```
@@ -38,7 +36,7 @@
 pub mod abm;
 mod chan;
 pub mod collectives;
-pub mod events;
+mod events;
 pub mod fault;
 mod fiber;
 pub mod netmodel;
@@ -46,12 +44,10 @@ pub mod netmodel;
 mod proptests;
 pub mod reliable;
 pub mod runtime;
-pub mod sched;
 pub mod wire;
 
 pub use abm::{Abm, AbmStats};
 pub use collectives::AUTO_TREE_MIN_NP;
-pub use events::EventSched;
 pub use fault::{
     DetectionPath, DetectionRecord, FaultConfig, FaultDecision, FaultMonitor, FaultPlan,
     InjectedFaults, KillRecord, KillSite,
@@ -65,7 +61,6 @@ pub use runtime::{
     Comm, Envelope, RankKilled, RunConfig, RunConfigBuilder, RunOutput, Runtime, TrafficStats,
     Undrained, MAX_USER_TAG, POISON_TAG,
 };
-pub use sched::{Deadlock, FuzzScheduler, RealScheduler, SchedOp, Scheduler, Want};
 pub use wire::{
     crc32, frame_message, from_bytes, to_bytes, unframe_message, Frame, FrameError,
     KeyBatchRequest, Wire,
@@ -74,7 +69,7 @@ pub use wire::{
 /// One-stop imports for SPMD programs on the simulated machine.
 ///
 /// The nesting story, in one place: a run is configured by
-/// [`RunConfig::builder`] (machine size, runtime, scheduler, faults —
+/// [`RunConfig::builder`] (machine size, faults, workers, schedule seed —
 /// everything about *how* the machine executes).
 /// Everything about *what* the program computes lives in the options
 /// struct of the subsystem you call (`hot_gravity::DistOptions`, which
@@ -84,7 +79,6 @@ pub use wire::{
 /// `RunConfig`.
 pub mod prelude {
     pub use crate::fault::{FaultConfig, FaultPlan};
-    pub use crate::runtime::{Comm, RunConfig, RunOutput, Runtime, TrafficStats};
-    pub use crate::sched::{FuzzScheduler, Scheduler};
+    pub use crate::runtime::{Comm, RunConfig, RunOutput, TrafficStats};
     pub use crate::wire::Wire;
 }

@@ -7,12 +7,8 @@ use crate::wire::{
     crc32, crc32_bytewise, frame_message, from_bytes, to_bytes, unframe_message, KeyBatchRequest,
     Wire,
 };
-use crate::{
-    Abm, Comm, FaultConfig, FaultDecision, FaultPlan, FuzzScheduler,
-    RunConfig,
-};
+use crate::{Abm, Comm, FaultConfig, FaultDecision, FaultPlan, RunConfig};
 use proptest::prelude::*;
-use std::sync::Arc;
 
 /// `Comm::alltoall` as it was before the every-peer receive: np − 1
 /// receives by source, in rank order. Kept as the oracle the one-pass
@@ -59,11 +55,9 @@ fn alltoall_matches_by_source_oracle_under_every_schedule() {
             assert_eq!(out.stats, want.stats, "np={np} {what}");
             assert!(out.undrained.is_empty(), "np={np} {what}");
         };
-        check(RunConfig::builder().np(np).run(got), "threads");
-        check(RunConfig::builder().np(np).runtime(crate::Runtime::Events).run(got), "events");
-        for seed in 0..3 {
-            let fuzz = Arc::new(FuzzScheduler::new(np, seed));
-            check(RunConfig::builder().np(np).scheduler(fuzz).run(got), "fuzz seed");
+        check(RunConfig::builder().np(np).run(got), "production");
+        check(RunConfig::builder().np(np).workers(1).run(got), "one worker");
+        for seed in 0..6 {
             check(RunConfig::builder().np(np).event_seed(seed).run(got), "event seed");
         }
     }
@@ -188,7 +182,7 @@ proptest! {
 
 proptest! {
     // End-to-end runs are heavier than codec checks; fewer cases, each a
-    // full 2-rank machine under a fuzzed schedule.
+    // full 2-rank machine under a seeded schedule.
     #![proptest_config(ProptestConfig::with_cases(48))]
 
     /// A batched reply split into chunk messages — with an ABM batch
@@ -210,7 +204,7 @@ proptest! {
         let sent = entries.clone();
         let out = RunConfig::builder()
             .np(2)
-            .scheduler(Arc::new(FuzzScheduler::new(2, sched_seed)))
+            .event_seed(sched_seed)
             .run(move |c| {
             let mut ep = Abm::new(c, abm_capacity);
             if ep.rank() == 0 {
@@ -262,7 +256,7 @@ proptest! {
         let expect = payload.clone();
         let out = RunConfig::builder()
             .np(2)
-            .scheduler(Arc::new(FuzzScheduler::new(2, sched_seed)))
+            .event_seed(sched_seed)
             .faults(plan)
             .run(move |c| {
             if c.rank() == 0 {
@@ -288,14 +282,13 @@ proptest! {
 
     /// The ring and Bruck allgathers are pure data movement, so their
     /// results must be *bitwise* identical for arbitrary bit patterns —
-    /// across machine sizes, fuzzed thread schedules, and seeded event
-    /// schedules. This is the license for `Comm::allgather` to switch
-    /// algorithms on np alone.
+    /// across machine sizes, production runs, and seeded schedules. This
+    /// is the license for `Comm::allgather` to switch algorithms on np
+    /// alone.
     #[test]
     fn allgather_shapes_bitwise_equivalent(
         np in 2u32..10,
         base in any::<u64>(),
-        sched_seed in 0u64..4,
         event_seed in 0u64..4,
     ) {
         // Per-rank contribution: an arbitrary 64-bit pattern (covers f64
@@ -305,22 +298,17 @@ proptest! {
             let v = base ^ (0x9E37_79B9_7F4A_7C15u64.wrapping_mul(u64::from(c.rank()) + 1));
             (c.allgather_ring(v), c.allgather_bruck(v))
         };
-        let threads = RunConfig::builder().np(np).run(body);
-        for (ring, bruck) in &threads.results {
+        let production = RunConfig::builder().np(np).run(body);
+        for (ring, bruck) in &production.results {
             prop_assert_eq!(ring, bruck);
         }
-        let fuzzed = RunConfig::builder()
-            .np(np)
-            .scheduler(Arc::new(FuzzScheduler::new(np, sched_seed)))
-            .run(body);
-        prop_assert_eq!(&threads.results, &fuzzed.results);
-        let events = RunConfig::builder().np(np).event_seed(event_seed).run(body);
-        prop_assert_eq!(&threads.results, &events.results);
+        let seeded = RunConfig::builder().np(np).event_seed(event_seed).run(body);
+        prop_assert_eq!(&production.results, &seeded.results);
     }
 
     /// The production binomial-tree allreduce agrees with a linear
     /// gather → fold → bcast baseline for exactly-associative operators
-    /// (wrapping add, max, xor), on both runtimes. f64 sums are excluded
+    /// (wrapping add, max, xor), in production and seeded runs. f64 sums are excluded
     /// deliberately: tree reduction reassociates, which is why the f64
     /// goldens pin the *tree* order instead.
     #[test]
@@ -344,11 +332,11 @@ proptest! {
             let linear = c.bcast(0, folded.unwrap_or_default());
             (tree, linear)
         };
-        let threads = RunConfig::builder().np(np).run(body);
-        for (rank, (tree, linear)) in threads.results.iter().enumerate() {
-            prop_assert_eq!(tree, linear, "threads rank {}", rank);
+        let production = RunConfig::builder().np(np).run(body);
+        for (rank, (tree, linear)) in production.results.iter().enumerate() {
+            prop_assert_eq!(tree, linear, "rank {}", rank);
         }
-        let events = RunConfig::builder().np(np).event_seed(event_seed).run(body);
-        prop_assert_eq!(&threads.results, &events.results);
+        let seeded = RunConfig::builder().np(np).event_seed(event_seed).run(body);
+        prop_assert_eq!(&production.results, &seeded.results);
     }
 }

@@ -23,7 +23,7 @@
 //!   batch acks).
 //!
 //! Because recovery is deterministic given the fault seed and the
-//! schedule, `hot-analyze faults` can cross fault plans with fuzzed
+//! schedule, `hot-analyze faults` can cross fault plans with seeded
 //! schedules and require results bitwise-identical to a fault-free run.
 //! [`TrafficStats`](crate::runtime::TrafficStats) counts *logical* payload
 //! traffic only — retransmissions, duplicates, frame overhead, and acks
@@ -62,10 +62,12 @@ pub const SUSPECT_AFTER_TICKS: u64 = 16;
 /// detector trades latency for precision.
 pub const CONFIRM_DEAD_AFTER_TICKS: u64 = 64;
 
-/// Real-scheduler re-check period while blocked, in microseconds, when a
-/// kill-armed plan is installed: the host-thread analogue of a heartbeat
-/// timer. Wall time here only *wakes* the thread so the detector can run;
-/// every detection decision reads model clocks, never wall clocks.
+/// Detection tick, in microseconds, when a kill-armed plan is installed:
+/// how long a quiescent worker pool waits before requeueing every blocked
+/// rank for one failure-detection round — the host-side analogue of a
+/// heartbeat timer. Wall time here only *wakes* the pool so the detector
+/// can run; every detection decision reads model clocks, never wall
+/// clocks.
 pub const DETECT_TICK_MICROS: u64 = 1000;
 
 /// Per-rank reliability counters. Everything the recovery machinery does
@@ -307,8 +309,8 @@ impl Transport {
         // Running a detection round is itself proof of life: bump our own
         // heartbeat so peers blocked *behind* us (transitively stuck on the
         // same dead rank, hence performing no channel ops) never mistake
-        // this live-but-waiting rank for a crashed one. A dead rank has no
-        // thread, so its clock alone stays frozen.
+        // this live-but-waiting rank for a crashed one. A dead rank's fiber
+        // has returned, so its clock alone stays frozen.
         self.clocks[me as usize].fetch_add(1, Ordering::AcqRel);
         let mut suspects = 0u64;
         let mut confirms = 0u64;
@@ -722,8 +724,6 @@ mod tests {
     use super::*;
     use crate::fault::FaultConfig;
     use crate::runtime::RunConfig;
-    use crate::sched::FuzzScheduler;
-    use std::sync::Arc;
 
     fn faulty(np: u32, seed: u64) -> RunConfig {
         RunConfig::builder()
@@ -751,8 +751,8 @@ mod tests {
 
     /// The failure-detection timing contract, pinned so silent retuning
     /// breaks the build: suspect at 16 frozen heartbeat intervals,
-    /// confirm-dead at 64, retransmission backoff capped at 2^6, 1 ms
-    /// blocked-wait re-check under the real scheduler, and a 28-byte
+    /// confirm-dead at 64, retransmission backoff capped at 2^6, a 1 ms
+    /// detection tick on a quiescent worker pool, and a 28-byte
     /// frame (the 8-byte piggybacked heartbeat on the PR 3 20-byte
     /// frame). Retuning any of these changes the repo's availability
     /// story and must be a reviewed, documented change.
@@ -822,7 +822,7 @@ mod tests {
     }
 
     #[test]
-    fn hostile_plan_under_fuzzed_schedules() {
+    fn hostile_plan_under_seeded_schedules() {
         let body = |c: &mut Comm| {
             let v = c.rank() as u64 + 1;
             let total = c.allreduce_sum_u64(v);
@@ -835,7 +835,7 @@ mod tests {
                 let out = RunConfig::builder()
                     .np(3)
                     .faults(FaultPlan::new(FaultConfig::hostile(fault_seed)))
-                    .scheduler(Arc::new(FuzzScheduler::new(3, sched_seed)))
+                    .event_seed(sched_seed)
                     .run(body);
                 assert_eq!(
                     out.results, reference.results,
@@ -859,7 +859,7 @@ mod tests {
         let out = RunConfig::builder()
             .np(2)
             .faults(plan)
-            .scheduler(Arc::new(FuzzScheduler::new(2, 1)))
+            .event_seed(1)
             .run(|c| {
             if c.rank() == 0 {
                 c.send(1, 5, &0xDEAD_BEEFu64);
@@ -886,7 +886,7 @@ mod tests {
         let out = RunConfig::builder()
             .np(2)
             .faults(plan)
-            .scheduler(Arc::new(FuzzScheduler::new(2, 1)))
+            .event_seed(1)
             .run(|c| {
             if c.rank() == 0 {
                 c.send(1, 5, &7u32);

@@ -1,5 +1,6 @@
-//! The simulated parallel machine: one OS thread per rank, message passing
-//! with MPI-style `(source, tag)` matching.
+//! The simulated parallel machine: every rank is a fiber on the event
+//! executor (`events.rs`), message passing with MPI-style
+//! `(source, tag)` matching.
 //!
 //! The paper's machines (ASCI Red, Loki, Hyglac) are distributed-memory
 //! message-passing systems programmed against NX/MPI. This module provides
@@ -9,20 +10,18 @@
 //! feed the 1997 machine models in `hot-machine` that convert message
 //! counts into predicted wall-clock on the paper's networks.
 //!
-//! Every channel operation passes through a [`crate::sched::Scheduler`]
-//! hook. Production runs use [`RealScheduler`] (free OS concurrency); the
-//! `hot-analyze schedules` checker swaps in a seeded
-//! [`crate::sched::FuzzScheduler`] to serialize ranks, perturb the
-//! interleaving reproducibly, prove deadlocks instead of hanging on them,
-//! and audit teardown for undrained messages.
+//! Every channel operation passes through the executor's hooks. Production
+//! runs use its FIFO mode on a worker pool; the `hot-analyze` checkers
+//! select its seeded mode ([`RunConfigBuilder::event_seed`]) to serialize
+//! ranks, perturb the interleaving reproducibly, prove deadlocks instead of
+//! hanging on them, and audit teardown for undrained messages.
 
 use crate::chan::{Mailbox, Scan};
-use crate::events::EventSched;
+use crate::events::{EventSched, Want};
 use crate::fault::{DetectionPath, FaultPlan, InjectedFaults, KillSite};
 use crate::reliable::{
     ReliabilityStats, Transport, CONFIRM_DEAD_AFTER_TICKS, DETECT_TICK_MICROS, FRAME_TAG,
 };
-use crate::sched::{RealScheduler, SchedOp, Scheduler, Want};
 use crate::wire::{from_bytes, to_bytes, Wire};
 use bytes::Bytes;
 use std::cell::Cell;
@@ -100,7 +99,7 @@ impl TrafficStats {
 struct Machine {
     np: u32,
     mailboxes: Vec<Mailbox>,
-    sched: Arc<dyn Scheduler>,
+    sched: Arc<EventSched>,
     /// Reliable transport over a faulty wire; present iff the run installed
     /// a [`FaultPlan`].
     transport: Option<Transport>,
@@ -120,8 +119,8 @@ pub struct RankKilled {
 
 /// A rank's handle onto the simulated machine.
 ///
-/// Not `Clone` and not `Sync`: exactly one thread drives each rank, as on
-/// the real machines.
+/// Not `Clone` and not `Sync`: exactly one fiber drives each rank, as one
+/// process did on the real machines.
 pub struct Comm {
     rank: u32,
     machine: Arc<Machine>,
@@ -153,11 +152,10 @@ impl Comm {
     /// This rank's share of the hardware threads, for compute fanned out
     /// *inside* one call (threads that perform no channel operation and
     /// are joined before the rank's next one): the process's available
-    /// threads divided by the ranks that can run at once — the event
-    /// runtime's worker count (one when seeded), or `np` on the thread
-    /// runtime — and at least 1. A fact about the run, not an option: with
-    /// a rank per processor, or a default event run (workers = cores), it
-    /// is 1 and nothing fans out.
+    /// threads divided by the ranks that can run at once — the executor's
+    /// worker count (one when seeded) — and at least 1. A fact about the
+    /// run, not an option: with a worker per processor (the default) it is
+    /// 1 and nothing fans out.
     #[inline]
     #[must_use]
     pub fn compute_threads(&self) -> usize {
@@ -194,8 +192,8 @@ impl Comm {
     /// pending crash-stop kill, and possibly stall this rank by spending
     /// extra schedule yields (a transient node hiccup — the rank loses its
     /// turn a few times but performs no I/O).
-    fn channel_op(&mut self, op: SchedOp) {
-        self.machine.sched.yield_point(self.rank, op);
+    fn channel_op(&mut self) {
+        self.machine.sched.yield_point(self.rank);
         if let Some(t) = &self.machine.transport {
             let idx = self.ops;
             self.ops += 1;
@@ -209,7 +207,7 @@ impl Comm {
             if t.plan.decide_stall(self.rank, idx) {
                 t.note_stall(self.rank);
                 for _ in 0..2 {
-                    self.machine.sched.yield_point(self.rank, op);
+                    self.machine.sched.yield_point(self.rank);
                 }
             }
         }
@@ -243,8 +241,7 @@ impl Comm {
     /// (infinite buffering, like an eager-protocol MPI send of modest size).
     pub fn send_bytes(&mut self, dst: u32, tag: u32, data: Bytes) {
         assert!(dst < self.machine.np, "send to rank {dst} of {}", self.machine.np);
-        let op = SchedOp::Send { dst, tag };
-        self.channel_op(op);
+        self.channel_op();
         self.stats.sends += 1;
         self.stats.bytes_sent += data.len() as u64;
         self.stats.max_message = self.stats.max_message.max(data.len() as u64);
@@ -282,12 +279,11 @@ impl Comm {
     ///
     /// # Panics
     ///
-    /// Panics when a peer rank dies (poison teardown) or when the scheduler
-    /// proves the machine deadlocked (checker runs only — the production
-    /// scheduler blocks forever like a real MPI).
+    /// Panics when a peer rank dies (poison teardown) or when the executor
+    /// proves the machine deadlocked (every rank blocked with no matching
+    /// message queued or still to come).
     pub fn recv_bytes(&mut self, src: Option<u32>, tag: u32) -> (u32, Bytes) {
-        let op = SchedOp::Recv { src, tag };
-        self.channel_op(op);
+        self.channel_op();
         let ready = |m: &Mailbox| m.has_match_or_poison(src, tag);
         let e = self.wait_take(src, tag, &mut |m| m.take_match(src, tag), &ready);
         self.stats.recvs += 1;
@@ -308,8 +304,7 @@ impl Comm {
             while !missing[first as usize].get() {
                 first += 1;
             }
-            let op = SchedOp::Recv { src: Some(first), tag };
-            self.channel_op(op);
+            self.channel_op();
             let mut take = |m: &Mailbox| {
                 m.take_each(tag, &missing, &mut |src, data| {
                     bytes += data.len() as u64;
@@ -319,7 +314,7 @@ impl Comm {
             let ready = |m: &Mailbox| m.has_each_or_poison(tag, &missing);
             let got = self.wait_take(Some(first), tag, &mut take, &ready);
             for _ in 1..got {
-                self.channel_op(op);
+                self.channel_op();
             }
             self.stats.recvs += got;
             left -= got;
@@ -382,7 +377,7 @@ impl Comm {
                     ready(mbox)
                 })
             {
-                // The serialized checker proved global quiescence. With a
+                // The executor proved global quiescence. With a
                 // crashed rank that is the failure detector's strongest
                 // oracle — the runtime analogue of the process manager
                 // reaping a dead process — so classify it as a crash-stop
@@ -429,8 +424,7 @@ impl Comm {
     ///
     /// Panics when a peer rank died and no matching message remains.
     pub fn try_recv_bytes(&mut self, src: Option<u32>, tag: u32) -> Option<(u32, Bytes)> {
-        let op = SchedOp::TryRecv { tag };
-        self.channel_op(op);
+        self.channel_op();
         self.pump_transport();
         match self.machine.mailboxes[self.rank as usize].take_match(src, tag) {
             Scan::Matched(e) => {
@@ -500,7 +494,6 @@ impl Drop for Comm {
                 }
             }
         }
-        self.machine.sched.rank_finished(self.rank);
     }
 }
 
@@ -608,21 +601,20 @@ impl<T> RunOutput<T> {
     }
 }
 
-/// Which execution substrate carries the simulated ranks.
+/// The execution substrate that carries the simulated ranks. There is one:
+/// cooperative fibers on a small worker pool. The type survives only so
+/// existing `.runtime(Runtime::Events)` calls keep compiling.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub enum Runtime {
-    /// One OS thread per rank (16 MiB stacks). Free OS concurrency, but
-    /// caps practical machine sizes near np ≈ 100.
+    /// Cooperative fibers multiplexed on a small worker pool: the
+    /// substrate that runs the paper's 1024–6800 processor configurations
+    /// for real.
     #[default]
-    Threads,
-    /// Cooperative fibers multiplexed on a small worker pool (see
-    /// [`crate::events`]): the substrate that runs the paper's actual
-    /// 1024–6800 processor configurations for real.
     Events,
 }
 
-/// Per-run machine configuration: size, runtime, scheduling policy and
-/// fault injection. Build one with [`RunConfig::builder`]:
+/// Per-run machine configuration: size, fault injection, worker pool,
+/// stack size and schedule seed. Build one with [`RunConfig::builder`]:
 ///
 /// ```
 /// use hot_comm::RunConfig;
@@ -633,25 +625,20 @@ pub enum Runtime {
 /// ```
 pub struct RunConfig {
     np: u32,
-    scheduler: Option<Arc<dyn Scheduler>>,
     faults: Option<FaultPlan>,
-    runtime: Runtime,
     workers: Option<usize>,
     stack_size: Option<usize>,
     event_seed: Option<u64>,
 }
 
 impl RunConfig {
-    /// Start building a run configuration. `np` defaults to 1, the runtime
-    /// to [`Runtime::Threads`].
+    /// Start building a run configuration. `np` defaults to 1.
     #[must_use]
     pub fn builder() -> RunConfigBuilder {
         RunConfigBuilder {
             cfg: RunConfig {
                 np: 1,
-                scheduler: None,
                 faults: None,
-                runtime: Runtime::default(),
                 workers: None,
                 stack_size: None,
                 event_seed: None,
@@ -670,66 +657,28 @@ impl RunConfig {
         let np = self.np;
         assert!(np >= 1, "need at least one rank");
         let kill_armed = self.faults.as_ref().is_some_and(FaultPlan::kill_armed);
-        match self.runtime {
-            Runtime::Threads => {
-                assert!(
-                    self.event_seed.is_none(),
-                    "event_seed requires Runtime::Events (the builder sets it)"
-                );
-                let sched = self.scheduler.unwrap_or_else(|| {
-                    if kill_armed {
-                        // A dead rank never notifies: blocked receivers must
-                        // wake on a timer to run failure-detection rounds.
-                        // The period is the model-level detection tick —
-                        // wall time only wakes the thread; every detection
-                        // decision reads model clocks.
-                        Arc::new(RealScheduler::timed(
-                            np,
-                            Duration::from_micros(DETECT_TICK_MICROS),
-                        )) as Arc<dyn Scheduler>
-                    } else {
-                        Arc::new(RealScheduler::new(np)) as Arc<dyn Scheduler>
-                    }
-                });
-                let machine = Machine::build(np, sched, self.faults, np as usize);
-                let stack = self.stack_size.unwrap_or(16 << 20);
-                run_threads(np, &machine, stack, &f)
+        let sched = Arc::new(match self.event_seed {
+            Some(seed) => EventSched::seeded(np, seed),
+            // A dead rank never notifies: a quiescent pool must wake on a
+            // timer to run failure-detection rounds. The period is the
+            // model-level detection tick — wall time only wakes the pool;
+            // every detection decision reads model clocks.
+            None if kill_armed => {
+                EventSched::timed(np, Duration::from_micros(DETECT_TICK_MICROS))
             }
-            Runtime::Events => {
-                assert!(
-                    self.scheduler.is_none(),
-                    "the Events runtime provides its own scheduler; use \
-                     event_seed(..) for seeded serialized exploration"
-                );
-                let sched = Arc::new(match self.event_seed {
-                    Some(seed) => EventSched::seeded(np, seed),
-                    None if kill_armed => EventSched::timed(
-                        np,
-                        Duration::from_micros(DETECT_TICK_MICROS),
-                    ),
-                    None => EventSched::new(np),
-                });
-                let workers = if sched.is_seeded() {
-                    1
-                } else {
-                    self.workers.unwrap_or_else(|| hot_base::available_threads().min(8))
-                };
-                let machine = Machine::build(
-                    np,
-                    sched.clone() as Arc<dyn Scheduler>,
-                    self.faults,
-                    workers,
-                );
-                let stack = self.stack_size.unwrap_or(4 << 20);
-                run_events(np, &machine, &sched, workers, stack, &f)
-            }
-        }
+            None => EventSched::new(np),
+        });
+        let workers = match self.event_seed {
+            Some(_) => 1,
+            None => self.workers.unwrap_or_else(|| hot_base::available_threads().min(8)),
+        };
+        let machine = Machine::build(np, sched, self.faults, workers);
+        execute(&machine, workers, self.stack_size.unwrap_or(4 << 20), &f)
     }
 }
 
 /// Builder for [`RunConfig`] — the single entry point onto the simulated
-/// machine (collapsing the former `World::run` / `run_with_scheduler` /
-/// `run_config` trio).
+/// machine.
 pub struct RunConfigBuilder {
     cfg: RunConfig,
 }
@@ -739,23 +688,6 @@ impl RunConfigBuilder {
     #[must_use]
     pub fn np(mut self, np: u32) -> Self {
         self.cfg.np = np;
-        self
-    }
-
-    /// Explicit scheduling policy (e.g. a seeded
-    /// [`crate::sched::FuzzScheduler`]) for the Threads runtime. The
-    /// Events runtime schedules itself; see [`Self::event_seed`].
-    #[must_use]
-    pub fn scheduler(mut self, sched: Arc<dyn Scheduler>) -> Self {
-        self.cfg.scheduler = Some(sched);
-        self
-    }
-
-    /// Optional form of [`Self::scheduler`], for sweep drivers that decide
-    /// per iteration whether to override the policy.
-    #[must_use]
-    pub fn scheduler_opt(mut self, sched: Option<Arc<dyn Scheduler>>) -> Self {
-        self.cfg.scheduler = sched;
         self
     }
 
@@ -776,36 +708,34 @@ impl RunConfigBuilder {
         self
     }
 
-    /// Select the execution substrate (threads vs event-driven fibers).
+    /// Accepts the one [`Runtime`] there is and changes nothing.
     #[must_use]
-    pub fn runtime(mut self, rt: Runtime) -> Self {
-        self.cfg.runtime = rt;
+    pub fn runtime(self, _rt: Runtime) -> Self {
         self
     }
 
-    /// Worker-thread count for the Events runtime (default: available
-    /// parallelism, capped at 8). Ignored by the Threads runtime.
+    /// Worker-thread count of the executor (default: available
+    /// parallelism, capped at 8). Ignored by seeded runs, which use one.
     #[must_use]
     pub fn workers(mut self, n: usize) -> Self {
         self.cfg.workers = Some(n.max(1));
         self
     }
 
-    /// Per-rank stack size in bytes (default 16 MiB on Threads, 4 MiB on
-    /// Events, where pages are lazily mapped so untouched stack is free).
+    /// Per-rank fiber stack size in bytes (default 4 MiB; pages are lazily
+    /// mapped, so untouched stack is free).
     #[must_use]
     pub fn stack_size(mut self, bytes: usize) -> Self {
         self.cfg.stack_size = Some(bytes);
         self
     }
 
-    /// Seeded serialized schedule exploration on the Events runtime (the
-    /// fiber analogue of a [`crate::sched::FuzzScheduler`]); implies
-    /// [`Runtime::Events`] and a single worker.
+    /// Seeded serialized schedule exploration: one worker, one rank
+    /// running between channel operations, the next one drawn from `seed`
+    /// — replayable, and deadlocks are proved at quiescence.
     #[must_use]
     pub fn event_seed(mut self, seed: u64) -> Self {
         self.cfg.event_seed = Some(seed);
-        self.cfg.runtime = Runtime::Events;
         self
     }
 
@@ -830,7 +760,7 @@ impl Machine {
     /// `concurrent` is how many ranks can run at once.
     fn build(
         np: u32,
-        sched: Arc<dyn Scheduler>,
+        sched: Arc<EventSched>,
         faults: Option<FaultPlan>,
         concurrent: usize,
     ) -> Arc<Machine> {
@@ -860,15 +790,13 @@ enum RankExit<T> {
     Panicked(Box<dyn std::any::Any + Send>),
 }
 
-/// The body every rank executes, identical across runtimes: run `f`,
-/// classify the exit, and guarantee the teardown discipline (`Comm::drop`
-/// runs under `panicking()` for real panics, under `killed` for
-/// crash-stops) regardless of how the rank ends.
+/// The body every rank executes: run `f`, classify the exit, and guarantee
+/// the teardown discipline (`Comm::drop` runs under `panicking()` for real
+/// panics, under `killed` for crash-stops) regardless of how the rank ends.
 fn rank_main<T, F>(rank: u32, machine: &Arc<Machine>, f: &F) -> RankExit<T>
 where
     F: Fn(&mut Comm) -> T + Sync,
 {
-    machine.sched.rank_started(rank);
     let mut comm = Comm {
         rank,
         machine: machine.clone(),
@@ -892,10 +820,9 @@ where
         Err(p) => {
             // Re-raise *while `comm` is still in scope* so the poison-
             // teardown Drop observes `thread::panicking()`, then catch the
-            // unwind again at this frame: on the Events runtime it must
-            // not cross the fiber boundary, and on Threads deferring the
-            // propagation to `finish` keeps "lowest panicking rank wins"
-            // deterministic.
+            // unwind again at this frame: it must not cross the fiber
+            // boundary, and deferring the propagation to `finish` keeps
+            // "lowest panicking rank wins" deterministic.
             let p2 = std::panic::catch_unwind(std::panic::AssertUnwindSafe(move || {
                 let _comm = comm;
                 std::panic::resume_unwind(p)
@@ -906,52 +833,14 @@ where
     }
 }
 
-/// Threads runtime: one scoped OS thread per rank.
-fn run_threads<T, F>(
-    np: u32,
-    machine: &Arc<Machine>,
-    stack_size: usize,
-    f: &F,
-) -> RunOutput<T>
+/// Run every rank as a fiber, `workers` OS threads driving them through
+/// the machine's [`EventSched`], then [`finish`].
+fn execute<T, F>(machine: &Arc<Machine>, workers: usize, stack_size: usize, f: &F) -> RunOutput<T>
 where
     T: Send,
     F: Fn(&mut Comm) -> T + Sync,
 {
-    let exits: Vec<Mutex<Option<RankExit<T>>>> = (0..np).map(|_| Mutex::new(None)).collect();
-    // Host-side elapsed time for Gflop/s reporting; simulation logic
-    // never reads it. hot-lint: allow(wall-clock)
-    let t0 = Instant::now();
-    std::thread::scope(|scope| {
-        for rank in 0..np {
-            let machine = machine.clone();
-            let slot = &exits[rank as usize];
-            std::thread::Builder::new()
-                .name(format!("rank-{rank}"))
-                .stack_size(stack_size)
-                .spawn_scoped(scope, move || {
-                    let exit = rank_main(rank, &machine, f);
-                    *slot.lock().expect("exit slot") = Some(exit);
-                })
-                .expect("spawn rank thread");
-        }
-    });
-    finish(np, machine, exits, t0.elapsed())
-}
-
-/// Events runtime: every rank is a fiber; `workers` OS threads drive them
-/// through the [`EventSched`] executor.
-fn run_events<T, F>(
-    np: u32,
-    machine: &Arc<Machine>,
-    sched: &Arc<EventSched>,
-    workers: usize,
-    stack_size: usize,
-    f: &F,
-) -> RunOutput<T>
-where
-    T: Send,
-    F: Fn(&mut Comm) -> T + Sync,
-{
+    let np = machine.np;
     let exits: Vec<Mutex<Option<RankExit<T>>>> = (0..np).map(|_| Mutex::new(None)).collect();
     // hot-lint: allow(wall-clock) — host-side elapsed only.
     let t0 = Instant::now();
@@ -965,11 +854,11 @@ where
             }) as Box<dyn FnOnce() + Send + '_>
         })
         .collect();
-    sched.execute_scoped(bodies, workers, stack_size);
+    machine.sched.execute_scoped(bodies, workers, stack_size);
     finish(np, machine, exits, t0.elapsed())
 }
 
-/// Shared epilogue: propagate panics (lowest rank first), audit undetected
+/// Epilogue: propagate panics (lowest rank first), audit undetected
 /// kills, sweep mailboxes for undrained traffic, and collect results.
 fn finish<T>(
     np: u32,
@@ -1055,17 +944,11 @@ fn finish<T>(
     }
 }
 
-// The pre-event-runtime `World::run*` trio lived here as deprecated shims
-// for one release after the `RunConfig::builder` redesign; the grace
-// period is over and they are gone. The `hot-analyze lint` runtime-API
-// rule still flags any attempt to reintroduce callers.
-
 #[cfg(test)]
 mod tests {
     use crate::runtime::RunConfig;
     use super::*;
     use crate::fault::{DetectionPath, FaultConfig, FaultPlan};
-    use crate::sched::FuzzScheduler;
 
     /// Ring workload with enough rounds of traffic that a mid-run kill
     /// leaves plenty of surviving communication to detect it through.
@@ -1088,22 +971,19 @@ mod tests {
     }
 
     /// A rank's compute share is the available threads over the ranks that
-    /// can run at once: the event workers (one when seeded) or, on threads,
-    /// every rank.
+    /// can run at once: the executor's workers, one when seeded.
     #[test]
     fn compute_threads_are_the_ranks_share() {
         let avail = hot_base::available_threads();
         assert_eq!((rank_share(2, 1), rank_share(2, 2), rank_share(2, 16)), (2, 1, 1));
         assert_eq!((rank_share(8, 3), rank_share(1, 0)), (2, 1));
         let shares = |b: RunConfigBuilder| b.run(|c| c.compute_threads()).results;
-        let events = || RunConfig::builder().np(4).runtime(Runtime::Events);
-        assert_eq!(shares(events().workers(1)), vec![avail; 4], "one worker: every thread");
+        let np4 = || RunConfig::builder().np(4);
+        assert_eq!(shares(np4().workers(1)), vec![avail; 4], "one worker: every thread");
         for w in [2, 3, 8] {
-            assert_eq!(shares(events().workers(w)), vec![(avail / w).max(1); 4], "{w} workers");
+            assert_eq!(shares(np4().workers(w)), vec![(avail / w).max(1); 4], "{w} workers");
         }
-        assert_eq!(shares(RunConfig::builder().np(1)), vec![avail], "threads, np = 1");
-        assert_eq!(shares(RunConfig::builder().np(4)), vec![(avail / 4).max(1); 4], "threads");
-        assert_eq!(shares(RunConfig::builder().np(4).event_seed(7)), vec![avail; 4], "seeded");
+        assert_eq!(shares(np4().event_seed(7)), vec![avail; 4], "seeded");
     }
 
     #[test]
@@ -1128,14 +1008,13 @@ mod tests {
     }
 
     #[test]
-    fn killed_rank_under_fuzz_is_detected_at_quiescence() {
+    fn killed_rank_under_seeded_schedule_is_detected_at_quiescence() {
         let plan = FaultPlan::new(FaultConfig::clean(7)).with_rank_kill_at_op(2, 30);
         let monitor = plan.monitor();
-        let sched = Arc::new(FuzzScheduler::new(4, 11));
         let result = std::panic::catch_unwind(|| {
-            RunConfig::builder().np(4).scheduler(sched).faults(plan).run(chatty_ring);
+            RunConfig::builder().np(4).event_seed(11).faults(plan).run(chatty_ring);
         });
-        let payload = result.expect_err("killed fuzz run completed");
+        let payload = result.expect_err("killed seeded run completed");
         let msg = panic_text(&payload);
         assert!(
             msg.contains("crash-stop") || msg.contains("poison"),
@@ -1169,7 +1048,7 @@ mod tests {
 
     #[test]
     fn kill_free_armed_run_matches_unarmed_golden() {
-        // Arming the detector (heartbeats, timed scheduler, detection
+        // Arming the detector (heartbeats, tick-mode pool, detection
         // rounds) must not perturb logical results or traffic when no kill
         // actually fires: the recovery machinery is observable only through
         // ReliabilityStats.
@@ -1296,21 +1175,6 @@ mod tests {
         assert_eq!(out.total_traffic().sends, 1);
     }
 
-    #[test]
-    fn panicking_rank_tears_down_machine() {
-        let result = std::panic::catch_unwind(|| {
-            RunConfig::builder().np(2).run(|c| {
-                if c.rank() == 0 {
-                    // Would block forever without poison teardown.
-                    let _: u64 = c.recv(1, 1);
-                } else {
-                    panic!("rank 1 exploded");
-                }
-            });
-        });
-        assert!(result.is_err());
-    }
-
     /// Regression test for the teardown-drain fix: the panicking rank sends
     /// unrelated traffic first, so the peer's mailbox holds a non-matching
     /// envelope when the poison arrives. The blocked peer must still wake
@@ -1342,23 +1206,16 @@ mod tests {
         // Ranks 0 and 1 have each other's bucket and wait for rank 2's,
         // which never comes: only the poison scan of the every-peer
         // receive can end the run.
-        for events in [false, true] {
-            let result = std::panic::catch_unwind(|| {
-                let b = RunConfig::builder().np(3);
-                let b = if events { b.runtime(Runtime::Events) } else { b };
-                b.run(|c| {
-                    if c.rank() == 2 {
-                        panic!("rank 2 exploded");
-                    }
-                    c.alltoall(vec![vec![c.rank()]; 3])
-                });
+        let result = std::panic::catch_unwind(|| {
+            RunConfig::builder().np(3).run(|c| {
+                if c.rank() == 2 {
+                    panic!("rank 2 exploded");
+                }
+                c.alltoall(vec![vec![c.rank()]; 3])
             });
-            let msg = panic_text(&result.expect_err("panic must propagate"));
-            assert!(
-                msg.contains("rank 2 exploded") || msg.contains("rank 2 died"),
-                "events={events}: {msg}"
-            );
-        }
+        });
+        let msg = panic_text(&result.expect_err("panic must propagate"));
+        assert!(msg.contains("rank 2 exploded") || msg.contains("rank 2 died"), "{msg}");
     }
 
     #[test]
@@ -1432,7 +1289,7 @@ mod tests {
     }
 
     #[test]
-    fn fuzzed_schedules_reproduce_and_agree() {
+    fn seeded_schedules_agree_with_production() {
         let body = |c: &mut Comm| {
             let right = (c.rank() + 1) % c.size();
             let left = (c.rank() + c.size() - 1) % c.size();
@@ -1442,65 +1299,34 @@ mod tests {
         };
         let reference = RunConfig::builder().np(4).run(body);
         for seed in 0..8 {
-            let sched = Arc::new(FuzzScheduler::new(4, seed));
-            let out = RunConfig::builder().np(4).scheduler(sched.clone()).run(body);
+            let out = RunConfig::builder().np(4).event_seed(seed).run(body);
             assert_eq!(out.results, reference.results, "seed {seed}");
             assert_eq!(out.stats, reference.stats, "seed {seed}");
             assert!(out.undrained.is_empty(), "seed {seed}");
-            // Replay: the same seed yields the same schedule trace.
-            let sched2 = Arc::new(FuzzScheduler::new(4, seed));
-            let _ = RunConfig::builder().np(4).scheduler(sched2.clone()).run(body);
-            assert_eq!(sched.trace(), sched2.trace(), "seed {seed} replay");
         }
     }
 
     #[test]
-    fn fuzz_scheduler_proves_deadlock_with_tag_state() {
-        // Both ranks receive first: a textbook head-to-head deadlock. The
-        // production scheduler would hang; the fuzz scheduler must prove it
-        // and name both ranks' waits.
-        let result = std::panic::catch_unwind(|| {
-            let sched = Arc::new(FuzzScheduler::new(2, 1));
-            RunConfig::builder().np(2).scheduler(sched).run(|c| {
-                let other = 1 - c.rank();
-                let v: u64 = c.recv(other, 5); // deadlock: nobody sends first
-                c.send(other, 5, &v);
-            });
-        });
-        let payload = result.expect_err("deadlock must panic");
-        let msg = payload
-            .downcast_ref::<String>()
-            .cloned()
-            .unwrap_or_else(|| "non-string panic".into());
-        assert!(msg.contains("deadlock"), "{msg}");
-        assert!(msg.contains("tag=0x5"), "{msg}");
-    }
-
-    // ---- event runtime (fibers on a worker pool) ----
-
-    #[test]
-    fn event_runtime_matches_threads_bitwise() {
-        // The thread→fiber swap is below the Comm API: identical results,
-        // identical logical traffic, nothing left in any mailbox.
-        let golden = RunConfig::builder().np(8).run(chatty_ring);
-        let out = RunConfig::builder()
-            .np(8)
-            .runtime(Runtime::Events)
-            .run(chatty_ring);
+    fn worker_count_is_invisible() {
+        // How many OS threads drive the fibers is below the Comm API:
+        // identical results, identical logical traffic, nothing left in
+        // any mailbox.
+        let golden = RunConfig::builder().np(8).workers(1).run(chatty_ring);
+        let out = RunConfig::builder().np(8).workers(4).run(chatty_ring);
         assert_eq!(out.results, golden.results);
         assert_eq!(out.stats, golden.stats);
         assert!(out.undrained.is_empty());
     }
 
     #[test]
-    fn event_runtime_np_1024_smoke() {
+    fn np_1024_smoke() {
         // A thousand ranks on a handful of workers: barrier + allreduce +
-        // point-to-point ring, small stacks. This machine size is why the
-        // event runtime exists; Threads would need ~16 GiB of stacks.
+        // point-to-point ring, small stacks. The paper's machine sizes are
+        // why ranks are fibers: a thread per rank would need ~16 GiB of
+        // stacks here.
         let np = 1024u32;
         let out = RunConfig::builder()
             .np(np)
-            .runtime(Runtime::Events)
             .stack_size(256 << 10)
             .run(|c| {
                 c.barrier();
@@ -1519,10 +1345,10 @@ mod tests {
     }
 
     #[test]
-    fn event_seeded_trace_is_replayable() {
-        // Seeded serialized mode is the fiber analogue of FuzzScheduler:
-        // same seed → same grant trace and same output; different seeds
-        // explore different schedules but agree on results.
+    fn seeded_trace_is_replayable() {
+        // Seeded serialized mode: same seed → same grant trace and same
+        // output; different seeds explore different schedules but agree on
+        // results.
         let body = |c: &mut Comm| {
             let right = (c.rank() + 1) % c.size();
             let left = (c.rank() + c.size() - 1) % c.size();
@@ -1532,8 +1358,8 @@ mod tests {
         };
         let run = |seed: u64| {
             let sched = Arc::new(EventSched::seeded(4, seed));
-            let machine = Machine::build(4, sched.clone() as Arc<dyn Scheduler>, None, 1);
-            let out = run_events(4, &machine, &sched, 1, 256 << 10, &body);
+            let machine = Machine::build(4, sched.clone(), None, 1);
+            let out = execute(&machine, 1, 256 << 10, &body);
             (out.results, out.stats, sched.trace())
         };
         let a = run(9);
@@ -1545,13 +1371,13 @@ mod tests {
     }
 
     #[test]
-    fn event_runtime_proves_deadlock_at_quiescence() {
-        // Head-to-head recv: the production Fifo event pool must prove the
-        // deadlock once quiescent (no tick installed) instead of hanging —
-        // stronger than the thread runtime, which can only hang here.
+    fn deadlock_is_proved_at_quiescence() {
+        // Head-to-head recv: both the production Fifo pool (no tick
+        // installed) and the seeded mode must prove the deadlock once
+        // quiescent, naming both ranks' waits, instead of hanging.
         for seeded in [false, true] {
             let result = std::panic::catch_unwind(|| {
-                let b = RunConfig::builder().np(2).runtime(Runtime::Events);
+                let b = RunConfig::builder().np(2);
                 let b = if seeded { b.event_seed(3) } else { b };
                 b.run(|c| {
                     let other = 1 - c.rank();
@@ -1567,54 +1393,11 @@ mod tests {
     }
 
     #[test]
-    fn event_runtime_detects_kill_via_tick_rounds() {
-        // Kill-armed fault run on fibers: the quiescent pool's detection
-        // tick requeues blocked ranks so their failure-detection rounds
-        // run — the fiber analogue of RealScheduler::timed.
-        let plan = FaultPlan::new(FaultConfig::clean(3)).with_rank_kill_at_op(1, 40);
-        let monitor = plan.monitor();
-        let result = std::panic::catch_unwind(|| {
-            RunConfig::builder()
-                .np(4)
-                .runtime(Runtime::Events)
-                .faults(plan)
-                .run(chatty_ring);
-        });
-        assert!(result.is_err(), "killed event run completed");
-        let kills = monitor.kills();
-        assert_eq!(kills.len(), 1);
-        assert_eq!(kills[0].rank, 1);
-        let detections = monitor.detections();
-        assert!(
-            detections.iter().any(|d| d.dead == 1 && d.via == DetectionPath::Timeout),
-            "no survivor timeout-detected the dead rank on fibers: {detections:?}"
-        );
-    }
-
-    #[test]
-    fn event_armed_run_matches_unarmed_golden() {
-        // Arming the detector on the event runtime (tick-mode pool) must
-        // not perturb logical results or traffic when no kill fires.
-        let golden = RunConfig::builder().np(4).runtime(Runtime::Events).run(chatty_ring);
-        let plan = FaultPlan::new(FaultConfig::clean(5)).with_rank_kill_at_epoch(3, u64::MAX);
-        assert!(plan.kill_armed());
-        let out = RunConfig::builder()
-            .np(4)
-            .runtime(Runtime::Events)
-            .faults(plan)
-            .run(chatty_ring);
-        assert_eq!(out.results, golden.results);
-        assert_eq!(out.stats, golden.stats);
-        assert!(out.undrained.is_empty());
-    }
-
-    #[test]
-    fn event_runtime_panicking_rank_tears_down_machine() {
+    fn panicking_rank_tears_down_machine() {
         // A real (non-kill) panic on one fiber must poison the machine,
-        // wake every blocked peer, and re-raise out of run() — identical
-        // teardown discipline to the thread runtime.
+        // wake every blocked peer, and re-raise out of run().
         let result = std::panic::catch_unwind(|| {
-            RunConfig::builder().np(4).runtime(Runtime::Events).run(|c| {
+            RunConfig::builder().np(4).run(|c| {
                 if c.rank() == 2 {
                     panic!("rank 2 exploded");
                 }

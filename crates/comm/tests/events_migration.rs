@@ -19,7 +19,7 @@
 //! 600 — the 40-launch debug run guards the park/wake protocol, not this
 //! hazard. After the fix: release, 0 failures in 2500 launches.
 
-use hot_comm::{RunConfig, Runtime};
+use hot_comm::RunConfig;
 
 const NP: u32 = 128;
 const ROUNDS: u64 = 200;
@@ -27,7 +27,6 @@ const ROUNDS: u64 = 200;
 fn launch() {
     let out = RunConfig::builder()
         .np(NP)
-        .runtime(Runtime::Events)
         .workers(2)
         .stack_size(256 << 10)
         .run(|c| {

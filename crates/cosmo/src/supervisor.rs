@@ -35,9 +35,7 @@ use crate::checkpoint::CheckpointError;
 use crate::sim::{cosmic_time, domain_for, CosmoSim, RHO_BAR};
 use hot_base::flops::FlopCounter;
 use hot_base::Vec3;
-use hot_comm::{
-    Comm, FaultConfig, FaultMonitor, FaultPlan, FuzzScheduler, NetworkModel, RunConfig, Scheduler,
-};
+use hot_comm::{Comm, FaultConfig, FaultMonitor, FaultPlan, NetworkModel, RunConfig};
 use hot_core::decomp::{Body, DecompPolicy};
 use hot_gravity::dist::{distributed_step_traced, DecompState, DistOptions};
 use hot_morton::Key;
@@ -143,9 +141,10 @@ pub struct SupervisorConfig {
     pub faults: Option<FaultConfig>,
     /// Targeted kills at exact step positions.
     pub kills: Vec<KillSpec>,
-    /// Run each segment under a seeded [`FuzzScheduler`] instead of the
-    /// production scheduler (the `hot-analyze kills` checker crosses kill
-    /// plans with these seeds).
+    /// Run each segment under a seeded serialized schedule
+    /// (`RunConfigBuilder::event_seed`) instead of the production executor
+    /// (the `hot-analyze kills` checker crosses kill plans with these
+    /// seeds).
     pub fuzz_seed: Option<u64>,
     /// Abort the run if recovery is attempted more than this many times.
     pub max_recoveries: u32,
@@ -499,13 +498,15 @@ pub fn run_supervised(
         let seg_end = (step + cfg.ckpt_every).min(cfg.steps);
         let plan = segment_plan(cfg, &fired, step, seg_end);
         let monitor: Option<Arc<FaultMonitor>> = plan.as_ref().map(FaultPlan::monitor);
-        let scheduler = cfg
-            .fuzz_seed
-            .map(|s| Arc::new(FuzzScheduler::new(cfg.np, s)) as Arc<dyn Scheduler>);
+        let run = RunConfig::builder().np(cfg.np).faults_opt(plan);
+        let run = match cfg.fuzz_seed {
+            Some(seed) => run.event_seed(seed),
+            None => run,
+        };
         let da = cfg.da;
         let body_state = &state;
         let attempt = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            RunConfig::builder().np(cfg.np).scheduler_opt(scheduler).faults_opt(plan).run(|c| {
+            run.run(|c| {
                 let mut local = body_state.clone();
                 let counter = FlopCounter::new();
                 let mut trace = Ledger::scratch();

@@ -464,17 +464,15 @@ mod tests {
     }
 
     /// The public path on a rank's share of the hardware threads — all of
-    /// them on the event runtime with one worker, one per rank on threads
-    /// with a rank per CPU — gives the same accelerations, work weights and
-    /// walk counts bit for bit. `ci.sh` prints the line below and runs this
-    /// again pinned to one CPU, where both shares are 1 and the comparison
-    /// is vacuous.
+    /// them with one worker, one per worker with a worker per CPU — gives
+    /// the same accelerations, work weights and walk counts bit for bit.
+    /// `ci.sh` prints the line below and runs this again pinned to one CPU,
+    /// where both shares are 1 and the comparison is vacuous.
     #[test]
     fn fan_out_distributed_accelerations_match_across_shares() {
-        use hot_comm::Runtime;
         let n_per = 4096usize;
-        let run = |rt: Runtime| {
-            RunConfig::builder().np(2).runtime(rt).workers(1).run(|c| {
+        let run = |workers: usize| {
+            RunConfig::builder().np(2).workers(workers).run(|c| {
                 let mut rng = rand::rngs::StdRng::seed_from_u64(900 + u64::from(c.rank()));
                 let bodies: Vec<Body<f64>> = (0..n_per)
                     .map(|i| {
@@ -503,15 +501,16 @@ mod tests {
             })
             .results
         };
-        let events = run(Runtime::Events);
-        let threads = run(Runtime::Threads);
+        let avail = hot_base::available_threads();
+        let one = run(1);
+        let all = run(avail);
         println!(
-            "dwalk compute threads: {} (events, one worker), {} (threads, np = 2)",
-            events[0].0, threads[0].0
+            "dwalk compute threads: {} (one worker), {} ({avail} workers)",
+            one[0].0, all[0].0
         );
-        for (rank, (e, t)) in events.iter().zip(&threads).enumerate() {
-            assert!(e.1 == t.1, "rank {rank}: accelerations or work differ");
-            assert_eq!((e.2, &e.3, e.4), (t.2, &t.3, t.4), "rank {rank}: walk counts differ");
+        for (rank, (a, b)) in one.iter().zip(&all).enumerate() {
+            assert!(a.1 == b.1, "rank {rank}: accelerations or work differ");
+            assert_eq!((a.2, &a.3, a.4), (b.2, &b.3, b.4), "rank {rank}: walk counts differ");
         }
     }
 

@@ -12,7 +12,7 @@
 //! analytic cost model (`hot_comm::NetworkModel` + a sustained-Mflops rate)
 //! that `hot-machine` uses for its predictions. Consequently a ledger — and
 //! the JSON report reduced from it — is bitwise identical across repeated
-//! runs and across every fuzzed message schedule, which is exactly what the
+//! runs and across every seeded message schedule, which is exactly what the
 //! golden-snapshot suite and `hot-analyze schedules` assert.
 //!
 //! The moving parts:

@@ -14,7 +14,7 @@
 //! and review the golden's diff like any other code change.
 
 use hot_base::flops::FlopCounter;
-use hot_comm::{RunConfig, Runtime};
+use hot_comm::{RunConfig, RunConfigBuilder};
 use hot_base::{Aabb, Vec3};
 use hot_core::decomp::Body;
 use hot_gravity::dist::{distributed_accelerations_traced, DistOptions};
@@ -43,13 +43,14 @@ fn seeded_bodies(rank: u32) -> Vec<Body<f64>> {
         .collect()
 }
 
-/// Run the pipeline and return every rank's reduced report JSON.
+/// Run the pipeline on the default machine and return every rank's reduced
+/// report JSON.
 fn run_traced() -> Vec<String> {
-    run_traced_on(Runtime::Threads)
+    run_traced_on(RunConfig::builder().np(NP))
 }
 
-fn run_traced_on(rt: Runtime) -> Vec<String> {
-    let out = RunConfig::builder().np(NP).runtime(rt).run(|c| {
+fn run_traced_on(machine: RunConfigBuilder) -> Vec<String> {
+    let out = machine.run(|c| {
         let bodies = seeded_bodies(c.rank());
         let counter = FlopCounter::new();
         let opts = DistOptions { eps2: 1e-6, ..Default::default() };
@@ -124,25 +125,25 @@ fn repeated_runs_are_bitwise_identical() {
     assert_eq!(a, b, "two identical runs produced different ledgers");
 }
 
-/// The thread→fiber substrate swap must be invisible to the ledger: the
-/// event runtime reproduces the *same* committed golden, bit for bit —
-/// the acceptance gate for the event-driven rank runtime.
+/// How the ranks are scheduled must be invisible to the ledger: a seeded
+/// serialized schedule and a two-worker production run reproduce the
+/// *same* committed golden, bit for bit.
 #[test]
-fn event_runtime_reproduces_the_same_golden() {
-    let threads = run_traced();
-    let events = run_traced_on(Runtime::Events);
-    assert_eq!(
-        threads, events,
-        "event-runtime ledger diverged from the thread-runtime ledger"
-    );
+fn schedules_and_worker_counts_reproduce_the_same_golden() {
     if std::env::var_os("UPDATE_GOLDENS").is_some() {
         return; // ledger_matches_committed_golden owns the refresh
     }
     let expected = std::fs::read_to_string(golden_path()).expect("golden present");
-    assert!(
-        expected == events[0],
-        "event-runtime trace diverged from the committed golden
-{}",
-        first_diff(&expected, &events[0])
-    );
+    let machines = [
+        ("event_seed(7)", RunConfig::builder().np(NP).event_seed(7)),
+        ("workers(2)", RunConfig::builder().np(NP).workers(2)),
+    ];
+    for (what, machine) in machines {
+        let reports = run_traced_on(machine);
+        assert!(
+            reports.iter().all(|r| *r == expected),
+            "{what}: trace diverged from the committed golden\n{}",
+            first_diff(&expected, &reports[0])
+        );
+    }
 }
