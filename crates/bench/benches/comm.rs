@@ -3,10 +3,14 @@
 //! three payload sizes — empty, small enough to travel inside the envelope,
 //! and a heap-backed kilobyte. One worker thread, so the numbers are the
 //! send → mailbox → receive path and not lock contention. Reported per
-//! message; wall clock, so nothing gates on it.
+//! message; wall clock, so nothing gates on it. The `allgather` group is
+//! the Bruck relay, reported per received byte.
 
 use criterion::{criterion_group, criterion_main, Criterion, Throughput};
+use hot_base::Vec3;
 use hot_comm::{Comm, RunConfig, Wire};
+use hot_core::{dtree::CellRecord, MassMoments};
+use hot_morton::Key;
 use std::time::Duration;
 
 fn quick() -> Criterion {
@@ -76,9 +80,44 @@ fn bench_send_recv(c: &mut Criterion) {
     g.finish();
 }
 
+/// `calls` Bruck allgathers of `value(rank)` on `np` fibers, reported per
+/// byte a rank receives: the branch exchange's shape (np = 128, 32 branch
+/// records each) and `comm_storm`'s (np = 1024, one word each), where a
+/// per-block cost would show.
+fn bench_allgather(c: &mut Criterion) {
+    fn run<T: Wire + Clone + Sync>(np: u32, calls: u64, value: impl Fn(u32) -> T + Sync) -> u64 {
+        let body = |c: &mut Comm| {
+            (0..calls).map(|_| c.allgather(value(c.rank())).len() as u64).sum::<u64>()
+        };
+        let out = RunConfig::builder().np(np).workers(1).stack_size(256 << 10).run(body);
+        assert!(out.undrained.is_empty());
+        out.stats.iter().map(|s| s.bytes_recvd).sum()
+    }
+    let record = |rank: u32| {
+        let r = CellRecord {
+            key: Key::ROOT.child((rank % 8) as u8),
+            owner: rank,
+            n: 32,
+            center: Vec3::splat(0.5),
+            bmax: 0.1,
+            wsum: 32.0,
+            moments: MassMoments { mass: 32.0, ..Default::default() },
+            is_leaf: true,
+        };
+        vec![r; 32]
+    };
+    let word = |rank: u32| u64::from(rank);
+    let mut g = c.benchmark_group("allgather");
+    g.throughput(Throughput::Elements(run(128, 2, record)));
+    g.bench_function("branch_records_np128", |b| b.iter(|| run(128, 2, record)));
+    g.throughput(Throughput::Elements(run(1024, 16, word)));
+    g.bench_function("one_word_np1024", |b| b.iter(|| run(1024, 16, word)));
+    g.finish();
+}
+
 criterion_group! {
     name = benches;
     config = quick();
-    targets = bench_alltoall, bench_send_recv
+    targets = bench_alltoall, bench_send_recv, bench_allgather
 }
 criterion_main!(benches);
