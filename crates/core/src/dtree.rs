@@ -11,6 +11,18 @@
 //! * Branches are all-gathered; each rank builds the **top tree** of their
 //!   common ancestors, with exact merged moments (so the top-tree root
 //!   carries the total system mass).
+//! * The top tree is an octree: **one node per key**. Every rank lists its
+//!   branches depth-first and the intervals ascend with rank, so the
+//!   gathered records arrive in ascending key-range order. One depth-first
+//!   pass groups a slice of them by the child octant of the current key
+//!   and recurses, so each shared key is built once, its children in
+//!   Morton order. (The level-by-level loop this replaced merged only
+//!   nodes that sat next to each other in level-major key order: a shallow
+//!   branch and its deeper cousins under one ancestor grew separate parent
+//!   chains, so a shared key could be built twice — one node in seven at
+//!   np = 128 × 32 uniform bodies, the root itself at np = 2 — and the
+//!   table kept only the last copy, a partial cell the walk treated as
+//!   whole.) [`DistTree::validate`] checks these invariants.
 //! * Cells *below* another rank's branch are fetched lazily during the
 //!   walk, through the global key name space: "request the children of key
 //!   K" is meaningful on every rank — that is what the hash-table
@@ -118,7 +130,7 @@ pub const SHARED: u32 = u32::MAX;
 pub struct BranchCache<M> {
     /// This rank's branch records from the last exchange.
     pub mine: Vec<CellRecord<M>>,
-    /// The full key-sorted gathered record set from the last exchange.
+    /// The full gathered record set from the last exchange, depth-first.
     pub records: Vec<CellRecord<M>>,
     /// Intervals the cached records were extracted under.
     pub intervals: Option<KeyIntervals>,
@@ -174,9 +186,7 @@ impl<M: Moments> DistTree<M> {
     pub fn build(comm: &mut Comm, local: Tree<M>, intervals: KeyIntervals) -> Self {
         let rank = comm.rank();
         let my_branches = branch_records(&local, &intervals, rank);
-        let all: Vec<Vec<CellRecord<M>>> = comm.allgather(my_branches);
-        let mut records: Vec<CellRecord<M>> = all.into_iter().flatten().collect();
-        records.sort_unstable_by_key(|r| r.key);
+        let records = gather_branches(comm, my_branches);
         Self::assemble(rank, local, intervals, &records)
     }
 
@@ -210,9 +220,7 @@ impl<M: Moments> DistTree<M> {
         let dt = if all_unchanged {
             Self::assemble(rank, local, intervals, &cache.records)
         } else {
-            let all: Vec<Vec<CellRecord<M>>> = comm.allgather(my_branches.clone());
-            let mut records: Vec<CellRecord<M>> = all.into_iter().flatten().collect();
-            records.sort_unstable_by_key(|r| r.key);
+            let records = gather_branches(comm, my_branches.clone());
             let dt = Self::assemble(rank, local, intervals, &records);
             cache.mine = my_branches;
             cache.records = records;
@@ -224,9 +232,9 @@ impl<M: Moments> DistTree<M> {
         (dt, all_unchanged)
     }
 
-    /// Build the top tree from an already-gathered, key-sorted record set.
-    /// Pure local computation — every rank holding the same records builds
-    /// the same nodes.
+    /// Build the top tree from an already-gathered record set in
+    /// depth-first order. Pure local computation — every rank holding the
+    /// same records builds the same nodes.
     fn assemble(
         rank: u32,
         local: Tree<M>,
@@ -258,8 +266,7 @@ impl<M: Moments> DistTree<M> {
             return dt;
         }
 
-        // Insert branch nodes.
-        let mut frontier: Vec<u32> = Vec::with_capacity(records.len());
+        // Insert branch nodes: record i is node i.
         for r in records {
             let children = if r.owner == rank {
                 DChildren::LocalSubtree
@@ -268,7 +275,7 @@ impl<M: Moments> DistTree<M> {
             } else {
                 DChildren::RemoteUnfetched
             };
-            let idx = dt.push_node(DNode {
+            dt.push_node(DNode {
                 key: r.key,
                 owner: r.owner,
                 n: r.n,
@@ -278,36 +285,32 @@ impl<M: Moments> DistTree<M> {
                 moments: r.moments,
                 children,
             });
-            frontier.push(idx);
         }
-
-        // Build ancestors level by level until only the root remains.
-        while !(frontier.len() == 1 && dt.nodes[frontier[0] as usize].key == Key::ROOT) {
-            // Group the (key-sorted) frontier by parent key.
-            let mut next: Vec<u32> = Vec::new();
-            let mut i = 0;
-            while i < frontier.len() {
-                let parent_key = parent_or_self(dt.nodes[frontier[i] as usize].key);
-                let mut kids: Vec<u32> = Vec::new();
-                while i < frontier.len()
-                    && parent_or_self(dt.nodes[frontier[i] as usize].key) == parent_key
-                {
-                    kids.push(frontier[i]);
-                    i += 1;
-                }
-                // A frontier node that *is* already at the parent level
-                // (can only be the root case) passes through.
-                if kids.len() == 1 && dt.nodes[kids[0] as usize].key == parent_key {
-                    next.push(kids[0]);
-                    continue;
-                }
-                let idx = dt.make_parent(parent_key, &kids);
-                next.push(idx);
-            }
-            frontier = next;
-        }
-        dt.root = frontier[0];
+        dt.root = dt.top_node(Key::ROOT, 0, records);
         dt
+    }
+
+    /// The node for `key`, whose key range holds exactly `records` (the
+    /// branches from node `first` on): the branch itself when it is `key`,
+    /// else a shared node over the child octants that hold records, built
+    /// depth-first in Morton order. Recursion depth is at most
+    /// [`hot_morton::MAX_DEPTH`].
+    fn top_node(&mut self, key: Key, first: usize, records: &[CellRecord<M>]) -> u32 {
+        if let [only] = records {
+            if only.key == key {
+                return first as u32;
+            }
+        }
+        let level = key.level() + 1;
+        let mut kids = Vec::new();
+        let mut i = 0;
+        while i < records.len() {
+            let child = records[i].key.ancestor_at(level);
+            let j = i + records[i..].partition_point(|r| r.key.ancestor_at(level) == child);
+            kids.push(self.top_node(child, first + i, &records[i..j]));
+            i = j;
+        }
+        self.make_parent(key, kids)
     }
 
     fn push_node(&mut self, node: DNode<M>) -> u32 {
@@ -317,12 +320,12 @@ impl<M: Moments> DistTree<M> {
         idx
     }
 
-    fn make_parent(&mut self, key: Key, kids: &[u32]) -> u32 {
+    fn make_parent(&mut self, key: Key, kids: Vec<u32>) -> u32 {
         let geom = key.cell_aabb(&self.local.domain);
         let mut wsum = 0.0;
         let mut centroid = Vec3::ZERO;
         let mut n = 0u64;
-        for &k in kids {
+        for &k in &kids {
             let c = &self.nodes[k as usize];
             wsum += c.wsum;
             centroid += c.center * c.wsum;
@@ -331,7 +334,7 @@ impl<M: Moments> DistTree<M> {
         let center = if wsum > 0.0 { centroid / wsum } else { geom.center() };
         let mut moments = M::default();
         let mut bmax = 0.0f64;
-        for &k in kids {
+        for &k in &kids {
             let (cm, cc, cb) = {
                 let c = &self.nodes[k as usize];
                 (c.moments, c.center, c.bmax)
@@ -352,7 +355,7 @@ impl<M: Moments> DistTree<M> {
             bmax: bmax.min(corner),
             wsum,
             moments,
-            children: DChildren::Nodes(kids.to_vec()),
+            children: DChildren::Nodes(kids),
         })
     }
 
@@ -435,18 +438,156 @@ impl<M: Moments> DistTree<M> {
     pub fn global_n(&self) -> u64 {
         self.nodes[self.root as usize].n
     }
-}
 
-fn parent_or_self(key: Key) -> Key {
-    if key == Key::ROOT {
-        key
-    } else {
-        key.parent()
+    /// Check the top tree is an octree over a tiling of branches: one node
+    /// per key, each found by the table; every shared node's children are
+    /// distinct child octants of it in ascending order, and its `n` and
+    /// `wsum` are their sums (its mass to rounding); the branches below the
+    /// shared nodes are disjoint and hold `global_n()` particles. Remote
+    /// cells installed by a walk below a branch are checked for key
+    /// uniqueness only.
+    pub fn validate(&self) -> Result<(), TopTreeError> {
+        for (i, node) in self.nodes.iter().enumerate() {
+            match self.table.get(node.key) {
+                Some(j) if j as usize == i => {}
+                Some(j) if self.nodes[j as usize].key == node.key => {
+                    return Err(TopTreeError::DuplicateKey { key: node.key })
+                }
+                _ => return Err(TopTreeError::NotInTable { key: node.key }),
+            }
+        }
+        let mut branches = Vec::new();
+        let mut stack = vec![self.root];
+        while let Some(ni) = stack.pop() {
+            let node = &self.nodes[ni as usize];
+            if node.owner != SHARED {
+                branches.push((node.key, node.n));
+                continue;
+            }
+            let kids: &[u32] = match &node.children {
+                DChildren::Nodes(kids) => kids,
+                _ => &[],
+            };
+            let (mut n, mut wsum, mut mass, mut scale) = (0u64, 0.0, 0.0, 0.0f64);
+            let mut prev: Option<Key> = None;
+            for &k in kids {
+                let c = &self.nodes[k as usize];
+                let octant = c.key.level() == node.key.level() + 1 && c.key.parent() == node.key;
+                if !octant || prev.is_some_and(|p| p >= c.key) {
+                    return Err(TopTreeError::MisplacedChild { parent: node.key, child: c.key });
+                }
+                prev = Some(c.key);
+                n += c.n;
+                wsum += c.wsum;
+                mass += c.moments.total_weight();
+                scale += c.moments.total_weight().abs();
+            }
+            let m = node.moments.total_weight();
+            if n != node.n {
+                return Err(TopTreeError::NotSumOfChildren { key: node.key, field: "n" });
+            }
+            if wsum.to_bits() != node.wsum.to_bits() {
+                return Err(TopTreeError::NotSumOfChildren { key: node.key, field: "wsum" });
+            }
+            if (m - mass).abs() > 1e-12 * scale {
+                return Err(TopTreeError::NotSumOfChildren { key: node.key, field: "mass" });
+            }
+            stack.extend_from_slice(kids);
+        }
+        branches.sort_unstable_by_key(|&(k, _)| k.range_begin());
+        if let Some(w) = branches.windows(2).find(|w| w[0].0.range_last() >= w[1].0.range_begin()) {
+            return Err(TopTreeError::BranchesOverlap { a: w[0].0, b: w[1].0 });
+        }
+        let n: u64 = branches.iter().map(|&(_, n)| n).sum();
+        if n != self.global_n() {
+            return Err(TopTreeError::BranchCount { branches: n, global: self.global_n() });
+        }
+        Ok(())
     }
 }
 
+/// Why [`DistTree::validate`] rejected a top tree.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum TopTreeError {
+    /// Two nodes carry this key.
+    DuplicateKey {
+        /// The repeated key.
+        key: Key,
+    },
+    /// The key table does not lead to the node carrying this key.
+    NotInTable {
+        /// The node's key.
+        key: Key,
+    },
+    /// A shared node's child is not one of its octants, or the children
+    /// are not strictly ascending.
+    MisplacedChild {
+        /// The shared node.
+        parent: Key,
+        /// The offending child.
+        child: Key,
+    },
+    /// A shared node's `n`, `wsum` or mass is not the sum over its
+    /// children.
+    NotSumOfChildren {
+        /// The shared node.
+        key: Key,
+        /// `"n"`, `"wsum"` or `"mass"`.
+        field: &'static str,
+    },
+    /// Two branches under the top tree share key range.
+    BranchesOverlap {
+        /// The branch starting first.
+        a: Key,
+        /// The branch it overlaps.
+        b: Key,
+    },
+    /// The branches' particle counts do not add up to the root's.
+    BranchCount {
+        /// Sum over branches.
+        branches: u64,
+        /// `DistTree::global_n`.
+        global: u64,
+    },
+}
+
+impl std::fmt::Display for TopTreeError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self {
+            TopTreeError::DuplicateKey { key } => write!(f, "two top-tree nodes carry {key:?}"),
+            TopTreeError::NotInTable { key } => write!(f, "the key table does not find {key:?}"),
+            TopTreeError::MisplacedChild { parent, child } => {
+                write!(f, "{child:?} is not the next child octant of {parent:?}")
+            }
+            TopTreeError::NotSumOfChildren { key, field } => {
+                write!(f, "{key:?}: {field} is not the sum over its children")
+            }
+            TopTreeError::BranchesOverlap { a, b } => write!(f, "branches {a:?} and {b:?} overlap"),
+            TopTreeError::BranchCount { branches, global } => {
+                write!(f, "branches hold {branches} particles, the root {global}")
+            }
+        }
+    }
+}
+
+impl std::error::Error for TopTreeError {}
+
+/// Allgather every rank's branch records. Each rank's list is in
+/// depth-first order inside its own key interval and the intervals ascend
+/// with rank, so the concatenation is the whole branch set depth-first —
+/// no sort.
+fn gather_branches<M: Moments>(comm: &mut Comm, mine: Vec<CellRecord<M>>) -> Vec<CellRecord<M>> {
+    let records: Vec<CellRecord<M>> = comm.allgather(mine).into_iter().flatten().collect();
+    debug_assert!(
+        records.windows(2).all(|w| w[0].key.range_last() < w[1].key.range_begin()),
+        "branch records must be disjoint and in depth-first order"
+    );
+    records
+}
+
 /// Extract this rank's branch cells: the coarsest cells (by key range)
-/// fully inside the rank's interval.
+/// fully inside the rank's interval, in ascending key-range (depth-first)
+/// order.
 ///
 /// Works on key *ranges* over the sorted particle array rather than on the
 /// built cells, because a local leaf may straddle an interval boundary: the
@@ -481,19 +622,20 @@ fn branch_records<M: Moments>(
             key.level() < hot_morton::MAX_DEPTH,
             "a max-depth cell is a single key and is owned whole"
         );
-        // Split by the next digit (binary search within the span).
+        // Split by the next digit (binary search within the span), and
+        // push the children 7..0 so they pop in key order.
+        let mut kids = [(Key::ROOT, 0, 0); 8];
         let mut lo_i = i0;
-        for d in 0..8u8 {
+        for (d, kid) in (0..8u8).zip(&mut kids) {
             let child = key.child(d);
             let child_last = child.range_last();
             let hi_i = lo_i
                 + local.keys[lo_i..i1].partition_point(|&k| k <= child_last);
-            if hi_i > lo_i {
-                stack.push((child, lo_i, hi_i));
-            }
+            *kid = (child, lo_i, hi_i);
             lo_i = hi_i;
         }
         debug_assert_eq!(lo_i, i1);
+        stack.extend(kids.into_iter().rev().filter(|&(_, a, b)| b > a));
     }
     out
 }
@@ -580,6 +722,7 @@ mod tests {
             let tree = Tree::<MassMoments>::build(Aabb::unit(), &pos, &q, 8);
             tree.validate();
             let dt = DistTree::build(c, tree, iv);
+            assert_eq!(dt.validate(), Ok(()));
             DistInfo {
                 global_n: dt.global_n(),
                 root_mass: dt.nodes[dt.root as usize].moments.mass,
@@ -638,6 +781,77 @@ mod tests {
                 );
                 assert!(info.branches_disjoint, "np={np}: branches overlap");
                 assert!(info.n_nodes >= np as usize, "np={np}");
+            }
+        }
+    }
+
+    /// Bodies for one rank of the validator sweep: `uniform` in the unit
+    /// cube; `clustered`, nine in ten inside a cube of side 0.02 (deep,
+    /// lopsided branches next to shallow ones); `sparse`, np / 2 bodies all
+    /// on rank 0, so after the decomposition some ranks hold none.
+    fn sweep_bodies(input: &str, rank: u32, np: u32) -> Vec<Body<f64>> {
+        let mut rng = rand::rngs::StdRng::seed_from_u64(97 + u64::from(rank));
+        let n = match input {
+            "sparse" if rank == 0 => np as usize / 2,
+            "sparse" => 0,
+            _ => 48,
+        };
+        (0..n)
+            .map(|i| {
+                let mut pos = Vec3::new(rng.gen(), rng.gen(), rng.gen());
+                if input == "clustered" && i % 10 != 0 {
+                    pos = Vec3::splat(0.3) + pos * 0.02;
+                }
+                Body {
+                    key: Key::from_point(pos, &Aabb::unit()),
+                    pos,
+                    charge: 1.0 + (i % 3) as f64 * 0.5,
+                    work: 1.0,
+                    id: u64::from(rank) * 1_000_000 + i as u64,
+                }
+            })
+            .collect()
+    }
+
+    #[test]
+    fn top_tree_validates_through_both_builds() {
+        for np in [1u32, 2, 3, 4, 16, 128] {
+            for input in ["uniform", "clustered", "sparse"] {
+                let out = RunConfig::builder().np(np).run(move |c| {
+                    let bodies = sweep_bodies(input, c.rank(), np);
+                    let (mine, iv) = decompose(c, bodies, 16);
+                    let pos: Vec<Vec3> = mine.iter().map(|b| b.pos).collect();
+                    let q: Vec<f64> = mine.iter().map(|b| b.charge).collect();
+                    let tree = || Tree::<MassMoments>::build(Aabb::unit(), &pos, &q, 4);
+                    let built = DistTree::build(c, tree(), iv.clone());
+                    let mut cache = BranchCache::default();
+                    let mut trace = hot_trace::Ledger::scratch();
+                    let mut cached = || {
+                        DistTree::build_cached_traced(c, tree(), iv.clone(), &mut cache, &mut trace)
+                    };
+                    let (cold, _) = cached();
+                    let (warm, skipped) = cached();
+                    assert!(skipped, "unchanged branches skip the exchange");
+                    let check = |dt: &DistTree<_>| (dt.validate(), dt.global_n(), dt.nodes.len());
+                    ([check(&built), check(&cold), check(&warm)], mine.is_empty())
+                });
+                let n_total: u64 = match input {
+                    "sparse" => u64::from(np / 2),
+                    _ => u64::from(np) * 48,
+                };
+                let nodes = out.results[0].0[0].2;
+                let empty = out.results.iter().filter(|r| r.1).count();
+                for (rank, (builds, _)) in out.results.iter().enumerate() {
+                    for (what, (ok, global_n, len)) in ["build", "cold", "warm"].iter().zip(builds) {
+                        let tag = format!("np={np} {input} rank={rank} {what}");
+                        assert_eq!(*ok, Ok(()), "{tag}");
+                        assert_eq!(*global_n, n_total, "{tag}");
+                        assert_eq!(*len, nodes, "{tag}: every rank builds the same top tree");
+                    }
+                }
+                if input == "sparse" && np > 1 {
+                    assert!(empty > 0, "np={np}: the sparse input must leave a rank empty");
+                }
             }
         }
     }
