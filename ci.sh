@@ -2,12 +2,25 @@
 # Tier-1+ verify: everything a PR must pass. See VERIFICATION.md.
 set -euo pipefail
 cd "$(dirname "$0")"
+root="$PWD"
+
+# ci.sh leaves the work tree as it found it: the last step compares this.
+tree_state() { git status --porcelain --untracked-files=all; }
+tree_before=$(tree_state)
+
+# The exp_* smokes write results/ relative to where they run, so they run
+# here, not in the work tree.
+smoke=$(mktemp -d)
+trap 'rm -rf "$smoke"' EXIT
 
 echo "==> cargo build --release"
 cargo build --release --offline
 
 echo "==> cargo check benchmark/ (own workspace: a deleted public item it names passes 'cargo test --workspace')"
+# Resolving the harness may rewrite its lock file; put it back as it was.
+cp benchmark/Cargo.lock "$smoke/benchmark.Cargo.lock"
 cargo check --offline --manifest-path benchmark/Cargo.toml --target-dir target
+cp "$smoke/benchmark.Cargo.lock" benchmark/Cargo.lock
 
 echo "==> cargo test -q --workspace"
 cargo test -q --offline --workspace
@@ -64,9 +77,9 @@ fi
 echo "==> events migration stress (np=128, two workers, 600 launches)"
 cargo test -q --offline --release -p hot-comm --test events_migration -- --ignored
 
-echo "==> exp_latency smoke (walk pipeline configs bitwise, >= 8 keys per request message, <= 16 request rounds)"
-cargo run -q --offline --release -p hot-bench --bin exp_latency -- 8192 4
-test -s results/BENCH_latency.json
+echo "==> exp_latency smoke (>= 8 keys per request message, <= 16 request rounds)"
+(cd "$smoke" && cargo run -q --offline --release --manifest-path "$root/Cargo.toml" -p hot-bench --bin exp_latency -- 8192 4)
+test -s "$smoke/results/BENCH_latency.json"
 
 echo "==> hot-analyze schedules --seeds 32 (tracing enabled)"
 cargo run -q --offline --release -p hot-analyze -- schedules --seeds 32
@@ -90,20 +103,28 @@ echo "==> exp_event_scale smoke (np=1024 collectives + reduced treecode step on 
 # 16 bodies/rank: the same O(log p) structural assertions and budgets as
 # the full run, sized for CI. The full-size run (np=6800 collectives,
 # np=1024 treecode) backs EXPERIMENTS.md H2.
-cargo run -q --offline --release -p hot-bench --bin exp_event_scale -- 1024 256 16
-test -s results/BENCH_event_scale.json
+(cd "$smoke" && cargo run -q --offline --release --manifest-path "$root/Cargo.toml" -p hot-bench --bin exp_event_scale -- 1024 256 16)
+test -s "$smoke/results/BENCH_event_scale.json"
 
-echo "==> exp_balance smoke (adaptive decomposition skew/migration gates + Hilbert cut surface)"
+echo "==> exp_balance smoke (adaptive decomposition skew/migration gates)"
 # np=64 only: the np>=256 acceptance gates (>=25% flop-skew reduction,
 # amortized rebalance cost below walk time saved) run in the full
 # `exp_balance` invocation that backs results/BENCH_balance.json.
-cargo run -q --offline --release -p hot-bench --bin exp_balance -- 64
-test -s results/BENCH_balance.json
+(cd "$smoke" && cargo run -q --offline --release --manifest-path "$root/Cargo.toml" -p hot-bench --bin exp_balance -- 64)
+test -s "$smoke/results/BENCH_balance.json"
 
 echo "==> exp_recovery smoke (Daly cadence ≤ 5% overhead, bitwise recovery gate)"
 cargo run -q --offline --release -p hot-bench --bin exp_recovery -- 2 128 4
 
 echo "==> checkpoint/restart smoke (bitwise-identical resume)"
 cargo test -q --offline --release -p hot-cosmo checkpoint
+
+echo "==> work tree unchanged by ci.sh"
+tree_after=$(tree_state)
+if [ "$tree_after" != "$tree_before" ]; then
+  echo "ERROR: ci.sh changed the work tree (git status --porcelain before / after):" >&2
+  diff <(echo "$tree_before") <(echo "$tree_after") >&2 || true
+  exit 1
+fi
 
 echo "==> ci.sh: all green"

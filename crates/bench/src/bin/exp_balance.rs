@@ -17,10 +17,6 @@
 //! 3. **Migration** — the incremental repartition must move the minimal
 //!    key-range diff: run-total migrated bodies stay under a small
 //!    multiple of N (a from-scratch shuffle every step would be ~N·steps).
-//! 4. **Cut surface** — the same clustered point set partitioned into
-//!    contiguous key ranges under Morton vs Hilbert ordering, comparing
-//!    inter-rank face counts on the coarse lattice (the ghost-traffic
-//!    proxy; Hilbert's face-adjacent curve should cut fewer faces).
 //!
 //! Everything is written to `results/BENCH_balance.json`.
 //!
@@ -34,8 +30,6 @@ use hot_bench::{arg_usize, clustered_bodies, header, rule};
 use hot_comm::RunConfig;
 use hot_core::decomp::DecompPolicy;
 use hot_gravity::dist::{distributed_step_traced, DecompState, DistOptions};
-use hot_morton::dilate::interleave3;
-use hot_morton::hilbert;
 use hot_trace::{Counter, Phase};
 use std::time::Instant;
 
@@ -160,68 +154,11 @@ fn steady(skew: &[f64]) -> f64 {
     tail.iter().sum::<f64>() / tail.len() as f64
 }
 
-/// Cut faces of a weighted occupancy map split into `chunks` contiguous
-/// pieces of ~equal total count along the ordering `index`: face-adjacent
-/// occupied lattice cell pairs whose owners differ — the ghost-exchange
-/// surface.
-fn cut_faces(
-    counts: &std::collections::HashMap<(u64, u64, u64), u64>,
-    chunks: u32,
-    index: &dyn Fn(u64, u64, u64) -> u64,
-) -> u64 {
-    let total: u64 = counts.values().sum();
-    let mut cells: Vec<((u64, u64, u64), u64, u64)> =
-        counts.iter().map(|(&(x, y, z), &n)| ((x, y, z), index(x, y, z), n)).collect();
-    cells.sort_unstable_by_key(|&(_, i, _)| i);
-    // Greedy equal-count split into contiguous chunks.
-    let per = total.div_ceil(u64::from(chunks));
-    let mut owner = std::collections::HashMap::<(u64, u64, u64), u64>::new();
-    let mut acc = 0u64;
-    for &(c, _, n) in &cells {
-        owner.insert(c, acc / per);
-        acc += n;
-    }
-    let mut faces = 0u64;
-    for &(c, _, _) in &cells {
-        for d in [(1i64, 0i64, 0i64), (0, 1, 0), (0, 0, 1)] {
-            let nb = (
-                c.0.wrapping_add_signed(d.0),
-                c.1.wrapping_add_signed(d.1),
-                c.2.wrapping_add_signed(d.2),
-            );
-            if let Some(o) = owner.get(&nb) {
-                if *o != owner[&c] {
-                    faces += 1;
-                }
-            }
-        }
-    }
-    faces
-}
-
-/// Occupancy of the experiment's clustered point set on a `2^level`
-/// lattice.
-fn clustered_occupancy(
-    np: u32,
-    n_per_rank: usize,
-    level: u32,
-) -> std::collections::HashMap<(u64, u64, u64), u64> {
-    let side = 1u64 << level;
-    let mut counts = std::collections::HashMap::new();
-    for rank in 0..np {
-        for b in clustered_bodies(rank, n_per_rank, SEED, N_CLUMPS) {
-            let cell = |v: f64| ((v * side as f64) as u64).min(side - 1);
-            *counts.entry((cell(b.pos.x), cell(b.pos.y), cell(b.pos.z))).or_insert(0) += 1;
-        }
-    }
-    counts
-}
-
 fn main() {
     let np_max = arg_usize(1, 256) as u32;
     let n_per_rank = arg_usize(2, 16);
     let steps = arg_usize(3, 6).max(3);
-    header("Adaptive decomposition: skew, rebalance cost, migration, cut surface");
+    header("Adaptive decomposition: skew, rebalance cost, migration");
 
     let sizes: Vec<u32> = [64u32, 256, 1024].into_iter().filter(|&np| np <= np_max).collect();
     assert!(!sizes.is_empty(), "np_max below the smallest machine size (64)");
@@ -310,51 +247,6 @@ fn main() {
         runs.push((np, n_total, st, ad, st_sk, ad_sk, reduction));
     }
 
-    // Cut-surface comparison at the largest size run: Morton vs Hilbert
-    // ordering of the same lattice, split into contiguous equal-count
-    // chunks. Two occupancies:
-    //  * dense (every cell, np-1 chunks so the split is not octant-aligned
-    //    — at powers of eight both orderings produce perfect cubes and
-    //    tie): Hilbert must strictly win, or the transform lost locality;
-    //  * the experiment's clustered set (np chunks): reported as measured —
-    //    on sparse clumped occupancy either ordering can win an instance,
-    //    so only a gross sanity bound is asserted.
-    let np_cut = *sizes.last().unwrap();
-    let level = arg_usize(4, 5) as u32;
-    let side = 1u64 << level;
-    let dense: std::collections::HashMap<(u64, u64, u64), u64> = (0..side)
-        .flat_map(|x| (0..side).flat_map(move |y| (0..side).map(move |z| ((x, y, z), 1))))
-        .collect();
-    let morton_ix = |x: u64, y: u64, z: u64| interleave3(x, y, z);
-    let hilbert_ix = |x: u64, y: u64, z: u64| hilbert::index_from_coords(x, y, z, level);
-    let dense_chunks = np_cut - 1;
-    let dense_morton = cut_faces(&dense, dense_chunks, &morton_ix);
-    let dense_hilbert = cut_faces(&dense, dense_chunks, &hilbert_ix);
-    println!(
-        "cut surface (dense 2^{level} lattice, {dense_chunks} chunks): Morton \
-         {dense_morton} faces, Hilbert {dense_hilbert} faces ({:.2}×)",
-        dense_morton as f64 / dense_hilbert.max(1) as f64
-    );
-    if dense_hilbert >= dense_morton {
-        gates.push(format!(
-            "Hilbert ordering lost its locality edge on the dense lattice: \
-             {dense_hilbert} faces !< Morton's {dense_morton}"
-        ));
-    }
-    let clustered = clustered_occupancy(np_cut, n_per_rank, level);
-    let morton_faces = cut_faces(&clustered, np_cut, &morton_ix);
-    let hilbert_faces = cut_faces(&clustered, np_cut, &hilbert_ix);
-    println!(
-        "cut surface (clustered, np = {np_cut} chunks): Morton {morton_faces} faces, \
-         Hilbert {hilbert_faces} faces ({:.2}×)",
-        morton_faces as f64 / hilbert_faces.max(1) as f64
-    );
-    if hilbert_faces > 2 * morton_faces {
-        gates.push(format!(
-            "Hilbert clustered surface {hilbert_faces} wildly above Morton's \
-             {morton_faces} — the transform is likely broken"
-        ));
-    }
     rule();
 
     let fmt_skew = |s: &[f64]| {
@@ -400,13 +292,7 @@ fn main() {
             if i + 1 < runs.len() { "," } else { "" }
         ));
     }
-    json.push_str(&format!(
-        "  ],\n  \"cut_surface\": {{\"np\": {np_cut}, \"level\": {level},\n    \
-         \"dense\": {{\"chunks\": {dense_chunks}, \"morton_faces\": {dense_morton}, \
-         \"hilbert_faces\": {dense_hilbert}}},\n    \
-         \"clustered\": {{\"chunks\": {np_cut}, \"morton_faces\": {morton_faces}, \
-         \"hilbert_faces\": {hilbert_faces}}}\n  }}\n}}\n"
-    ));
+    json.push_str("  ]\n}\n");
     let path = std::path::Path::new("results").join("BENCH_balance.json");
     std::fs::create_dir_all("results").expect("create results dir");
     std::fs::write(&path, json).expect("write BENCH_balance.json");

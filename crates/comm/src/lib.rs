@@ -72,9 +72,9 @@ pub use wire::{
 /// [`RunConfig::builder`] (machine size, faults, workers, schedule seed —
 /// everything about *how* the machine executes).
 /// Everything about *what* the program computes lives in the options
-/// struct of the subsystem you call (`hot_gravity::DistOptions`, which
-/// nests `hot_core::WalkConfig`; `hot_gravity::TreecodeOptions`;
-/// [`FaultConfig`] inside a [`FaultPlan`]). All of those are plain data
+/// struct of the subsystem you call (`hot_gravity::DistOptions`;
+/// `hot_gravity::TreecodeOptions`; [`FaultConfig`] inside a
+/// [`FaultPlan`]). All of those are plain data
 /// with `Default` + `with_*` builder methods; none of them nests a
 /// `RunConfig`.
 pub mod prelude {

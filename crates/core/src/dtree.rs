@@ -403,9 +403,9 @@ impl<M: Moments> DistTree<M> {
         Some((self.local.pos[span.clone()].to_vec(), self.local.charge[span].to_vec()))
     }
 
-    /// Install fetched children below node `parent_key`. Returns the new
-    /// node indices (empty when already installed by an earlier reply).
-    pub fn install_children(&mut self, parent_key: Key, records: &[CellRecord<M>]) -> Vec<u32> {
+    /// Install fetched children below node `parent_key` (a no-op when an
+    /// earlier reply already installed them).
+    pub fn install_children(&mut self, parent_key: Key, records: &[CellRecord<M>]) {
         let pidx = self
             .table
             .get(parent_key)
@@ -413,25 +413,26 @@ impl<M: Moments> DistTree<M> {
             // hot-lint: allow(unwrap-audit)
             .expect("install_children: unknown parent") as usize;
         if let DChildren::Nodes(_) = self.nodes[pidx].children {
-            return Vec::new();
+            return;
         }
-        let mut idxs = Vec::with_capacity(records.len());
-        for r in records {
-            let children = if r.is_leaf { DChildren::RemoteLeaf } else { DChildren::RemoteUnfetched };
-            let idx = self.push_node(DNode {
-                key: r.key,
-                owner: r.owner,
-                n: r.n,
-                center: r.center,
-                bmax: r.bmax,
-                wsum: r.wsum,
-                moments: r.moments,
-                children,
-            });
-            idxs.push(idx);
-        }
-        self.nodes[pidx].children = DChildren::Nodes(idxs.clone());
-        idxs
+        let idxs = records
+            .iter()
+            .map(|r| {
+                let children =
+                    if r.is_leaf { DChildren::RemoteLeaf } else { DChildren::RemoteUnfetched };
+                self.push_node(DNode {
+                    key: r.key,
+                    owner: r.owner,
+                    n: r.n,
+                    center: r.center,
+                    bmax: r.bmax,
+                    wsum: r.wsum,
+                    moments: r.moments,
+                    children,
+                })
+            })
+            .collect();
+        self.nodes[pidx].children = DChildren::Nodes(idxs);
     }
 
     /// Total particles visible from the global root.
@@ -1026,12 +1027,16 @@ mod tests {
                 children: DChildren::RemoteUnfetched,
             });
             let kid = CellRecord { key: fake_key.child(1), is_leaf: true, n: 5, ..fake };
-            let idxs = dt.install_children(fake_key, &[kid]);
+            dt.install_children(fake_key, &[kid]);
+            let DChildren::Nodes(idxs) = dt.nodes[parent_idx as usize].children.clone() else {
+                panic!("install left the parent unlinked");
+            };
             assert_eq!(idxs.len(), 1);
             assert_eq!(dt.nodes[idxs[0] as usize].key, fake_key.child(1));
-            assert!(matches!(dt.nodes[parent_idx as usize].children, DChildren::Nodes(_)));
             // Second install is a no-op.
-            assert!(dt.install_children(fake_key, &[kid]).is_empty());
+            let before = dt.nodes.len();
+            dt.install_children(fake_key, &[kid]);
+            assert_eq!(dt.nodes.len(), before);
             true
         });
         assert!(out.results[0]);

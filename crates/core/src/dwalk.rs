@@ -13,8 +13,7 @@
 //! uninterrupted depth-first traversal (an explicit stack of node
 //! references) recording its accepted sources into the group's
 //! [`InteractionList`] — the distributed flavour of the list-build stage.
-//! The pipeline (tuned by [`WalkConfig`]) then hides the network latency
-//! three ways:
+//! The pipeline then hides the network latency two ways:
 //!
 //! * **Request coalescing** — the wants of all parked groups are gathered
 //!   per *round* and every distinct key wanted from one owner goes out in a
@@ -26,13 +25,8 @@
 //!   groups resume only at a machine-wide quiescent point (every
 //!   outstanding request answered), which makes the per-round request sets
 //!   — and therefore every logical message and byte count — a pure function
-//!   of the walk, independent of message schedules.
-//! * **Speculative subtree prefetch** — when serving a children request
-//!   the owner piggybacks descendant cell records ([`WalkConfig`]
-//!   `prefetch_levels` deep, within `prefetch_budget` wire bytes) onto the
-//!   reply, so a descent that will open the child anyway saves a full
-//!   round-trip. Prefetched cells install into the [`DistTree`] cache
-//!   exactly as if requested; hits and wasted bytes are counted.
+//!   of the walk, independent of message schedules. Each key is fetched
+//!   exactly once, and only because some group's walk needs it.
 //! * **Resolve → post → compute the ready batch → serve** — a round first
 //!   only *resolves* groups; those with nothing missing (all of round 0
 //!   for a wholly local closure) form the round's *ready batch*. The
@@ -49,11 +43,11 @@
 //! Emit never starts before everything it will touch is resident, so each
 //! group's list is written in the one canonical depth-first order no matter
 //! which rounds its data arrived in, and forces are bitwise identical
-//! across every [`WalkConfig`]. The per-key blocking walk and the
-//! one-key-per-group-per-round walk this pipeline replaced are frozen as
-//! rows L1 and L2 of EXPERIMENTS.md; the overlapped apply that computed
-//! one finished list per poll-idle window before the ready batch replaced
-//! it is row D1. The whole exchange runs to quiescence with ABM's
+//! under any ABM batch capacity and thread count. The per-key blocking
+//! walk and the one-key-per-group-per-round walk this pipeline replaced are
+//! frozen as rows L1 and L2 of EXPERIMENTS.md; the overlapped apply that
+//! computed one finished list per poll-idle window before the ready batch
+//! replaced it is row D1. The whole exchange runs to quiescence with ABM's
 //! termination protocol, every rank serving its peers' fetch requests from
 //! its local tree throughout.
 
@@ -73,43 +67,24 @@ use std::collections::{BTreeMap, BTreeSet};
 
 /// One multi-key request per (requester, owner) pair per round.
 const K_REQ_BATCH: u16 = 5;
-/// Batched children replies: `Vec<(parent key, child records)>`, parents
-/// always preceding their descendants so installs succeed in order.
+/// Batched children replies: `Vec<(parent key, child records)>`.
 const K_REP_CELL_BATCH: u16 = 6;
 /// Batched body replies: `Vec<(leaf key, bodies)>`.
 const K_REP_BODY_BATCH: u16 = 7;
 
-/// Tuning knobs of the latency-hiding walk pipeline.
-///
-/// Lives here (and in `DistOptions`) rather than in the serial
-/// `TreecodeOptions`: these knobs only exist for the distributed walk, and
-/// the cosmology checkpoint format encodes `TreecodeOptions` on disk.
-///
-/// Every setting changes only *when* data moves, never *what* the walk
-/// computes: forces and interaction counts are bitwise identical across
-/// all configurations (pinned by tests and `exp_latency`).
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct WalkConfig {
-    /// ABM physical batch capacity in bytes (flush threshold), which also
-    /// bounds the reply chunk size. The default is the knee of the
-    /// `exp_latency` capacity sweep — the smallest capacity whose modeled
-    /// wire time on Loki is within 10% of the asymptote (16 KiB: 32.3 ms vs
-    /// 31.7 ms at 64 KiB for N = 32768/np = 8, where 4 KiB costs 35.3 ms: a
-    /// round carries a whole tree level per owner, so replies are long);
-    /// buffering more only delays the first batch and fattens reply chunks.
-    pub abm_batch: usize,
-    /// Levels of descendants an owner piggybacks onto a children reply
-    /// (0 disables prefetch).
-    pub prefetch_levels: u32,
-    /// Byte budget for speculative records per served request message.
-    pub prefetch_budget: usize,
-}
+/// ABM physical batch capacity in bytes (flush threshold), which also
+/// bounds the reply chunk size. A round carries a whole tree level per
+/// owner, so replies are long: on the Loki wire model 16 KiB costs 30.30 ms
+/// for N = 32768 / np = 8 against 29.85 ms at 64 KiB and 32.82 ms at 4 KiB,
+/// and 4 KiB ran at a higher peak RSS (EXPERIMENTS.md L2). The capacity
+/// changes only when data moves, never what the walk computes.
+const ABM_BATCH: usize = 16384;
 
-impl Default for WalkConfig {
-    fn default() -> Self {
-        WalkConfig { abm_batch: 16384, prefetch_levels: 1, prefetch_budget: 8192 }
-    }
-}
+/// The distributed walk has no settable values: this type carries none.
+/// It remains only as the type of `DistOptions::walk`, which callers pass
+/// on to [`dwalk_with_traced`].
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub struct WalkConfig;
 
 /// A reference into the hybrid tree: either a local cell or a global node.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -166,59 +141,32 @@ pub struct DwalkStats {
     /// level (plus one for leaf bodies), not by how many remote cells the
     /// walks open.
     pub rounds: u64,
-    /// Cells installed speculatively from piggybacked reply records.
+    /// Always 0: the walk installs only what it requested. Kept for
+    /// callers that still read it.
     pub prefetched_cells: u64,
-    /// Wire bytes of speculatively installed records.
-    pub prefetched_bytes: u64,
-    /// Prefetched parents the walk later opened (round-trips saved).
+    /// Always 0, like `prefetched_cells`.
     pub prefetch_hits: u64,
-    /// Prefetched record bytes never opened by the walk.
-    pub prefetch_wasted_bytes: u64,
     /// ABM session counters. `posted`/`delivered`/bytes are logical and
     /// schedule-independent; `batches_sent` is not.
     pub abm: hot_comm::AbmStats,
 }
 
-/// Run the distributed traversal with the default [`WalkConfig`].
+/// Run the distributed traversal, recording a `Walk` span into `trace`.
 /// Collective: every rank calls with its [`DistTree`] and its own list
 /// consumer (the apply stage); returns when the machine-wide exchange is
-/// quiescent.
-///
-/// `group_size` is the sink-group particle bound (see
-/// [`crate::walk::default_group_size`]).
-pub fn dwalk<M: Moments, C: ListConsumer<M>>(
-    comm: &mut Comm,
-    dt: &mut DistTree<M>,
-    mac: &Mac,
-    consumer: &mut C,
-    group_size: usize,
-) -> DwalkStats {
-    dwalk_with(comm, dt, mac, consumer, group_size, &WalkConfig::default())
-}
-
-/// [`dwalk`] with an explicit pipeline configuration.
-pub fn dwalk_with<M: Moments, C: ListConsumer<M>>(
-    comm: &mut Comm,
-    dt: &mut DistTree<M>,
-    mac: &Mac,
-    consumer: &mut C,
-    group_size: usize,
-    cfg: &WalkConfig,
-) -> DwalkStats {
-    dwalk_with_traced(comm, dt, mac, consumer, group_size, cfg, &mut hot_trace::Ledger::scratch())
-}
-
-/// [`dwalk_with`], recording a `Walk` span into `trace`.
+/// quiescent. `group_size` is the sink-group particle bound (see
+/// [`crate::walk::default_group_size`]); `_cfg` carries nothing (see
+/// [`WalkConfig`]). Ready batches run on the rank's share of the hardware
+/// threads ([`Comm::compute_threads`]).
 ///
 /// The walk phase must stay bitwise identical across message schedules, so
 /// the span records only *logical* quantities: cells opened, list entries,
 /// the number of distinct cell/body keys requested, the request rounds,
-/// the prefetch ledger, and the ABM layer's posted/delivered message and
-/// byte counts — all pure functions of the walk thanks to the round
-/// structure (see [`WalkConfig`]). Raw `TrafficStats` deltas are
-/// deliberately **not** folded in here: the number of
-/// termination-detection rounds — and therefore the allreduce traffic —
-/// depends on arrival interleaving, as do batch counts.
+/// and the ABM layer's posted/delivered message and byte counts — all pure
+/// functions of the walk thanks to the round structure (see the module
+/// docs). Raw `TrafficStats` deltas are deliberately **not** folded in
+/// here: the number of termination-detection rounds — and therefore the
+/// allreduce traffic — depends on arrival interleaving, as do batch counts.
 #[allow(clippy::too_many_arguments)]
 pub fn dwalk_with_traced<M: Moments, C: ListConsumer<M>>(
     comm: &mut Comm,
@@ -226,20 +174,17 @@ pub fn dwalk_with_traced<M: Moments, C: ListConsumer<M>>(
     mac: &Mac,
     consumer: &mut C,
     group_size: usize,
-    cfg: &WalkConfig,
+    _cfg: &WalkConfig,
     trace: &mut hot_trace::Ledger,
 ) -> DwalkStats {
     trace.begin(hot_trace::Phase::Walk);
     let share = comm.compute_threads();
     let workers = |sinks| workers_for(sinks, share);
-    let stats = dwalk_pipelined(comm, dt, mac, consumer, group_size, cfg, workers);
+    let stats = dwalk_pipelined(comm, dt, mac, consumer, group_size, ABM_BATCH, workers);
     stats.walk.record_traversal(trace);
     trace.add(hot_trace::Counter::CellRequests, stats.cell_requests);
     trace.add(hot_trace::Counter::BodyRequests, stats.body_requests);
     trace.add(hot_trace::Counter::WalkRounds, stats.rounds);
-    trace.add(hot_trace::Counter::PrefetchedCells, stats.prefetched_cells);
-    trace.add(hot_trace::Counter::PrefetchHits, stats.prefetch_hits);
-    trace.add(hot_trace::Counter::PrefetchWastedBytes, stats.prefetch_wasted_bytes);
     trace.add(hot_trace::Counter::MsgsSent, stats.abm.posted);
     trace.add(hot_trace::Counter::BytesSent, stats.abm.bytes_posted);
     trace.add(hot_trace::Counter::MsgsRecvd, stats.abm.delivered);
@@ -248,7 +193,8 @@ pub fn dwalk_with_traced<M: Moments, C: ListConsumer<M>>(
     stats
 }
 
-/// The coalesced, prefetching pipeline. `workers` maps a ready batch's sink
+/// The coalesced pipeline. `abm_batch` is the ABM batch capacity in bytes
+/// (production uses [`ABM_BATCH`]); `workers` maps a ready batch's sink
 /// count to the threads it is computed on.
 ///
 /// Structured as globally synchronized request rounds:
@@ -265,8 +211,7 @@ pub fn dwalk_with_traced<M: Moments, C: ListConsumer<M>>(
 /// 3. serve peers / absorb replies until no message is pollable;
 /// 4. join the round's count consensus. Parked groups reactivate **only**
 ///    when the allreduce proves every posted message machine-wide has been
-///    delivered — i.e. all of this round's replies (including prefetches)
-///    have landed everywhere.
+///    delivered — i.e. all of this round's replies have landed everywhere.
 ///
 /// A round therefore requests one whole level of every remote subtree the
 /// parked groups reach, and rounds number the remote trees' depth below the
@@ -276,8 +221,8 @@ pub fn dwalk_with_traced<M: Moments, C: ListConsumer<M>>(
 /// step 1 only, never between polls in step 3: because the tree a resolve
 /// sees changes only at globally agreed quiescent points, which keys each
 /// round requests, how many rounds there are, and every logical
-/// message/byte/prefetch count is a pure function of the walk state, never
-/// of reply arrival timing. (The *number of allreduce iterations* between
+/// message/byte count is a pure function of the walk state, never of reply
+/// arrival timing. (The *number of allreduce iterations* between
 /// rounds does vary with the schedule, which is why termination traffic is
 /// excluded from the trace.) The exchange terminates when the machine-wide
 /// (posted, delivered, parked) triple is stable at (n, n, 0) for two
@@ -288,7 +233,7 @@ fn dwalk_pipelined<M: Moments, C: ListConsumer<M>>(
     mac: &Mac,
     consumer: &mut C,
     group_size: usize,
-    cfg: &WalkConfig,
+    abm_batch: usize,
     workers: impl Fn(usize) -> usize,
 ) -> DwalkStats {
     let mut stats = DwalkStats::default();
@@ -300,11 +245,9 @@ fn dwalk_pipelined<M: Moments, C: ListConsumer<M>>(
         .map(|gi| GroupWalk { gi, untested: vec![dt.root], missing: Vec::new() })
         .collect();
     let mut parked: Vec<GroupWalk> = Vec::new();
-    // Keys requested in the current round: dedups wants across groups, and
-    // tells a requested reply entry from a speculative one.
+    // Keys requested in the current round: dedups wants across groups.
     let mut requested: BTreeSet<u64> = BTreeSet::new();
-    let mut pf = PrefetchLedger::default();
-    let mut abm = Abm::new(comm, cfg.abm_batch);
+    let mut abm = Abm::new(comm, abm_batch);
 
     let mut prev = (u64::MAX, u64::MAX, u64::MAX);
     loop {
@@ -333,14 +276,11 @@ fn dwalk_pipelined<M: Moments, C: ListConsumer<M>>(
             abm.post(owner, K_REQ_BATCH, &KeyBatchRequest::new(cells, bodies));
         }
         abm.flush_all();
-        compute_batch(dt, mac, consumer, &mut ready, &mut pf, &mut stats, &workers);
+        compute_batch(dt, mac, consumer, &mut ready, &mut stats, &workers);
         // (3) Serve and absorb until locally idle.
         loop {
             abm.flush_all();
-            let handled = {
-                let mut handler = make_batch_handler(dt, &requested, &mut pf, cfg);
-                abm.poll(&mut handler)
-            };
+            let handled = abm.poll(&mut make_batch_handler(dt, abm_batch));
             if handled == 0 {
                 break;
             }
@@ -363,10 +303,6 @@ fn dwalk_pipelined<M: Moments, C: ListConsumer<M>>(
         prev = totals;
     }
     debug_assert!(active.is_empty() && parked.is_empty());
-    stats.prefetched_cells = pf.cells;
-    stats.prefetched_bytes = pf.bytes;
-    stats.prefetch_hits = pf.hits;
-    stats.prefetch_wasted_bytes = pf.unused.values().sum();
     stats.abm = abm.stats();
     stats.group_costs.sort_unstable();
     stats
@@ -377,32 +313,26 @@ fn dwalk_pipelined<M: Moments, C: ListConsumer<M>>(
 struct BatchOut {
     walk: WalkStats,
     group_costs: Vec<(u32, u64)>,
-    /// Prefetch-installed parents the chunk's emits opened.
-    opened_prefetched: Vec<u64>,
 }
 
 /// Compute one round's ready batch: per group, [`emit`] its list, pin the
 /// walk's incremental pair accounting against the list's closed form, and
 /// hand the list to `consumer` (the apply stage). The groups run in tree
 /// order through [`fan_out`] on `workers(sinks in the batch)` threads,
-/// each with a list of its own that lives for this batch only. Emits read
-/// the prefetch ledger but do not write it: the parents they open are
-/// merged after the join, a hit being a removal from `unused`, so the
-/// count is the one-thread count. Sink groups are disjoint, so neither the
-/// order nor the thread of a group's apply can change a per-sink sum.
+/// each with a list of its own that lives for this batch only. Sink groups
+/// are disjoint, so neither the order nor the thread of a group's apply can
+/// change a per-sink sum.
 fn compute_batch<M: Moments, C: ListConsumer<M>>(
     dt: &DistTree<M>,
     mac: &Mac,
     consumer: &mut C,
     ready: &mut [u32],
-    pf: &mut PrefetchLedger,
     stats: &mut DwalkStats,
     workers: impl Fn(usize) -> usize,
 ) {
     let cells = &dt.local.cells;
     ready.sort_unstable_by_key(|&gi| cells[gi as usize].first);
     let sinks = ready.iter().map(|&gi| cells[gi as usize].n as usize).sum();
-    let unused = &pf.unused;
     let outs = fan_out(
         workers(sinks),
         ready,
@@ -412,7 +342,7 @@ fn compute_batch<M: Moments, C: ListConsumer<M>>(
         |groups, part, list| {
             let mut out = BatchOut::default();
             for &gi in groups {
-                let mut walk = emit(dt, mac, gi, list, unused, &mut out.opened_prefetched);
+                let mut walk = emit(dt, mac, gi, list);
                 let sinks = cells[gi as usize].span();
                 let (pp, pc) = list.expected_stats(&sinks);
                 assert_eq!(
@@ -432,24 +362,7 @@ fn compute_batch<M: Moments, C: ListConsumer<M>>(
     for out in outs {
         stats.walk.merge(&out.walk);
         stats.group_costs.extend(out.group_costs);
-        for key in out.opened_prefetched {
-            if pf.unused.remove(&key).is_some() {
-                pf.hits += 1;
-            }
-        }
     }
-}
-
-/// Accounting for speculatively installed cells. `unused` maps a
-/// prefetch-installed parent key to its records' wire bytes; opening the
-/// parent moves it to `hits`, and whatever remains at the end of the walk
-/// is the wasted-bytes total.
-#[derive(Default)]
-struct PrefetchLedger {
-    cells: u64,
-    bytes: u64,
-    hits: u64,
-    unused: BTreeMap<u64, u64>,
 }
 
 /// The resolve stage: MAC-test the global nodes this group's traversal has
@@ -501,15 +414,12 @@ fn resolve<M: Moments>(
 /// `gi`'s accepted sources into `list` (cleared first), returning the
 /// walk's counts. Runs only once [`resolve`] found everything it reaches
 /// resident, so the list is written in the one canonical order whatever
-/// round its data arrived in. Every prefetch-installed parent (a key of
-/// `unused`) it opens is pushed to `opened_prefetched`.
+/// round its data arrived in.
 fn emit<M: Moments>(
     dt: &DistTree<M>,
     mac: &Mac,
     gi: u32,
     list: &mut InteractionList<M>,
-    unused: &BTreeMap<u64, u64>,
-    opened_prefetched: &mut Vec<u64>,
 ) -> WalkStats {
     list.clear();
     let mut stats = WalkStats::default();
@@ -564,12 +474,6 @@ fn emit<M: Moments>(
                 match &node.children {
                     DChildren::Nodes(kids) => {
                         stats.opened += 1;
-                        // Opening a parent whose children arrived
-                        // speculatively is a prefetch hit: the round-trip
-                        // this group would have parked on was saved.
-                        if unused.contains_key(&node.key.0) {
-                            opened_prefetched.push(node.key.0);
-                        }
                         stack.extend(kids.iter().map(|&k| Ref::Node(k)));
                     }
                     DChildren::LocalSubtree => {
@@ -639,46 +543,25 @@ fn install_bodies<M: Moments>(dt: &mut DistTree<M>, key: u64, pairs: Vec<(Vec3, 
 }
 
 /// Serve one coalesced request: children records for every requested cell
-/// key — each followed, budget permitting, by `prefetch_levels` of
-/// speculative descendant records (breadth-first, parents always before
-/// their children) — then all requested leaf bodies. Replies are chunked
-/// into logical messages of at most `cfg.abm_batch` encoded bytes. The
-/// entire reply, chunk boundaries included, is a pure function of the
-/// request and the owner's local tree.
+/// key, then all requested leaf bodies. Replies are chunked into logical
+/// messages of at most `limit` encoded bytes. The entire reply, chunk
+/// boundaries included, is a pure function of the request and the owner's
+/// local tree.
 fn serve_batch<M: Moments>(
     dt: &DistTree<M>,
     ep: &mut Abm<'_>,
     src: u32,
     req: &KeyBatchRequest,
-    cfg: &WalkConfig,
+    limit: usize,
 ) {
     assert!(req.is_canonical(), "non-canonical key batch from rank {src}");
     if !req.cell_keys.is_empty() {
-        let mut entries: Vec<(u64, Vec<CellRecord<M>>)> = Vec::new();
-        let mut budget = cfg.prefetch_budget;
-        for &key in &req.cell_keys {
-            let records = dt.children_records(Key(key)).unwrap_or_default();
-            let mut frontier: Vec<Key> =
-                records.iter().filter(|r| !r.is_leaf).map(|r| r.key).collect();
-            entries.push((key, records));
-            'levels: for _ in 0..cfg.prefetch_levels {
-                let mut next = Vec::new();
-                for k in frontier {
-                    let recs = dt.children_records(k).unwrap_or_default();
-                    // Entry cost on the wire: parent key + record vector.
-                    let sz = 8 + recs.wire_size();
-                    if sz > budget {
-                        budget = 0;
-                        break 'levels;
-                    }
-                    budget -= sz;
-                    next.extend(recs.iter().filter(|r| !r.is_leaf).map(|r| r.key));
-                    entries.push((k.0, recs));
-                }
-                frontier = next;
-            }
-        }
-        post_chunked(ep, src, K_REP_CELL_BATCH, entries, cfg.abm_batch);
+        let entries: Vec<(u64, Vec<CellRecord<M>>)> = req
+            .cell_keys
+            .iter()
+            .map(|&k| (k, dt.children_records(Key(k)).unwrap_or_default()))
+            .collect();
+        post_chunked(ep, src, K_REP_CELL_BATCH, entries, limit);
     }
     if !req.body_keys.is_empty() {
         let entries: Vec<BodyBatchEntry<M>> = req
@@ -689,7 +572,7 @@ fn serve_batch<M: Moments>(
                 (k, pos.into_iter().zip(charge).collect())
             })
             .collect();
-        post_chunked(ep, src, K_REP_BODY_BATCH, entries, cfg.abm_batch);
+        post_chunked(ep, src, K_REP_BODY_BATCH, entries, limit);
     }
 }
 
@@ -699,9 +582,8 @@ type BodyBatchEntry<M> = (u64, Vec<(Vec3, <M as Moments>::Charge)>);
 
 /// Post `entries` as one or more `kind` messages, greedily packing whole
 /// entries up to `limit` encoded bytes per message (always at least one
-/// entry per message). Entry order — and with it the parents-before-
-/// descendants invariant — survives chunking because ABM delivery is
-/// in-order per flow.
+/// entry per message). Entry order survives chunking because ABM delivery
+/// is in-order per flow.
 fn post_chunked<T: Wire>(ep: &mut Abm<'_>, dst: u32, kind: u16, entries: Vec<T>, limit: usize) {
     let mut chunk: Vec<T> = Vec::new();
     let mut size = 8usize; // the Vec length prefix
@@ -720,32 +602,23 @@ fn post_chunked<T: Wire>(ep: &mut Abm<'_>, dst: u32, kind: u16, entries: Vec<T>,
     }
 }
 
-/// The ABM handler. Replies install data but never
-/// reactivate walks — reactivation waits for the round boundary, which is
-/// what keeps request sets schedule-independent. A reply entry whose key
-/// this rank did not request this round is a speculative prefetch and is
-/// ledgered as such.
-fn make_batch_handler<'h, M: Moments>(
-    dt: &'h mut DistTree<M>,
-    requested: &'h BTreeSet<u64>,
-    pf: &'h mut PrefetchLedger,
-    cfg: &'h WalkConfig,
-) -> impl FnMut(&mut Abm<'_>, u32, u16, Bytes) + 'h {
+/// The ABM handler: serves requests (replies chunked at `limit` bytes) and
+/// installs replies, but never reactivates walks — reactivation waits for
+/// the round boundary, which is what keeps request sets
+/// schedule-independent.
+fn make_batch_handler<M: Moments>(
+    dt: &mut DistTree<M>,
+    limit: usize,
+) -> impl FnMut(&mut Abm<'_>, u32, u16, Bytes) + '_ {
     move |ep, src, kind, payload| match kind {
         K_REQ_BATCH => {
             let req: KeyBatchRequest = from_bytes(payload);
-            serve_batch(dt, ep, src, &req, cfg);
+            serve_batch(dt, ep, src, &req, limit);
         }
         K_REP_CELL_BATCH => {
             let entries: Vec<(u64, Vec<CellRecord<M>>)> = from_bytes(payload);
             for (key, records) in entries {
-                let installed = dt.install_children(Key(key), &records);
-                if !requested.contains(&key) && !installed.is_empty() {
-                    let bytes = records.wire_size() as u64;
-                    pf.cells += records.len() as u64;
-                    pf.bytes += bytes;
-                    pf.unused.insert(key, bytes);
-                }
+                dt.install_children(Key(key), &records);
             }
         }
         K_REP_BODY_BATCH => {
@@ -828,7 +701,20 @@ mod tests {
             .collect()
     }
 
-    fn coverage_run_with(np: u32, n_per: usize, theta: f64, clustered: bool, cfg: WalkConfig) {
+    /// The walk as the public entry runs it, at ABM batch capacity `cap`:
+    /// groups of 16, ready batches on the rank's share of the threads.
+    fn walk_at<C: ListConsumer<MassMoments>>(
+        c: &mut Comm,
+        dt: &mut DistTree<MassMoments>,
+        mac: &Mac,
+        consumer: &mut C,
+        cap: usize,
+    ) -> DwalkStats {
+        let share = c.compute_threads();
+        dwalk_pipelined(c, dt, mac, consumer, 16, cap, |sinks| workers_for(sinks, share))
+    }
+
+    fn coverage_run_at(np: u32, n_per: usize, theta: f64, clustered: bool, cap: usize) {
         let out = RunConfig::builder().np(np).run(move |c| {
             let bodies = make_bodies(c, n_per, 1234, clustered);
             let (mine, iv) = decompose(c, bodies, 32);
@@ -838,7 +724,7 @@ mod tests {
             let mut dt = DistTree::build(c, tree, iv);
             let total_mass = c.allreduce_sum_f64(q.iter().sum());
             let mut cov = MassCoverage { seen: vec![0.0; dt.local.n_particles()] };
-            let stats = dwalk_with(c, &mut dt, &Mac::BarnesHut { theta }, &mut cov, 16, &cfg);
+            let stats = walk_at(c, &mut dt, &Mac::BarnesHut { theta }, &mut cov, cap);
             (cov.seen, total_mass, stats.walk.interactions(), stats.parks)
         });
         let mut total_parks = 0;
@@ -862,7 +748,7 @@ mod tests {
     }
 
     fn coverage_run(np: u32, n_per: usize, theta: f64, clustered: bool) {
-        coverage_run_with(np, n_per, theta, clustered, WalkConfig::default());
+        coverage_run_at(np, n_per, theta, clustered, ABM_BATCH);
     }
 
     #[test]
@@ -893,26 +779,20 @@ mod tests {
     }
 
     #[test]
-    fn coverage_deep_prefetch_tiny_batches() {
-        // Aggressive prefetch with a tiny batch capacity forces reply
-        // chunking across many physical batches.
-        let cfg = WalkConfig { abm_batch: 256, prefetch_levels: 3, prefetch_budget: 1 << 16 };
-        coverage_run_with(3, 300, 0.5, false, cfg);
+    fn coverage_tiny_batches() {
+        // A tiny batch capacity forces reply chunking across many physical
+        // batches.
+        coverage_run_at(3, 300, 0.5, false, 256);
     }
 
-    /// Every pipeline configuration must produce the same lists, and so
-    /// the same coverage sums (bitwise), interaction counts, and request
-    /// key sets — only message counts and prefetch traffic may differ.
+    /// Every ABM batch capacity must produce the same lists, and so the
+    /// same coverage sums (bitwise), interaction counts and request
+    /// structure — only the physical batching of the messages may differ.
     #[test]
     fn pipeline_configs_agree_bitwise() {
-        let configs = [
-            WalkConfig { prefetch_levels: 0, ..WalkConfig::default() },
-            WalkConfig::default(),
-            WalkConfig { abm_batch: 512, prefetch_levels: 2, prefetch_budget: 1 << 15 },
-        ];
-        type RankResult = (Vec<u64>, u64, u64, u64);
+        type RankResult = (Vec<u64>, u64, u64, u64, [u64; 4]);
         let mut reference: Option<Vec<RankResult>> = None;
-        for cfg in configs {
+        for cap in [256, 512, ABM_BATCH] {
             let out = RunConfig::builder().np(4).run(move |c| {
                 let bodies = make_bodies(c, 350, 99, true);
                 let (mine, iv) = decompose(c, bodies, 32);
@@ -921,27 +801,27 @@ mod tests {
                 let tree = Tree::<MassMoments>::build(Aabb::unit(), &pos, &q, 8);
                 let mut dt = DistTree::build(c, tree, iv);
                 let mut cov = MassCoverage { seen: vec![0.0; dt.local.n_particles()] };
-                let stats =
-                    dwalk_with(c, &mut dt, &Mac::BarnesHut { theta: 0.6 }, &mut cov, 16, &cfg);
+                let s = walk_at(c, &mut dt, &Mac::BarnesHut { theta: 0.6 }, &mut cov, cap);
                 let bits: Vec<u64> = cov.seen.iter().map(|s| s.to_bits()).collect();
-                (bits, stats.walk.pp, stats.walk.pc, stats.walk.opened)
+                let requests = [s.cell_requests, s.body_requests, s.request_msgs, s.rounds];
+                (bits, s.walk.pp, s.walk.pc, s.walk.opened, requests)
             });
             match &reference {
                 None => reference = Some(out.results),
-                Some(r) => assert_eq!(r, &out.results, "pipeline {cfg:?} diverged"),
+                Some(r) => assert_eq!(r, &out.results, "capacity {cap} B diverged"),
             }
         }
     }
 
     /// What one rank's walk must give under any compute thread count:
     /// coverage bits, walk counts, sorted group costs, and
-    /// `[prefetch hits, cell requests, body requests, request messages,
-    /// rounds, parks]`; beside them, the rank's largest ready batch.
-    type Forced = (Vec<u64>, WalkStats, Vec<(u32, u64)>, [u64; 6], usize);
+    /// `[cell requests, body requests, request messages, rounds, parks]`;
+    /// beside them, the rank's largest ready batch.
+    type Forced = (Vec<u64>, WalkStats, Vec<(u32, u64)>, [u64; 5], usize);
 
     /// Walk with a splittable consumer, every ready batch forced onto
     /// `workers` threads through the crate-private entry.
-    fn forced_workers_run(np: u32, clustered: bool, cfg: WalkConfig, workers: usize) -> Vec<Forced> {
+    fn forced_workers_run(np: u32, clustered: bool, workers: usize) -> Vec<Forced> {
         let out = RunConfig::builder().np(np).run(move |c| {
             let bodies = make_bodies(c, 2000, 4242, clustered);
             let (mine, iv) = decompose(c, bodies, 32);
@@ -957,14 +837,13 @@ mod tests {
                 &Mac::BarnesHut { theta: 0.5 },
                 &mut crate::walk::tests::Coverage { seen: &mut seen, base: 0 },
                 16,
-                &cfg,
+                ABM_BATCH,
                 |sinks| {
                     biggest.set(biggest.get().max(sinks));
                     workers
                 },
             );
-            let counts =
-                [s.prefetch_hits, s.cell_requests, s.body_requests, s.request_msgs, s.rounds, s.parks];
+            let counts = [s.cell_requests, s.body_requests, s.request_msgs, s.rounds, s.parks];
             let bits = seen.iter().map(|x| x.to_bits()).collect();
             (bits, s.walk, s.group_costs, counts, biggest.get())
         });
@@ -972,30 +851,24 @@ mod tests {
     }
 
     /// Ready batches computed on 2, 3 or 8 threads give the one-thread
-    /// walk bit for bit — coverage, counts, group costs, prefetch hits,
-    /// requests, rounds and parks — on uniform and clustered bodies, with
-    /// prefetch on and off, in batches the public rule would fan out.
+    /// walk bit for bit — coverage, counts, group costs, requests, rounds
+    /// and parks — on uniform and clustered bodies, in batches the public
+    /// rule would fan out.
     #[test]
     fn dwalk_fan_out_is_bitwise_for_any_worker_count() {
-        let prefetch_off = WalkConfig { prefetch_levels: 0, ..WalkConfig::default() };
         for np in [2, 4] {
             for clustered in [false, true] {
-                for cfg in [prefetch_off, WalkConfig::default()] {
-                    let one = forced_workers_run(np, clustered, cfg, 1);
-                    let tag = format!("np={np} clustered={clustered} {cfg:?}");
-                    let biggest: Vec<usize> = one.iter().map(|r| r.4).collect();
-                    assert!(
-                        biggest.iter().any(|&b| b >= 2 * crate::walk::MIN_SINKS_PER_THREAD),
-                        "{tag}: no ready batch above the fan-out threshold: {biggest:?}"
-                    );
-                    if cfg.prefetch_levels > 0 {
-                        assert!(one.iter().any(|r| r.3[0] > 0), "{tag}: prefetch never hit");
-                    }
-                    for workers in [2, 3, 8] {
-                        let many = forced_workers_run(np, clustered, cfg, workers);
-                        for (rank, (a, b)) in one.iter().zip(&many).enumerate() {
-                            assert!(a == b, "{tag}: rank {rank} differs on {workers} workers");
-                        }
+                let one = forced_workers_run(np, clustered, 1);
+                let tag = format!("np={np} clustered={clustered}");
+                let biggest: Vec<usize> = one.iter().map(|r| r.4).collect();
+                assert!(
+                    biggest.iter().any(|&b| b >= 2 * crate::walk::MIN_SINKS_PER_THREAD),
+                    "{tag}: no ready batch above the fan-out threshold: {biggest:?}"
+                );
+                for workers in [2, 3, 8] {
+                    let many = forced_workers_run(np, clustered, workers);
+                    for (rank, (a, b)) in one.iter().zip(&many).enumerate() {
+                        assert!(a == b, "{tag}: rank {rank} differs on {workers} workers");
                     }
                 }
             }
@@ -1003,43 +876,26 @@ mod tests {
     }
 
     /// Coalescing must collapse the per-key message count. A per-key
-    /// protocol posts exactly one request message per distinct key, so
-    /// with prefetch off the ratio keys / request messages *is* the saving
-    /// (frozen against the retired blocking walk in EXPERIMENTS.md L1);
-    /// with prefetch on, hits replace whole requests.
+    /// protocol posts exactly one request message per distinct key, so the
+    /// ratio keys / request messages *is* the saving (frozen against the
+    /// retired blocking walk in EXPERIMENTS.md L1).
     #[test]
     fn coalescing_reduces_request_messages() {
-        let run = |cfg: WalkConfig| {
-            RunConfig::builder().np(4).run(move |c| {
-                let bodies = make_bodies(c, 350, 7, false);
-                let (mine, iv) = decompose(c, bodies, 32);
-                let pos: Vec<Vec3> = mine.iter().map(|b| b.pos).collect();
-                let q: Vec<f64> = mine.iter().map(|b| b.charge).collect();
-                let tree = Tree::<MassMoments>::build(Aabb::unit(), &pos, &q, 8);
-                let mut dt = DistTree::build(c, tree, iv);
-                let mut cov = MassCoverage { seen: vec![0.0; dt.local.n_particles()] };
-                let stats =
-                    dwalk_with(c, &mut dt, &Mac::BarnesHut { theta: 0.5 }, &mut cov, 16, &cfg);
-                (
-                    stats.request_msgs,
-                    stats.cell_requests + stats.body_requests,
-                    stats.rounds,
-                    stats.prefetch_hits,
-                )
-            })
-        };
-        let coalesced = run(WalkConfig { prefetch_levels: 0, ..WalkConfig::default() });
-        let prefetching = run(WalkConfig::default());
-        let sum = |r: &hot_comm::RunOutput<(u64, u64, u64, u64)>, f: fn(&(u64, u64, u64, u64)) -> u64| {
-            r.results.iter().map(f).sum::<u64>()
-        };
-        let (msgs, keys) = (sum(&coalesced, |r| r.0), sum(&coalesced, |r| r.1));
+        let out = RunConfig::builder().np(4).run(|c| {
+            let bodies = make_bodies(c, 350, 7, false);
+            let (mine, iv) = decompose(c, bodies, 32);
+            let pos: Vec<Vec3> = mine.iter().map(|b| b.pos).collect();
+            let q: Vec<f64> = mine.iter().map(|b| b.charge).collect();
+            let tree = Tree::<MassMoments>::build(Aabb::unit(), &pos, &q, 8);
+            let mut dt = DistTree::build(c, tree, iv);
+            let mut cov = MassCoverage { seen: vec![0.0; dt.local.n_particles()] };
+            let s = walk_at(c, &mut dt, &Mac::BarnesHut { theta: 0.5 }, &mut cov, ABM_BATCH);
+            (s.request_msgs, s.cell_requests + s.body_requests, s.rounds)
+        });
+        let msgs: u64 = out.results.iter().map(|r| r.0).sum();
+        let keys: u64 = out.results.iter().map(|r| r.1).sum();
         assert!(msgs * 2 <= keys, "coalescing saved too little: {msgs} messages for {keys} keys");
-        assert!(sum(&coalesced, |r| r.2) > 0, "no rounds counted");
-        // Prefetch must convert some would-be requests into hits...
-        assert!(sum(&prefetching, |r| r.3) > 0, "prefetch never hit");
-        // ...which strictly reduces the number of distinct keys requested.
-        assert!(sum(&prefetching, |r| r.1) < keys);
+        assert!(out.results.iter().any(|r| r.2 > 0), "no rounds counted");
     }
 
     /// Two clumps in opposite corners, a third of the bodies in the first:
@@ -1204,7 +1060,6 @@ mod tests {
     fn round_structure_run(
         np: u32,
         make: fn(&Comm, usize, u64) -> Vec<Body<f64>>,
-        cfg: WalkConfig,
     ) -> Vec<(usize, usize, usize)> {
         let out = RunConfig::builder().np(np).run(move |c| {
             let mac = Mac::BarnesHut { theta: 0.6 };
@@ -1273,8 +1128,8 @@ mod tests {
                 },
                 order: Vec::new(),
             };
-            let stats = dwalk_with(c, &mut dt, &mac, &mut ordered, 16, &cfg);
-            let tag = format!("np={np} rank={rank} {cfg:?}");
+            let stats = walk_at(c, &mut dt, &mac, &mut ordered, ABM_BATCH);
+            let tag = format!("np={np} rank={rank}");
 
             // (c) the list is the oracle's, whatever rounds delivered it.
             assert_eq!(
@@ -1284,19 +1139,12 @@ mod tests {
             );
             let seen: Vec<u64> = ordered.cov.seen.iter().map(|s| s.to_bits()).collect();
             assert_eq!(seen, want_seen, "{tag}");
-            // (b) + (c) every needed key is obtained exactly once: bodies
-            // only by request, children by request or by a prefetch that a
-            // walk then opened. A key requested twice, or one no walk uses,
-            // breaks the equalities; with prefetch off they pin the counts.
+            // (b) + (c) every needed key is requested exactly once: the
+            // requests are the remote cells the walks open and the remote
+            // leaves they sum. A key requested twice, or one no walk uses,
+            // breaks the equalities.
+            assert_eq!(stats.cell_requests, cell_keys.len() as u64, "{tag}");
             assert_eq!(stats.body_requests, body_keys.len() as u64, "{tag}");
-            assert_eq!(
-                stats.cell_requests + stats.prefetch_hits,
-                cell_keys.len() as u64,
-                "{tag}"
-            );
-            if cfg.prefetch_levels == 0 {
-                assert_eq!(stats.prefetch_hits + stats.prefetched_cells, 0, "{tag}");
-            }
             // (a) rounds follow the depth fetched, not the key count.
             let keys = stats.cell_requests + stats.body_requests;
             match deepest {
@@ -1342,34 +1190,26 @@ mod tests {
             |c, n, s| make_bodies(c, n, s, false);
         let clustered: fn(&Comm, usize, u64) -> Vec<Body<f64>> =
             |c, n, s| make_bodies(c, n, s, true);
-        for cfg in [
-            WalkConfig {
-                prefetch_levels: 0,
-                ..WalkConfig::default()
-            },
-            WalkConfig::default(),
-        ] {
-            for np in [2, 4, 8] {
-                for make in [uniform, clustered] {
-                    let ranks = round_structure_run(np, make, cfg);
-                    assert!(
-                        ranks.iter().any(|r| r.2 > 8),
-                        "np={np}: no rank fetched > 8 keys"
-                    );
-                }
+        for np in [2, 4, 8] {
+            for make in [uniform, clustered] {
+                let ranks = round_structure_run(np, make);
+                assert!(
+                    ranks.iter().any(|r| r.2 > 8),
+                    "np={np}: no rank fetched > 8 keys"
+                );
             }
-            // Non-vacuity of (d): some groups finish in round 0 beside
-            // others that wait.
-            let ranks = round_structure_run(3, two_clumps, cfg);
-            assert!(
-                ranks.iter().any(|r| r.0 > 0),
-                "no wholly local closure: {ranks:?}"
-            );
-            assert!(
-                ranks.iter().any(|r| r.0 < r.1),
-                "no group had to fetch: {ranks:?}"
-            );
         }
+        // Non-vacuity of (d): some groups finish in round 0 beside others
+        // that wait.
+        let ranks = round_structure_run(3, two_clumps);
+        assert!(
+            ranks.iter().any(|r| r.0 > 0),
+            "no wholly local closure: {ranks:?}"
+        );
+        assert!(
+            ranks.iter().any(|r| r.0 < r.1),
+            "no group had to fetch: {ranks:?}"
+        );
     }
 
     /// The distributed walk must agree with a serial walk over the union of
@@ -1419,7 +1259,7 @@ mod tests {
             let tree = Tree::<MassMoments>::build(Aabb::unit(), &pos, &q, 8);
             let mut dt = DistTree::build(c, tree, iv);
             let mut cov = MassCoverage { seen: vec![0.0; dt.local.n_particles()] };
-            let stats = dwalk(c, &mut dt, &Mac::BarnesHut { theta: 0.7 }, &mut cov, 16);
+            let stats = walk_at(c, &mut dt, &Mac::BarnesHut { theta: 0.7 }, &mut cov, ABM_BATCH);
             stats.walk.interactions()
         });
         let dist_total: u64 = out.results.iter().sum();
@@ -1457,7 +1297,7 @@ mod tests {
             let tree = Tree::<MassMoments>::build(Aabb::unit(), &pos, &q, 8);
             let mut dt = DistTree::build(c, tree, iv);
             let mut cov = MassCoverage { seen: vec![0.0; dt.local.n_particles()] };
-            let stats = dwalk(c, &mut dt, &Mac::BarnesHut { theta: 0.6 }, &mut cov, 16);
+            let stats = walk_at(c, &mut dt, &Mac::BarnesHut { theta: 0.6 }, &mut cov, ABM_BATCH);
             stats.walk
         });
         for w in out.results {

@@ -33,8 +33,7 @@ pub struct DistOptions {
     pub quadrupole: bool,
     /// Sample-sort oversampling.
     pub oversample: usize,
-    /// Latency-hiding walk pipeline configuration (coalescing, prefetch).
-    /// Never affects the computed forces — only how the remote data moves.
+    /// Carries no setting: the walk has none (see [`WalkConfig`]).
     pub walk: WalkConfig,
     /// Domain-decomposition policy for the step entry
     /// ([`distributed_step_traced`]). `Static` keeps the sample-sort
@@ -53,7 +52,7 @@ impl Default for DistOptions {
             eps2: 0.0,
             quadrupole: true,
             oversample: 64,
-            walk: WalkConfig::default(),
+            walk: WalkConfig,
             policy: DecompPolicy::Static,
         }
     }
@@ -371,98 +370,6 @@ mod tests {
         }
     }
 
-    /// Speculative prefetch must be semantically invisible: accelerations
-    /// bitwise identical and every interaction-side trace counter equal
-    /// with `prefetch_levels` 0 vs >0 — only message/byte/request/prefetch
-    /// traffic counters may move.
-    #[test]
-    fn prefetch_is_semantically_invisible() {
-        use hot_core::dwalk::WalkConfig;
-        use hot_trace::{Counter, Ledger};
-
-        // The counters prefetch is forbidden from touching.
-        const INVARIANT: [Counter; 10] = [
-            Counter::Flops,
-            Counter::PpInteractions,
-            Counter::PcInteractions,
-            Counter::CellsOpened,
-            Counter::CellsBuilt,
-            Counter::HashProbes,
-            Counter::BodiesExchanged,
-            Counter::BodyRequests,
-            Counter::PpListed,
-            Counter::PcListed,
-        ];
-
-        let n_total = 800usize;
-        let mut rng = rand::rngs::StdRng::seed_from_u64(2026);
-        let all_pos: Vec<Vec3> =
-            (0..n_total).map(|_| Vec3::new(rng.gen(), rng.gen(), rng.gen())).collect();
-        let all_mass: Vec<f64> = (0..n_total).map(|_| rng.gen_range(0.5..2.0)).collect();
-
-        for np in [1u32, 2, 4] {
-            let run = |levels: u32| {
-                let (pos_c, mass_c) = (all_pos.clone(), all_mass.clone());
-                RunConfig::builder().np(np).run(move |c| {
-                    let per = n_total / np as usize;
-                    let lo = c.rank() as usize * per;
-                    let hi = if c.rank() == np - 1 { n_total } else { lo + per };
-                    let bodies: Vec<Body<f64>> = (lo..hi)
-                        .map(|i| Body {
-                            key: Key::from_point(pos_c[i], &Aabb::unit()),
-                            pos: pos_c[i],
-                            charge: mass_c[i],
-                            work: 1.0,
-                            id: i as u64,
-                        })
-                        .collect();
-                    let counter = FlopCounter::new();
-                    let opts = DistOptions {
-                        mac: Mac::BarnesHut { theta: 0.55 },
-                        eps2: 1e-6,
-                        walk: WalkConfig {
-                            prefetch_levels: levels,
-                            prefetch_budget: if levels == 0 { 0 } else { 1 << 15 },
-                            ..WalkConfig::default()
-                        },
-                        ..Default::default()
-                    };
-                    let mut trace = Ledger::scratch();
-                    let res = distributed_accelerations_traced(
-                        c,
-                        bodies,
-                        Aabb::unit(),
-                        &opts,
-                        &counter,
-                        &mut trace,
-                    );
-                    let mut acc_bits: Vec<(u64, [u64; 3])> = res
-                        .bodies
-                        .iter()
-                        .zip(&res.acc)
-                        .map(|(b, a)| (b.id, [a.x.to_bits(), a.y.to_bits(), a.z.to_bits()]))
-                        .collect();
-                    acc_bits.sort_unstable();
-                    let invariant: Vec<u64> =
-                        INVARIANT.iter().map(|&c| trace.totals().get(c)).collect();
-                    (acc_bits, invariant, trace.totals().get(Counter::PrefetchHits))
-                })
-            };
-            let off = run(0);
-            let on = run(2);
-            let mut hits = 0;
-            for (rank, (a, b)) in off.results.iter().zip(&on.results).enumerate() {
-                assert_eq!(a.0, b.0, "np={np} rank={rank}: accelerations diverged");
-                assert_eq!(a.1, b.1, "np={np} rank={rank}: interaction counters diverged");
-                assert_eq!(a.2, 0, "np={np} rank={rank}: hits counted with prefetch off");
-                hits += b.2;
-            }
-            if np >= 2 {
-                assert!(hits > 0, "np={np}: prefetch never hit");
-            }
-        }
-    }
-
     /// The public path on a rank's share of the hardware threads — all of
     /// them with one worker, one per worker with a worker per CPU — gives
     /// the same accelerations, work weights and walk counts bit for bit.
@@ -496,7 +403,7 @@ mod tests {
                     .collect();
                 out.sort_unstable();
                 let s = &res.stats;
-                let counts = [s.prefetch_hits, s.cell_requests, s.body_requests, s.rounds, s.parks];
+                let counts = [s.cell_requests, s.body_requests, s.rounds, s.parks];
                 (c.compute_threads(), out, s.walk, s.group_costs.clone(), counts)
             })
             .results

@@ -18,7 +18,6 @@
 #![warn(missing_docs)]
 
 pub mod dilate;
-pub mod hilbert;
 pub mod key;
 
 pub use key::{Key, MAX_DEPTH};

@@ -92,14 +92,6 @@ pub enum Counter {
     /// boundary is a machine-wide quiescent point (every outstanding
     /// request answered), so the count is a pure function of the walk.
     WalkRounds,
-    /// Remote cells installed speculatively (piggybacked on a children
-    /// reply without having been requested).
-    PrefetchedCells,
-    /// Prefetched parent cells the walk later opened — each hit is one
-    /// request round-trip the speculation saved.
-    PrefetchHits,
-    /// Wire bytes of prefetched cell records the walk never opened.
-    PrefetchWastedBytes,
     /// Steps on which the adaptive decomposition actually moved interval
     /// cut points (the skew trigger fired). Zero under `DecompPolicy::Static`.
     RebalanceSteps,
@@ -112,7 +104,7 @@ pub enum Counter {
 }
 
 /// Number of distinct counters.
-pub const COUNTER_COUNT: usize = 22;
+pub const COUNTER_COUNT: usize = 19;
 
 /// Every counter, in canonical (schema) order.
 pub const COUNTERS: [Counter; COUNTER_COUNT] = [
@@ -132,9 +124,6 @@ pub const COUNTERS: [Counter; COUNTER_COUNT] = [
     Counter::PpListed,
     Counter::PcListed,
     Counter::WalkRounds,
-    Counter::PrefetchedCells,
-    Counter::PrefetchHits,
-    Counter::PrefetchWastedBytes,
     Counter::RebalanceSteps,
     Counter::MigratedBodies,
     Counter::MigratedBytes,
@@ -161,12 +150,9 @@ impl Counter {
             Counter::PpListed => 13,
             Counter::PcListed => 14,
             Counter::WalkRounds => 15,
-            Counter::PrefetchedCells => 16,
-            Counter::PrefetchHits => 17,
-            Counter::PrefetchWastedBytes => 18,
-            Counter::RebalanceSteps => 19,
-            Counter::MigratedBodies => 20,
-            Counter::MigratedBytes => 21,
+            Counter::RebalanceSteps => 16,
+            Counter::MigratedBodies => 17,
+            Counter::MigratedBytes => 18,
         }
     }
 
@@ -189,9 +175,6 @@ impl Counter {
             Counter::PpListed => "pp_listed",
             Counter::PcListed => "pc_listed",
             Counter::WalkRounds => "walk_rounds",
-            Counter::PrefetchedCells => "prefetched_cells",
-            Counter::PrefetchHits => "prefetch_hits",
-            Counter::PrefetchWastedBytes => "prefetch_wasted_bytes",
             Counter::RebalanceSteps => "rebalance_steps",
             Counter::MigratedBodies => "migrated_bodies",
             Counter::MigratedBytes => "migrated_bytes",
@@ -199,7 +182,7 @@ impl Counter {
     }
 }
 
-/// A fixed-width vector of the 22 [`Counter`] values.
+/// A fixed-width vector of the 19 [`Counter`] values.
 ///
 /// Merging is componentwise addition, so it is associative and commutative
 /// (the property suite pins this) — a `CounterSet` can be reduced across

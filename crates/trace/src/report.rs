@@ -14,7 +14,7 @@ use hot_comm::Comm;
 
 /// Schema identifier stamped into every JSON report. Bump the suffix when
 /// the field set, key order, or semantics of any value change.
-pub const SCHEMA: &str = "hot-trace/v4";
+pub const SCHEMA: &str = "hot-trace/v5";
 
 /// Min/mean/max of a per-rank quantity.
 #[derive(Clone, Copy, Debug, PartialEq)]
@@ -305,7 +305,7 @@ mod tests {
         let a = RunReport::from_records(&recs).to_json();
         let b = RunReport::from_records(&recs).to_json();
         assert_eq!(a, b);
-        assert!(a.contains("\"schema\": \"hot-trace/v4\""));
+        assert!(a.contains("\"schema\": \"hot-trace/v5\""));
         assert!(a.contains("\"pp_interactions\": 400"));
     }
 
