@@ -25,8 +25,8 @@ cp "$smoke/benchmark.Cargo.lock" benchmark/Cargo.lock
 echo "==> cargo test -q --workspace"
 cargo test -q --offline --workspace
 
-echo "==> cargo test --release -p hot-base -p hot-core -p hot-gravity -p hot-cosmo (vector code and the threaded walk only run optimised here)"
-cargo test -q --offline --release -p hot-base -p hot-core -p hot-gravity -p hot-cosmo
+echo "==> cargo test --release -p hot-base -p hot-core -p hot-gravity -p hot-cosmo -p hot-comm -p bytes (vector code, the threaded walk and the wire field reads only run optimised here)"
+cargo test -q --offline --release -p hot-base -p hot-core -p hot-gravity -p hot-cosmo -p hot-comm -p bytes
 # Which instantiation of the span kernels the step above exercised on this host.
 cargo test -q --offline --release -p hot-gravity span_instantiation -- --nocapture | grep "span kernels:"
 # How many threads ForceCalc fanned its sink groups out over in the step above.

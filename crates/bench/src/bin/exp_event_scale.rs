@@ -17,6 +17,8 @@
 //! stops scaling, and a bound on the busiest rank's send count so it also
 //! catches a step whose *structure* regressed (a linear collective; a walk
 //! whose request rounds follow the key count instead of the tree depth).
+//! The treecode step also records its traffic — the machine's total bytes
+//! sent and the most bytes any one rank received — and bounds the latter.
 //! Everything is written to `results/BENCH_event_scale.json`.
 //!
 //! Args: `exp_event_scale [np_collectives] [np_treecode] [n_per_rank]`
@@ -66,9 +68,46 @@ fn collectives_at(np: u32) -> (f64, u64) {
     (wall, max_sends)
 }
 
+/// `CellRecord<MassMoments>` on the wire: key 8, owner 4, n 8, center 24,
+/// bmax 8, wsum 8, moments 64 (mass, quadrupole, b2), leaf flag 1.
+const RECORD_BYTES: u64 = 125;
+
+/// One remote body as the walk fetches it: position 24, charge 8.
+const BODY_BYTES: u64 = 32;
+
+/// What one treecode step measured.
+struct Treecode {
+    wall: f64,
+    interactions: u64,
+    max_sends: u64,
+    /// Payload bytes sent, summed over the machine.
+    bytes_sent: u64,
+    /// Payload bytes received by the busiest rank.
+    max_bytes_recvd: u64,
+}
+
+/// A bound on the payload bytes one rank receives in a treecode step of
+/// `n_total` bodies on `np` ranks that sample `oversample` keys each:
+/// - rank 0 receives every rank's work samples, `8 + 16 · oversample`
+///   bytes a rank;
+/// - every rank receives every other rank's branch records, at most one
+///   per body (branches are disjoint and non-empty);
+/// - the walk fetches each remote key at most once: cell records, fewer
+///   than one per body in these uniform bucket-16 trees (the benchmark's
+///   `tree.cells_per_body` reads 0.15–0.28), and remote bodies' positions
+///   and charges.
+///
+/// The splitter broadcast and a rank's own share of the body exchange are
+/// `O(np + n_total / np)` bytes and fit in what the walk term over-counts.
+/// Measured at np = 1024 × 24: 2.15 MB on rank 0 against 8.0 MB. The
+/// `n_total` term, `O(np · n_total)` bytes machine-wide, is what a
+/// coarsened, locally essential branch exchange would cut.
+fn recv_bound(np: u32, n_total: u64, oversample: u64) -> u64 {
+    u64::from(np) * (8 + 16 * oversample) + n_total * (2 * RECORD_BYTES + BODY_BYTES)
+}
+
 /// One reduced-N treecode force evaluation at `np` on the event runtime.
-/// Returns (wall seconds, total interactions, max per-rank messages sent).
-fn treecode_at(np: u32, n_per_rank: usize) -> (f64, u64, u64) {
+fn treecode_at(np: u32, n_per_rank: usize) -> Treecode {
     let t0 = Instant::now();
     let out = RunConfig::builder()
         .np(np)
@@ -85,7 +124,7 @@ fn treecode_at(np: u32, n_per_rank: usize) -> (f64, u64, u64) {
     // A step is a few exchanges with every peer (the sample sort's
     // alltoall; one coalesced request and its replies per owner per walk
     // round) plus O(log p) collectives, one quiescence allreduce per walk
-    // round among them — measured 570 sends at np = 256, 2113 at np = 1024.
+    // round among them — measured 563 sends at np = 256, 2107 at np = 1024.
     // A walk that spends a round per missing key multiplies the allreduce
     // term by the keys a group opens (28 110 and 184 185 sends at the same
     // sizes), which the wall-clock budget is far too loose to notice.
@@ -95,7 +134,17 @@ fn treecode_at(np: u32, n_per_rank: usize) -> (f64, u64, u64) {
         "treecode step is not a few exchanges per peer: {max_sends} sends > bound {bound} \
          at np = {np} (walk rounds no longer bounded by tree depth?)"
     );
-    (wall, out.results.iter().sum(), max_sends)
+    let bytes_sent = out.stats.iter().map(|s| s.bytes_sent).sum();
+    let max_bytes_recvd = out.stats.iter().map(|s| s.bytes_recvd).max().unwrap_or(0);
+    let n_total = u64::from(np) * n_per_rank as u64;
+    let oversample = DistOptions::default().oversample as u64;
+    let bound = recv_bound(np, n_total, oversample);
+    assert!(
+        max_bytes_recvd <= bound,
+        "a rank received {max_bytes_recvd} bytes in one treecode step > bound {bound} \
+         at np = {np}, N = {n_total}"
+    );
+    Treecode { wall, interactions: out.results.iter().sum(), max_sends, bytes_sent, max_bytes_recvd }
 }
 
 fn main() {
@@ -117,11 +166,13 @@ fn main() {
     }
 
     // Stage 2: a full treecode step at np = 1024.
-    let (tree_wall, interactions, tree_sends) = treecode_at(np_tree, n_per_rank);
+    let Treecode { wall: tree_wall, interactions, max_sends: tree_sends, bytes_sent, max_bytes_recvd } =
+        treecode_at(np_tree, n_per_rank);
     let n_total = np_tree as usize * n_per_rank;
     println!(
         "treecode  np = {np_tree:>5}: {tree_wall:>7.2} s wall, N = {n_total}, \
-         {interactions} interactions, max {tree_sends} sends/rank"
+         {interactions} interactions, max {tree_sends} sends/rank, {bytes_sent} bytes sent, \
+         max {max_bytes_recvd} bytes received by a rank"
     );
     rule();
 
@@ -147,7 +198,8 @@ fn main() {
     json.push_str(&format!(
         "  ],\n  \"treecode\": {{\"np\": {np_tree}, \"n_per_rank\": {n_per_rank}, \
          \"wall_s\": {tree_wall:.3}, \"interactions\": {interactions}, \
-         \"max_sends_per_rank\": {tree_sends}}}\n}}\n"
+         \"max_sends_per_rank\": {tree_sends}, \"bytes_sent\": {bytes_sent}, \
+         \"max_bytes_recvd_per_rank\": {max_bytes_recvd}}}\n}}\n"
     ));
     let path = std::path::Path::new("results").join("BENCH_event_scale.json");
     std::fs::create_dir_all("results").expect("create results dir");

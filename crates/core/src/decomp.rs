@@ -7,14 +7,15 @@
 //! processor is weighted by the work associated with each item."*
 //!
 //! This module implements exactly that: a weighted parallel sample sort.
-//! Each rank samples its local key distribution at work quantiles, samples
-//! are all-gathered, every rank deterministically derives the same `Np − 1`
-//! splitting keys at global work quantiles, and an all-to-all exchange
-//! moves each body to its owner. Per-body work weights come from the
-//! previous step's interaction counts, so expensive (clustered) regions
-//! spread over more processors — the load-balancing mechanism the paper
-//! credits for surviving "probably more severe \[imbalance\] than any other
-//! conventional computational physics algorithm".
+//! Each rank samples its local key distribution at work quantiles, the
+//! samples are gathered to rank 0, which derives the `Np − 1` splitting
+//! keys at global work quantiles once and broadcasts them, and an
+//! all-to-all exchange moves each body to its owner. Per-body work weights
+//! come from the previous step's interaction counts, so expensive
+//! (clustered) regions spread over more processors — the load-balancing
+//! mechanism the paper credits for surviving "probably more severe
+//! \[imbalance\] than any other conventional computational physics
+//! algorithm".
 //!
 //! # Feedback-driven adaptive decomposition
 //!
@@ -133,10 +134,10 @@ pub fn decompose<C: Wire + Copy + Send>(
 }
 
 /// [`decompose`], recording a [`Phase::Decomp`] span into `trace`: bodies
-/// received in the exchange, plus the sample-allgather and all-to-all
-/// traffic. Collective traffic is bitwise schedule-independent (the
-/// schedule checker enforces it), so raw `TrafficStats` deltas are safe
-/// here — unlike in the ABM-driven walk.
+/// received in the exchange, plus the sample gather, splitter broadcast
+/// and all-to-all traffic. Collective traffic is bitwise
+/// schedule-independent (the schedule checker enforces it), so raw
+/// `TrafficStats` deltas are safe here — unlike in the ABM-driven walk.
 pub fn decompose_traced<C: Wire + Copy + Send>(
     comm: &mut Comm,
     mut bodies: Vec<Body<C>>,
@@ -151,18 +152,37 @@ pub fn decompose_traced<C: Wire + Copy + Send>(
         trace.end();
         return (bodies, KeyIntervals { bounds: vec![0, u64::MAX] });
     }
-    let oversample = oversample.max(4);
+    // Rank 0 sees every sample and derives the splitters once; every rank
+    // receives the same np + 1 bounds.
+    let samples = work_samples(&bodies, oversample.max(4));
+    let bounds = comm.gather(0, samples).map(splitters).unwrap_or_default();
+    let intervals = KeyIntervals { bounds: comm.bcast(0, bounds) };
 
-    // Local work and its global total.
+    // Route every body to its owner.
+    let mut buckets: Vec<Vec<Body<C>>> = (0..np).map(|_| Vec::new()).collect();
+    for b in bodies {
+        buckets[intervals.owner(b.key) as usize].push(b);
+    }
+    let received = comm.alltoall(buckets);
+    let mut mine: Vec<Body<C>> = received.into_iter().flatten().collect();
+    mine.sort_unstable_by_key(|b| b.key);
+    trace.add(Counter::BodiesExchanged, mine.len() as u64);
+    trace.add_traffic(&comm.stats().since(&wire_before));
+    trace.end();
+    (mine, intervals)
+}
+
+/// Keys sampled at regular *work* quantiles of a key-sorted local list:
+/// `oversample` samples, each standing for `local_work / oversample` units
+/// of work. Empty when the rank holds no work.
+fn work_samples<C>(bodies: &[Body<C>], oversample: usize) -> Vec<(u64, f64)> {
     let local_work: f64 = bodies.iter().map(|b| b.work as f64).sum();
-    // Sample keys at regular *work* quantiles of the local list. Each
-    // sample represents local_work / oversample units of work.
     let mut samples: Vec<(u64, f64)> = Vec::with_capacity(oversample);
     if !bodies.is_empty() && local_work > 0.0 {
         let step = local_work / oversample as f64;
         let mut next = step * 0.5;
         let mut acc = 0.0;
-        for b in &bodies {
+        for b in bodies {
             acc += b.work as f64;
             while acc > next && samples.len() < oversample {
                 samples.push((b.key.0, step));
@@ -175,9 +195,14 @@ pub fn decompose_traced<C: Wire + Copy + Send>(
             samples.push((bodies.last().expect("nonempty").key.0, step));
         }
     }
+    samples
+}
 
-    // Everyone sees every sample and derives identical splitters.
-    let all: Vec<Vec<(u64, f64)>> = comm.allgather(samples);
+/// The `np + 1` interval bounds at global work quantiles of every rank's
+/// samples (`all[r]` is rank `r`'s, so `np = all.len()`). Rank order and
+/// the unstable sort make the result a pure function of `all`.
+fn splitters(all: Vec<Vec<(u64, f64)>>) -> Vec<u64> {
+    let np = all.len();
     let mut flat: Vec<(u64, f64)> = all.into_iter().flatten().collect();
     flat.sort_unstable_by_key(|&(k, _)| k);
     let total_weight: f64 = flat.iter().map(|&(_, w)| w).sum();
@@ -205,20 +230,7 @@ pub fn decompose_traced<C: Wire + Copy + Send>(
             bounds[i] = bounds[i - 1];
         }
     }
-    let intervals = KeyIntervals { bounds };
-
-    // Route every body to its owner.
-    let mut buckets: Vec<Vec<Body<C>>> = (0..np).map(|_| Vec::new()).collect();
-    for b in bodies {
-        buckets[intervals.owner(b.key) as usize].push(b);
-    }
-    let received = comm.alltoall(buckets);
-    let mut mine: Vec<Body<C>> = received.into_iter().flatten().collect();
-    mine.sort_unstable_by_key(|b| b.key);
-    trace.add(Counter::BodiesExchanged, mine.len() as u64);
-    trace.add_traffic(&comm.stats().since(&wire_before));
-    trace.end();
-    (mine, intervals)
+    bounds
 }
 
 /// Wire tag of the incremental key-range migration batches
@@ -652,6 +664,97 @@ mod tests {
             let iv0 = &out.results[0].2;
             for (_, _, iv) in &out.results {
                 assert_eq!(iv, iv0);
+            }
+        }
+    }
+
+    /// The derivation `decompose` ran before rank 0 took it over, kept as
+    /// the oracle: every rank all-gathers every sample and derives the
+    /// bounds itself.
+    fn splitters_every_rank(comm: &mut Comm, samples: Vec<(u64, f64)>) -> Vec<u64> {
+        let np = comm.size() as usize;
+        let all: Vec<Vec<(u64, f64)>> = comm.allgather(samples);
+        let mut flat: Vec<(u64, f64)> = all.into_iter().flatten().collect();
+        flat.sort_unstable_by_key(|&(k, _)| k);
+        let total_weight: f64 = flat.iter().map(|&(_, w)| w).sum();
+
+        let mut bounds = Vec::with_capacity(np + 1);
+        bounds.push(0u64);
+        if total_weight > 0.0 {
+            let mut acc = 0.0;
+            let mut next_cut = total_weight / np as f64;
+            for &(k, w) in &flat {
+                acc += w;
+                while acc >= next_cut && bounds.len() < np {
+                    bounds.push(k.saturating_add(1));
+                    next_cut += total_weight / np as f64;
+                }
+            }
+        }
+        while bounds.len() < np {
+            bounds.push(u64::MAX);
+        }
+        bounds.push(u64::MAX);
+        for i in 1..bounds.len() {
+            if bounds[i] < bounds[i - 1] {
+                bounds[i] = bounds[i - 1];
+            }
+        }
+        bounds
+    }
+
+    /// One rank's bodies for the oracle sweep: `uniform`; `skewed`, ten
+    /// times the work in the root's first octant; `identical`, every body
+    /// on one point. With `some_empty`, every third rank (rank 0 among
+    /// them) starts with none.
+    fn oracle_bodies(input: &str, some_empty: bool, rank: u32) -> Vec<Body<f64>> {
+        if some_empty && rank.is_multiple_of(3) {
+            return Vec::new();
+        }
+        let mut bodies = make_bodies(rank, 40, 61);
+        for b in &mut bodies {
+            match input {
+                "skewed" if (b.key.0 >> 60) & 7 == 0 => b.work = 10.0,
+                "identical" => {
+                    b.pos = Vec3::splat(0.5);
+                    b.key = Key::from_point(b.pos, &Aabb::unit());
+                }
+                _ => {}
+            }
+        }
+        bodies
+    }
+
+    #[test]
+    fn splitters_from_rank_zero_match_the_every_rank_oracle() {
+        for seed in [1u64, 2, 3] {
+            for np in [1u32, 2, 3, 5, 16, 17, 128] {
+                for input in ["uniform", "skewed", "identical"] {
+                    for some_empty in [false, true] {
+                        let out = RunConfig::builder().np(np).event_seed(seed).run(move |c| {
+                            let bodies = oracle_bodies(input, some_empty, c.rank());
+                            let mut sorted = bodies.clone();
+                            sorted.sort_unstable_by_key(|b| b.key);
+                            let want = splitters_every_rank(c, work_samples(&sorted, 16));
+                            let (mine, iv) = decompose(c, bodies, 16);
+                            let mut ids: Vec<u64> = mine.iter().map(|b| b.id).collect();
+                            ids.sort_unstable();
+                            (KeyIntervals { bounds: want }, iv, ids)
+                        });
+                        let tag = format!("seed={seed} np={np} {input} some_empty={some_empty}");
+                        let oracle = &out.results[0].0;
+                        let mut want_ids = vec![Vec::new(); np as usize];
+                        for b in (0..np).flat_map(|r| oracle_bodies(input, some_empty, r)) {
+                            want_ids[oracle.owner(b.key) as usize].push(b.id);
+                        }
+                        for (rank, (want, iv, ids)) in out.results.iter().enumerate() {
+                            assert_eq!(want, oracle, "{tag} rank={rank}: the oracle disagrees");
+                            assert_eq!(iv, oracle, "{tag} rank={rank}: bounds differ from the oracle");
+                            want_ids[rank].sort_unstable();
+                            assert_eq!(ids, &want_ids[rank], "{tag} rank={rank}: body set differs");
+                        }
+                    }
+                }
             }
         }
     }

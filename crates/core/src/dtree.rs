@@ -90,13 +90,76 @@ impl<M: Wire + Copy> Wire for CellRecord<M> {
 #[derive(Clone, Debug, PartialEq)]
 pub enum DChildren {
     /// Fully-resolved children, indices into `DistTree::nodes`.
-    Nodes(Vec<u32>),
+    Nodes(Kids),
     /// This is one of *my* branches: descend via the local tree.
     LocalSubtree,
     /// Remote internal cell whose children have not been fetched yet.
     RemoteUnfetched,
     /// Remote leaf cell: no children; its bodies can be fetched.
     RemoteLeaf,
+}
+
+/// The child indices of one octree node, in place: at most eight, so a
+/// node's children cost no heap allocation. Dereferences to `&[u32]`.
+#[derive(Clone, Copy, Default)]
+pub struct Kids {
+    len: Len,
+    idx: [u32; 8],
+}
+
+/// A child count, 0 to 8. Its unused byte values leave `DChildren` room
+/// for its other variants, so the enum needs no tag of its own.
+#[derive(Clone, Copy, Default)]
+#[repr(u8)]
+enum Len {
+    #[default]
+    L0,
+    L1,
+    L2,
+    L3,
+    L4,
+    L5,
+    L6,
+    L7,
+    L8,
+}
+
+impl Kids {
+    /// Append a child index. Panics past eight: no octree cell has more.
+    fn push(&mut self, i: u32) {
+        use Len::*;
+        let n = self.len as usize;
+        assert!(n < 8, "an octree cell has at most 8 children");
+        self.idx[n] = i;
+        self.len = [L1, L2, L3, L4, L5, L6, L7, L8][n];
+    }
+}
+
+impl FromIterator<u32> for Kids {
+    fn from_iter<I: IntoIterator<Item = u32>>(iter: I) -> Kids {
+        let mut kids = Kids::default();
+        iter.into_iter().for_each(|i| kids.push(i));
+        kids
+    }
+}
+
+impl std::ops::Deref for Kids {
+    type Target = [u32];
+    fn deref(&self) -> &[u32] {
+        &self.idx[..self.len as usize]
+    }
+}
+
+impl PartialEq for Kids {
+    fn eq(&self, other: &Kids) -> bool {
+        **self == **other
+    }
+}
+
+impl std::fmt::Debug for Kids {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_list().entries(self.iter()).finish()
+    }
 }
 
 /// One node of the global tree view.
@@ -261,7 +324,7 @@ impl<M: Moments> DistTree<M> {
                 bmax: 0.0,
                 wsum: 0.0,
                 moments: M::default(),
-                children: DChildren::Nodes(Vec::new()),
+                children: DChildren::Nodes(Kids::default()),
             });
             return dt;
         }
@@ -302,7 +365,7 @@ impl<M: Moments> DistTree<M> {
             }
         }
         let level = key.level() + 1;
-        let mut kids = Vec::new();
+        let mut kids = Kids::default();
         let mut i = 0;
         while i < records.len() {
             let child = records[i].key.ancestor_at(level);
@@ -320,12 +383,12 @@ impl<M: Moments> DistTree<M> {
         idx
     }
 
-    fn make_parent(&mut self, key: Key, kids: Vec<u32>) -> u32 {
+    fn make_parent(&mut self, key: Key, kids: Kids) -> u32 {
         let geom = key.cell_aabb(&self.local.domain);
         let mut wsum = 0.0;
         let mut centroid = Vec3::ZERO;
         let mut n = 0u64;
-        for &k in &kids {
+        for &k in kids.iter() {
             let c = &self.nodes[k as usize];
             wsum += c.wsum;
             centroid += c.center * c.wsum;
@@ -334,7 +397,7 @@ impl<M: Moments> DistTree<M> {
         let center = if wsum > 0.0 { centroid / wsum } else { geom.center() };
         let mut moments = M::default();
         let mut bmax = 0.0f64;
-        for &k in &kids {
+        for &k in kids.iter() {
             let (cm, cc, cb) = {
                 let c = &self.nodes[k as usize];
                 (c.moments, c.center, c.bmax)
@@ -404,8 +467,14 @@ impl<M: Moments> DistTree<M> {
     }
 
     /// Install fetched children below node `parent_key` (a no-op when an
-    /// earlier reply already installed them).
+    /// earlier reply already installed them). Panics when the reply carries
+    /// more than eight records: no octree cell has more children.
     pub fn install_children(&mut self, parent_key: Key, records: &[CellRecord<M>]) {
+        assert!(
+            records.len() <= 8,
+            "install_children: {} child records for {parent_key:?}, an octree cell has at most 8",
+            records.len()
+        );
         let pidx = self
             .table
             .get(parent_key)
@@ -1040,5 +1109,33 @@ mod tests {
             true
         });
         assert!(out.results[0]);
+    }
+
+    /// The count's spare byte values tag `DChildren`'s other variants, so
+    /// a node's children cost the eight indices and one byte, padded.
+    #[test]
+    fn children_need_no_tag() {
+        assert_eq!(std::mem::size_of::<DChildren>(), 36);
+    }
+
+    #[test]
+    #[should_panic(expected = "an octree cell has at most 8")]
+    fn install_children_rejects_more_than_eight() {
+        RunConfig::builder().np(1).run(|c| {
+            let tree = Tree::<MassMoments>::build(Aabb::unit(), &[Vec3::splat(0.5)], &[1.0], 4);
+            let (_, iv) = decompose::<f64>(c, Vec::new(), 8);
+            let mut dt = DistTree::build(c, tree, iv);
+            let rec = CellRecord {
+                key: Key::ROOT.child(0),
+                owner: 0,
+                n: 1,
+                center: Vec3::splat(0.25),
+                bmax: 0.0,
+                wsum: 1.0,
+                moments: MassMoments::default(),
+                is_leaf: true,
+            };
+            dt.install_children(Key::ROOT, &[rec; 9]);
+        });
     }
 }

@@ -382,7 +382,7 @@ fn resolve<M: Moments>(
     let g = &dt.local.cells[w.gi as usize];
     for ni in w.missing.drain(..) {
         if let DChildren::Nodes(kids) = &dt.nodes[ni as usize].children {
-            w.untested.extend(kids);
+            w.untested.extend_from_slice(kids);
         }
     }
     while let Some(ni) = w.untested.pop() {
@@ -394,7 +394,7 @@ fn resolve<M: Moments>(
         }
         let leaf = match &node.children {
             DChildren::Nodes(kids) => {
-                w.untested.extend(kids);
+                w.untested.extend_from_slice(kids);
                 continue;
             }
             DChildren::LocalSubtree => continue,

@@ -104,13 +104,13 @@ impl KeyTable {
                 self.keys[i] = key;
                 self.vals[i] = val;
                 self.len += 1;
-                self.probes.fetch_add(probed, Ordering::Relaxed);
+                *self.probes.get_mut() += probed;
                 return None;
             }
             if self.keys[i] == key {
                 let old = self.vals[i];
                 self.vals[i] = val;
-                self.probes.fetch_add(probed, Ordering::Relaxed);
+                *self.probes.get_mut() += probed;
                 return Some(old);
             }
             i = (i + 1) & self.mask;

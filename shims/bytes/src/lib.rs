@@ -180,10 +180,7 @@ pub trait Buf {
 
     /// Read a byte array of fixed size, advancing the cursor.
     fn get_array<const N: usize>(&mut self) -> [u8; N] {
-        let chunk = self.chunk();
-        assert!(chunk.len() >= N, "buffer underflow: want {N}, have {}", chunk.len());
-        let mut out = [0u8; N];
-        out.copy_from_slice(&chunk[..N]);
+        let out = first(self.chunk());
         self.advance(N);
         out
     }
@@ -229,6 +226,22 @@ impl Buf for Bytes {
     fn chunk(&self) -> &[u8] {
         self
     }
+    /// One representation match and one length check per field, where the
+    /// generic read matches three times (`chunk`, `len`, `advance`).
+    fn get_array<const N: usize>(&mut self) -> [u8; N] {
+        match &mut self.0 {
+            Repr::Inline { start, end, buf } => {
+                let out = first::<N>(&buf[usize::from(*start)..usize::from(*end)]);
+                *start += N as u8;
+                out
+            }
+            Repr::Shared { start, end, data } => {
+                let out = first::<N>(&data[*start as usize..*end as usize]);
+                *start += N as u32;
+                out
+            }
+        }
+    }
     fn advance(&mut self, n: usize) {
         assert!(n <= self.len(), "advance({n}) of {} bytes", self.len());
         // Here as in `split_to`, `n` fits the offset type: it is at most `len()`.
@@ -237,6 +250,21 @@ impl Buf for Bytes {
             Repr::Shared { start, .. } => *start += n as u32,
         }
     }
+}
+
+/// The first `N` bytes of a view, or the `Buf` underflow panic.
+#[inline(always)]
+fn first<const N: usize>(view: &[u8]) -> [u8; N] {
+    match view.first_chunk::<N>() {
+        Some(a) => *a,
+        None => underflow(N, view.len()),
+    }
+}
+
+#[cold]
+#[inline(never)]
+fn underflow(want: usize, have: usize) -> ! {
+    panic!("buffer underflow: want {want}, have {have}")
 }
 
 /// Write cursor; all multi-byte writes are little-endian.
@@ -309,6 +337,46 @@ mod tests {
         assert_eq!(r.get_f32_le(), 3.25);
         assert_eq!(r.get_f64_le(), -1.5e-300);
         assert!(r.is_empty());
+    }
+
+    /// A field reader returning the bits it read.
+    type Read = fn(&mut Bytes) -> u64;
+
+    /// Every field reader, with its width.
+    fn readers() -> [(usize, Read); 8] {
+        [
+            (1, |b| u64::from(b.get_u8())),
+            (2, |b| u64::from(b.get_u16_le())),
+            (4, |b| u64::from(b.get_u32_le())),
+            (4, |b| u64::from(b.get_i32_le() as u32)),
+            (4, |b| u64::from(b.get_f32_le().to_bits())),
+            (8, |b| b.get_u64_le()),
+            (8, |b| b.get_i64_le() as u64),
+            (8, |b| b.get_f64_le().to_bits()),
+        ]
+    }
+
+    #[test]
+    fn every_field_width_reads_at_the_end_and_panics_one_byte_short() {
+        // 24 bytes are stored in place, 4096 in shared storage.
+        for len in [24, 4096] {
+            let data = pattern(len);
+            for (n, read) in readers() {
+                let mut b = Bytes::from(data.clone());
+                b.advance(len - n);
+                let mut want = [0u8; 8];
+                want[..n].copy_from_slice(&data[len - n..]);
+                assert_eq!(read(&mut b), u64::from_le_bytes(want), "{n} bytes at the end of {len}");
+                assert!(b.is_empty());
+
+                let mut short = Bytes::from(data.clone());
+                short.advance(len - n + 1);
+                let err = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| read(&mut short)))
+                    .expect_err("a read one byte short must panic");
+                let msg = err.downcast_ref::<String>().map_or("", String::as_str);
+                assert_eq!(msg, format!("buffer underflow: want {n}, have {}", n - 1), "{len} bytes");
+            }
+        }
     }
 
     #[test]
