@@ -87,8 +87,13 @@ cargo run -q --offline --release -p hot-analyze -- schedules --seeds 32
 echo "==> hot-analyze faults --seeds 32 (fault plans × seeded schedules)"
 cargo run -q --offline --release -p hot-analyze -- faults --seeds 32
 
-echo "==> hot-analyze kills --seeds 8 (crash-stop detection + bitwise rollback recovery)"
-cargo run -q --offline --release -p hot-analyze -- kills --seeds 8
+echo "==> hot-analyze kills --seeds 8, twice (crash-stop detection + bitwise rollback recovery; counts must repeat)"
+cargo run -q --offline --release -p hot-analyze -- kills --seeds 8 | tee "$smoke/kills1.txt"
+cargo run -q --offline --release -p hot-analyze -- kills --seeds 8 > "$smoke/kills2.txt"
+if ! diff "$smoke/kills1.txt" "$smoke/kills2.txt" >&2; then
+  echo "ERROR: two runs of hot-analyze kills printed different counts — detection is schedule-dependent" >&2
+  exit 1
+fi
 
 echo "==> hot-analyze kills non-vacuity (planted undetected-kill fixture must exit 1)"
 rc=0

@@ -5,12 +5,15 @@
 //!
 //! 1. **Detection** ([`check_detection`]) — seeded crash-stop plans
 //!    ([`FaultConfig::lethal`]) crossed with schedules (the production
-//!    executor with its detection tick *and* seeded serialized
-//!    interleavings) over a chatty point-to-point workload. Every run
-//!    where a kill fired must abort with at least one failure-detection
-//!    record, every detection must accuse a rank that actually died (no
-//!    false accusations of live peers), and a run where no kill fired
-//!    must complete cleanly.
+//!    executor *and* seeded serialized interleavings) over a chatty
+//!    point-to-point workload. A death is detected in one way only: the
+//!    executor proves the machine quiescent while a rank is dead, and
+//!    every survivor blocked at that verdict records it. Every run where a
+//!    kill fired must abort with at least one detection; every detection
+//!    must be made by a live rank, accuse a rank that actually died, and
+//!    appear once; and a run where no kill fired must complete cleanly.
+//!    The counts are a function of the plans alone, so two runs of the
+//!    sweep print the same numbers.
 //! 2. **Recovery** ([`check_recovery`]) — targeted kills at step positions
 //!    crossing checkpoint boundaries (top-of-step and mid-step, np ∈
 //!    {2, 4, 8}) driven through the cosmology supervisor
@@ -21,13 +24,14 @@
 //! Both sweeps reject vacuous passes (a sweep in which no kill ever fired
 //! proves nothing), and the separate planted fixture
 //! ([`check_planted_undetected`], CLI `--planted-undetected`) proves the
-//! detection gate bites: a workload whose ranks never communicate gives
-//! the detector nothing to observe, the runtime's teardown audit flags the
-//! undetected death, and the checker *must* report it (CI asserts exit 1).
+//! detection gate bites: a workload whose ranks never communicate never
+//! blocks, so no quiescence reveals the death; the runtime's teardown
+//! audit flags it, and the checker *must* report it (CI asserts exit 1).
 
 use hot_comm::{Comm, DetectionRecord, FaultConfig, FaultPlan, RunConfig};
 use hot_core::decomp::DecompPolicy;
 use hot_cosmo::supervisor::{self, KillSpec, SupervisorConfig};
+use std::collections::BTreeSet;
 use std::panic::AssertUnwindSafe;
 
 /// Outcome of one kill sweep.
@@ -65,9 +69,9 @@ fn panic_text(payload: &(dyn std::any::Any + Send)) -> String {
         .unwrap_or_else(|| "non-string panic payload".to_string())
 }
 
-/// A chatty neighbor exchange: enough blocked receives that a survivor is
-/// always waiting on the dead rank's frozen heartbeat within the kill
-/// window. Pure function of `(np, rank)`.
+/// A chatty neighbor exchange: enough blocked receives that, after a kill
+/// inside the window, every survivor ends up blocked on the dead rank
+/// (directly or through a neighbor). Pure function of `(np, rank)`.
 fn ring_workload(c: &mut Comm) -> u64 {
     let np = c.size();
     let right = (c.rank() + 1) % np;
@@ -81,11 +85,10 @@ fn ring_workload(c: &mut Comm) -> u64 {
 }
 
 /// Cross seeded crash-stop plans with schedules and demand every fired
-/// kill is detected. Schedule 0 is the production executor on its default
-/// workers, whose quiescent pool ticks failure-detection rounds that
-/// decide on the model clock (timeout-escalation detection path);
-/// schedules ≥ 1 are seeded serialized interleavings (quiescence
-/// detection path).
+/// kill is detected, by live ranks, once per (survivor, dead) pair.
+/// Schedule 0 is the production executor on its default workers;
+/// schedules ≥ 1 are seeded serialized interleavings. Both detect at
+/// proven quiescence.
 #[must_use]
 pub fn check_detection(np: u32, kill_seeds: u64, schedules: u64) -> KillSweepReport {
     let mut failures = Vec::new();
@@ -142,12 +145,24 @@ pub fn check_detection(np: u32, kill_seeds: u64, schedules: u64) -> KillSweepRep
                             panic_text(payload.as_ref())
                         ));
                     }
+                    let mut pairs = BTreeSet::new();
                     for d in &found {
                         if !kills.iter().any(|k| k.rank == d.dead) {
                             failures.push(format!(
-                                "{label}: rank {} falsely confirmed live rank {} dead \
-                                 (after {} ticks via {:?})",
-                                d.by, d.dead, d.ticks, d.via
+                                "{label}: rank {} falsely confirmed live rank {} dead",
+                                d.by, d.dead
+                            ));
+                        }
+                        if kills.iter().any(|k| k.rank == d.by) {
+                            failures.push(format!(
+                                "{label}: dead rank {} recorded a detection of rank {}",
+                                d.by, d.dead
+                            ));
+                        }
+                        if !pairs.insert((d.by, d.dead)) {
+                            failures.push(format!(
+                                "{label}: rank {} recorded rank {}'s death twice",
+                                d.by, d.dead
                             ));
                         }
                     }
@@ -325,11 +340,11 @@ fn recovery_sweep(
 }
 
 /// The planted fixture behind `hot-analyze kills --planted-undetected`:
-/// ranks that never communicate give the failure detector nothing to
-/// observe, so a kill there is undetectable by construction. The runtime's
-/// teardown audit still catches it, and this sweep reports it as the
-/// failure it is — CI asserts the command exits 1, proving the detection
-/// gate is not vacuously green.
+/// ranks that never communicate never block, so the machine never
+/// quiesces with a survivor waiting and a kill there is undetectable by
+/// construction. The runtime's teardown audit still catches it, and this
+/// sweep reports it as the failure it is — CI asserts the command exits
+/// 1, proving the detection gate is not vacuously green.
 #[must_use]
 pub fn check_planted_undetected(np: u32) -> KillSweepReport {
     let plan = FaultPlan::new(FaultConfig::clean(1)).with_rank_kill_at_epoch(np - 1, 0);
@@ -411,6 +426,16 @@ mod tests {
         assert!(rep.passed(), "{:?}", rep.failures);
         assert!(rep.kills_fired > 0, "no kill fired");
         assert!(rep.detections > 0, "no detection recorded");
+    }
+
+    /// Detection happens only at proven quiescence, which every schedule
+    /// reaches with the same survivors blocked: the counts repeat exactly.
+    #[test]
+    fn detection_counts_are_deterministic() {
+        let a = check_detection(4, 4, 2);
+        let b = check_detection(4, 4, 2);
+        assert!(a.passed(), "{:?}", a.failures);
+        assert_eq!((a.kills_fired, a.detections), (b.kills_fired, b.detections));
     }
 
     #[test]

@@ -8,18 +8,14 @@
 //! (see [`crate::fiber`]); [`EventSched::notify`] makes a blocked rank
 //! ready again.
 //!
-//! Three operating modes, chosen by the `RunConfig` builder:
+//! Two operating modes, chosen by the `RunConfig` builder:
 //!
 //! * **Fifo** — the production mode. Ready ranks run in FIFO order; a
 //!   rank that performs many channel ops without blocking is preempted
 //!   every [`PREEMPT_EVERY`] ops so `try_recv` poll loops cannot starve
 //!   the pool. At quiescence (every unfinished rank blocked) the
-//!   deadlock is proved instead of hung on.
-//! * **Fifo + tick** — installed automatically on kill-armed fault runs:
-//!   when every rank is blocked, the pool waits one detection tick and
-//!   then requeues all blocked ranks so their `check` closures run
-//!   failure-detection rounds. Wall time only wakes the pool; every
-//!   detection decision reads model clocks.
+//!   deadlock is proved instead of hung on — and on a run with a
+//!   crash-stopped rank, that proof is the failure detection.
 //! * **Seeded** — serialized, splitmix64-driven schedule exploration on
 //!   one worker: every channel op is a schedule decision, a schedule is a
 //!   pure function of the seed (replayable), and deadlocks are proved at
@@ -53,7 +49,6 @@ use std::collections::VecDeque;
 use std::fmt;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
-use std::time::Duration;
 
 /// In Fifo mode, a rank is preempted after this many channel operations
 /// without blocking, so busy-polling ranks share the worker pool fairly.
@@ -176,9 +171,8 @@ impl ExecState {
         Some(rank)
     }
 
-    /// Requeue every Blocked rank (detection-tick round or post-deadlock
-    /// drain, so each blocked fiber re-runs its check / observes the
-    /// deadlock verdict).
+    /// Requeue every Blocked rank after the deadlock verdict, so each
+    /// blocked fiber observes it.
     fn requeue_blocked(&mut self) {
         for r in 0..self.status.len() {
             if self.status[r] == RankState::Blocked {
@@ -230,15 +224,11 @@ pub(crate) struct EventSched {
     /// `fiber_yield` and read after `resume` returns, both on the resuming
     /// worker's OS thread, so `Relaxed` suffices.
     yield_reason: Vec<AtomicU64>,
-    /// Some = requeue blocked ranks this often while quiescent (failure-
-    /// detection rounds on kill-armed runs). None = quiescence is final:
-    /// prove a deadlock.
-    tick: Option<Duration>,
     seeded: bool,
 }
 
 impl EventSched {
-    fn with(np: u32, pick: Pick, tick: Option<Duration>) -> EventSched {
+    fn with(np: u32, pick: Pick) -> EventSched {
         let seeded = matches!(pick, Pick::Seeded { .. });
         EventSched {
             state: Mutex::new(ExecState {
@@ -255,7 +245,6 @@ impl EventSched {
             version: (0..np).map(|_| AtomicU64::new(0)).collect(),
             ops: (0..np).map(|_| AtomicU64::new(0)).collect(),
             yield_reason: (0..np).map(|_| AtomicU64::new(PREEMPT)).collect(),
-            tick,
             seeded,
         }
     }
@@ -263,21 +252,14 @@ impl EventSched {
     /// Production event scheduler for an `np`-rank machine.
     #[must_use]
     pub(crate) fn new(np: u32) -> EventSched {
-        EventSched::with(np, Pick::Fifo, None)
-    }
-
-    /// Event scheduler whose quiescent pool requeues blocked ranks every
-    /// `tick` so failure-detection rounds run (kill-armed fault runs).
-    #[must_use]
-    pub(crate) fn timed(np: u32, tick: Duration) -> EventSched {
-        EventSched::with(np, Pick::Fifo, Some(tick))
+        EventSched::with(np, Pick::Fifo)
     }
 
     /// Serialized seeded mode: one rank runs between hook points, chosen
     /// by splitmix64 from `seed`; deadlocks are proven at quiescence.
     #[must_use]
     pub(crate) fn seeded(np: u32, seed: u64) -> EventSched {
-        EventSched::with(np, Pick::Seeded { rng: seed, trace: Vec::new() }, None)
+        EventSched::with(np, Pick::Seeded { rng: seed, trace: Vec::new() })
     }
 
     /// The schedule decided so far in seeded mode: each entry is a rank
@@ -340,27 +322,9 @@ impl EventSched {
                         continue;
                     }
                     // Quiescent: every unfinished rank is Blocked.
-                    match self.tick {
-                        Some(tick) => {
-                            st.parked += 1;
-                            let (guard, timeout) = self
-                                .cv
-                                .wait_timeout(st, tick)
-                                .expect("event sched lock");
-                            st = guard;
-                            st.parked -= 1;
-                            if timeout.timed_out() {
-                                // One failure-detection round per blocked
-                                // rank; their checks read model clocks.
-                                st.requeue_blocked();
-                            }
-                        }
-                        None => {
-                            st.declare_deadlock();
-                            st.requeue_blocked();
-                            self.wake_parked(&st);
-                        }
-                    }
+                    st.declare_deadlock();
+                    st.requeue_blocked();
+                    self.wake_parked(&st);
                 }
             };
             // Run outside the state lock; the fiber mutex is uncontended

@@ -254,30 +254,15 @@ pub struct KillRecord {
     pub site: KillSite,
 }
 
-/// How a survivor concluded a peer was dead.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum DetectionPath {
-    /// Heartbeat/ack silence escalated through suspect to confirmed-dead
-    /// in the reliable transport's per-peer detector.
-    Timeout,
-    /// The executor proved global quiescence while a
-    /// rank was down — the analogue of the process manager reaping a dead
-    /// process and broadcasting the failure.
-    Quiescence,
-}
-
-/// One confirmed-death event observed by a survivor.
+/// One confirmed-death event observed by a survivor: the executor proved
+/// global quiescence while a rank was down — the analogue of the process
+/// manager reaping a dead process and broadcasting the failure.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct DetectionRecord {
     /// The rank that detected the death.
     pub by: u32,
     /// The rank it confirmed dead.
     pub dead: u32,
-    /// Detector ticks (pump rounds with a frozen peer clock) it took; the
-    /// detection bound is `ticks × heartbeat interval` on the model clock.
-    pub ticks: u64,
-    /// Which mechanism confirmed it.
-    pub via: DetectionPath,
 }
 
 /// Shared observability handle for a [`FaultPlan`]: the injection ledger
@@ -324,11 +309,8 @@ impl FaultMonitor {
     }
 
     /// Record that `by` confirmed `dead` dead.
-    pub fn record_detection(&self, by: u32, dead: u32, ticks: u64, via: DetectionPath) {
-        self.detections
-            .lock()
-            .expect("detection ledger lock")
-            .push(DetectionRecord { by, dead, ticks, via });
+    pub fn record_detection(&self, by: u32, dead: u32) {
+        self.detections.lock().expect("detection ledger lock").push(DetectionRecord { by, dead });
     }
 }
 
@@ -404,9 +386,8 @@ impl FaultPlan {
         self
     }
 
-    /// True when this plan can kill ranks: the runtime arms failure
-    /// detection (and the worker pool's detection tick) only for such plans, so
-    /// kill-free runs behave exactly as before.
+    /// True when this plan can kill ranks: the runtime checks for a due
+    /// kill at channel operations only on such plans.
     #[must_use]
     pub fn kill_armed(&self) -> bool {
         self.config.kills_enabled() || !self.kill_ops.is_empty() || !self.kill_epochs.is_empty()
@@ -646,14 +627,12 @@ mod tests {
         let plan = FaultPlan::new(FaultConfig::clean(0)).with_rank_kill_at_op(0, 5);
         let mon = plan.monitor();
         mon.record_kill(0, KillSite::Op(5));
-        mon.record_detection(1, 0, 64, DetectionPath::Timeout);
+        mon.record_detection(1, 0);
         drop(plan);
         assert_eq!(mon.kills_fired(), 1);
         assert_eq!(mon.kills(), vec![KillRecord { rank: 0, site: KillSite::Op(5) }]);
         assert_eq!(mon.injected().kills, 1);
-        let d = mon.detections();
-        assert_eq!(d.len(), 1);
-        assert_eq!((d[0].by, d[0].dead, d[0].via), (1, 0, DetectionPath::Timeout));
+        assert_eq!(mon.detections(), vec![DetectionRecord { by: 1, dead: 0 }]);
     }
 
     #[test]

@@ -49,14 +49,11 @@ pub mod wire;
 pub use abm::{Abm, AbmStats};
 pub use collectives::AUTO_TREE_MIN_NP;
 pub use fault::{
-    DetectionPath, DetectionRecord, FaultConfig, FaultDecision, FaultMonitor, FaultPlan,
-    InjectedFaults, KillRecord, KillSite,
+    DetectionRecord, FaultConfig, FaultDecision, FaultMonitor, FaultPlan, InjectedFaults,
+    KillRecord, KillSite,
 };
 pub use netmodel::NetworkModel;
-pub use reliable::{
-    ReliabilityStats, ReliableComm, BACKOFF_CAP, CONFIRM_DEAD_AFTER_TICKS, DETECT_TICK_MICROS,
-    SUSPECT_AFTER_TICKS,
-};
+pub use reliable::{ReliabilityStats, BACKOFF_CAP};
 pub use runtime::{
     Comm, Envelope, RankKilled, RunConfig, RunConfigBuilder, RunOutput, Runtime, TrafficStats,
     Undrained, MAX_USER_TAG, POISON_TAG,

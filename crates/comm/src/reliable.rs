@@ -31,12 +31,12 @@
 //! deterministic trace ledger unchanged under faults.
 
 use crate::chan::Mailbox;
-use crate::fault::{DetectionPath, FaultDecision, FaultPlan};
-use crate::runtime::{Comm, Envelope, TrafficStats, Undrained, POISON_TAG};
+use crate::fault::{FaultDecision, FaultPlan};
+use crate::runtime::{Envelope, Undrained, POISON_TAG};
 use crate::wire::{frame_message, unframe_message, Wire};
 use bytes::{Buf, BufMut, Bytes, BytesMut};
 use std::collections::{BTreeMap, BTreeSet};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Mutex;
 
 /// Envelope tag carrying CRC-framed transport data. One below
@@ -47,28 +47,6 @@ pub const FRAME_TAG: u32 = u32::MAX - 1;
 /// Cap on the exponent of the retransmission backoff charge: retry `n`
 /// charges `2^min(n, BACKOFF_CAP)` backoff units.
 pub const BACKOFF_CAP: u32 = 6;
-
-/// Blocked-pump rounds a peer's heartbeat clock must stay frozen — while
-/// that peer owes this rank progress — before the peer becomes *suspect*.
-/// Each round is one heartbeat interval on the model clock, so the bound
-/// is schedule-independent in model units.
-pub const SUSPECT_AFTER_TICKS: u64 = 16;
-
-/// Frozen rounds after which a suspect peer is *confirmed dead* and the
-/// survivor aborts the step (crash-stop escalation). Deliberately far
-/// above [`SUSPECT_AFTER_TICKS`]: a spurious confirmation is never a
-/// correctness bug — the supervisor's rollback-rerun converges to the
-/// same bitwise state — but each one costs a recovery cycle, so the
-/// detector trades latency for precision.
-pub const CONFIRM_DEAD_AFTER_TICKS: u64 = 64;
-
-/// Detection tick, in microseconds, when a kill-armed plan is installed:
-/// how long a quiescent worker pool waits before requeueing every blocked
-/// rank for one failure-detection round — the host-side analogue of a
-/// heartbeat timer. Wall time here only *wakes* the pool so the detector
-/// can run; every detection decision reads model clocks, never wall
-/// clocks.
-pub const DETECT_TICK_MICROS: u64 = 1000;
 
 /// Per-rank reliability counters. Everything the recovery machinery does
 /// is observable here — and *only* here: none of these feed the
@@ -91,13 +69,6 @@ pub struct ReliabilityStats {
     /// Exponential-backoff charge accumulated by retries, in model units
     /// (multiples of the network latency a real sender would have waited).
     pub backoff_units: u64,
-    /// Peers this rank escalated to *suspect* (frozen heartbeat past
-    /// [`SUSPECT_AFTER_TICKS`] while owing progress). A suspicion that a
-    /// late heartbeat clears still counts: transient suspicion on a
-    /// healthy run is the detector's false-alarm signal.
-    pub suspect_events: u64,
-    /// Peers this rank escalated all the way to *confirmed dead*.
-    pub dead_confirms: u64,
 }
 
 impl ReliabilityStats {
@@ -109,8 +80,6 @@ impl ReliabilityStats {
         self.dup_suppressed += o.dup_suppressed;
         self.stalls += o.stalls;
         self.backoff_units += o.backoff_units;
-        self.suspect_events += o.suspect_events;
-        self.dead_confirms += o.dead_confirms;
     }
 
     /// True when no reliability event occurred (a clean transport).
@@ -128,8 +97,6 @@ impl Wire for ReliabilityStats {
         buf.put_u64_le(self.dup_suppressed);
         buf.put_u64_le(self.stalls);
         buf.put_u64_le(self.backoff_units);
-        buf.put_u64_le(self.suspect_events);
-        buf.put_u64_le(self.dead_confirms);
     }
     fn decode(buf: &mut Bytes) -> Self {
         ReliabilityStats {
@@ -139,12 +106,10 @@ impl Wire for ReliabilityStats {
             dup_suppressed: buf.get_u64_le(),
             stalls: buf.get_u64_le(),
             backoff_units: buf.get_u64_le(),
-            suspect_events: buf.get_u64_le(),
-            dead_confirms: buf.get_u64_le(),
         }
     }
     fn wire_size(&self) -> usize {
-        64
+        48
     }
 }
 
@@ -177,25 +142,10 @@ struct RxSide {
     delayed: Vec<Delayed>,
 }
 
-/// Per-rank failure-detector state over its peers. Ticks advance only in
-/// the blocked-receive pump (one tick per heartbeat interval), and only
-/// against peers that owe this rank progress; any observed heartbeat
-/// advance resets the episode.
-struct Detector {
-    /// Last heartbeat clock observed per peer (published or frame-carried).
-    last_seen: Vec<u64>,
-    /// Consecutive frozen-heartbeat rounds per peer while owed.
-    ticks: Vec<u64>,
-    /// Suspect threshold crossed this episode (counted once).
-    suspected: Vec<bool>,
-    /// Confirmed dead (terminal; the owning rank aborts on observing it).
-    confirmed: Vec<bool>,
-}
-
 /// The reliable-transport engine installed on a machine when a fault plan
 /// is active. Shared by all ranks; every member is independently locked
-/// (lock order: `rx` before `detect` before `flows` before mailbox,
-/// `rstats` leaf-only; `clocks` and `dead` are atomics).
+/// (lock order: `rx` before `flows` before mailbox, `rstats` leaf-only;
+/// `dead` holds atomics).
 pub(crate) struct Transport {
     pub(crate) plan: FaultPlan,
     np: u32,
@@ -203,21 +153,12 @@ pub(crate) struct Transport {
     flows: Vec<Mutex<TxFlow>>,
     rx: Vec<Mutex<RxSide>>,
     rstats: Vec<Mutex<ReliabilityStats>>,
-    /// Published per-rank heartbeat clocks (each rank's channel-op count,
-    /// stored by the runtime at every channel operation). The shared-
-    /// memory publication stands in for heartbeat packets the same way
-    /// ack pruning stands in for ack packets; the same clock also rides
-    /// every frame header (see [`crate::wire::Frame::hb`]) and frame-
-    /// carried heartbeats feed this array at intake.
-    clocks: Vec<AtomicU64>,
-    /// Ranks whose kill fired (crash-stop ground truth — used to classify
-    /// quiescence and to silence the dead rank's sends, never consulted
-    /// by the timeout detector's escalation decisions).
+    /// Ranks whose kill fired: the crash-stop ground truth that classifies
+    /// a proven quiescence as a detection, silences the dead rank's sends,
+    /// and drives the undetected-kill audit.
     dead: Vec<AtomicBool>,
-    /// Per-rank detector state; allocated only when the plan is armed.
-    detect: Vec<Mutex<Detector>>,
-    /// Cached [`FaultPlan::kill_armed`]: detection runs only on plans
-    /// that can kill, so kill-free fault runs behave exactly as before.
+    /// Cached [`FaultPlan::kill_armed`]: only plans that can kill pay for
+    /// the per-op kill check.
     armed: bool,
 }
 
@@ -238,18 +179,7 @@ impl Transport {
                 })
                 .collect(),
             rstats: (0..np).map(|_| Mutex::new(ReliabilityStats::default())).collect(),
-            clocks: (0..np).map(|_| AtomicU64::new(0)).collect(),
             dead: (0..np).map(|_| AtomicBool::new(false)).collect(),
-            detect: (0..np)
-                .map(|_| {
-                    Mutex::new(Detector {
-                        last_seen: vec![0; np as usize],
-                        ticks: vec![0; np as usize],
-                        suspected: vec![false; np as usize],
-                        confirmed: vec![false; np as usize],
-                    })
-                })
-                .collect(),
             armed,
         }
     }
@@ -258,21 +188,12 @@ impl Transport {
         &self.flows[(src * self.np + dst) as usize]
     }
 
-    /// True when the plan can kill ranks and detection is active.
+    /// True when the plan can kill ranks.
     pub(crate) fn kill_armed(&self) -> bool {
         self.armed
     }
 
-    /// Publish `rank`'s heartbeat clock (its channel-op count). Called by
-    /// the runtime at every channel operation of an armed run. `fetch_max`
-    /// because the clock is also bumped by [`Transport::detect_tick`]
-    /// liveness rounds: it must only ever advance.
-    pub(crate) fn publish_clock(&self, rank: u32, ops: u64) {
-        self.clocks[rank as usize].fetch_max(ops, Ordering::AcqRel);
-    }
-
-    /// Record that `rank`'s kill fired: from here on its sends vanish and
-    /// its heartbeat clock stays frozen forever.
+    /// Record that `rank`'s kill fired: from here on its sends vanish.
     pub(crate) fn mark_dead(&self, rank: u32) {
         self.dead[rank as usize].store(true, Ordering::Release);
     }
@@ -280,84 +201,6 @@ impl Transport {
     /// Ranks whose kill fired, ascending.
     pub(crate) fn dead_ranks(&self) -> Vec<u32> {
         (0..self.np).filter(|&r| self.dead[r as usize].load(Ordering::Acquire)).collect()
-    }
-
-    /// Peers `me`'s detector has confirmed dead, ascending. The caller
-    /// (the runtime's receive path) raises the crash-stop abort — outside
-    /// every scheduler and transport lock, so the panic cannot poison
-    /// shared state.
-    pub(crate) fn confirmed_dead(&self, me: u32) -> Vec<u32> {
-        if !self.armed {
-            return Vec::new();
-        }
-        let det = self.detect[me as usize].lock().expect("detect lock");
-        (0..self.np).filter(|&p| det.confirmed[p as usize]).collect()
-    }
-
-    /// One failure-detector round for blocked rank `me`: escalate every
-    /// peer whose heartbeat clock is frozen *while it owes `me` progress*
-    /// — an unacked `me → peer` flow (the peer's pump would have acked
-    /// it) or `waiting_on == peer` (the receive `me` is blocked in). Any
-    /// clock advance resets the peer's episode. Crossing
-    /// [`CONFIRM_DEAD_AFTER_TICKS`] marks the peer confirmed-dead and
-    /// logs the detection; the blocked receive observes it via
-    /// [`Transport::confirmed_dead`] and aborts.
-    pub(crate) fn detect_tick(&self, me: u32, waiting_on: Option<u32>) {
-        if !self.armed {
-            return;
-        }
-        // Running a detection round is itself proof of life: bump our own
-        // heartbeat so peers blocked *behind* us (transitively stuck on the
-        // same dead rank, hence performing no channel ops) never mistake
-        // this live-but-waiting rank for a crashed one. A dead rank's fiber
-        // has returned, so its clock alone stays frozen.
-        self.clocks[me as usize].fetch_add(1, Ordering::AcqRel);
-        let mut suspects = 0u64;
-        let mut confirms = 0u64;
-        {
-            let mut det = self.detect[me as usize].lock().expect("detect lock");
-            for peer in 0..self.np {
-                if peer == me {
-                    continue;
-                }
-                let p = peer as usize;
-                let clock = self.clocks[p].load(Ordering::Acquire);
-                if clock != det.last_seen[p] {
-                    det.last_seen[p] = clock;
-                    det.ticks[p] = 0;
-                    det.suspected[p] = false;
-                    continue;
-                }
-                if det.confirmed[p] {
-                    continue;
-                }
-                let owed = waiting_on == Some(peer)
-                    || !self.flow(me, peer).lock().expect("flow lock").unacked.is_empty();
-                if !owed {
-                    continue;
-                }
-                det.ticks[p] += 1;
-                if det.ticks[p] == SUSPECT_AFTER_TICKS {
-                    det.suspected[p] = true;
-                    suspects += 1;
-                }
-                if det.ticks[p] >= CONFIRM_DEAD_AFTER_TICKS {
-                    det.confirmed[p] = true;
-                    confirms += 1;
-                    self.plan.monitor().record_detection(
-                        me,
-                        peer,
-                        det.ticks[p],
-                        DetectionPath::Timeout,
-                    );
-                }
-            }
-        }
-        if suspects > 0 || confirms > 0 {
-            let mut st = self.rstats[me as usize].lock().expect("rstats lock");
-            st.suspect_events += suspects;
-            st.dead_confirms += confirms;
-        }
     }
 
     /// Reliability counters attributed to `rank` so far.
@@ -410,15 +253,13 @@ impl Transport {
         if d.drop {
             return;
         }
-        // Every frame carries the sender's current heartbeat clock, so
-        // receivers learn liveness from ordinary traffic for free. A dead
-        // sender transmits nothing — including retransmissions performed
-        // on its behalf by a receiver's gap recovery.
+        // A dead sender transmits nothing — including retransmissions
+        // performed on its behalf by a receiver's gap recovery.
         if self.dead[src as usize].load(Ordering::Acquire) {
             return;
         }
-        let hb = self.clocks[src as usize].load(Ordering::Acquire);
-        let mut bytes = frame_message(seq, hb, tag, payload);
+        // The frame's `hb` field is reserved: always 0.
+        let mut bytes = frame_message(seq, 0, tag, payload);
         if let Some(bit) = d.corrupt_bit {
             bytes = Bytes::from(FaultPlan::corrupt(&bytes, bit));
         }
@@ -451,12 +292,6 @@ impl Transport {
                 crc_seen[src as usize] = true;
             }
             Ok(frame) => {
-                // Frame-carried heartbeat: even a duplicate or out-of-order
-                // frame proves its sender was alive at `hb`, so it feeds
-                // the published-clock array the detector reads.
-                if self.armed {
-                    self.clocks[src as usize].fetch_max(frame.hb, Ordering::AcqRel);
-                }
                 let exp = rx.expected[src as usize];
                 if frame.seq < exp || rx.stash.contains_key(&(src, frame.seq)) {
                     stats.dup_suppressed += 1;
@@ -542,7 +377,7 @@ impl Transport {
                                 Some(idx) => Some(Err(idx)),
                                 // A dead sender cannot retransmit: its
                                 // buffered copy died with it. The gap
-                                // stays open and the detector escalates.
+                                // stays open until the machine quiesces.
                                 None if self.dead[src as usize].load(Ordering::Acquire) => None,
                                 None => {
                                     *attempts += 1;
@@ -645,85 +480,11 @@ impl Transport {
     }
 }
 
-/// A rank-level endpoint over the reliable transport: the public face of
-/// the recovery machinery. All [`Comm`] traffic on a fault-plan run is
-/// already reliable — `ReliableComm` adds explicit progress control
-/// ([`ReliableComm::pump`]) and reliability observability on top, for
-/// callers that poll rather than block (the ABM tree-walk pattern).
-pub struct ReliableComm<'a> {
-    inner: &'a mut Comm,
-}
-
-impl<'a> ReliableComm<'a> {
-    /// Wrap a communicator endpoint.
-    pub fn new(inner: &'a mut Comm) -> ReliableComm<'a> {
-        ReliableComm { inner }
-    }
-
-    /// This rank's id.
-    #[must_use]
-    pub fn rank(&self) -> u32 {
-        self.inner.rank()
-    }
-
-    /// Machine size.
-    #[must_use]
-    pub fn size(&self) -> u32 {
-        self.inner.size()
-    }
-
-    /// The wrapped endpoint, for collectives and ABM sessions.
-    pub fn comm_mut(&mut self) -> &mut Comm {
-        self.inner
-    }
-
-    /// Send a typed value reliably (framed, CRC-protected, retransmitted
-    /// until delivered when a fault plan is active).
-    pub fn send<T: Wire>(&mut self, dst: u32, tag: u32, v: &T) {
-        self.inner.send(dst, tag, v);
-    }
-
-    /// Blocking typed receive from a specific source, with transport
-    /// recovery while blocked.
-    pub fn recv<T: Wire>(&mut self, src: u32, tag: u32) -> T {
-        self.inner.recv(src, tag)
-    }
-
-    /// Blocking typed receive from any source.
-    pub fn recv_any<T: Wire>(&mut self, tag: u32) -> (u32, T) {
-        self.inner.recv_any(tag)
-    }
-
-    /// Non-blocking typed probe from any source.
-    pub fn try_recv_any<T: Wire>(&mut self, tag: u32) -> Option<(u32, T)> {
-        self.inner.try_recv_any(tag)
-    }
-
-    /// Drive transport progress without receiving: verify intake,
-    /// resequence, deliver, and recover losses. A no-op on a fault-free
-    /// machine.
-    pub fn pump(&mut self) {
-        self.inner.pump_transport();
-    }
-
-    /// Logical traffic counters (identical to a fault-free run).
-    #[must_use]
-    pub fn stats(&self) -> TrafficStats {
-        self.inner.stats()
-    }
-
-    /// Reliability counters attributed to this rank.
-    #[must_use]
-    pub fn reliability_stats(&self) -> ReliabilityStats {
-        self.inner.reliability_stats()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::fault::FaultConfig;
-    use crate::runtime::RunConfig;
+    use crate::runtime::{Comm, RunConfig};
 
     fn faulty(np: u32, seed: u64) -> RunConfig {
         RunConfig::builder()
@@ -741,27 +502,19 @@ mod tests {
             dup_suppressed: 4,
             stalls: 5,
             backoff_units: 6,
-            suspect_events: 7,
-            dead_confirms: 8,
         };
         let b = crate::wire::to_bytes(&s);
         assert_eq!(b.len(), s.wire_size());
         assert_eq!(crate::wire::from_bytes::<ReliabilityStats>(b), s);
     }
 
-    /// The failure-detection timing contract, pinned so silent retuning
-    /// breaks the build: suspect at 16 frozen heartbeat intervals,
-    /// confirm-dead at 64, retransmission backoff capped at 2^6, a 1 ms
-    /// detection tick on a quiescent worker pool, and a 28-byte
-    /// frame (the 8-byte piggybacked heartbeat on the PR 3 20-byte
-    /// frame). Retuning any of these changes the repo's availability
-    /// story and must be a reviewed, documented change.
+    /// The transport's wire contract, pinned so silent retuning breaks the
+    /// build: retransmission backoff capped at 2^6, and a 28-byte frame
+    /// (the 20-byte header and trailer plus the reserved 8-byte `hb`
+    /// field). Retuning either must be a reviewed, documented change.
     #[test]
     fn detection_constants_are_pinned() {
-        assert_eq!(SUSPECT_AFTER_TICKS, 16);
-        assert_eq!(CONFIRM_DEAD_AFTER_TICKS, 64);
         assert_eq!(BACKOFF_CAP, 6);
-        assert_eq!(DETECT_TICK_MICROS, 1000);
         assert_eq!(crate::wire::FRAME_OVERHEAD_BYTES, 28);
     }
 
@@ -953,26 +706,5 @@ mod tests {
         });
         assert_eq!(out.undrained, vec![Undrained::new(1, 0, 9, Some(0))]);
         assert_eq!(out.undrained[0].tag_name, "user");
-    }
-
-    #[test]
-    fn reliable_comm_wrapper_delegates() {
-        let out = RunConfig::builder()
-            .np(2)
-            .faults(FaultPlan::new(FaultConfig::hostile(11)))
-            .run(|c| {
-            let mut rc = ReliableComm::new(c);
-            if rc.rank() == 0 {
-                rc.send(1, 5, &99u64);
-                rc.pump();
-                rc.recv::<u64>(1, 6)
-            } else {
-                let v: u64 = rc.recv(0, 5);
-                rc.send(0, 6, &(v + 1));
-                let _ = rc.reliability_stats();
-                v
-            }
-        });
-        assert_eq!(out.results, vec![100, 99]);
     }
 }

@@ -18,10 +18,8 @@
 
 use crate::chan::{Mailbox, Scan};
 use crate::events::{EventSched, Want};
-use crate::fault::{DetectionPath, FaultPlan, InjectedFaults, KillSite};
-use crate::reliable::{
-    ReliabilityStats, Transport, CONFIRM_DEAD_AFTER_TICKS, DETECT_TICK_MICROS, FRAME_TAG,
-};
+use crate::fault::{FaultPlan, InjectedFaults, KillSite};
+use crate::reliable::{ReliabilityStats, Transport, FRAME_TAG};
 use crate::wire::{from_bytes, to_bytes, Wire};
 use bytes::Bytes;
 use std::cell::Cell;
@@ -126,8 +124,7 @@ pub struct Comm {
     machine: Arc<Machine>,
     stats: TrafficStats,
     /// Channel operations performed — the rank's model clock. Indexes the
-    /// fault plan's stall and kill draws and, on kill-armed runs, is
-    /// published as the rank's heartbeat.
+    /// fault plan's stall and kill draws.
     ops: u64,
     /// Set when this rank's crash-stop kill fires, switching teardown from
     /// the poison protocol to silent death.
@@ -181,28 +178,24 @@ impl Comm {
     /// Drive reliable-transport progress for this rank: verify and
     /// resequence framed intake, deliver in-order messages, and recover
     /// losses. No-op when the run has no fault plan.
-    pub fn pump_transport(&mut self) {
+    fn pump_transport(&mut self) {
         if let Some(t) = &self.machine.transport {
             t.pump(self.rank, &self.machine.mailboxes[self.rank as usize]);
         }
     }
 
     /// What every channel operation starts with: the schedule point, then
-    /// the fault plan's hook — advance and publish the model clock, fire a
-    /// pending crash-stop kill, and possibly stall this rank by spending
-    /// extra schedule yields (a transient node hiccup — the rank loses its
-    /// turn a few times but performs no I/O).
+    /// the fault plan's hook — advance the model clock, fire a pending
+    /// crash-stop kill, and possibly stall this rank by spending extra
+    /// schedule yields (a transient node hiccup — the rank loses its turn a
+    /// few times but performs no I/O).
     fn channel_op(&mut self) {
         self.machine.sched.yield_point(self.rank);
         if let Some(t) = &self.machine.transport {
             let idx = self.ops;
             self.ops += 1;
-            if t.kill_armed() {
-                // Heartbeat: every channel op publishes the rank's clock.
-                t.publish_clock(self.rank, self.ops);
-                if t.plan.kill_time(self.rank).is_some_and(|at| idx >= at) {
-                    self.die(KillSite::Op(idx));
-                }
+            if t.kill_armed() && t.plan.kill_time(self.rank).is_some_and(|at| idx >= at) {
+                self.die(KillSite::Op(idx));
             }
             if t.plan.decide_stall(self.rank, idx) {
                 t.note_stall(self.rank);
@@ -227,8 +220,8 @@ impl Comm {
     }
 
     /// Crash-stop: mark this rank dead in the transport (its sends and
-    /// retransmissions vanish, its heartbeat freezes), record the kill,
-    /// and unwind with the [`RankKilled`] payload. Holds no locks.
+    /// retransmissions vanish), record the kill, and unwind with the
+    /// [`RankKilled`] payload. Holds no locks.
     fn die(&mut self, site: KillSite) -> ! {
         let t = self.machine.transport.as_ref().expect("kill fired without transport");
         t.mark_dead(self.rank);
@@ -324,7 +317,7 @@ impl Comm {
 
     /// The one blocking receive loop: `take` from this rank's mailbox until
     /// it matches, asleep in the scheduler until `ready` in between. `src`
-    /// and `tag` name the wait to the failure detector and deadlock report.
+    /// and `tag` name the wait in the deadlock report.
     fn wait_take<M>(
         &self,
         src: Option<u32>,
@@ -338,17 +331,6 @@ impl Comm {
         loop {
             if let Some(t) = transport {
                 t.pump(rank, mbox);
-                // The detector runs in the blocked-wait check below, where
-                // it cannot panic; the abort it requests is raised here,
-                // outside every scheduler and transport lock.
-                let confirmed = t.confirmed_dead(rank);
-                if !confirmed.is_empty() {
-                    panic!(
-                        "crash-stop: rank {rank} confirmed rank(s) {confirmed:?} dead \
-                         (heartbeat frozen {CONFIRM_DEAD_AFTER_TICKS} intervals while \
-                         owing progress); aborting step for rollback recovery"
-                    );
-                }
             }
             match take(mbox) {
                 Scan::Matched(m) => return m,
@@ -362,36 +344,25 @@ impl Comm {
                 self.machine.sched.wait_message(self.rank, &want, &mut || {
                     // While blocked, every wake drives transport progress:
                     // a dropped frame's notify lands here and recovery
-                    // retransmits it, so loss never wedges a receiver. On
-                    // kill-armed runs each wake is also one failure-
-                    // detector round; a confirmed death reads as "message
-                    // available" so the blocked wait returns and the
-                    // receive loop raises the crash-stop abort lock-free.
+                    // retransmits it, so loss never wedges a receiver.
                     if let Some(t) = transport {
                         t.pump(rank, mbox);
-                        t.detect_tick(rank, src);
-                        if !t.confirmed_dead(rank).is_empty() {
-                            return true;
-                        }
                     }
                     ready(mbox)
                 })
             {
-                // The executor proved global quiescence. With a
-                // crashed rank that is the failure detector's strongest
-                // oracle — the runtime analogue of the process manager
-                // reaping a dead process — so classify it as a crash-stop
-                // detection rather than a program deadlock.
+                // The executor proved global quiescence. With a crashed
+                // rank that is the failure detector — the runtime analogue
+                // of the process manager reaping a dead process — so
+                // classify it as a crash-stop detection rather than a
+                // program deadlock. Every rank blocked at the verdict
+                // passes here exactly once, so each (survivor, dead) pair
+                // is recorded once.
                 if let Some(t) = transport {
                     let dead = t.dead_ranks();
-                    if t.kill_armed() && !dead.is_empty() {
+                    if !dead.is_empty() {
                         for &d in &dead {
-                            t.plan.monitor().record_detection(
-                                rank,
-                                d,
-                                0,
-                                DetectionPath::Quiescence,
-                            );
+                            t.plan.monitor().record_detection(rank, d);
                         }
                         panic!(
                             "crash-stop: rank {rank}: machine quiesced with rank(s) \
@@ -469,18 +440,12 @@ impl Drop for Comm {
         // must never park itself waiting for a schedule grant.
         //
         // A crash-stop kill is different: the rank must vanish *silently* —
-        // no poison, because a real dead node sends nothing. It still drains
-        // its own mailbox (the simulator reclaiming the dead node's memory)
-        // and still wakes peers, so blocked receivers re-run their check and
-        // the failure detector gets scheduled; what they observe is only
-        // the absence of progress.
+        // no poison and no wake-ups, because a real dead node sends nothing.
+        // It only drains its own mailbox (the simulator reclaiming the dead
+        // node's memory). Survivors learn of the death when the executor
+        // proves the machine quiescent.
         if self.killed {
             self.machine.mailboxes[self.rank as usize].drain_all();
-            for dst in 0..self.machine.np {
-                if dst != self.rank {
-                    self.machine.sched.notify(dst);
-                }
-            }
         } else if std::thread::panicking() {
             self.machine.mailboxes[self.rank as usize].drain_all();
             for dst in 0..self.machine.np {
@@ -656,16 +621,8 @@ impl RunConfig {
     {
         let np = self.np;
         assert!(np >= 1, "need at least one rank");
-        let kill_armed = self.faults.as_ref().is_some_and(FaultPlan::kill_armed);
         let sched = Arc::new(match self.event_seed {
             Some(seed) => EventSched::seeded(np, seed),
-            // A dead rank never notifies: a quiescent pool must wake on a
-            // timer to run failure-detection rounds. The period is the
-            // model-level detection tick — wall time only wakes the pool;
-            // every detection decision reads model clocks.
-            None if kill_armed => {
-                EventSched::timed(np, Duration::from_micros(DETECT_TICK_MICROS))
-            }
             None => EventSched::new(np),
         });
         let workers = match self.event_seed {
@@ -948,7 +905,7 @@ fn finish<T>(
 mod tests {
     use crate::runtime::RunConfig;
     use super::*;
-    use crate::fault::{DetectionPath, FaultConfig, FaultPlan};
+    use crate::fault::{FaultConfig, FaultPlan, KillRecord};
 
     /// Ring workload with enough rounds of traffic that a mid-run kill
     /// leaves plenty of surviving communication to detect it through.
@@ -986,25 +943,30 @@ mod tests {
         assert_eq!(shares(np4().event_seed(7)), vec![avail; 4], "seeded");
     }
 
+    /// The production executor detects a crash-stop death at proven
+    /// quiescence on any worker count: in the ring, rank 1's death leaves
+    /// every survivor blocked, and each survivor records the death once.
     #[test]
-    fn killed_rank_aborts_run_via_timeout_detection() {
-        let plan = FaultPlan::new(FaultConfig::clean(3)).with_rank_kill_at_op(1, 40);
-        let monitor = plan.monitor();
-        let result = std::panic::catch_unwind(|| {
-            RunConfig::builder().np(4).faults(plan).run(chatty_ring);
-        });
-        // The run must abort (crash-stop panic from a detecting survivor;
-        // whichever join lands first may surface its poison instead).
-        assert!(result.is_err(), "killed run completed");
-        let kills = monitor.kills();
-        assert_eq!(kills.len(), 1);
-        assert_eq!(kills[0].rank, 1);
-        assert_eq!(kills[0].site, KillSite::Op(40));
-        let detections = monitor.detections();
-        assert!(
-            detections.iter().any(|d| d.dead == 1 && d.via == DetectionPath::Timeout),
-            "no survivor timeout-detected the dead rank: {detections:?}"
-        );
+    fn killed_rank_is_detected_at_quiescence_on_the_production_executor() {
+        let default = || RunConfig::builder();
+        for (label, builder) in [
+            ("workers(1)", default().workers(1)),
+            ("workers(2)", default().workers(2)),
+            ("default workers", default()),
+        ] {
+            let plan = FaultPlan::new(FaultConfig::clean(3)).with_rank_kill_at_op(1, 40);
+            let monitor = plan.monitor();
+            let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                builder.np(4).faults(plan).run(chatty_ring);
+            }));
+            let msg = panic_text(&result.expect_err("killed run completed"));
+            assert!(msg.contains("crash-stop"), "{label}: {msg}");
+            assert_eq!(monitor.kills(), vec![KillRecord { rank: 1, site: KillSite::Op(40) }]);
+            let mut found: Vec<(u32, u32)> =
+                monitor.detections().iter().map(|d| (d.by, d.dead)).collect();
+            found.sort_unstable();
+            assert_eq!(found, vec![(0, 1), (2, 1), (3, 1)], "{label}");
+        }
     }
 
     #[test]
@@ -1048,10 +1010,9 @@ mod tests {
 
     #[test]
     fn kill_free_armed_run_matches_unarmed_golden() {
-        // Arming the detector (heartbeats, tick-mode pool, detection
-        // rounds) must not perturb logical results or traffic when no kill
-        // actually fires: the recovery machinery is observable only through
-        // ReliabilityStats.
+        // Arming kills (the per-op kill check) must not perturb logical
+        // results or traffic when no kill actually fires: the recovery
+        // machinery is observable only through ReliabilityStats.
         let golden = RunConfig::builder().np(4).run(chatty_ring);
         let plan = FaultPlan::new(FaultConfig::clean(5)).with_rank_kill_at_epoch(3, u64::MAX);
         assert!(plan.kill_armed());
@@ -1372,9 +1333,9 @@ mod tests {
 
     #[test]
     fn deadlock_is_proved_at_quiescence() {
-        // Head-to-head recv: both the production Fifo pool (no tick
-        // installed) and the seeded mode must prove the deadlock once
-        // quiescent, naming both ranks' waits, instead of hanging.
+        // Head-to-head recv: both the production Fifo pool and the seeded
+        // mode must prove the deadlock once quiescent, naming both ranks'
+        // waits, instead of hanging.
         for seeded in [false, true] {
             let result = std::panic::catch_unwind(|| {
                 let b = RunConfig::builder().np(2);

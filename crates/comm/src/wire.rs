@@ -345,11 +345,9 @@ pub const FRAME_OVERHEAD_BYTES: usize = 28;
 pub struct Frame {
     /// Per-flow sequence number (0-based, contiguous).
     pub seq: u64,
-    /// Heartbeat: the sender's model clock (per-rank channel-op count) at
-    /// transmission. Piggybacking it on every frame makes liveness
-    /// observable for free — a peer whose heartbeat stops advancing while
-    /// it owes traffic is suspect, and the failure detector escalates on
-    /// that model-clock silence, never on wall time.
+    /// Reserved: the transport writes 0 and reads nothing from it. The
+    /// field stays so the frame layout (and [`FRAME_OVERHEAD_BYTES`]) does
+    /// not change.
     pub hb: u64,
     /// The application tag the payload was sent under.
     pub tag: u32,
@@ -378,7 +376,7 @@ impl std::fmt::Display for FrameError {
 }
 
 /// Wrap `payload` in a sequence-numbered, CRC-protected transport frame.
-/// `hb` is the sender's model clock at transmission (its heartbeat).
+/// `hb` fills the reserved header field ([`Frame::hb`]).
 #[must_use]
 pub fn frame_message(seq: u64, hb: u64, tag: u32, payload: &[u8]) -> Bytes {
     let mut buf = BytesMut::with_capacity(FRAME_OVERHEAD_BYTES + payload.len());
@@ -559,9 +557,8 @@ mod tests {
 
     #[test]
     fn frame_heartbeat_is_crc_protected() {
-        // The heartbeat field sits at bytes 8..16 of the header; flipping
-        // any of them must fail the CRC, so a corrupted heartbeat can never
-        // feed the failure detector a bogus liveness signal.
+        // The reserved `hb` field sits at bytes 8..16 of the header; the
+        // CRC covers it like every other header byte.
         let framed = frame_message(1, 0xAABB_CCDD, 2, &[9, 9, 9]);
         for i in 8..16 {
             let mut bad = framed.to_vec();

@@ -199,8 +199,8 @@ pub struct RecoveryReport {
     pub rework_steps: u64,
     /// Crash-stop kills that fired across all attempts.
     pub kills_fired: u64,
-    /// Failure detections recorded (timeout escalations and quiescence
-    /// classifications) across all attempts.
+    /// Failure detections recorded across all attempts: one per survivor
+    /// blocked when the executor proved quiescence, per dead rank.
     pub detections: u64,
 }
 

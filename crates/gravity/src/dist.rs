@@ -176,33 +176,46 @@ pub fn distributed_accelerations_traced(
     tree.record_build(trace);
     let mut dt = DistTree::build_traced(comm, tree, intervals.clone(), trace);
     trace.end();
-
-    let n = dt.local.n_particles();
-    let mut acc_sorted = vec![Vec3::ZERO; n];
-    let mut work_sorted = vec![0.0f32; n];
-    let flops_before = counter.report().flops();
-    let stats = {
-        let mut ev = GravityEvaluator {
-            acc: &mut acc_sorted,
-            pot: None,
-            eps2: opts.eps2,
-            quadrupole: opts.quadrupole,
-            counter,
-            work: &mut work_sorted,
-            base: 0,
-        };
-        dwalk_with_traced(comm, &mut dt, &opts.mac, &mut ev, opts.group_size, &opts.walk, trace)
-    };
-    record_force_phase(trace, &stats.walk, counter.report().flops() - flops_before);
+    let (acc_sorted, work_sorted, stats) = walk_gravity(comm, &mut dt, opts, counter, trace);
 
     // Map tree order back to the bodies' order and refresh work weights.
     let mut bodies_out = bodies;
-    let mut acc = vec![Vec3::ZERO; n];
+    let mut acc = vec![Vec3::ZERO; acc_sorted.len()];
     for (sorted_i, &orig) in dt.local.order.iter().enumerate() {
         acc[orig as usize] = acc_sorted[sorted_i];
         bodies_out[orig as usize].work = work_sorted[sorted_i].max(1.0);
     }
     DistForces { bodies: bodies_out, acc, stats, intervals, rebalance: None }
+}
+
+/// Walk `dt` with the gravity evaluator and record the force phase:
+/// accelerations and interaction counts in tree order, plus the walk's
+/// statistics (collective call).
+fn walk_gravity(
+    comm: &mut Comm,
+    dt: &mut DistTree<MassMoments>,
+    opts: &DistOptions,
+    counter: &FlopCounter,
+    trace: &mut Ledger,
+) -> (Vec<Vec3>, Vec<f32>, DwalkStats) {
+    let n = dt.local.n_particles();
+    let mut acc = vec![Vec3::ZERO; n];
+    let mut work = vec![0.0f32; n];
+    let flops_before = counter.report().flops();
+    let stats = {
+        let mut ev = GravityEvaluator {
+            acc: &mut acc,
+            pot: None,
+            eps2: opts.eps2,
+            quadrupole: opts.quadrupole,
+            counter,
+            work: &mut work,
+            base: 0,
+        };
+        dwalk_with_traced(comm, dt, &opts.mac, &mut ev, opts.group_size, &opts.walk, trace)
+    };
+    record_force_phase(trace, &stats.walk, counter.report().flops() - flops_before);
+    (acc, work, stats)
 }
 
 /// One distributed force step under a [`DecompPolicy`], carrying state
@@ -253,24 +266,8 @@ pub fn distributed_step_traced(
     let (mut dt, _cached) =
         DistTree::build_cached_traced(comm, tree, intervals.clone(), &mut state.branches, trace);
     trace.end();
-
-    let n = dt.local.n_particles();
-    let mut acc_sorted = vec![Vec3::ZERO; n];
-    let mut work_sorted = vec![0.0f32; n];
-    let flops_before = counter.report().flops();
-    let stats = {
-        let mut ev = GravityEvaluator {
-            acc: &mut acc_sorted,
-            pot: None,
-            eps2: opts.eps2,
-            quadrupole: opts.quadrupole,
-            counter,
-            work: &mut work_sorted,
-            base: 0,
-        };
-        dwalk_with_traced(comm, &mut dt, &opts.mac, &mut ev, opts.group_size, &opts.walk, trace)
-    };
-    record_force_phase(trace, &stats.walk, counter.report().flops() - flops_before);
+    let (acc_sorted, work_sorted, stats) = walk_gravity(comm, &mut dt, opts, counter, trace);
+    let n = acc_sorted.len();
 
     // Spread each sink group's cells-opened count over its sinks (integer
     // share, remainder to the leading sinks) so traversal cost lands in

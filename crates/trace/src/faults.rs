@@ -23,7 +23,7 @@ use hot_comm::{FaultConfig, InjectedFaults, ReliabilityStats};
 /// Schema identifier for the fault-report JSON. Separate from the trace
 /// [`crate::SCHEMA`] because the two artifacts have different stability
 /// guarantees: trace JSON is bitwise-pinned, fault JSON is not.
-pub const FAULT_SCHEMA: &str = "hot-trace/faults-v2";
+pub const FAULT_SCHEMA: &str = "hot-trace/faults-v3";
 
 /// Recovery activity reduced over a whole run.
 #[derive(Clone, Debug, PartialEq)]
@@ -132,38 +132,33 @@ impl FaultReport {
         );
         let _ = writeln!(
             out,
-            "{:<6} {:>9} {:>9} {:>12} {:>9} {:>8} {:>13} {:>9} {:>9}",
-            "rank", "retries", "timeouts", "crc_rejects", "dups", "stalls", "backoff_units",
-            "suspects", "dead"
+            "{:<6} {:>9} {:>9} {:>12} {:>9} {:>8} {:>13}",
+            "rank", "retries", "timeouts", "crc_rejects", "dups", "stalls", "backoff_units"
         );
         for (rank, r) in self.per_rank.iter().enumerate() {
             let _ = writeln!(
                 out,
-                "{:<6} {:>9} {:>9} {:>12} {:>9} {:>8} {:>13} {:>9} {:>9}",
+                "{:<6} {:>9} {:>9} {:>12} {:>9} {:>8} {:>13}",
                 rank,
                 r.retries,
                 r.timeouts,
                 r.crc_rejects,
                 r.dup_suppressed,
                 r.stalls,
-                r.backoff_units,
-                r.suspect_events,
-                r.dead_confirms
+                r.backoff_units
             );
         }
         let t = &self.totals;
         let _ = writeln!(
             out,
-            "{:<6} {:>9} {:>9} {:>12} {:>9} {:>8} {:>13} {:>9} {:>9}",
+            "{:<6} {:>9} {:>9} {:>12} {:>9} {:>8} {:>13}",
             "total",
             t.retries,
             t.timeouts,
             t.crc_rejects,
             t.dup_suppressed,
             t.stalls,
-            t.backoff_units,
-            t.suspect_events,
-            t.dead_confirms
+            t.backoff_units
         );
         out
     }
@@ -199,15 +194,13 @@ fn json_injected(i: &InjectedFaults) -> String {
 fn json_reliability(r: &ReliabilityStats) -> String {
     format!(
         "{{\"retries\": {}, \"timeouts\": {}, \"crc_rejects\": {}, \"dup_suppressed\": {}, \
-         \"stalls\": {}, \"backoff_units\": {}, \"suspect_events\": {}, \"dead_confirms\": {}}}",
+         \"stalls\": {}, \"backoff_units\": {}}}",
         r.retries,
         r.timeouts,
         r.crc_rejects,
         r.dup_suppressed,
         r.stalls,
-        r.backoff_units,
-        r.suspect_events,
-        r.dead_confirms
+        r.backoff_units
     )
 }
 
@@ -250,16 +243,13 @@ mod tests {
             InjectedFaults { corruptions: 2, ..Default::default() },
         );
         let j = rep.to_json();
-        assert!(j.contains("\"schema\": \"hot-trace/faults-v2\""));
+        assert!(j.contains("\"schema\": \"hot-trace/faults-v3\""));
         assert!(j.contains("\"corruptions\": 2"));
         assert!(j.contains("\"crc_rejects\": 2"));
-        // v2 additions: the crash-stop plan, kill ledger, and detector
-        // escalation counters all appear with fixed keys.
+        // The crash-stop plan and kill ledger appear with fixed keys.
         assert!(j.contains("\"kill\": "));
         assert!(j.contains("\"kill_window\": ["));
         assert!(j.contains("\"kills\": 0"));
-        assert!(j.contains("\"suspect_events\": 0"));
-        assert!(j.contains("\"dead_confirms\": 0"));
         // Deterministic formatting: same report, same bytes.
         assert_eq!(j, rep.to_json());
         // A plan-less report still serializes.

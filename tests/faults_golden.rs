@@ -1,4 +1,4 @@
-//! Golden-snapshot test for the `hot-trace/faults-v2` fault report (see
+//! Golden-snapshot test for the `hot-trace/faults-v3` fault report (see
 //! VERIFICATION.md, "Fault invariants").
 //!
 //! The fault report's *values* are deliberately outside the determinism
@@ -19,13 +19,12 @@ use hot_trace::FaultReport;
 use std::path::PathBuf;
 
 fn golden_path() -> PathBuf {
-    PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("tests/goldens/faults_v2.json")
+    PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("tests/goldens/faults_v3.json")
 }
 
-/// A planted report exercising every field of the v2 schema: a crash-stop
+/// A planted report exercising every field of the v3 schema: a crash-stop
 /// plan (kill rate + window), a fired kill, and per-rank counters covering
-/// both the retransmit path (retries/timeouts/backoff) and the failure
-/// detector (suspect escalations, dead confirms).
+/// the retransmit path (retries/timeouts/backoff).
 fn planted_report() -> FaultReport {
     let config = FaultConfig {
         kill: 1.0,
@@ -40,15 +39,8 @@ fn planted_report() -> FaultReport {
             dup_suppressed: 1,
             stalls: 0,
             backoff_units: 7,
-            suspect_events: 1,
-            dead_confirms: 1,
         },
-        ReliabilityStats {
-            retries: 1,
-            backoff_units: 1,
-            suspect_events: 1,
-            ..Default::default()
-        },
+        ReliabilityStats { retries: 1, backoff_units: 1, ..Default::default() },
         ReliabilityStats::default(),
     ];
     let injected = InjectedFaults {
@@ -82,7 +74,7 @@ fn first_diff(expected: &str, actual: &str) -> String {
 #[test]
 fn fault_report_schema_matches_committed_golden() {
     let actual = planted_report().to_json();
-    assert!(actual.contains("\"schema\": \"hot-trace/faults-v2\""));
+    assert!(actual.contains("\"schema\": \"hot-trace/faults-v3\""));
 
     let path = golden_path();
     if std::env::var_os("UPDATE_GOLDENS").is_some() {
@@ -106,13 +98,16 @@ fn fault_report_schema_matches_committed_golden() {
     );
 }
 
-/// The table renderer must surface the same v2 fields the JSON pins:
-/// kill plan, fired kills, and detector escalation counters.
+/// The table renderer must surface the same v3 fields the JSON pins: kill
+/// plan, fired kills, and the recovery columns — and no heartbeat-detector
+/// columns, since crash-stop deaths are detected only at quiescence.
 #[test]
 fn fault_table_surfaces_detector_columns() {
     let t = planted_report().render_table();
     assert!(t.contains("kill 1 in [16, 64)"), "kill plan missing:\n{t}");
     assert!(t.contains("1 kills"), "fired-kill count missing:\n{t}");
-    assert!(t.contains("suspects"), "suspect column missing:\n{t}");
-    assert!(t.contains("dead"), "dead-confirm column missing:\n{t}");
+    for col in ["retries", "timeouts", "crc_rejects", "backoff_units"] {
+        assert!(t.contains(col), "{col} column missing:\n{t}");
+    }
+    assert!(!t.contains("suspects"), "stale detector column:\n{t}");
 }
