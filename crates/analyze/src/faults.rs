@@ -225,12 +225,20 @@ pub fn check_traced_pipeline(np: u32, fault_seeds: u64, schedules: u64) -> Fault
     )
 }
 
+/// Adaptive-rebalance pipeline under faults: the forces, trace report and
+/// rebalance counters must match the fault-free reference bitwise.
+#[must_use]
+pub fn check_rebalance(np: u32, fault_seeds: u64, schedules: u64) -> FaultSweepReport {
+    let body = workloads::rebalance_pipeline;
+    sweep_workload("rebalance-pipeline", np, fault_seeds, schedules, false, body)
+}
+
 /// The full fault sweep CI runs: all workloads, fault seeds × schedules.
 ///
-/// The traced pipeline is much heavier per run than the other workloads,
-/// so its fault-seed count is capped (the cap is printed by the CLI, not
+/// The two pipelines are much heavier per run than the other workloads,
+/// so their fault-seed count is capped (the cap is printed by the CLI, not
 /// silently applied) — the cheap workloads carry the breadth of the seed
-/// sweep, the pipeline carries the depth of the protocol stack.
+/// sweep, the pipelines carry the depth of the protocol stack.
 #[must_use]
 pub fn check_all(fault_seeds: u64) -> Vec<FaultSweepReport> {
     let schedules = 3;
@@ -240,10 +248,12 @@ pub fn check_all(fault_seeds: u64) -> Vec<FaultSweepReport> {
         reports.push(check_abm(np, fault_seeds, schedules));
     }
     reports.push(check_traced_pipeline(2, pipeline_seed_cap(fault_seeds), 2));
+    reports.push(check_rebalance(3, pipeline_seed_cap(fault_seeds), 2));
     reports
 }
 
-/// Fault-seed budget for the traced pipeline inside [`check_all`].
+/// Fault-seed budget for the traced and rebalance pipelines inside
+/// [`check_all`].
 #[must_use]
 pub fn pipeline_seed_cap(fault_seeds: u64) -> u64 {
     fault_seeds.min(4)
@@ -273,6 +283,20 @@ mod tests {
         // The pipeline's result includes the trace-report JSON, so a pass
         // means the report was bitwise identical under injected faults.
         assert!(rep.recovery.injected.total() > 0, "vacuous: nothing injected");
+    }
+
+    /// The adaptive step's migration and rebalance counters survive hostile
+    /// plans, and the sweep is not vacuous: faults were injected, and the
+    /// feedback loop repartitioned and moved bodies.
+    #[test]
+    fn rebalance_pipeline_survives_hostile_plans() {
+        let rep = check_rebalance(3, 1, 1);
+        assert!(rep.passed(), "{:?}", rep.failures);
+        assert!(rep.recovery.injected.total() > 0, "vacuous: nothing injected");
+        let out = RunConfig::builder().np(3).run(workloads::rebalance_pipeline);
+        let (_, _, _, rebalances, migrated) = &out.results[0];
+        assert!(*rebalances > 0, "clustered workload never repartitioned");
+        assert!(*migrated > 0, "repartition moved no bodies");
     }
 
     /// Planted fixture: a workload whose result records *recovery-visible*

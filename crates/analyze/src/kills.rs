@@ -401,8 +401,8 @@ pub fn check_all(kill_seeds: u64) -> Vec<KillSweepReport> {
     for np in [2, 4, 8] {
         reports.push(check_recovery(np, 2));
     }
-    // The adaptive policy adds migration + cached-tree state that rollback
-    // must reconstruct; one size keeps the sweep affordable.
+    // The adaptive policy adds migration + cross-step interval state that
+    // rollback must reconstruct; one size keeps the sweep affordable.
     reports.push(check_recovery_adaptive(4, 2));
     reports
 }

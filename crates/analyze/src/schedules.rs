@@ -158,7 +158,7 @@ pub fn check_traced_pipeline(np: u32, seeds: u64) -> WorkloadReport {
 /// the feedback-driven repartition — re-cost from the ledger, move the
 /// cuts, migrate the key-range diff — must produce bitwise identical
 /// accelerations, body ownership, trace reports and rebalance counters on
-/// every schedule, or the migration protocol has a schedule dependence.
+/// every schedule, or the migration has a schedule dependence.
 #[must_use]
 pub fn check_rebalance(np: u32, seeds: u64) -> WorkloadReport {
     check_workload("rebalance-pipeline", np, seeds, false, workloads::rebalance_pipeline)
@@ -178,7 +178,7 @@ pub fn check_all(seeds: u64) -> Vec<WorkloadReport> {
         reports.push(check_traced_pipeline(np, seeds));
     }
     // The rebalance pipeline runs three adaptive steps per seed; one
-    // multi-rank size exercises the migration protocol's receive ordering.
+    // multi-rank size exercises the migration's per-source merge.
     reports.push(check_rebalance(3, seeds));
     reports
 }

@@ -124,9 +124,9 @@ pub(crate) fn traced_pipeline(c: &mut Comm) -> PipelineOut {
 /// `DecompPolicy::Adaptive` with a low skew threshold, so the feedback
 /// loop fires — step 0 bootstraps a count-quantile decomposition, later
 /// steps re-cost from the trace ledger, move the interval cuts and migrate
-/// the key-range diff over `TAG_MIGRATE`. A pass proves the rebalance
-/// protocol (including the new RebalanceSteps/MigratedBodies/MigratedBytes
-/// counters) is bitwise schedule-independent.
+/// the key-range diff through one all-to-all. A pass proves the rebalance
+/// (including the RebalanceSteps/MigratedBodies/MigratedBytes counters) is
+/// bitwise independent of schedule and fault plan.
 pub(crate) fn rebalance_pipeline(c: &mut Comm) -> RebalanceOut {
     use hot_base::flops::FlopCounter;
     use hot_base::{Aabb, Vec3};

@@ -35,8 +35,8 @@
 //!   threshold the old [`KeyIntervals`] are reused verbatim; above it,
 //!   [`cost_cut_bounds`] moves the interval cut points exactly (integer
 //!   cost prefix sums, no sampling) and [`migrate_traced`] ships only the
-//!   minimal key-range diff as coalesced per-peer [`Body`] batches on
-//!   [`TAG_MIGRATE`].
+//!   minimal key-range diff, one [`Body`] bucket per peer through the same
+//!   all-to-all the sample sort uses.
 //!
 //! Both cut computations are pure functions of the global `(key, cost)`
 //! multiset, so an incremental rebalance lands on bitwise the same
@@ -118,7 +118,54 @@ impl KeyIntervals {
     pub fn owns(&self, rank: u32, key: Key) -> bool {
         self.owner(key) == rank
     }
+
+    /// Check the bounds partition the key line in rank order: at least one
+    /// rank, `bounds[0] == 0`, `bounds[np] == u64::MAX`, and no bound below
+    /// the one before it (equal bounds are legal: that rank is empty).
+    pub fn validate(&self) -> Result<(), IntervalError> {
+        let b = &self.bounds;
+        let np = b.len().saturating_sub(1);
+        if np == 0 {
+            return Err(IntervalError::NoRanks(b.len()));
+        }
+        if b[0] != 0 {
+            return Err(IntervalError::FirstNotZero(b[0]));
+        }
+        if b[np] != u64::MAX {
+            return Err(IntervalError::LastNotMax(b[np]));
+        }
+        match (1..=np).find(|&i| b[i] < b[i - 1]) {
+            Some(i) => Err(IntervalError::Decreasing(i)),
+            None => Ok(()),
+        }
+    }
 }
+
+/// Why [`KeyIntervals::validate`] rejected a set of bounds.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum IntervalError {
+    /// Fewer than two bounds (the count): no rank.
+    NoRanks(usize),
+    /// `bounds[0]`, which is not 0: the keys below it have no owner.
+    FirstNotZero(u64),
+    /// `bounds[np]`, which is not `u64::MAX`: the keys above it have no owner.
+    LastNotMax(u64),
+    /// The first index whose bound is below the bound before it.
+    Decreasing(usize),
+}
+
+impl std::fmt::Display for IntervalError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match *self {
+            IntervalError::NoRanks(n) => write!(f, "{n} bounds describe no rank"),
+            IntervalError::FirstNotZero(b) => write!(f, "the first bound is {b}, not 0"),
+            IntervalError::LastNotMax(b) => write!(f, "the last bound is {b}, not u64::MAX"),
+            IntervalError::Decreasing(i) => write!(f, "bound {i} is below bound {}", i - 1),
+        }
+    }
+}
+
+impl std::error::Error for IntervalError {}
 
 /// Decompose bodies across the machine by weighted parallel sample sort.
 ///
@@ -232,11 +279,6 @@ fn splitters(all: Vec<Vec<(u64, f64)>>) -> Vec<u64> {
     }
     bounds
 }
-
-/// Wire tag of the incremental key-range migration batches
-/// ([`migrate_traced`]): at most one `Vec<Body>` message per (source,
-/// destination) pair per migration epoch.
-pub const TAG_MIGRATE: u32 = 0x50;
 
 /// Upper bound on a per-body integer cost. `2^24` is the largest range of
 /// integers exactly representable in the `f32` `Body::work` carries on the
@@ -424,15 +466,13 @@ pub fn cost_cut_bounds<C>(comm: &mut Comm, bodies: &[Body<C>], totals: &[u64]) -
     KeyIntervals { bounds }
 }
 
-/// Migrate the minimal key-range diff (collective): every body already
-/// owned under `intervals` stays put; the rest move as one coalesced
-/// `Vec<Body>` batch per (source, destination) pair on [`TAG_MIGRATE`].
-///
-/// Receive sides are made deterministic by allgathering the per-pair
-/// batch counts first, then receiving from sources in ascending rank
-/// order — message arrival order can never reorder the merge. Returns
-/// this rank's bodies sorted by `(key, id)` and records
-/// [`Counter::MigratedBodies`] / [`Counter::MigratedBytes`] plus the raw
+/// Migrate the minimal key-range diff (collective): bodies already owned
+/// under `intervals` stay put; the rest move through one
+/// [`Comm::alltoall`], the exchange [`decompose_traced`] uses. A scalar
+/// allreduce first skips the exchange when no body anywhere changed owner.
+/// `alltoall`'s per-source slots and the final `(key, id)` sort make the
+/// merge independent of arrival order. Records [`Counter::MigratedBodies`]
+/// / [`Counter::MigratedBytes`] (non-empty arriving batches) and the raw
 /// traffic delta into the current span of `trace`.
 pub fn migrate_traced<C: Wire + Copy + Send>(
     comm: &mut Comm,
@@ -441,57 +481,30 @@ pub fn migrate_traced<C: Wire + Copy + Send>(
     trace: &mut Ledger,
 ) -> Vec<Body<C>> {
     let np = comm.size() as usize;
-    let rank = comm.rank();
+    let rank = comm.rank() as usize;
     let wire_before = comm.stats();
 
-    let mut keep: Vec<Body<C>> = Vec::with_capacity(bodies.len());
-    let mut out: Vec<Vec<Body<C>>> = (0..np).map(|_| Vec::new()).collect();
+    let n = bodies.len();
+    let mut buckets: Vec<Vec<Body<C>>> = (0..np).map(|_| Vec::new()).collect();
     for b in bodies {
-        let owner = intervals.owner(b.key);
-        if owner == rank {
-            keep.push(b);
-        } else {
-            out[owner as usize].push(b);
+        buckets[intervals.owner(b.key) as usize].push(b);
+    }
+    let moving = (n - buckets[rank].len()) as u64;
+    let mut mine: Vec<Body<C>> = if comm.allreduce_sum_u64(moving) == 0 {
+        std::mem::take(&mut buckets[rank])
+    } else {
+        let received = comm.alltoall(buckets);
+        for (src, batch) in received.iter().enumerate() {
+            if src != rank && !batch.is_empty() {
+                trace.add(Counter::MigratedBodies, batch.len() as u64);
+                trace.add(Counter::MigratedBytes, batch.wire_size() as u64);
+            }
         }
-    }
-
-    // Fast path: one scalar allreduce detects the common steady-state case
-    // where no body anywhere changed owner, and skips the O(np²)-byte
-    // counts exchange entirely. In the adaptive pipeline most drift
-    // migrations move nothing, so this collective dominates Decomp cost.
-    let moving: u64 = out.iter().map(|v| v.len() as u64).sum();
-    if comm.allreduce_sum_u64(moving) == 0 {
-        keep.sort_unstable_by_key(|b| (b.key, b.id));
-        trace.add_traffic(&comm.stats().since(&wire_before));
-        return keep;
-    }
-
-    // Everyone learns every pair's batch size: receives become a fixed
-    // (source-ascending) schedule instead of an arrival race.
-    let my_counts: Vec<u64> = out.iter().map(|v| v.len() as u64).collect();
-    let counts: Vec<Vec<u64>> = comm.allgather(my_counts);
-    for (dst, batch) in out.into_iter().enumerate() {
-        if !batch.is_empty() {
-            comm.send(dst as u32, TAG_MIGRATE, &batch);
-        }
-    }
-    let mut migrated_bodies = 0u64;
-    let mut migrated_bytes = 0u64;
-    for src in 0..np as u32 {
-        if src == rank || counts[src as usize][rank as usize] == 0 {
-            continue;
-        }
-        let batch: Vec<Body<C>> = comm.recv(src, TAG_MIGRATE);
-        debug_assert_eq!(batch.len() as u64, counts[src as usize][rank as usize]);
-        migrated_bodies += batch.len() as u64;
-        migrated_bytes += batch.wire_size() as u64;
-        keep.extend(batch);
-    }
-    keep.sort_unstable_by_key(|b| (b.key, b.id));
-    trace.add(Counter::MigratedBodies, migrated_bodies);
-    trace.add(Counter::MigratedBytes, migrated_bytes);
+        received.into_iter().flatten().collect()
+    };
+    mine.sort_unstable_by_key(|b| (b.key, b.id));
     trace.add_traffic(&comm.stats().since(&wire_before));
-    keep
+    mine
 }
 
 /// Outcome of one [`rebalance_traced`] call.
@@ -508,7 +521,9 @@ pub struct Rebalance {
 /// [`Phase::Decomp`] span.
 ///
 /// 1. **Drift diff** — migrate bodies whose (re-keyed) positions left
-///    their owner's interval, so ownership matches `intervals` again.
+///    their owner's interval, so ownership matches `intervals` again
+///    ([`migrate_traced`]: one scalar allreduce when nothing moved, else
+///    one all-to-all).
 /// 2. **Skew check** — three scalar allreduces (cost sum, per-rank max,
 ///    single-body max) compute the max/mean skew and the granularity
 ///    floor `1 + max_body/mean` in milli-units; the full per-rank totals
@@ -660,8 +675,10 @@ mod tests {
             all_ids.sort_unstable();
             all_ids.dedup();
             assert_eq!(all_ids.len(), np as usize * per_rank, "ids lost or duplicated");
-            // All ranks agree on the intervals.
+            // All ranks agree on the intervals, and they partition the key
+            // line.
             let iv0 = &out.results[0].2;
+            assert_eq!(iv0.validate(), Ok(()), "np={np}");
             for (_, _, iv) in &out.results {
                 assert_eq!(iv, iv0);
             }
@@ -743,6 +760,7 @@ mod tests {
                         });
                         let tag = format!("seed={seed} np={np} {input} some_empty={some_empty}");
                         let oracle = &out.results[0].0;
+                        assert_eq!(oracle.validate(), Ok(()), "{tag}");
                         let mut want_ids = vec![Vec::new(); np as usize];
                         for b in (0..np).flat_map(|r| oracle_bodies(input, some_empty, r)) {
                             want_ids[oracle.owner(b.key) as usize].push(b.id);
@@ -877,50 +895,78 @@ mod tests {
             let want = cost_cut_bounds_serial(&global, np as usize);
             for (iv, _) in &out.results {
                 assert_eq!(iv.bounds, want, "np={np}");
+                assert_eq!(iv.validate(), Ok(()), "np={np}");
             }
         }
     }
 
+    /// Migration ships only the bodies whose owner changed, and its
+    /// traffic is one bucket from every peer: no per-pair counts exchange.
     #[test]
     fn migration_moves_only_the_diff() {
-        let np = 4u32;
-        let out = RunConfig::builder().np(np).run(move |c| {
-            let bodies = costed_bodies(c.rank(), 400, 23);
-            let (mine, iv) = decompose(c, bodies, 32);
-            // Re-migrating to the same intervals is a no-op.
-            let before: Vec<u64> = mine.iter().map(|b| b.id).collect();
-            let mut trace = Ledger::scratch();
-            let again = migrate_traced(c, mine, &iv, &mut trace);
-            let moved = trace.totals().get(Counter::MigratedBodies);
-            let mut after: Vec<u64> = again.iter().map(|b| b.id).collect();
-            let mut sorted_before = before;
-            sorted_before.sort_unstable();
-            after.sort_unstable();
-            assert_eq!(sorted_before, after, "no-op migration changed ownership");
-            // Now shift every cut point and count what actually moves.
-            let mut shifted = iv.clone();
-            for b in &mut shifted.bounds[1..np as usize] {
-                *b = b.saturating_add(1 << 58);
-            }
-            let expect_moved: u64 =
-                again.iter().filter(|b| shifted.owner(b.key) != c.rank()).count() as u64;
-            let mut trace2 = Ledger::scratch();
-            let moved_in: u64 = {
+        // A `Vec<Body<f64>>` on the wire: an 8-byte length, then per body
+        // key 8 + position 24 + charge 8 + work 4 + id 8 bytes.
+        const VEC_BYTES: u64 = 8;
+        const BODY_BYTES: u64 = 52;
+        for np in [4u32, 64] {
+            let out = RunConfig::builder().np(np).run(move |c| {
+                let bodies = costed_bodies(c.rank(), 400, 23);
+                let (mine, iv) = decompose(c, bodies, 32);
+                assert_eq!(mine[0].wire_size() as u64, BODY_BYTES);
+                // Re-migrating to the same intervals is a no-op: the fast
+                // path's scalar allreduce and nothing else.
+                let mut before: Vec<u64> = mine.iter().map(|b| b.id).collect();
+                let mut trace = Ledger::scratch();
+                let wire = c.stats();
+                let again = migrate_traced(c, mine, &iv, &mut trace);
+                let allreduce_recvd = c.stats().since(&wire).bytes_recvd;
+                let mut after: Vec<u64> = again.iter().map(|b| b.id).collect();
+                before.sort_unstable();
+                after.sort_unstable();
+                assert_eq!(before, after, "no-op migration changed ownership");
+                let shipped = trace.totals().get(Counter::MigratedBodies);
+                assert_eq!(shipped, 0, "no-op migration shipped bodies");
+                // Now shift every cut point and count what actually moves.
+                let mut shifted = iv.clone();
+                for b in &mut shifted.bounds[1..np as usize] {
+                    *b = b.saturating_add(1 << 58);
+                }
+                let departures =
+                    again.iter().filter(|b| shifted.owner(b.key) != c.rank()).count() as u64;
                 let n0 = again.len() as u64;
-                let out2 = migrate_traced(c, again, &shifted, &mut trace2);
+                let mut trace2 = Ledger::scratch();
+                let wire = c.stats();
+                let moved = migrate_traced(c, again, &shifted, &mut trace2);
+                let recvd = c.stats().since(&wire).bytes_recvd;
                 // arrivals = final − (initial − departures)
-                out2.len() as u64 + expect_moved - n0
-            };
-            assert_eq!(moved, 0, "no-op migration shipped bodies");
-            assert_eq!(
-                trace2.totals().get(Counter::MigratedBodies),
-                moved_in,
-                "migration counter disagrees with arrivals"
-            );
-            trace2.totals().get(Counter::MigratedBodies)
-        });
-        // At least one rank must actually have received something.
-        assert!(out.results.iter().sum::<u64>() > 0, "shifted cuts moved nothing");
+                let arrivals = moved.len() as u64 + departures - n0;
+                assert_eq!(
+                    trace2.totals().get(Counter::MigratedBodies),
+                    arrivals,
+                    "migration counter disagrees with arrivals"
+                );
+                assert_eq!(
+                    recvd,
+                    allreduce_recvd + u64::from(np - 1) * VEC_BYTES + arrivals * BODY_BYTES,
+                    "np={np} rank={}: bytes received beyond the allreduce and the buckets",
+                    c.rank()
+                );
+                arrivals
+            });
+            // At least one rank must actually have received something.
+            assert!(out.results.iter().sum::<u64>() > 0, "np={np}: shifted cuts moved nothing");
+        }
+    }
+
+    #[test]
+    fn interval_validation_names_the_first_bad_bound() {
+        let check = |bounds: Vec<u64>| KeyIntervals { bounds }.validate();
+        assert_eq!(check(vec![0, 100, 100, 200, u64::MAX]), Ok(()), "an empty rank is legal");
+        assert_eq!(check(vec![0, u64::MAX]), Ok(()));
+        assert_eq!(check(vec![0]), Err(IntervalError::NoRanks(1)));
+        assert_eq!(check(vec![5, 100, u64::MAX]), Err(IntervalError::FirstNotZero(5)));
+        assert_eq!(check(vec![0, 100, 7]), Err(IntervalError::LastNotMax(7)));
+        assert_eq!(check(vec![0, 300, 200, 100, u64::MAX]), Err(IntervalError::Decreasing(2)));
     }
 
     #[test]
@@ -969,6 +1015,9 @@ mod tests {
             (ids, iv)
         });
         assert_eq!(run_incremental.results, run_scratch.results);
+        for (_, iv) in &run_scratch.results {
+            assert_eq!(iv.validate(), Ok(()));
+        }
     }
 
     #[test]

@@ -186,25 +186,6 @@ pub struct DNode<M> {
 /// Owner tag for shared top-tree nodes.
 pub const SHARED: u32 = u32::MAX;
 
-/// Previous step's branch exchange, kept between steps so
-/// [`DistTree::build_cached_traced`] can skip the allgather on
-/// inactive-majority steps (nothing crossed a branch boundary anywhere).
-#[derive(Clone, Debug)]
-pub struct BranchCache<M> {
-    /// This rank's branch records from the last exchange.
-    pub mine: Vec<CellRecord<M>>,
-    /// The full gathered record set from the last exchange, depth-first.
-    pub records: Vec<CellRecord<M>>,
-    /// Intervals the cached records were extracted under.
-    pub intervals: Option<KeyIntervals>,
-}
-
-impl<M> Default for BranchCache<M> {
-    fn default() -> Self {
-        BranchCache { mine: Vec::new(), records: Vec::new(), intervals: None }
-    }
-}
-
 /// The global tree view of one rank.
 #[derive(Debug)]
 pub struct DistTree<M: Moments> {
@@ -245,65 +226,20 @@ impl<M: Moments> DistTree<M> {
 
     /// Exchange branch cells and build the shared top tree.
     /// Collective: every rank calls with its local tree and the (identical)
-    /// intervals from [`crate::decomp::decompose`].
+    /// intervals from [`crate::decomp::decompose`]. After the exchange the
+    /// build is pure local computation over the gathered records, so every
+    /// rank builds the same nodes.
     pub fn build(comm: &mut Comm, local: Tree<M>, intervals: KeyIntervals) -> Self {
         let rank = comm.rank();
-        let my_branches = branch_records(&local, &intervals, rank);
-        let records = gather_branches(comm, my_branches);
-        Self::assemble(rank, local, intervals, &records)
-    }
-
-    /// [`DistTree::build`] with the previous step's branch exchange cached:
-    /// when *every* rank's branch records (and the intervals) are unchanged
-    /// — decided by a cheap `allreduce` — the branch allgather is skipped
-    /// and the top tree is re-assembled from the cached records. The
-    /// resulting node set is bitwise identical either way (assembly is a
-    /// pure function of the sorted record set); only the traffic pattern
-    /// differs, which is why the adaptive decomposition policy opts in and
-    /// `Static` never takes this path.
-    ///
-    /// Returns the tree plus whether the allgather was skipped.
-    pub fn build_cached_traced(
-        comm: &mut Comm,
-        local: Tree<M>,
-        intervals: KeyIntervals,
-        cache: &mut BranchCache<M>,
-        trace: &mut hot_trace::Ledger,
-    ) -> (Self, bool)
-    where
-        M: PartialEq,
-    {
-        let wire_before = comm.stats();
-        let rank = comm.rank();
-        let my_branches = branch_records(&local, &intervals, rank);
-        let unchanged = cache.intervals.as_ref() == Some(&intervals)
-            && my_branches == cache.mine;
-        let np = comm.size() as u64;
-        let all_unchanged = comm.allreduce_sum_u64(u64::from(unchanged)) == np;
-        let dt = if all_unchanged {
-            Self::assemble(rank, local, intervals, &cache.records)
-        } else {
-            let records = gather_branches(comm, my_branches.clone());
-            let dt = Self::assemble(rank, local, intervals, &records);
-            cache.mine = my_branches;
-            cache.records = records;
-            cache.intervals = Some(dt.intervals.clone());
-            dt
-        };
-        trace.add(hot_trace::Counter::CellsBuilt, dt.nodes.len() as u64);
-        trace.add_traffic(&comm.stats().since(&wire_before));
-        (dt, all_unchanged)
-    }
-
-    /// Build the top tree from an already-gathered record set in
-    /// depth-first order. Pure local computation — every rank holding the
-    /// same records builds the same nodes.
-    fn assemble(
-        rank: u32,
-        local: Tree<M>,
-        intervals: KeyIntervals,
-        records: &[CellRecord<M>],
-    ) -> Self {
+        // Each rank lists its branches depth-first inside its own key
+        // interval and the intervals ascend with rank, so the gathered
+        // concatenation is the whole branch set depth-first — no sort.
+        let mine = branch_records(&local, &intervals, rank);
+        let records: Vec<CellRecord<M>> = comm.allgather(mine).into_iter().flatten().collect();
+        debug_assert!(
+            records.windows(2).all(|w| w[0].key.range_last() < w[1].key.range_begin()),
+            "branch records must be disjoint and in depth-first order"
+        );
         let mut dt = DistTree {
             rank,
             local,
@@ -330,7 +266,7 @@ impl<M: Moments> DistTree<M> {
         }
 
         // Insert branch nodes: record i is node i.
-        for r in records {
+        for r in &records {
             let children = if r.owner == rank {
                 DChildren::LocalSubtree
             } else if r.is_leaf {
@@ -349,7 +285,7 @@ impl<M: Moments> DistTree<M> {
                 children,
             });
         }
-        dt.root = dt.top_node(Key::ROOT, 0, records);
+        dt.root = dt.top_node(Key::ROOT, 0, &records);
         dt
     }
 
@@ -642,19 +578,6 @@ impl std::fmt::Display for TopTreeError {
 
 impl std::error::Error for TopTreeError {}
 
-/// Allgather every rank's branch records. Each rank's list is in
-/// depth-first order inside its own key interval and the intervals ascend
-/// with rank, so the concatenation is the whole branch set depth-first —
-/// no sort.
-fn gather_branches<M: Moments>(comm: &mut Comm, mine: Vec<CellRecord<M>>) -> Vec<CellRecord<M>> {
-    let records: Vec<CellRecord<M>> = comm.allgather(mine).into_iter().flatten().collect();
-    debug_assert!(
-        records.windows(2).all(|w| w[0].key.range_last() < w[1].key.range_begin()),
-        "branch records must be disjoint and in depth-first order"
-    );
-    records
-}
-
 /// Extract this rank's branch cells: the coarsest cells (by key range)
 /// fully inside the rank's interval, in ascending key-range (depth-first)
 /// order.
@@ -892,104 +815,27 @@ mod tests {
                     let (mine, iv) = decompose(c, bodies, 16);
                     let pos: Vec<Vec3> = mine.iter().map(|b| b.pos).collect();
                     let q: Vec<f64> = mine.iter().map(|b| b.charge).collect();
-                    let tree = || Tree::<MassMoments>::build(Aabb::unit(), &pos, &q, 4);
-                    let built = DistTree::build(c, tree(), iv.clone());
-                    let mut cache = BranchCache::default();
-                    let mut trace = hot_trace::Ledger::scratch();
-                    let mut cached = || {
-                        DistTree::build_cached_traced(c, tree(), iv.clone(), &mut cache, &mut trace)
-                    };
-                    let (cold, _) = cached();
-                    let (warm, skipped) = cached();
-                    assert!(skipped, "unchanged branches skip the exchange");
-                    let check = |dt: &DistTree<_>| (dt.validate(), dt.global_n(), dt.nodes.len());
-                    ([check(&built), check(&cold), check(&warm)], mine.is_empty())
+                    let tree = Tree::<MassMoments>::build(Aabb::unit(), &pos, &q, 4);
+                    let dt = DistTree::build(c, tree, iv);
+                    ((dt.validate(), dt.global_n(), dt.nodes.len()), mine.is_empty())
                 });
                 let n_total: u64 = match input {
                     "sparse" => u64::from(np / 2),
                     _ => u64::from(np) * 48,
                 };
-                let nodes = out.results[0].0[0].2;
+                let ((_, _, nodes), _) = out.results[0];
                 let empty = out.results.iter().filter(|r| r.1).count();
-                for (rank, (builds, _)) in out.results.iter().enumerate() {
-                    for (what, (ok, global_n, len)) in ["build", "cold", "warm"].iter().zip(builds) {
-                        let tag = format!("np={np} {input} rank={rank} {what}");
-                        assert_eq!(*ok, Ok(()), "{tag}");
-                        assert_eq!(*global_n, n_total, "{tag}");
-                        assert_eq!(*len, nodes, "{tag}: every rank builds the same top tree");
-                    }
+                for (rank, ((ok, global_n, len), _)) in out.results.iter().enumerate() {
+                    let tag = format!("np={np} {input} rank={rank}");
+                    assert_eq!(*ok, Ok(()), "{tag}");
+                    assert_eq!(*global_n, n_total, "{tag}");
+                    assert_eq!(*len, nodes, "{tag}: every rank builds the same top tree");
                 }
                 if input == "sparse" && np > 1 {
                     assert!(empty > 0, "np={np}: the sparse input must leave a rank empty");
                 }
             }
         }
-    }
-
-    #[test]
-    fn cached_build_skips_allgather_when_unchanged() {
-        let out = RunConfig::builder().np(3).run(|c| {
-            let mut rng = rand::rngs::StdRng::seed_from_u64(41 + c.rank() as u64);
-            let bodies: Vec<Body<f64>> = (0..250)
-                .map(|i| {
-                    let pos = Vec3::new(rng.gen(), rng.gen(), rng.gen());
-                    Body {
-                        key: Key::from_point(pos, &Aabb::unit()),
-                        pos,
-                        charge: 1.0,
-                        work: 1.0,
-                        id: c.rank() as u64 * 1_000_000 + i,
-                    }
-                })
-                .collect();
-            let (mine, iv) = decompose(c, bodies, 32);
-            let pos: Vec<Vec3> = mine.iter().map(|b| b.pos).collect();
-            let q: Vec<f64> = mine.iter().map(|b| b.charge).collect();
-            let build_tree = || Tree::<MassMoments>::build(Aabb::unit(), &pos, &q, 8);
-
-            let mut cache = BranchCache::default();
-            let mut trace = hot_trace::Ledger::scratch();
-            let (dt1, skipped1) = DistTree::build_cached_traced(
-                c,
-                build_tree(),
-                iv.clone(),
-                &mut cache,
-                &mut trace,
-            );
-            assert!(!skipped1, "cold cache must allgather");
-            let sent_after_first = c.stats().bytes_sent;
-            let (dt2, skipped2) = DistTree::build_cached_traced(
-                c,
-                build_tree(),
-                iv.clone(),
-                &mut cache,
-                &mut trace,
-            );
-            assert!(skipped2, "unchanged branches must skip the allgather");
-            let sent_after_second = c.stats().bytes_sent;
-            // Node sets must be identical across the two paths.
-            assert_eq!(dt1.nodes.len(), dt2.nodes.len());
-            for (a, b) in dt1.nodes.iter().zip(&dt2.nodes) {
-                assert_eq!(a.key, b.key);
-                assert_eq!(a.owner, b.owner);
-                assert_eq!(a.n, b.n);
-                assert_eq!(a.wsum.to_bits(), b.wsum.to_bits());
-                assert_eq!(a.moments.mass.to_bits(), b.moments.mass.to_bits());
-            }
-            // A reference build for traffic comparison: the cached rebuild
-            // must move less data than a full exchange.
-            let full = DistTree::build(c, build_tree(), iv.clone());
-            let sent_after_full = c.stats().bytes_sent;
-            assert_eq!(full.nodes.len(), dt2.nodes.len());
-            let cached_bytes = sent_after_second - sent_after_first;
-            let full_bytes = sent_after_full - sent_after_second;
-            assert!(
-                cached_bytes < full_bytes,
-                "cached rebuild must be cheaper: {cached_bytes} vs {full_bytes}"
-            );
-            1u8
-        });
-        assert_eq!(out.results.len(), 3);
     }
 
     #[test]

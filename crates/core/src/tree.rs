@@ -118,197 +118,6 @@ impl<M: Moments> Tree<M> {
         tree
     }
 
-    /// Incremental rebuild: graft unchanged root-octant subtrees from
-    /// `prev` instead of re-carving them.
-    ///
-    /// The fresh build emits cells as `[root, root's children (digit
-    /// order), octant-7 subtree, octant-6 subtree, …]` with every subtree
-    /// contiguous and self-contained (`first_child` points inside the
-    /// block), and the key table's probe count is a pure function of the
-    /// insert sequence and capacity (which depends only on `n`). So copying
-    /// an octant block with shifted particle/cell offsets and re-inserting
-    /// its keys in block order reproduces the fresh build **bitwise** —
-    /// cells, moments, table layout, and `HashProbes` alike. An octant is
-    /// reusable when its sorted `(keys, pos, charge)` slice is bitwise
-    /// identical to the previous step's; moments depend only on that slice
-    /// and the (equal) domain, so they transfer unchanged.
-    ///
-    /// Returns the rebuilt tree plus the number of root octants grafted
-    /// (0–8). Falls back to a fresh build when the domain or bucket
-    /// changed, or when either root is a leaf.
-    pub fn build_with_reuse(
-        domain: Aabb,
-        pos: &[Vec3],
-        charge: &[M::Charge],
-        bucket: usize,
-        prev: &Self,
-    ) -> (Self, u32)
-    where
-        M::Charge: PartialEq,
-    {
-        assert_eq!(pos.len(), charge.len(), "positions and charges must pair up");
-        assert!(bucket >= 1);
-        let n = pos.len();
-        if domain != prev.domain || bucket != prev.bucket || n <= bucket || prev.cells[0].is_leaf()
-        {
-            return (Self::build(domain, pos, charge, bucket), 0);
-        }
-
-        // Key + sort phase, identical to `build`.
-        let mut keyed: Vec<(Key, u32)> = pos
-            .iter()
-            .enumerate()
-            .map(|(i, &p)| (Key::from_point(p, &domain), i as u32))
-            .collect();
-        keyed.sort_unstable_by_key(|&(k, _)| k);
-        let keys: Vec<Key> = keyed.iter().map(|&(k, _)| k).collect();
-        let order: Vec<u32> = keyed.iter().map(|&(_, i)| i).collect();
-        let spos: Vec<Vec3> = order.iter().map(|&i| pos[i as usize]).collect();
-        let scharge: Vec<M::Charge> = order.iter().map(|&i| charge[i as usize]).collect();
-
-        // Root-octant slice boundaries in the new and previous sorted arrays.
-        let octant_bounds = |ks: &[Key]| -> [usize; 9] {
-            let mut b = [0usize; 9];
-            let mut lo = 0usize;
-            for d in 0..8u8 {
-                let last = Key::ROOT.child(d).range_last();
-                lo += ks[lo..].partition_point(|&k| k <= last);
-                b[d as usize + 1] = lo;
-            }
-            b
-        };
-        let nb = octant_bounds(&keys);
-        let pb = octant_bounds(&prev.keys);
-        debug_assert_eq!(nb[8], n, "octants must cover all keys");
-
-        let mut tree = Tree {
-            domain,
-            bucket,
-            keys,
-            order,
-            pos: spos,
-            charge: scharge,
-            cells: Vec::new(),
-            table: KeyTable::with_capacity((2 * n / bucket.max(1)).max(64)),
-        };
-
-        // Root and the contiguous children block, as a fresh build emits
-        // them (n > bucket guarantees the root splits).
-        tree.cells.push(Cell {
-            key: Key::ROOT,
-            first: 0,
-            n: n as u32,
-            first_child: 1,
-            nchild: 0,
-            center: Vec3::ZERO,
-            bmax: 0.0,
-            wsum: 0.0,
-            moments: M::default(),
-        });
-        tree.table.insert(Key::ROOT, 0);
-        let mut octants: Vec<(u8, u32)> = Vec::with_capacity(8);
-        for d in 0..8u8 {
-            let (lo, hi) = (nb[d as usize], nb[d as usize + 1]);
-            if hi > lo {
-                let child_key = Key::ROOT.child(d);
-                let idx = tree.cells.len() as u32;
-                tree.cells.push(Cell {
-                    key: child_key,
-                    first: lo as u32,
-                    n: (hi - lo) as u32,
-                    first_child: NO_CHILD,
-                    nchild: 0,
-                    center: Vec3::ZERO,
-                    bmax: 0.0,
-                    wsum: 0.0,
-                    moments: M::default(),
-                });
-                tree.table.insert(child_key, idx);
-                octants.push((d, idx));
-            }
-        }
-        tree.cells[0].nchild = octants.len() as u8;
-
-        // Emit descendant blocks in reverse digit order — the order the
-        // fresh build's LIFO stack produces.
-        let mut reused = 0u32;
-        for &(d, ci) in octants.iter().rev() {
-            let (lo, hi) = (nb[d as usize], nb[d as usize + 1]);
-            let (plo, phi) = (pb[d as usize], pb[d as usize + 1]);
-            let same = hi - lo == phi - plo
-                && tree.keys[lo..hi] == prev.keys[plo..phi]
-                && tree.pos[lo..hi] == prev.pos[plo..phi]
-                && tree.charge[lo..hi] == prev.charge[plo..phi];
-            if same {
-                // Graft: copy the octant cell's payload and its contiguous
-                // descendant block with shifted offsets.
-                let okey = tree.cells[ci as usize].key;
-                // A bitwise-unchanged non-empty octant was carved by the
-                // previous build, so its key is in the previous table; a
-                // miss is a graft-logic bug. hot-lint: allow(unwrap-audit)
-                let pci = prev.table.get(okey).expect("unchanged octant must exist in prev")
-                    as usize;
-                let pcell = &prev.cells[pci];
-                let pdelta = lo as i64 - plo as i64;
-                {
-                    let c = &mut tree.cells[ci as usize];
-                    c.nchild = pcell.nchild;
-                    c.center = pcell.center;
-                    c.bmax = pcell.bmax;
-                    c.wsum = pcell.wsum;
-                    c.moments = pcell.moments;
-                }
-                if pcell.is_leaf() {
-                    reused += 1;
-                    continue;
-                }
-                let bstart = pcell.first_child as usize;
-                let bend = Self::subtree_end(&prev.cells, pci);
-                let idelta = tree.cells.len() as i64 - bstart as i64;
-                tree.cells[ci as usize].first_child = tree.cells.len() as u32;
-                for pc in &prev.cells[bstart..bend] {
-                    let idx = tree.cells.len() as u32;
-                    let mut c = pc.clone();
-                    c.first = (i64::from(c.first) + pdelta) as u32;
-                    if c.first_child != NO_CHILD {
-                        c.first_child = (i64::from(c.first_child) + idelta) as u32;
-                    }
-                    tree.table.insert(c.key, idx);
-                    tree.cells.push(c);
-                }
-                reused += 1;
-            } else {
-                // Re-carve this subtree with the same stack discipline,
-                // then run its moments bottom-up (block is contiguous and
-                // parents precede children).
-                let block_start = tree.cells.len();
-                tree.carve(vec![ci]);
-                let block_end = tree.cells.len();
-                for k in (block_start..block_end).rev() {
-                    tree.compute_cell_moments(k);
-                }
-                tree.compute_cell_moments(ci as usize);
-            }
-        }
-        // Root M2M from the finished children.
-        tree.compute_cell_moments(0);
-        (tree, reused)
-    }
-
-    /// Exclusive end of `ci`'s contiguous descendant block. Works because
-    /// `carve` emits each subtree as one block with children inside it.
-    fn subtree_end(cells: &[Cell<M>], ci: usize) -> usize {
-        let mut end = cells[ci].first_child as usize + cells[ci].nchild as usize;
-        let mut k = cells[ci].first_child as usize;
-        while k < end {
-            if !cells[k].is_leaf() {
-                end = end.max(cells[k].first_child as usize + cells[k].nchild as usize);
-            }
-            k += 1;
-        }
-        end
-    }
-
     /// Carve cells out of the sorted particle array. `first..first+n` is the
     /// root span (all particles for a fresh build).
     fn build_cells(&mut self, first: u32, n: u32) {
@@ -328,9 +137,9 @@ impl<M: Moments> Tree<M> {
     }
 
     /// Split every cell on `stack` (and, transitively, the children this
-    /// creates) by the next 3-bit digit. LIFO order: the last cell pushed
-    /// has its whole subtree emitted contiguously before the next one is
-    /// touched, which is the layout [`Tree::build_with_reuse`] relies on.
+    /// creates) by the next 3-bit digit. A cell's children are pushed as one
+    /// contiguous block after it, so parents precede children — the order
+    /// the bottom-up moments pass relies on.
     fn carve(&mut self, mut stack: Vec<u32>) {
         while let Some(ci) = stack.pop() {
             let (key, cfirst, cn) = {
@@ -713,127 +522,6 @@ mod tests {
         for i in 0..777 {
             assert_eq!(tree.pos[i], pos[tree.order[i] as usize]);
         }
-    }
-
-    /// Field-by-field bitwise comparison of two trees (cells + table
-    /// probes), strict enough to certify the graft path against a fresh
-    /// build.
-    fn assert_trees_bitwise_equal(a: &Tree<MassMoments>, b: &Tree<MassMoments>) {
-        assert_eq!(a.keys, b.keys);
-        assert_eq!(a.n_cells(), b.n_cells(), "cell counts differ");
-        for (i, (ca, cb)) in a.cells.iter().zip(&b.cells).enumerate() {
-            assert_eq!(ca.key, cb.key, "cell {i} key");
-            assert_eq!(ca.first, cb.first, "cell {i} first");
-            assert_eq!(ca.n, cb.n, "cell {i} n");
-            assert_eq!(ca.first_child, cb.first_child, "cell {i} first_child");
-            assert_eq!(ca.nchild, cb.nchild, "cell {i} nchild");
-            for (k, (va, vb)) in [
-                (ca.center.x, cb.center.x),
-                (ca.center.y, cb.center.y),
-                (ca.center.z, cb.center.z),
-            ]
-            .into_iter()
-            .enumerate()
-            {
-                assert_eq!(va.to_bits(), vb.to_bits(), "cell {i} center[{k}]");
-            }
-            assert_eq!(ca.bmax.to_bits(), cb.bmax.to_bits(), "cell {i} bmax");
-            assert_eq!(ca.wsum.to_bits(), cb.wsum.to_bits(), "cell {i} wsum");
-            assert_eq!(
-                ca.moments.mass.to_bits(),
-                cb.moments.mass.to_bits(),
-                "cell {i} mass"
-            );
-            for k in 0..6 {
-                assert_eq!(
-                    ca.moments.quad.m[k].to_bits(),
-                    cb.moments.quad.m[k].to_bits(),
-                    "cell {i} quad[{k}]"
-                );
-            }
-        }
-    }
-
-    #[test]
-    fn reuse_build_matches_fresh_bitwise() {
-        // Perturb only particles in the low-x half (octants 0,2,4,6 under
-        // the xyz bit interleave): the untouched octants must graft and
-        // the result must equal a fresh build bit-for-bit.
-        let mut pos = random_points(2500, 17);
-        let charge = unit_masses(2500);
-        let t0 = Tree::<MassMoments>::build(Aabb::unit(), &pos, &charge, 16);
-        for p in &mut pos {
-            if p.x < 0.5 {
-                p.y = (p.y * 0.9) + 0.05;
-            }
-        }
-        let fresh = Tree::<MassMoments>::build(Aabb::unit(), &pos, &charge, 16);
-        let fresh_probes = fresh.table.probes();
-        let (reused, grafted) =
-            Tree::<MassMoments>::build_with_reuse(Aabb::unit(), &pos, &charge, 16, &t0);
-        // Capture before validate(): `get` also counts probes.
-        let reused_probes = reused.table.probes();
-        assert!(grafted >= 1, "unchanged octants must graft, got {grafted}");
-        assert!(grafted < 8, "perturbed octants must rebuild");
-        reused.validate();
-        assert_trees_bitwise_equal(&reused, &fresh);
-        assert_eq!(reused_probes, fresh_probes, "hash probe counts differ");
-    }
-
-    #[test]
-    fn reuse_build_identical_input_grafts_everything() {
-        let pos = random_points(1200, 19);
-        let charge = unit_masses(1200);
-        let t0 = Tree::<MassMoments>::build(Aabb::unit(), &pos, &charge, 8);
-        let t0_probes = t0.table.probes();
-        let (reused, grafted) =
-            Tree::<MassMoments>::build_with_reuse(Aabb::unit(), &pos, &charge, 8, &t0);
-        let reused_probes = reused.table.probes();
-        assert_eq!(grafted as usize, t0.root().nchild as usize, "all octants graft");
-        assert_trees_bitwise_equal(&reused, &t0);
-        assert_eq!(reused_probes, t0_probes, "hash probe counts differ");
-    }
-
-    #[test]
-    fn reuse_build_falls_back_on_shape_change() {
-        let pos = random_points(300, 21);
-        let charge = unit_masses(300);
-        let t0 = Tree::<MassMoments>::build(Aabb::unit(), &pos, &charge, 8);
-        // Different bucket: must fall back to a fresh build.
-        let (t1, grafted) =
-            Tree::<MassMoments>::build_with_reuse(Aabb::unit(), &pos, &charge, 16, &t0);
-        assert_eq!(grafted, 0);
-        t1.validate();
-        let fresh = Tree::<MassMoments>::build(Aabb::unit(), &pos, &charge, 16);
-        assert_trees_bitwise_equal(&t1, &fresh);
-    }
-
-    #[test]
-    fn reuse_build_handles_particle_count_change() {
-        // Drop particles from one octant: offsets shift for every octant
-        // below it in emission order, exercising the index deltas.
-        let pos = random_points(2000, 23);
-        let charge = unit_masses(2000);
-        let t0 = Tree::<MassMoments>::build(Aabb::unit(), &pos, &charge, 16);
-        let mut kept_pos = Vec::new();
-        let mut kept_charge = Vec::new();
-        for (p, c) in pos.iter().zip(&charge) {
-            // Remove a slice of the high-x half.
-            if !(p.x > 0.5 && p.y > 0.8) {
-                kept_pos.push(*p);
-                kept_charge.push(*c);
-            }
-        }
-        assert!(kept_pos.len() < 2000);
-        let fresh = Tree::<MassMoments>::build(Aabb::unit(), &kept_pos, &kept_charge, 16);
-        let fresh_probes = fresh.table.probes();
-        let (reused, grafted) =
-            Tree::<MassMoments>::build_with_reuse(Aabb::unit(), &kept_pos, &kept_charge, 16, &t0);
-        let reused_probes = reused.table.probes();
-        assert!(grafted >= 1, "low-x octants should still graft");
-        reused.validate();
-        assert_trees_bitwise_equal(&reused, &fresh);
-        assert_eq!(reused_probes, fresh_probes, "hash probe counts differ");
     }
 
     #[test]

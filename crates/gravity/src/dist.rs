@@ -11,7 +11,7 @@ use hot_core::decomp::{
     body_cost, decompose_costed_traced, decompose_traced, rebalance_traced, Body, CostModel,
     DecompPolicy, KeyIntervals, Rebalance,
 };
-use hot_core::dtree::{BranchCache, DistTree};
+use hot_core::dtree::DistTree;
 use hot_core::dwalk::{dwalk_with_traced, DwalkStats, WalkConfig};
 use hot_core::moments::MassMoments;
 use hot_core::tree::Tree;
@@ -36,10 +36,11 @@ pub struct DistOptions {
     /// Carries no setting: the walk has none (see [`WalkConfig`]).
     pub walk: WalkConfig,
     /// Domain-decomposition policy for the step entry
-    /// ([`distributed_step_traced`]). `Static` keeps the sample-sort
-    /// decomposition bitwise identical to earlier releases; `Adaptive`
-    /// re-costs bodies from the previous step's measured walk work and
-    /// moves interval cut points incrementally.
+    /// ([`distributed_step_traced`]). `Static` runs the weighted sample sort
+    /// every step; `Adaptive` re-costs bodies from the previous step's
+    /// measured walk work and moves interval cut points incrementally. Only
+    /// the decomposition and the work refresh differ: both build, exchange
+    /// and walk the same way.
     pub policy: DecompPolicy,
 }
 
@@ -112,18 +113,13 @@ impl DistOptions {
     }
 }
 
-/// Cross-step state for [`DecompPolicy::Adaptive`]: the intervals, local
-/// tree and branch exchange of the previous step, which the next step
-/// diffs against. `Default` is the cold state; `Static` runs never touch
-/// it.
+/// Cross-step state for [`DecompPolicy::Adaptive`]: the previous step's
+/// intervals, which the next step's rebalance diffs against. `Default` is
+/// the cold state; `Static` runs never touch it.
 #[derive(Default)]
 pub struct DecompState {
     /// Key ownership after the previous step (None before the first).
     pub intervals: Option<KeyIntervals>,
-    /// The previous step's local tree, for the octant-graft rebuild.
-    pub tree: Option<Tree<MassMoments>>,
-    /// The previous step's branch exchange, for skipping the allgather.
-    pub branches: BranchCache<MassMoments>,
 }
 
 /// Result of one distributed force evaluation on this rank.
@@ -168,43 +164,44 @@ pub fn distributed_accelerations_traced(
     counter: &FlopCounter,
     trace: &mut Ledger,
 ) -> DistForces {
-    let (bodies, intervals) = decompose_traced(comm, bodies, opts.oversample, trace);
+    let (mut bodies, intervals) = decompose_traced(comm, bodies, opts.oversample, trace);
+    let (dt, acc, work_sorted, stats) =
+        build_and_walk(comm, &bodies, intervals, domain, opts, counter, trace);
+    // Refresh the work weights with this step's interaction counts.
+    for (&orig, &w) in dt.local.order.iter().zip(&work_sorted) {
+        bodies[orig as usize].work = w.max(1.0);
+    }
+    DistForces { bodies, acc, stats, intervals: dt.intervals, rebalance: None }
+}
+
+/// The step after the decomposition, shared by both entry points: local
+/// tree and branch exchange in one `TreeBuild` span, then the walk and
+/// force phase (collective call). Returns the distributed tree, the
+/// accelerations in `bodies` order, and per-sink interactions in tree order.
+fn build_and_walk(
+    comm: &mut Comm,
+    bodies: &[Body<f64>],
+    intervals: KeyIntervals,
+    domain: Aabb,
+    opts: &DistOptions,
+    counter: &FlopCounter,
+    trace: &mut Ledger,
+) -> (DistTree<MassMoments>, Vec<Vec3>, Vec<f32>, DwalkStats) {
     let pos: Vec<Vec3> = bodies.iter().map(|b| b.pos).collect();
     let mass: Vec<f64> = bodies.iter().map(|b| b.charge).collect();
     trace.begin(Phase::TreeBuild);
     let tree = Tree::<MassMoments>::build(domain, &pos, &mass, opts.bucket);
     tree.record_build(trace);
-    let mut dt = DistTree::build_traced(comm, tree, intervals.clone(), trace);
+    let mut dt = DistTree::build_traced(comm, tree, intervals, trace);
     trace.end();
-    let (acc_sorted, work_sorted, stats) = walk_gravity(comm, &mut dt, opts, counter, trace);
 
-    // Map tree order back to the bodies' order and refresh work weights.
-    let mut bodies_out = bodies;
-    let mut acc = vec![Vec3::ZERO; acc_sorted.len()];
-    for (sorted_i, &orig) in dt.local.order.iter().enumerate() {
-        acc[orig as usize] = acc_sorted[sorted_i];
-        bodies_out[orig as usize].work = work_sorted[sorted_i].max(1.0);
-    }
-    DistForces { bodies: bodies_out, acc, stats, intervals, rebalance: None }
-}
-
-/// Walk `dt` with the gravity evaluator and record the force phase:
-/// accelerations and interaction counts in tree order, plus the walk's
-/// statistics (collective call).
-fn walk_gravity(
-    comm: &mut Comm,
-    dt: &mut DistTree<MassMoments>,
-    opts: &DistOptions,
-    counter: &FlopCounter,
-    trace: &mut Ledger,
-) -> (Vec<Vec3>, Vec<f32>, DwalkStats) {
-    let n = dt.local.n_particles();
-    let mut acc = vec![Vec3::ZERO; n];
+    let n = bodies.len();
+    let mut acc_sorted = vec![Vec3::ZERO; n];
     let mut work = vec![0.0f32; n];
     let flops_before = counter.report().flops();
     let stats = {
         let mut ev = GravityEvaluator {
-            acc: &mut acc,
+            acc: &mut acc_sorted,
             pot: None,
             eps2: opts.eps2,
             quadrupole: opts.quadrupole,
@@ -212,27 +209,33 @@ fn walk_gravity(
             work: &mut work,
             base: 0,
         };
-        dwalk_with_traced(comm, dt, &opts.mac, &mut ev, opts.group_size, &opts.walk, trace)
+        dwalk_with_traced(comm, &mut dt, &opts.mac, &mut ev, opts.group_size, &opts.walk, trace)
     };
     record_force_phase(trace, &stats.walk, counter.report().flops() - flops_before);
-    (acc, work, stats)
+
+    let mut acc = vec![Vec3::ZERO; n];
+    for (&orig, &a) in dt.local.order.iter().zip(&acc_sorted) {
+        acc[orig as usize] = a;
+    }
+    (dt, acc, work, stats)
 }
 
 /// One distributed force step under a [`DecompPolicy`], carrying state
 /// across steps (collective call).
 ///
-/// * `Static` delegates to [`distributed_accelerations_traced`] untouched —
-///   bitwise identical traffic, counters and forces to earlier releases —
-///   and ignores `state`.
+/// * `Static` delegates to [`distributed_accelerations_traced`] and
+///   ignores `state`.
 /// * `Adaptive` bootstraps with a cost-exact decomposition on the first
-///   call, then each later step: (1) re-costs every body by blending the
-///   previous smoothed cost with this step's measured walk work
-///   (interactions from the evaluator's work array plus a per-sink share
-///   of the group's cells opened — all integer arithmetic, so costs are
-///   bitwise schedule-independent); (2) runs the skew-triggered
-///   incremental rebalance, moving cut points and migrating only the
-///   key-range diff; (3) rebuilds the local tree by octant graft and the
-///   distributed tree through the branch cache.
+///   call; each later step runs the skew-triggered incremental rebalance,
+///   moving cut points and migrating only the key-range diff. After the
+///   walk it re-costs every body by blending the previous smoothed cost
+///   with this step's measured walk work (interactions from the
+///   evaluator's work array plus a per-sink share of the group's cells
+///   opened — all integer arithmetic, so costs are bitwise
+///   schedule-independent).
+///
+/// Between the decomposition and the re-costing both policies run the same
+/// code: a fresh local tree, the full branch exchange and the walk.
 pub fn distributed_step_traced(
     comm: &mut Comm,
     bodies: Vec<Body<f64>>,
@@ -245,7 +248,7 @@ pub fn distributed_step_traced(
     let DecompPolicy::Adaptive { threshold_milli, smoothing } = opts.policy else {
         return distributed_accelerations_traced(comm, bodies, domain, opts, counter, trace);
     };
-    let (bodies, intervals, rebalance) = match state.intervals.take() {
+    let (mut bodies, intervals, rebalance) = match state.intervals.take() {
         Some(prev) => {
             let (b, iv, r) = rebalance_traced(comm, bodies, prev, threshold_milli, trace);
             (b, iv, Some(r))
@@ -255,24 +258,13 @@ pub fn distributed_step_traced(
             (b, iv, None)
         }
     };
-    let pos: Vec<Vec3> = bodies.iter().map(|b| b.pos).collect();
-    let mass: Vec<f64> = bodies.iter().map(|b| b.charge).collect();
-    trace.begin(Phase::TreeBuild);
-    let tree = match &state.tree {
-        Some(prev) => Tree::build_with_reuse(domain, &pos, &mass, opts.bucket, prev).0,
-        None => Tree::<MassMoments>::build(domain, &pos, &mass, opts.bucket),
-    };
-    tree.record_build(trace);
-    let (mut dt, _cached) =
-        DistTree::build_cached_traced(comm, tree, intervals.clone(), &mut state.branches, trace);
-    trace.end();
-    let (acc_sorted, work_sorted, stats) = walk_gravity(comm, &mut dt, opts, counter, trace);
-    let n = acc_sorted.len();
+    let (dt, acc, work_sorted, stats) =
+        build_and_walk(comm, &bodies, intervals, domain, opts, counter, trace);
 
     // Spread each sink group's cells-opened count over its sinks (integer
     // share, remainder to the leading sinks) so traversal cost lands in
     // the per-body measurement alongside the interaction count.
-    let mut opened = vec![0u64; n];
+    let mut opened = vec![0u64; acc.len()];
     for &(gi, op) in &stats.group_costs {
         let span = dt.local.cells[gi as usize].span();
         let len = span.len() as u64;
@@ -286,19 +278,15 @@ pub fn distributed_step_traced(
         }
     }
 
-    // Map tree order back to body order; blend the smoothed cost.
+    // Blend the smoothed cost, in body order.
     let model = CostModel::new(smoothing);
-    let mut bodies_out = bodies;
-    let mut acc = vec![Vec3::ZERO; n];
     for (sorted_i, &orig) in dt.local.order.iter().enumerate() {
-        acc[orig as usize] = acc_sorted[sorted_i];
-        let prev = body_cost(&bodies_out[orig as usize]);
+        let b = &mut bodies[orig as usize];
         let measured = work_sorted[sorted_i] as u64 + opened[sorted_i];
-        bodies_out[orig as usize].work = model.blend(prev, measured) as f32;
+        b.work = model.blend(body_cost(b), measured) as f32;
     }
-    state.intervals = Some(intervals.clone());
-    state.tree = Some(dt.local);
-    DistForces { bodies: bodies_out, acc, stats, intervals, rebalance }
+    state.intervals = Some(dt.intervals.clone());
+    DistForces { bodies, acc, stats, intervals: dt.intervals, rebalance }
 }
 
 #[cfg(test)]
