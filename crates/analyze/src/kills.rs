@@ -17,9 +17,11 @@
 //! 2. **Recovery** ([`check_recovery`]) — targeted kills at step positions
 //!    crossing checkpoint boundaries (top-of-step and mid-step, np ∈
 //!    {2, 4, 8}) driven through the cosmology supervisor
-//!    ([`hot_cosmo::supervisor`]): each killed run must detect, roll back,
+//!    ([`hot_cosmo::supervisor`]), whose force evaluations carry bodies,
+//!    measured costs and key intervals across a segment: each killed run
+//!    must detect, roll back, rebuild that state from the checkpoint,
 //!    rerun, and finish with state digest and trace totals **bitwise
-//!    identical** to the fault-free golden's.
+//!    identical** to the fault-free golden's, migration counters and all.
 //!
 //! Both sweeps reject vacuous passes (a sweep in which no kill ever fired
 //! proves nothing), and the separate planted fixture
@@ -29,7 +31,6 @@
 //! audit flags it, and the checker *must* report it (CI asserts exit 1).
 
 use hot_comm::{Comm, DetectionRecord, FaultConfig, FaultPlan, RunConfig};
-use hot_core::decomp::DecompPolicy;
 use hot_cosmo::supervisor::{self, KillSpec, SupervisorConfig};
 use std::collections::BTreeSet;
 use std::panic::AssertUnwindSafe;
@@ -212,27 +213,9 @@ fn boundary_kills(np: u32) -> [KillSpec; 3] {
 /// schedules ≥ 1 are seeded.
 #[must_use]
 pub fn check_recovery(np: u32, schedules: u64) -> KillSweepReport {
-    recovery_sweep("kill-recovery", np, schedules, DecompPolicy::Static)
-}
-
-/// [`check_recovery`] under `DecompPolicy::Adaptive`: the feedback-driven
-/// repartition state (cost-carrying bodies, interval history, tree cache)
-/// is rebuilt from the last checkpoint on rollback, so a killed adaptive
-/// run must still land on the adaptive golden bitwise — migration traffic
-/// and all.
-#[must_use]
-pub fn check_recovery_adaptive(np: u32, schedules: u64) -> KillSweepReport {
-    recovery_sweep("kill-recovery-adaptive", np, schedules, DecompPolicy::adaptive())
-}
-
-fn recovery_sweep(
-    name: &'static str,
-    np: u32,
-    schedules: u64,
-    policy: DecompPolicy,
-) -> KillSweepReport {
     const STEPS: u64 = 4;
     const EVERY: u64 = 2;
+    let name = "kill-recovery";
     let mut failures = Vec::new();
     let mut kills_fired = 0u64;
     let mut detections = 0u64;
@@ -245,16 +228,13 @@ fn recovery_sweep(
     let state = || supervisor::demo_state(64, 0xC0);
     let golden = match supervisor::run_supervised(
         state(),
-        &SupervisorConfig {
-            policy,
-            ..SupervisorConfig::golden(
-                np,
-                STEPS,
-                0.01,
-                EVERY,
-                dir.join(format!("golden_{name}_np{np}.ckpt")),
-            )
-        },
+        &SupervisorConfig::golden(
+            np,
+            STEPS,
+            0.01,
+            EVERY,
+            dir.join(format!("golden_{name}_np{np}.ckpt")),
+        ),
     ) {
         Ok(rep) => Some(rep),
         Err(e) => {
@@ -277,7 +257,6 @@ fn recovery_sweep(
                     faults: Some(FaultConfig::clean(0xD1E ^ sched_seed)),
                     kills: vec![*spec],
                     fuzz_seed: (sched_seed > 0).then_some(sched_seed),
-                    policy,
                     ..SupervisorConfig::golden(
                         np,
                         STEPS,
@@ -401,9 +380,6 @@ pub fn check_all(kill_seeds: u64) -> Vec<KillSweepReport> {
     for np in [2, 4, 8] {
         reports.push(check_recovery(np, 2));
     }
-    // The adaptive policy adds migration + cross-step interval state that
-    // rollback must reconstruct; one size keeps the sweep affordable.
-    reports.push(check_recovery_adaptive(4, 2));
     reports
 }
 
@@ -441,14 +417,6 @@ mod tests {
     #[test]
     fn recovery_sweep_passes_and_is_not_vacuous() {
         let rep = check_recovery(2, 2);
-        assert!(rep.passed(), "{:?}", rep.failures);
-        assert!(rep.kills_fired > 0);
-        assert!(rep.recoveries > 0);
-    }
-
-    #[test]
-    fn adaptive_recovery_sweep_passes_and_is_not_vacuous() {
-        let rep = check_recovery_adaptive(2, 1);
         assert!(rep.passed(), "{:?}", rep.failures);
         assert!(rep.kills_fired > 0);
         assert!(rep.recoveries > 0);

@@ -120,17 +120,18 @@ pub(crate) fn traced_pipeline(c: &mut Comm) -> PipelineOut {
     (report.to_json(), checksum, res.bodies.len())
 }
 
-/// Adaptive-rebalance pipeline: a clustered multi-step run under
-/// `DecompPolicy::Adaptive` with a low skew threshold, so the feedback
-/// loop fires — step 0 bootstraps a count-quantile decomposition, later
-/// steps re-cost from the trace ledger, move the interval cuts and migrate
-/// the key-range diff through one all-to-all. A pass proves the rebalance
+/// Adaptive-rebalance pipeline: a clustered multi-step run through
+/// `distributed_step_traced`, clustered enough that the feedback loop
+/// fires at the production trigger — step 0 bootstraps a cost-exact
+/// decomposition, later steps re-cost from the trace ledger, move the
+/// interval cuts and migrate the key-range diff through one all-to-all.
+/// A pass proves the rebalance
 /// (including the RebalanceSteps/MigratedBodies/MigratedBytes counters) is
 /// bitwise independent of schedule and fault plan.
 pub(crate) fn rebalance_pipeline(c: &mut Comm) -> RebalanceOut {
     use hot_base::flops::FlopCounter;
     use hot_base::{Aabb, Vec3};
-    use hot_core::decomp::{Body, DecompPolicy};
+    use hot_core::decomp::Body;
     use hot_gravity::dist::{distributed_step_traced, DecompState, DistOptions};
     use hot_trace::Counter;
     use rand::{Rng, SeedableRng};
@@ -167,8 +168,7 @@ pub(crate) fn rebalance_pipeline(c: &mut Comm) -> RebalanceOut {
         })
         .collect();
     let counter = FlopCounter::new();
-    let opts = DistOptions { eps2: 1e-6, ..Default::default() }
-        .with_policy(DecompPolicy::Adaptive { threshold_milli: 1010, smoothing: 128 });
+    let opts = DistOptions { eps2: 1e-6, ..Default::default() };
     let mut trace = hot_trace::Ledger::new(hot_trace::ModelClock::paper_loki());
     let mut state = DecompState::default();
     let mut checksum = 0u64;

@@ -8,10 +8,13 @@
 //! the load-balance stressor — at several machine sizes on the event
 //! runtime:
 //!
-//! 1. **Skew** — per-step max/mean walk-phase flop skew, static
-//!    count-quantile decomposition vs `DecompPolicy::Adaptive`. After a
-//!    one-step warmup the adaptive arm must sit at materially lower skew
-//!    (≥ 25 % reduction at np ≥ 256, the acceptance gate).
+//! 1. **Skew** — per-step max/mean walk-phase flop skew. The static arm
+//!    runs the one-shot `distributed_accelerations_traced` every step,
+//!    re-sorting by the previous step's interaction counts; the adaptive
+//!    arm runs the multi-step `distributed_step_traced`, which carries its
+//!    intervals and smoothed costs across steps. After a one-step warmup
+//!    the adaptive arm must sit at materially lower skew (≥ 25 %
+//!    reduction at np ≥ 256, the acceptance gate).
 //! 2. **Cost** — amortized decomposition + tree-build model seconds must
 //!    stay below the walk+force model seconds the rebalance saves.
 //! 3. **Migration** — the incremental repartition must move the minimal
@@ -28,8 +31,9 @@ use hot_base::flops::FlopCounter;
 use hot_base::Aabb;
 use hot_bench::{arg_usize, clustered_bodies, header, rule};
 use hot_comm::RunConfig;
-use hot_core::decomp::DecompPolicy;
-use hot_gravity::dist::{distributed_step_traced, DecompState, DistOptions};
+use hot_gravity::dist::{
+    distributed_accelerations_traced, distributed_step_traced, DecompState, DistOptions,
+};
 use hot_trace::{Counter, Phase};
 use std::time::Instant;
 
@@ -62,7 +66,7 @@ struct Arm {
     wall_s: f64,
 }
 
-fn run_arm(np: u32, n_per_rank: usize, steps: usize, policy: DecompPolicy) -> Arm {
+fn run_arm(np: u32, n_per_rank: usize, steps: usize, adaptive: bool) -> Arm {
     let t0 = Instant::now();
     let out = RunConfig::builder()
         .np(np)
@@ -70,19 +74,16 @@ fn run_arm(np: u32, n_per_rank: usize, steps: usize, policy: DecompPolicy) -> Ar
         .run(move |c| -> ArmRankOut {
             let mut bodies = clustered_bodies(c.rank(), n_per_rank, SEED, N_CLUMPS);
             let counter = FlopCounter::new();
-            let opts = DistOptions { eps2: 1e-6, ..Default::default() }.with_policy(policy);
+            let opts = DistOptions { eps2: 1e-6, ..Default::default() };
             let mut state = DecompState::default();
             let mut trace = hot_trace::Ledger::new(hot_trace::ModelClock::paper_loki());
             for _ in 0..steps {
-                let res = distributed_step_traced(
-                    c,
-                    bodies,
-                    Aabb::unit(),
-                    &opts,
-                    &counter,
-                    &mut state,
-                    &mut trace,
-                );
+                let (domain, t) = (Aabb::unit(), &mut trace);
+                let res = if adaptive {
+                    distributed_step_traced(c, bodies, domain, &opts, &counter, &mut state, t)
+                } else {
+                    distributed_accelerations_traced(c, bodies, domain, &opts, &counter, t)
+                };
                 bodies = res.bodies;
             }
             let t = trace.totals();
@@ -167,8 +168,8 @@ fn main() {
     let mut gates: Vec<String> = Vec::new();
     for &np in &sizes {
         let n_total = np as usize * n_per_rank;
-        let st = run_arm(np, n_per_rank, steps, DecompPolicy::Static);
-        let ad = run_arm(np, n_per_rank, steps, DecompPolicy::adaptive());
+        let st = run_arm(np, n_per_rank, steps, false);
+        let ad = run_arm(np, n_per_rank, steps, true);
         let (st_sk, ad_sk) = (steady(&st.skew), steady(&ad.skew));
         let reduction = 100.0 * (1.0 - ad_sk / st_sk);
         println!(

@@ -17,7 +17,6 @@ use hot_comm::RunConfig;
 use hot_base::flops::FlopCounter;
 use hot_base::{Aabb, FLOPS_PER_GRAV_INTERACTION};
 use hot_bench::{arg_usize, clustered_bodies, header, random_bodies};
-use hot_core::decomp::DecompPolicy;
 use hot_gravity::dist::{
     distributed_accelerations, distributed_step_traced, DecompState, DistOptions,
 };
@@ -88,11 +87,10 @@ fn run_at(np: u32, n_local: usize, clustered: bool, kernel_ns: f64) -> Sample {
     }
 }
 
-/// Clustered-stage imbalance under the feedback-driven adaptive
-/// decomposition: the same clumped ICs stepped three times under
-/// `DecompPolicy::adaptive()` so the cost loop converges, reporting the
-/// last step's max/mean walk-interaction skew next to the static
-/// one-shot's.
+/// Clustered-stage imbalance under the feedback-driven decomposition: the
+/// same clumped ICs stepped three times through `distributed_step_traced`
+/// so the cost loop converges, reporting the last step's max/mean
+/// walk-interaction skew next to the static one-shot's.
 fn clustered_adaptive_imbalance(np: u32, n_local: usize) -> f64 {
     let out = RunConfig::builder().np(np).stack_size(STACK).run(move |c| {
         let mut bodies = clustered_bodies(c.rank(), n_local, 99, 8);
@@ -101,8 +99,7 @@ fn clustered_adaptive_imbalance(np: u32, n_local: usize) -> f64 {
             mac: hot_core::Mac::BarnesHut { theta: 0.55 },
             eps2: 1e-8,
             ..Default::default()
-        }
-        .with_policy(DecompPolicy::adaptive());
+        };
         let mut state = DecompState::default();
         let mut trace = hot_trace::Ledger::scratch();
         let mut last = 0u64;

@@ -17,22 +17,22 @@
 //! \[imbalance\] than any other conventional computational physics
 //! algorithm".
 //!
-//! # Feedback-driven adaptive decomposition
+//! # Feedback-driven decomposition across steps
 //!
-//! The sample sort above re-sorts the whole key space from scratch every
-//! step and costs bodies with whatever `work` weight the caller left in
-//! them. The adaptive pipeline ([`DecompPolicy::Adaptive`]) closes the
-//! loop against the trace ledger instead:
+//! The sample sort above re-sorts the whole key space from scratch and
+//! costs bodies with whatever `work` weight the caller left in them: it is
+//! the one-shot decomposition. A multi-step run closes the loop against
+//! the trace ledger instead:
 //!
-//! * [`CostModel`] — deterministic integer EWMA of per-body cost, fed from
+//! * [`blend_cost`] — deterministic integer EWMA of per-body cost, fed from
 //!   the previous step's measured interactions + cells opened per sink
 //!   group. Costs are exact integers `1..=2^24` stored in `Body::work`
-//!   (exactly representable in the `f32`, so the wire format is unchanged
-//!   and `DecompPolicy::Static` stays bitwise identical).
+//!   (exactly representable in the `f32`, so the wire format is unchanged).
 //! * [`rebalance_traced`] — the incremental repartition: first migrate the
 //!   *drift diff* (bodies whose keys left their owner's interval), then
-//!   compare the max/mean cost skew against the policy threshold. Below
-//!   threshold the old [`KeyIntervals`] are reused verbatim; above it,
+//!   compare the max/mean cost skew against the trigger
+//!   ([`REBALANCE_THRESHOLD_MILLI`] in production). Below the trigger the
+//!   old [`KeyIntervals`] are reused verbatim; above it,
 //!   [`cost_cut_bounds`] moves the interval cut points exactly (integer
 //!   cost prefix sums, no sampling) and [`migrate_traced`] ships only the
 //!   minimal key-range diff, one [`Body`] bucket per peer through the same
@@ -286,74 +286,33 @@ fn splitters(all: Vec<Vec<(u64, f64)>>) -> Vec<u64> {
 /// bit-for-bit through the unchanged wire format.
 pub const COST_CAP: u64 = 1 << 24;
 
-/// How the decomposition reacts to measured load imbalance.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Default)]
-pub enum DecompPolicy {
-    /// Full weighted sample sort every step, with whatever `work` weights
-    /// the caller supplies. The bitwise baseline: every existing golden is
-    /// recorded under this policy.
-    #[default]
-    Static,
-    /// Feedback-driven: re-cost bodies from the previous step's trace
-    /// ledger, repartition incrementally only when the max/mean cost skew
-    /// crosses the threshold, and migrate the minimal key-range diff.
-    Adaptive {
-        /// Skew trigger in milli-units, *relative to the achievable skew*:
-        /// repartition when `1000 · skew > threshold_milli · floor`, where
-        /// `floor = 1 + max_body_cost/mean_rank_cost` is the granularity
-        /// bound no contiguous cost-quantile split can beat (1150 ⇒ 15%
-        /// over achievable). At fine grain `floor ≈ 1`, recovering a plain
-        /// max/mean threshold; at coarse grain the relative form keeps the
-        /// loop from churning on imbalance that repartitioning cannot fix.
-        threshold_milli: u32,
-        /// EWMA weight on the *previous* cost, in 1/256 units
-        /// (0 ⇒ take the new measurement outright, 256 ⇒ never update).
-        smoothing: u32,
-    },
-}
+/// The skew trigger of a multi-step run, in milli-units *relative to the
+/// achievable skew*: [`rebalance_traced`] repartitions when
+/// `1000 · skew > threshold · floor`, where `floor = 1 +
+/// max_body_cost/mean_rank_cost` is the granularity bound no contiguous
+/// cost-quantile split can beat (1150 ⇒ 15% over achievable). At fine
+/// grain `floor ≈ 1`, recovering a plain max/mean threshold; at coarse
+/// grain the relative form keeps the loop from churning on imbalance that
+/// repartitioning cannot fix.
+pub const REBALANCE_THRESHOLD_MILLI: u32 = 1150;
 
-impl DecompPolicy {
-    /// The default adaptive policy: repartition at 15% over the achievable
-    /// skew, heavy smoothing (7/8 on the previous cost) so measured-cost
-    /// noise does not bounce the cut points.
-    pub fn adaptive() -> Self {
-        DecompPolicy::Adaptive { threshold_milli: 1150, smoothing: 224 }
-    }
+/// [`blend_cost`]'s weight on the *previous* cost, in 1/256 units: heavy
+/// smoothing (7/8) so measured-cost noise does not bounce the cut points.
+pub const COST_SMOOTHING: u64 = 224;
 
-    /// True for [`DecompPolicy::Adaptive`].
-    pub fn is_adaptive(&self) -> bool {
-        matches!(self, DecompPolicy::Adaptive { .. })
-    }
-}
-
-/// Deterministic integer exponential smoothing of per-body costs.
-///
-/// All arithmetic is integer (scale 1/256) and clamped to `1..=`
-/// [`COST_CAP`], so blended costs are bitwise schedule-independent and
-/// survive the `f32` round-trip through [`Body::work`] exactly.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct CostModel {
-    /// Weight on the previous cost, in 1/256 units (clamped to 256).
-    pub smoothing: u32,
-}
-
-impl CostModel {
-    /// Model with the given smoothing weight (1/256 units).
-    pub fn new(smoothing: u32) -> Self {
-        CostModel { smoothing: smoothing.min(256) }
-    }
-
-    /// Blend the previous cost with a fresh measurement:
-    /// `(s·prev + (256−s)·measured) / 256`, clamped to `1..=COST_CAP`.
-    pub fn blend(&self, prev: u64, measured: u64) -> u64 {
-        let s = u64::from(self.smoothing);
-        ((s * prev.min(COST_CAP) + (256 - s) * measured.min(COST_CAP)) >> 8).clamp(1, COST_CAP)
-    }
+/// Blend a body's previous cost with a fresh measurement, in integer
+/// arithmetic: `(s·prev + (256−s)·measured) / 256` with `s =`
+/// [`COST_SMOOTHING`], clamped to `1..=`[`COST_CAP`]. Blended costs are
+/// therefore bitwise schedule-independent and survive the `f32` round-trip
+/// through [`Body::work`] exactly.
+pub fn blend_cost(prev: u64, measured: u64) -> u64 {
+    let s = COST_SMOOTHING;
+    ((s * prev.min(COST_CAP) + (256 - s) * measured.min(COST_CAP)) >> 8).clamp(1, COST_CAP)
 }
 
 /// A body's integer cost as the decomposition sees it: the `work` field
-/// truncated and clamped to `1..=`[`COST_CAP`]. For adaptive-maintained
-/// bodies the cast is exact (costs are integers ≤ `COST_CAP` by
+/// truncated and clamped to `1..=`[`COST_CAP`]. For bodies whose costs
+/// [`blend_cost`] maintains the cast is exact (costs are integers ≤ `COST_CAP` by
 /// construction); for caller-supplied fractional weights it is the
 /// deterministic floor.
 pub fn body_cost<C>(b: &Body<C>) -> u64 {
@@ -589,8 +548,7 @@ pub fn rebalance_traced<C: Wire + Copy + Send>(
 /// sample sort co-locates equal keys, then [`cost_cut_bounds`] +
 /// [`migrate_traced`] land on the exact cost quantiles. This is the
 /// reference the incremental [`rebalance_traced`] must match bitwise at
-/// the same costs (property suite), and the adaptive pipeline's cold
-/// start.
+/// the same costs (property suite), and a multi-step run's cold start.
 pub fn decompose_costed_traced<C: Wire + Copy + Send>(
     comm: &mut Comm,
     bodies: Vec<Body<C>>,
@@ -846,18 +804,16 @@ mod tests {
     }
 
     #[test]
-    fn cost_model_blend_is_clamped_and_exact() {
-        let m = CostModel::new(128);
-        assert_eq!(m.blend(100, 200), 150);
-        assert_eq!(m.blend(0, 0), 1, "cost floor");
-        assert_eq!(m.blend(u64::MAX, u64::MAX), COST_CAP, "cost cap");
-        // smoothing 0 takes the measurement, 256 keeps the previous cost.
-        assert_eq!(CostModel::new(0).blend(7, 999), 999);
-        assert_eq!(CostModel::new(256).blend(7, 999), 7);
-        assert_eq!(CostModel::new(999).smoothing, 256, "smoothing clamps");
+    fn blend_cost_is_clamped_and_exact() {
+        // 224/256 on the previous cost, 32/256 on the measurement, floored.
+        assert_eq!(blend_cost(256, 0), 224);
+        assert_eq!(blend_cost(0, 256), 32);
+        assert_eq!(blend_cost(100, 200), 112);
+        assert_eq!(blend_cost(0, 0), 1, "cost floor");
+        assert_eq!(blend_cost(u64::MAX, u64::MAX), COST_CAP, "cost cap");
         // Every blend result survives the f32 round-trip exactly.
         for &(p, me) in &[(1u64, COST_CAP), (12345, 678), (COST_CAP, 1)] {
-            let c = m.blend(p, me);
+            let c = blend_cost(p, me);
             assert_eq!(c as f32 as u64, c);
         }
     }

@@ -663,23 +663,23 @@ pub(crate) mod tests {
     struct Failing<'a> {
         caller: std::thread::ThreadId,
         on_caller: bool,
-        /// Holds the caller in its first chunk until a helper has one too.
+        /// Holds each thread in its first chunk until the other has one
+        /// too, so neither can drain every chunk before the failing one
+        /// takes any.
         both_busy: &'a std::sync::Barrier,
-        caller_waited: &'a std::sync::atomic::AtomicBool,
+        /// Whether the helper (`[0]`) and the caller (`[1]`) have waited.
+        waited: &'a [std::sync::atomic::AtomicBool; 2],
     }
 
     impl ListConsumer<MassMoments> for Failing<'_> {
         fn consume(&mut self, _: &[Vec3], _: &[f64], _: Range<usize>, _: &InteractionList<MassMoments>) {
             use std::sync::atomic::Ordering::SeqCst;
             let on_caller = std::thread::current().id() == self.caller;
-            if on_caller == self.on_caller {
-                if !on_caller {
-                    self.both_busy.wait();
-                }
-                panic!("consumer failed");
-            }
-            if on_caller && !self.caller_waited.swap(true, SeqCst) {
+            if !self.waited[usize::from(on_caller)].swap(true, SeqCst) {
                 self.both_busy.wait();
+            }
+            if on_caller == self.on_caller {
+                panic!("consumer failed");
             }
         }
 
@@ -699,10 +699,9 @@ pub(crate) mod tests {
         let mac = Mac::BarnesHut { theta: 0.7 };
         for on_caller in [false, true] {
             let both_busy = std::sync::Barrier::new(2);
-            let caller_waited = std::sync::atomic::AtomicBool::new(false);
+            let waited = Default::default();
             let caller = std::thread::current().id();
-            let mut failing =
-                Failing { caller, on_caller, both_busy: &both_busy, caller_waited: &caller_waited };
+            let mut failing = Failing { caller, on_caller, both_busy: &both_busy, waited: &waited };
             let caught = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
                 fan_out(
                     2,

@@ -126,12 +126,20 @@ impl CosmoSim {
     /// arithmetic itself is the step span's exclusive time).
     pub fn step_traced(&mut self, da: f64, counter: &FlopCounter, trace: &mut Ledger) -> u64 {
         trace.begin(Phase::Step);
-        let n = self.step_inner(da, counter, trace);
+        let mut interactions = 0;
+        self.kdk(da, |sim| {
+            let f = sim.accelerations_traced(counter, trace);
+            interactions += f.stats.interactions();
+            f.acc
+        });
         trace.end();
-        n
+        interactions
     }
 
-    fn step_inner(&mut self, da: f64, counter: &FlopCounter, trace: &mut Ledger) -> u64 {
+    /// One KDK step from `a` to `a + da` with peculiar accelerations from
+    /// `force`, which is called twice: at the current state, and after the
+    /// drift with `a` already advanced to `a + da`.
+    pub(crate) fn kdk(&mut self, da: f64, mut force: impl FnMut(&mut CosmoSim) -> Vec<Vec3>) {
         let a0 = self.a;
         let a1 = a0 + da;
         let t0 = cosmic_time(a0);
@@ -140,8 +148,8 @@ impl CosmoSim {
         let a_mid = ((t0 + 0.5 * dt) * 1.5).powf(2.0 / 3.0);
 
         // Kick (half, at a0).
-        let f0 = self.accelerations_traced(counter, trace);
-        for (w, acc) in self.mom.iter_mut().zip(&f0.acc) {
+        let f0 = force(self);
+        for (w, acc) in self.mom.iter_mut().zip(&f0) {
             *w += *acc * (0.5 * dt / a0);
         }
         // Drift (full, with a at midpoint).
@@ -151,12 +159,11 @@ impl CosmoSim {
         }
         // Kick (half, at a1).
         self.a = a1;
-        let f1 = self.accelerations_traced(counter, trace);
-        for (w, acc) in self.mom.iter_mut().zip(&f1.acc) {
+        let f1 = force(self);
+        for (w, acc) in self.mom.iter_mut().zip(&f1) {
             *w += *acc * (0.5 * dt / a1);
         }
         self.steps += 1;
-        f0.stats.interactions() + f1.stats.interactions()
     }
 
     /// Current coordinate velocities `u = w/a²`.

@@ -15,28 +15,32 @@
 //!   writes a [`checkpoint`](crate::checkpoint) of the coordinated state —
 //!   the end-of-segment barrier *is* the coordination, so the checkpoint
 //!   is always a consistent cut;
-//! * a confirmed rank death (see `hot_comm::reliable`) aborts the step
-//!   collectively; the supervisor classifies the abort through the fault
-//!   plan's [`FaultMonitor`], rolls back to the checkpoint, and reruns the
-//!   segment on a repaired machine — fully automatically;
+//! * a rank death is detected when the executor proves the machine
+//!   quiescent with a survivor blocked on the dead rank (`Comm::wait_take`)
+//!   and aborts the step collectively; the supervisor classifies the abort
+//!   through the fault plan's [`FaultMonitor`], rolls back to the
+//!   checkpoint, and reruns the segment on a repaired machine — fully
+//!   automatically;
 //! * because the checkpoint is bitwise-exact and the distributed force
 //!   evaluation is schedule-independent, the recovered run converges to
 //!   **bitwise-identical final state and trace totals** vs the fault-free
 //!   golden ([`state_digest`] pins this).
 //!
 //! The integration itself is a replicated-state distributed KDK: every
-//! rank holds the full particle state, each force evaluation partitions
-//! the bodies by index into [`distributed_accelerations_traced`], and an
-//! `allreduce` rebuilds the full acceleration array on every rank, so all
-//! replicas integrate identically and any `np − 1` survivors hold the
+//! rank holds the full particle state, computes forces for the bodies it
+//! owns through [`distributed_step_traced`] — a segment starts from the
+//! index partition, and each later evaluation keeps the bodies and
+//! measured costs the rank owned after the previous one's migration — and
+//! an `allreduce` rebuilds the full acceleration array on every rank, so
+//! all replicas integrate identically and any `np − 1` survivors hold the
 //! complete state a rollback needs.
 
 use crate::checkpoint::CheckpointError;
-use crate::sim::{cosmic_time, domain_for, CosmoSim, RHO_BAR};
+use crate::sim::{domain_for, CosmoSim, RHO_BAR};
 use hot_base::flops::FlopCounter;
 use hot_base::Vec3;
 use hot_comm::{Comm, FaultConfig, FaultMonitor, FaultPlan, NetworkModel, RunConfig};
-use hot_core::decomp::{Body, DecompPolicy};
+use hot_core::decomp::Body;
 use hot_gravity::dist::{distributed_step_traced, DecompState, DistOptions};
 use hot_morton::Key;
 use hot_trace::{CounterSet, Ledger, Phase};
@@ -148,13 +152,6 @@ pub struct SupervisorConfig {
     pub fuzz_seed: Option<u64>,
     /// Abort the run if recovery is attempted more than this many times.
     pub max_recoveries: u32,
-    /// Domain-decomposition policy for the distributed force evaluations.
-    /// `Static` is the bitwise baseline; `Adaptive` re-costs bodies from
-    /// the measured walk work and repartitions incrementally. Adaptive
-    /// state is segment-local (reset at every checkpoint boundary), so
-    /// rollback-rerun recovery stays bitwise against the same-policy
-    /// golden.
-    pub policy: DecompPolicy,
 }
 
 impl SupervisorConfig {
@@ -172,7 +169,6 @@ impl SupervisorConfig {
             kills: Vec::new(),
             fuzz_seed: None,
             max_recoveries: 8,
-            policy: DecompPolicy::Static,
         }
     }
 }
@@ -282,62 +278,49 @@ pub fn state_digest(sim: &CosmoSim) -> u64 {
 // The replicated-state distributed step.
 // ---------------------------------------------------------------------------
 
-fn dist_options(sim: &CosmoSim, policy: DecompPolicy) -> DistOptions {
+fn dist_options(sim: &CosmoSim) -> DistOptions {
     DistOptions {
         mac: sim.opts.mac,
         bucket: sim.opts.bucket,
         eps2: sim.opts.eps2,
         quadrupole: sim.opts.quadrupole,
-        policy,
         ..DistOptions::default()
     }
 }
 
-/// Segment-local adaptive-decomposition state: the decomposition policy,
-/// the cross-step [`DecompState`], plus this rank's persistent body set (so
-/// smoothed costs and ownership survive between force evaluations instead
-/// of being recreated from the index partition each time). Dropped and
-/// rebuilt at every segment boundary, which keeps rollback-rerun recovery
-/// bitwise.
-struct AdaptiveSeg {
-    policy: DecompPolicy,
-    state: DecompState,
+/// Segment-local decomposition state: the cross-step [`DecompState`] plus
+/// this rank's body set, so smoothed costs and ownership survive between
+/// force evaluations (`None` before the segment's first). Rebuilt cold at
+/// every segment attempt, which keeps rollback-rerun recovery bitwise.
+#[derive(Default)]
+struct SegmentState {
+    decomp: DecompState,
     bodies: Option<Vec<Body<f64>>>,
 }
 
-impl AdaptiveSeg {
-    fn new(policy: DecompPolicy) -> Self {
-        Self { policy, state: DecompState::default(), bodies: None }
-    }
-}
-
 /// Peculiar accelerations of the *full* replicated state, computed
-/// cooperatively: this rank contributes its partition to the distributed
+/// cooperatively: this rank contributes its bodies to the distributed
 /// treecode, then an element-wise `allreduce` (each body owned by exactly
 /// one rank, so the sum is exact) rebuilds the complete array everywhere,
 /// and the uniform-background correction is applied identically on every
 /// replica (collective call).
 ///
-/// Under `Static` the contribution is the index partition, recreated each
-/// call — bitwise identical to earlier releases. Under `Adaptive` the rank
-/// keeps the bodies it owned after the previous evaluation's migration,
-/// refreshing their positions from the replicated state (every rank holds
-/// all of it), so ownership evolves by interval diff and the smoothed
-/// costs stay attached.
+/// A segment's first evaluation contributes the index partition. Each
+/// later one keeps the bodies the rank owned after the previous
+/// evaluation's migration, refreshing their positions from the replicated
+/// state (every rank holds all of it), so ownership evolves by interval
+/// diff and the smoothed costs stay attached.
 fn replicated_accelerations(
     c: &mut Comm,
     sim: &CosmoSim,
-    seg: &mut AdaptiveSeg,
+    seg: &mut SegmentState,
     counter: &FlopCounter,
     trace: &mut Ledger,
 ) -> Vec<Vec3> {
-    let policy = seg.policy;
     let n = sim.pos.len();
-    let np = c.size() as usize;
-    let rank = c.rank() as usize;
     let domain = domain_for(&sim.pos);
     let bodies: Vec<Body<f64>> = match seg.bodies.take() {
-        Some(mut prev) if policy.is_adaptive() => {
+        Some(mut prev) => {
             for b in &mut prev {
                 let i = b.id as usize;
                 b.pos = sim.pos[i];
@@ -346,7 +329,8 @@ fn replicated_accelerations(
             }
             prev
         }
-        _ => {
+        None => {
+            let (np, rank) = (c.size() as usize, c.rank() as usize);
             let per = n / np;
             let lo = rank * per;
             let hi = if rank == np - 1 { n } else { lo + per };
@@ -361,8 +345,8 @@ fn replicated_accelerations(
                 .collect()
         }
     };
-    let opts = dist_options(sim, policy);
-    let res = distributed_step_traced(c, bodies, domain, &opts, counter, &mut seg.state, trace);
+    let opts = dist_options(sim);
+    let res = distributed_step_traced(c, bodies, domain, &opts, counter, &mut seg.decomp, trace);
     let mut flat = vec![0.0f64; 3 * n];
     for (b, a) in res.bodies.iter().zip(&res.acc) {
         let i = b.id as usize * 3;
@@ -370,9 +354,7 @@ fn replicated_accelerations(
         flat[i + 1] = a.y;
         flat[i + 2] = a.z;
     }
-    if policy.is_adaptive() {
-        seg.bodies = Some(res.bodies);
-    }
+    seg.bodies = Some(res.bodies);
     let all = c.allreduce_sum_vec_f64(flat);
     let k = 4.0 * std::f64::consts::PI / 3.0 * RHO_BAR;
     (0..n)
@@ -382,43 +364,26 @@ fn replicated_accelerations(
         .collect()
 }
 
-/// One KDK step of the replicated state, mirroring `CosmoSim::step_inner`
-/// with both force evaluations distributed. `step` is the global step
-/// index; the two crash-stop kill epochs of the step (`2·step` at the top,
-/// `2·step + 1` between the force evaluations) fire here.
+/// One [`CosmoSim::kdk`] step of the replicated state with both force
+/// evaluations distributed. `step` is the global step index; the two
+/// crash-stop kill epochs of the step fire here: `2·step` before the first
+/// force evaluation, `2·step + 1` before the second, after the drift.
 fn step_replicated(
     c: &mut Comm,
     sim: &mut CosmoSim,
     da: f64,
     step: u64,
-    seg: &mut AdaptiveSeg,
+    seg: &mut SegmentState,
     counter: &FlopCounter,
     trace: &mut Ledger,
 ) {
-    c.kill_point(step * 2);
     trace.begin(Phase::Step);
-    let a0 = sim.a;
-    let a1 = a0 + da;
-    let t0 = cosmic_time(a0);
-    let t1 = cosmic_time(a1);
-    let dt = t1 - t0;
-    let a_mid = ((t0 + 0.5 * dt) * 1.5).powf(2.0 / 3.0);
-
-    let f0 = replicated_accelerations(c, sim, seg, counter, trace);
-    for (w, acc) in sim.mom.iter_mut().zip(&f0) {
-        *w += *acc * (0.5 * dt / a0);
-    }
-    let inv_a2 = 1.0 / (a_mid * a_mid);
-    for (x, w) in sim.pos.iter_mut().zip(&sim.mom) {
-        *x += *w * (dt * inv_a2);
-    }
-    sim.a = a1;
-    c.kill_point(step * 2 + 1);
-    let f1 = replicated_accelerations(c, sim, seg, counter, trace);
-    for (w, acc) in sim.mom.iter_mut().zip(&f1) {
-        *w += *acc * (0.5 * dt / a1);
-    }
-    sim.steps += 1;
+    let mut epoch = step * 2;
+    sim.kdk(da, |sim| {
+        c.kill_point(epoch);
+        epoch += 1;
+        replicated_accelerations(c, sim, seg, counter, trace)
+    });
     trace.end();
 }
 
@@ -511,8 +476,8 @@ pub fn run_supervised(
                 let counter = FlopCounter::new();
                 let mut trace = Ledger::scratch();
                 // Fresh per attempt: a rerun after rollback starts from the
-                // same cold adaptive state the aborted attempt did.
-                let mut seg = AdaptiveSeg::new(cfg.policy);
+                // same cold decomposition state the aborted attempt did.
+                let mut seg = SegmentState::default();
                 for s in step..seg_end {
                     step_replicated(c, &mut local, da, s, &mut seg, &counter, &mut trace);
                 }
@@ -717,66 +682,18 @@ mod tests {
         }
     }
 
-    /// Adaptive decomposition composes with crash-stop recovery: a kill
-    /// mid-run under `DecompPolicy::Adaptive` must recover to the
-    /// bitwise-identical state and trace totals of the adaptive fault-free
-    /// golden (adaptive state is segment-local, so a rerun restarts from
-    /// the same cold state the aborted attempt did).
+    /// A segment carries its bodies and their measured costs from one force
+    /// evaluation to the next, so the decomposition moves bodies by cost
+    /// instead of re-cutting the index partition every time.
     #[test]
-    fn adaptive_killed_rank_recovers_to_bitwise_golden() {
-        let np = 2;
-        let steps = 4;
-        let adaptive = DecompPolicy::adaptive();
-        let golden = run_supervised(
+    fn supervised_run_rebalances_from_measured_costs() {
+        let rep = run_supervised(
             demo_state(80, 3),
-            &SupervisorConfig {
-                policy: adaptive,
-                ..SupervisorConfig::golden(np, steps, 0.01, 2, tmp("ad_golden.ckpt"))
-            },
+            &SupervisorConfig::golden(2, 4, 0.01, 2, tmp("costs.ckpt")),
         )
-        .expect("adaptive golden");
-        // Adaptive must count its own machinery in the trace.
-        assert!(
-            golden.totals.get(hot_trace::Counter::MigratedBodies) > 0,
-            "adaptive run never migrated"
-        );
-        let spec = KillSpec { rank: 1, step: 2, mid_step: true };
-        let cfg = SupervisorConfig {
-            faults: Some(FaultConfig::clean(11)),
-            kills: vec![spec],
-            policy: adaptive,
-            ..SupervisorConfig::golden(np, steps, 0.01, 2, tmp("ad_killed.ckpt"))
-        };
-        let rep = run_supervised(demo_state(80, 3), &cfg).expect("supervised adaptive run");
-        assert_eq!(rep.kills_fired, 1, "kill never fired");
-        assert_eq!(rep.recoveries, 1);
-        assert_eq!(rep.state_digest, golden.state_digest, "state diverged from golden");
-        assert_eq!(rep.totals, golden.totals, "trace totals diverged from golden");
-    }
-
-    /// `policy: Static` through the supervisor is byte-identical to the
-    /// pre-policy behavior: same digest and totals as the plain golden
-    /// config (which defaults to `Static`).
-    #[test]
-    fn static_policy_is_the_bitwise_baseline() {
-        let a = run_supervised(
-            demo_state(64, 6),
-            &SupervisorConfig::golden(2, 2, 0.01, 2, tmp("st_a.ckpt")),
-        )
-        .expect("baseline");
-        let b = run_supervised(
-            demo_state(64, 6),
-            &SupervisorConfig {
-                policy: DecompPolicy::Static,
-                ..SupervisorConfig::golden(2, 2, 0.01, 2, tmp("st_b.ckpt"))
-            },
-        )
-        .expect("explicit static");
-        assert_eq!(a.state_digest, b.state_digest);
-        assert_eq!(a.totals, b.totals);
-        assert_eq!(a.totals.get(hot_trace::Counter::RebalanceSteps), 0);
-        assert_eq!(a.totals.get(hot_trace::Counter::MigratedBodies), 0);
-        assert_eq!(a.totals.get(hot_trace::Counter::MigratedBytes), 0);
+        .expect("golden run");
+        let migrated = rep.totals.get(hot_trace::Counter::MigratedBodies);
+        assert!(migrated > 0, "no body ever moved between ranks");
     }
 
     #[test]

@@ -8,8 +8,8 @@ use hot_base::flops::FlopCounter;
 use hot_base::{Aabb, Vec3};
 use hot_comm::Comm;
 use hot_core::decomp::{
-    body_cost, decompose_costed_traced, decompose_traced, rebalance_traced, Body, CostModel,
-    DecompPolicy, KeyIntervals, Rebalance,
+    blend_cost, body_cost, decompose_costed_traced, decompose_traced, rebalance_traced, Body,
+    KeyIntervals, Rebalance, REBALANCE_THRESHOLD_MILLI,
 };
 use hot_core::dtree::DistTree;
 use hot_core::dwalk::{dwalk_with_traced, DwalkStats, WalkConfig};
@@ -35,13 +35,6 @@ pub struct DistOptions {
     pub oversample: usize,
     /// Carries no setting: the walk has none (see [`WalkConfig`]).
     pub walk: WalkConfig,
-    /// Domain-decomposition policy for the step entry
-    /// ([`distributed_step_traced`]). `Static` runs the weighted sample sort
-    /// every step; `Adaptive` re-costs bodies from the previous step's
-    /// measured walk work and moves interval cut points incrementally. Only
-    /// the decomposition and the work refresh differ: both build, exchange
-    /// and walk the same way.
-    pub policy: DecompPolicy,
 }
 
 impl Default for DistOptions {
@@ -54,7 +47,6 @@ impl Default for DistOptions {
             quadrupole: true,
             oversample: 64,
             walk: WalkConfig,
-            policy: DecompPolicy::Static,
         }
     }
 }
@@ -104,18 +96,11 @@ impl DistOptions {
         self.oversample = oversample;
         self
     }
-
-    /// Set the domain-decomposition policy.
-    #[must_use]
-    pub fn with_policy(mut self, policy: DecompPolicy) -> Self {
-        self.policy = policy;
-        self
-    }
 }
 
-/// Cross-step state for [`DecompPolicy::Adaptive`]: the previous step's
+/// Cross-step state of [`distributed_step_traced`]: the previous step's
 /// intervals, which the next step's rebalance diffs against. `Default` is
-/// the cold state; `Static` runs never touch it.
+/// the cold state.
 #[derive(Default)]
 pub struct DecompState {
     /// Key ownership after the previous step (None before the first).
@@ -134,8 +119,8 @@ pub struct DistForces {
     /// Key ownership after this decomposition.
     pub intervals: KeyIntervals,
     /// Outcome of the skew-triggered rebalance, when this step went
-    /// through [`distributed_step_traced`] with an adaptive policy and a
-    /// warm state (`None` on static or bootstrap steps).
+    /// through [`distributed_step_traced`] with a warm state (`None` on
+    /// one-shot or bootstrap steps).
     pub rebalance: Option<Rebalance>,
 }
 
@@ -220,22 +205,21 @@ fn build_and_walk(
     (dt, acc, work, stats)
 }
 
-/// One distributed force step under a [`DecompPolicy`], carrying state
-/// across steps (collective call).
+/// One step of a multi-step run, carrying the decomposition across steps
+/// (collective call). The one-shot [`distributed_accelerations_traced`] is
+/// the static decomposition; this is the paper's feedback loop.
 ///
-/// * `Static` delegates to [`distributed_accelerations_traced`] and
-///   ignores `state`.
-/// * `Adaptive` bootstraps with a cost-exact decomposition on the first
-///   call; each later step runs the skew-triggered incremental rebalance,
-///   moving cut points and migrating only the key-range diff. After the
-///   walk it re-costs every body by blending the previous smoothed cost
-///   with this step's measured walk work (interactions from the
-///   evaluator's work array plus a per-sink share of the group's cells
-///   opened — all integer arithmetic, so costs are bitwise
-///   schedule-independent).
+/// A cold `state` bootstraps with a cost-exact decomposition; each later
+/// step runs the skew-triggered incremental rebalance at
+/// [`REBALANCE_THRESHOLD_MILLI`], moving cut points and migrating only the
+/// key-range diff. After the walk it re-costs every body with
+/// [`blend_cost`]: the previous smoothed cost against this step's measured
+/// walk work (interactions from the evaluator's work array plus a per-sink
+/// share of the group's cells opened — all integer arithmetic, so costs
+/// are bitwise schedule-independent).
 ///
-/// Between the decomposition and the re-costing both policies run the same
-/// code: a fresh local tree, the full branch exchange and the walk.
+/// Between the decomposition and the re-costing both entry points run the
+/// same code: a fresh local tree, the full branch exchange and the walk.
 pub fn distributed_step_traced(
     comm: &mut Comm,
     bodies: Vec<Body<f64>>,
@@ -245,12 +229,10 @@ pub fn distributed_step_traced(
     state: &mut DecompState,
     trace: &mut Ledger,
 ) -> DistForces {
-    let DecompPolicy::Adaptive { threshold_milli, smoothing } = opts.policy else {
-        return distributed_accelerations_traced(comm, bodies, domain, opts, counter, trace);
-    };
     let (mut bodies, intervals, rebalance) = match state.intervals.take() {
         Some(prev) => {
-            let (b, iv, r) = rebalance_traced(comm, bodies, prev, threshold_milli, trace);
+            let (b, iv, r) =
+                rebalance_traced(comm, bodies, prev, REBALANCE_THRESHOLD_MILLI, trace);
             (b, iv, Some(r))
         }
         None => {
@@ -279,11 +261,10 @@ pub fn distributed_step_traced(
     }
 
     // Blend the smoothed cost, in body order.
-    let model = CostModel::new(smoothing);
     for (sorted_i, &orig) in dt.local.order.iter().enumerate() {
         let b = &mut bodies[orig as usize];
         let measured = work_sorted[sorted_i] as u64 + opened[sorted_i];
-        b.work = model.blend(body_cost(b), measured) as f32;
+        b.work = blend_cost(body_cost(b), measured) as f32;
     }
     state.intervals = Some(dt.intervals.clone());
     DistForces { bodies, acc, stats, intervals: dt.intervals, rebalance }
@@ -438,20 +419,20 @@ mod tests {
             .collect()
     }
 
-    /// Adaptive decomposition may move owners, never physics: across a
-    /// multi-step sequence the adaptive forces must agree with static to
-    /// treecode-grouping tolerance, conserve momentum identically, and
-    /// keep the interaction counters in a narrow band. (Exact bitwise
-    /// equality is not expected: sink groups derive from each rank's
-    /// *local* tree, so moving a cut regroups boundary sinks and flips
-    /// individual MAC decisions within the accuracy envelope.)
+    /// The feedback loop may move owners, never physics: across a
+    /// multi-step sequence its forces must agree with the one-shot static
+    /// decomposition's to treecode-grouping tolerance, conserve momentum
+    /// identically, and keep the interaction counters in a narrow band.
+    /// (Exact bitwise equality is not expected: sink groups derive from
+    /// each rank's *local* tree, so moving a cut regroups boundary sinks
+    /// and flips individual MAC decisions within the accuracy envelope.)
     #[test]
     fn adaptive_physics_matches_static() {
         use hot_trace::Counter;
         let np = 4u32;
         let n_total = 1200usize;
         let steps = 3usize;
-        let run = |policy: DecompPolicy| {
+        let run = |adaptive: bool| {
             RunConfig::builder().np(np).run(move |c| {
                 let mut bodies = clustered_bodies(c.rank(), np, n_total, 99);
                 let counter = FlopCounter::new();
@@ -459,22 +440,18 @@ mod tests {
                     mac: Mac::BarnesHut { theta: 0.5 },
                     eps2: 1e-6,
                     ..Default::default()
-                }
-                .with_policy(policy);
+                };
                 let mut state = DecompState::default();
                 let mut trace = hot_trace::Ledger::scratch();
                 let mut acc_by_id: Vec<(u64, Vec3)> = Vec::new();
                 let mut momentum = Vec3::ZERO;
                 for _ in 0..steps {
-                    let res = distributed_step_traced(
-                        c,
-                        bodies,
-                        Aabb::unit(),
-                        &opts,
-                        &counter,
-                        &mut state,
-                        &mut trace,
-                    );
+                    let (domain, t) = (Aabb::unit(), &mut trace);
+                    let res = if adaptive {
+                        distributed_step_traced(c, bodies, domain, &opts, &counter, &mut state, t)
+                    } else {
+                        distributed_accelerations_traced(c, bodies, domain, &opts, &counter, t)
+                    };
                     acc_by_id =
                         res.bodies.iter().zip(&res.acc).map(|(b, a)| (b.id, *a)).collect();
                     momentum =
@@ -496,9 +473,8 @@ mod tests {
                 )
             })
         };
-        let st = run(DecompPolicy::Static);
-        // A low threshold forces repartitions so the migration path runs.
-        let ad = run(DecompPolicy::Adaptive { threshold_milli: 1010, smoothing: 128 });
+        let st = run(false);
+        let ad = run(true);
 
         // Collect final-step accelerations by body id.
         type RankResult = (Vec<(u64, Vec3)>, Vec3, u64, u64, u64, f64);
@@ -536,7 +512,7 @@ mod tests {
         // The adaptive run must actually have exercised the machinery.
         let rebalances: u64 = ad.results.iter().map(|r| r.3).sum();
         let migrated: u64 = ad.results.iter().map(|r| r.4).sum();
-        assert!(rebalances > 0, "low threshold must trigger repartitions");
+        assert!(rebalances > 0, "the clustered input must trigger repartitions");
         assert!(migrated > 0, "repartition must migrate the diff");
         for r in &st.results {
             assert_eq!(r.3, 0, "static run must never count rebalance steps");
@@ -544,26 +520,20 @@ mod tests {
         }
     }
 
-    /// With frozen positions and a huge threshold, the adaptive path
-    /// settles: after the bootstrap step the intervals are reused
-    /// verbatim, nothing migrates, and repeated runs are bitwise
-    /// reproducible.
+    /// Repeated multi-step runs are bitwise reproducible, rebalances and
+    /// migrations included.
     #[test]
     fn adaptive_noop_rebalance_is_stable() {
-        use hot_trace::Counter;
         let np = 3u32;
         let run = || {
             RunConfig::builder().np(np).run(|c| {
                 let mut bodies = clustered_bodies(c.rank(), np, 600, 7);
                 let counter = FlopCounter::new();
-                let opts = DistOptions::default()
-                    .with_policy(DecompPolicy::Adaptive { threshold_milli: u32::MAX, smoothing: 128 });
+                let opts = DistOptions::default();
                 let mut state = DecompState::default();
                 let mut trace = hot_trace::Ledger::scratch();
-                let mut ivs = Vec::new();
                 let mut acc_bits: Vec<(u64, [u64; 3])> = Vec::new();
-                let mut migrated_after_bootstrap = 0;
-                for step in 0..3 {
+                for _ in 0..3 {
                     let res = distributed_step_traced(
                         c,
                         bodies,
@@ -573,35 +543,15 @@ mod tests {
                         &mut state,
                         &mut trace,
                     );
-                    if step == 0 {
-                        migrated_after_bootstrap =
-                            trace.totals().get(Counter::MigratedBodies);
-                    }
-                    ivs.push(res.intervals.clone());
                     acc_bits = res
                         .bodies
                         .iter()
                         .zip(&res.acc)
                         .map(|(b, a)| (b.id, [a.x.to_bits(), a.y.to_bits(), a.z.to_bits()]))
                         .collect();
-                    if let Some(r) = &res.rebalance {
-                        assert!(!r.repartitioned, "huge threshold must never repartition");
-                    }
                     bodies = res.bodies;
                 }
-                assert_eq!(ivs[1], ivs[0], "intervals must be reused verbatim");
-                assert_eq!(ivs[2], ivs[0], "intervals must be reused verbatim");
-                let t = trace.totals();
-                assert_eq!(t.get(Counter::RebalanceSteps), 0);
-                // The bootstrap redistribution counts; steps 2–3 must not
-                // add a single migrated body (frozen positions, huge
-                // threshold).
-                assert_eq!(
-                    t.get(Counter::MigratedBodies),
-                    migrated_after_bootstrap,
-                    "frozen positions must not drift"
-                );
-                acc_bits
+                (acc_bits, *trace.totals())
             })
         };
         let a = run();

@@ -92,8 +92,8 @@ pub enum Counter {
     /// boundary is a machine-wide quiescent point (every outstanding
     /// request answered), so the count is a pure function of the walk.
     WalkRounds,
-    /// Steps on which the adaptive decomposition actually moved interval
-    /// cut points (the skew trigger fired). Zero under `DecompPolicy::Static`.
+    /// Steps on which the multi-step decomposition actually moved interval
+    /// cut points (the skew trigger fired). Zero on one-shot evaluations.
     RebalanceSteps,
     /// Bodies received through the incremental key-range migration (the
     /// minimal diff between old and new intervals — the adaptive analogue
