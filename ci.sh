@@ -121,6 +121,15 @@ test -s "$smoke/results/BENCH_balance.json"
 echo "==> exp_recovery smoke (Daly cadence ≤ 5% overhead, bitwise recovery gate)"
 cargo run -q --offline --release -p hot-bench --bin exp_recovery -- 2 128 4
 
+echo "==> exp_cosmo_loki pins the serial cosmology trajectory (stdout must equal results/exp_cosmo_loki.txt)"
+# Kernels are bitwise scalar and the fan-out is bitwise under any thread
+# count, so this output does not depend on the host.
+(cd "$smoke" && cargo run -q --offline --release --manifest-path "$root/Cargo.toml" -p hot-bench --bin exp_cosmo_loki) > "$smoke/cosmo_loki.txt"
+if ! diff results/exp_cosmo_loki.txt "$smoke/cosmo_loki.txt" >&2; then
+  echo "ERROR: exp_cosmo_loki moved off results/exp_cosmo_loki.txt — the serial KDK changed, or the file is stale" >&2
+  exit 1
+fi
+
 echo "==> checkpoint/restart smoke (bitwise-identical resume)"
 cargo test -q --offline --release -p hot-cosmo checkpoint
 

@@ -3,7 +3,8 @@
 //! rendered the same way ("the color of each pixel represents the
 //! logarithm of the projected particle density").
 //!
-//! Writes `figure1_asci.pgm`. Arguments: `[grid=28] [steps=16]`.
+//! Writes `figure1_asci.pgm`. Arguments: `[grid=32] [steps=16]`; the grid
+//! is rounded up to a power of two.
 
 use hot_base::flops::FlopCounter;
 use hot_base::Vec3;

@@ -3,7 +3,7 @@
 //! friends-of-friends "galaxy" catalogue.
 //!
 //! Writes `figure2_loki.pgm` (and prints halo statistics). Arguments:
-//! `[grid=20] [steps=12]`.
+//! `[grid=32] [steps=12]`; the grid is rounded up to a power of two.
 
 use hot_base::flops::FlopCounter;
 use hot_base::Vec3;

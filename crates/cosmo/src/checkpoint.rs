@@ -271,6 +271,7 @@ fn decode_body(body: &[u8]) -> Result<CosmoSim, CheckpointError> {
         opts,
         steps,
         calc: hot_gravity::ForceCalc::new(),
+        end_force: None,
     })
 }
 
@@ -374,6 +375,7 @@ mod tests {
             opts,
             steps: 17,
             calc: hot_gravity::ForceCalc::new(),
+            end_force: None,
         }
     }
 

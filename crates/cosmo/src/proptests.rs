@@ -65,6 +65,7 @@ proptest! {
             opts: TreecodeOptions { mac, bucket, eps2, quadrupole },
             steps,
             calc: hot_gravity::ForceCalc::new(),
+            end_force: None,
         };
         let dir = std::env::temp_dir().join("hot97_ckpt_prop");
         std::fs::create_dir_all(&dir).unwrap();
@@ -141,6 +142,7 @@ proptest! {
             opts: TreecodeOptions::default(),
             steps,
             calc: hot_gravity::ForceCalc::new(),
+            end_force: None,
         };
         let dir = std::env::temp_dir().join("hot97_ckpt_prop_damage");
         std::fs::create_dir_all(&dir).unwrap();

@@ -65,6 +65,35 @@ pub struct CosmoSim {
     /// Force pipeline; its interaction-list buffers persist across the
     /// substeps and steps of the run.
     pub calc: ForceCalc,
+    /// The force the last step's closing half-kick applied, kept for the
+    /// next step's opening half-kick.
+    pub(crate) end_force: Option<EndForce>,
+}
+
+/// A force evaluation kept with the inputs it was computed from. The
+/// state's fields are public and may be written between steps, so the
+/// force is reused only when every input is unchanged, never trusted.
+#[derive(Clone, Debug)]
+pub(crate) struct EndForce {
+    acc: Vec<Vec3>,
+    interactions: u64,
+    pos: Vec<Vec3>,
+    mass: Vec<f64>,
+    center: Vec3,
+    opts: TreecodeOptions,
+}
+
+impl EndForce {
+    /// Whether this force is, bitwise, what `sim` would compute now.
+    fn computed_from(&self, sim: &CosmoSim) -> bool {
+        let bits = |v: &Vec3| [v.x.to_bits(), v.y.to_bits(), v.z.to_bits()];
+        self.opts == sim.opts
+            && bits(&self.center) == bits(&sim.center)
+            && self.pos.len() == sim.pos.len()
+            && self.pos.iter().zip(&sim.pos).all(|(p, q)| bits(p) == bits(q))
+            && self.mass.len() == sim.mass.len()
+            && self.mass.iter().zip(&sim.mass).all(|(m, n)| m.to_bits() == n.to_bits())
+    }
 }
 
 impl CosmoSim {
@@ -81,7 +110,17 @@ impl CosmoSim {
         assert_eq!(pos.len(), vel.len());
         assert_eq!(pos.len(), mass.len());
         let mom = vel.into_iter().map(|u| u * (a0 * a0)).collect();
-        CosmoSim { pos, mom, mass, a: a0, center, opts, steps: 0, calc: ForceCalc::new() }
+        CosmoSim {
+            pos,
+            mom,
+            mass,
+            a: a0,
+            center,
+            opts,
+            steps: 0,
+            calc: ForceCalc::new(),
+            end_force: None,
+        }
     }
 
     /// Peculiar accelerations at the current positions: treecode force
@@ -114,32 +153,59 @@ impl CosmoSim {
         res
     }
 
-    /// One KDK step from `a` to `a + da`. Returns the walk's interaction
-    /// count for diagnostics.
+    /// One KDK step from `a` to `a + da`. Returns the interaction count of
+    /// the two forces the step applied, whether computed or kept.
+    ///
+    /// The force of the closing half-kick is kept, and the next step's
+    /// opening half-kick reuses it when positions, masses, center and
+    /// options are unchanged, so after the first step each step evaluates
+    /// one force. The trajectory is bitwise the one that evaluates twice.
     pub fn step(&mut self, da: f64, counter: &FlopCounter) -> u64 {
         self.step_traced(da, counter, &mut Ledger::scratch())
     }
 
     /// [`CosmoSim::step`] with phase tracing: the whole KDK step is wrapped
-    /// in a `Step` span, with the two force evaluations' `TreeBuild` /
-    /// `Walk` / `Force` sub-spans nested inside it (the kick/drift
+    /// in a `Step` span, with the `TreeBuild` / `Walk` / `Force` sub-spans
+    /// of each force it evaluates nested inside it — one after the first
+    /// step, two when the kept force cannot be reused (the kick/drift
     /// arithmetic itself is the step span's exclusive time).
     pub fn step_traced(&mut self, da: f64, counter: &FlopCounter, trace: &mut Ledger) -> u64 {
         trace.begin(Phase::Step);
         let mut interactions = 0;
-        self.kdk(da, |sim| {
-            let f = sim.accelerations_traced(counter, trace);
-            interactions += f.stats.interactions();
-            f.acc
+        let mut last = 0;
+        let f1 = self.kdk(da, |sim| {
+            let (acc, n) = match sim.end_force.take().filter(|f| f.computed_from(sim)) {
+                Some(kept) => (kept.acc, kept.interactions),
+                None => {
+                    let f = sim.accelerations_traced(counter, trace);
+                    (f.acc, f.stats.interactions())
+                }
+            };
+            interactions += n;
+            last = n;
+            acc
+        });
+        self.end_force = Some(EndForce {
+            acc: f1,
+            interactions: last,
+            pos: self.pos.clone(),
+            mass: self.mass.clone(),
+            center: self.center,
+            opts: self.opts,
         });
         trace.end();
         interactions
     }
 
     /// One KDK step from `a` to `a + da` with peculiar accelerations from
-    /// `force`, which is called twice: at the current state, and after the
-    /// drift with `a` already advanced to `a + da`.
-    pub(crate) fn kdk(&mut self, da: f64, mut force: impl FnMut(&mut CosmoSim) -> Vec<Vec3>) {
+    /// `force`, which is asked for two: at the current state, and after
+    /// the drift with `a` already advanced to `a + da`. Returns the second,
+    /// the force at the state the step ends in.
+    pub(crate) fn kdk(
+        &mut self,
+        da: f64,
+        mut force: impl FnMut(&mut CosmoSim) -> Vec<Vec3>,
+    ) -> Vec<Vec3> {
         let a0 = self.a;
         let a1 = a0 + da;
         let t0 = cosmic_time(a0);
@@ -152,6 +218,9 @@ impl CosmoSim {
         for (w, acc) in self.mom.iter_mut().zip(&f0) {
             *w += *acc * (0.5 * dt / a0);
         }
+        // Free the opening force before the closing one is computed, so the
+        // step never holds two.
+        drop(f0);
         // Drift (full, with a at midpoint).
         let inv_a2 = 1.0 / (a_mid * a_mid);
         for (x, w) in self.pos.iter_mut().zip(&self.mom) {
@@ -164,6 +233,7 @@ impl CosmoSim {
             *w += *acc * (0.5 * dt / a1);
         }
         self.steps += 1;
+        f1
     }
 
     /// Current coordinate velocities `u = w/a²`.
@@ -336,10 +406,9 @@ mod tests {
         );
     }
 
-    /// Checkpoint → restore → continue must equal an uninterrupted run.
-    #[test]
-    fn checkpoint_restart_is_transparent() {
-        let mut rng = rand::rngs::StdRng::seed_from_u64(5);
+    /// A cold random cube of 300 bodies around (5, 5, 5) at a = 0.3.
+    fn small_sim(seed: u64) -> CosmoSim {
+        let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
         let n = 300;
         let center = Vec3::splat(5.0);
         let pos: Vec<Vec3> = (0..n)
@@ -348,16 +417,82 @@ mod tests {
         let vel = vec![Vec3::ZERO; n];
         let mass = vec![RHO_BAR * 0.1; n];
         let opts = TreecodeOptions { eps2: 0.01, ..Default::default() };
+        CosmoSim::new(pos, vel, mass, 0.3, center, opts)
+    }
+
+    fn assert_same_state(a: &CosmoSim, b: &CosmoSim) {
+        let bits = |v: &Vec3| [v.x.to_bits(), v.y.to_bits(), v.z.to_bits()];
+        assert_eq!(a.a.to_bits(), b.a.to_bits());
+        assert_eq!(a.steps, b.steps);
+        for (x, y) in a.pos.iter().zip(&b.pos) {
+            assert_eq!(bits(x), bits(y), "positions diverged: {x:?} vs {y:?}");
+        }
+        for (x, y) in a.mom.iter().zip(&b.mom) {
+            assert_eq!(bits(x), bits(y), "momenta diverged: {x:?} vs {y:?}");
+        }
+    }
+
+    /// After the first step, a step builds one tree, not two: the closing
+    /// force is kept and opens the next step. The trajectory and the
+    /// reported interactions are bitwise those of a run that evaluates
+    /// both forces of every step.
+    #[test]
+    fn step_evaluates_one_force_after_the_first() {
+        let counter = FlopCounter::new();
+        let mut kept = small_sim(7);
+        let mut fresh = kept.clone();
+        let mut trace = Ledger::scratch();
+        let k = 5;
+        for _ in 0..k {
+            let ixn = kept.step_traced(0.01, &counter, &mut trace);
+            fresh.end_force = None;
+            assert_eq!(ixn, fresh.step(0.01, &counter));
+            assert_same_state(&kept, &fresh);
+        }
+        let builds = trace.spans().iter().filter(|s| s.phase == Phase::TreeBuild).count();
+        assert_eq!(builds, k + 1);
+    }
+
+    /// A kept force is reused only when every input it was computed from
+    /// is bitwise unchanged: after any one of them is written between
+    /// steps, the next step equals the step of a clone that recomputes.
+    #[test]
+    fn kept_force_is_dropped_when_an_input_changes() {
+        let edits: [fn(&mut CosmoSim); 4] = [
+            |s| s.pos[17].y += 1e-3,
+            |s| s.mass[42] *= 2.0,
+            |s| s.center.z -= 0.25,
+            |s| s.opts.eps2 *= 4.0,
+        ];
+        let counter = FlopCounter::new();
+        for edit in edits {
+            let mut sim = small_sim(11);
+            sim.step(0.01, &counter);
+            assert!(sim.end_force.is_some());
+            edit(&mut sim);
+            let mut fresh = sim.clone();
+            fresh.end_force = None;
+            assert_eq!(sim.step(0.01, &counter), fresh.step(0.01, &counter));
+            assert_same_state(&sim, &fresh);
+        }
+    }
+
+    /// Checkpoint → restore → continue must equal an uninterrupted run.
+    /// The restored state keeps no force, so its first step recomputes the
+    /// one the uninterrupted run kept: this also proves that recompute is
+    /// bitwise the kept force.
+    #[test]
+    fn checkpoint_restart_is_transparent() {
         let counter = FlopCounter::new();
 
         // Uninterrupted: 4 steps.
-        let mut a_run = CosmoSim::new(pos.clone(), vel.clone(), mass.clone(), 0.3, center, opts);
+        let mut a_run = small_sim(5);
         for _ in 0..4 {
             a_run.step(0.01, &counter);
         }
 
         // Interrupted: 2 steps, checkpoint, restore, 2 more.
-        let mut b_run = CosmoSim::new(pos, vel, mass, 0.3, center, opts);
+        let mut b_run = small_sim(5);
         for _ in 0..2 {
             b_run.step(0.01, &counter);
         }
@@ -372,18 +507,7 @@ mod tests {
         // Bitwise, not approximately: the checkpoint stores raw momenta
         // and the full configuration, so the resumed trajectory is the
         // uninterrupted one down to the last ulp.
-        assert_eq!(b2.a.to_bits(), a_run.a.to_bits());
-        assert_eq!(b2.steps, a_run.steps);
-        for (x, y) in a_run.pos.iter().zip(&b2.pos) {
-            assert_eq!(x.x.to_bits(), y.x.to_bits(), "positions diverged: {x:?} vs {y:?}");
-            assert_eq!(x.y.to_bits(), y.y.to_bits(), "positions diverged: {x:?} vs {y:?}");
-            assert_eq!(x.z.to_bits(), y.z.to_bits(), "positions diverged: {x:?} vs {y:?}");
-        }
-        for (x, y) in a_run.mom.iter().zip(&b2.mom) {
-            assert_eq!(x.x.to_bits(), y.x.to_bits(), "momenta diverged: {x:?} vs {y:?}");
-            assert_eq!(x.y.to_bits(), y.y.to_bits(), "momenta diverged: {x:?} vs {y:?}");
-            assert_eq!(x.z.to_bits(), y.z.to_bits(), "momenta diverged: {x:?} vs {y:?}");
-        }
+        assert_same_state(&a_run, &b2);
         std::fs::remove_dir_all(&dir).ok();
     }
 

@@ -368,6 +368,8 @@ fn replicated_accelerations(
 /// evaluations distributed. `step` is the global step index; the two
 /// crash-stop kill epochs of the step fire here: `2·step` before the first
 /// force evaluation, `2·step + 1` before the second, after the drift.
+/// Unlike [`CosmoSim::step`], the step's closing force is not kept for the
+/// next step: each evaluation is a kill epoch of its own.
 fn step_replicated(
     c: &mut Comm,
     sim: &mut CosmoSim,
