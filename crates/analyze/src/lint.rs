@@ -51,13 +51,12 @@ impl fmt::Display for Finding {
 /// Names of every lint rule, for `--help` output and docs cross-checking.
 /// (The `hot-analyze protocol` subcommand has its own rule list,
 /// [`protocol::RULES`].)
-pub const RULES: [&str; 8] = [
+pub const RULES: [&str; 7] = [
     "f32-accumulation",
     "flop-accounting",
     "determinism",
     "wall-clock",
     "unwrap-audit",
-    "evaluator-api",
     "runtime-api",
     "stale-suppression",
 ];
@@ -105,21 +104,6 @@ const FLOP_EVIDENCE: [&str; 3] = ["counter.add(", "FlopCounter", "add(Kind::"];
 /// and flop-accounting rules skip them. The NPB suite's whole contract is
 /// "time yourself and report Mop/s", and `bench` drives experiments.
 const SELF_TIMING_CRATES: [&str; 2] = ["crates/npb/", "crates/bench/"];
-
-/// Callback-era force entry points, removed from the tree: production code
-/// goes through `ForceCalc` now. The list stays as a tripwire against the
-/// names being reintroduced.
-const DEPRECATED_FORCE_CALLS: [&str; 4] = [
-    "tree_accelerations(",
-    "tree_accelerations_traced(",
-    "tree_accelerations_parallel(",
-    "tree_accelerations_parallel_traced(",
-];
-
-/// Files allowed to mention the callback `Evaluator` trait outside tests:
-/// the trait's own definition site and the list-builder adaptor that is
-/// the one remaining in-tree implementor.
-const EVALUATOR_EXEMPT: [&str; 2] = ["core/src/walk.rs", "core/src/ilist.rs"];
 
 /// The execution substrate's own modules: the only places allowed to spawn
 /// OS threads outside tests (the executor's worker pool).
@@ -279,26 +263,6 @@ fn lint_filemap(rel: &str, fm: &FileMap, allow_unwrap: &[String]) -> Vec<Finding
         }
     }
 
-    // Rule: evaluator-api.
-    if !EVALUATOR_EXEMPT.iter().any(|s| rel.ends_with(s)) {
-        for (i, code) in fm.code.iter().enumerate() {
-            let impls_callback = code.contains("impl") && has_bare_evaluator(code);
-            let calls_deprecated =
-                DEPRECATED_FORCE_CALLS.iter().any(|k| code.contains(k));
-            if impls_callback || calls_deprecated {
-                emit(
-                    "evaluator-api",
-                    i,
-                    "callback-style force evaluation: implement ListConsumer and go \
-                     through ForceCalc / walk_lists instead; the Evaluator trait is \
-                     internal to the list builder and the tree_accelerations* entry \
-                     points no longer exist"
-                        .to_string(),
-                );
-            }
-        }
-    }
-
     // Rule: runtime-api.
     if !RUNTIME_EXEMPT.iter().any(|s| rel.ends_with(s)) {
         let owns_compute_threads = rel.ends_with(COMPUTE_THREADS_EXEMPT);
@@ -380,24 +344,6 @@ fn lint_filemap(rel: &str, fm: &FileMap, allow_unwrap: &[String]) -> Vec<Finding
     }
 
     findings
-}
-
-/// True when the line mentions the bare `Evaluator<` trait (word-boundary
-/// match, so `GravityEvaluator<'a>` and friends do not count).
-fn has_bare_evaluator(code: &str) -> bool {
-    let mut from = 0;
-    while let Some(p) = code[from..].find("Evaluator<") {
-        let at = from + p;
-        let boundary = code[..at]
-            .chars()
-            .next_back()
-            .is_none_or(|ch| !ch.is_alphanumeric() && ch != '_');
-        if boundary {
-            return true;
-        }
-        from = at + 1;
-    }
-    false
 }
 
 /// One entry of the unwrap allowlist.
@@ -672,37 +618,6 @@ mod tests {
     }
 
     #[test]
-    fn evaluator_api_rule_flags_callback_impls_and_deprecated_calls() {
-        let impl_bad = "impl Evaluator<MassMoments> for Thing<'_> {\n}\n";
-        assert_eq!(rules_hit("crates/gravity/src/other.rs", impl_bad), ["evaluator-api"]);
-        let call_bad = "fn go() {\n    let r = tree_accelerations(d, &p, &m, &o, &c, false);\n}\n";
-        assert_eq!(rules_hit("crates/cosmo/src/other.rs", call_bad), ["evaluator-api"]);
-        let call_bad2 =
-            "fn go() {\n    tree_accelerations_parallel_traced(d, &p, &m, &o, &c, false, t);\n}\n";
-        assert_eq!(rules_hit("crates/cosmo/src/other.rs", call_bad2), ["evaluator-api"]);
-    }
-
-    #[test]
-    fn evaluator_api_rule_word_boundary_and_exemptions() {
-        // Named consumers ending in "Evaluator" are fine.
-        let named = "impl ListConsumer<MassMoments> for GravityEvaluator<'_> {\n}\n";
-        assert!(rules_hit("crates/gravity/src/evaluator.rs", named).is_empty());
-        // Generic bounds in a signature are not an impl of the trait, and
-        // the trait's home is exempt wholesale. (The old blanket skip of
-        // `fn `/`use ` lines is gone with the deprecated shims.)
-        let sig = "pub fn walk<M: Moments, E: Evaluator<M>>(t: &Tree<M>) {\n}\n";
-        assert!(rules_hit("crates/gravity/src/other.rs", sig).is_empty());
-        let use_line = "fn go() {\n    let r = self.tree_accelerations(&p);\n}\n";
-        assert_eq!(rules_hit("crates/gravity/src/other.rs", use_line), ["evaluator-api"]);
-        let imp = "impl<M: Moments> Evaluator<M> for ListBuilder<'_, M> {\n}\n";
-        assert!(rules_hit("crates/core/src/ilist.rs", imp).is_empty());
-        // Suppression works like every other rule.
-        let sup = "// hot-lint: allow(evaluator-api): migration shim\n\
-                   impl Evaluator<MassMoments> for Thing {\n}\n";
-        assert!(rules_hit("crates/gravity/src/other.rs", sup).is_empty());
-    }
-
-    #[test]
     fn finding_display_names_rule_and_location() {
         let f = lint_source(
             "crates/core/src/moments.rs",
@@ -816,17 +731,18 @@ mod tests {
     }
 
     // ------------------------------------------------------------------
-    // Cross-engine pin: the fixture below hits all six original rules at
-    // known lines. The expected list is frozen from the line-regex
-    // engine's output before the token-layer port — identical findings
-    // are the port's acceptance criterion.
+    // Cross-engine pin: the fixture below hits the five original rules
+    // still in force at known lines (the sixth, `evaluator-api`, was
+    // retired with the callback trait it guarded). The expected list is
+    // frozen from the line-regex engine's output before the token-layer
+    // port — identical findings are the port's acceptance criterion.
     // ------------------------------------------------------------------
 
     type PinnedFixture = (&'static str, &'static str, &'static [(&'static str, usize)]);
 
     #[test]
-    fn six_rule_fixture_findings_are_pinned_across_the_port() {
-        let fixtures: [PinnedFixture; 4] = [
+    fn original_rule_fixture_findings_are_pinned_across_the_port() {
+        let fixtures: [PinnedFixture; 3] = [
             (
                 "crates/core/src/moments.rs",
                 "pub fn shrink(x: f64) -> f32 {\n    x as f32\n}\n\
@@ -843,11 +759,6 @@ mod tests {
                 "crates/gravity/src/treecode.rs",
                 "fn forces(pos: &[f64]) {\n    let a = pp_acc(d, m, eps2);\n}\n",
                 &[("flop-accounting", 2)],
-            ),
-            (
-                "crates/gravity/src/other.rs",
-                "impl Evaluator<MassMoments> for Thing<'_> {\n}\n",
-                &[("evaluator-api", 1)],
             ),
         ];
         for (rel, src, expected) in fixtures {

@@ -10,9 +10,11 @@
 //! cell, or the bodies of a remote leaf — not just the first. A group with
 //! anything missing is *parked* and the rank switches to another group
 //! instead of stalling; a group with nothing missing *emits*: one
-//! uninterrupted depth-first traversal (an explicit stack of node
-//! references) recording its accepted sources into the group's
-//! [`InteractionList`] — the distributed flavour of the list-build stage.
+//! uninterrupted depth-first traversal of the global nodes recording its
+//! accepted sources into the group's [`InteractionList`] — the distributed
+//! flavour of the list-build stage. Below a branch cell of the rank's own
+//! tree, emit hands over to the serial walk's local walk, so there is one
+//! local walk in the library.
 //! The pipeline then hides the network latency two ways:
 //!
 //! * **Request coalescing** — the wants of all parked groups are gathered
@@ -55,7 +57,7 @@ use crate::dtree::{CellRecord, DChildren, DistTree};
 use crate::ilist::{InteractionList, ListConsumer};
 use crate::mac::Mac;
 use crate::moments::Moments;
-use crate::walk::{fan_out, workers_for, WalkStats};
+use crate::walk::{fan_out, walk_subtree, workers_for, WalkStats};
 use bytes::Bytes;
 use hot_base::Vec3;
 use hot_comm::{from_bytes, Abm, Comm, KeyBatchRequest, Wire};
@@ -85,15 +87,6 @@ const ABM_BATCH: usize = 16384;
 /// on to [`dwalk_with_traced`].
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct WalkConfig;
-
-/// A reference into the hybrid tree: either a local cell or a global node.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-enum Ref {
-    /// Index into `DistTree::local.cells`.
-    Local(u32),
-    /// Index into `DistTree::nodes`.
-    Node(u32),
-}
 
 /// One sink group's resolve stage. Once nothing is missing the group joins
 /// its round's ready batch, which emits and applies it in one go.
@@ -315,9 +308,9 @@ struct BatchOut {
     group_costs: Vec<(u32, u64)>,
 }
 
-/// Compute one round's ready batch: per group, [`emit`] its list, pin the
-/// walk's incremental pair accounting against the list's closed form, and
-/// hand the list to `consumer` (the apply stage). The groups run in tree
+/// Compute one round's ready batch: per group, [`emit`] its list (its
+/// counts pinned against the list) and hand the list to `consumer` (the
+/// apply stage). The groups run in tree
 /// order through [`fan_out`] on `workers(sinks in the batch)` threads,
 /// each with a list of its own that lives for this batch only. Sink groups
 /// are disjoint, so neither the order nor the thread of a group's apply can
@@ -342,19 +335,10 @@ fn compute_batch<M: Moments, C: ListConsumer<M>>(
         |groups, part, list| {
             let mut out = BatchOut::default();
             for &gi in groups {
-                let mut walk = emit(dt, mac, gi, list);
-                let sinks = cells[gi as usize].span();
-                let (pp, pc) = list.expected_stats(&sinks);
-                assert_eq!(
-                    (walk.pp, walk.pc),
-                    (pp, pc),
-                    "dwalk stats for group {gi} disagree with its interaction list"
-                );
-                walk.listed_pp = list.pp_entries();
-                walk.listed_pc = list.pc_entries();
+                let walk = emit(dt, mac, gi, list);
                 out.walk.merge(&walk);
                 out.group_costs.push((gi, walk.opened));
-                part.consume(&dt.local.pos, &dt.local.charge, sinks, list);
+                part.consume(&dt.local.pos, &dt.local.charge, cells[gi as usize].span(), list);
             }
             out
         },
@@ -412,9 +396,11 @@ fn resolve<M: Moments>(
 
 /// The emit stage: one uninterrupted depth-first traversal recording group
 /// `gi`'s accepted sources into `list` (cleared first), returning the
-/// walk's counts. Runs only once [`resolve`] found everything it reaches
-/// resident, so the list is written in the one canonical order whatever
-/// round its data arrived in.
+/// walk's counts, pinned against the list. It walks the global nodes; at a
+/// branch cell of this rank's own tree the one local walk
+/// ([`walk_subtree`]) lists the subtree below it. Runs only once
+/// [`resolve`] found everything it reaches resident, so the list is
+/// written in the one canonical order whatever round its data arrived in.
 fn emit<M: Moments>(
     dt: &DistTree<M>,
     mac: &Mac,
@@ -423,106 +409,60 @@ fn emit<M: Moments>(
 ) -> WalkStats {
     list.clear();
     let mut stats = WalkStats::default();
-    let mut stack = vec![Ref::Node(dt.root)];
-    let g = &dt.local.cells[gi as usize];
-    let gc = g.center;
-    let gr = g.bmax;
-    let sinks = g.span();
-    let gn = g.n as u64;
-
-    while let Some(r) = stack.pop() {
-        match r {
-            Ref::Local(ci) => {
-                if ci == gi {
-                    list.push_pp(
-                        &dt.local.pos[sinks.clone()],
-                        &dt.local.charge[sinks.clone()],
-                        Some(sinks.start),
-                    );
-                    stats.pp += gn * (gn - 1);
-                    continue;
-                }
-                let c = &dt.local.cells[ci as usize];
-                if c.n == 0 {
-                    continue;
-                }
-                if mac.accepts(c, gc, gr) {
-                    list.push_pc(c.center, &c.moments);
-                    stats.pc += gn;
-                } else if c.is_leaf() {
-                    list.push_pp(
-                        &dt.local.pos[c.span()],
-                        &dt.local.charge[c.span()],
-                        Some(c.first as usize),
-                    );
-                    stats.pp += gn * c.n as u64;
-                } else {
-                    stats.opened += 1;
-                    stack.extend(dt.local.children(c).map(|k| Ref::Local(k as u32)));
-                }
+    let local = &dt.local;
+    let g = &local.cells[gi as usize];
+    let (gc, gr, sinks, gn) = (g.center, g.bmax, g.span(), g.n as u64);
+    let mut stack = vec![dt.root];
+    while let Some(ni) = stack.pop() {
+        let node = &dt.nodes[ni as usize];
+        if node.n == 0 {
+            continue;
+        }
+        if mac.accepts_raw(node.center, node.bmax, node.moments.b2(), gc, gr) {
+            list.push_pc(node.center, &node.moments);
+            stats.pc += gn;
+            continue;
+        }
+        match &node.children {
+            DChildren::Nodes(kids) => {
+                stats.opened += 1;
+                stack.extend_from_slice(kids);
             }
-            Ref::Node(ni) => {
-                let node = &dt.nodes[ni as usize];
-                if node.n == 0 {
-                    continue;
-                }
-                if mac.accepts_raw(node.center, node.bmax, node.moments.b2(), gc, gr) {
-                    list.push_pc(node.center, &node.moments);
-                    stats.pc += gn;
-                    continue;
-                }
-                match &node.children {
-                    DChildren::Nodes(kids) => {
-                        stats.opened += 1;
-                        stack.extend(kids.iter().map(|&k| Ref::Node(k)));
-                    }
-                    DChildren::LocalSubtree => {
-                        // Graft into the local cell structure. Virtual
-                        // branches (no resident cell) fall back to a direct
-                        // span evaluation.
-                        if let Some(ci) = dt.local.table.get(node.key) {
-                            stack.push(Ref::Local(ci));
-                        } else {
-                            // Virtual branch: its particles live in a span
-                            // of the local arrays (possibly aliasing the
-                            // sink span — src_start lets the apply stage
-                            // exclude self pairs). When the span *is* the
-                            // sink span, count like the self-interaction
-                            // case: gn·(len−1) pairs, not gn·len — the
-                            // historical double-count this path had.
-                            let span = dt.span_of(node.key);
-                            if !span.is_empty() {
-                                list.push_pp(
-                                    &dt.local.pos[span.clone()],
-                                    &dt.local.charge[span.clone()],
-                                    Some(span.start),
-                                );
-                                let len = span.len() as u64;
-                                stats.pp += if span == sinks {
-                                    gn * (len - 1)
-                                } else {
-                                    gn * len
-                                };
-                            }
-                        }
-                    }
-                    DChildren::RemoteLeaf => {
-                        let (bp, bq) = dt
-                            .body_cache
-                            .get(&ni)
-                            // hot-lint: allow(unwrap-audit)
-                            .expect("emit reached a remote leaf resolve left unfetched");
-                        list.push_pp(bp, bq, None);
-                        stats.pp += gn * bp.len() as u64;
-                    }
-                    DChildren::RemoteUnfetched => {
-                        unreachable!("emit reached a remote cell resolve left unfetched")
+            DChildren::LocalSubtree => match local.table.get(node.key) {
+                Some(ci) => stats.merge(&walk_subtree(local, mac, gi, ci, list)),
+                None => {
+                    // Virtual branch (no resident cell): its particles live
+                    // in a span of the local arrays, possibly aliasing the
+                    // sink span — src_start lets the apply stage exclude
+                    // self pairs. When the span *is* the sink span, count
+                    // like the self-interaction case: gn·(len−1) pairs.
+                    let span = dt.span_of(node.key);
+                    if !span.is_empty() {
+                        list.push_pp(
+                            &local.pos[span.clone()],
+                            &local.charge[span.clone()],
+                            Some(span.start),
+                        );
+                        let len = span.len() as u64;
+                        stats.pp += if span == sinks { gn * (len - 1) } else { gn * len };
                     }
                 }
+            },
+            DChildren::RemoteLeaf => {
+                let (bp, bq) = dt
+                    .body_cache
+                    .get(&ni)
+                    // hot-lint: allow(unwrap-audit)
+                    .expect("emit reached a remote leaf resolve left unfetched");
+                list.push_pp(bp, bq, None);
+                stats.pp += gn * bp.len() as u64;
+            }
+            DChildren::RemoteUnfetched => {
+                unreachable!("emit reached a remote cell resolve left unfetched")
             }
         }
     }
-    stats
+    stats.pinned_to(list, &sinks, gi)
 }
 
 /// Install a body reply into the remote-leaf cache.
@@ -1210,6 +1150,80 @@ mod tests {
             ranks.iter().any(|r| r.0 < r.1),
             "no group had to fetch: {ranks:?}"
         );
+    }
+
+    /// A list as a consumer can see it, in bits: per segment its kind and
+    /// length, then every entry's coordinates and charge or mass, and a P-P
+    /// source's tree-order index.
+    fn list_bits(list: &InteractionList<MassMoments>) -> Vec<u64> {
+        let mut out = Vec::new();
+        for seg in list.segments() {
+            match seg {
+                Segment::Pp(v) => {
+                    out.extend([0, v.x.len() as u64]);
+                    for j in 0..v.x.len() {
+                        let (x, y, z, q) = (v.x[j], v.y[j], v.z[j], v.q[j]);
+                        out.extend([x, y, z, q].map(f64::to_bits));
+                        out.push(u64::from(v.idx[j]));
+                    }
+                }
+                Segment::Pc(c) => {
+                    out.extend([1, c.x.len() as u64]);
+                    for k in 0..c.x.len() {
+                        let (x, y, z, m) = (c.x[k], c.y[k], c.z[k], c.m[k].mass);
+                        out.extend([x, y, z, m].map(f64::to_bits));
+                    }
+                }
+            }
+        }
+        out
+    }
+
+    /// Every list it is handed, as `(first sink, bits)`.
+    struct Recorded(Vec<(usize, Vec<u64>)>);
+
+    impl ListConsumer<MassMoments> for Recorded {
+        fn consume(
+            &mut self,
+            _pos: &[Vec3],
+            _charge: &[f64],
+            sinks: Range<usize>,
+            list: &InteractionList<MassMoments>,
+        ) {
+            self.0.push((sinks.start, list_bits(list)));
+        }
+    }
+
+    /// On one rank every global node leads to this rank's own tree, so the
+    /// distributed walk must write each group's list exactly as the serial
+    /// walk does — entry for entry, bit for bit — and count the same.
+    #[test]
+    fn one_rank_writes_the_serial_walks_lists() {
+        for clustered in [false, true] {
+            let out = RunConfig::builder().np(1).run(move |c| {
+                let (mine, iv) = decompose(c, make_bodies(c, 1500, 8, clustered), 32);
+                let pos: Vec<Vec3> = mine.iter().map(|b| b.pos).collect();
+                let q: Vec<f64> = mine.iter().map(|b| b.charge).collect();
+                let tree = Tree::<MassMoments>::build(Aabb::unit(), &pos, &q, 8);
+                let mut dt = DistTree::build(c, tree, iv);
+                let mac = Mac::BarnesHut { theta: 0.6 };
+                let (mut serial, mut stats) = (Vec::new(), WalkStats::default());
+                let mut list = InteractionList::new();
+                for gi in dt.local.groups(16) {
+                    stats.merge(&crate::walk::walk_group_list(&dt.local, &mac, gi, &mut list));
+                    serial.push((dt.local.cells[gi as usize].first as usize, list_bits(&list)));
+                }
+                serial.sort_unstable();
+                let mut dist = Recorded(Vec::new());
+                let walk = walk_at(c, &mut dt, &mac, &mut dist, ABM_BATCH).walk;
+                dist.0.sort_unstable();
+                (serial, stats, dist.0, walk)
+            });
+            let (serial, stats, dist, walk) = &out.results[0];
+            assert!(serial.len() > 50, "clustered {clustered}: {} groups", serial.len());
+            assert!(serial == dist, "clustered {clustered}: the lists differ");
+            assert_eq!(stats, walk, "clustered {clustered}");
+        }
     }
 
     /// The distributed walk must agree with a serial walk over the union of

@@ -5,25 +5,22 @@
 //! sources each sink group interacts with — an **interaction list** — and
 //! a separate apply stage streams the list through a batched kernel
 //! (Karp's rsqrt, 38 flops per interaction). This module is that split for
-//! the library: [`ListBuilder`] adapts the traversal's
-//! [`Evaluator`](crate::walk::Evaluator) callbacks into an
-//! [`InteractionList`] (`SoA` arrays of P-P sources and P-C accepted cells),
-//! and physics modules implement [`ListConsumer`] to apply their kernels
-//! to finished lists.
+//! the library: the walks ([`crate::walk`], [`crate::dwalk`]) write each
+//! sink group's [`InteractionList`] (`SoA` arrays of P-P sources and P-C
+//! accepted cells) directly, and physics modules implement
+//! [`ListConsumer`] to apply their kernels to finished lists.
 //!
 //! # Accumulation-order contract
 //!
-//! Consumers must reproduce, bitwise, the accumulation order of the
-//! original callback evaluators: per sink, segments are applied in list
-//! (= traversal) order; each P-P segment is summed into a fresh local
-//! accumulator which is then added to the sink's total once; each P-C
-//! entry is added to the sink's total directly. This keeps the direct-sum
-//! differential oracle, the trace goldens, and the schedule/fault bitwise
-//! checks meaningful across the API change.
+//! Consumers must apply a list in one fixed per-sink order: segments in
+//! list (= traversal) order; each P-P segment summed source by source into
+//! a fresh local accumulator which is then added to the sink's total once;
+//! each P-C entry added to the sink's total directly. Any evaluation that
+//! keeps that per-sink sequence gives the same bits, which is what keeps
+//! the direct-sum differential oracle, the trace goldens, and the
+//! schedule/fault bitwise checks meaningful.
 
 use crate::moments::Moments;
-use crate::tree::Tree;
-use crate::walk::Evaluator;
 use hot_base::Vec3;
 use std::ops::Range;
 
@@ -138,9 +135,12 @@ impl<M: Moments> InteractionList<M> {
         self.ops.clear();
     }
 
-    /// Append a P-P segment. `src_start` follows the
-    /// [`Evaluator::particle_particle`] convention: the tree-order index
-    /// of `src_pos[0]` for local sources, `None` for ghosts.
+    /// Append a P-P segment. `src_start` is the tree-order index of
+    /// `src_pos[0]` when the sources are the tree's own particles, so that
+    /// consumers skip the self pair `src_start + j == i` (a source span may
+    /// equal, contain, or be contained in the sink span — all arise in the
+    /// distributed walk); remote (ghost) sources pass `None`, as they can
+    /// never alias a local sink.
     pub fn push_pp(&mut self, src_pos: &[Vec3], src_charge: &[M::Charge], src_start: Option<usize>) {
         debug_assert_eq!(src_pos.len(), src_charge.len());
         let start = self.pp_x.len() as u32;
@@ -257,37 +257,6 @@ impl<M: Moments> InteractionList<M> {
             }
         }
         (pp, pc)
-    }
-}
-
-/// Adapts the traversal's [`Evaluator`] callbacks into an
-/// [`InteractionList`]: the walk "evaluates" by recording, deferring all
-/// arithmetic to the apply stage.
-pub struct ListBuilder<'a, M: Moments> {
-    list: &'a mut InteractionList<M>,
-}
-
-impl<'a, M: Moments> ListBuilder<'a, M> {
-    /// Build into `list` (cleared by the caller).
-    pub fn new(list: &'a mut InteractionList<M>) -> Self {
-        ListBuilder { list }
-    }
-}
-
-impl<M: Moments> Evaluator<M> for ListBuilder<'_, M> {
-    fn particle_cell(&mut self, _tree: &Tree<M>, _sinks: Range<usize>, center: Vec3, m: &M) {
-        self.list.push_pc(center, m);
-    }
-
-    fn particle_particle(
-        &mut self,
-        _tree: &Tree<M>,
-        _sinks: Range<usize>,
-        src_pos: &[Vec3],
-        src_charge: &[M::Charge],
-        src_start: Option<usize>,
-    ) {
-        self.list.push_pp(src_pos, src_charge, src_start);
     }
 }
 

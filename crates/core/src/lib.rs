@@ -4,7 +4,8 @@
 //! (SC'93 "A parallel hashed oct-tree N-body algorithm", and the SC'97
 //! Gordon Bell paper this repository regenerates). The library is
 //! physics-agnostic; gravity, vortex dynamics and SPH plug in through the
-//! [`Moments`](moments::Moments) and [`Evaluator`](walk::Evaluator) traits.
+//! [`Moments`](moments::Moments) and [`ListConsumer`](ilist::ListConsumer)
+//! traits.
 //!
 //! Pipeline (per timestep, matching the paper's description):
 //!
@@ -16,9 +17,10 @@
 //!    oct-tree; [`dtree`] exchanges *branch* cells and grafts every rank's
 //!    canopy into a globally consistent top tree.
 //! 4. **Traversal** ([`walk`] serially, [`dwalk`] distributed) — per
-//!    sink-group walks with a multipole acceptance criterion ([`mac`]);
-//!    non-local cells are fetched on demand over the ABM active-message
-//!    layer with the paper's "explicit context switching" to hide latency.
+//!    sink-group walks with a multipole acceptance criterion ([`mac`])
+//!    write each group's interaction list ([`ilist`]); non-local cells are
+//!    fetched on demand over the ABM active-message layer with the paper's
+//!    "explicit context switching" to hide latency.
 //!
 //! The [`htable::KeyTable`] provides the key → cell indirection that gives
 //! the method its name.
@@ -43,4 +45,4 @@ pub use ilist::{InteractionList, ListConsumer};
 pub use mac::Mac;
 pub use moments::{MassMoments, Moments, MonoMoments, VectorMoments};
 pub use tree::{Cell, Tree, NO_CHILD};
-pub use walk::{walk, walk_group, walk_lists, Evaluator, WalkStats};
+pub use walk::{walk_lists, WalkStats};

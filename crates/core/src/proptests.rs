@@ -63,24 +63,15 @@ proptest! {
         bucket in 1usize..24,
         theta in 0.2f64..1.2,
     ) {
-        use crate::walk::{walk, Evaluator};
-        use std::ops::Range;
-        struct Cov(Vec<f64>);
-        impl Evaluator<MassMoments> for Cov {
-            fn particle_cell(&mut self, _t: &Tree<MassMoments>, s: Range<usize>, _c: Vec3, m: &MassMoments) {
-                for i in s { self.0[i] += m.mass; }
-            }
-            fn particle_particle(&mut self, _t: &Tree<MassMoments>, s: Range<usize>, _p: &[Vec3], q: &[f64], _o: Option<usize>) {
-                let total: f64 = q.iter().sum();
-                for i in s { self.0[i] += total; }
-            }
-        }
+        use crate::ilist::InteractionList;
+        use crate::walk::{tests::Coverage, walk_lists};
         let masses = vec![1.0; pts.len()];
         let tree = Tree::<MassMoments>::build(Aabb::unit(), &pts, &masses, bucket);
-        let mut cov = Cov(vec![0.0; pts.len()]);
-        walk(&tree, &crate::Mac::BarnesHut { theta }, &mut cov);
+        let mut seen = vec![0.0; pts.len()];
+        let mac = crate::Mac::BarnesHut { theta };
+        walk_lists(&tree, &mac, &mut Coverage { seen: &mut seen, base: 0 }, &mut InteractionList::new());
         let n = pts.len() as f64;
-        for &s in &cov.0 {
+        for &s in &seen {
             prop_assert!((s - n).abs() < 1e-9 * n, "saw {s}, want {n}");
         }
     }

@@ -1,49 +1,21 @@
-//! Tree traversal: turn a tree + acceptance criterion into interactions.
+//! Tree traversal: turn a tree + acceptance criterion into interaction
+//! lists.
 //!
 //! The walk proceeds per *sink group* (a shallow cell holding a bucket of
 //! nearby particles): one pass down the tree decides, for the whole group,
 //! which cells interact as multipoles and which leaves must be evaluated
-//! particle-by-particle. Physics modules receive those decisions through
-//! the [`Evaluator`] trait and do the arithmetic — the tree neither knows
-//! nor cares whether it is computing gravity, vorticity or SPH neighbour
-//! lists, which is precisely the paper's library/application split.
+//! particle-by-particle, and writes those decisions straight into the
+//! group's [`InteractionList`]. Physics modules apply finished lists
+//! through [`ListConsumer`] — the tree neither knows nor cares whether it
+//! is computing gravity, vorticity or SPH neighbour lists, which is
+//! precisely the paper's library/application split.
 
-use crate::ilist::{InteractionList, ListBuilder, ListConsumer};
+use crate::ilist::{InteractionList, ListConsumer};
 use crate::mac::Mac;
 use crate::moments::Moments;
 use crate::tree::Tree;
 use std::ops::Range;
 use std::sync::{Mutex, PoisonError};
-
-/// Consumer of traversal decisions.
-pub trait Evaluator<M: Moments> {
-    /// The sink particles `sinks` (a range in the tree's sorted arrays)
-    /// interact with a multipole expansion `m` centred at `center`.
-    fn particle_cell(
-        &mut self,
-        tree: &Tree<M>,
-        sinks: Range<usize>,
-        center: hot_base::Vec3,
-        m: &M,
-    );
-
-    /// The sink particles interact directly with the listed sources.
-    ///
-    /// When the sources are the tree's own particles, `src_start` is the
-    /// tree-order index of `src_pos[0]`, and the evaluator must skip the
-    /// self pair `src_start + j == i` (source spans may equal, contain, or
-    /// be contained in the sink span — all arise in the distributed walk).
-    /// Remote (ghost) sources pass `None`: they can never alias a local
-    /// sink.
-    fn particle_particle(
-        &mut self,
-        tree: &Tree<M>,
-        sinks: Range<usize>,
-        src_pos: &[hot_base::Vec3],
-        src_charge: &[M::Charge],
-        src_start: Option<usize>,
-    );
-}
 
 /// Interaction counts produced by a walk, in the units the paper reports.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
@@ -56,8 +28,7 @@ pub struct WalkStats {
     /// Cells opened (MAC rejections that recursed).
     pub opened: u64,
     /// P-P source *entries* recorded into interaction lists (list-build
-    /// side; zero for callback-style walks). One entry fans out to one
-    /// interaction per sink in its group.
+    /// side). One entry fans out to one interaction per sink in its group.
     pub listed_pp: u64,
     /// P-C accepted-cell entries recorded into interaction lists.
     pub listed_pc: u64,
@@ -90,33 +61,52 @@ impl WalkStats {
         trace.add(hot_trace::Counter::PpListed, self.listed_pp);
         trace.add(hot_trace::Counter::PcListed, self.listed_pc);
     }
+
+    /// Finish one sink group's list build: pin the walk's pair accounting
+    /// against `list`, the group `gi`'s finished list over the sinks
+    /// `sinks`, and add the list-entry counts. The two are computed
+    /// independently (incremental counters during the walk vs. a closed
+    /// form over the list), so a double- or under-counted `WalkStats`
+    /// panics here rather than silently skewing the paper's interaction
+    /// totals.
+    pub(crate) fn pinned_to<M: Moments>(
+        mut self,
+        list: &InteractionList<M>,
+        sinks: &Range<usize>,
+        gi: u32,
+    ) -> WalkStats {
+        assert_eq!(
+            (self.pp, self.pc),
+            list.expected_stats(sinks),
+            "walk stats for group {gi} disagree with its interaction list"
+        );
+        self.listed_pp = list.pp_entries();
+        self.listed_pc = list.pc_entries();
+        self
+    }
 }
 
-/// Walk the tree for one sink group (`gi` indexes `tree.cells`).
-pub fn walk_group<M: Moments, E: Evaluator<M>>(
+/// The one local walk: descend `tree` from the cell `from`, appending to
+/// `list` every source the sink group `gi` takes from that subtree, in
+/// depth-first stack order, and return the walk's counts.
+/// [`walk_group_list`] starts it at the root; the distributed walk starts
+/// it at each of its own branch cells the top tree leads it to, so a
+/// local subtree is listed the same way by both.
+pub(crate) fn walk_subtree<M: Moments>(
     tree: &Tree<M>,
     mac: &Mac,
     gi: u32,
-    eval: &mut E,
+    from: u32,
+    list: &mut InteractionList<M>,
 ) -> WalkStats {
     let g = &tree.cells[gi as usize];
-    let gc = g.center;
-    let gr = g.bmax;
-    let sinks = g.span();
-    let gn = g.n as u64;
+    let (gc, gr, sinks, gn) = (g.center, g.bmax, g.span(), g.n as u64);
     let mut stats = WalkStats::default();
-
-    let mut stack: Vec<usize> = vec![0];
+    let mut stack = vec![from as usize];
     while let Some(ci) = stack.pop() {
         if ci == gi as usize {
             // The group against itself: direct sum without self-pairs.
-            eval.particle_particle(
-                tree,
-                sinks.clone(),
-                &tree.pos[sinks.clone()],
-                &tree.charge[sinks.clone()],
-                Some(sinks.start),
-            );
+            list.push_pp(&tree.pos[sinks.clone()], &tree.charge[sinks.clone()], Some(sinks.start));
             stats.pp += gn * (gn - 1);
             continue;
         }
@@ -125,16 +115,10 @@ pub fn walk_group<M: Moments, E: Evaluator<M>>(
             continue;
         }
         if mac.accepts(c, gc, gr) {
-            eval.particle_cell(tree, sinks.clone(), c.center, &c.moments);
+            list.push_pc(c.center, &c.moments);
             stats.pc += gn;
         } else if c.is_leaf() {
-            eval.particle_particle(
-                tree,
-                sinks.clone(),
-                &tree.pos[c.span()],
-                &tree.charge[c.span()],
-                Some(c.first as usize),
-            );
+            list.push_pp(&tree.pos[c.span()], &tree.charge[c.span()], Some(c.first as usize));
             stats.pp += gn * c.n as u64;
         } else {
             stats.opened += 1;
@@ -144,24 +128,11 @@ pub fn walk_group<M: Moments, E: Evaluator<M>>(
     stats
 }
 
-/// Walk every sink group sequentially. Returns total counts.
-pub fn walk<M: Moments, E: Evaluator<M>>(tree: &Tree<M>, mac: &Mac, eval: &mut E) -> WalkStats {
-    let mut stats = WalkStats::default();
-    for gi in tree.groups(default_group_size(tree.bucket)) {
-        stats.merge(&walk_group(tree, mac, gi, eval));
-    }
-    stats
-}
-
-/// Walk one sink group into an interaction list (list-build stage).
-///
-/// `list` is cleared first and holds exactly this group's accepted
-/// sources afterwards. The returned stats carry the list-entry counts,
-/// and the walk's pair accounting is pinned against the list lengths —
-/// the two are computed independently (incremental counters during the
-/// walk vs. a closed form over the finished list), so a double- or
-/// under-counted `WalkStats` panics here rather than silently skewing
-/// the paper's interaction totals.
+/// Walk one sink group (`gi` indexes `tree.cells`) into an interaction
+/// list (list-build stage). `list` is cleared first and holds exactly
+/// this group's accepted sources afterwards, in traversal order. The
+/// returned stats carry the list-entry counts and are pinned against the
+/// list.
 pub fn walk_group_list<M: Moments>(
     tree: &Tree<M>,
     mac: &Mac,
@@ -169,17 +140,7 @@ pub fn walk_group_list<M: Moments>(
     list: &mut InteractionList<M>,
 ) -> WalkStats {
     list.clear();
-    let mut stats = walk_group(tree, mac, gi, &mut ListBuilder::new(list));
-    let sinks = tree.cells[gi as usize].span();
-    let (pp, pc) = list.expected_stats(&sinks);
-    assert_eq!(
-        (stats.pp, stats.pc),
-        (pp, pc),
-        "walk stats for group {gi} disagree with its interaction list"
-    );
-    stats.listed_pp = list.pp_entries();
-    stats.listed_pc = list.pc_entries();
-    stats
+    walk_subtree(tree, mac, gi, 0, list).pinned_to(list, &tree.cells[gi as usize].span(), gi)
 }
 
 /// The two-stage evaluation: build each sink group's interaction list,
@@ -418,40 +379,13 @@ pub(crate) mod tests {
         }
     }
 
-    /// Accumulates, per sink index, the total source mass it has "seen".
-    struct MassCoverage {
-        seen: Vec<f64>,
-        pp_events: u64,
-        pc_events: u64,
-    }
-
-    impl Evaluator<MassMoments> for MassCoverage {
-        fn particle_cell(
-            &mut self,
-            _tree: &Tree<MassMoments>,
-            sinks: Range<usize>,
-            _center: Vec3,
-            m: &MassMoments,
-        ) {
-            self.pc_events += 1;
-            for i in sinks {
-                self.seen[i] += m.mass;
-            }
-        }
-        fn particle_particle(
-            &mut self,
-            _tree: &Tree<MassMoments>,
-            sinks: Range<usize>,
-            _src_pos: &[Vec3],
-            src_charge: &[f64],
-            _src_start: Option<usize>,
-        ) {
-            self.pp_events += 1;
-            let total: f64 = src_charge.iter().sum();
-            for i in sinks {
-                self.seen[i] += total;
-            }
-        }
+    /// The list pipeline over every sink group with a [`Coverage`]
+    /// consumer: per sink (tree order), the source mass its list holds.
+    fn coverage(tree: &Tree<MassMoments>, mac: &Mac) -> (Vec<f64>, WalkStats) {
+        let mut seen = vec![0.0; tree.n_particles()];
+        let mut cov = Coverage { seen: &mut seen, base: 0 };
+        let stats = walk_lists(tree, mac, &mut cov, &mut InteractionList::new());
+        (seen, stats)
     }
 
     fn random_points(n: usize, seed: u64) -> Vec<Vec3> {
@@ -471,10 +405,8 @@ pub(crate) mod tests {
             let masses: Vec<f64> = (0..n).map(|i| 1.0 + (i % 5) as f64 * 0.25).collect();
             let tree = Tree::<MassMoments>::build(Aabb::unit(), &pos, &masses, 8);
             let mtot: f64 = masses.iter().sum();
-            let mut cov =
-                MassCoverage { seen: vec![0.0; n], pp_events: 0, pc_events: 0 };
-            let stats = walk(&tree, &Mac::BarnesHut { theta }, &mut cov);
-            for (i, &s) in cov.seen.iter().enumerate() {
+            let (seen, stats) = coverage(&tree, &Mac::BarnesHut { theta });
+            for (i, &s) in seen.iter().enumerate() {
                 assert!(
                     (s - mtot).abs() < 1e-9 * mtot.max(1.0),
                     "n={n} theta={theta} sink {i}: saw {s}, want {mtot}"
@@ -492,9 +424,8 @@ pub(crate) mod tests {
         let pos = random_points(n, 99);
         let masses = vec![1.0; n];
         let tree = Tree::<MassMoments>::build(Aabb::unit(), &pos, &masses, 8);
-        let mut cov = MassCoverage { seen: vec![0.0; n], pp_events: 0, pc_events: 0 };
-        walk(&tree, &Mac::SalmonWarren { delta: 1e-3 }, &mut cov);
-        for &s in &cov.seen {
+        let (seen, _) = coverage(&tree, &Mac::SalmonWarren { delta: 1e-3 });
+        for &s in &seen {
             assert!((s - n as f64).abs() < 1e-6);
         }
     }
@@ -505,10 +436,7 @@ pub(crate) mod tests {
         let pos = random_points(n, 4);
         let masses = vec![1.0; n];
         let tree = Tree::<MassMoments>::build(Aabb::unit(), &pos, &masses, 8);
-        let count = |theta: f64| {
-            let mut cov = MassCoverage { seen: vec![0.0; n], pp_events: 0, pc_events: 0 };
-            walk(&tree, &Mac::BarnesHut { theta }, &mut cov).interactions()
-        };
+        let count = |theta: f64| coverage(&tree, &Mac::BarnesHut { theta }).1.interactions();
         let loose = count(1.0);
         let tight = count(0.3);
         assert!(
@@ -526,8 +454,7 @@ pub(crate) mod tests {
             let pos = random_points(n, 2);
             let masses = vec![1.0; n];
             let tree = Tree::<MassMoments>::build(Aabb::unit(), &pos, &masses, 8);
-            let mut cov = MassCoverage { seen: vec![0.0; n], pp_events: 0, pc_events: 0 };
-            let s = walk(&tree, &Mac::BarnesHut { theta: 0.7 }, &mut cov);
+            let s = coverage(&tree, &Mac::BarnesHut { theta: 0.7 }).1;
             s.interactions() as f64 / n as f64
         };
         let small = per_particle(500);
@@ -538,25 +465,23 @@ pub(crate) mod tests {
     }
 
     #[test]
-    fn walk_stats_match_evaluator_events() {
+    fn walk_stats_count_every_kind_of_entry() {
         let n = 400;
         let pos = random_points(n, 6);
         let masses = vec![1.0; n];
         let tree = Tree::<MassMoments>::build(Aabb::unit(), &pos, &masses, 8);
-        let mut cov = MassCoverage { seen: vec![0.0; n], pp_events: 0, pc_events: 0 };
-        let stats = walk(&tree, &Mac::BarnesHut { theta: 0.6 }, &mut cov);
-        assert!(cov.pc_events > 0 && cov.pp_events > 0);
+        let (_, stats) = coverage(&tree, &Mac::BarnesHut { theta: 0.6 });
+        assert!(stats.listed_pc > 0 && stats.listed_pp > 0);
         assert!(stats.pc > 0 && stats.pp > 0 && stats.opened > 0);
     }
 
     #[test]
     fn single_particle_walk_is_trivial() {
         let tree = Tree::<MassMoments>::build(Aabb::unit(), &[Vec3::splat(0.5)], &[1.0], 8);
-        let mut cov = MassCoverage { seen: vec![0.0; 1], pp_events: 0, pc_events: 0 };
-        let stats = walk(&tree, &Mac::BarnesHut { theta: 0.5 }, &mut cov);
+        let (seen, stats) = coverage(&tree, &Mac::BarnesHut { theta: 0.5 });
         assert_eq!(stats.pp, 0);
         assert_eq!(stats.pc, 0);
-        assert_eq!(cov.seen[0], 1.0); // itself, via the self-span
+        assert_eq!(seen[0], 1.0); // itself, via the self-span
     }
 
     /// A tight clump plus a sparse background: a deep tree whose groups —

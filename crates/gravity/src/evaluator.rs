@@ -6,7 +6,8 @@
 //! records each sink group's accepted sources into an
 //! [`InteractionList`], and [`GravityEvaluator::consume`] streams the
 //! list through the batched kernels in `kernels.rs` — per sink, in list
-//! order, bitwise-identical to the old per-callback evaluation.
+//! order, bitwise-identical to the scalar kernels applied one source at a
+//! time.
 
 use crate::kernels::{
     pc_mono_acc_pot_span, pc_mono_acc_span, pc_quad_acc_pot_span, pc_quad_acc_span,

@@ -152,7 +152,7 @@ pub fn pp_acc_pot_batch(
 
 /// Batched monopole P-C kernel: each cell's contribution is added to
 /// `*acc` directly, one cell at a time in list order — the accumulation
-/// order the callback evaluator used, kept bitwise.
+/// order `hot_core::ilist` fixes, kept bitwise.
 pub fn pc_mono_acc_batch(xi: Vec3, cells: &PcView<'_, MassMoments>, eps2: f64, acc: &mut Vec3) {
     for k in 0..cells.x.len() {
         let d = Vec3::new(xi.x - cells.x[k], xi.y - cells.y[k], xi.z - cells.z[k]);

@@ -239,6 +239,7 @@ fn unsort(
 mod tests {
     use super::*;
     use crate::direct::direct_serial;
+    use hot_core::ilist::{ListConsumer, Segment};
     use rand::{Rng, SeedableRng};
 
     fn random_system(n: usize, seed: u64) -> (Vec<Vec3>, Vec<f64>) {
@@ -415,63 +416,63 @@ mod tests {
         assert!(quad < mono, "quad {quad} must beat mono {mono}");
     }
 
-    /// Reference implementation: scalar kernels invoked straight from the
-    /// traversal callbacks, arithmetic interleaved with the walk. Its
-    /// accumulation order is the contract the list pipeline reproduces —
-    /// per sink, each P-P callback sums into a fresh accumulator added
-    /// once, each accepted cell adds directly.
-    struct ScalarCallback<'a> {
+    /// Reference apply stage: the scalar kernels, one sink at a time, one
+    /// source at a time, in list order — the accumulation-order contract
+    /// written out (per sink, each P-P segment sums into a fresh
+    /// accumulator added once, each accepted cell adds directly), with no
+    /// sink blocking, lanes or span kernels.
+    struct ScalarApply<'a> {
         acc: &'a mut [Vec3],
         eps2: f64,
         quadrupole: bool,
     }
 
-    impl hot_core::walk::Evaluator<MassMoments> for ScalarCallback<'_> {
-        fn particle_cell(
+    impl ListConsumer<MassMoments> for ScalarApply<'_> {
+        fn consume(
             &mut self,
-            tree: &Tree<MassMoments>,
+            sink_pos: &[Vec3],
+            _sink_charge: &[f64],
             sinks: std::ops::Range<usize>,
-            center: Vec3,
-            m: &MassMoments,
+            list: &InteractionList<MassMoments>,
         ) {
-            use crate::kernels::{pc_mono_acc, pc_quad_acc};
+            use crate::kernels::{pc_mono_acc, pc_quad_acc, pp_acc};
             for i in sinks {
-                let d = tree.pos[i] - center;
-                self.acc[i] += if self.quadrupole {
-                    pc_quad_acc(d, m.mass, &m.quad, self.eps2)
-                } else {
-                    pc_mono_acc(d, m.mass, self.eps2)
-                };
-            }
-        }
-
-        fn particle_particle(
-            &mut self,
-            tree: &Tree<MassMoments>,
-            sinks: std::ops::Range<usize>,
-            src_pos: &[Vec3],
-            src_charge: &[f64],
-            src_start: Option<usize>,
-        ) {
-            for i in sinks {
-                let xi = tree.pos[i];
-                let mut a = Vec3::ZERO;
-                for (j, (&xj, &mj)) in src_pos.iter().zip(src_charge).enumerate() {
-                    if src_start.is_some_and(|s0| s0 + j == i) {
-                        continue;
+                let xi = sink_pos[i];
+                for seg in list.segments() {
+                    match seg {
+                        Segment::Pp(src) => {
+                            let mut a = Vec3::ZERO;
+                            for j in 0..src.x.len() {
+                                if src.idx[j] as usize == i {
+                                    continue;
+                                }
+                                let xj = Vec3::new(src.x[j], src.y[j], src.z[j]);
+                                a += pp_acc(xi - xj, src.q[j], self.eps2);
+                            }
+                            self.acc[i] += a;
+                        }
+                        Segment::Pc(cells) => {
+                            for (k, m) in cells.m.iter().enumerate() {
+                                let d = xi - Vec3::new(cells.x[k], cells.y[k], cells.z[k]);
+                                self.acc[i] += if self.quadrupole {
+                                    pc_quad_acc(d, m.mass, &m.quad, self.eps2)
+                                } else {
+                                    pc_mono_acc(d, m.mass, self.eps2)
+                                };
+                            }
+                        }
                     }
-                    a += crate::kernels::pp_acc(xi - xj, mj, self.eps2);
                 }
-                self.acc[i] += a;
             }
         }
     }
 
-    /// The whole-tree list pipeline (list build + batched apply) must
-    /// agree *bitwise*, sink for sink, with scalar callback evaluation of
-    /// the same tree, with and without the quadrupole term.
+    /// The whole-tree pipeline `ForceCalc` runs (fan-out, batched span
+    /// kernels) must agree *bitwise*, sink for sink, with the scalar
+    /// kernels applied to the same lists one sink and one source at a
+    /// time, with and without the quadrupole term.
     #[test]
-    fn list_pipeline_matches_scalar_callbacks_bitwise() {
+    fn list_pipeline_matches_scalar_apply_bitwise() {
         let (pos, mass) = random_system(4096, 1997);
         let counter = FlopCounter::new();
         for quadrupole in [false, true] {
@@ -480,9 +481,13 @@ mod tests {
 
             let tree = Tree::<MassMoments>::build(Aabb::unit(), &pos, &mass, opts.bucket);
             let mut acc_sorted = vec![Vec3::ZERO; pos.len()];
-            let mut oracle =
-                ScalarCallback { acc: &mut acc_sorted, eps2: opts.eps2, quadrupole };
-            let stats = hot_core::walk::walk(&tree, &opts.mac, &mut oracle);
+            let mut oracle = ScalarApply { acc: &mut acc_sorted, eps2: opts.eps2, quadrupole };
+            let stats = hot_core::walk::walk_lists(
+                &tree,
+                &opts.mac,
+                &mut oracle,
+                &mut InteractionList::new(),
+            );
             assert_eq!((stats.pp, stats.pc), (res.stats.pp, res.stats.pc));
             let bits = |v: Vec3| [v.x.to_bits(), v.y.to_bits(), v.z.to_bits()];
             for (sorted_i, &orig) in tree.order.iter().enumerate() {

@@ -7,8 +7,9 @@
 //!
 //! * [`kernel`] — regularized Biot–Savart velocity and vorticity
 //!   stretching with the Winckelmans–Leonard high-order algebraic core.
-//! * [`evaluator`] — the treecode [`Evaluator`](hot_core::walk::Evaluator)
-//!   for vector charges, plus the O(N²) reference.
+//! * [`evaluator`] — the treecode
+//!   [`ListConsumer`](hot_core::ilist::ListConsumer) for vector charges,
+//!   plus the O(N²) reference.
 //! * [`ring`] — vortex ring discretization and the inviscid invariants
 //!   (total vorticity, linear/angular impulse, Saffman's thin-ring speed).
 //! * [`remesh`] — M4' remeshing to maintain core overlap (the mechanism
