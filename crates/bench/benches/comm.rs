@@ -9,7 +9,7 @@
 use criterion::{criterion_group, criterion_main, Criterion, Throughput};
 use hot_base::Vec3;
 use hot_comm::{Comm, RunConfig, Wire};
-use hot_core::{dtree::CellRecord, MassMoments};
+use hot_core::{dtree::DNode, MassMoments, Summary};
 use hot_morton::Key;
 use std::time::Duration;
 
@@ -94,17 +94,15 @@ fn bench_allgather(c: &mut Criterion) {
         out.stats.iter().map(|s| s.bytes_recvd).sum()
     }
     let record = |rank: u32| {
-        let r = CellRecord {
+        let summary = Summary {
             key: Key::ROOT.child((rank % 8) as u8),
-            owner: rank,
             n: 32,
             center: Vec3::splat(0.5),
             bmax: 0.1,
             wsum: 32.0,
             moments: MassMoments { mass: 32.0, ..Default::default() },
-            is_leaf: true,
         };
-        vec![r; 32]
+        vec![DNode::remote(summary, rank, true); 32]
     };
     let word = |rank: u32| u64::from(rank);
     let mut g = c.benchmark_group("allgather");

@@ -68,8 +68,10 @@ fn collectives_at(np: u32) -> (f64, u64) {
     (wall, max_sends)
 }
 
-/// `CellRecord<MassMoments>` on the wire: key 8, owner 4, n 8, center 24,
-/// bmax 8, wsum 8, moments 64 (mass, quadrupole, b2), leaf flag 1.
+/// One `DNode<MassMoments>` on the wire (a branch or a fetched child): its
+/// summary (key 8, n 8, center 24, bmax 8, wsum 8, moments 64 — mass,
+/// quadrupole, b2), owner 4, leaf flag 1. Pinned by hot-core's
+/// `node_wire_roundtrip`.
 const RECORD_BYTES: u64 = 125;
 
 /// One remote body as the walk fetches it: position 24, charge 8.
@@ -90,9 +92,9 @@ struct Treecode {
 /// `n_total` bodies on `np` ranks that sample `oversample` keys each:
 /// - rank 0 receives every rank's work samples, `8 + 16 · oversample`
 ///   bytes a rank;
-/// - every rank receives every other rank's branch records, at most one
+/// - every rank receives every other rank's branches, at most one
 ///   per body (branches are disjoint and non-empty);
-/// - the walk fetches each remote key at most once: cell records, fewer
+/// - the walk fetches each remote key at most once: child cells, fewer
 ///   than one per body in these uniform bucket-16 trees (the benchmark's
 ///   `tree.cells_per_body` reads 0.15–0.28), and remote bodies' positions
 ///   and charges.

@@ -205,7 +205,7 @@ impl Wire for hot_base::SymMat3 {
 /// identical across message schedules.
 #[derive(Clone, Debug, PartialEq, Eq, Default)]
 pub struct KeyBatchRequest {
-    /// Keys whose children (cell records) are wanted.
+    /// Keys whose children (cell summaries) are wanted.
     pub cell_keys: Vec<u64>,
     /// Keys whose leaf bodies are wanted.
     pub body_keys: Vec<u64>,

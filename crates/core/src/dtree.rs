@@ -11,9 +11,16 @@
 //! * Branches are all-gathered; each rank builds the **top tree** of their
 //!   common ancestors, with exact merged moments (so the top-tree root
 //!   carries the total system mass).
+//! * Every node is a [`Summary`] with an owner and a child link. A branch
+//!   is its cell's summary as the local tree formed it (or, for part of a
+//!   leaf, its particles' summary), and a shared node merges its children's
+//!   with the local tree's own M2M, [`Summary::of_children`]. Where no leaf
+//!   straddles a cut, the top tree is therefore bit for bit the canopy of
+//!   one tree over every rank's bodies. What travels — branches in the
+//!   exchange, children in the walk's fetch — is the node itself.
 //! * The top tree is an octree: **one node per key**. Every rank lists its
 //!   branches depth-first and the intervals ascend with rank, so the
-//!   gathered records arrive in ascending key-range order. One depth-first
+//!   gathered branches arrive in ascending key-range order. One depth-first
 //!   pass groups a slice of them by the child octant of the current key
 //!   and recurses, so each shared key is built once, its children in
 //!   Morton order. (The level-by-level loop this replaced merged only
@@ -30,61 +37,13 @@
 
 use crate::decomp::KeyIntervals;
 use crate::moments::Moments;
-use crate::tree::Tree;
-use crate::wirevec::{get_vec3, put_vec3};
+use crate::summary::Summary;
+use crate::tree::{octants, Tree};
 use crate::KeyTable;
 use bytes::{Buf, BufMut, Bytes, BytesMut};
 use hot_base::Vec3;
 use hot_comm::{Comm, Wire};
 use hot_morton::Key;
-
-/// Wire record describing one tree cell (branch exchange and child fetch).
-#[derive(Clone, Copy, Debug, PartialEq)]
-pub struct CellRecord<M> {
-    /// Cell key.
-    pub key: Key,
-    /// Owning rank.
-    pub owner: u32,
-    /// Particles contained.
-    pub n: u64,
-    /// Expansion center.
-    pub center: Vec3,
-    /// Matter radius bound.
-    pub bmax: f64,
-    /// Total absolute charge (centroid weight).
-    pub wsum: f64,
-    /// Multipole expansion.
-    pub moments: M,
-    /// True when the cell has no children.
-    pub is_leaf: bool,
-}
-
-impl<M: Wire + Copy> Wire for CellRecord<M> {
-    fn encode(&self, buf: &mut BytesMut) {
-        buf.put_u64_le(self.key.0);
-        buf.put_u32_le(self.owner);
-        buf.put_u64_le(self.n);
-        put_vec3(buf, self.center);
-        buf.put_f64_le(self.bmax);
-        buf.put_f64_le(self.wsum);
-        self.moments.encode(buf);
-        buf.put_u8(self.is_leaf as u8);
-    }
-    fn decode(buf: &mut Bytes) -> Self {
-        let key = Key(buf.get_u64_le());
-        let owner = buf.get_u32_le();
-        let n = buf.get_u64_le();
-        let center = get_vec3(buf);
-        let bmax = buf.get_f64_le();
-        let wsum = buf.get_f64_le();
-        let moments = M::decode(buf);
-        let is_leaf = buf.get_u8() != 0;
-        CellRecord { key, owner, n, center, bmax, wsum, moments, is_leaf }
-    }
-    fn wire_size(&self) -> usize {
-        8 + 4 + 8 + 24 + 8 + 8 + self.moments.wire_size() + 1
-    }
-}
 
 /// How a distributed node's children are reached.
 #[derive(Clone, Debug, PartialEq)]
@@ -162,25 +121,58 @@ impl std::fmt::Debug for Kids {
     }
 }
 
-/// One node of the global tree view.
+/// One node of the global tree view: a cell's [`Summary`], whose it is,
+/// and how to reach what lies below it. Dereferences to the summary.
+///
+/// A node is also what travels: the branch exchange and the walk's child
+/// fetch ship nodes as their receiver first holds them — a remote cell,
+/// [`DChildren::RemoteLeaf`] or [`DChildren::RemoteUnfetched`] — encoded
+/// as the summary, the owner and a leaf flag.
 #[derive(Clone, Debug)]
 pub struct DNode<M> {
-    /// Cell key.
-    pub key: Key,
+    /// Key, particle count and multipole expansion.
+    pub summary: Summary<M>,
     /// Owning rank (`u32::MAX` for shared top-tree nodes).
     pub owner: u32,
-    /// Particles contained.
-    pub n: u64,
-    /// Expansion center.
-    pub center: Vec3,
-    /// Matter radius bound.
-    pub bmax: f64,
-    /// Centroid weight.
-    pub wsum: f64,
-    /// Multipole expansion.
-    pub moments: M,
     /// Child linkage.
     pub children: DChildren,
+}
+
+impl<M> std::ops::Deref for DNode<M> {
+    type Target = Summary<M>;
+    #[inline]
+    fn deref(&self) -> &Summary<M> {
+        &self.summary
+    }
+}
+
+impl<M> DNode<M> {
+    /// The cell `summary` of rank `owner` as another rank first holds it:
+    /// a leaf's bodies, or an internal cell's children, still to fetch.
+    pub fn remote(summary: Summary<M>, owner: u32, leaf: bool) -> Self {
+        let children = if leaf { DChildren::RemoteLeaf } else { DChildren::RemoteUnfetched };
+        DNode { summary, owner, children }
+    }
+}
+
+impl<M: Wire> Wire for DNode<M> {
+    fn encode(&self, buf: &mut BytesMut) {
+        debug_assert!(
+            matches!(self.children, DChildren::RemoteLeaf | DChildren::RemoteUnfetched),
+            "only a node as its receiver first holds it travels"
+        );
+        self.summary.encode(buf);
+        buf.put_u32_le(self.owner);
+        buf.put_u8(matches!(self.children, DChildren::RemoteLeaf) as u8);
+    }
+    fn decode(buf: &mut Bytes) -> Self {
+        let summary = Summary::decode(buf);
+        let owner = buf.get_u32_le();
+        DNode::remote(summary, owner, buf.get_u8() != 0)
+    }
+    fn wire_size(&self) -> usize {
+        self.summary.wire_size() + 4 + 1
+    }
 }
 
 /// Owner tag for shared top-tree nodes.
@@ -227,89 +219,65 @@ impl<M: Moments> DistTree<M> {
     /// Exchange branch cells and build the shared top tree.
     /// Collective: every rank calls with its local tree and the (identical)
     /// intervals from [`crate::decomp::decompose`]. After the exchange the
-    /// build is pure local computation over the gathered records, so every
+    /// build is pure local computation over the gathered branches, so every
     /// rank builds the same nodes.
     pub fn build(comm: &mut Comm, local: Tree<M>, intervals: KeyIntervals) -> Self {
         let rank = comm.rank();
         // Each rank lists its branches depth-first inside its own key
         // interval and the intervals ascend with rank, so the gathered
         // concatenation is the whole branch set depth-first — no sort.
-        let mine = branch_records(&local, &intervals, rank);
-        let records: Vec<CellRecord<M>> = comm.allgather(mine).into_iter().flatten().collect();
-        debug_assert!(
-            records.windows(2).all(|w| w[0].key.range_last() < w[1].key.range_begin()),
-            "branch records must be disjoint and in depth-first order"
-        );
+        let gathered = comm.allgather(branch_nodes(&local, &intervals, rank));
+        let n_branches = gathered.iter().map(Vec::len).sum();
         let mut dt = DistTree {
             rank,
             local,
             intervals,
             nodes: Vec::new(),
-            table: KeyTable::with_capacity(records.len() * 3 + 16),
+            table: KeyTable::with_capacity(n_branches * 3 + 16),
             root: 0,
             body_cache: std::collections::HashMap::new(),
         };
-
-        if records.is_empty() {
-            // Empty universe: a lone empty root.
-            dt.root = dt.push_node(DNode {
-                key: Key::ROOT,
-                owner: SHARED,
-                n: 0,
-                center: dt.local.domain.center(),
-                bmax: 0.0,
-                wsum: 0.0,
-                moments: M::default(),
-                children: DChildren::Nodes(Kids::default()),
-            });
-            return dt;
+        // Branch i is node i; this rank's own descend through its local
+        // tree.
+        for mut node in gathered.into_iter().flatten() {
+            if node.owner == rank {
+                node.children = DChildren::LocalSubtree;
+            }
+            dt.push_node(node);
         }
-
-        // Insert branch nodes: record i is node i.
-        for r in &records {
-            let children = if r.owner == rank {
-                DChildren::LocalSubtree
-            } else if r.is_leaf {
-                DChildren::RemoteLeaf
-            } else {
-                DChildren::RemoteUnfetched
-            };
-            dt.push_node(DNode {
-                key: r.key,
-                owner: r.owner,
-                n: r.n,
-                center: r.center,
-                bmax: r.bmax,
-                wsum: r.wsum,
-                moments: r.moments,
-                children,
-            });
-        }
-        dt.root = dt.top_node(Key::ROOT, 0, &records);
+        debug_assert!(
+            dt.nodes.windows(2).all(|w| w[0].key.range_last() < w[1].key.range_begin()),
+            "branches must be disjoint and in depth-first order"
+        );
+        dt.root = dt.top_node(Key::ROOT, 0..n_branches);
         dt
     }
 
-    /// The node for `key`, whose key range holds exactly `records` (the
-    /// branches from node `first` on): the branch itself when it is `key`,
-    /// else a shared node over the child octants that hold records, built
-    /// depth-first in Morton order. Recursion depth is at most
-    /// [`hot_morton::MAX_DEPTH`].
-    fn top_node(&mut self, key: Key, first: usize, records: &[CellRecord<M>]) -> u32 {
-        if let [only] = records {
-            if only.key == key {
-                return first as u32;
-            }
+    /// The node for `key`, whose key range holds exactly the branch nodes
+    /// `branches`: the branch itself when it is `key`, else a shared node
+    /// over the child octants that hold branches, built depth-first in
+    /// Morton order (with no branches at all, an empty root). Recursion
+    /// depth is at most [`hot_morton::MAX_DEPTH`].
+    fn top_node(&mut self, key: Key, branches: std::ops::Range<usize>) -> u32 {
+        if branches.len() == 1 && self.nodes[branches.start].key == key {
+            return branches.start as u32;
         }
         let level = key.level() + 1;
         let mut kids = Kids::default();
-        let mut i = 0;
-        while i < records.len() {
-            let child = records[i].key.ancestor_at(level);
-            let j = i + records[i..].partition_point(|r| r.key.ancestor_at(level) == child);
-            kids.push(self.top_node(child, first + i, &records[i..j]));
+        let mut i = branches.start;
+        while i < branches.end {
+            let child = self.nodes[i].key.ancestor_at(level);
+            let j = i + self.nodes[i..branches.end]
+                .partition_point(|b| b.key.ancestor_at(level) == child);
+            kids.push(self.top_node(child, i..j));
             i = j;
         }
-        self.make_parent(key, kids)
+        let summary = Summary::of_children(
+            key,
+            kids.iter().map(|&k| &self.nodes[k as usize].summary),
+            &self.local.domain,
+        );
+        self.push_node(DNode { summary, owner: SHARED, children: DChildren::Nodes(kids) })
     }
 
     fn push_node(&mut self, node: DNode<M>) -> u32 {
@@ -319,66 +287,13 @@ impl<M: Moments> DistTree<M> {
         idx
     }
 
-    fn make_parent(&mut self, key: Key, kids: Kids) -> u32 {
-        let geom = key.cell_aabb(&self.local.domain);
-        let mut wsum = 0.0;
-        let mut centroid = Vec3::ZERO;
-        let mut n = 0u64;
-        for &k in kids.iter() {
-            let c = &self.nodes[k as usize];
-            wsum += c.wsum;
-            centroid += c.center * c.wsum;
-            n += c.n;
-        }
-        let center = if wsum > 0.0 { centroid / wsum } else { geom.center() };
-        let mut moments = M::default();
-        let mut bmax = 0.0f64;
-        for &k in kids.iter() {
-            let (cm, cc, cb) = {
-                let c = &self.nodes[k as usize];
-                (c.moments, c.center, c.bmax)
-            };
-            moments.accumulate_shifted(&cm, cc, center);
-            bmax = bmax.max((cc - center).norm() + cb);
-        }
-        let corner = {
-            let dmin = (center - geom.min).abs();
-            let dmax = (geom.max - center).abs();
-            dmin.max(dmax).norm()
-        };
-        self.push_node(DNode {
-            key,
-            owner: SHARED,
-            n,
-            center,
-            bmax: bmax.min(corner),
-            wsum,
-            moments,
-            children: DChildren::Nodes(kids),
-        })
-    }
-
-    /// Child records of one of *my* local cells, for serving a remote
-    /// rank's fetch request. Returns `None` when the key is not resident
-    /// locally (a protocol error by the requester).
-    pub fn children_records(&self, key: Key) -> Option<Vec<CellRecord<M>>> {
-        let ci = self.local.table.get(key)?;
-        let cell = &self.local.cells[ci as usize];
-        let mut out = Vec::with_capacity(cell.nchild as usize);
-        for k in self.local.children(cell) {
-            let ch = &self.local.cells[k];
-            out.push(CellRecord {
-                key: ch.key,
-                owner: self.rank,
-                n: ch.n as u64,
-                center: ch.center,
-                bmax: ch.bmax,
-                wsum: ch.wsum,
-                moments: ch.moments,
-                is_leaf: ch.is_leaf(),
-            });
-        }
-        Some(out)
+    /// The children of one of *my* local cells, as the rank fetching them
+    /// will hold them. `None` when the key is not resident locally (a
+    /// protocol error by the requester).
+    pub fn children_nodes(&self, key: Key) -> Option<Vec<DNode<M>>> {
+        let cell = self.local.cell_by_key(key)?;
+        let kids = &self.local.cells[self.local.children(cell)];
+        Some(kids.iter().map(|k| DNode::remote(k.summary, self.rank, k.is_leaf())).collect())
     }
 
     /// The local tree-order span of a key's range, by binary search on the
@@ -404,12 +319,12 @@ impl<M: Moments> DistTree<M> {
 
     /// Install fetched children below node `parent_key` (a no-op when an
     /// earlier reply already installed them). Panics when the reply carries
-    /// more than eight records: no octree cell has more children.
-    pub fn install_children(&mut self, parent_key: Key, records: &[CellRecord<M>]) {
+    /// more than eight nodes: no octree cell has more children.
+    pub fn install_children(&mut self, parent_key: Key, kids: Vec<DNode<M>>) {
         assert!(
-            records.len() <= 8,
-            "install_children: {} child records for {parent_key:?}, an octree cell has at most 8",
-            records.len()
+            kids.len() <= 8,
+            "install_children: {} children for {parent_key:?}, an octree cell has at most 8",
+            kids.len()
         );
         let pidx = self
             .table
@@ -420,23 +335,7 @@ impl<M: Moments> DistTree<M> {
         if let DChildren::Nodes(_) = self.nodes[pidx].children {
             return;
         }
-        let idxs = records
-            .iter()
-            .map(|r| {
-                let children =
-                    if r.is_leaf { DChildren::RemoteLeaf } else { DChildren::RemoteUnfetched };
-                self.push_node(DNode {
-                    key: r.key,
-                    owner: r.owner,
-                    n: r.n,
-                    center: r.center,
-                    bmax: r.bmax,
-                    wsum: r.wsum,
-                    moments: r.moments,
-                    children,
-                })
-            })
-            .collect();
+        let idxs = kids.into_iter().map(|k| self.push_node(k)).collect();
         self.nodes[pidx].children = DChildren::Nodes(idxs);
     }
 
@@ -447,11 +346,11 @@ impl<M: Moments> DistTree<M> {
 
     /// Check the top tree is an octree over a tiling of branches: one node
     /// per key, each found by the table; every shared node's children are
-    /// distinct child octants of it in ascending order, and its `n` and
-    /// `wsum` are their sums (its mass to rounding); the branches below the
-    /// shared nodes are disjoint and hold `global_n()` particles. Remote
-    /// cells installed by a walk below a branch are checked for key
-    /// uniqueness only.
+    /// distinct child octants of it in ascending order, and its summary is
+    /// bit for bit [`Summary::of_children`] of theirs (so the root counts
+    /// every branch's particles); the branches below the shared nodes are
+    /// disjoint. Remote cells installed by a walk below a branch are
+    /// checked for key uniqueness only.
     pub fn validate(&self) -> Result<(), TopTreeError> {
         for (i, node) in self.nodes.iter().enumerate() {
             match self.table.get(node.key) {
@@ -467,14 +366,13 @@ impl<M: Moments> DistTree<M> {
         while let Some(ni) = stack.pop() {
             let node = &self.nodes[ni as usize];
             if node.owner != SHARED {
-                branches.push((node.key, node.n));
+                branches.push(node.key);
                 continue;
             }
             let kids: &[u32] = match &node.children {
                 DChildren::Nodes(kids) => kids,
                 _ => &[],
             };
-            let (mut n, mut wsum, mut mass, mut scale) = (0u64, 0.0, 0.0, 0.0f64);
             let mut prev: Option<Key> = None;
             for &k in kids {
                 let c = &self.nodes[k as usize];
@@ -483,30 +381,20 @@ impl<M: Moments> DistTree<M> {
                     return Err(TopTreeError::MisplacedChild { parent: node.key, child: c.key });
                 }
                 prev = Some(c.key);
-                n += c.n;
-                wsum += c.wsum;
-                mass += c.moments.total_weight();
-                scale += c.moments.total_weight().abs();
             }
-            let m = node.moments.total_weight();
-            if n != node.n {
-                return Err(TopTreeError::NotSumOfChildren { key: node.key, field: "n" });
-            }
-            if wsum.to_bits() != node.wsum.to_bits() {
-                return Err(TopTreeError::NotSumOfChildren { key: node.key, field: "wsum" });
-            }
-            if (m - mass).abs() > 1e-12 * scale {
-                return Err(TopTreeError::NotSumOfChildren { key: node.key, field: "mass" });
+            let merged = Summary::of_children(
+                node.key,
+                kids.iter().map(|&k| &self.nodes[k as usize].summary),
+                &self.local.domain,
+            );
+            if !node.summary.same_bits(&merged) {
+                return Err(TopTreeError::NotSummaryOfChildren { key: node.key });
             }
             stack.extend_from_slice(kids);
         }
-        branches.sort_unstable_by_key(|&(k, _)| k.range_begin());
-        if let Some(w) = branches.windows(2).find(|w| w[0].0.range_last() >= w[1].0.range_begin()) {
-            return Err(TopTreeError::BranchesOverlap { a: w[0].0, b: w[1].0 });
-        }
-        let n: u64 = branches.iter().map(|&(_, n)| n).sum();
-        if n != self.global_n() {
-            return Err(TopTreeError::BranchCount { branches: n, global: self.global_n() });
+        branches.sort_unstable_by_key(|k| k.range_begin());
+        if let Some(w) = branches.windows(2).find(|w| w[0].range_last() >= w[1].range_begin()) {
+            return Err(TopTreeError::BranchesOverlap { a: w[0], b: w[1] });
         }
         Ok(())
     }
@@ -533,13 +421,11 @@ pub enum TopTreeError {
         /// The offending child.
         child: Key,
     },
-    /// A shared node's `n`, `wsum` or mass is not the sum over its
-    /// children.
-    NotSumOfChildren {
+    /// A shared node's summary is not, bit for bit, the merge of its
+    /// children's.
+    NotSummaryOfChildren {
         /// The shared node.
         key: Key,
-        /// `"n"`, `"wsum"` or `"mass"`.
-        field: &'static str,
     },
     /// Two branches under the top tree share key range.
     BranchesOverlap {
@@ -547,13 +433,6 @@ pub enum TopTreeError {
         a: Key,
         /// The branch it overlaps.
         b: Key,
-    },
-    /// The branches' particle counts do not add up to the root's.
-    BranchCount {
-        /// Sum over branches.
-        branches: u64,
-        /// `DistTree::global_n`.
-        global: u64,
     },
 }
 
@@ -565,33 +444,27 @@ impl std::fmt::Display for TopTreeError {
             TopTreeError::MisplacedChild { parent, child } => {
                 write!(f, "{child:?} is not the next child octant of {parent:?}")
             }
-            TopTreeError::NotSumOfChildren { key, field } => {
-                write!(f, "{key:?}: {field} is not the sum over its children")
+            TopTreeError::NotSummaryOfChildren { key } => {
+                write!(f, "{key:?}: the summary is not its children's")
             }
             TopTreeError::BranchesOverlap { a, b } => write!(f, "branches {a:?} and {b:?} overlap"),
-            TopTreeError::BranchCount { branches, global } => {
-                write!(f, "branches hold {branches} particles, the root {global}")
-            }
         }
     }
 }
 
 impl std::error::Error for TopTreeError {}
 
-/// Extract this rank's branch cells: the coarsest cells (by key range)
-/// fully inside the rank's interval, in ascending key-range (depth-first)
-/// order.
+/// Extract this rank's branch cells, as every rank will first hold them:
+/// the coarsest cells (by key range) fully inside the rank's interval, in
+/// ascending key-range (depth-first) order.
 ///
 /// Works on key *ranges* over the sorted particle array rather than on the
 /// built cells, because a local leaf may straddle an interval boundary: the
 /// leaf then splits into "virtual" branch cells that exist in key space but
-/// not in the local cell store. The resulting branch set is an antichain
+/// not in the local cell store, summarised from their particles. A resident
+/// cell ships its own summary. The resulting branch set is an antichain
 /// that tiles the occupied key space — the invariant the top tree needs.
-fn branch_records<M: Moments>(
-    local: &Tree<M>,
-    intervals: &KeyIntervals,
-    rank: u32,
-) -> Vec<CellRecord<M>> {
+fn branch_nodes<M: Moments>(local: &Tree<M>, intervals: &KeyIntervals, rank: u32) -> Vec<DNode<M>> {
     let mut out = Vec::new();
     if local.n_particles() == 0 {
         return out;
@@ -599,90 +472,33 @@ fn branch_records<M: Moments>(
     let (lo, hi) = intervals.interval(rank);
     let last_rank = rank as usize == intervals.np() - 1;
     // (key, span) work stack over the sorted key array.
-    let mut stack: Vec<(Key, usize, usize)> = vec![(Key::ROOT, 0, local.n_particles())];
-    while let Some((key, i0, i1)) = stack.pop() {
-        if i0 == i1 {
-            continue;
-        }
+    let mut stack = vec![(Key::ROOT, 0..local.n_particles())];
+    while let Some((key, span)) = stack.pop() {
         let begin = key.range_begin().0;
         let last = key.range_last().0;
         let inside = begin >= lo && (last < hi || (last_rank && last <= hi));
         if inside {
-            out.push(record_for_span(local, key, i0, i1, rank));
+            out.push(match local.cell_by_key(key) {
+                Some(c) => {
+                    debug_assert_eq!(c.span(), span);
+                    DNode::remote(c.summary, rank, c.is_leaf())
+                }
+                None => {
+                    let (pos, charge) = (&local.pos[span.clone()], &local.charge[span]);
+                    DNode::remote(Summary::of_particles(key, pos, charge, &local.domain), rank, true)
+                }
+            });
             continue;
         }
         debug_assert!(
             key.level() < hot_morton::MAX_DEPTH,
             "a max-depth cell is a single key and is owned whole"
         );
-        // Split by the next digit (binary search within the span), and
-        // push the children 7..0 so they pop in key order.
-        let mut kids = [(Key::ROOT, 0, 0); 8];
-        let mut lo_i = i0;
-        for (d, kid) in (0..8u8).zip(&mut kids) {
-            let child = key.child(d);
-            let child_last = child.range_last();
-            let hi_i = lo_i
-                + local.keys[lo_i..i1].partition_point(|&k| k <= child_last);
-            *kid = (child, lo_i, hi_i);
-            lo_i = hi_i;
-        }
-        debug_assert_eq!(lo_i, i1);
-        stack.extend(kids.into_iter().rev().filter(|&(_, a, b)| b > a));
+        // Push the non-empty children 7..0 so they pop in key order.
+        let kids: Vec<_> = octants(&local.keys, key, span).collect();
+        stack.extend(kids.into_iter().rev());
     }
     out
-}
-
-/// Build a cell record for a key + particle span, preferring the resident
-/// cell when one exists and synthesizing moments from particles otherwise
-/// (the "virtual branch" case).
-fn record_for_span<M: Moments>(
-    local: &Tree<M>,
-    key: Key,
-    i0: usize,
-    i1: usize,
-    rank: u32,
-) -> CellRecord<M> {
-    if let Some(ci) = local.table.get(key) {
-        let c = &local.cells[ci as usize];
-        debug_assert_eq!(c.span(), i0..i1);
-        return CellRecord {
-            key,
-            owner: rank,
-            n: c.n as u64,
-            center: c.center,
-            bmax: c.bmax,
-            wsum: c.wsum,
-            moments: c.moments,
-            is_leaf: c.is_leaf(),
-        };
-    }
-    // Virtual cell: compute expansion directly from the span.
-    let mut wsum = 0.0;
-    let mut centroid = Vec3::ZERO;
-    for i in i0..i1 {
-        let w = M::weight(&local.charge[i]);
-        wsum += w;
-        centroid += local.pos[i] * w;
-    }
-    let center = if wsum > 0.0 { centroid / wsum } else { key.cell_center(&local.domain) };
-    let mut moments = M::default();
-    let mut bmax2 = 0.0f64;
-    for i in i0..i1 {
-        let one = M::from_particle(local.pos[i], &local.charge[i], center);
-        moments.accumulate_shifted(&one, center, center);
-        bmax2 = bmax2.max((local.pos[i] - center).norm2());
-    }
-    CellRecord {
-        key,
-        owner: rank,
-        n: (i1 - i0) as u64,
-        center,
-        bmax: bmax2.sqrt(),
-        wsum,
-        moments,
-        is_leaf: true,
-    }
 }
 
 #[cfg(test)]
@@ -713,7 +529,7 @@ mod tests {
             let pos: Vec<Vec3> = mine.iter().map(|b| b.pos).collect();
             let q: Vec<f64> = mine.iter().map(|b| b.charge).collect();
             let tree = Tree::<MassMoments>::build(Aabb::unit(), &pos, &q, 8);
-            tree.validate();
+            assert_eq!(tree.validate(), Ok(()));
             let dt = DistTree::build(c, tree, iv);
             assert_eq!(dt.validate(), Ok(()));
             DistInfo {
@@ -838,20 +654,60 @@ mod tests {
         }
     }
 
+    /// With every cut on an octant boundary no leaf straddles two ranks,
+    /// so the top tree is the canopy of one tree over all the bodies: each
+    /// branch is its owner's cell, and each shared node merges the same
+    /// children in the same order. Every node — branches formed on their
+    /// owners, shared nodes on every rank — must equal the serial cell of
+    /// its key bit for bit.
     #[test]
-    fn record_wire_roundtrip() {
-        let rec = CellRecord::<MassMoments> {
+    fn aligned_top_tree_is_the_serial_trees_canopy() {
+        let mut rng = rand::rngs::StdRng::seed_from_u64(41);
+        let all: Vec<(Vec3, f64)> = (0..1000)
+            .map(|i| (Vec3::new(rng.gen(), rng.gen(), rng.gen()), 1.0 + (i % 3) as f64 * 0.5))
+            .collect();
+        let (pos, q): (Vec<Vec3>, Vec<f64>) = all.iter().copied().unzip();
+        let serial = Tree::<MassMoments>::build(Aabb::unit(), &pos, &q, 4);
+        let at = |digits: &[u8]| digits.iter().fold(Key::ROOT, |k, &d| k.child(d)).range_begin().0;
+        for cuts in [vec![at(&[4])], vec![at(&[2]), at(&[5, 3])], vec![at(&[1, 7]), at(&[3]), at(&[6, 0, 4])]] {
+            let np = cuts.len() as u32 + 1;
+            let iv = KeyIntervals { bounds: [vec![0], cuts.clone(), vec![u64::MAX]].concat() };
+            let (all, serial) = (all.clone(), &serial);
+            let out = RunConfig::builder().np(np).run(move |c| {
+                let owned = |&&(p, _): &&(Vec3, f64)| iv.owns(c.rank(), Key::from_point(p, &Aabb::unit()));
+                let (pos, q): (Vec<Vec3>, Vec<f64>) = all.iter().filter(owned).copied().unzip();
+                let local = Tree::<MassMoments>::build(Aabb::unit(), &pos, &q, 4);
+                let dt = DistTree::build(c, local, iv.clone());
+                let same = |n: &&DNode<MassMoments>| {
+                    serial.cell_by_key(n.key).is_some_and(|s| s.summary.same_bits(&n.summary))
+                };
+                let differ: Vec<Key> = dt.nodes.iter().filter(|n| !same(n)).map(|n| n.key).collect();
+                (differ, dt.nodes.iter().filter(|n| n.owner == SHARED).count())
+            });
+            for (rank, (differ, shared)) in out.results.iter().enumerate() {
+                assert!(differ.is_empty(), "np={np} rank={rank}: {differ:?} differ from the serial tree");
+                assert!(*shared >= cuts.len(), "np={np}: {shared} shared nodes");
+            }
+        }
+    }
+
+    #[test]
+    fn node_wire_roundtrip() {
+        let summary = Summary::<MassMoments> {
             key: Key::ROOT.child(3).child(5),
-            owner: 2,
             n: 17,
             center: Vec3::new(0.1, 0.2, 0.3),
             bmax: 0.05,
             wsum: 17.0,
             moments: MassMoments { mass: 17.0, quad: hot_base::SymMat3::IDENTITY, b2: 3.0 },
-            is_leaf: true,
         };
-        let back: CellRecord<MassMoments> = hot_comm::from_bytes(hot_comm::to_bytes(&rec));
-        assert_eq!(back, rec);
+        for leaf in [false, true] {
+            let node = DNode::remote(summary, 2, leaf);
+            // The size `exp_event_scale`'s traffic bound counts per branch.
+            assert_eq!(node.wire_size(), 125);
+            let back: DNode<MassMoments> = hot_comm::from_bytes(hot_comm::to_bytes(&node));
+            assert_eq!((back.summary, back.owner, back.children), (summary, 2, node.children));
+        }
     }
 
     #[test]
@@ -892,7 +748,7 @@ mod tests {
             let tree = Tree::<MassMoments>::build(Aabb::unit(), &pos, &q, 8);
             let dt = DistTree::build(c, tree, iv);
             // Every local cell can be served.
-            let root_children = dt.children_records(Key::ROOT).expect("root is local");
+            let root_children = dt.children_nodes(Key::ROOT).expect("root is local");
             let n_from_children: u64 = root_children.iter().map(|r| r.n).sum();
             assert_eq!(n_from_children, dt.local.n_particles() as u64);
             // Bodies of the first leaf.
@@ -902,7 +758,7 @@ mod tests {
             assert_eq!(bq.len(), leaf.n as usize);
             // Exercise the deep-key lookup path; the key may or may not be
             // resident, so only the call itself is under test.
-            let _ = dt.children_records(Key::ROOT.child(0).child(0).child(0).child(0));
+            let _ = dt.children_nodes(Key::ROOT.child(0).child(0).child(0).child(0));
             1u8
         });
         assert_eq!(out.results.len(), 2);
@@ -921,28 +777,17 @@ mod tests {
             let mut dt = DistTree::build(c, tree, iv);
             // Fabricate a remote node and install children beneath it.
             let fake_key = Key::ROOT.child(7).child(7).child(7);
-            let fake = CellRecord {
+            let fake = Summary {
                 key: fake_key,
-                owner: 0,
                 n: 5,
                 center: Vec3::splat(0.9),
                 bmax: 0.01,
                 wsum: 5.0,
                 moments: MassMoments { mass: 5.0, ..Default::default() },
-                is_leaf: false,
             };
-            let parent_idx = dt.push_node(DNode {
-                key: fake.key,
-                owner: 0,
-                n: 5,
-                center: fake.center,
-                bmax: fake.bmax,
-                wsum: 5.0,
-                moments: fake.moments,
-                children: DChildren::RemoteUnfetched,
-            });
-            let kid = CellRecord { key: fake_key.child(1), is_leaf: true, n: 5, ..fake };
-            dt.install_children(fake_key, &[kid]);
+            let parent_idx = dt.push_node(DNode::remote(fake, 0, false));
+            let kid = DNode::remote(Summary { key: fake_key.child(1), ..fake }, 0, true);
+            dt.install_children(fake_key, vec![kid.clone()]);
             let DChildren::Nodes(idxs) = dt.nodes[parent_idx as usize].children.clone() else {
                 panic!("install left the parent unlinked");
             };
@@ -950,7 +795,7 @@ mod tests {
             assert_eq!(dt.nodes[idxs[0] as usize].key, fake_key.child(1));
             // Second install is a no-op.
             let before = dt.nodes.len();
-            dt.install_children(fake_key, &[kid]);
+            dt.install_children(fake_key, vec![kid]);
             assert_eq!(dt.nodes.len(), before);
             true
         });
@@ -971,17 +816,8 @@ mod tests {
             let tree = Tree::<MassMoments>::build(Aabb::unit(), &[Vec3::splat(0.5)], &[1.0], 4);
             let (_, iv) = decompose::<f64>(c, Vec::new(), 8);
             let mut dt = DistTree::build(c, tree, iv);
-            let rec = CellRecord {
-                key: Key::ROOT.child(0),
-                owner: 0,
-                n: 1,
-                center: Vec3::splat(0.25),
-                bmax: 0.0,
-                wsum: 1.0,
-                moments: MassMoments::default(),
-                is_leaf: true,
-            };
-            dt.install_children(Key::ROOT, &[rec; 9]);
+            let one = Summary::<MassMoments>::of_particles(Key::ROOT.child(0), &[], &[], &Aabb::unit());
+            dt.install_children(Key::ROOT, vec![DNode::remote(one, 0, true); 9]);
         });
     }
 }

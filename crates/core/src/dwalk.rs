@@ -53,7 +53,7 @@
 //! termination protocol, every rank serving its peers' fetch requests from
 //! its local tree throughout.
 
-use crate::dtree::{CellRecord, DChildren, DistTree};
+use crate::dtree::{DChildren, DNode, DistTree};
 use crate::ilist::{InteractionList, ListConsumer};
 use crate::mac::Mac;
 use crate::moments::Moments;
@@ -69,7 +69,7 @@ use std::collections::{BTreeMap, BTreeSet};
 
 /// One multi-key request per (requester, owner) pair per round.
 const K_REQ_BATCH: u16 = 5;
-/// Batched children replies: `Vec<(parent key, child records)>`.
+/// Batched children replies: `Vec<(parent key, child nodes)>`.
 const K_REP_CELL_BATCH: u16 = 6;
 /// Batched body replies: `Vec<(leaf key, bodies)>`.
 const K_REP_BODY_BATCH: u16 = 7;
@@ -371,9 +371,7 @@ fn resolve<M: Moments>(
     }
     while let Some(ni) = w.untested.pop() {
         let node = &dt.nodes[ni as usize];
-        if node.n == 0
-            || mac.accepts_raw(node.center, node.bmax, node.moments.b2(), g.center, g.bmax)
-        {
+        if node.n == 0 || mac.accepts(node, g.center, g.bmax) {
             continue;
         }
         let leaf = match &node.children {
@@ -411,14 +409,14 @@ fn emit<M: Moments>(
     let mut stats = WalkStats::default();
     let local = &dt.local;
     let g = &local.cells[gi as usize];
-    let (gc, gr, sinks, gn) = (g.center, g.bmax, g.span(), g.n as u64);
+    let (gc, gr, sinks, gn) = (g.center, g.bmax, g.span(), g.n);
     let mut stack = vec![dt.root];
     while let Some(ni) = stack.pop() {
         let node = &dt.nodes[ni as usize];
         if node.n == 0 {
             continue;
         }
-        if mac.accepts_raw(node.center, node.bmax, node.moments.b2(), gc, gr) {
+        if mac.accepts(node, gc, gr) {
             list.push_pc(node.center, &node.moments);
             stats.pc += gn;
             continue;
@@ -482,7 +480,7 @@ fn install_bodies<M: Moments>(dt: &mut DistTree<M>, key: u64, pairs: Vec<(Vec3, 
     dt.body_cache.insert(ni, (pos, charge));
 }
 
-/// Serve one coalesced request: children records for every requested cell
+/// Serve one coalesced request: the children of every requested cell
 /// key, then all requested leaf bodies. Replies are chunked into logical
 /// messages of at most `limit` encoded bytes. The entire reply, chunk
 /// boundaries included, is a pure function of the request and the owner's
@@ -496,10 +494,10 @@ fn serve_batch<M: Moments>(
 ) {
     assert!(req.is_canonical(), "non-canonical key batch from rank {src}");
     if !req.cell_keys.is_empty() {
-        let entries: Vec<(u64, Vec<CellRecord<M>>)> = req
+        let entries: Vec<(u64, Vec<DNode<M>>)> = req
             .cell_keys
             .iter()
-            .map(|&k| (k, dt.children_records(Key(k)).unwrap_or_default()))
+            .map(|&k| (k, dt.children_nodes(Key(k)).unwrap_or_default()))
             .collect();
         post_chunked(ep, src, K_REP_CELL_BATCH, entries, limit);
     }
@@ -556,9 +554,9 @@ fn make_batch_handler<M: Moments>(
             serve_batch(dt, ep, src, &req, limit);
         }
         K_REP_CELL_BATCH => {
-            let entries: Vec<(u64, Vec<CellRecord<M>>)> = from_bytes(payload);
-            for (key, records) in entries {
-                dt.install_children(Key(key), &records);
+            let entries: Vec<(u64, Vec<DNode<M>>)> = from_bytes(payload);
+            for (key, kids) in entries {
+                dt.install_children(Key(key), kids);
             }
         }
         K_REP_BODY_BATCH => {
@@ -896,7 +894,7 @@ mod tests {
         }
 
         fn bodies(&mut self, tree: &Tree<MassMoments>, span: Range<usize>, pairs_per_sink: u64) {
-            self.pp += self.group().n as u64 * pairs_per_sink;
+            self.pp += self.group().n * pairs_per_sink;
             self.mass += tree.charge[span].iter().sum::<f64>();
         }
 
@@ -906,15 +904,12 @@ mod tests {
             let (gc, gr, gn) = (
                 self.group().center,
                 self.group().bmax,
-                self.group().n as u64,
+                self.group().n,
             );
             if node.n == 0 {
                 return;
             }
-            if self
-                .mac
-                .accepts_raw(node.center, node.bmax, node.moments.b2(), gc, gr)
-            {
+            if self.mac.accepts(node, gc, gr) {
                 self.pc += gn;
                 self.mass += node.moments.mass;
                 return;
@@ -924,7 +919,7 @@ mod tests {
                 kids.iter().for_each(|&k| self.node(k));
                 return;
             }
-            // A branch: continue in its owner's tree. A branch record is its
+            // A branch: continue in its owner's tree. A branch carries its
             // cell's summary, so `cell` repeats the MAC test just failed.
             let remote = node.owner != dt.rank;
             let tree = if remote {
@@ -950,7 +945,7 @@ mod tests {
             let (gc, gr, gn) = (
                 self.group().center,
                 self.group().bmax,
-                self.group().n as u64,
+                self.group().n,
             );
             if !remote && ci == self.gi {
                 return self.bodies(tree, c.span(), gn - 1);
@@ -967,7 +962,7 @@ mod tests {
                 self.fetch(c.key, c.is_leaf());
             }
             if c.is_leaf() {
-                self.bodies(tree, c.span(), c.n as u64);
+                self.bodies(tree, c.span(), c.n);
             } else {
                 self.opened += 1;
                 tree.children(c)

@@ -15,7 +15,8 @@
 //!    processor.
 //! 3. **Tree build** ([`tree`]) — each rank builds its local hashed
 //!    oct-tree; [`dtree`] exchanges *branch* cells and grafts every rank's
-//!    canopy into a globally consistent top tree.
+//!    canopy into a globally consistent top tree. Every kind of cell
+//!    carries one [`Summary`], formed by the same two functions.
 //! 4. **Traversal** ([`walk`] serially, [`dwalk`] distributed) — per
 //!    sink-group walks with a multipole acceptance criterion ([`mac`])
 //!    write each group's interaction list ([`ilist`]); non-local cells are
@@ -36,6 +37,7 @@ pub mod mac;
 pub mod moments;
 #[cfg(test)]
 mod proptests;
+pub mod summary;
 pub mod tree;
 pub mod walk;
 pub mod wirevec;
@@ -44,5 +46,6 @@ pub use htable::KeyTable;
 pub use ilist::{InteractionList, ListConsumer};
 pub use mac::Mac;
 pub use moments::{MassMoments, Moments, MonoMoments, VectorMoments};
+pub use summary::Summary;
 pub use tree::{Cell, Tree, NO_CHILD};
 pub use walk::{walk_lists, WalkStats};

@@ -15,7 +15,7 @@
 //! traversal amortizes one walk over a bucket of nearby sinks.
 
 use crate::moments::Moments;
-use crate::tree::Cell;
+use crate::summary::Summary;
 use hot_base::Vec3;
 
 /// A multipole acceptance criterion.
@@ -36,24 +36,12 @@ pub enum Mac {
 }
 
 impl Mac {
-    /// Decide whether `cell` may interact as a multipole with a sink group
-    /// of radius `gradius` about `gcenter`.
+    /// Decide whether the cell summarised by `cell` — a local cell, a
+    /// remote one or a top-tree node alike — may interact as a multipole
+    /// with a sink group of radius `gradius` about `gcenter`.
     #[inline]
-    pub fn accepts<M: Moments>(&self, cell: &Cell<M>, gcenter: Vec3, gradius: f64) -> bool {
-        self.accepts_raw(cell.center, cell.bmax, cell.moments.b2(), gcenter, gradius)
-    }
-
-    /// The same decision from raw cell summaries — used for distributed
-    /// nodes that are not local [`Cell`]s.
-    #[inline]
-    pub fn accepts_raw(
-        &self,
-        center: Vec3,
-        bmax: f64,
-        b2: f64,
-        gcenter: Vec3,
-        gradius: f64,
-    ) -> bool {
+    pub fn accepts<M: Moments>(&self, cell: &Summary<M>, gcenter: Vec3, gradius: f64) -> bool {
+        let (center, bmax) = (cell.center, cell.bmax);
         // Distance from expansion center to the nearest possible sink.
         let d = (center - gcenter).norm() - gradius;
         if d <= bmax {
@@ -68,7 +56,7 @@ impl Mac {
                 // the second moment:  |δa| ≤ 3 B₂ / (d² (d − bmax)²).
                 // (Salmon & Warren 1994, specialised to p = 1 with the
                 // conservative (d − b) denominator.)
-                let err = 3.0 * b2 / (d * d * (d - bmax) * (d - bmax));
+                let err = 3.0 * cell.moments.b2() / (d * d * (d - bmax) * (d - bmax));
                 err < delta
             }
         }
@@ -87,22 +75,12 @@ impl Mac {
 mod tests {
     use super::*;
     use crate::moments::MassMoments;
-    use crate::tree::NO_CHILD;
     use hot_base::SymMat3;
     use hot_morton::Key;
 
-    fn cell_at(center: Vec3, bmax: f64, mass: f64, b2: f64) -> Cell<MassMoments> {
-        Cell {
-            key: Key::ROOT,
-            first: 0,
-            n: 1,
-            first_child: NO_CHILD,
-            nchild: 0,
-            center,
-            bmax,
-            wsum: mass,
-            moments: MassMoments { mass, quad: SymMat3::ZERO, b2 },
-        }
+    fn cell_at(center: Vec3, bmax: f64, mass: f64, b2: f64) -> Summary<MassMoments> {
+        let moments = MassMoments { mass, quad: SymMat3::ZERO, b2 };
+        Summary { key: Key::ROOT, n: 1, center, bmax, wsum: mass, moments }
     }
 
     #[test]

@@ -34,7 +34,7 @@ proptest! {
         }
         let masses = vec![1.0; pts.len()];
         let tree = Tree::<MassMoments>::build(Aabb::unit(), &pts, &masses, bucket);
-        tree.validate();
+        prop_assert_eq!(tree.validate(), Ok(()));
         prop_assert_eq!(tree.n_particles(), pts.len());
         prop_assert!((tree.root().moments.mass - pts.len() as f64).abs() < 1e-9);
     }

@@ -7,41 +7,44 @@
 //! contiguous, parents before children) and are addressable by key through
 //! the [`KeyTable`] — the structure the paper names the code after.
 //!
-//! The moments pass then runs bottom-up: leaf cells form expansions about
-//! their charge-weighted centroid (P2M), internal cells merge shifted child
-//! expansions (M2M) and bound `bmax`, the largest distance from the
-//! expansion center to contained matter, used by the acceptance criteria.
+//! The summary pass then runs bottom-up through the two constructors of
+//! [`Summary`]: leaf cells form expansions about their charge-weighted
+//! centroid (P2M), internal cells merge shifted child expansions (M2M) and
+//! bound `bmax`, the largest distance from the expansion center to
+//! contained matter, used by the acceptance criteria. The distributed top
+//! tree forms its branches and shared nodes with the same two functions.
 
 use crate::htable::KeyTable;
 use crate::moments::Moments;
+use crate::summary::Summary;
 use hot_base::{Aabb, Vec3};
 use hot_morton::{Key, MAX_DEPTH};
+use std::ops::Range;
 
 /// Sentinel for "no children".
 pub const NO_CHILD: u32 = u32::MAX;
 
-/// One tree cell: a contiguous span of Morton-sorted particles plus its
-/// multipole expansion.
+/// One tree cell: its [`Summary`] plus where its particles and children
+/// sit in the tree's arrays. Dereferences to the summary, so `cell.key`,
+/// `cell.n`, `cell.center`, `cell.bmax` and `cell.moments` read it.
 #[derive(Clone, Debug)]
 pub struct Cell<M> {
-    /// Hashed oct-tree key of this cell.
-    pub key: Key,
+    /// Key, particle count and multipole expansion.
+    pub summary: Summary<M>,
     /// First particle of the span (index into the tree's sorted arrays).
     pub first: u32,
-    /// Number of particles in the span.
-    pub n: u32,
     /// Index of the first child cell, or [`NO_CHILD`] for leaves.
     pub first_child: u32,
     /// Number of children (1–8 for internal cells).
     pub nchild: u8,
-    /// Expansion center (charge-weighted centroid of contents).
-    pub center: Vec3,
-    /// Upper bound on the distance from `center` to any contained particle.
-    pub bmax: f64,
-    /// Total absolute charge weight (for centroid computation).
-    pub wsum: f64,
-    /// Multipole expansion about `center`.
-    pub moments: M,
+}
+
+impl<M> std::ops::Deref for Cell<M> {
+    type Target = Summary<M>;
+    #[inline]
+    fn deref(&self) -> &Summary<M> {
+        &self.summary
+    }
 }
 
 impl<M> Cell<M> {
@@ -53,8 +56,8 @@ impl<M> Cell<M> {
 
     /// The particle span as a `usize` range.
     #[inline]
-    pub fn span(&self) -> std::ops::Range<usize> {
-        self.first as usize..(self.first + self.n) as usize
+    pub fn span(&self) -> Range<usize> {
+        self.first as usize..self.first as usize + self.summary.n as usize
     }
 }
 
@@ -113,156 +116,72 @@ impl<M: Moments> Tree<M> {
             cells: Vec::new(),
             table: KeyTable::with_capacity((2 * n / bucket.max(1)).max(64)),
         };
-        tree.build_cells(0, n as u32);
-        tree.compute_moments();
+        tree.push_cell(Key::ROOT, 0, n as u32);
+        tree.carve();
+        tree.summarise();
         tree
     }
 
-    /// Carve cells out of the sorted particle array. `first..first+n` is the
-    /// root span (all particles for a fresh build).
-    fn build_cells(&mut self, first: u32, n: u32) {
-        self.cells.push(Cell {
-            key: Key::ROOT,
-            first,
-            n,
-            first_child: NO_CHILD,
-            nchild: 0,
+    /// Append a cell for the key `key` over the particles `first..first +
+    /// n`, as a leaf whose summary [`Tree::summarise`] fills in later.
+    fn push_cell(&mut self, key: Key, first: u32, n: u32) -> u32 {
+        let idx = self.cells.len() as u32;
+        let summary = Summary {
+            key,
+            n: u64::from(n),
             center: Vec3::ZERO,
             bmax: 0.0,
             wsum: 0.0,
             moments: M::default(),
-        });
-        self.table.insert(Key::ROOT, 0);
-        self.carve(vec![0u32]);
+        };
+        self.cells.push(Cell { summary, first, first_child: NO_CHILD, nchild: 0 });
+        self.table.insert(key, idx);
+        idx
     }
 
-    /// Split every cell on `stack` (and, transitively, the children this
-    /// creates) by the next 3-bit digit. A cell's children are pushed as one
-    /// contiguous block after it, so parents precede children — the order
-    /// the bottom-up moments pass relies on.
-    fn carve(&mut self, mut stack: Vec<u32>) {
+    /// Split the root (and, transitively, the children this creates) by the
+    /// next 3-bit digit. A cell's children are pushed as one contiguous
+    /// block after it, so parents precede children — the order the
+    /// bottom-up summary pass relies on.
+    fn carve(&mut self) {
+        let mut stack = vec![0u32];
         while let Some(ci) = stack.pop() {
-            let (key, cfirst, cn) = {
-                let c = &self.cells[ci as usize];
-                (c.key, c.first, c.n)
-            };
-            if cn as usize <= self.bucket || key.level() >= MAX_DEPTH {
+            let c = &self.cells[ci as usize];
+            let key = c.key;
+            if c.n as usize <= self.bucket || key.level() >= MAX_DEPTH {
                 continue;
             }
-            // Partition the span by the next 3-bit digit. Keys are sorted,
-            // so each child's particles are a contiguous subrange found by
-            // binary search on the child's key interval.
-            let span = &self.keys[cfirst as usize..(cfirst + cn) as usize];
             let first_child = self.cells.len() as u32;
-            let mut nchild = 0u8;
-            let mut child_indices = Vec::with_capacity(8);
-            let mut lo = 0usize;
-            for d in 0..8u8 {
-                let child_key = key.child(d);
-                let last = child_key.range_last();
-                // End of this child's subrange: first key > range_last.
-                let hi = lo + span[lo..].partition_point(|&k| k <= last);
-                if hi > lo {
-                    let idx = self.cells.len() as u32;
-                    self.cells.push(Cell {
-                        key: child_key,
-                        first: cfirst + lo as u32,
-                        n: (hi - lo) as u32,
-                        first_child: NO_CHILD,
-                        nchild: 0,
-                        center: Vec3::ZERO,
-                        bmax: 0.0,
-                        wsum: 0.0,
-                        moments: M::default(),
-                    });
-                    self.table.insert(child_key, idx);
-                    child_indices.push(idx);
-                    nchild += 1;
-                }
-                lo = hi;
+            let kids: Vec<_> = octants(&self.keys, key, c.span()).collect();
+            for (child, span) in &kids {
+                stack.push(self.push_cell(*child, span.start as u32, span.len() as u32));
             }
-            debug_assert_eq!(lo, span.len(), "digit partition must cover the span");
             let c = &mut self.cells[ci as usize];
             c.first_child = first_child;
-            c.nchild = nchild;
-            // Descend into children that still exceed the bucket.
-            stack.extend(child_indices);
+            c.nchild = kids.len() as u8;
         }
     }
 
-    /// Bottom-up moments pass. Children always follow their parent in the
-    /// `cells` vec, so a reverse sweep visits children first.
-    fn compute_moments(&mut self) {
+    /// Bottom-up summary pass. Children always follow their parent in the
+    /// `cells` vec, so a reverse sweep visits children first: a leaf is
+    /// summarised from its particles (P2M), an internal cell from its
+    /// finished children (M2M).
+    fn summarise(&mut self) {
         for ci in (0..self.cells.len()).rev() {
-            self.compute_cell_moments(ci);
+            let summary = self.summary_of(&self.cells[ci]);
+            self.cells[ci].summary = summary;
         }
     }
 
-    /// P2M (leaf) or M2M (internal) for one cell. Internal cells read their
-    /// children, which must already hold finished moments.
-    fn compute_cell_moments(&mut self, ci: usize) {
-        {
-            let cell = &self.cells[ci];
-            let geom = cell.key.cell_aabb(&self.domain);
-            if cell.is_leaf() {
-                let span = cell.span();
-                // Centroid.
-                let mut wsum = 0.0;
-                let mut centroid = Vec3::ZERO;
-                for i in span.clone() {
-                    let w = M::weight(&self.charge[i]);
-                    wsum += w;
-                    centroid += self.pos[i] * w;
-                }
-                let center = if wsum > 0.0 { centroid / wsum } else { geom.center() };
-                // Expansion + bmax.
-                let mut m = M::default();
-                let mut bmax2 = 0.0f64;
-                for i in span {
-                    let one = M::from_particle(self.pos[i], &self.charge[i], center);
-                    m.accumulate_shifted(&one, center, center);
-                    bmax2 = bmax2.max((self.pos[i] - center).norm2());
-                }
-                let c = &mut self.cells[ci];
-                c.center = center;
-                c.wsum = wsum;
-                c.moments = m;
-                c.bmax = bmax2.sqrt();
-            } else {
-                let (first_child, nchild) = (self.cells[ci].first_child, self.cells[ci].nchild);
-                let range = first_child as usize..(first_child as usize + nchild as usize);
-                // Parent centroid from child centroids.
-                let mut wsum = 0.0;
-                let mut centroid = Vec3::ZERO;
-                for k in range.clone() {
-                    let ch = &self.cells[k];
-                    wsum += ch.wsum;
-                    centroid += ch.center * ch.wsum;
-                }
-                let center = if wsum > 0.0 { centroid / wsum } else { geom.center() };
-                let mut m = M::default();
-                let mut bmax = 0.0f64;
-                for k in range {
-                    let (cm, cc, cb) = {
-                        let ch = &self.cells[k];
-                        (ch.moments, ch.center, ch.bmax)
-                    };
-                    m.accumulate_shifted(&cm, cc, center);
-                    bmax = bmax.max((cc - center).norm() + cb);
-                }
-                // The geometric corner distance is an alternative bound;
-                // keep the tighter one.
-                let corner = {
-                    let dmin = (center - geom.min).abs();
-                    let dmax = (geom.max - center).abs();
-                    dmin.max(dmax).norm()
-                };
-                let c = &mut self.cells[ci];
-                c.center = center;
-                c.wsum = wsum;
-                c.moments = m;
-                c.bmax = bmax.min(corner);
-            }
+    /// What `cell`'s summary must be: its particles' for a leaf, its
+    /// children's for an internal cell.
+    fn summary_of(&self, cell: &Cell<M>) -> Summary<M> {
+        if cell.is_leaf() {
+            let span = cell.span();
+            Summary::of_particles(cell.key, &self.pos[span.clone()], &self.charge[span], &self.domain)
+        } else {
+            let kids = self.cells[self.children(cell)].iter().map(|k| &k.summary);
+            Summary::of_children(cell.key, kids, &self.domain)
         }
     }
 
@@ -297,7 +216,7 @@ impl<M: Moments> Tree<M> {
     }
 
     /// Child cell indices of `cell`.
-    pub fn children(&self, cell: &Cell<M>) -> std::ops::Range<usize> {
+    pub fn children(&self, cell: &Cell<M>) -> Range<usize> {
         if cell.is_leaf() {
             0..0
         } else {
@@ -328,59 +247,137 @@ impl<M: Moments> Tree<M> {
         out
     }
 
-    /// Exhaustive structural validation (test support): spans tile parents,
-    /// keys match spans, table agrees, weights conserve.
-    pub fn validate(&self) {
-        assert!(!self.cells.is_empty());
+    /// Check the tree against its definition: the root is [`Key::ROOT`]
+    /// over every particle; the table finds each cell; each cell's
+    /// particles lie in its key range; an internal cell's children are
+    /// non-empty octants of it that tile its span in order, and a leaf
+    /// holds at most a bucket unless at maximum depth; every summary is,
+    /// bit for bit, what its particles (leaf) or children (internal cell)
+    /// give; and each `bmax` bounds the cell's particles. Cells are checked
+    /// children first, so a damaged summary is named at its own cell, not
+    /// at an ancestor whose merge it spoils.
+    pub fn validate(&self) -> Result<(), TreeError> {
         let root = &self.cells[0];
-        assert_eq!(root.key, Key::ROOT);
-        assert_eq!(root.n as usize, self.n_particles());
-        for (ci, c) in self.cells.iter().enumerate() {
-            assert_eq!(
-                self.table.get(c.key),
-                Some(ci as u32),
-                "table lookup must find cell {ci}"
-            );
-            // Every particle in the span belongs to the cell's key range.
-            for i in c.span() {
-                assert!(
-                    c.key.is_ancestor_of(self.keys[i]),
-                    "particle {i} outside cell {:?}",
-                    c.key
-                );
+        if root.key != Key::ROOT || root.n != self.n_particles() as u64 {
+            return Err(TreeError::BadRoot);
+        }
+        for (ci, c) in self.cells.iter().enumerate().rev() {
+            let key = c.key;
+            if self.table.get(key) != Some(ci as u32) {
+                return Err(TreeError::NotInTable { key });
             }
-            if !c.is_leaf() {
-                let kids = self.children(c);
-                let mut covered = 0;
-                let mut expect_first = c.first;
-                for k in kids {
-                    let ch = &self.cells[k];
-                    assert_eq!(ch.key.parent(), c.key);
-                    assert_eq!(ch.first, expect_first, "children must tile the span");
-                    expect_first += ch.n;
-                    covered += ch.n;
-                    assert!(ch.n > 0, "empty child stored");
+            if let Some(particle) = c.span().find(|&i| !key.is_ancestor_of(self.keys[i])) {
+                return Err(TreeError::ParticleOutside { key, particle });
+            }
+            if c.is_leaf() {
+                if c.n as usize > self.bucket && key.level() < MAX_DEPTH {
+                    return Err(TreeError::OversizedLeaf { key });
                 }
-                assert_eq!(covered, c.n, "children must cover the parent");
             } else {
-                assert!(
-                    c.n as usize <= self.bucket || c.key.level() == MAX_DEPTH,
-                    "oversized leaf at level {}",
-                    c.key.level()
-                );
+                let kids = self.cells[self.children(c)].iter().map(|k| (k.key, k.span()));
+                if !kids.eq(octants(&self.keys, key, c.span())) {
+                    return Err(TreeError::ChildrenDoNotTile { key });
+                }
             }
-            // bmax really bounds the contents.
-            for i in c.span() {
-                let d = (self.pos[i] - c.center).norm();
-                assert!(
-                    d <= c.bmax * (1.0 + 1e-12) + 1e-300,
-                    "bmax violated: {d} > {}",
-                    c.bmax
-                );
+            if !c.summary.same_bits(&self.summary_of(c)) {
+                return Err(TreeError::NotItsSummary { key });
+            }
+            let outside = |&i: &usize| (self.pos[i] - c.center).norm() > c.bmax * (1.0 + 1e-12) + 1e-300;
+            if let Some(particle) = c.span().find(outside) {
+                return Err(TreeError::BmaxViolated { key, particle });
+            }
+        }
+        Ok(())
+    }
+}
+
+/// The non-empty child octants of the cell `key` whose particles' sorted
+/// keys are `keys[span]`: each child's key and particle span, in Morton
+/// order. Keys are sorted, so each child's particles are the contiguous
+/// run found by a binary search for its key range's end. The local tree
+/// carves its cells with this, and the branch extraction splits a cell
+/// that straddles an interval boundary with it.
+pub(crate) fn octants(
+    keys: &[Key],
+    key: Key,
+    span: Range<usize>,
+) -> impl Iterator<Item = (Key, Range<usize>)> + '_ {
+    let mut lo = span.start;
+    (0..8u8).filter_map(move |d| {
+        let child = key.child(d);
+        let last = child.range_last();
+        let hi = lo + keys[lo..span.end].partition_point(|&k| k <= last);
+        let kid = lo..hi;
+        lo = hi;
+        (!kid.is_empty()).then_some((child, kid))
+    })
+}
+
+/// Why [`Tree::validate`] rejected a tree.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum TreeError {
+    /// Cell 0 is not the root key over every particle.
+    BadRoot,
+    /// The key table does not lead to the cell carrying this key.
+    NotInTable {
+        /// The cell's key.
+        key: Key,
+    },
+    /// A particle of the cell's span lies outside its key range.
+    ParticleOutside {
+        /// The cell.
+        key: Key,
+        /// The particle's tree-order index.
+        particle: usize,
+    },
+    /// A leaf holds more than a bucket above maximum depth.
+    OversizedLeaf {
+        /// The leaf.
+        key: Key,
+    },
+    /// A child is not a non-empty octant of the cell, or the children do
+    /// not tile its span in order.
+    ChildrenDoNotTile {
+        /// The internal cell.
+        key: Key,
+    },
+    /// The summary is not what the cell's particles or children give.
+    NotItsSummary {
+        /// The cell.
+        key: Key,
+    },
+    /// A particle lies farther than `bmax` from the cell's center.
+    BmaxViolated {
+        /// The cell.
+        key: Key,
+        /// The particle's tree-order index.
+        particle: usize,
+    },
+}
+
+impl std::fmt::Display for TreeError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self {
+            TreeError::BadRoot => write!(f, "cell 0 is not the root over every particle"),
+            TreeError::NotInTable { key } => write!(f, "the key table does not find {key:?}"),
+            TreeError::ParticleOutside { key, particle } => {
+                write!(f, "particle {particle} lies outside {key:?}")
+            }
+            TreeError::OversizedLeaf { key } => write!(f, "leaf {key:?} holds more than a bucket"),
+            TreeError::ChildrenDoNotTile { key } => {
+                write!(f, "the children of {key:?} do not tile its particles")
+            }
+            TreeError::NotItsSummary { key } => {
+                write!(f, "{key:?}: the summary is not its particles' or children's")
+            }
+            TreeError::BmaxViolated { key, particle } => {
+                write!(f, "particle {particle} lies beyond bmax of {key:?}")
             }
         }
     }
 }
+
+impl std::error::Error for TreeError {}
 
 #[cfg(test)]
 mod tests {
@@ -401,17 +398,49 @@ mod tests {
     fn builds_and_validates_uniform() {
         let pos = random_points(2000, 1);
         let tree = Tree::<MassMoments>::build(Aabb::unit(), &pos, &unit_masses(2000), 16);
-        tree.validate();
+        assert_eq!(tree.validate(), Ok(()));
         assert_eq!(tree.n_particles(), 2000);
         assert!(tree.n_cells() > 100);
         assert!((tree.root().moments.mass - 2000.0).abs() < 1e-9);
+    }
+
+    /// Each kind of damage is named, with the cell it was found in.
+    #[test]
+    fn validate_names_what_is_wrong() {
+        let pos = random_points(500, 12);
+        let build = || Tree::<MassMoments>::build(Aabb::unit(), &pos, &unit_masses(500), 8);
+        let tree = build();
+        let leaf = tree.cells.iter().position(|c| c.is_leaf() && c.n > 1).expect("a leaf");
+        let inner = tree.cells.iter().rposition(|c| !c.is_leaf()).expect("an internal cell");
+        let (lk, ik) = (tree.cells[leaf].key, tree.cells[inner].key);
+
+        let mut t = build();
+        t.cells[leaf].summary.moments.quad.m[3] += 1e-9;
+        assert_eq!(t.validate(), Err(TreeError::NotItsSummary { key: lk }));
+        let mut t = build();
+        t.cells[inner].summary.wsum *= 2.0;
+        assert_eq!(t.validate(), Err(TreeError::NotItsSummary { key: ik }));
+        let mut t = build();
+        t.cells[inner].nchild -= 1;
+        assert_eq!(t.validate(), Err(TreeError::ChildrenDoNotTile { key: ik }));
+        let mut t = build();
+        t.cells[0].summary.n -= 1;
+        assert_eq!(t.validate(), Err(TreeError::BadRoot));
+        let mut t = build();
+        let far = t.cells[leaf].first as usize;
+        let elsewhere = if lk.ancestor_at(1) == Key::ROOT.child(0) { 0.9 } else { 0.1 };
+        t.keys[far] = Key::from_point(Vec3::splat(elsewhere), &Aabb::unit());
+        assert_eq!(t.validate(), Err(TreeError::ParticleOutside { key: lk, particle: far }));
+        let mut t = build();
+        t.bucket = 1;
+        assert!(matches!(t.validate(), Err(TreeError::OversizedLeaf { .. })));
     }
 
     #[test]
     fn single_particle_tree() {
         let pos = vec![Vec3::splat(0.25)];
         let tree = Tree::<MassMoments>::build(Aabb::unit(), &pos, &[2.0], 8);
-        tree.validate();
+        assert_eq!(tree.validate(), Ok(()));
         assert_eq!(tree.n_cells(), 1);
         assert_eq!(tree.root().moments.mass, 2.0);
         assert_eq!(tree.root().center, Vec3::splat(0.25));
@@ -432,7 +461,7 @@ mod tests {
         // the build must terminate at MAX_DEPTH with an oversized leaf.
         let pos = vec![Vec3::splat(0.3); 20];
         let tree = Tree::<MassMoments>::build(Aabb::unit(), &pos, &unit_masses(20), 4);
-        tree.validate();
+        assert_eq!(tree.validate(), Ok(()));
         let deepest = tree.cells.iter().map(|c| c.key.level()).max().unwrap();
         assert_eq!(deepest, MAX_DEPTH);
     }
@@ -501,7 +530,7 @@ mod tests {
         }
         let n = pos.len();
         let tree = Tree::<MassMoments>::build(Aabb::unit(), &pos, &unit_masses(n), 8);
-        tree.validate();
+        assert_eq!(tree.validate(), Ok(()));
         let deepest = tree.cells.iter().map(|c| c.key.level()).max().unwrap();
         assert!(deepest >= 10, "clump must force deep cells, got {deepest}");
     }
@@ -539,6 +568,6 @@ mod tests {
             })
             .collect();
         let tree = Tree::<MassMoments>::build(domain, &pos, &unit_masses(300), 8);
-        tree.validate();
+        assert_eq!(tree.validate(), Ok(()));
     }
 }

@@ -100,7 +100,7 @@ pub(crate) fn walk_subtree<M: Moments>(
     list: &mut InteractionList<M>,
 ) -> WalkStats {
     let g = &tree.cells[gi as usize];
-    let (gc, gr, sinks, gn) = (g.center, g.bmax, g.span(), g.n as u64);
+    let (gc, gr, sinks, gn) = (g.center, g.bmax, g.span(), g.n);
     let mut stats = WalkStats::default();
     let mut stack = vec![from as usize];
     while let Some(ci) = stack.pop() {
@@ -119,7 +119,7 @@ pub(crate) fn walk_subtree<M: Moments>(
             stats.pc += gn;
         } else if c.is_leaf() {
             list.push_pp(&tree.pos[c.span()], &tree.charge[c.span()], Some(c.first as usize));
-            stats.pp += gn * c.n as u64;
+            stats.pp += gn * c.n;
         } else {
             stats.opened += 1;
             stack.extend(tree.children(c));
