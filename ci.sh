@@ -130,6 +130,14 @@ if ! diff results/exp_cosmo_loki.txt "$smoke/cosmo_loki.txt" >&2; then
   exit 1
 fi
 
+echo "==> exp_force_accuracy pins RMS force error per MAC (stdout must equal results/exp_force_accuracy.txt)"
+# Host-independent for the same reason as exp_cosmo_loki.
+(cd "$smoke" && cargo run -q --offline --release --manifest-path "$root/Cargo.toml" -p hot-bench --bin exp_force_accuracy) > "$smoke/force_accuracy.txt"
+if ! diff results/exp_force_accuracy.txt "$smoke/force_accuracy.txt" >&2; then
+  echo "ERROR: exp_force_accuracy moved off results/exp_force_accuracy.txt — the walk, MAC or kernels changed, or the file is stale" >&2
+  exit 1
+fi
+
 echo "==> checkpoint/restart smoke (bitwise-identical resume)"
 cargo test -q --offline --release -p hot-cosmo checkpoint
 

@@ -30,44 +30,26 @@
 //! blocks, so no quiescence reveals the death; the runtime's teardown
 //! audit flags it, and the checker *must* report it (CI asserts exit 1).
 
+use crate::sweep::{self, SweepReport};
 use hot_comm::{Comm, DetectionRecord, FaultConfig, FaultPlan, RunConfig};
 use hot_cosmo::supervisor::{self, KillSpec, SupervisorConfig};
 use std::collections::BTreeSet;
-use std::panic::AssertUnwindSafe;
 
-/// Outcome of one kill sweep.
-#[derive(Debug)]
-pub struct KillSweepReport {
-    /// Sweep name.
-    pub name: &'static str,
-    /// Kill plans (or kill specs) exercised.
-    pub plans: u64,
-    /// Schedules each plan was crossed with.
-    pub schedules: u64,
-    /// Human-readable failures; empty means the sweep passed.
-    pub failures: Vec<String>,
-    /// Kills that actually fired across the sweep.
-    pub kills_fired: u64,
-    /// Failure detections recorded across the sweep.
-    pub detections: u64,
-    /// Rollback-rerun cycles performed (recovery sweep only).
-    pub recoveries: u64,
-}
-
-impl KillSweepReport {
-    /// True when every killed run was detected/recovered as required.
-    #[must_use]
-    pub fn passed(&self) -> bool {
-        self.failures.is_empty()
+/// The report of a kill sweep: `plans × schedules` ran, and a pass lists
+/// the kills fired, the detections recorded and the rollbacks run.
+fn kill_report(
+    name: &'static str,
+    plans: u64,
+    schedules: u64,
+    failures: Vec<String>,
+    [kills, detections, recoveries]: [u64; 3],
+) -> SweepReport {
+    SweepReport {
+        name,
+        ran: format!("{plans} plans × {schedules} schedules"),
+        failures,
+        detail: format!("{kills} kills fired, {detections} detections, {recoveries} recoveries"),
     }
-}
-
-fn panic_text(payload: &(dyn std::any::Any + Send)) -> String {
-    payload
-        .downcast_ref::<String>()
-        .cloned()
-        .or_else(|| payload.downcast_ref::<&str>().map(ToString::to_string))
-        .unwrap_or_else(|| "non-string panic payload".to_string())
 }
 
 /// A chatty neighbor exchange: enough blocked receives that, after a kill
@@ -91,7 +73,7 @@ fn ring_workload(c: &mut Comm) -> u64 {
 /// schedules ≥ 1 are seeded serialized interleavings. Both detect at
 /// proven quiescence.
 #[must_use]
-pub fn check_detection(np: u32, kill_seeds: u64, schedules: u64) -> KillSweepReport {
+pub fn check_detection(np: u32, kill_seeds: u64, schedules: u64) -> SweepReport {
     let mut failures = Vec::new();
     let mut kills_fired = 0u64;
     let mut detections = 0u64;
@@ -105,11 +87,9 @@ pub fn check_detection(np: u32, kill_seeds: u64, schedules: u64) -> KillSweepRep
             let plan = FaultPlan::new(config);
             let monitor = plan.monitor();
             let label = format!("np {np} kill seed {kill_seed} × schedule {sched_seed}");
-            let result = std::panic::catch_unwind(AssertUnwindSafe(|| {
-                let b = RunConfig::builder().np(np).faults(plan);
-                let b = if sched_seed == 0 { b } else { b.event_seed(sched_seed) };
-                b.run(ring_workload);
-            }));
+            let b = RunConfig::builder().np(np).faults(plan);
+            let b = if sched_seed == 0 { b } else { b.event_seed(sched_seed) };
+            let result = sweep::run_caught(b, ring_workload);
             let kills = monitor.kills();
             let found: Vec<DetectionRecord> = monitor.detections();
             kills_fired += kills.len() as u64;
@@ -122,7 +102,7 @@ pub fn check_detection(np: u32, kill_seeds: u64, schedules: u64) -> KillSweepRep
                 continue;
             }
             match result {
-                Ok(()) => {
+                Ok(_) => {
                     if !kills.is_empty() {
                         failures.push(format!(
                             "{label}: {} kill(s) fired yet the run completed normally",
@@ -130,20 +110,16 @@ pub fn check_detection(np: u32, kill_seeds: u64, schedules: u64) -> KillSweepRep
                         ));
                     }
                 }
-                Err(payload) => {
+                Err(msg) => {
                     if kills.is_empty() {
-                        failures.push(format!(
-                            "{label}: no kill fired but the run aborted: {}",
-                            panic_text(payload.as_ref())
-                        ));
+                        failures.push(format!("{label}: no kill fired but the run aborted: {msg}"));
                         continue;
                     }
                     if found.is_empty() {
                         failures.push(format!(
                             "{label}: {} kill(s) fired, run aborted, but no survivor \
-                             recorded a detection: {}",
-                            kills.len(),
-                            panic_text(payload.as_ref())
+                             recorded a detection: {msg}",
+                            kills.len()
                         ));
                     }
                     let mut pairs = BTreeSet::new();
@@ -169,8 +145,7 @@ pub fn check_detection(np: u32, kill_seeds: u64, schedules: u64) -> KillSweepRep
                     }
                 }
             }
-            if failures.len() > 8 {
-                failures.push("… sweep aborted after 8 failures".to_string());
+            if sweep::aborted(&mut failures) {
                 break 'sweep;
             }
         }
@@ -184,15 +159,7 @@ pub fn check_detection(np: u32, kill_seeds: u64, schedules: u64) -> KillSweepRep
              ({wipeouts} total-wipeout runs)"
         ));
     }
-    KillSweepReport {
-        name: "kill-detection",
-        plans: kill_seeds,
-        schedules,
-        failures,
-        kills_fired,
-        detections,
-        recoveries: 0,
-    }
+    kill_report("kill-detection", kill_seeds, schedules, failures, [kills_fired, detections, 0])
 }
 
 /// Kill positions for an `n`-step supervised run checkpointed every 2
@@ -212,7 +179,7 @@ fn boundary_kills(np: u32) -> [KillSpec; 3] {
 /// the fault-free golden's. Schedule 0 is the production executor;
 /// schedules ≥ 1 are seeded.
 #[must_use]
-pub fn check_recovery(np: u32, schedules: u64) -> KillSweepReport {
+pub fn check_recovery(np: u32, schedules: u64) -> SweepReport {
     const STEPS: u64 = 4;
     const EVERY: u64 = 2;
     let name = "kill-recovery";
@@ -296,8 +263,7 @@ pub fn check_recovery(np: u32, schedules: u64) -> KillSweepReport {
                         }
                     }
                 }
-                if failures.len() > 8 {
-                    failures.push("… sweep aborted after 8 failures".to_string());
+                if sweep::aborted(&mut failures) {
                     break 'sweep;
                 }
             }
@@ -307,15 +273,7 @@ pub fn check_recovery(np: u32, schedules: u64) -> KillSweepReport {
         }
     }
 
-    KillSweepReport {
-        name,
-        plans: 3,
-        schedules,
-        failures,
-        kills_fired,
-        detections,
-        recoveries,
-    }
+    kill_report(name, 3, schedules, failures, [kills_fired, detections, recoveries])
 }
 
 /// The planted fixture behind `hot-analyze kills --planted-undetected`:
@@ -325,26 +283,23 @@ pub fn check_recovery(np: u32, schedules: u64) -> KillSweepReport {
 /// sweep reports it as the failure it is — CI asserts the command exits
 /// 1, proving the detection gate is not vacuously green.
 #[must_use]
-pub fn check_planted_undetected(np: u32) -> KillSweepReport {
+pub fn check_planted_undetected(np: u32) -> SweepReport {
     let plan = FaultPlan::new(FaultConfig::clean(1)).with_rank_kill_at_epoch(np - 1, 0);
     let monitor = plan.monitor();
     let mut failures = Vec::new();
-    let result = std::panic::catch_unwind(AssertUnwindSafe(|| {
-        RunConfig::builder().np(np).faults(plan).run(|c| {
-            // No messages: survivors cannot observe the death in-band.
-            c.kill_point(0);
-            u64::from(c.rank())
-        });
-    }));
+    let result = sweep::run_caught(RunConfig::builder().np(np).faults(plan), |c| {
+        // No messages: survivors cannot observe the death in-band.
+        c.kill_point(0);
+        u64::from(c.rank())
+    });
     let kills = monitor.kills();
     let detections = monitor.detections();
     match result {
-        Ok(()) => failures.push(format!(
+        Ok(_) => failures.push(format!(
             "planted fixture: run completed with {} kill(s) fired and nothing flagged",
             kills.len()
         )),
-        Err(payload) => {
-            let msg = panic_text(payload.as_ref());
+        Err(msg) => {
             if kills.is_empty() {
                 failures.push(format!("planted fixture broke: kill never fired ({msg})"));
             } else {
@@ -356,15 +311,8 @@ pub fn check_planted_undetected(np: u32) -> KillSweepReport {
             }
         }
     }
-    KillSweepReport {
-        name: "planted-undetected",
-        plans: 1,
-        schedules: 1,
-        failures,
-        kills_fired: kills.len() as u64,
-        detections: detections.len() as u64,
-        recoveries: 0,
-    }
+    let counts = [kills.len() as u64, detections.len() as u64, 0];
+    kill_report("planted-undetected", 1, 1, failures, counts)
 }
 
 /// The full kill sweep CI runs. `kill_seeds` scales the detection sweep;
@@ -372,7 +320,7 @@ pub fn check_planted_undetected(np: u32) -> KillSweepReport {
 /// (np ∈ {2, 4, 8} × 3 boundary-crossing kill positions × production +
 /// seeded schedules).
 #[must_use]
-pub fn check_all(kill_seeds: u64) -> Vec<KillSweepReport> {
+pub fn check_all(kill_seeds: u64) -> Vec<SweepReport> {
     let mut reports = Vec::new();
     for np in [2, 4] {
         reports.push(check_detection(np, detection_seed_cap(kill_seeds), 3));
@@ -396,12 +344,20 @@ pub fn detection_seed_cap(kill_seeds: u64) -> u64 {
 mod tests {
     use super::*;
 
+    /// `[kills fired, detections, recoveries]`, read off the report's detail.
+    fn counts(rep: &SweepReport) -> [u64; 3] {
+        let count = |part: &str| part.split(' ').next().unwrap().parse().unwrap();
+        let n: Vec<u64> = rep.detail.split(", ").map(count).collect();
+        n.try_into().expect("three counts")
+    }
+
     #[test]
     fn detection_sweep_passes_and_is_not_vacuous() {
         let rep = check_detection(4, 2, 2);
         assert!(rep.passed(), "{:?}", rep.failures);
-        assert!(rep.kills_fired > 0, "no kill fired");
-        assert!(rep.detections > 0, "no detection recorded");
+        let [kills, detections, _] = counts(&rep);
+        assert!(kills > 0, "no kill fired");
+        assert!(detections > 0, "no detection recorded");
     }
 
     /// Detection happens only at proven quiescence, which every schedule
@@ -411,23 +367,23 @@ mod tests {
         let a = check_detection(4, 4, 2);
         let b = check_detection(4, 4, 2);
         assert!(a.passed(), "{:?}", a.failures);
-        assert_eq!((a.kills_fired, a.detections), (b.kills_fired, b.detections));
+        assert_eq!(counts(&a), counts(&b));
     }
 
     #[test]
     fn recovery_sweep_passes_and_is_not_vacuous() {
         let rep = check_recovery(2, 2);
         assert!(rep.passed(), "{:?}", rep.failures);
-        assert!(rep.kills_fired > 0);
-        assert!(rep.recoveries > 0);
+        let [kills, _, recoveries] = counts(&rep);
+        assert!(kills > 0);
+        assert!(recoveries > 0);
     }
 
     #[test]
     fn planted_undetected_kill_is_reported() {
         let rep = check_planted_undetected(4);
         assert!(!rep.passed(), "planted undetected kill sailed through");
-        assert_eq!(rep.kills_fired, 1);
-        assert_eq!(rep.detections, 0);
+        assert_eq!(counts(&rep), [1, 0, 0]);
         let msg = rep.failures.join("\n");
         assert!(msg.contains("teardown audit"), "{msg}");
     }

@@ -14,7 +14,8 @@
 //!   `unwrap`/`expect` surface, and honest suppression inventories.
 //! * [`protocol`] — a static communication-protocol checker: extracts
 //!   the send/recv/post/poll call graph and every collective site of
-//!   `crates/comm` and the drivers, then enforces collective-order,
+//!   `crates/comm` and the drivers (`crates/core/src/{dwalk,decomp,dtree}.rs`,
+//!   `crates/cosmo/src/supervisor.rs`), then enforces collective-order,
 //!   tag-matching, and counter-discipline over all np at once.
 //! * [`json`] — schema-versioned finding output for CI artifacts.
 //! * [`schedules`] — a dynamic checker that reruns the comm runtime's
@@ -30,6 +31,12 @@
 //!   fired kill must be detected by a survivor, and supervised
 //!   checkpoint-rollback recovery must converge to the bitwise fault-free
 //!   golden; a planted undetected-kill fixture proves the gate bites.
+//!
+//! The three dynamic checkers share one driver (`sweep.rs`): one report
+//! type ([`SweepReport`]), one panic-catching run helper, one loop that
+//! runs a reference and then a list of labelled run configurations and
+//! compares each with it, and one printer ([`print_sweep`]) that the CLI
+//! calls for all three subcommands.
 //!
 //! Run as `cargo run -p hot-analyze -- lint`,
 //! `cargo run -p hot-analyze -- protocol`,
@@ -47,4 +54,7 @@ pub mod lint;
 pub mod model;
 pub mod protocol;
 pub mod schedules;
+mod sweep;
 pub(crate) mod workloads;
+
+pub use sweep::{print_sweep, SweepReport};

@@ -11,7 +11,7 @@
 //! Every subcommand exits 0 when clean and 1 on findings, so they slot
 //! directly into `ci.sh`. See VERIFICATION.md for the rule catalog.
 
-use hot_analyze::{faults, json, kills, lint, protocol, schedules};
+use hot_analyze::{faults, json, kills, lint, print_sweep, protocol, schedules};
 use std::path::PathBuf;
 use std::process::ExitCode;
 
@@ -154,26 +154,7 @@ fn run_schedules(args: &[String]) -> ExitCode {
         Ok(n) => n,
         Err(code) => return code,
     };
-    let reports = schedules::check_all(seeds);
-    let mut failed = false;
-    for rep in &reports {
-        if rep.passed() {
-            println!("ok   {} ({} seeds)", rep.name, rep.seeds);
-        } else {
-            failed = true;
-            println!("FAIL {} ({} seeds)", rep.name, rep.seeds);
-            for f in &rep.failures {
-                println!("     {f}");
-            }
-        }
-    }
-    if failed {
-        println!("hot-analyze schedules: FAILED");
-        ExitCode::FAILURE
-    } else {
-        println!("hot-analyze schedules: all workloads schedule-independent");
-        ExitCode::SUCCESS
-    }
+    print_sweep("schedules", &schedules::check_all(seeds), "all workloads schedule-independent")
 }
 
 fn run_faults(args: &[String]) -> ExitCode {
@@ -185,38 +166,8 @@ fn run_faults(args: &[String]) -> ExitCode {
     if cap < seeds {
         println!("note: traced-pipeline sweep capped at {cap} of {seeds} fault seeds (cost)");
     }
-    let reports = faults::check_all(seeds);
-    let mut failed = false;
-    for rep in &reports {
-        if rep.passed() {
-            let i = &rep.recovery.injected;
-            let t = &rep.recovery.totals;
-            println!(
-                "ok   {} ({} fault seeds × {} schedules): injected {}, \
-                 recovered via {} retries / {} crc rejects / {} dups suppressed",
-                rep.name,
-                rep.fault_seeds,
-                rep.schedules,
-                i.total(),
-                t.retries,
-                t.crc_rejects,
-                t.dup_suppressed
-            );
-        } else {
-            failed = true;
-            println!("FAIL {} ({} fault seeds × {} schedules)", rep.name, rep.fault_seeds, rep.schedules);
-            for f in &rep.failures {
-                println!("     {f}");
-            }
-        }
-    }
-    if failed {
-        println!("hot-analyze faults: FAILED");
-        ExitCode::FAILURE
-    } else {
-        println!("hot-analyze faults: results and trace reports identical under all fault plans");
-        ExitCode::SUCCESS
-    }
+    let clean = "results and trace reports identical under all fault plans";
+    print_sweep("faults", &faults::check_all(seeds), clean)
 }
 
 fn run_kills(args: &[String]) -> ExitCode {
@@ -241,29 +192,6 @@ fn run_kills(args: &[String]) -> ExitCode {
         kills::check_all(seeds)
     };
     std::panic::set_hook(prev_hook);
-    let mut failed = false;
-    for rep in &reports {
-        if rep.passed() {
-            println!(
-                "ok   {} ({} plans × {} schedules): {} kills fired, {} detections, \
-                 {} recoveries",
-                rep.name, rep.plans, rep.schedules, rep.kills_fired, rep.detections, rep.recoveries
-            );
-        } else {
-            failed = true;
-            println!("FAIL {} ({} plans × {} schedules)", rep.name, rep.plans, rep.schedules);
-            for f in &rep.failures {
-                println!("     {f}");
-            }
-        }
-    }
-    if failed {
-        println!("hot-analyze kills: FAILED");
-        ExitCode::FAILURE
-    } else {
-        println!(
-            "hot-analyze kills: every fired kill detected; recovery bitwise-identical to golden"
-        );
-        ExitCode::SUCCESS
-    }
+    let clean = "every fired kill detected; recovery bitwise-identical to golden";
+    print_sweep("kills", &reports, clean)
 }

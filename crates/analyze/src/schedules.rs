@@ -11,8 +11,8 @@
 //! 2. **Clean teardown** — no message (poison aside) left undrained in any
 //!    mailbox after the SPMD bodies return.
 //! 3. **Schedule independence** — results (and, for the collectives
-//!    workload, the full per-rank [`TrafficStats`]) are bitwise identical
-//!    across every seed. The ABM workload compares results and its
+//!    workload, the full per-rank [`hot_comm::TrafficStats`]) are bitwise
+//!    identical across every seed. The ABM workload compares results and its
 //!    posted/delivered message counts but not raw traffic: batch
 //!    boundaries legitimately vary with the schedule (documented in
 //!    VERIFICATION.md).
@@ -22,116 +22,37 @@
 //! on the interleaving, or on the serialization itself, shows up as a
 //! difference.
 
+use crate::sweep::{self, SweepReport};
 use crate::workloads;
-use hot_comm::{Comm, RunConfig, RunConfigBuilder, TrafficStats};
+use hot_comm::{Comm, RunConfig};
 use std::fmt::Debug;
-use std::panic::AssertUnwindSafe;
-
-/// Outcome of one workload checked across seeds.
-#[derive(Debug)]
-pub struct WorkloadReport {
-    /// Workload name.
-    pub name: &'static str,
-    /// Seeds exercised.
-    pub seeds: u64,
-    /// Human-readable failures; empty means the workload passed.
-    pub failures: Vec<String>,
-}
-
-impl WorkloadReport {
-    /// True when every seed passed every assertion.
-    #[must_use]
-    pub fn passed(&self) -> bool {
-        self.failures.is_empty()
-    }
-}
-
-/// What one run under one schedule produced.
-struct RunSnapshot<T> {
-    results: Vec<T>,
-    stats: Vec<TrafficStats>,
-    undrained: usize,
-}
-
-/// Run `body` as configured by `cfg`, catching rank panics (deadlock
-/// reports arrive as panics) into `Err`.
-fn run_one<T, F>(label: &str, cfg: RunConfigBuilder, body: F) -> Result<RunSnapshot<T>, String>
-where
-    T: Send,
-    F: Fn(&mut Comm) -> T + Sync,
-{
-    let out = std::panic::catch_unwind(AssertUnwindSafe(|| cfg.run(body))).map_err(|p| {
-        let msg = p
-            .downcast_ref::<String>()
-            .cloned()
-            .or_else(|| p.downcast_ref::<&str>().map(ToString::to_string))
-            .unwrap_or_else(|| "non-string panic payload".to_string());
-        format!("{label}: rank panic: {msg}")
-    })?;
-    Ok(RunSnapshot { results: out.results, stats: out.stats, undrained: out.undrained.len() })
-}
 
 /// Check one workload: a production reference on two workers, then
-/// `seeds` seeded schedules compared against it. `compare_traffic`
-/// demands bitwise-identical per-rank [`TrafficStats`] on top of
-/// identical results. Should the reference itself fail, the first seed
-/// that runs clean stands in for it.
+/// `seeds` seeded schedules compared against it (see [`sweep::compare`]).
+/// `compare_traffic` demands bitwise-identical per-rank
+/// [`hot_comm::TrafficStats`] on top of identical results.
 fn check_workload<T, F>(
     name: &'static str,
     np: u32,
     seeds: u64,
     compare_traffic: bool,
     body: F,
-) -> WorkloadReport
+) -> SweepReport
 where
     T: Send + PartialEq + Debug,
     F: Fn(&mut Comm) -> T + Sync,
 {
-    let mut failures = Vec::new();
-    let mut reference: Option<(String, RunSnapshot<T>)> = None;
     let machine = || RunConfig::builder().np(np);
     let production = ("production (2 workers)".to_string(), machine().workers(2));
     let seeded = (0..seeds).map(|seed| (format!("seed {seed}"), machine().event_seed(seed)));
-    for (label, cfg) in std::iter::once(production).chain(seeded) {
-        let snap = match run_one(&label, cfg, &body) {
-            Err(e) => {
-                failures.push(e);
-                continue;
-            }
-            Ok(snap) => snap,
-        };
-        if snap.undrained > 0 {
-            failures.push(format!(
-                "{label}: {} message(s) left undrained at teardown",
-                snap.undrained
-            ));
-        }
-        let Some((ref_label, r)) = &reference else {
-            reference = Some((label, snap));
-            continue;
-        };
-        if snap.results != r.results {
-            failures.push(format!(
-                "{label}: results differ from {ref_label} — the reduction is \
-                 schedule-dependent\n  {ref_label}: {:?}\n  {label}: {:?}",
-                r.results, snap.results
-            ));
-        }
-        if compare_traffic && snap.stats != r.stats {
-            failures.push(format!(
-                "{label}: TrafficStats differ from {ref_label} — message pattern \
-                 is schedule-dependent\n  {ref_label}: {:?}\n  {label}: {:?}",
-                r.stats, snap.stats
-            ));
-        }
-    }
-    WorkloadReport { name, seeds, failures }
+    let failures = sweep::compare(production, seeded, compare_traffic, body).failures;
+    SweepReport { name, ran: format!("{seeds} seeds"), failures, detail: String::new() }
 }
 
 /// Collectives sweep (see [`workloads::collectives`]): deterministic by
 /// construction, so results *and* traffic must match bitwise across seeds.
 #[must_use]
-pub fn check_collectives(np: u32, seeds: u64) -> WorkloadReport {
+pub fn check_collectives(np: u32, seeds: u64) -> SweepReport {
     check_workload("collectives", np, seeds, true, workloads::collectives)
 }
 
@@ -139,7 +60,7 @@ pub fn check_collectives(np: u32, seeds: u64) -> WorkloadReport {
 /// posted/delivered counts must be schedule-free; batch counts (and hence
 /// raw traffic) legitimately are not.
 #[must_use]
-pub fn check_abm(np: u32, seeds: u64) -> WorkloadReport {
+pub fn check_abm(np: u32, seeds: u64) -> SweepReport {
     check_workload("abm-traversal", np, seeds, false, workloads::abm_traversal)
 }
 
@@ -150,7 +71,7 @@ pub fn check_abm(np: u32, seeds: u64) -> WorkloadReport {
 /// vary); the ledger only ever records the schedule-free counters, which
 /// is exactly what this check enforces.
 #[must_use]
-pub fn check_traced_pipeline(np: u32, seeds: u64) -> WorkloadReport {
+pub fn check_traced_pipeline(np: u32, seeds: u64) -> SweepReport {
     check_workload("traced-pipeline", np, seeds, false, workloads::traced_pipeline)
 }
 
@@ -160,13 +81,13 @@ pub fn check_traced_pipeline(np: u32, seeds: u64) -> WorkloadReport {
 /// accelerations, body ownership, trace reports and rebalance counters on
 /// every schedule, or the migration has a schedule dependence.
 #[must_use]
-pub fn check_rebalance(np: u32, seeds: u64) -> WorkloadReport {
+pub fn check_rebalance(np: u32, seeds: u64) -> SweepReport {
     check_workload("rebalance-pipeline", np, seeds, false, workloads::rebalance_pipeline)
 }
 
 /// The full checker: all workloads at several machine sizes.
 #[must_use]
-pub fn check_all(seeds: u64) -> Vec<WorkloadReport> {
+pub fn check_all(seeds: u64) -> Vec<SweepReport> {
     let mut reports = Vec::new();
     for np in [2, 4, 5] {
         reports.push(check_collectives(np, seeds));

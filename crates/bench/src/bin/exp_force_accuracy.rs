@@ -22,6 +22,7 @@ fn main() {
         "MAC", "rms err", "max err", "interactions", "vs N^2"
     );
     let n2 = (n as u64) * (n as u64 - 1);
+    let mut meets = Vec::new();
     for mac in [
         Mac::BarnesHut { theta: 1.0 },
         Mac::BarnesHut { theta: 0.7 },
@@ -40,6 +41,9 @@ fn main() {
             rep.tree_interactions,
             n2 as f64 / rep.tree_interactions as f64
         );
+        if rep.rms < 1e-3 {
+            meets.push(mac.name());
+        }
     }
     println!("\nmonopole-only comparison at theta = 0.7:");
     for quad in [false, true] {
@@ -55,6 +59,5 @@ fn main() {
             quad, rep.rms, rep.tree_interactions
         );
     }
-    println!("\nthe production regime (theta <= 0.5 with quadrupoles, or SW 1e-6)");
-    println!("meets the paper's 'better than 1e-3 RMS' figure.");
+    println!("\nbetter than the paper's 1e-3 RMS: {}", meets.join(", "));
 }

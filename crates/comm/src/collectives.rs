@@ -366,14 +366,6 @@ impl Comm {
         let total: u64 = all.iter().sum();
         (before, total)
     }
-
-    /// Exclusive prefix sum for `f64` work weights.
-    pub fn exscan_sum_f64(&mut self, v: f64) -> (f64, f64) {
-        let all = self.allgather(v);
-        let before: f64 = all[..self.rank() as usize].iter().sum();
-        let total: f64 = all.iter().sum();
-        (before, total)
-    }
 }
 
 /// The wire encoding of a `Vec<T>` of `cnt` blocks whose encodings,

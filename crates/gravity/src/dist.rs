@@ -69,13 +69,6 @@ impl DistOptions {
         self
     }
 
-    /// Set the sink-group bound.
-    #[must_use]
-    pub fn with_group_size(mut self, group_size: usize) -> Self {
-        self.group_size = group_size;
-        self
-    }
-
     /// Set the Plummer softening squared.
     #[must_use]
     pub fn with_eps2(mut self, eps2: f64) -> Self {
@@ -87,13 +80,6 @@ impl DistOptions {
     #[must_use]
     pub fn with_quadrupole(mut self, on: bool) -> Self {
         self.quadrupole = on;
-        self
-    }
-
-    /// Set the sample-sort oversampling factor.
-    #[must_use]
-    pub fn with_oversample(mut self, oversample: usize) -> Self {
-        self.oversample = oversample;
         self
     }
 }
