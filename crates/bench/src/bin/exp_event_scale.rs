@@ -101,9 +101,9 @@ struct Treecode {
 ///
 /// The splitter broadcast and a rank's own share of the body exchange are
 /// `O(np + n_total / np)` bytes and fit in what the walk term over-counts.
-/// Measured at np = 1024 × 24: 2.15 MB on rank 0 against 8.0 MB. The
-/// `n_total` term, `O(np · n_total)` bytes machine-wide, is what a
-/// coarsened, locally essential branch exchange would cut.
+/// Measured at np = 1024 × 24: 1.83 MB on the busiest rank against
+/// 8.0 MB. The `n_total` term, `O(np · n_total)` bytes machine-wide, is
+/// what a coarsened, locally essential branch exchange would cut.
 fn recv_bound(np: u32, n_total: u64, oversample: u64) -> u64 {
     u64::from(np) * (8 + 16 * oversample) + n_total * (2 * RECORD_BYTES + BODY_BYTES)
 }

@@ -10,7 +10,10 @@
 //! Each rank samples its local key distribution at work quantiles, the
 //! samples are gathered to rank 0, which derives the `Np − 1` splitting
 //! keys at global work quantiles once and broadcasts them, and an
-//! all-to-all exchange moves each body to its owner. Per-body work weights
+//! all-to-all exchange moves each body to its owner. Each splitting key
+//! sits on the coarsest octant boundary within a small slack of its
+//! quantile, so a domain is a few whole octants and the branch cells every
+//! rank receives are few and coarse. Per-body work weights
 //! come from the previous step's interaction counts, so expensive
 //! (clustered) regions spread over more processors — the load-balancing
 //! mechanism the paper credits for surviving "probably more severe
@@ -187,8 +190,33 @@ pub fn decompose<C: Wire + Copy + Send>(
 /// `TrafficStats` deltas are safe here — unlike in the ABM-driven walk.
 pub fn decompose_traced<C: Wire + Copy + Send>(
     comm: &mut Comm,
+    bodies: Vec<Body<C>>,
+    oversample: usize,
+    trace: &mut Ledger,
+) -> (Vec<Body<C>>, KeyIntervals) {
+    sample_sort(comm, bodies, oversample, ALIGN_SLACK_MILLI, trace)
+}
+
+/// [`decompose`] with every cut left at its work quantile, as
+/// [`decompose_costed_traced`] starts: for tests that need cuts inside an
+/// octant.
+#[cfg(test)]
+pub(crate) fn decompose_unaligned<C: Wire + Copy + Send>(
+    comm: &mut Comm,
+    bodies: Vec<Body<C>>,
+    oversample: usize,
+) -> (Vec<Body<C>>, KeyIntervals) {
+    sample_sort(comm, bodies, oversample, 0, &mut Ledger::scratch())
+}
+
+/// The sample sort behind [`decompose_traced`] and the cold start of
+/// [`decompose_costed_traced`], its cuts aligned within `slack_milli` (see
+/// [`splitters`]).
+fn sample_sort<C: Wire + Copy + Send>(
+    comm: &mut Comm,
     mut bodies: Vec<Body<C>>,
     oversample: usize,
+    slack_milli: u64,
     trace: &mut Ledger,
 ) -> (Vec<Body<C>>, KeyIntervals) {
     trace.begin(Phase::Decomp);
@@ -202,8 +230,10 @@ pub fn decompose_traced<C: Wire + Copy + Send>(
     // Rank 0 sees every sample and derives the splitters once; every rank
     // receives the same np + 1 bounds.
     let samples = work_samples(&bodies, oversample.max(4));
-    let bounds = comm.gather(0, samples).map(splitters).unwrap_or_default();
+    let bounds =
+        comm.gather(0, samples).map(|all| splitters(all, slack_milli)).unwrap_or_default();
     let intervals = KeyIntervals { bounds: comm.bcast(0, bounds) };
+    debug_assert_eq!(intervals.validate(), Ok(()));
 
     // Route every body to its owner.
     let mut buckets: Vec<Vec<Body<C>>> = (0..np).map(|_| Vec::new()).collect();
@@ -245,32 +275,52 @@ fn work_samples<C>(bodies: &[Body<C>], oversample: usize) -> Vec<(u64, f64)> {
     samples
 }
 
+/// How far [`splitters`] may move a cut off its work quantile to reach a
+/// coarser octant boundary, in milli-units of the mean rank weight: half
+/// the margin [`REBALANCE_THRESHOLD_MILLI`] tolerates, because each rank
+/// has two cuts. A fresh partition is then at most 15 % over the mean,
+/// which is what the multi-step trigger already accepts.
+const ALIGN_SLACK_MILLI: u64 = (REBALANCE_THRESHOLD_MILLI as u64 - 1000) / 2;
+
 /// The `np + 1` interval bounds at global work quantiles of every rank's
 /// samples (`all[r]` is rank `r`'s, so `np = all.len()`). Rank order and
 /// the unstable sort make the result a pure function of `all`.
-fn splitters(all: Vec<Vec<(u64, f64)>>) -> Vec<u64> {
+///
+/// Cut `r`'s ideal bound is one past the first sample key whose weight
+/// prefix reaches `T = r·W/np`. The cut then moves to the coarsest octant
+/// boundary ([`aligned_cut`]) between the bounds the same rule gives at
+/// `T ∓ slack_milli/1000 · W/np`, so a domain is a few whole octants and
+/// its branch cells few and coarse. `slack_milli = 0` keeps the ideal cuts.
+fn splitters(all: Vec<Vec<(u64, f64)>>, slack_milli: u64) -> Vec<u64> {
     let np = all.len();
     let mut flat: Vec<(u64, f64)> = all.into_iter().flatten().collect();
     flat.sort_unstable_by_key(|&(k, _)| k);
-    let total_weight: f64 = flat.iter().map(|&(_, w)| w).sum();
+    let prefix: Vec<f64> = flat
+        .iter()
+        .scan(0.0, |acc, &(_, w)| {
+            *acc += w;
+            Some(*acc)
+        })
+        .collect();
+    let total_weight = prefix.last().copied().unwrap_or(0.0);
+    // One past the first sample key whose weight prefix reaches `target`;
+    // `u64::MAX` when none does.
+    let cut = |target: f64| {
+        let i = prefix.partition_point(|&p| p < target);
+        flat.get(i).map_or(u64::MAX, |&(k, _)| k.saturating_add(1))
+    };
 
-    let mut bounds = Vec::with_capacity(np + 1);
-    bounds.push(0u64);
+    let mut bounds = vec![u64::MAX; np + 1];
+    bounds[0] = 0;
     if total_weight > 0.0 {
-        let mut acc = 0.0;
-        let mut next_cut = total_weight / np as f64;
-        for &(k, w) in &flat {
-            acc += w;
-            while acc >= next_cut && bounds.len() < np {
-                bounds.push(k.saturating_add(1));
-                next_cut += total_weight / np as f64;
-            }
+        let step = total_weight / np as f64;
+        let tol = step * slack_milli as f64 / 1000.0;
+        let mut target = 0.0;
+        for b in &mut bounds[1..np] {
+            target += step;
+            *b = aligned_cut(cut(target - tol), cut(target), cut(target + tol));
         }
     }
-    while bounds.len() < np {
-        bounds.push(u64::MAX);
-    }
-    bounds.push(u64::MAX);
     // Monotonicity can be violated by duplicate sample keys; repair.
     for i in 1..bounds.len() {
         if bounds[i] < bounds[i - 1] {
@@ -278,6 +328,28 @@ fn splitters(all: Vec<Vec<(u64, f64)>>) -> Vec<u64> {
         }
     }
     bounds
+}
+
+/// The octant-aligned cut in the window `[lo, hi]` around `ideal`: a
+/// multiple of the largest `2^s`, `s ∈ {63, 60, …, 3, 0}` (a particle key
+/// carries its placeholder at bit 63, so a level-`L` octant starts at a
+/// multiple of `2^(63−3L)`), and among those the one nearest `ideal`, the
+/// lower on a tie. A one-key window returns `ideal`.
+fn aligned_cut(lo: u64, ideal: u64, hi: u64) -> u64 {
+    debug_assert!(lo <= ideal && ideal <= hi, "window [{lo}, {hi}] misses {ideal}");
+    (0..=63u32)
+        .rev()
+        .step_by(3)
+        .find_map(|s| {
+            let down = ideal & !((1u64 << s) - 1);
+            let up = down.checked_add(1 << s).filter(|&u| u <= hi);
+            match (down >= lo, up) {
+                (true, Some(u)) if u - ideal < ideal - down => Some(u),
+                (true, _) => Some(down),
+                (false, up) => up,
+            }
+        })
+        .unwrap_or(ideal)
 }
 
 /// Upper bound on a per-body integer cost. `2^24` is the largest range of
@@ -422,7 +494,9 @@ pub fn cost_cut_bounds<C>(comm: &mut Comm, bodies: &[Body<C>], totals: &[u64]) -
         }
     }
     bounds[np] = u64::MAX;
-    KeyIntervals { bounds }
+    let intervals = KeyIntervals { bounds };
+    debug_assert_eq!(intervals.validate(), Ok(()));
+    intervals
 }
 
 /// Migrate the minimal key-range diff (collective): bodies already owned
@@ -540,6 +614,7 @@ pub fn rebalance_traced<C: Wire + Copy + Send>(
         trace.add_traffic(&comm.stats().since(&wire_before));
         (mine, intervals)
     };
+    debug_assert_eq!(intervals.validate(), Ok(()));
     trace.end();
     (mine, intervals, Rebalance { repartitioned: repartition, skew_milli })
 }
@@ -549,13 +624,15 @@ pub fn rebalance_traced<C: Wire + Copy + Send>(
 /// [`migrate_traced`] land on the exact cost quantiles. This is the
 /// reference the incremental [`rebalance_traced`] must match bitwise at
 /// the same costs (property suite), and a multi-step run's cold start.
+/// The sample sort's cuts stay at their quantiles: the exact cuts replace
+/// them at once, and aligning them would only widen the diff that moves.
 pub fn decompose_costed_traced<C: Wire + Copy + Send>(
     comm: &mut Comm,
     bodies: Vec<Body<C>>,
     oversample: usize,
     trace: &mut Ledger,
 ) -> (Vec<Body<C>>, KeyIntervals) {
-    let (mine, _) = decompose_traced(comm, bodies, oversample, trace);
+    let (mine, _) = sample_sort(comm, bodies, oversample, 0, trace);
     trace.begin(Phase::Decomp);
     let wire_before = comm.stats();
     let local: u64 = mine.iter().map(body_cost).sum();
@@ -645,37 +722,80 @@ mod tests {
 
     /// The derivation `decompose` ran before rank 0 took it over, kept as
     /// the oracle: every rank all-gathers every sample and derives the
-    /// bounds itself.
+    /// bounds itself, by one scan of the weight prefix per window edge.
     fn splitters_every_rank(comm: &mut Comm, samples: Vec<(u64, f64)>) -> Vec<u64> {
         let np = comm.size() as usize;
         let all: Vec<Vec<(u64, f64)>> = comm.allgather(samples);
         let mut flat: Vec<(u64, f64)> = all.into_iter().flatten().collect();
         flat.sort_unstable_by_key(|&(k, _)| k);
         let total_weight: f64 = flat.iter().map(|&(_, w)| w).sum();
-
-        let mut bounds = Vec::with_capacity(np + 1);
-        bounds.push(0u64);
-        if total_weight > 0.0 {
+        // Cut r at target `r·W/np + offset`, r = 1..np: one past the first
+        // sample key whose weight prefix reaches it.
+        let quantiles = |offset: f64| {
+            let mut cuts = Vec::with_capacity(np - 1);
             let mut acc = 0.0;
             let mut next_cut = total_weight / np as f64;
             for &(k, w) in &flat {
                 acc += w;
-                while acc >= next_cut && bounds.len() < np {
-                    bounds.push(k.saturating_add(1));
+                while acc >= next_cut + offset && cuts.len() < np - 1 {
+                    cuts.push(k.saturating_add(1));
                     next_cut += total_weight / np as f64;
                 }
             }
+            cuts.resize(np - 1, u64::MAX);
+            cuts
+        };
+
+        let mut bounds = vec![0u64];
+        if total_weight > 0.0 {
+            let tol = total_weight / np as f64 * ALIGN_SLACK_MILLI as f64 / 1000.0;
+            let (lo, ideal, hi) = (quantiles(-tol), quantiles(0.0), quantiles(tol));
+            bounds.extend((0..np - 1).map(|r| aligned_cut(lo[r], ideal[r], hi[r])));
         }
-        while bounds.len() < np {
-            bounds.push(u64::MAX);
-        }
-        bounds.push(u64::MAX);
+        bounds.resize(np + 1, u64::MAX);
         for i in 1..bounds.len() {
             if bounds[i] < bounds[i - 1] {
                 bounds[i] = bounds[i - 1];
             }
         }
         bounds
+    }
+
+    /// `aligned_cut` by definition, over every value of a small window:
+    /// the coarsest octant boundary, then the nearest to `ideal`, then the
+    /// lower.
+    fn brute_aligned_cut(lo: u64, ideal: u64, hi: u64) -> u64 {
+        // The largest `s ∈ {0, 3, …, 63}` with `2^s` dividing `v`.
+        let coarseness = |v: u64| v.trailing_zeros().min(63) / 3 * 3;
+        (lo..=hi)
+            .min_by_key(|&v| (std::cmp::Reverse(coarseness(v)), v.abs_diff(ideal), v))
+            .expect("a window holds its ideal")
+    }
+
+    #[test]
+    fn aligned_cut_matches_brute_force_on_small_windows() {
+        let mut rng = rand::rngs::StdRng::seed_from_u64(37);
+        let mut windows = vec![
+            // Around the root's own start, the one multiple of 2^63 a key
+            // can reach, and up against the top of the key line.
+            ((1 << 63) - 300, (1 << 63) + 5, (1 << 63) + 300),
+            (u64::MAX - 700, u64::MAX - 20, u64::MAX),
+        ];
+        for _ in 0..2000 {
+            // A window near a boundary of random coarseness, so that every
+            // level from single keys up to level-1 octants gets picked.
+            let s = 3 * rng.gen_range(0..21u32);
+            let anchor = ((rng.gen::<u64>() | 1 << 63) >> s) << s;
+            let lo = anchor.saturating_sub(rng.gen_range(0..400));
+            let hi = lo.saturating_add(rng.gen_range(0..800));
+            windows.push((lo, lo + rng.gen_range(0..hi - lo + 1), hi));
+        }
+        for (lo, ideal, hi) in windows {
+            let got = aligned_cut(lo, ideal, hi);
+            assert_eq!(got, brute_aligned_cut(lo, ideal, hi), "window [{lo}, {hi}] ideal {ideal}");
+            assert!((lo..=hi).contains(&got));
+            assert_eq!(aligned_cut(ideal, ideal, ideal), ideal, "a one-key window keeps its ideal");
+        }
     }
 
     /// One rank's bodies for the oracle sweep: `uniform`; `skewed`, ten
@@ -732,6 +852,52 @@ mod tests {
                     }
                 }
             }
+        }
+    }
+
+    /// At the ASCI Red grain (np = 128 × 32 uniform bodies, 64 samples a
+    /// rank) aligned cuts at least halve the top tree every rank holds,
+    /// and no rank's sample weight exceeds the mean by more than the two
+    /// slacks plus one sample.
+    #[test]
+    fn aligned_cuts_shrink_the_branch_set() {
+        use crate::dtree::DistTree;
+        use crate::moments::MassMoments;
+        use crate::tree::Tree;
+        const NP: u32 = 128;
+        let out = RunConfig::builder().np(NP).run(|c| {
+            let bodies = make_bodies(c.rank(), 32, 1997);
+            let mut sorted = bodies.clone();
+            sorted.sort_unstable_by_key(|b| b.key);
+            let samples = work_samples(&sorted, 64);
+            let nodes = |c: &mut Comm, (mine, iv): (Vec<Body<f64>>, KeyIntervals)| {
+                assert_eq!(iv.validate(), Ok(()));
+                let pos: Vec<Vec3> = mine.iter().map(|b| b.pos).collect();
+                let q: Vec<f64> = mine.iter().map(|b| b.charge).collect();
+                let tree = Tree::<MassMoments>::build(Aabb::unit(), &pos, &q, 8);
+                let dt = DistTree::build(c, tree, iv.clone());
+                assert_eq!(dt.validate(), Ok(()));
+                (dt.nodes.len(), iv)
+            };
+            let aligned = decompose(c, bodies.clone(), 64);
+            let aligned = nodes(c, aligned);
+            let unaligned = decompose_unaligned(c, bodies, 64);
+            let unaligned = nodes(c, unaligned);
+            (aligned, unaligned, samples)
+        });
+        let ((aligned, iv), (unaligned, _), _) = &out.results[0];
+        assert!(2 * aligned <= *unaligned, "{aligned} aligned vs {unaligned} unaligned top-tree nodes");
+
+        let samples: Vec<(u64, f64)> = out.results.iter().flat_map(|r| r.2.clone()).collect();
+        let total: f64 = samples.iter().map(|&(_, w)| w).sum();
+        let heaviest = samples.iter().map(|&(_, w)| w).fold(0.0, f64::max);
+        let mut weight = vec![0.0; NP as usize];
+        for &(k, w) in &samples {
+            weight[iv.owner(Key(k)) as usize] += w;
+        }
+        let cap = (1000 + 2 * ALIGN_SLACK_MILLI) as f64 / 1000.0 * total / f64::from(NP) + heaviest;
+        for (rank, &w) in weight.iter().enumerate() {
+            assert!(w <= cap, "rank {rank}: sample weight {w} over {cap}");
         }
     }
 
