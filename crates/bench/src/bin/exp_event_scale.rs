@@ -18,8 +18,11 @@
 //! catches a step whose *structure* regressed (a linear collective; a walk
 //! whose request rounds follow the key count instead of the tree depth).
 //! The treecode step also records its traffic — the machine's total bytes
-//! sent and the most bytes any one rank received — and bounds the latter.
-//! Everything is written to `results/BENCH_event_scale.json`.
+//! sent and the most bytes any one rank received — and bounds the latter,
+//! its peak resident set, and the top-tree nodes the ranks kept and dropped
+//! when each cut its top tree to what its own walk can reach (at np ≥ 256
+//! some must be dropped). Everything is written to
+//! `results/BENCH_event_scale.json`.
 //!
 //! Args: `exp_event_scale [np_collectives] [np_treecode] [n_per_rank]`
 //! (defaults 6800, 1024, 24).
@@ -80,7 +83,14 @@ const BODY_BYTES: u64 = 32;
 /// What one treecode step measured.
 struct Treecode {
     wall: f64,
+    /// Peak resident set of the process during the step, in MiB (`None`
+    /// where Linux's `/proc/self` cannot report or reset it).
+    peak_rss_mib: Option<f64>,
     interactions: u64,
+    /// Top-tree nodes kept and dropped by the walk's cut, summed over
+    /// ranks.
+    top_kept: u64,
+    top_dropped: u64,
     max_sends: u64,
     /// Payload bytes sent, summed over the machine.
     bytes_sent: u64,
@@ -108,8 +118,22 @@ fn recv_bound(np: u32, n_total: u64, oversample: u64) -> u64 {
     u64::from(np) * (8 + 16 * oversample) + n_total * (2 * RECORD_BYTES + BODY_BYTES)
 }
 
+/// Reset this process's peak resident set to its current one (Linux's
+/// `clear_refs` code 5). Returns whether the kernel took it.
+fn reset_peak_rss() -> bool {
+    std::fs::write("/proc/self/clear_refs", "5").is_ok()
+}
+
+/// This process's peak resident set (`VmHWM`) in MiB.
+fn peak_rss_mib() -> Option<f64> {
+    let status = std::fs::read_to_string("/proc/self/status").ok()?;
+    let kb = status.lines().find_map(|l| l.strip_prefix("VmHWM:"))?;
+    Some(kb.trim().trim_end_matches("kB").trim().parse::<f64>().ok()? / 1024.0)
+}
+
 /// One reduced-N treecode force evaluation at `np` on the event runtime.
 fn treecode_at(np: u32, n_per_rank: usize) -> Treecode {
+    let reset = reset_peak_rss();
     let t0 = Instant::now();
     let out = RunConfig::builder()
         .np(np)
@@ -119,9 +143,19 @@ fn treecode_at(np: u32, n_per_rank: usize) -> Treecode {
             let counter = FlopCounter::new();
             let opts = DistOptions { eps2: 1e-8, ..Default::default() };
             let res = distributed_accelerations(c, bodies, Aabb::unit(), &opts, &counter);
-            res.stats.walk.interactions()
+            let s = res.stats;
+            (s.walk.interactions(), s.top_nodes_kept, s.top_nodes_dropped)
         });
     let wall = t0.elapsed().as_secs_f64();
+    let peak_rss_mib = peak_rss_mib().filter(|_| reset);
+    let top_kept = out.results.iter().map(|r| r.1).sum();
+    let top_dropped = out.results.iter().map(|r| r.2).sum();
+    // At np = 256 a rank's groups sit in 1/256 of the cube: the shared
+    // nodes far from it pass the MAC against all of them at once.
+    assert!(
+        np < 256 || top_dropped > 0,
+        "no rank cut its top tree at np = {np} ({top_kept} nodes kept)"
+    );
     let max_sends = out.stats.iter().map(|s| s.sends).max().unwrap_or(0);
     // A step is a few exchanges with every peer (the sample sort's
     // alltoall; one coalesced request and its replies per owner per walk
@@ -146,7 +180,16 @@ fn treecode_at(np: u32, n_per_rank: usize) -> Treecode {
         "a rank received {max_bytes_recvd} bytes in one treecode step > bound {bound} \
          at np = {np}, N = {n_total}"
     );
-    Treecode { wall, interactions: out.results.iter().sum(), max_sends, bytes_sent, max_bytes_recvd }
+    Treecode {
+        wall,
+        peak_rss_mib,
+        interactions: out.results.iter().map(|r| r.0).sum(),
+        top_kept,
+        top_dropped,
+        max_sends,
+        bytes_sent,
+        max_bytes_recvd,
+    }
 }
 
 fn main() {
@@ -168,13 +211,26 @@ fn main() {
     }
 
     // Stage 2: a full treecode step at np = 1024.
-    let Treecode { wall: tree_wall, interactions, max_sends: tree_sends, bytes_sent, max_bytes_recvd } =
-        treecode_at(np_tree, n_per_rank);
+    let Treecode {
+        wall: tree_wall,
+        peak_rss_mib,
+        interactions,
+        top_kept,
+        top_dropped,
+        max_sends: tree_sends,
+        bytes_sent,
+        max_bytes_recvd,
+    } = treecode_at(np_tree, n_per_rank);
     let n_total = np_tree as usize * n_per_rank;
+    let peak = peak_rss_mib.map_or("n/a".to_string(), |m| format!("{m:.0} MiB"));
     println!(
         "treecode  np = {np_tree:>5}: {tree_wall:>7.2} s wall, N = {n_total}, \
          {interactions} interactions, max {tree_sends} sends/rank, {bytes_sent} bytes sent, \
          max {max_bytes_recvd} bytes received by a rank"
+    );
+    println!(
+        "          peak RSS {peak}; top-tree nodes kept {top_kept}, dropped {top_dropped} \
+         (summed over ranks)"
     );
     rule();
 
@@ -201,7 +257,9 @@ fn main() {
         "  ],\n  \"treecode\": {{\"np\": {np_tree}, \"n_per_rank\": {n_per_rank}, \
          \"wall_s\": {tree_wall:.3}, \"interactions\": {interactions}, \
          \"max_sends_per_rank\": {tree_sends}, \"bytes_sent\": {bytes_sent}, \
-         \"max_bytes_recvd_per_rank\": {max_bytes_recvd}}}\n}}\n"
+         \"max_bytes_recvd_per_rank\": {max_bytes_recvd}, \"peak_rss_mib\": {}, \
+         \"top_nodes_kept\": {top_kept}, \"top_nodes_dropped\": {top_dropped}}}\n}}\n",
+        peak_rss_mib.map_or("null".to_string(), |m| format!("{m:.1}"))
     ));
     let path = std::path::Path::new("results").join("BENCH_event_scale.json");
     std::fs::create_dir_all("results").expect("create results dir");

@@ -10,7 +10,8 @@
 //!   holds matter in them) and collectively tile the occupied key space.
 //! * Branches are all-gathered; each rank builds the **top tree** of their
 //!   common ancestors, with exact merged moments (so the top-tree root
-//!   carries the total system mass).
+//!   carries the total system mass). The distributed walk then drops the
+//!   subtrees its own sink groups cannot open (`DistTree::prune`).
 //! * Every node is a [`Summary`] with an owner and a child link. A branch
 //!   is its cell's summary as the local tree formed it (or, for part of a
 //!   leaf, its particles' summary), and a shared node merges its children's
@@ -56,6 +57,10 @@ pub enum DChildren {
     RemoteUnfetched,
     /// Remote leaf cell: no children; its bodies can be fetched.
     RemoteLeaf,
+    /// A shared node every sink group of this rank accepts, its subtree
+    /// dropped by `DistTree::prune`. The summary stays the merge of
+    /// what was below it; a walk that opens it panics.
+    Pruned,
 }
 
 /// The child indices of one octree node, in place: at most eight, so a
@@ -233,7 +238,7 @@ impl<M: Moments> DistTree<M> {
             local,
             intervals,
             nodes: Vec::new(),
-            table: KeyTable::with_capacity(n_branches * 3 + 16),
+            table: KeyTable::with_capacity(0),
             root: 0,
             body_cache: std::collections::HashMap::new(),
         };
@@ -243,14 +248,76 @@ impl<M: Moments> DistTree<M> {
             if node.owner == rank {
                 node.children = DChildren::LocalSubtree;
             }
-            dt.push_node(node);
+            dt.nodes.push(node);
         }
         debug_assert!(
             dt.nodes.windows(2).all(|w| w[0].key.range_last() < w[1].key.range_begin()),
             "branches must be disjoint and in depth-first order"
         );
         dt.root = dt.top_node(Key::ROOT, 0..n_branches);
+        dt.index_nodes();
         dt
+    }
+
+    /// Drop the subtree below every shared node that no sink group of this
+    /// rank can open, walking down from the root: a shared node for which
+    /// `opens` is false becomes [`DChildren::Pruned`]. The kept nodes are
+    /// compacted in place and the key table rebuilt for them. Returns the
+    /// nodes kept and dropped.
+    ///
+    /// Runs before the walk fetches anything (panics otherwise): fetched
+    /// bodies are cached by node index. Its caller, the distributed walk,
+    /// passes "the MAC rejects the sphere holding every sink group"; why
+    /// that keeps every node a group can open is in DESIGN.md, "The reach
+    /// of a rank's walk".
+    pub(crate) fn prune(&mut self, opens: impl Fn(&Summary<M>) -> bool) -> (u64, u64) {
+        assert!(self.body_cache.is_empty(), "prune runs before the walk fetches");
+        let before = self.nodes.len();
+        // Kept nodes first get 0, then their new index.
+        let mut remap = vec![u32::MAX; before];
+        let mut stack = vec![self.root];
+        while let Some(ni) = stack.pop() {
+            remap[ni as usize] = 0;
+            let node = &mut self.nodes[ni as usize];
+            if node.owner != SHARED {
+                continue;
+            }
+            if !opens(&node.summary) {
+                node.children = DChildren::Pruned;
+            } else if let DChildren::Nodes(kids) = &node.children {
+                stack.extend_from_slice(kids);
+            }
+        }
+        let mut kept = 0;
+        for slot in remap.iter_mut().filter(|s| **s == 0) {
+            *slot = kept;
+            kept += 1;
+        }
+        if kept as usize == before {
+            return (kept.into(), 0);
+        }
+        let mut i = 0;
+        self.nodes.retain(|_| {
+            i += 1;
+            remap[i - 1] != u32::MAX
+        });
+        self.nodes.shrink_to_fit();
+        for node in &mut self.nodes {
+            if let DChildren::Nodes(kids) = &mut node.children {
+                *kids = kids.iter().map(|&k| remap[k as usize]).collect();
+            }
+        }
+        self.root = remap[self.root as usize];
+        self.index_nodes();
+        (kept.into(), (before - kept as usize) as u64)
+    }
+
+    /// A key table for exactly the nodes held, at load at most ½.
+    fn index_nodes(&mut self) {
+        self.table = KeyTable::with_capacity(self.nodes.len());
+        for (i, node) in self.nodes.iter().enumerate() {
+            self.table.insert(node.key, i as u32);
+        }
     }
 
     /// The node for `key`, whose key range holds exactly the branch nodes
@@ -277,7 +344,8 @@ impl<M: Moments> DistTree<M> {
             kids.iter().map(|&k| &self.nodes[k as usize].summary),
             &self.local.domain,
         );
-        self.push_node(DNode { summary, owner: SHARED, children: DChildren::Nodes(kids) })
+        self.nodes.push(DNode { summary, owner: SHARED, children: DChildren::Nodes(kids) });
+        self.nodes.len() as u32 - 1
     }
 
     fn push_node(&mut self, node: DNode<M>) -> u32 {
@@ -349,7 +417,10 @@ impl<M: Moments> DistTree<M> {
     /// distinct child octants of it in ascending order, and its summary is
     /// bit for bit [`Summary::of_children`] of theirs (so the root counts
     /// every branch's particles); the branches below the shared nodes are
-    /// disjoint. Remote cells installed by a walk below a branch are
+    /// disjoint. After `DistTree::prune` a shared node either keeps all
+    /// its children or is [`DChildren::Pruned`], and only a shared node
+    /// may be; a pruned node's summary is not checked, as what it merged
+    /// is gone. Remote cells installed by a walk below a branch are
     /// checked for key uniqueness only.
     pub fn validate(&self) -> Result<(), TopTreeError> {
         for (i, node) in self.nodes.iter().enumerate() {
@@ -359,6 +430,9 @@ impl<M: Moments> DistTree<M> {
                     return Err(TopTreeError::DuplicateKey { key: node.key })
                 }
                 _ => return Err(TopTreeError::NotInTable { key: node.key }),
+            }
+            if node.children == DChildren::Pruned && node.owner != SHARED {
+                return Err(TopTreeError::PrunedNotShared { key: node.key });
             }
         }
         let mut branches = Vec::new();
@@ -371,6 +445,7 @@ impl<M: Moments> DistTree<M> {
             }
             let kids: &[u32] = match &node.children {
                 DChildren::Nodes(kids) => kids,
+                DChildren::Pruned => continue,
                 _ => &[],
             };
             let mut prev: Option<Key> = None;
@@ -434,6 +509,12 @@ pub enum TopTreeError {
         /// The branch it overlaps.
         b: Key,
     },
+    /// A branch or a remote cell is marked [`DChildren::Pruned`]: only a
+    /// shared node's subtree may be dropped.
+    PrunedNotShared {
+        /// The marked node.
+        key: Key,
+    },
 }
 
 impl std::fmt::Display for TopTreeError {
@@ -448,6 +529,7 @@ impl std::fmt::Display for TopTreeError {
                 write!(f, "{key:?}: the summary is not its children's")
             }
             TopTreeError::BranchesOverlap { a, b } => write!(f, "branches {a:?} and {b:?} overlap"),
+            TopTreeError::PrunedNotShared { key } => write!(f, "{key:?} is pruned but not shared"),
         }
     }
 }
@@ -687,6 +769,43 @@ mod tests {
             for (rank, (differ, shared)) in out.results.iter().enumerate() {
                 assert!(differ.is_empty(), "np={np} rank={rank}: {differ:?} differ from the serial tree");
                 assert!(*shared >= cuts.len(), "np={np}: {shared} shared nodes");
+            }
+        }
+    }
+
+    /// A kept shared node must have all its children or be pruned, and
+    /// only a shared node may be pruned: the validator names each breach
+    /// with its own error.
+    #[test]
+    fn validate_learns_the_pruned_canopy() {
+        let out = RunConfig::builder().np(4).run(|c| {
+            let (mine, iv) = decompose(c, sweep_bodies("uniform", c.rank(), 4), 16);
+            let pos: Vec<Vec3> = mine.iter().map(|b| b.pos).collect();
+            let q: Vec<f64> = mine.iter().map(|b| b.charge).collect();
+            let local = Tree::<MassMoments>::build(Aabb::unit(), &pos, &q, 4);
+            let mut dt = DistTree::build(c, local, iv);
+            let root = dt.root as usize;
+            let branch = dt.nodes.iter().position(|n| n.owner != SHARED).expect("a branch");
+            let DChildren::Nodes(kids) = dt.nodes[root].children else { panic!("a bare root") };
+            let check = |dt: &mut DistTree<MassMoments>, i: usize, mark: DChildren| {
+                let was = std::mem::replace(&mut dt.nodes[i].children, mark);
+                let got = dt.validate();
+                dt.nodes[i].children = was;
+                got
+            };
+            let short = DChildren::Nodes(kids[1..].iter().copied().collect());
+            let misplaced = TopTreeError::PrunedNotShared { key: dt.nodes[branch].key };
+            let partial = TopTreeError::NotSummaryOfChildren { key: Key::ROOT };
+            [
+                (check(&mut dt, root, DChildren::Pruned), Ok(())),
+                (check(&mut dt, branch, DChildren::Pruned), Err(misplaced)),
+                (check(&mut dt, root, short), Err(partial)),
+                (dt.validate(), Ok(())),
+            ]
+        });
+        for (rank, checks) in out.results.iter().enumerate() {
+            for (i, (got, want)) in checks.iter().enumerate() {
+                assert_eq!(got, want, "rank {rank}, check {i}");
             }
         }
     }

@@ -52,11 +52,19 @@
 //! replaced it is row D1. The whole exchange runs to quiescence with ABM's
 //! termination protocol, every rank serving its peers' fetch requests from
 //! its local tree throughout.
+//!
+//! Before any of this the walk cuts the rank's top tree to its reach: every
+//! shared node the MAC accepts against one sphere holding all the rank's
+//! sink groups is accepted by each group, so its subtree is dropped
+//! (`DistTree::prune`) and a group that opened it would panic. The lists
+//! are those of the whole top tree, bit for bit; only the memory changes
+//! (DESIGN.md, "The reach of a rank's walk").
 
 use crate::dtree::{DChildren, DNode, DistTree};
 use crate::ilist::{InteractionList, ListConsumer};
 use crate::mac::Mac;
 use crate::moments::Moments;
+use crate::tree::Tree;
 use crate::walk::{fan_out, walk_subtree, workers_for, WalkStats};
 use bytes::Bytes;
 use hot_base::Vec3;
@@ -142,6 +150,12 @@ pub struct DwalkStats {
     /// ABM session counters. `posted`/`delivered`/bytes are logical and
     /// schedule-independent; `batches_sent` is not.
     pub abm: hot_comm::AbmStats,
+    /// Global nodes this rank kept when the walk cut its top tree to the
+    /// reach of its sink groups, before anything was fetched (see the
+    /// module docs). A pure function of the tree, the MAC and the groups.
+    pub top_nodes_kept: u64,
+    /// Global nodes the same cut dropped.
+    pub top_nodes_dropped: u64,
 }
 
 /// Run the distributed traversal, recording a `Walk` span into `trace`.
@@ -151,6 +165,11 @@ pub struct DwalkStats {
 /// [`crate::walk::default_group_size`]); `_cfg` carries nothing (see
 /// [`WalkConfig`]). Ready batches run on the rank's share of the hardware
 /// threads ([`Comm::compute_threads`]).
+///
+/// The walk first cuts `dt`'s top tree to what its own sink groups can
+/// open under `mac` (see the module docs), so a tree serves one walk;
+/// walking it again panics once the first walk fetched anything. Build a
+/// fresh tree for another walk.
 ///
 /// The walk phase must stay bitwise identical across message schedules, so
 /// the span records only *logical* quantities: cells opened, list entries,
@@ -186,9 +205,55 @@ pub fn dwalk_with_traced<M: Moments, C: ListConsumer<M>>(
     stats
 }
 
-/// The coalesced pipeline. `abm_batch` is the ABM batch capacity in bytes
-/// (production uses [`ABM_BATCH`]); `workers` maps a ready batch's sink
-/// count to the threads it is computed on.
+/// The walk of `group_size` sink groups: first the top tree is cut to
+/// what the groups can reach ([`reach`], [`DistTree::prune`]), then
+/// [`walk_groups`] runs the rounds. Nothing blocks between the tree's
+/// build and the cut, so on one executor worker at most one rank holds
+/// its whole top tree at a time.
+fn dwalk_pipelined<M: Moments, C: ListConsumer<M>>(
+    comm: &mut Comm,
+    dt: &mut DistTree<M>,
+    mac: &Mac,
+    consumer: &mut C,
+    group_size: usize,
+    abm_batch: usize,
+    workers: impl Fn(usize) -> usize,
+) -> DwalkStats {
+    let groups = dt.local.groups(group_size);
+    let sphere = reach(&dt.local, &groups);
+    let (kept, dropped) = dt.prune(|s| sphere.is_some_and(|(c, r)| !mac.accepts(s, c, r)));
+    let mut stats = walk_groups(comm, dt, mac, consumer, groups, abm_batch, workers);
+    (stats.top_nodes_kept, stats.top_nodes_dropped) = (kept, dropped);
+    stats
+}
+
+/// The sphere holding every sink group of `groups` (cells of `local`):
+/// centred on the groups' centres weighted by their sink counts, with
+/// radius the largest `|c_g − C| + bmax_g`, widened by 1e-9 of itself and
+/// of the domain's largest coordinate to cover rounding. `None` without
+/// groups.
+///
+/// A cell the MAC accepts against this sphere is accepted by every group:
+/// each group's distance `|x − c_g| − bmax_g` to a cell centre `x` is at
+/// least the sphere's `|x − C| − R`, and both criteria accept
+/// monotonically in that distance (DESIGN.md, "The reach of a rank's
+/// walk").
+fn reach<M: Moments>(local: &Tree<M>, groups: &[u32]) -> Option<(Vec3, f64)> {
+    if groups.is_empty() {
+        return None;
+    }
+    let cells = groups.iter().map(|&gi| &local.cells[gi as usize]);
+    let sinks: f64 = cells.clone().map(|g| g.n as f64).sum();
+    let center = cells.clone().fold(Vec3::ZERO, |a, g| a + g.center * g.n as f64) / sinks;
+    let r = cells.map(|g| (g.center - center).norm() + g.bmax).fold(0.0, f64::max);
+    let coords = local.domain.min.norm().max(local.domain.max.norm());
+    Some((center, r + 1e-9 * (r + coords)))
+}
+
+/// The coalesced pipeline over the sink groups `groups`. `abm_batch` is
+/// the ABM batch capacity in bytes (production uses [`ABM_BATCH`]);
+/// `workers` maps a ready batch's sink count to the threads it is computed
+/// on.
 ///
 /// Structured as globally synchronized request rounds:
 ///
@@ -220,20 +285,18 @@ pub fn dwalk_with_traced<M: Moments, C: ListConsumer<M>>(
 /// excluded from the trace.) The exchange terminates when the machine-wide
 /// (posted, delivered, parked) triple is stable at (n, n, 0) for two
 /// consecutive iterations.
-fn dwalk_pipelined<M: Moments, C: ListConsumer<M>>(
+fn walk_groups<M: Moments, C: ListConsumer<M>>(
     comm: &mut Comm,
     dt: &mut DistTree<M>,
     mac: &Mac,
     consumer: &mut C,
-    group_size: usize,
+    groups: Vec<u32>,
     abm_batch: usize,
     workers: impl Fn(usize) -> usize,
 ) -> DwalkStats {
     let mut stats = DwalkStats::default();
     // One walk per sink group, all starting at the global root.
-    let mut active: Vec<GroupWalk> = dt
-        .local
-        .groups(group_size)
+    let mut active: Vec<GroupWalk> = groups
         .into_iter()
         .map(|gi| GroupWalk { gi, untested: vec![dt.root], missing: Vec::new() })
         .collect();
@@ -383,6 +446,7 @@ fn resolve<M: Moments>(
             DChildren::RemoteLeaf if dt.body_cache.contains_key(&ni) => continue,
             DChildren::RemoteLeaf => true,
             DChildren::RemoteUnfetched => false,
+            DChildren::Pruned => panic!("a sink group opened {:?}, which the cut pruned", node.key),
         };
         w.missing.push(ni);
         if requested.insert(node.key.0) {
@@ -458,6 +522,7 @@ fn emit<M: Moments>(
             DChildren::RemoteUnfetched => {
                 unreachable!("emit reached a remote cell resolve left unfetched")
             }
+            DChildren::Pruned => panic!("emit opened {:?}, which the cut pruned", node.key),
         }
     }
     stats.pinned_to(list, &sinks, gi)
@@ -1222,6 +1287,188 @@ mod tests {
             assert!(serial == dist, "clustered {clustered}: the lists differ");
             assert_eq!(stats, walk, "clustered {clustered}");
         }
+    }
+
+    /// Every list it is handed, as `(first sink, bits)`, and per sink the
+    /// monopole acceleration those lists give (softened, self-pairs
+    /// skipped through the P-P source index).
+    struct Forces {
+        lists: Lists,
+        acc: Vec<Vec3>,
+    }
+
+    impl ListConsumer<MassMoments> for Forces {
+        fn consume(
+            &mut self,
+            pos: &[Vec3],
+            _charge: &[f64],
+            sinks: Range<usize>,
+            list: &InteractionList<MassMoments>,
+        ) {
+            self.lists.push((sinks.start, list_bits(list)));
+            let pull = |at: Vec3, x: Vec3, m: f64| {
+                let d = x - at;
+                d * (m / (d.norm2() + 1e-6).powf(1.5))
+            };
+            for i in sinks {
+                let mut a = Vec3::ZERO;
+                for seg in list.segments() {
+                    match seg {
+                        Segment::Pp(v) => {
+                            for j in (0..v.x.len()).filter(|&j| v.idx[j] as usize != i) {
+                                a += pull(pos[i], Vec3::new(v.x[j], v.y[j], v.z[j]), v.q[j]);
+                            }
+                        }
+                        Segment::Pc(c) => {
+                            for k in 0..c.x.len() {
+                                a += pull(pos[i], Vec3::new(c.x[k], c.y[k], c.z[k]), c.m[k].mass);
+                            }
+                        }
+                    }
+                }
+                self.acc[i] = a;
+            }
+        }
+    }
+
+    /// One rank's walk, in bits: its lists by first sink, its forces, its
+    /// walk counts and group costs, `[cell requests, body requests,
+    /// request messages, rounds, parks]`; beside them, the top-tree nodes
+    /// the cut dropped.
+    type Walked = ((Lists, Vec<[u64; 3]>, WalkStats, Vec<(u32, u64)>, [u64; 5]), u64);
+
+    /// A rank's lists, as `(first sink, bits)`.
+    type Lists = Vec<(usize, Vec<u64>)>;
+
+    /// The cut's inputs: np, MAC, group size, clustered bodies.
+    type CutCase = (u32, Mac, usize, bool);
+
+    /// Bodies for a cut case: fewer per rank as np grows, charges scaled
+    /// by 2^-20 so that the Salmon–Warren bound accepts some shared
+    /// nodes in the unit box (scaling by a power of two keeps every sum
+    /// exact as it was).
+    fn cut_case_bodies(c: &Comm, np: u32, clustered: bool) -> Vec<Body<f64>> {
+        let n_per = match np {
+            2 => 400,
+            8 => 150,
+            _ => 48,
+        };
+        let mut bodies = make_bodies(c, n_per, 2024, clustered);
+        bodies.iter_mut().for_each(|b| b.charge *= (-20f64).exp2());
+        bodies
+    }
+
+    /// One walk of a cut case on every rank: with the cut, as the public
+    /// entry runs it, or without it, straight into [`walk_groups`]. After
+    /// the cut walk the tree must still validate.
+    fn cut_case_run(case: CutCase, cut: bool) -> Vec<Walked> {
+        let (np, mac, group_size, clustered) = case;
+        let out = RunConfig::builder().np(np).run(move |c| {
+            let (mine, iv) = decompose(c, cut_case_bodies(c, np, clustered), 32);
+            let pos: Vec<Vec3> = mine.iter().map(|b| b.pos).collect();
+            let q: Vec<f64> = mine.iter().map(|b| b.charge).collect();
+            let tree = Tree::<MassMoments>::build(Aabb::unit(), &pos, &q, 8);
+            let mut dt = DistTree::build(c, tree, iv);
+            let n = dt.local.n_particles();
+            let mut forces = Forces { lists: Vec::new(), acc: vec![Vec3::ZERO; n] };
+            let share = c.compute_threads();
+            let workers = |sinks| workers_for(sinks, share);
+            let s = if cut {
+                let s =
+                    dwalk_pipelined(c, &mut dt, &mac, &mut forces, group_size, ABM_BATCH, workers);
+                assert_eq!(dt.validate(), Ok(()), "rank {} after the walk", c.rank());
+                s
+            } else {
+                let groups = dt.local.groups(group_size);
+                walk_groups(c, &mut dt, &mac, &mut forces, groups, ABM_BATCH, workers)
+            };
+            forces.lists.sort_unstable();
+            let acc = forces.acc.iter().map(|a| [a.x, a.y, a.z].map(f64::to_bits)).collect();
+            let counts = [s.cell_requests, s.body_requests, s.request_msgs, s.rounds, s.parks];
+            ((forces.lists, acc, s.walk, s.group_costs, counts), s.top_nodes_dropped)
+        });
+        out.results
+    }
+
+    /// Every cut case: np 2, 8 and 64; Barnes–Hut θ = 0.4 and 0.7 and
+    /// Salmon–Warren δ = 1e-4; groups of 8, 32 and 64; uniform and
+    /// clustered bodies.
+    fn cut_cases() -> Vec<CutCase> {
+        let macs = [
+            Mac::BarnesHut { theta: 0.4 },
+            Mac::BarnesHut { theta: 0.7 },
+            Mac::SalmonWarren { delta: 1e-4 },
+        ];
+        let mut cases = Vec::new();
+        for np in [2, 8, 64] {
+            for mac in macs {
+                for group_size in [8, 32, 64] {
+                    for clustered in [false, true] {
+                        cases.push((np, mac, group_size, clustered));
+                    }
+                }
+            }
+        }
+        cases
+    }
+
+    /// Cutting the top tree to the reach of the rank's groups changes
+    /// nothing a walk computes: lists, forces, counts, group costs,
+    /// requests, rounds and parks are bit for bit those of the walk over
+    /// the whole top tree, on every rank of every cut case. At np = 64
+    /// each case drops nodes.
+    #[test]
+    fn the_cut_walk_is_the_whole_trees_walk() {
+        for case in cut_cases() {
+            let whole = cut_case_run(case, false);
+            let cut = cut_case_run(case, true);
+            for (rank, (w, c)) in whole.iter().zip(&cut).enumerate() {
+                assert!(w.0 == c.0, "{case:?} rank {rank}: the cut changed the walk");
+            }
+            let dropped: u64 = cut.iter().map(|c| c.1).sum();
+            if case.0 == 64 {
+                assert!(dropped > 0, "{case:?}: nothing was cut");
+            }
+        }
+    }
+
+    /// Non-vacuity of the cut's proof: a sphere that forgets the groups'
+    /// `bmax` is too small, and the first resolve of some group then opens
+    /// a pruned node and panics.
+    #[test]
+    fn a_sphere_without_bmax_opens_a_pruned_node() {
+        let mut hits = 0;
+        for (np, mac, group_size, clustered) in cut_cases().into_iter().filter(|c| c.0 > 2) {
+            let out = RunConfig::builder().np(np).run(move |c| {
+                let (mine, iv) = decompose(c, cut_case_bodies(c, np, clustered), 32);
+                let pos: Vec<Vec3> = mine.iter().map(|b| b.pos).collect();
+                let q: Vec<f64> = mine.iter().map(|b| b.charge).collect();
+                let tree = Tree::<MassMoments>::build(Aabb::unit(), &pos, &q, 8);
+                let mut dt = DistTree::build(c, tree, iv);
+                let groups = dt.local.groups(group_size);
+                let Some((center, _)) = reach(&dt.local, &groups) else { return false };
+                let cells = &dt.local.cells;
+                let r = groups.iter().map(|&gi| (cells[gi as usize].center - center).norm());
+                let r = r.fold(0.0, f64::max);
+                dt.prune(|s| !mac.accepts(s, center, r));
+                let resolved = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                    for &gi in &groups {
+                        let mut w = GroupWalk { gi, untested: vec![dt.root], missing: Vec::new() };
+                        resolve(&dt, &mac, &mut w, &mut BTreeSet::new(), &mut Wants::new());
+                    }
+                }));
+                match resolved {
+                    Ok(()) => false,
+                    Err(p) => {
+                        let msg = p.downcast_ref::<String>().map_or("", String::as_str);
+                        assert!(msg.contains("which the cut pruned"), "{msg}");
+                        true
+                    }
+                }
+            });
+            hits += out.results.iter().filter(|&&hit| hit).count();
+        }
+        assert!(hits > 0, "no configuration opened a pruned node");
     }
 
     /// The distributed walk must agree with a serial walk over the union of
