@@ -51,6 +51,24 @@ cargo test -q --offline --test trace_golden --test trace_differential --test ana
 echo "==> hot-analyze lint"
 cargo run -q --offline --release -p hot-analyze -- lint
 
+echo "==> hot-analyze lint non-vacuity (planted uncounted apply_segment call must exit 1)"
+planted=$(mktemp -d)
+mkdir -p "$planted/crates/gravity/src"
+cat > "$planted/crates/gravity/src/evaluator.rs" <<'EOF'
+fn apply(list: &InteractionList<MassMoments>, pos: &[Vec3], acc: &mut [Vec3]) {
+    for seg in list.segments() {
+        apply_segment(&seg, pos, 0..acc.len(), 1e-6, true, acc, &mut []);
+    }
+}
+EOF
+rc=0
+cargo run -q --offline --release -p hot-analyze -- lint --root "$planted" >/dev/null || rc=$?
+rm -rf "$planted"
+if [ "$rc" -ne 1 ]; then
+  echo "ERROR: planted flop-accounting fixture exited $rc, expected 1 — the rule is vacuous" >&2
+  exit 1
+fi
+
 echo "==> hot-analyze protocol (collective-order / tag-matching / counter-discipline)"
 cargo run -q --offline --release -p hot-analyze -- protocol
 

@@ -83,14 +83,18 @@ const DETERMINISM_SCOPE: [&str; 11] = [
 ];
 
 /// Force-kernel entry points: any non-test call site must visibly feed the
-/// `hot-base` flop counters from its enclosing function.
-const KERNEL_CALLS: [&str; 6] = [
+/// `hot-base` flop counters from its enclosing function. The scalar
+/// kernels, gravity's list-apply entry and the vortex batch kernels.
+const KERNEL_CALLS: [&str; 9] = [
     "pp_acc(",
     "pp_acc_pot(",
     "pc_mono_acc(",
     "pc_quad_acc(",
     "pc_quad_pot(",
+    "apply_segment(",
     "velocity_and_stretching(",
+    "vortex_pp_batch(",
+    "vortex_pc_batch(",
 ];
 
 /// Files that *define* the kernels (their own bodies are the 38 flops being
@@ -384,12 +388,6 @@ pub fn load_allowlist_entries(root: &Path) -> Vec<AllowEntry> {
         .collect()
 }
 
-/// Load the unwrap allowlist paths (see [`load_allowlist_entries`]).
-#[must_use]
-pub fn load_allowlist(root: &Path) -> Vec<String> {
-    load_allowlist_entries(root).into_iter().map(|e| e.path).collect()
-}
-
 /// Collect the workspace sources in scope: `src/` of the root package and
 /// every crate under `crates/`, excluding `crates/analyze` itself (its
 /// sources quote the rule patterns and plant violations as test fixtures)
@@ -530,15 +528,39 @@ mod tests {
 
     #[test]
     fn flop_accounting_fires_on_uncounted_kernel_loop() {
-        let bad = "fn forces(pos: &[f64]) {\n    for i in 0..pos.len() {\n        \
-                   let a = pp_acc(d, m, eps2);\n    }\n}\n";
-        assert_eq!(rules_hit("crates/gravity/src/treecode.rs", bad), ["flop-accounting"]);
-        let good = "fn forces(pos: &[f64], counter: &FlopCounter) {\n    \
-                    for i in 0..pos.len() {\n        let a = pp_acc(d, m, eps2);\n    }\n    \
-                    counter.add(Kind::GravPP, pos.len() as u64);\n}\n";
-        assert!(rules_hit("crates/gravity/src/treecode.rs", good).is_empty());
-        // The kernel-defining file itself is exempt.
-        assert!(rules_hit("crates/gravity/src/kernels.rs", bad).is_empty());
+        let calls = [
+            ("crates/gravity/src/treecode.rs", "crates/gravity/src/kernels.rs", "pp_acc(d, m, eps2)"),
+            (
+                "crates/gravity/src/evaluator.rs",
+                "crates/gravity/src/kernels.rs",
+                "apply_segment(&seg, pos, 0..8, eps2, true, acc, &mut [])",
+            ),
+            (
+                "crates/vortex/src/evaluator.rs",
+                "crates/vortex/src/kernel.rs",
+                "vortex_pp_batch(xi, ai, 3, &src, sigma2)",
+            ),
+            (
+                "crates/vortex/src/evaluator.rs",
+                "crates/vortex/src/kernel.rs",
+                "vortex_pc_batch(xi, ai, &cells, sigma2, &mut u, &mut s)",
+            ),
+        ];
+        for (rel, def, call) in calls {
+            let bad = format!(
+                "fn forces(pos: &[f64]) {{\n    for i in 0..pos.len() {{\n        \
+                 let a = {call};\n    }}\n}}\n"
+            );
+            assert_eq!(rules_hit(rel, &bad), ["flop-accounting"], "{call}");
+            let good = format!(
+                "fn forces(pos: &[f64], counter: &FlopCounter) {{\n    \
+                 for i in 0..pos.len() {{\n        let a = {call};\n    }}\n    \
+                 counter.add(Kind::GravPP, pos.len() as u64);\n}}\n"
+            );
+            assert!(rules_hit(rel, &good).is_empty(), "{call}");
+            // The kernel-defining file itself is exempt.
+            assert!(rules_hit(def, &bad).is_empty(), "{call}");
+        }
     }
 
     #[test]

@@ -154,11 +154,6 @@ pub struct FlopReport {
 }
 
 impl FlopReport {
-    /// Total gravitational interactions (pp + pc).
-    pub fn grav_interactions(&self) -> u64 {
-        self.grav_pp + self.grav_pc_mono + self.grav_pc_quad
-    }
-
     /// Total vortex interactions.
     pub fn vortex_interactions(&self) -> u64 {
         self.vortex_pp + self.vortex_pc

@@ -25,21 +25,13 @@
 //!
 //! [`rsqrt`] is the scalar definition and the oracle; [`rsqrt_lanes`] does
 //! the same steps on several values at once, bit for bit, in a shape the
-//! compiler vectorises — the gravity span kernels call it with one sink
-//! per lane.
+//! compiler vectorises — gravity's lane body (behind
+//! `hot_gravity::kernels::apply_segment`) calls it with one sink per lane.
 
 /// log2 of the seed-table size.
 pub const TABLE_BITS: u32 = 6;
 /// Number of seed-table entries.
 pub const TABLE_SIZE: usize = 1 << TABLE_BITS;
-
-/// Flops charged for one [`rsqrt`] call: 7 for the seed polynomial
-/// (1 sub, 3 mul for `t` and Horner, 2 add, 1 mul by `rᵢ`), 2 × 5 for the
-/// two Newton–Raphson passes, and 1 for the exponent-scale multiply.
-pub const RSQRT_FLOPS: u64 = 18;
-
-/// Flops charged for one [`rsqrt_f32`] call (single Newton–Raphson pass).
-pub const RSQRT_F32_FLOPS: u64 = 13;
 
 #[derive(Clone, Copy)]
 struct Entry {
@@ -142,7 +134,7 @@ pub fn rsqrt_f32(x: f32) -> f32 {
 }
 
 /// `[f(0), …, f(W − 1)]`, filled by a plain counted loop. The lane code
-/// here and in `hot-gravity`'s span kernels builds every intermediate with
+/// here and in `hot-gravity`'s lane body builds every intermediate with
 /// it: unlike `std::array::from_fn` (an iterator over uninitialised
 /// storage), this shape is one the compiler turns into a single vector
 /// operation when the caller is compiled with vector registers.

@@ -50,11 +50,6 @@ impl OnlineStats {
         }
     }
 
-    /// Population standard deviation.
-    pub fn std_dev(&self) -> f64 {
-        self.variance().sqrt()
-    }
-
     /// Root mean square of the samples: `sqrt(mean² + var)`.
     pub fn rms(&self) -> f64 {
         (self.mean() * self.mean() + self.variance()).sqrt()

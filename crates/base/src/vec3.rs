@@ -119,22 +119,10 @@ impl Vec3 {
         self.x.min(self.y).min(self.z)
     }
 
-    /// Component-wise (Hadamard) product.
-    #[inline(always)]
-    pub fn hadamard(self, rhs: Vec3) -> Vec3 {
-        Vec3 { x: self.x * rhs.x, y: self.y * rhs.y, z: self.z * rhs.z }
-    }
-
     /// Distance between two points.
     #[inline(always)]
     pub fn distance(self, rhs: Vec3) -> f64 {
         (self - rhs).norm()
-    }
-
-    /// Squared distance between two points.
-    #[inline(always)]
-    pub fn distance2(self, rhs: Vec3) -> f64 {
-        (self - rhs).norm2()
     }
 
     /// True when every component is finite.

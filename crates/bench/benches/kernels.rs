@@ -13,9 +13,9 @@ fn quick() -> Criterion {
 }
 use hot_base::rsqrt::{rsqrt, rsqrt_f32};
 use hot_base::{SymMat3, Vec3};
-use hot_core::ilist::{PcView, PpView};
+use hot_core::ilist::{PcView, PpView, Segment};
 use hot_core::moments::MassMoments;
-use hot_gravity::kernels::{pc_quad_acc, pc_quad_acc_span, pp_acc, pp_acc_span, span_uses_avx2};
+use hot_gravity::kernels::{apply_segment, pc_quad_acc, pp_acc, span_uses_avx2};
 use hot_vortex::kernel::velocity_and_stretching;
 
 fn bench_rsqrt(c: &mut Criterion) {
@@ -69,9 +69,9 @@ fn bench_interactions(c: &mut Criterion) {
     g.finish();
 }
 
-/// The production apply path: one 32-sink group against a 1 024-cell
-/// quadrupole segment and a 16-source ghost P-P segment, through the lane
-/// body the host selects. Reported per interaction, next to the scalar
+/// The production apply path, `apply_segment`: one 32-sink group against a
+/// 1 024-cell quadrupole segment and a 16-source ghost P-P segment, through
+/// the lane body the host selects. Reported per interaction, next to the scalar
 /// `interaction` rows above.
 fn bench_span(c: &mut Criterion) {
     println!("span kernels: {} instantiation", if span_uses_avx2() { "AVX2" } else { "baseline" });
@@ -87,18 +87,18 @@ fn bench_span(c: &mut Criterion) {
     let [x, y, z] = far(1024);
     let quad = SymMat3::new(0.1, 0.2, 0.3, 0.01, 0.02, 0.03);
     let m = vec![MassMoments { mass: 1.5, quad, b2: quad.trace() }; 1024];
-    let cells = PcView::<MassMoments> { x: &x, y: &y, z: &z, m: &m };
+    let cells = Segment::Pc(PcView::<MassMoments> { x: &x, y: &y, z: &z, m: &m });
     g.throughput(Throughput::Elements(32 * 1024));
     g.bench_function("quadrupole_32_sinks_x_1024_cells", |b| {
-        b.iter(|| pc_quad_acc_span(&sinks, 0..32, black_box(&cells), 1e-6, &mut acc));
+        b.iter(|| apply_segment(black_box(&cells), &sinks, 0..32, 1e-6, true, &mut acc, &mut []));
     });
 
     let [x, y, z] = far(16);
     let (q, idx) = (vec![1.5; 16], vec![u32::MAX; 16]);
-    let src = PpView::<MassMoments> { x: &x, y: &y, z: &z, q: &q, idx: &idx };
+    let src = Segment::Pp(PpView::<MassMoments> { x: &x, y: &y, z: &z, q: &q, idx: &idx });
     g.throughput(Throughput::Elements(32 * 16));
     g.bench_function("monopole_32_sinks_x_16_sources", |b| {
-        b.iter(|| pp_acc_span(&sinks, 0..32, black_box(&src), 1e-6, &mut acc));
+        b.iter(|| apply_segment(black_box(&src), &sinks, 0..32, 1e-6, false, &mut acc, &mut []));
     });
     g.finish();
 }

@@ -57,23 +57,26 @@ impl Comm {
     /// Binomial-tree broadcast from `root`. Non-root ranks pass a value that
     /// is replaced; the returned value is the root's on every rank.
     pub fn bcast<T: Wire>(&mut self, root: u32, v: T) -> T {
+        self.bcast_from(root, Some(v))
+    }
+
+    /// The one broadcast body. `v` may be `None` on a non-root rank with
+    /// no value of its own (`allreduce`'s); the root must pass `Some`.
+    fn bcast_from<T: Wire>(&mut self, root: u32, mut v: Option<T>) -> T {
         let np = self.size();
-        if np == 1 {
-            return v;
-        }
         let rel = (self.rank() + np - root) % np;
-        let mut v = v;
         // Receive phase: my parent owns the subtree whose id clears my
         // lowest set bit.
         let mut mask = 1u32;
         while mask < np {
             if rel & mask != 0 {
                 let src = (self.rank() + np - mask) % np;
-                v = self.recv(src, TAG_BCAST);
+                v = Some(self.recv(src, TAG_BCAST));
                 break;
             }
             mask <<= 1;
         }
+        let v = v.expect("the root passes a value, every other rank receives one");
         // Forward phase: send to children below my lowest set bit.
         mask >>= 1;
         while mask > 0 {
@@ -117,45 +120,8 @@ impl Comm {
 
     /// Reduce-to-zero followed by broadcast: every rank gets the total.
     pub fn allreduce<T: Wire + Clone>(&mut self, v: T, op: impl Fn(T, T) -> T) -> T {
-        match self.reduce(0, v, op) {
-            Some(total) => self.bcast(0, total),
-            None => {
-                // Participate in the bcast with a placeholder; the received
-                // value replaces it. We must materialize *some* T: use the
-                // incoming wire value directly.
-                let np = self.size();
-                debug_assert!(np > 1);
-                self.bcast_recv_only(0)
-            }
-        }
-    }
-
-    /// Non-root side of a broadcast for ranks that have no value of their
-    /// own to contribute (used by `allreduce`).
-    fn bcast_recv_only<T: Wire>(&mut self, root: u32) -> T {
-        let np = self.size();
-        let rel = (self.rank() + np - root) % np;
-        debug_assert!(rel != 0, "root must call bcast, not bcast_recv_only");
-        let mut mask = 1u32;
-        let mut v: Option<T> = None;
-        while mask < np {
-            if rel & mask != 0 {
-                let src = (self.rank() + np - mask) % np;
-                v = Some(self.recv(src, TAG_BCAST));
-                break;
-            }
-            mask <<= 1;
-        }
-        let v = v.expect("non-root rank always receives in a bcast");
-        let mut mask = mask >> 1;
-        while mask > 0 {
-            if rel + mask < np {
-                let dst = (self.rank() + mask) % np;
-                self.send(dst, TAG_BCAST, &v);
-            }
-            mask >>= 1;
-        }
-        v
+        let total = self.reduce(0, v, op);
+        self.bcast_from(0, total)
     }
 
     /// Sum-allreduce for `f64`.

@@ -107,67 +107,11 @@ impl FaultConfig {
     pub fn kills_enabled(&self) -> bool {
         self.kill > 0.0 && self.kill_window.1 > self.kill_window.0
     }
-
-    // Per-field builders, so call sites tweak one knob off a named base
-    // (`FaultConfig::clean(seed).with_drop(0.2)`) instead of spelling the
-    // whole struct. Same idiom as `DistOptions` / `TreecodeOptions`.
-
-    /// Replace the decision seed.
-    #[must_use]
-    pub fn with_seed(mut self, seed: u64) -> Self {
-        self.seed = seed;
-        self
-    }
-
-    /// Set the frame-drop probability.
-    #[must_use]
-    pub fn with_drop(mut self, p: f64) -> Self {
-        self.drop = p;
-        self
-    }
-
-    /// Set the frame-duplication probability.
-    #[must_use]
-    pub fn with_duplicate(mut self, p: f64) -> Self {
-        self.duplicate = p;
-        self
-    }
-
-    /// Set the hold-back probability and its bound in delivery slots.
-    #[must_use]
-    pub fn with_delay(mut self, p: f64, max_slots: u32) -> Self {
-        self.delay = p;
-        self.max_delay_slots = max_slots;
-        self
-    }
-
-    /// Set the single-bit corruption probability.
-    #[must_use]
-    pub fn with_corrupt(mut self, p: f64) -> Self {
-        self.corrupt = p;
-        self
-    }
-
-    /// Set the transient-stall probability.
-    #[must_use]
-    pub fn with_stall(mut self, p: f64) -> Self {
-        self.stall = p;
-        self
-    }
-
-    /// Arm seeded crash-stop kills: each rank dies with probability `p` at
-    /// a seeded model-clock op inside `window`.
-    #[must_use]
-    pub fn with_kill(mut self, p: f64, window: (u64, u64)) -> Self {
-        self.kill = p;
-        self.kill_window = window;
-        self
-    }
 }
 
 /// `Default` is the fault-free configuration under seed 0 —
-/// [`FaultConfig::clean`]`(0)` — so `FaultConfig::default().with_drop(0.1)`
-/// reads like the other option structs.
+/// [`FaultConfig::clean`]`(0)`; set other fields with struct-update syntax
+/// (`FaultConfig { drop: 0.1, ..FaultConfig::default() }`).
 impl Default for FaultConfig {
     fn default() -> Self {
         FaultConfig::clean(0)
@@ -188,14 +132,6 @@ pub struct FaultDecision {
     pub corrupt_bit: Option<u64>,
     /// Hold the frame for this many delivery slots before releasing it.
     pub delay_slots: u32,
-}
-
-impl FaultDecision {
-    /// True when any wire fault applies.
-    #[must_use]
-    pub fn is_faulty(&self) -> bool {
-        self.drop || self.duplicate || self.corrupt_bit.is_some() || self.delay_slots > 0
-    }
 }
 
 /// A targeted, test-oriented injection: fault exactly one identified frame.

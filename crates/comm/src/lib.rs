@@ -71,8 +71,9 @@ pub use wire::{
 /// Everything about *what* the program computes lives in the options
 /// struct of the subsystem you call (`hot_gravity::DistOptions`;
 /// `hot_gravity::TreecodeOptions`; [`FaultConfig`] inside a
-/// [`FaultPlan`]). All of those are plain data
-/// with `Default` + `with_*` builder methods; none of them nests a
+/// [`FaultPlan`]). All of those are plain data with `Default` (the two
+/// options structs add `with_*` builder methods, [`FaultConfig`] named
+/// constructors such as [`FaultConfig::clean`]); none of them nests a
 /// `RunConfig`.
 pub mod prelude {
     pub use crate::fault::{FaultConfig, FaultPlan};

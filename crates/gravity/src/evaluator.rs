@@ -4,18 +4,15 @@
 //! This is the *apply* stage of the paper's list-build / list-apply split:
 //! the traversal ([`hot_core::walk::walk_lists`] or the distributed walk)
 //! records each sink group's accepted sources into an
-//! [`InteractionList`], and [`GravityEvaluator::consume`] streams the
-//! list through the batched kernels in `kernels.rs` — per sink, in list
+//! [`InteractionList`], and [`GravityEvaluator::consume`] hands the
+//! list to [`apply_segment`] one segment at a time — per sink, in list
 //! order, bitwise-identical to the scalar kernels applied one source at a
 //! time.
 
-use crate::kernels::{
-    pc_mono_acc_pot_span, pc_mono_acc_span, pc_quad_acc_pot_span, pc_quad_acc_span,
-    pp_acc_pot_span, pp_acc_span,
-};
+use crate::kernels::apply_segment;
 use hot_base::flops::{FlopCounter, Kind};
 use hot_base::Vec3;
-use hot_core::ilist::{InteractionList, ListConsumer, Segment};
+use hot_core::ilist::{InteractionList, ListConsumer};
 use hot_core::moments::MassMoments;
 use std::ops::Range;
 
@@ -60,8 +57,8 @@ impl ListConsumer<MassMoments> for GravityEvaluator<'_> {
             self.counter.add(Kind::GravPCMono, pc_pairs);
         }
         let work_per_sink = (list.pp_entries() + list.pc_entries()) as f32;
-        // Segments are applied segment-outer, sinks blocked inside the
-        // span kernels — per sink, each P-P segment still adds its own
+        // Segments are applied segment-outer, sinks blocked inside
+        // `apply_segment` — per sink, each P-P segment still adds its own
         // fresh sub-sum once and each P-C cell adds directly, in list
         // order: bitwise the old sink-outer evaluation, but one segment
         // dispatch per group instead of per sink, each source loaded
@@ -72,54 +69,9 @@ impl ListConsumer<MassMoments> for GravityEvaluator<'_> {
         // block instead of once per group.)
         let o = sinks.start - self.base;
         let acc = &mut self.acc[o..o + sinks.len()];
-        let pot = self.pot.as_deref_mut().map(|p| &mut p[o..o + sinks.len()]);
-        match pot {
-            Some(pot) => {
-                for seg in list.segments() {
-                    match seg {
-                        Segment::Pp(src) => {
-                            pp_acc_pot_span(sink_pos, sinks.clone(), &src, self.eps2, acc, pot);
-                        }
-                        Segment::Pc(cells) => {
-                            if self.quadrupole {
-                                pc_quad_acc_pot_span(
-                                    sink_pos,
-                                    sinks.clone(),
-                                    &cells,
-                                    self.eps2,
-                                    acc,
-                                    pot,
-                                );
-                            } else {
-                                pc_mono_acc_pot_span(
-                                    sink_pos,
-                                    sinks.clone(),
-                                    &cells,
-                                    self.eps2,
-                                    acc,
-                                    pot,
-                                );
-                            }
-                        }
-                    }
-                }
-            }
-            None => {
-                for seg in list.segments() {
-                    match seg {
-                        Segment::Pp(src) => {
-                            pp_acc_span(sink_pos, sinks.clone(), &src, self.eps2, acc);
-                        }
-                        Segment::Pc(cells) => {
-                            if self.quadrupole {
-                                pc_quad_acc_span(sink_pos, sinks.clone(), &cells, self.eps2, acc);
-                            } else {
-                                pc_mono_acc_span(sink_pos, sinks.clone(), &cells, self.eps2, acc);
-                            }
-                        }
-                    }
-                }
-            }
+        let pot = self.pot.as_deref_mut().map_or(&mut [][..], |p| &mut p[o..o + sinks.len()]);
+        for seg in list.segments() {
+            apply_segment(&seg, sink_pos, sinks.clone(), self.eps2, self.quadrupole, acc, pot);
         }
         if !self.work.is_empty() {
             for w in &mut self.work[o..o + sinks.len()] {

@@ -8,13 +8,13 @@
 //! quadrupole correction (the dipole vanishes because expansions are formed
 //! about cell centers of mass).
 //!
-//! Three layers, one arithmetic. The scalar kernels ([`pp_acc`],
-//! [`pc_quad_acc`], …) define the operations and their order; the per-sink
-//! `*_batch` kernels sum them over a list segment in list order; the
-//! `*_span` kernels — the production apply path — do the same for a whole
-//! sink group, [`LANES`] sinks at a time with one sink per SIMD lane, and
-//! are compiled a second time for AVX2 and chosen by the CPU at run time.
-//! The first two are the oracle the third is pinned against bit for bit
+//! One arithmetic, one entry. The five scalar kernels ([`pp_acc`],
+//! [`pc_quad_acc`], …) define the operations and their order.
+//! [`apply_segment`] — the production apply path — runs one list segment
+//! against a whole sink group, [`LANES`] sinks at a time with one sink per
+//! SIMD lane; the lane body is compiled a second time for AVX2 and chosen
+//! by the CPU at run time. The scalar kernels applied per sink in list
+//! order are the oracle the entry is pinned against bit for bit
 //! (`proptests.rs`): vectorising across sinks leaves every sink's own
 //! sequence of IEEE operations untouched.
 //!
@@ -22,7 +22,7 @@
 
 use hot_base::rsqrt::{per_lane, rsqrt, rsqrt_lanes};
 use hot_base::{SymMat3, Vec3};
-use hot_core::ilist::{PcView, PpView};
+use hot_core::ilist::{PcView, PpView, Segment};
 use hot_core::moments::MassMoments;
 use std::ops::Range;
 
@@ -90,120 +90,12 @@ pub fn pc_quad_pot(d: Vec3, m: f64, quad: &SymMat3, eps2: f64) -> f64 {
     -m * rinv - 0.5 * (3.0 * dqd - r2 * tr) * rinv5
 }
 
-/// Whether a P-P segment can contain sink `i`'s self-pair at all.
+/// Whether a P-P segment can contain a self-pair of *any* sink in `sinks`.
 ///
 /// Local sources carry consecutive tree-order indices, ghosts carry
 /// `u32::MAX`, so a range test on the endpoints decides for the whole
-/// segment — letting the batch kernels run the branch-free inner loop on
-/// every segment that cannot alias (the common case: all but the sink
-/// group's own leaves).
-#[inline(always)]
-fn may_alias(src: &PpView<'_, MassMoments>, sink: u32) -> bool {
-    match (src.idx.first(), src.idx.last()) {
-        (Some(&f), Some(&l)) => f != u32::MAX && f <= sink && sink <= l,
-        _ => false,
-    }
-}
-
-/// Batched P-P kernel: the acceleration at one sink from every source in
-/// a list segment, summed in list order (bitwise-identical to calling
-/// [`pp_acc`] source by source). `sink` is the sink's tree-order index,
-/// used only to skip its self-pair.
-pub fn pp_acc_batch(xi: Vec3, sink: u32, src: &PpView<'_, MassMoments>, eps2: f64) -> Vec3 {
-    let mut a = Vec3::ZERO;
-    if may_alias(src, sink) {
-        for j in 0..src.x.len() {
-            if src.idx[j] == sink {
-                continue;
-            }
-            let d = Vec3::new(xi.x - src.x[j], xi.y - src.y[j], xi.z - src.z[j]);
-            a += pp_acc(d, src.q[j], eps2);
-        }
-    } else {
-        for j in 0..src.x.len() {
-            let d = Vec3::new(xi.x - src.x[j], xi.y - src.y[j], xi.z - src.z[j]);
-            a += pp_acc(d, src.q[j], eps2);
-        }
-    }
-    a
-}
-
-/// Batched P-P kernel with potential; see [`pp_acc_batch`].
-pub fn pp_acc_pot_batch(
-    xi: Vec3,
-    sink: u32,
-    src: &PpView<'_, MassMoments>,
-    eps2: f64,
-) -> (Vec3, f64) {
-    let mut a = Vec3::ZERO;
-    let mut p = 0.0;
-    let alias = may_alias(src, sink);
-    for j in 0..src.x.len() {
-        if alias && src.idx[j] == sink {
-            continue;
-        }
-        let d = Vec3::new(xi.x - src.x[j], xi.y - src.y[j], xi.z - src.z[j]);
-        let (aj, pj) = pp_acc_pot(d, src.q[j], eps2);
-        a += aj;
-        p += pj;
-    }
-    (a, p)
-}
-
-/// Batched monopole P-C kernel: each cell's contribution is added to
-/// `*acc` directly, one cell at a time in list order — the accumulation
-/// order `hot_core::ilist` fixes, kept bitwise.
-pub fn pc_mono_acc_batch(xi: Vec3, cells: &PcView<'_, MassMoments>, eps2: f64, acc: &mut Vec3) {
-    for k in 0..cells.x.len() {
-        let d = Vec3::new(xi.x - cells.x[k], xi.y - cells.y[k], xi.z - cells.z[k]);
-        *acc += pc_mono_acc(d, cells.m[k].mass, eps2);
-    }
-}
-
-/// Batched monopole P-C kernel with potential; see [`pc_mono_acc_batch`].
-/// The monopole potential is the point-mass potential of the cell's total
-/// mass at its center.
-pub fn pc_mono_acc_pot_batch(
-    xi: Vec3,
-    cells: &PcView<'_, MassMoments>,
-    eps2: f64,
-    acc: &mut Vec3,
-    pot: &mut f64,
-) {
-    for k in 0..cells.x.len() {
-        let d = Vec3::new(xi.x - cells.x[k], xi.y - cells.y[k], xi.z - cells.z[k]);
-        *acc += pc_mono_acc(d, cells.m[k].mass, eps2);
-        let (_, p) = pp_acc_pot(d, cells.m[k].mass, eps2);
-        *pot += p;
-    }
-}
-
-/// Batched monopole+quadrupole P-C kernel; see [`pc_mono_acc_batch`] for
-/// the accumulation-order contract.
-pub fn pc_quad_acc_batch(xi: Vec3, cells: &PcView<'_, MassMoments>, eps2: f64, acc: &mut Vec3) {
-    for k in 0..cells.x.len() {
-        let d = Vec3::new(xi.x - cells.x[k], xi.y - cells.y[k], xi.z - cells.z[k]);
-        *acc += pc_quad_acc(d, cells.m[k].mass, &cells.m[k].quad, eps2);
-    }
-}
-
-/// Batched monopole+quadrupole P-C kernel with potential.
-pub fn pc_quad_acc_pot_batch(
-    xi: Vec3,
-    cells: &PcView<'_, MassMoments>,
-    eps2: f64,
-    acc: &mut Vec3,
-    pot: &mut f64,
-) {
-    for k in 0..cells.x.len() {
-        let d = Vec3::new(xi.x - cells.x[k], xi.y - cells.y[k], xi.z - cells.z[k]);
-        *acc += pc_quad_acc(d, cells.m[k].mass, &cells.m[k].quad, eps2);
-        *pot += pc_quad_pot(d, cells.m[k].mass, &cells.m[k].quad, eps2);
-    }
-}
-
-/// Whether a P-P segment can contain a self-pair of *any* sink in `sinks`.
-/// Same consecutive-indices assumption as [`may_alias`].
+/// segment — every segment that cannot alias (all but the sink group's own
+/// leaves) goes through the lane body.
 #[inline(always)]
 pub(crate) fn span_may_alias(src: &PpView<'_, MassMoments>, sinks: &Range<usize>) -> bool {
     match (src.idx.first(), src.idx.last()) {
@@ -214,7 +106,7 @@ pub(crate) fn span_may_alias(src: &PpView<'_, MassMoments>, sinks: &Range<usize>
     }
 }
 
-/// Sinks per block of the span kernels: one sink per SIMD lane, every
+/// Sinks per block of the lane body: one sink per SIMD lane, every
 /// source broadcast to all of them. Four `f64` lanes fill one AVX2
 /// register; eight were measured slower (spills under AVX2, and under
 /// AVX-512 the padding of short groups eats the gain — EXPERIMENTS.md K2).
@@ -228,7 +120,7 @@ type Lanes = [f64; LANES];
 type Entry<'a> = (f64, f64, f64, f64, &'a SymMat3);
 
 /// A P-P segment's sources as lane-body entries.
-pub(crate) fn pp_entries<'a>(
+fn pp_entries<'a>(
     src: &PpView<'a, MassMoments>,
 ) -> impl Iterator<Item = Entry<'a>> + Clone {
     let xyz = src.x.iter().zip(src.y).zip(src.z);
@@ -236,7 +128,7 @@ pub(crate) fn pp_entries<'a>(
 }
 
 /// A P-C segment's cells as lane-body entries.
-pub(crate) fn pc_entries<'a>(
+fn pc_entries<'a>(
     cells: &PcView<'a, MassMoments>,
 ) -> impl Iterator<Item = Entry<'a>> + Clone {
     let xyz = cells.x.iter().zip(cells.y).zip(cells.z);
@@ -249,28 +141,28 @@ fn per_axis(point: impl Fn(usize) -> Vec3) -> [Lanes; 3] {
     [per_lane(|l| point(l).x), per_lane(|l| point(l).y), per_lane(|l| point(l).z)]
 }
 
-/// One list segment against one sink group: what every span kernel is
-/// handed, and the argument of the lane body.
-pub(crate) struct Span<'s, I> {
-    pub(crate) sink_pos: &'s [Vec3],
-    pub(crate) sinks: Range<usize>,
-    pub(crate) entries: I,
-    pub(crate) eps2: f64,
+/// One list segment against one sink group: the argument of the lane
+/// body.
+struct Span<'s, I> {
+    sink_pos: &'s [Vec3],
+    sinks: Range<usize>,
+    entries: I,
+    eps2: f64,
     /// Sink `sinks.start + k` accumulates into `acc[k]`.
-    pub(crate) acc: &'s mut [Vec3],
+    acc: &'s mut [Vec3],
     /// Indexed like `acc`; empty when no potential is wanted.
-    pub(crate) pot: &'s mut [f64],
+    pot: &'s mut [f64],
 }
 
 impl<'a, I: Iterator<Item = Entry<'a>> + Clone> Span<'_, I> {
-    /// The lane body behind all six span kernels: [`LANES`] sinks at a
-    /// time, lane = sink.
+    /// The lane body behind [`apply_segment`]: [`LANES`] sinks at a time,
+    /// lane = sink.
     ///
     /// Every lane runs, entry by entry in list order, exactly the IEEE
     /// operations of [`pp_acc`] / [`pc_quad_acc`] / [`pc_quad_pot`] on its
     /// own sink (`a * b + c` is never contracted, nothing is reassociated
-    /// across entries), so the result is bitwise the per-sink `*_batch`
-    /// kernels'. `SUBSUM` is the P-P contract — the segment's sum starts
+    /// across entries), so the result is bitwise the scalar kernels applied
+    /// per sink. `SUBSUM` is the P-P contract — the segment's sum starts
     /// at zero and is added to `acc` once; without it each entry is added
     /// to `acc` directly (the P-C contract). `QUAD` adds the quadrupole
     /// terms, `POT` fills `pot`. A last block shorter than `LANES` is
@@ -285,7 +177,7 @@ impl<'a, I: Iterator<Item = Entry<'a>> + Clone> Span<'_, I> {
     /// enabled ([`Span::lanes_avx2`]); at baseline features it is the
     /// four interleaved scalar chains it replaced, at the same speed.
     #[inline(always)]
-    pub(crate) fn lanes<const QUAD: bool, const POT: bool, const SUBSUM: bool>(self) {
+    fn lanes<const QUAD: bool, const POT: bool, const SUBSUM: bool>(self) {
         let Span { sink_pos, sinks, entries, eps2, acc, pot } = self;
         debug_assert_eq!(acc.len(), sinks.len());
         debug_assert_eq!(pot.len(), if POT { sinks.len() } else { 0 });
@@ -371,8 +263,13 @@ impl<'a, I: Iterator<Item = Entry<'a>> + Clone> Span<'_, I> {
     }
 
     /// Run the lane body in the widest instantiation this CPU supports.
+    ///
+    /// Out of line, like [`pp_per_sink`]: inlined, all six monomorphs
+    /// would share [`apply_segment`]'s stack frame, which deepens the stack
+    /// of every rank fiber that applies lists (measured on a 2-thread
+    /// x86-64 host: `dist_fine`'s 128 ranks peak ≈ 0.45 MiB, 1 %, higher).
     #[allow(unsafe_code)]
-    #[inline]
+    #[inline(never)]
     fn apply<const QUAD: bool, const POT: bool, const SUBSUM: bool>(self) {
         #[cfg(target_arch = "x86_64")]
         if span_uses_avx2() {
@@ -382,9 +279,19 @@ impl<'a, I: Iterator<Item = Entry<'a>> + Clone> Span<'_, I> {
         }
         self.lanes::<QUAD, POT, SUBSUM>();
     }
+
+    /// [`Span::apply`], or with `BASELINE` the baseline [`Span::lanes`].
+    #[inline(always)]
+    fn run<const QUAD: bool, const POT: bool, const SUBSUM: bool, const BASELINE: bool>(self) {
+        if BASELINE {
+            self.lanes::<QUAD, POT, SUBSUM>();
+        } else {
+            self.apply::<QUAD, POT, SUBSUM>();
+        }
+    }
 }
 
-/// Whether the span kernels run their AVX2 instantiation on this CPU.
+/// Whether the lane body runs its AVX2 instantiation on this CPU.
 /// `std` detects once per process and caches in an atomic — not a
 /// thread-local, so a fiber resumed on another worker reads it safely.
 pub fn span_uses_avx2() -> bool {
@@ -394,104 +301,106 @@ pub fn span_uses_avx2() -> bool {
     return false;
 }
 
-/// Span P-P kernel: one segment against a whole sink group.
+/// Apply one list segment to a whole sink group — the one entry of the
+/// apply stage.
 ///
-/// `acc[k]` receives sink `sinks.start + k`'s segment sum, accumulated
-/// source-by-source in list order and added once — bitwise-identical to
-/// calling [`pp_acc_batch`] per sink. A segment that may hold a self-pair
-/// (the group's own leaves: a few dozen of a list's ≈ 1 400 entries) *is*
-/// evaluated per sink, since a masked lane would still compute
-/// `rsqrt(0 + ε²)`, outside `rsqrt`'s domain when `ε = 0`; every other
-/// segment goes through the lane body (`Span::lanes`).
-pub fn pp_acc_span(
+/// `acc[k]` (and `pot[k]`, when `pot` is not empty) belongs to sink
+/// `sinks.start + k`. A P-P segment's sum starts at zero per sink and is
+/// added once; each P-C cell, monopole or (with `quadrupole`) with its
+/// quadrupole terms, is added directly — per sink, in list order, bitwise
+/// the scalar kernels applied one source at a time. Every segment goes
+/// through the lane body (`Span::lanes`) except a P-P segment that may
+/// hold a self-pair (the group's own leaves: a few dozen of a list's
+/// ≈ 1 400 entries): that one is evaluated per sink, since a masked lane
+/// would still compute `rsqrt(0 + ε²)`, outside `rsqrt`'s domain when
+/// `ε = 0`.
+pub fn apply_segment(
+    seg: &Segment<'_, MassMoments>,
+    sink_pos: &[Vec3],
+    sinks: Range<usize>,
+    eps2: f64,
+    quadrupole: bool,
+    acc: &mut [Vec3],
+    pot: &mut [f64],
+) {
+    match seg {
+        Segment::Pp(src) if span_may_alias(src, &sinks) => {
+            pp_per_sink(sink_pos, sinks, src, eps2, acc, pot);
+        }
+        _ => lane_body::<false>(seg, sink_pos, sinks, eps2, quadrupole, acc, pot),
+    }
+}
+
+/// The one choice of lane-body monomorph per segment: P-P sums into a
+/// sub-sum, P-C adds each cell directly, quadrupole terms and potential
+/// as asked (an empty `pot` means none). Runs [`Span::apply`] — the
+/// widest instantiation this CPU supports — or, with `BASELINE`, the
+/// baseline [`Span::lanes`] directly (the property suite's second pin).
+/// The caller has ruled out a P-P segment that may alias the sinks.
+#[inline(always)]
+pub(crate) fn lane_body<const BASELINE: bool>(
+    seg: &Segment<'_, MassMoments>,
+    sink_pos: &[Vec3],
+    sinks: Range<usize>,
+    eps2: f64,
+    quadrupole: bool,
+    acc: &mut [Vec3],
+    pot: &mut [f64],
+) {
+    let with_pot = !pot.is_empty();
+    match seg {
+        Segment::Pp(src) => {
+            let span = Span { sink_pos, sinks, entries: pp_entries(src), eps2, acc, pot };
+            if with_pot {
+                span.run::<false, true, true, BASELINE>();
+            } else {
+                span.run::<false, false, true, BASELINE>();
+            }
+        }
+        Segment::Pc(cells) => {
+            let span = Span { sink_pos, sinks, entries: pc_entries(cells), eps2, acc, pot };
+            match (quadrupole, with_pot) {
+                (false, false) => span.run::<false, false, false, BASELINE>(),
+                (false, true) => span.run::<false, true, false, BASELINE>(),
+                (true, false) => span.run::<true, false, false, BASELINE>(),
+                (true, true) => span.run::<true, true, false, BASELINE>(),
+            }
+        }
+    }
+}
+
+/// A P-P segment that may alias the sinks, one sink at a time with its
+/// self-pair skipped: [`pp_acc`] (or [`pp_acc_pot`] when `pot` is not
+/// empty) summed source by source in list order and added once. Out of
+/// line for the reason [`Span::apply`] is.
+#[inline(never)]
+fn pp_per_sink(
     sink_pos: &[Vec3],
     sinks: Range<usize>,
     src: &PpView<'_, MassMoments>,
     eps2: f64,
     acc: &mut [Vec3],
+    pot: &mut [f64],
 ) {
-    if span_may_alias(src, &sinks) {
-        for (a, i) in acc.iter_mut().zip(sinks) {
-            *a += pp_acc_batch(sink_pos[i], i as u32, src, eps2);
+    let with_pot = !pot.is_empty();
+    for (k, i) in sinks.enumerate() {
+        let xi = sink_pos[i];
+        let (mut a, mut p) = (Vec3::ZERO, 0.0);
+        for j in (0..src.x.len()).filter(|&j| src.idx[j] != i as u32) {
+            let d = Vec3::new(xi.x - src.x[j], xi.y - src.y[j], xi.z - src.z[j]);
+            if with_pot {
+                let (aj, pj) = pp_acc_pot(d, src.q[j], eps2);
+                a += aj;
+                p += pj;
+            } else {
+                a += pp_acc(d, src.q[j], eps2);
+            }
         }
-    } else {
-        let entries = pp_entries(src);
-        Span { sink_pos, sinks, entries, eps2, acc, pot: &mut [] }.apply::<false, false, true>();
-    }
-}
-
-/// Span P-P kernel with potential; see [`pp_acc_span`].
-pub fn pp_acc_pot_span(
-    sink_pos: &[Vec3],
-    sinks: Range<usize>,
-    src: &PpView<'_, MassMoments>,
-    eps2: f64,
-    acc: &mut [Vec3],
-    pot: &mut [f64],
-) {
-    if span_may_alias(src, &sinks) {
-        for ((a, p), i) in acc.iter_mut().zip(pot).zip(sinks) {
-            let (aj, pj) = pp_acc_pot_batch(sink_pos[i], i as u32, src, eps2);
-            *a += aj;
-            *p += pj;
+        acc[k] += a;
+        if with_pot {
+            pot[k] += p;
         }
-    } else {
-        let entries = pp_entries(src);
-        Span { sink_pos, sinks, entries, eps2, acc, pot }.apply::<false, true, true>();
     }
-}
-
-/// Span monopole P-C kernel: each cell's contribution is added to each
-/// sink directly, cell by cell in list order — bitwise
-/// [`pc_mono_acc_batch`] per sink.
-pub fn pc_mono_acc_span(
-    sink_pos: &[Vec3],
-    sinks: Range<usize>,
-    cells: &PcView<'_, MassMoments>,
-    eps2: f64,
-    acc: &mut [Vec3],
-) {
-    let entries = pc_entries(cells);
-    Span { sink_pos, sinks, entries, eps2, acc, pot: &mut [] }.apply::<false, false, false>();
-}
-
-/// Span monopole P-C kernel with potential; see [`pc_mono_acc_span`].
-pub fn pc_mono_acc_pot_span(
-    sink_pos: &[Vec3],
-    sinks: Range<usize>,
-    cells: &PcView<'_, MassMoments>,
-    eps2: f64,
-    acc: &mut [Vec3],
-    pot: &mut [f64],
-) {
-    let entries = pc_entries(cells);
-    Span { sink_pos, sinks, entries, eps2, acc, pot }.apply::<false, true, false>();
-}
-
-/// Span monopole+quadrupole P-C kernel; bitwise [`pc_quad_acc_batch`] per
-/// sink, see [`pc_mono_acc_span`].
-pub fn pc_quad_acc_span(
-    sink_pos: &[Vec3],
-    sinks: Range<usize>,
-    cells: &PcView<'_, MassMoments>,
-    eps2: f64,
-    acc: &mut [Vec3],
-) {
-    let entries = pc_entries(cells);
-    Span { sink_pos, sinks, entries, eps2, acc, pot: &mut [] }.apply::<true, false, false>();
-}
-
-/// Span monopole+quadrupole P-C kernel with potential.
-pub fn pc_quad_acc_pot_span(
-    sink_pos: &[Vec3],
-    sinks: Range<usize>,
-    cells: &PcView<'_, MassMoments>,
-    eps2: f64,
-    acc: &mut [Vec3],
-    pot: &mut [f64],
-) {
-    let entries = pc_entries(cells);
-    Span { sink_pos, sinks, entries, eps2, acc, pot }.apply::<true, true, false>();
 }
 
 #[cfg(test)]

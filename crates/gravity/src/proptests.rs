@@ -1,53 +1,114 @@
-//! Property-based tests of the batched list kernels (proptest): the apply
-//! stage must be *bitwise* the scalar kernels summed in list order, for
-//! arbitrary lists — including empty and length-1 segments — and its flop
-//! accounting must follow the paper's fixed per-interaction costs.
+//! Property-based tests of the list-apply stage (proptest): the one
+//! kernel entry must be *bitwise* the scalar kernels applied per sink in
+//! list order, for arbitrary lists — including empty and length-1
+//! segments — and its flop accounting must follow the paper's fixed
+//! per-interaction costs.
 
 #![cfg(test)]
 
 use crate::evaluator::GravityEvaluator;
 use crate::kernels::{
-    pc_entries, pc_mono_acc_batch, pc_mono_acc_pot_batch, pc_mono_acc_pot_span, pc_mono_acc_span,
-    pc_quad_acc, pc_quad_acc_batch, pc_quad_acc_pot_batch, pc_quad_acc_pot_span,
-    pc_quad_acc_span, pp_acc, pp_acc_batch, pp_acc_pot, pp_acc_pot_batch, pp_acc_pot_span,
-    pp_acc_span, pp_entries, span_may_alias, span_uses_avx2, Span, LANES,
+    apply_segment, lane_body, pc_mono_acc, pc_quad_acc, pc_quad_pot, pp_acc, pp_acc_pot,
+    span_may_alias, span_uses_avx2, LANES,
 };
 use hot_base::flops::{FlopCounter, Kind};
 use hot_base::{SymMat3, Vec3, FLOPS_PER_GRAV_INTERACTION, FLOPS_PER_QUAD_INTERACTION};
-use hot_core::ilist::{InteractionList, ListConsumer, PcView, PpView};
+use hot_core::ilist::{InteractionList, ListConsumer, PcView, PpView, Segment};
 use hot_core::moments::{MassMoments, Moments};
 use proptest::prelude::*;
+use std::ops::Range;
 
-fn unit_points(n: std::ops::Range<usize>) -> impl Strategy<Value = Vec<Vec3>> {
+fn unit_points(n: Range<usize>) -> impl Strategy<Value = Vec<Vec3>> {
     proptest::collection::vec(
         (0.0f64..1.0, 0.0f64..1.0, 0.0f64..1.0).prop_map(|(x, y, z)| Vec3::new(x, y, z)),
         n,
     )
 }
 
-/// `SoA` copy of a source set, with `idx` starting at `s0` (the local-span
-/// shape) — the batch kernels view straight into these arrays.
+/// `SoA` copy of a source set; its view takes the per-source tree-order
+/// indices, so one set of sources can be a ghost, a clear or an aliasing
+/// segment.
 struct Soa {
     x: Vec<f64>,
     y: Vec<f64>,
     z: Vec<f64>,
     q: Vec<f64>,
-    idx: Vec<u32>,
 }
 
 impl Soa {
-    fn new(pts: &[Vec3], q: &[f64], s0: u32) -> Self {
+    fn new(pts: &[Vec3], q: &[f64]) -> Self {
         Soa {
             x: pts.iter().map(|p| p.x).collect(),
             y: pts.iter().map(|p| p.y).collect(),
             z: pts.iter().map(|p| p.z).collect(),
             q: q.to_vec(),
-            idx: (0..pts.len() as u32).map(|j| s0 + j).collect(),
         }
     }
 
-    fn view(&self) -> PpView<'_, MassMoments> {
-        PpView { x: &self.x, y: &self.y, z: &self.z, q: &self.q, idx: &self.idx }
+    fn view<'a>(&'a self, idx: &'a [u32]) -> PpView<'a, MassMoments> {
+        PpView { x: &self.x, y: &self.y, z: &self.z, q: &self.q, idx }
+    }
+}
+
+/// The signature of [`apply_segment`], shared by the oracle and the
+/// baseline lane body ([`lane_body`]`::<true>`).
+type Apply =
+    fn(&Segment<'_, MassMoments>, &[Vec3], Range<usize>, f64, bool, &mut [Vec3], &mut [f64]);
+
+/// The oracle: the five scalar kernels, sink by sink and source by source
+/// in list order. A P-P segment sums into a fresh sub-sum (self-pair
+/// skipped) added once; a P-C cell adds directly. An empty `pot` means no
+/// potential, as for [`apply_segment`].
+fn per_sink_scalar(
+    seg: &Segment<'_, MassMoments>,
+    sink_pos: &[Vec3],
+    sinks: Range<usize>,
+    eps2: f64,
+    quadrupole: bool,
+    acc: &mut [Vec3],
+    pot: &mut [f64],
+) {
+    let with_pot = !pot.is_empty();
+    for (k, i) in sinks.enumerate() {
+        let xi = sink_pos[i];
+        match seg {
+            Segment::Pp(src) => {
+                let (mut a, mut p) = (Vec3::ZERO, 0.0);
+                for j in 0..src.x.len() {
+                    if src.idx[j] == i as u32 {
+                        continue;
+                    }
+                    let d = xi - Vec3::new(src.x[j], src.y[j], src.z[j]);
+                    if with_pot {
+                        let (aj, pj) = pp_acc_pot(d, src.q[j], eps2);
+                        a += aj;
+                        p += pj;
+                    } else {
+                        a += pp_acc(d, src.q[j], eps2);
+                    }
+                }
+                acc[k] += a;
+                if with_pot {
+                    pot[k] += p;
+                }
+            }
+            Segment::Pc(cells) => {
+                for (c, m) in cells.m.iter().enumerate() {
+                    let d = xi - Vec3::new(cells.x[c], cells.y[c], cells.z[c]);
+                    if quadrupole {
+                        acc[k] += pc_quad_acc(d, m.mass, &m.quad, eps2);
+                        if with_pot {
+                            pot[k] += pc_quad_pot(d, m.mass, &m.quad, eps2);
+                        }
+                    } else {
+                        acc[k] += pc_mono_acc(d, m.mass, eps2);
+                        if with_pot {
+                            pot[k] += pp_acc_pot(d, m.mass, eps2).1;
+                        }
+                    }
+                }
+            }
+        }
     }
 }
 
@@ -65,110 +126,34 @@ fn span_instantiation_is_process_wide() {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
-    /// `pp_acc_batch` is bitwise the scalar `pp_acc` summed in list order
-    /// with the self-pair skipped — for any segment length (0, 1, many)
-    /// and any sink index inside or outside the segment's index span.
+    /// [`apply_segment`] — the production apply path — is bitwise the
+    /// per-sink scalar oracle, and so is the baseline lane body called
+    /// directly wherever the lane body runs at all: the entry runs the
+    /// instantiation the host selects (AVX2 where the CPU has it). Every
+    /// case runs group sizes 1 ..= 2·LANES + 1, so every padding count;
+    /// the P-P segment is a ghost one, a local one clear of the sinks, and
+    /// a local one starting at every index from 0 to one past the group's
+    /// end — so below the group and short of it, ending next to it or
+    /// overlapping it, inside it, right after it (any length, including
+    /// none); P-C runs mono and quad; all with and without potential, onto
+    /// non-zero accumulators. Whether a P-P segment may alias is checked
+    /// against a brute-force search for a sink index among its sources.
+    /// `acc`/`pot` are exactly `sinks.len()` long, so writing a padding
+    /// lane back panics.
     #[test]
-    fn pp_batch_matches_scalar_bitwise(
-        pts in unit_points(0..40),
-        sink in 0u32..50,
-        xi in (0.0f64..1.0, 0.0f64..1.0, 0.0f64..1.0),
-        eps2 in 1e-10f64..1e-2,
-    ) {
-        let xi = Vec3::new(xi.0, xi.1, xi.2);
-        let q: Vec<f64> = (0..pts.len()).map(|j| 0.25 + j as f64 * 0.5).collect();
-        // idx spans 7..7+len, so `sink` sometimes aliases, sometimes not.
-        let soa = Soa::new(&pts, &q, 7);
-        let batch = pp_acc_batch(xi, sink, &soa.view(), eps2);
-        let mut want = Vec3::ZERO;
-        for (j, p) in pts.iter().enumerate() {
-            if soa.idx[j] == sink {
-                continue;
-            }
-            want += pp_acc(xi - *p, q[j], eps2);
-        }
-        prop_assert_eq!(batch.x.to_bits(), want.x.to_bits());
-        prop_assert_eq!(batch.y.to_bits(), want.y.to_bits());
-        prop_assert_eq!(batch.z.to_bits(), want.z.to_bits());
-
-        // The potential-carrying variant agrees with its scalar too.
-        let (ba, bp) = pp_acc_pot_batch(xi, sink, &soa.view(), eps2);
-        let (mut wa, mut wp) = (Vec3::ZERO, 0.0f64);
-        for (j, p) in pts.iter().enumerate() {
-            if soa.idx[j] == sink {
-                continue;
-            }
-            let (a, ph) = pp_acc_pot(xi - *p, q[j], eps2);
-            wa += a;
-            wp += ph;
-        }
-        prop_assert_eq!(ba.x.to_bits(), wa.x.to_bits());
-        prop_assert_eq!(bp.to_bits(), wp.to_bits());
-    }
-
-    /// `pc_quad_acc_batch` is bitwise the scalar `pc_quad_acc` added cell
-    /// by cell in list order, for any number of cells (including none).
-    #[test]
-    fn pc_batch_matches_scalar_bitwise(
-        centers in unit_points(0..12),
-        xi in (2.0f64..3.0, 2.0f64..3.0, 2.0f64..3.0),
-        eps2 in 1e-10f64..1e-2,
-    ) {
-        let xi = Vec3::new(xi.0, xi.1, xi.2);
-        // Cells with nontrivial quadrupoles: two particles about the center.
-        let moments: Vec<MassMoments> = centers
-            .iter()
-            .enumerate()
-            .map(|(k, &c)| {
-                let off = Vec3::new(0.01 + k as f64 * 0.003, 0.02, 0.005);
-                let mut m = MassMoments::from_particle(c + off, &(1.0 + k as f64), c);
-                m.accumulate_shifted(&MassMoments::from_particle(c - off, &2.0, c), c, c);
-                m
-            })
-            .collect();
-        let (cx, cy, cz): (Vec<f64>, Vec<f64>, Vec<f64>) = (
-            centers.iter().map(|c| c.x).collect(),
-            centers.iter().map(|c| c.y).collect(),
-            centers.iter().map(|c| c.z).collect(),
-        );
-        let cells = PcView::<MassMoments> { x: &cx, y: &cy, z: &cz, m: &moments };
-        let mut batch = Vec3::ZERO;
-        pc_quad_acc_batch(xi, &cells, eps2, &mut batch);
-        let mut want = Vec3::ZERO;
-        for (k, &c) in centers.iter().enumerate() {
-            want += pc_quad_acc(xi - c, moments[k].mass, &moments[k].quad, eps2);
-        }
-        prop_assert_eq!(batch.x.to_bits(), want.x.to_bits());
-        prop_assert_eq!(batch.y.to_bits(), want.y.to_bits());
-        prop_assert_eq!(batch.z.to_bits(), want.z.to_bits());
-    }
-
-    /// The span kernels — the production apply path — are bitwise the
-    /// per-sink batch kernels, in both instantiations of the lane body:
-    /// every kernel runs through its public entry point (the instantiation
-    /// the host selects — AVX2 where the CPU has it) and, wherever the lane
-    /// body runs at all, through the baseline instantiation called
-    /// directly. Every case runs group sizes 1 ..= 2·LANES + 1, so every
-    /// padding count; the P-P segment is a ghost one, a local one clear of
-    /// the sinks, or one aliasing them; P-C runs mono and quad; all with
-    /// and without potential, onto non-zero accumulators. `acc`/`pot` are
-    /// exactly `sinks.len()` long, so writing a padding lane back panics.
-    #[test]
-    fn span_matches_batch_bitwise(
+    fn apply_segment_matches_scalar_bitwise(
         all in unit_points(2 * LANES + 6..24),
         start in 0usize..6,
         src_pts in unit_points(0..30),
-        s0 in 0u32..40,
-        ghost in any::<bool>(),
         quads in proptest::collection::vec(-1.0f64..1.0, 30..31),
         eps2 in 1e-10f64..1e-2,
     ) {
-        let q: Vec<f64> = (0..src_pts.len()).map(|j| 0.3 + j as f64 * 0.4).collect();
-        let mut soa = Soa::new(&src_pts, &q, s0);
-        if ghost {
-            soa.idx.fill(u32::MAX);
-        }
-        let src = soa.view();
+        let n = src_pts.len() as u32;
+        let q: Vec<f64> = (0..n).map(|j| 0.3 + f64::from(j) * 0.4).collect();
+        let soa = Soa::new(&src_pts, &q);
+        let ghost = vec![u32::MAX; src_pts.len()];
+        // Every sink index is below `all.len()` < 24.
+        let clear: Vec<u32> = (0..n).map(|j| 1000 + j).collect();
 
         // P-C: a short run of cells whose quadrupole terms outweigh their
         // monopole, so a reordered operation in either shows in the sum.
@@ -185,89 +170,55 @@ proptest! {
             centers.iter().map(|c| c.y).collect(),
             centers.iter().map(|c| c.z).collect(),
         );
-        let cells = PcView::<MassMoments> { x: &cx, y: &cy, z: &cz, m: &moments };
+        let cells = || Segment::Pc(PcView::<MassMoments> { x: &cx, y: &cy, z: &cz, m: &moments });
 
         for span_len in 1..=2 * LANES + 1 {
             let sinks = start..start + span_len;
-            // Bit patterns of (acc, pot) after `f` ran on the same non-zero
-            // starting buffers.
-            let run = |f: &dyn Fn(&mut [Vec3], &mut [f64])| {
-                let mut acc: Vec<Vec3> = (0..span_len)
-                    .map(|k| Vec3::new(0.5, -0.25, 0.125) * (k as f64 - 3.0))
-                    .collect();
-                let mut pot: Vec<f64> = (0..span_len).map(|k| 0.75 - k as f64).collect();
-                f(&mut acc, &mut pot);
-                let acc: Vec<[u64; 3]> =
-                    acc.iter().map(|a| [a.x.to_bits(), a.y.to_bits(), a.z.to_bits()]).collect();
-                (acc, pot.iter().map(|p| p.to_bits()).collect::<Vec<u64>>())
-            };
-            // The baseline instantiation, called directly.
-            macro_rules! baseline {
-                ($entries:expr, $acc:expr, $pot:expr, $quad:literal, $p:literal, $sub:literal) => {{
-                    let (sink_pos, entries) = (&all[..], $entries);
-                    Span { sink_pos, sinks: sinks.clone(), entries, eps2, acc: $acc, pot: $pot }
-                        .lanes::<$quad, $p, $sub>()
-                }};
-            }
-            // Per kernel: the per-sink oracle, the public entry point, the
-            // baseline lane body.
-            type Oracle<'c> = &'c dyn Fn(Vec3, u32, &mut Vec3, &mut f64);
-            type Kernel<'c> = &'c dyn Fn(&mut [Vec3], &mut [f64]);
-            let kernels: [(&str, Oracle, Kernel, Kernel); 6] = [
-                (
-                    "pp_acc",
-                    &|xi, i, a, _| *a += pp_acc_batch(xi, i, &src, eps2),
-                    &|a, _| pp_acc_span(&all, sinks.clone(), &src, eps2, a),
-                    &|a, _| baseline!(pp_entries(&src), a, &mut [], false, false, true),
-                ),
-                (
-                    "pp_acc_pot",
-                    &|xi, i, a, p| {
-                        let (aj, pj) = pp_acc_pot_batch(xi, i, &src, eps2);
-                        *a += aj;
-                        *p += pj;
-                    },
-                    &|a, p| pp_acc_pot_span(&all, sinks.clone(), &src, eps2, a, p),
-                    &|a, p| baseline!(pp_entries(&src), a, p, false, true, true),
-                ),
-                (
-                    "pc_mono_acc",
-                    &|xi, _, a, _| pc_mono_acc_batch(xi, &cells, eps2, a),
-                    &|a, _| pc_mono_acc_span(&all, sinks.clone(), &cells, eps2, a),
-                    &|a, _| baseline!(pc_entries(&cells), a, &mut [], false, false, false),
-                ),
-                (
-                    "pc_mono_acc_pot",
-                    &|xi, _, a, p| pc_mono_acc_pot_batch(xi, &cells, eps2, a, p),
-                    &|a, p| pc_mono_acc_pot_span(&all, sinks.clone(), &cells, eps2, a, p),
-                    &|a, p| baseline!(pc_entries(&cells), a, p, false, true, false),
-                ),
-                (
-                    "pc_quad_acc",
-                    &|xi, _, a, _| pc_quad_acc_batch(xi, &cells, eps2, a),
-                    &|a, _| pc_quad_acc_span(&all, sinks.clone(), &cells, eps2, a),
-                    &|a, _| baseline!(pc_entries(&cells), a, &mut [], true, false, false),
-                ),
-                (
-                    "pc_quad_acc_pot",
-                    &|xi, _, a, p| pc_quad_acc_pot_batch(xi, &cells, eps2, a, p),
-                    &|a, p| pc_quad_acc_pot_span(&all, sinks.clone(), &cells, eps2, a, p),
-                    &|a, p| baseline!(pc_entries(&cells), a, p, true, true, false),
-                ),
+            // A local segment starting at every index up to one past the
+            // group's end.
+            let local: Vec<Vec<u32>> =
+                (0..=sinks.end as u32 + 1).map(|f| (0..n).map(|j| f + j).collect()).collect();
+            let mut cases = vec![
+                ("pp ghost".to_string(), Segment::Pp(soa.view(&ghost)), false),
+                ("pp clear".to_string(), Segment::Pp(soa.view(&clear)), false),
+                ("pc mono".to_string(), cells(), false),
+                ("pc quad".to_string(), cells(), true),
             ];
-            // An aliasing P-P segment takes the per-sink path inside the
-            // entry point; the lane body must never see it.
-            let aliasing = span_may_alias(&src, &sinks);
-            prop_assert!(!(ghost && aliasing));
-            for (name, oracle, entry, lane_body) in kernels {
-                let want = run(&|acc, pot| {
-                    for (k, i) in sinks.clone().enumerate() {
-                        oracle(all[i], i as u32, &mut acc[k], &mut pot[k]);
+            for (f, idx) in local.iter().enumerate() {
+                cases.push((format!("pp local from {f}"), Segment::Pp(soa.view(idx)), false));
+            }
+            for (name, seg, quadrupole) in &cases {
+                let aliasing = match seg {
+                    Segment::Pp(src) => {
+                        let brute = src.idx.iter().any(|&j| sinks.contains(&(j as usize)));
+                        prop_assert_eq!(span_may_alias(src, &sinks), brute, "{}", name);
+                        brute
                     }
-                });
-                prop_assert_eq!(&run(entry), &want, "{}_span, {} sinks", name, span_len);
-                if !(aliasing && name.starts_with("pp")) {
-                    prop_assert_eq!(&run(lane_body), &want, "{} lane body, {} sinks", name, span_len);
+                    Segment::Pc(_) => false,
+                };
+                for with_pot in [false, true] {
+                    // Bit patterns of (acc, pot) after `f` ran on the same
+                    // non-zero starting buffers; `pot` is empty without
+                    // potential.
+                    let run = |f: Apply| {
+                        let mut acc: Vec<Vec3> = (0..span_len)
+                            .map(|k| Vec3::new(0.5, -0.25, 0.125) * (k as f64 - 3.0))
+                            .collect();
+                        let pot_len = if with_pot { span_len } else { 0 };
+                        let mut pot: Vec<f64> = (0..pot_len).map(|k| 0.75 - k as f64).collect();
+                        f(seg, &all, sinks.clone(), eps2, *quadrupole, &mut acc, &mut pot);
+                        let bits = |a: &Vec3| [a.x.to_bits(), a.y.to_bits(), a.z.to_bits()];
+                        let acc: Vec<[u64; 3]> = acc.iter().map(bits).collect();
+                        (acc, pot.iter().map(|p| p.to_bits()).collect::<Vec<u64>>())
+                    };
+                    let want = run(per_sink_scalar);
+                    let tag = format!("{name}, pot {with_pot}, {span_len} sinks");
+                    prop_assert_eq!(&run(apply_segment), &want, "apply_segment: {}", tag);
+                    // An aliasing P-P segment takes the per-sink path inside
+                    // the entry; the lane body must never see it.
+                    if !aliasing {
+                        prop_assert_eq!(&run(lane_body::<true>), &want, "lane body: {}", tag);
+                    }
                 }
             }
         }

@@ -2,8 +2,8 @@
 //!
 //! [`ForceCalc`] owns the reusable interaction-list buffers and runs the
 //! paper's two-stage pipeline: build each sink group's
-//! [`InteractionList`] (list-build, the `Walk` phase), then apply it with
-//! the batched kernels through [`GravityEvaluator`] (list-apply, the
+//! [`InteractionList`] (list-build, the `Walk` phase), then apply it
+//! segment by segment through [`GravityEvaluator`] (list-apply, the
 //! `Force` phase). Tracing is an option, not a separate function: the
 //! `_traced` variant attributes phases to a [`Ledger`]. Every sink's
 //! accumulation order is fixed by its group's list.
@@ -96,7 +96,7 @@ pub struct ForceResult {
 /// The sink groups of one evaluation are fanned out
 /// ([`hot_core::walk::fan_out`]) over every hardware thread the process
 /// may use ([`hot_base::available_threads`] — a fact about the machine,
-/// like the span kernels' run-time AVX2 choice, not an option). Workers
+/// like the lane body's run-time AVX2 choice, not an option). Workers
 /// *share*, read-only, the tree, the options and the (atomic)
 /// [`FlopCounter`]; each worker *owns* one interaction list of `lists`
 /// and, chunk by chunk, the part of the [`GravityEvaluator`]
@@ -420,7 +420,7 @@ mod tests {
     /// source at a time, in list order — the accumulation-order contract
     /// written out (per sink, each P-P segment sums into a fresh
     /// accumulator added once, each accepted cell adds directly), with no
-    /// sink blocking, lanes or span kernels.
+    /// sink blocking or lanes.
     struct ScalarApply<'a> {
         acc: &'a mut [Vec3],
         eps2: f64,

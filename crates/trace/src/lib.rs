@@ -231,11 +231,6 @@ impl CounterSet {
         self.vals.iter().zip(&o.vals).all(|(a, b)| a <= b)
     }
 
-    /// True when every counter is zero.
-    pub fn is_zero(&self) -> bool {
-        self.vals.iter().all(|&v| v == 0)
-    }
-
     /// Total interactions (P-P + P-C).
     pub fn interactions(&self) -> u64 {
         self.get(Counter::PpInteractions) + self.get(Counter::PcInteractions)

@@ -87,14 +87,6 @@ pub fn linear_impulse(pos: &[Vec3], alpha: &[Vec3]) -> Vec3 {
         .sum()
 }
 
-/// Angular impulse `A = ⅓ Σ x × (x × α)` (invariant).
-pub fn angular_impulse(pos: &[Vec3], alpha: &[Vec3]) -> Vec3 {
-    pos.iter()
-        .zip(alpha)
-        .map(|(&x, &a)| x.cross(x.cross(a)) / 3.0)
-        .sum()
-}
-
 /// Thin-ring translation speed: `U = Γ/(4πR) · (ln(8R/a) − 0.558)`
 /// (Saffman), used to sanity-check the simulated propagation.
 pub fn thin_ring_speed(circulation: f64, radius: f64, core: f64) -> f64 {
