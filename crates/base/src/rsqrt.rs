@@ -242,30 +242,36 @@ mod tests {
         assert!(worst < 1e-6, "worst f32 relative error {worst:e}");
     }
 
-    /// Every lane of [`rsqrt_lanes`] is bit-for-bit [`rsqrt`]: random
-    /// mantissas under every normal exponent (so both parities, and a
-    /// different exponent in each lane), then the extremes of
-    /// `f64_accuracy_extreme_exponents` and the ends of the normal range.
+    /// Every lane of [`rsqrt_lanes`] is bit-for-bit [`rsqrt`], at both
+    /// widths gravity's lane body runs (4 and 8): random mantissas under
+    /// every normal exponent (so both parities, and a different exponent in
+    /// each lane), then the extremes of `f64_accuracy_extreme_exponents`
+    /// and the ends of the normal range. This runs at baseline features;
+    /// the vectorised 8-wide path is pinned through gravity's
+    /// `apply_segment_matches_scalar_bitwise`.
     #[test]
     fn lanes_match_scalar_bitwise() {
         use rand::{Rng, SeedableRng};
-        fn check(x: [f64; 4]) {
+        fn check<const W: usize>(x: [f64; W]) {
             let got = rsqrt_lanes(x);
-            for l in 0..4 {
+            for l in 0..W {
                 assert_eq!(got[l].to_bits(), rsqrt(x[l]).to_bits(), "lane {l} of {x:?}");
             }
         }
         let mut rng = rand::rngs::StdRng::seed_from_u64(17);
+        let mut random = |e: u64, l: usize| {
+            let biased = 1 + (e + 511 * l as u64) % 2046;
+            f64::from_bits((biased << 52) | (rng.gen::<u64>() & MANT_MASK))
+        };
         for e in 0u64..2046 {
             for _ in 0..16 {
-                check(std::array::from_fn(|l| {
-                    let biased = 1 + (e + 511 * l as u64) % 2046;
-                    f64::from_bits((biased << 52) | (rng.gen::<u64>() & MANT_MASK))
-                }));
+                check::<4>(std::array::from_fn(|l| random(e, l)));
+                check::<8>(std::array::from_fn(|l| random(e, l)));
             }
         }
         check([1e-300, 3.7e-250, 1e300, 2.2e250]);
         check([5e-1, 123456.789, f64::MIN_POSITIVE, f64::MAX]);
+        check([1e-300, 3.7e-250, 1e300, 2.2e250, 5e-1, 123456.789, f64::MIN_POSITIVE, f64::MAX]);
         assert_eq!(rsqrt_lanes([4.0])[0].to_bits(), rsqrt(4.0).to_bits());
     }
 

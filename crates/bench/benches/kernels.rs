@@ -15,7 +15,7 @@ use hot_base::rsqrt::{rsqrt, rsqrt_f32};
 use hot_base::{SymMat3, Vec3};
 use hot_core::ilist::{PcView, PpView, Segment};
 use hot_core::moments::MassMoments;
-use hot_gravity::kernels::{apply_segment, pc_quad_acc, pp_acc, span_uses_avx2};
+use hot_gravity::kernels::{apply_segment, pc_quad_acc, pp_acc, span_kernel};
 use hot_vortex::kernel::velocity_and_stretching;
 
 fn bench_rsqrt(c: &mut Criterion) {
@@ -69,12 +69,14 @@ fn bench_interactions(c: &mut Criterion) {
     g.finish();
 }
 
-/// The production apply path, `apply_segment`: one 32-sink group against a
+/// The production apply path, `apply_segment`: a 32-sink group against a
 /// 1 024-cell quadrupole segment and a 16-source ghost P-P segment, through
-/// the lane body the host selects. Reported per interaction, next to the scalar
+/// the lane body the host selects; and 12- and 5-sink groups against the
+/// same cells — under AVX-512 one 8-wide block plus a 4-wide tail, and one
+/// padded 8-wide block. Reported per interaction, next to the scalar
 /// `interaction` rows above.
 fn bench_span(c: &mut Criterion) {
-    println!("span kernels: {} instantiation", if span_uses_avx2() { "AVX2" } else { "baseline" });
+    println!("span kernels: {}", span_kernel());
     let coord = |i: usize, s: f64| 0.5 + (i as f64 * s).sin() * 0.4;
     let sinks: Vec<Vec3> =
         (0..32).map(|i| Vec3::new(coord(i, 0.7), coord(i, 1.3), coord(i, 2.1)) * 0.1).collect();
@@ -88,10 +90,13 @@ fn bench_span(c: &mut Criterion) {
     let quad = SymMat3::new(0.1, 0.2, 0.3, 0.01, 0.02, 0.03);
     let m = vec![MassMoments { mass: 1.5, quad, b2: quad.trace() }; 1024];
     let cells = Segment::Pc(PcView::<MassMoments> { x: &x, y: &y, z: &z, m: &m });
-    g.throughput(Throughput::Elements(32 * 1024));
-    g.bench_function("quadrupole_32_sinks_x_1024_cells", |b| {
-        b.iter(|| apply_segment(black_box(&cells), &sinks, 0..32, 1e-6, true, &mut acc, &mut []));
-    });
+    for n in [32, 12, 5] {
+        g.throughput(Throughput::Elements(n as u64 * 1024));
+        g.bench_function(format!("quadrupole_{n}_sinks_x_1024_cells"), |b| {
+            let acc = &mut acc[..n];
+            b.iter(|| apply_segment(black_box(&cells), &sinks, 0..n, 1e-6, true, acc, &mut []));
+        });
+    }
 
     let [x, y, z] = far(16);
     let (q, idx) = (vec![1.5; 16], vec![u32::MAX; 16]);

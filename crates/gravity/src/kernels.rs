@@ -11,11 +11,14 @@
 //! One arithmetic, one entry. The five scalar kernels ([`pp_acc`],
 //! [`pc_quad_acc`], …) define the operations and their order.
 //! [`apply_segment`] — the production apply path — runs one list segment
-//! against a whole sink group, [`LANES`] sinks at a time with one sink per
-//! SIMD lane; the lane body is compiled a second time for AVX2 and chosen
-//! by the CPU at run time. The scalar kernels applied per sink in list
-//! order are the oracle the entry is pinned against bit for bit
-//! (`proptests.rs`): vectorising across sinks leaves every sink's own
+//! against a whole sink group with one sink per SIMD lane. The lane body is
+//! generic over its block width and compiled three times: [`LANES`] = 4
+//! sinks per block at baseline features and for AVX2, and [`WIDE_LANES`]
+//! = 8 for AVX-512, which hands a group's last 1–4 sinks to the AVX2 body.
+//! The CPU picks the widest once per process ([`span_kernel`]). The scalar
+//! kernels applied per sink in list order are the oracle every
+//! instantiation is pinned against bit for bit (`proptests.rs`):
+//! vectorising across sinks, at any width, leaves every sink's own
 //! sequence of IEEE operations untouched.
 //!
 //! Units: G = 1 throughout.
@@ -106,14 +109,16 @@ pub(crate) fn span_may_alias(src: &PpView<'_, MassMoments>, sinks: &Range<usize>
     }
 }
 
-/// Sinks per block of the lane body: one sink per SIMD lane, every
-/// source broadcast to all of them. Four `f64` lanes fill one AVX2
-/// register; eight were measured slower (spills under AVX2, and under
-/// AVX-512 the padding of short groups eats the gain — EXPERIMENTS.md K2).
+/// Sinks per block of the 4-wide lane body: one sink per SIMD lane,
+/// every source broadcast to all of them. Four `f64` lanes fill one AVX2
+/// register; the baseline and AVX2 instantiations run every block at this
+/// width, and the AVX-512 one runs a group's last 1–4 sinks at it.
 pub const LANES: usize = 4;
 
-/// One value per sink of a block.
-type Lanes = [f64; LANES];
+/// Sinks per block of the AVX-512 instantiation: eight `f64` lanes fill
+/// one 512-bit register. Only a group's last block needs padding, so the
+/// extra width pays even at a mean group of 7.66 sinks (EXPERIMENTS.md K5).
+pub const WIDE_LANES: usize = 8;
 
 /// One list entry as the lane body takes it: position, mass and raw
 /// second-moment tensor (zero, and never read, for a particle).
@@ -135,10 +140,77 @@ fn pc_entries<'a>(
     xyz.zip(cells.m).map(|(((&x, &y), &z), m)| (x, y, z, m.mass, &m.quad))
 }
 
-/// A block of points as one [`Lanes`] per coordinate.
+/// A block of `W` points as one lane array per coordinate.
 #[inline(always)]
-fn per_axis(point: impl Fn(usize) -> Vec3) -> [Lanes; 3] {
+fn per_axis<const W: usize>(point: impl Fn(usize) -> Vec3) -> [[f64; W]; 3] {
     [per_lane(|l| point(l).x), per_lane(|l| point(l).y), per_lane(|l| point(l).z)]
+}
+
+/// An instantiation of the lane body: the block width and the target
+/// features it is compiled for.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum SpanKernel {
+    /// [`LANES`] sinks per block at the crate's baseline target features.
+    Baseline,
+    /// [`LANES`] sinks per block, one 256-bit register per lane array.
+    Avx2,
+    /// [`WIDE_LANES`] sinks per block, one 512-bit register per lane
+    /// array; a group's last 1–4 sinks run as one AVX2 block.
+    Avx512,
+}
+
+impl SpanKernel {
+    /// Every instantiation, widest first.
+    pub(crate) const ALL: [SpanKernel; 3] =
+        [SpanKernel::Avx512, SpanKernel::Avx2, SpanKernel::Baseline];
+
+    /// Whether the running CPU has the features this instantiation is
+    /// compiled for. `std` detects once per process and caches in an
+    /// atomic — not a thread-local, so a fiber resumed on another worker
+    /// gets the same answer.
+    pub(crate) fn runs_here(self) -> bool {
+        #[cfg(target_arch = "x86_64")]
+        let (avx2, avx512) = (
+            std::arch::is_x86_feature_detected!("avx2"),
+            std::arch::is_x86_feature_detected!("avx512f"),
+        );
+        #[cfg(not(target_arch = "x86_64"))]
+        let (avx2, avx512) = (false, false);
+        match self {
+            SpanKernel::Baseline => true,
+            SpanKernel::Avx2 => avx2,
+            SpanKernel::Avx512 => avx2 && avx512,
+        }
+    }
+}
+
+impl std::fmt::Display for SpanKernel {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.write_str(match self {
+            SpanKernel::Baseline => "baseline",
+            SpanKernel::Avx2 => "AVX2",
+            SpanKernel::Avx512 => "AVX-512, 8 lanes + 4-lane tail",
+        })
+    }
+}
+
+/// The instantiation [`apply_segment`] runs on this CPU: the widest one
+/// whose target features the CPU has, detected once per process.
+pub fn span_kernel() -> SpanKernel {
+    SpanKernel::ALL.into_iter().find(|k| k.runs_here()).unwrap_or(SpanKernel::Baseline)
+}
+
+/// How many of a group's `n` sinks the AVX-512 instantiation hands to the
+/// 4-wide tail: a last 8-wide block of 1–4 sinks would be half padding or
+/// more, so it runs as one [`LANES`] block instead, while 5–7 stay one
+/// padded [`WIDE_LANES`] block.
+fn wide_tail(n: usize) -> usize {
+    let r = n % WIDE_LANES;
+    if r <= LANES {
+        r
+    } else {
+        0
+    }
 }
 
 /// One list segment against one sink group: the argument of the lane
@@ -155,37 +227,40 @@ struct Span<'s, I> {
 }
 
 impl<'a, I: Iterator<Item = Entry<'a>> + Clone> Span<'_, I> {
-    /// The lane body behind [`apply_segment`]: [`LANES`] sinks at a time,
-    /// lane = sink.
+    /// The lane body behind [`apply_segment`]: the group's sinks at
+    /// offsets `part` of `acc`, `W` at a time, lane = sink.
     ///
     /// Every lane runs, entry by entry in list order, exactly the IEEE
     /// operations of [`pp_acc`] / [`pc_quad_acc`] / [`pc_quad_pot`] on its
     /// own sink (`a * b + c` is never contracted, nothing is reassociated
     /// across entries), so the result is bitwise the scalar kernels applied
-    /// per sink. `SUBSUM` is the P-P contract — the segment's sum starts
-    /// at zero and is added to `acc` once; without it each entry is added
-    /// to `acc` directly (the P-C contract). `QUAD` adds the quadrupole
-    /// terms, `POT` fills `pot`. A last block shorter than `LANES` is
-    /// padded with copies of its last sink — a real sink, so `rsqrt`'s
-    /// domain holds in the padding exactly when it holds for the group —
-    /// and only the valid lanes are written back. Self-pairs are the
-    /// caller's business: a segment that may alias the sinks never gets
-    /// here.
+    /// per sink, whatever `W`. `SUBSUM` is the P-P contract — the
+    /// segment's sum starts at zero and is added to `acc` once; without it
+    /// each entry is added to `acc` directly (the P-C contract). `QUAD`
+    /// adds the quadrupole terms, `POT` fills `pot`. A last block shorter
+    /// than `W` is padded with copies of its last sink — a real sink, so
+    /// `rsqrt`'s domain holds in the padding exactly when it holds for the
+    /// group — and only the valid lanes are written back. Self-pairs are
+    /// the caller's business: a segment that may alias the sinks never
+    /// gets here.
     ///
     /// Each step is one pass over the lanes ([`per_lane`]), which the
     /// compiler turns into vector arithmetic where vector registers are
-    /// enabled ([`Span::lanes_avx2`]); at baseline features it is the
-    /// four interleaved scalar chains it replaced, at the same speed.
+    /// enabled ([`Span::lanes_avx2`], [`Span::lanes_avx512`]); at baseline
+    /// features it is `W` interleaved scalar chains.
     #[inline(always)]
-    fn lanes<const QUAD: bool, const POT: bool, const SUBSUM: bool>(self) {
-        let Span { sink_pos, sinks, entries, eps2, acc, pot } = self;
+    fn lanes<const W: usize, const QUAD: bool, const POT: bool, const SUBSUM: bool>(
+        &mut self,
+        part: Range<usize>,
+    ) {
+        let Span { sink_pos, ref sinks, ref entries, eps2, ref mut acc, ref mut pot } = *self;
         debug_assert_eq!(acc.len(), sinks.len());
         debug_assert_eq!(pot.len(), if POT { sinks.len() } else { 0 });
-        for k in (0..sinks.len()).step_by(LANES) {
-            let valid = LANES.min(sinks.len() - k);
+        for k in part.clone().step_by(W) {
+            let valid = W.min(part.end - k);
             let at = |l: usize| k + l.min(valid - 1);
-            let [xs, ys, zs] = per_axis(|l| sink_pos[sinks.start + at(l)]);
-            let [mut ax, mut ay, mut az, mut p] = [[0.0; LANES]; 4];
+            let [xs, ys, zs]: [[f64; W]; 3] = per_axis(|l| sink_pos[sinks.start + at(l)]);
+            let [mut ax, mut ay, mut az, mut p] = [[0.0; W]; 4];
             if !SUBSUM {
                 [ax, ay, az] = per_axis(|l| acc[at(l)]);
                 if POT {
@@ -193,46 +268,47 @@ impl<'a, I: Iterator<Item = Entry<'a>> + Clone> Span<'_, I> {
                 }
             }
             for (sx, sy, sz, m, quad) in entries.clone() {
-                let dx: Lanes = per_lane(|l| xs[l] - sx);
-                let dy: Lanes = per_lane(|l| ys[l] - sy);
-                let dz: Lanes = per_lane(|l| zs[l] - sz);
-                let r2: Lanes = per_lane(|l| dx[l] * dx[l] + dy[l] * dy[l] + dz[l] * dz[l] + eps2);
+                let dx: [f64; W] = per_lane(|l| xs[l] - sx);
+                let dy: [f64; W] = per_lane(|l| ys[l] - sy);
+                let dz: [f64; W] = per_lane(|l| zs[l] - sz);
+                let r2: [f64; W] =
+                    per_lane(|l| dx[l] * dx[l] + dy[l] * dy[l] + dz[l] * dz[l] + eps2);
                 let rinv = rsqrt_lanes(r2);
-                let rinv2: Lanes = per_lane(|l| rinv[l] * rinv[l]);
-                let rinv3: Lanes = per_lane(|l| rinv2[l] * rinv[l]);
-                let mono: Lanes = per_lane(|l| -m * rinv3[l]);
+                let rinv2: [f64; W] = per_lane(|l| rinv[l] * rinv[l]);
+                let rinv3: [f64; W] = per_lane(|l| rinv2[l] * rinv[l]);
+                let mono: [f64; W] = per_lane(|l| -m * rinv3[l]);
                 if QUAD {
                     let [xx, yy, zz, xy, xz, yz] = quad.m;
                     let tr = quad.trace();
-                    let rinv5: Lanes = per_lane(|l| rinv3[l] * rinv2[l]);
-                    let rinv7: Lanes = per_lane(|l| rinv5[l] * rinv2[l]);
-                    let qx: Lanes = per_lane(|l| xx * dx[l] + xy * dy[l] + xz * dz[l]);
-                    let qy: Lanes = per_lane(|l| xy * dx[l] + yy * dy[l] + yz * dz[l]);
-                    let qz: Lanes = per_lane(|l| xz * dx[l] + yz * dy[l] + zz * dz[l]);
+                    let rinv5: [f64; W] = per_lane(|l| rinv3[l] * rinv2[l]);
+                    let rinv7: [f64; W] = per_lane(|l| rinv5[l] * rinv2[l]);
+                    let qx: [f64; W] = per_lane(|l| xx * dx[l] + xy * dy[l] + xz * dz[l]);
+                    let qy: [f64; W] = per_lane(|l| xy * dx[l] + yy * dy[l] + yz * dz[l]);
+                    let qz: [f64; W] = per_lane(|l| xz * dx[l] + yz * dy[l] + zz * dz[l]);
                     // 3 dᵀQd − r² tr Q, shared by the force and the potential.
-                    let s: Lanes = per_lane(|l| {
+                    let s: [f64; W] = per_lane(|l| {
                         3.0 * (dx[l] * qx[l] + dy[l] * qy[l] + dz[l] * qz[l]) - r2[l] * tr
                     });
-                    let radial: Lanes = per_lane(|l| 2.5 * s[l] * rinv7[l]);
+                    let radial: [f64; W] = per_lane(|l| 2.5 * s[l] * rinv7[l]);
                     for (a, d, q) in [(&mut ax, dx, qx), (&mut ay, dy, qy), (&mut az, dz, qz)] {
-                        for l in 0..LANES {
+                        for l in 0..W {
                             a[l] += d[l] * mono[l] + (q[l] * 3.0 - d[l] * tr) * rinv5[l]
                                 - d[l] * radial[l];
                         }
                     }
                     if POT {
-                        for l in 0..LANES {
+                        for l in 0..W {
                             p[l] += -m * rinv[l] - 0.5 * s[l] * rinv5[l];
                         }
                     }
                 } else {
                     for (a, d) in [(&mut ax, dx), (&mut ay, dy), (&mut az, dz)] {
-                        for l in 0..LANES {
+                        for l in 0..W {
                             a[l] += d[l] * mono[l];
                         }
                     }
                     if POT {
-                        for l in 0..LANES {
+                        for l in 0..W {
                             p[l] += -m * rinv[l];
                         }
                     }
@@ -252,53 +328,93 @@ impl<'a, I: Iterator<Item = Entry<'a>> + Clone> Span<'_, I> {
         }
     }
 
-    /// [`Span::lanes`] compiled a second time with AVX2 enabled, so the
+    /// [`Span::lanes`] at [`LANES`] and the crate's baseline features.
+    /// Out of line, so that [`Span::apply`]'s own frame stays a
+    /// dispatcher's: inlined there, the body's frame would sit under the
+    /// AVX instantiations' frames on every call (see [`Span::apply`]).
+    #[inline(never)]
+    fn lanes_baseline<const QUAD: bool, const POT: bool, const SUBSUM: bool>(
+        &mut self,
+        part: Range<usize>,
+    ) {
+        self.lanes::<LANES, QUAD, POT, SUBSUM>(part);
+    }
+
+    /// [`Span::lanes`] at [`LANES`] compiled with AVX2 enabled, so the
     /// four sink lanes of a block are one 256-bit register. Only `avx2` —
-    /// not `fma` — is enabled, so no fused multiply-add can appear and the
-    /// result stays bitwise the baseline instantiation's.
+    /// not `fma` — is enabled; Rust never contracts `a * b + c` anyway, so
+    /// the result stays bitwise the baseline instantiation's.
     #[cfg(target_arch = "x86_64")]
     #[target_feature(enable = "avx2")]
-    fn lanes_avx2<const QUAD: bool, const POT: bool, const SUBSUM: bool>(self) {
-        self.lanes::<QUAD, POT, SUBSUM>();
+    fn lanes_avx2<const QUAD: bool, const POT: bool, const SUBSUM: bool>(
+        &mut self,
+        part: Range<usize>,
+    ) {
+        self.lanes::<LANES, QUAD, POT, SUBSUM>(part);
     }
 
-    /// Run the lane body in the widest instantiation this CPU supports.
+    /// [`Span::lanes`] at [`WIDE_LANES`] compiled with AVX-512F enabled,
+    /// so the eight sink lanes of a block are one 512-bit register. As for
+    /// [`Span::lanes_avx2`], `fma` is not asked for (`avx512f` implies it
+    /// to the compiler, which still never contracts), so the result stays
+    /// bitwise the baseline instantiation's.
+    #[cfg(target_arch = "x86_64")]
+    #[target_feature(enable = "avx512f")]
+    fn lanes_avx512<const QUAD: bool, const POT: bool, const SUBSUM: bool>(
+        &mut self,
+        part: Range<usize>,
+    ) {
+        self.lanes::<WIDE_LANES, QUAD, POT, SUBSUM>(part);
+    }
+
+    /// Run the lane body in the instantiation `kernel` — the one dispatch
+    /// point, and the only `unsafe` of the apply stage. With
+    /// [`SpanKernel::Avx512`] a group runs in [`WIDE_LANES`] blocks, and a
+    /// last 1–4 sinks ([`wide_tail`]) as one AVX2 block over the tail of
+    /// `acc`/`pot`. The instantiations get the span by reference and the
+    /// part of the group they run as a range, so this frame holds no
+    /// second span.
     ///
-    /// Out of line, like [`pp_per_sink`]: inlined, all six monomorphs
-    /// would share [`apply_segment`]'s stack frame, which deepens the stack
-    /// of every rank fiber that applies lists (measured on a 2-thread
-    /// x86-64 host: `dist_fine`'s 128 ranks peak ≈ 0.45 MiB, 1 %, higher).
+    /// Out of line, and nothing but a dispatcher: inlined, all six
+    /// monomorphs would share [`apply_segment`]'s stack frame (measured on
+    /// a 2-thread x86-64 host: `dist_fine`'s 128 ranks peak ≈ 0.45 MiB,
+    /// 1 %, higher), and every byte of this frame sits under a lane body's
+    /// on each call, so it deepens the stack of every rank fiber that
+    /// applies lists just the same (EXPERIMENTS.md K5 lists the frames).
+    ///
+    /// # Panics
+    ///
+    /// When `kernel` does not [run here](SpanKernel::runs_here).
     #[allow(unsafe_code)]
     #[inline(never)]
-    fn apply<const QUAD: bool, const POT: bool, const SUBSUM: bool>(self) {
-        #[cfg(target_arch = "x86_64")]
-        if span_uses_avx2() {
-            // SAFETY: `lanes_avx2` requires only the `avx2` target feature,
-            // which `span_uses_avx2` has just detected on the running CPU.
-            return unsafe { self.lanes_avx2::<QUAD, POT, SUBSUM>() };
+    fn apply<const QUAD: bool, const POT: bool, const SUBSUM: bool>(mut self, kernel: SpanKernel) {
+        assert!(kernel.runs_here(), "the {kernel} lane body asked for on a CPU without it");
+        let all = 0..self.sinks.len();
+        match kernel {
+            #[cfg(target_arch = "x86_64")]
+            SpanKernel::Avx512 => {
+                let head = all.end - wide_tail(all.end);
+                // The tail is one 4-wide block at most, and a partial wide
+                // block is more than four sinks.
+                debug_assert!(all.end - head <= LANES);
+                debug_assert!(!(1..=LANES).contains(&(head % WIDE_LANES)));
+                // SAFETY: `runs_here` has just detected `avx512f` and `avx2`
+                // on the running CPU, all that the two bodies require.
+                unsafe {
+                    if head > 0 {
+                        self.lanes_avx512::<QUAD, POT, SUBSUM>(0..head);
+                    }
+                    if head < all.end {
+                        self.lanes_avx2::<QUAD, POT, SUBSUM>(head..all.end);
+                    }
+                }
+            }
+            // SAFETY: `runs_here` has just detected `avx2` on the running CPU.
+            #[cfg(target_arch = "x86_64")]
+            SpanKernel::Avx2 => unsafe { self.lanes_avx2::<QUAD, POT, SUBSUM>(all) },
+            _ => self.lanes_baseline::<QUAD, POT, SUBSUM>(all),
         }
-        self.lanes::<QUAD, POT, SUBSUM>();
     }
-
-    /// [`Span::apply`], or with `BASELINE` the baseline [`Span::lanes`].
-    #[inline(always)]
-    fn run<const QUAD: bool, const POT: bool, const SUBSUM: bool, const BASELINE: bool>(self) {
-        if BASELINE {
-            self.lanes::<QUAD, POT, SUBSUM>();
-        } else {
-            self.apply::<QUAD, POT, SUBSUM>();
-        }
-    }
-}
-
-/// Whether the lane body runs its AVX2 instantiation on this CPU.
-/// `std` detects once per process and caches in an atomic — not a
-/// thread-local, so a fiber resumed on another worker reads it safely.
-pub fn span_uses_avx2() -> bool {
-    #[cfg(target_arch = "x86_64")]
-    return std::arch::is_x86_feature_detected!("avx2");
-    #[cfg(not(target_arch = "x86_64"))]
-    return false;
 }
 
 /// Apply one list segment to a whole sink group — the one entry of the
@@ -309,11 +425,11 @@ pub fn span_uses_avx2() -> bool {
 /// added once; each P-C cell, monopole or (with `quadrupole`) with its
 /// quadrupole terms, is added directly — per sink, in list order, bitwise
 /// the scalar kernels applied one source at a time. Every segment goes
-/// through the lane body (`Span::lanes`) except a P-P segment that may
-/// hold a self-pair (the group's own leaves: a few dozen of a list's
-/// ≈ 1 400 entries): that one is evaluated per sink, since a masked lane
-/// would still compute `rsqrt(0 + ε²)`, outside `rsqrt`'s domain when
-/// `ε = 0`.
+/// through the lane body (`Span::lanes`, in the instantiation
+/// [`span_kernel`] names) except a P-P segment that may hold a self-pair
+/// (the group's own leaves: a few dozen of a list's ≈ 1 400 entries):
+/// that one is evaluated per sink, since a masked lane would still compute
+/// `rsqrt(0 + ε²)`, outside `rsqrt`'s domain when `ε = 0`.
 pub fn apply_segment(
     seg: &Segment<'_, MassMoments>,
     sink_pos: &[Vec3],
@@ -327,18 +443,19 @@ pub fn apply_segment(
         Segment::Pp(src) if span_may_alias(src, &sinks) => {
             pp_per_sink(sink_pos, sinks, src, eps2, acc, pot);
         }
-        _ => lane_body::<false>(seg, sink_pos, sinks, eps2, quadrupole, acc, pot),
+        _ => lane_body(seg, sink_pos, sinks, eps2, quadrupole, acc, pot, span_kernel()),
     }
 }
 
 /// The one choice of lane-body monomorph per segment: P-P sums into a
 /// sub-sum, P-C adds each cell directly, quadrupole terms and potential
-/// as asked (an empty `pot` means none). Runs [`Span::apply`] — the
-/// widest instantiation this CPU supports — or, with `BASELINE`, the
-/// baseline [`Span::lanes`] directly (the property suite's second pin).
-/// The caller has ruled out a P-P segment that may alias the sinks.
+/// as asked (an empty `pot` means none), run in the instantiation
+/// `kernel` — [`span_kernel`] from [`apply_segment`], each one that runs
+/// here from the property suite. The caller has ruled out a P-P segment
+/// that may alias the sinks.
+#[allow(clippy::too_many_arguments)]
 #[inline(always)]
-pub(crate) fn lane_body<const BASELINE: bool>(
+pub(crate) fn lane_body(
     seg: &Segment<'_, MassMoments>,
     sink_pos: &[Vec3],
     sinks: Range<usize>,
@@ -346,24 +463,25 @@ pub(crate) fn lane_body<const BASELINE: bool>(
     quadrupole: bool,
     acc: &mut [Vec3],
     pot: &mut [f64],
+    kernel: SpanKernel,
 ) {
     let with_pot = !pot.is_empty();
     match seg {
         Segment::Pp(src) => {
             let span = Span { sink_pos, sinks, entries: pp_entries(src), eps2, acc, pot };
             if with_pot {
-                span.run::<false, true, true, BASELINE>();
+                span.apply::<false, true, true>(kernel);
             } else {
-                span.run::<false, false, true, BASELINE>();
+                span.apply::<false, false, true>(kernel);
             }
         }
         Segment::Pc(cells) => {
             let span = Span { sink_pos, sinks, entries: pc_entries(cells), eps2, acc, pot };
             match (quadrupole, with_pot) {
-                (false, false) => span.run::<false, false, false, BASELINE>(),
-                (false, true) => span.run::<false, true, false, BASELINE>(),
-                (true, false) => span.run::<true, false, false, BASELINE>(),
-                (true, true) => span.run::<true, true, false, BASELINE>(),
+                (false, false) => span.apply::<false, false, false>(kernel),
+                (false, true) => span.apply::<false, true, false>(kernel),
+                (true, false) => span.apply::<true, false, false>(kernel),
+                (true, true) => span.apply::<true, true, false>(kernel),
             }
         }
     }

@@ -9,7 +9,7 @@
 use crate::evaluator::GravityEvaluator;
 use crate::kernels::{
     apply_segment, lane_body, pc_mono_acc, pc_quad_acc, pc_quad_pot, pp_acc, pp_acc_pot,
-    span_may_alias, span_uses_avx2, LANES,
+    span_kernel, span_may_alias, SpanKernel, WIDE_LANES,
 };
 use hot_base::flops::{FlopCounter, Kind};
 use hot_base::{SymMat3, Vec3, FLOPS_PER_GRAV_INTERACTION, FLOPS_PER_QUAD_INTERACTION};
@@ -49,11 +49,6 @@ impl Soa {
         PpView { x: &self.x, y: &self.y, z: &self.z, q: &self.q, idx }
     }
 }
-
-/// The signature of [`apply_segment`], shared by the oracle and the
-/// baseline lane body ([`lane_body`]`::<true>`).
-type Apply =
-    fn(&Segment<'_, MassMoments>, &[Vec3], Range<usize>, f64, bool, &mut [Vec3], &mut [f64]);
 
 /// The oracle: the five scalar kernels, sink by sink and source by source
 /// in list order. A P-P segment sums into a fresh sub-sum (self-pair
@@ -117,32 +112,35 @@ fn per_sink_scalar(
 /// a per-thread one: a fiber can resume on another worker mid-list.
 #[test]
 fn span_instantiation_is_process_wide() {
-    let here = span_uses_avx2();
-    println!("span kernels: {} instantiation", if here { "AVX2" } else { "baseline" });
-    let there = std::thread::spawn(span_uses_avx2).join().expect("detection does not panic");
+    let here = span_kernel();
+    println!("span kernels: {here}");
+    let there = std::thread::spawn(span_kernel).join().expect("detection does not panic");
     assert_eq!(here, there);
+    assert!(here.runs_here() && SpanKernel::Baseline.runs_here());
 }
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
     /// [`apply_segment`] — the production apply path — is bitwise the
-    /// per-sink scalar oracle, and so is the baseline lane body called
-    /// directly wherever the lane body runs at all: the entry runs the
-    /// instantiation the host selects (AVX2 where the CPU has it). Every
-    /// case runs group sizes 1 ..= 2·LANES + 1, so every padding count;
-    /// the P-P segment is a ghost one, a local one clear of the sinks, and
-    /// a local one starting at every index from 0 to one past the group's
-    /// end — so below the group and short of it, ending next to it or
-    /// overlapping it, inside it, right after it (any length, including
-    /// none); P-C runs mono and quad; all with and without potential, onto
-    /// non-zero accumulators. Whether a P-P segment may alias is checked
-    /// against a brute-force search for a sink index among its sources.
-    /// `acc`/`pot` are exactly `sinks.len()` long, so writing a padding
-    /// lane back panics.
+    /// per-sink scalar oracle, and so is every instantiation of the lane
+    /// body the CPU runs (baseline always, AVX2 and AVX-512 where present),
+    /// called directly wherever the lane body runs at all: the entry runs
+    /// the one the host selects. Every case runs group sizes
+    /// 1 ..= 2·WIDE_LANES + 1, so every padding count of both widths and
+    /// every split of a group into 8-wide blocks and a 4-wide tail; the P-P
+    /// segment is a ghost one, a local one clear of the sinks, and a local
+    /// one starting at every index from 0 to one past the group's end — so
+    /// below the group and short of it, ending next to it or overlapping
+    /// it, inside it, right after it (any length, including none); P-C
+    /// runs mono and quad; all with and without potential, onto non-zero
+    /// accumulators. Whether a P-P segment may alias is checked against a
+    /// brute-force search for a sink index among its sources. `acc`/`pot`
+    /// are exactly `sinks.len()` long, so writing a padding lane back
+    /// panics.
     #[test]
     fn apply_segment_matches_scalar_bitwise(
-        all in unit_points(2 * LANES + 6..24),
+        all in unit_points(2 * WIDE_LANES + 6..32),
         start in 0usize..6,
         src_pts in unit_points(0..30),
         quads in proptest::collection::vec(-1.0f64..1.0, 30..31),
@@ -152,7 +150,7 @@ proptest! {
         let q: Vec<f64> = (0..n).map(|j| 0.3 + f64::from(j) * 0.4).collect();
         let soa = Soa::new(&src_pts, &q);
         let ghost = vec![u32::MAX; src_pts.len()];
-        // Every sink index is below `all.len()` < 24.
+        // Every sink index is below `all.len()` < 32.
         let clear: Vec<u32> = (0..n).map(|j| 1000 + j).collect();
 
         // P-C: a short run of cells whose quadrupole terms outweigh their
@@ -172,7 +170,7 @@ proptest! {
         );
         let cells = || Segment::Pc(PcView::<MassMoments> { x: &cx, y: &cy, z: &cz, m: &moments });
 
-        for span_len in 1..=2 * LANES + 1 {
+        for span_len in 1..=2 * WIDE_LANES + 1 {
             let sinks = start..start + span_len;
             // A local segment starting at every index up to one past the
             // group's end.
@@ -200,24 +198,31 @@ proptest! {
                     // Bit patterns of (acc, pot) after `f` ran on the same
                     // non-zero starting buffers; `pot` is empty without
                     // potential.
-                    let run = |f: Apply| {
+                    let run = |f: &dyn Fn(&mut [Vec3], &mut [f64])| {
                         let mut acc: Vec<Vec3> = (0..span_len)
                             .map(|k| Vec3::new(0.5, -0.25, 0.125) * (k as f64 - 3.0))
                             .collect();
                         let pot_len = if with_pot { span_len } else { 0 };
                         let mut pot: Vec<f64> = (0..pot_len).map(|k| 0.75 - k as f64).collect();
-                        f(seg, &all, sinks.clone(), eps2, *quadrupole, &mut acc, &mut pot);
+                        f(&mut acc, &mut pot);
                         let bits = |a: &Vec3| [a.x.to_bits(), a.y.to_bits(), a.z.to_bits()];
                         let acc: Vec<[u64; 3]> = acc.iter().map(bits).collect();
                         (acc, pot.iter().map(|p| p.to_bits()).collect::<Vec<u64>>())
                     };
-                    let want = run(per_sink_scalar);
+                    let (s, q) = (&sinks, *quadrupole);
+                    let want = run(&|a, p| per_sink_scalar(seg, &all, s.clone(), eps2, q, a, p));
+                    let got = run(&|a, p| apply_segment(seg, &all, s.clone(), eps2, q, a, p));
                     let tag = format!("{name}, pot {with_pot}, {span_len} sinks");
-                    prop_assert_eq!(&run(apply_segment), &want, "apply_segment: {}", tag);
+                    prop_assert_eq!(&got, &want, "apply_segment: {}", tag);
                     // An aliasing P-P segment takes the per-sink path inside
                     // the entry; the lane body must never see it.
-                    if !aliasing {
-                        prop_assert_eq!(&run(lane_body::<true>), &want, "lane body: {}", tag);
+                    if aliasing {
+                        continue;
+                    }
+                    for kernel in SpanKernel::ALL.into_iter().filter(|k| k.runs_here()) {
+                        let got =
+                            run(&|a, p| lane_body(seg, &all, s.clone(), eps2, q, a, p, kernel));
+                        prop_assert_eq!(&got, &want, "{} lane body: {}", kernel, tag);
                     }
                 }
             }
