@@ -69,6 +69,23 @@ if [ "$rc" -ne 1 ]; then
   exit 1
 fi
 
+echo "==> hot-analyze lint dead-export non-vacuity (a planted pub fn nothing calls must exit 1)"
+planted=$(mktemp -d)
+mkdir -p "$planted/crates/core/src"
+cat > "$planted/crates/core/src/lib.rs" <<'EOF'
+/// Nothing calls this.
+pub fn orphan() -> u32 {
+    7
+}
+EOF
+rc=0
+cargo run -q --offline --release -p hot-analyze -- lint --root "$planted" > "$smoke/dead_export.txt" || rc=$?
+rm -rf "$planted"
+if [ "$rc" -ne 1 ] || ! grep -q '\[dead-export\] `pub fn orphan`' "$smoke/dead_export.txt"; then
+  echo "ERROR: planted dead-export fixture exited $rc without a dead-export finding for orphan, expected exit 1 — the rule is vacuous" >&2
+  exit 1
+fi
+
 echo "==> hot-analyze protocol (collective-order / tag-matching / counter-discipline)"
 cargo run -q --offline --release -p hot-analyze -- protocol
 
@@ -153,6 +170,21 @@ echo "==> exp_force_accuracy pins RMS force error per MAC (stdout must equal res
 (cd "$smoke" && cargo run -q --offline --release --manifest-path "$root/Cargo.toml" -p hot-bench --bin exp_force_accuracy) > "$smoke/force_accuracy.txt"
 if ! diff results/exp_force_accuracy.txt "$smoke/force_accuracy.txt" >&2; then
   echo "ERROR: exp_force_accuracy moved off results/exp_force_accuracy.txt — the walk, MAC or kernels changed, or the file is stale" >&2
+  exit 1
+fi
+
+echo "==> exp_costs pins Tables 1-2 and the price/performance arithmetic (stdout must equal results/exp_costs.txt)"
+(cd "$smoke" && cargo run -q --offline --release --manifest-path "$root/Cargo.toml" -p hot-bench --bin exp_costs) > "$smoke/costs.txt"
+if ! diff results/exp_costs.txt "$smoke/costs.txt" >&2; then
+  echo "ERROR: exp_costs moved off results/exp_costs.txt — the cost tables changed, or the file is stale" >&2
+  exit 1
+fi
+
+echo "==> exp_trace_phases 2 800 pins the np = 2 phase ledger (results/trace_phases_np2.json must match)"
+# Counters and model-clock seconds only: host-independent, like exp_cosmo_loki.
+(cd "$smoke" && cargo run -q --offline --release --manifest-path "$root/Cargo.toml" -p hot-bench --bin exp_trace_phases -- 2 800) > /dev/null
+if ! diff results/trace_phases_np2.json "$smoke/results/trace_phases_np2.json" >&2; then
+  echo "ERROR: exp_trace_phases 2 800 moved off results/trace_phases_np2.json — the traced pipeline changed, or the file is stale" >&2
   exit 1
 fi
 

@@ -178,25 +178,26 @@ mod tests {
     }
 
     /// Planted fixture: a workload whose result records *recovery-visible*
-    /// state (how many raw frames arrived, dups and all). That is
-    /// schedule/fault-dependent by design, and the checker must flag it —
-    /// proving the comparison actually bites.
+    /// state (the order in which two senders' messages arrive, which drops,
+    /// delays and retransmissions permute). That is schedule/fault-dependent
+    /// by design, and the checker must flag it — proving the comparison
+    /// actually bites.
     #[test]
     fn detects_fault_dependent_results() {
-        let rep = sweep_workload("fixture-fault-dependent", 2, 4, 2, false, |c| {
+        let rep = sweep_workload("fixture-fault-dependent", 3, 4, 2, false, |c| {
             if c.rank() == 0 {
+                // One bit per message: did it come from rank 2?
+                let mut order = 0u64;
+                for _ in 0..40 {
+                    let (src, _) = c.recv_bytes(None, 7);
+                    order = order << 1 | u64::from(src == 2);
+                }
+                order
+            } else {
                 for i in 0..20u64 {
-                    c.send(1, 7, &i);
+                    c.send(0, 7, &i);
                 }
                 0
-            } else {
-                let mut sum = 0u64;
-                for _ in 0..20 {
-                    sum += c.recv::<u64>(0, 7);
-                }
-                // Leak transport state into the "result": total retries seen
-                // so far on this rank. Varies with the fault plan.
-                sum + c.reliability_stats().retries * 1_000_000
             }
         });
         assert!(!rep.passed(), "planted fault-dependent result not detected");

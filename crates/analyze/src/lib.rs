@@ -11,7 +11,8 @@
 //!   the compiler cannot see: the 38-flop accounting convention, f64-only
 //!   accumulation paths, deterministic (iteration-order-free) reductions
 //!   and wire encoding, wall-clock-free simulation logic, an audited
-//!   `unwrap`/`expect` surface, and honest suppression inventories.
+//!   `unwrap`/`expect` surface, no `pub` item that only tests use, and
+//!   honest suppression inventories.
 //! * [`protocol`] — a static communication-protocol checker: extracts
 //!   the send/recv/post/poll call graph and every collective site of
 //!   `crates/comm` and the drivers (`crates/core/src/{dwalk,decomp,dtree}.rs`,

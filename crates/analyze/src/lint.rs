@@ -18,12 +18,18 @@
 //! Code inside `#[cfg(test)]` modules is exempt from every rule: tests
 //! may unwrap, time themselves, and truncate at will.
 //!
+//! One rule, `dead-export`, is cross-file: [`lint_workspace`] runs it over
+//! every file at once through [`dead_exports`], and [`lint_source`], which
+//! sees one file, never reports it.
+//!
 //! Rules and their paper-tied rationale are documented in VERIFICATION.md.
 
-use crate::lexer::FileMap;
+use crate::lexer::{FileMap, Tok, TokKind};
 use crate::model::{self, Suppressions};
 use crate::protocol;
+use std::collections::HashSet;
 use std::fmt;
+use std::ops::Range;
 use std::path::{Path, PathBuf};
 
 /// One rule violation.
@@ -51,15 +57,31 @@ impl fmt::Display for Finding {
 /// Names of every lint rule, for `--help` output and docs cross-checking.
 /// (The `hot-analyze protocol` subcommand has its own rule list,
 /// [`protocol::RULES`].)
-pub const RULES: [&str; 7] = [
+pub const RULES: [&str; 8] = [
     "f32-accumulation",
     "flop-accounting",
     "determinism",
     "wall-clock",
     "unwrap-audit",
     "runtime-api",
+    "dead-export",
     "stale-suppression",
 ];
+
+/// The one cross-file rule: it runs in [`dead_exports`], not per file.
+const DEAD_EXPORT: &str = "dead-export";
+
+/// Trees outside lint's scope whose non-test code still counts as a use
+/// for `dead-export`: the linter's own crate, the examples and the
+/// benchmark harness (its own workspace, built on the public API).
+const USE_ONLY_DIRS: [&str; 3] = ["crates/analyze", "examples", "benchmark/src"];
+
+/// Item keywords `dead-export` checks after `pub`.
+const EXPORT_KINDS: [&str; 7] = ["fn", "struct", "enum", "trait", "type", "const", "static"];
+
+/// Keywords that introduce a definition: the name after one is not a use.
+const DEFINING_KEYWORDS: [&str; 9] =
+    ["fn", "struct", "enum", "trait", "type", "const", "static", "mod", "union"];
 
 /// Files (by suffix match) forming the f64 accumulation paths: multipole
 /// moments, tree walks, and the interaction kernels.
@@ -311,43 +333,233 @@ fn lint_filemap(rel: &str, fm: &FileMap, allow_unwrap: &[String]) -> Vec<Finding
 
     // Rule: stale-suppression — after every other rule has had its chance
     // to consume a marker. Markers naming protocol rules are audited by
-    // `hot-analyze protocol` instead (it knows which ones fire), and
+    // `hot-analyze protocol` instead (it knows which ones fire), markers
+    // naming `dead-export` by the cross-file pass in `dead_exports`, and
     // `allow(stale-suppression)` markers are the meta-escape for the rare
     // marker that is load-bearing only on some platforms/configs.
     let marks: Vec<(usize, String)> = sup
         .markers
         .iter()
         .filter(|m| !m.used && !in_test[m.line] && m.rule != "stale-suppression")
+        .filter(|m| m.rule != DEAD_EXPORT)
         .filter(|m| !protocol::RULES.contains(&m.rule.as_str()))
         .map(|m| (m.line, m.rule.clone()))
         .collect();
     for (line, rule) in marks {
-        let message = if RULES.contains(&rule.as_str()) {
-            format!(
-                "suppression marker `hot-lint: allow({rule})` suppresses no \
-                 finding on this or the following line; the code it justified \
-                 has moved or been fixed — remove the marker"
-            )
-        } else {
-            format!(
-                "suppression marker names unknown rule `{rule}`; known rules: \
-                 {} (lint), {} (protocol)",
-                RULES.join(", "),
-                protocol::RULES.join(", ")
-            )
-        };
         if !sup.allows("stale-suppression", line) {
-            findings.push(Finding {
-                rule: "stale-suppression",
-                file: rel.to_string(),
-                line: line + 1,
-                excerpt: fm.lines[line].trim().to_string(),
-                message,
-            });
+            findings.push(stale_marker(rel, fm, line, &rule));
         }
     }
 
     findings
+}
+
+/// The `stale-suppression` finding for a `hot-lint: allow(rule)` marker
+/// on 0-based `line` that suppressed nothing.
+fn stale_marker(rel: &str, fm: &FileMap, line: usize, rule: &str) -> Finding {
+    let message = if RULES.contains(&rule) {
+        format!(
+            "suppression marker `hot-lint: allow({rule})` suppresses no \
+             finding on this or the following line; the code it justified \
+             has moved or been fixed — remove the marker"
+        )
+    } else {
+        format!(
+            "suppression marker names unknown rule `{rule}`; known rules: \
+             {} (lint), {} (protocol)",
+            RULES.join(", "),
+            protocol::RULES.join(", ")
+        )
+    };
+    Finding {
+        rule: "stale-suppression",
+        file: rel.to_string(),
+        line: line + 1,
+        excerpt: fm.lines[line].trim().to_string(),
+        message,
+    }
+}
+
+/// Rule `dead-export` over `(workspace-relative path, source)` pairs: the
+/// multi-file entry [`lint_workspace`] runs, split out so fixture tests
+/// drive the same code path CI uses. A `pub` fn, struct, enum, trait,
+/// type, const or static in lint's scope is a finding when no identifier
+/// token of production code names it. Production is every file outside a
+/// `tests/` directory, minus its `#[cfg(test)]` code; `use` declarations
+/// (except that importing a trait puts its methods in scope), a
+/// definition's own name and an `impl` block's self type do not count,
+/// and comments are not tokens. The check is by name, so an item sharing
+/// its name with anything production code names passes.
+#[must_use]
+pub fn dead_exports(files: &[(String, String)]) -> Vec<Finding> {
+    let maps: Vec<(String, FileMap)> =
+        files.iter().map(|(rel, src)| (rel.clone(), FileMap::parse(src))).collect();
+    dead_export(&maps)
+}
+
+fn dead_export(files: &[(String, FileMap)]) -> Vec<Finding> {
+    let production: Vec<(&str, &FileMap, Vec<bool>)> = files
+        .iter()
+        .filter(|(rel, _)| !rel.split('/').any(|c| c == "tests"))
+        .map(|(rel, fm)| (rel.as_str(), fm, model::test_mask(fm)))
+        .collect();
+    let (mut used, mut imported) = (HashSet::new(), HashSet::new());
+    for (_, fm, in_test) in &production {
+        let (uses, imports) = used_names(fm, in_test);
+        used.extend(uses);
+        imported.extend(imports);
+    }
+    let mut findings = Vec::new();
+    for (rel, fm, in_test) in production.iter().filter(|(rel, ..)| in_lint_scope(rel)) {
+        let mut sup = Suppressions::collect(fm);
+        for (line, kind, name) in exports(fm, in_test) {
+            // Importing a trait puts its methods in scope: that is a use.
+            let live = used.contains(name) || (kind == "trait" && imported.contains(name));
+            if !live && !sup.allows(DEAD_EXPORT, line) {
+                findings.push(Finding {
+                    rule: DEAD_EXPORT,
+                    file: rel.to_string(),
+                    line: line + 1,
+                    excerpt: fm.lines[line].trim().to_string(),
+                    message: format!(
+                        "`pub {kind} {name}` is named by no production code, only by \
+                         tests, `use` lines or comments: delete it with the tests that \
+                         exercise only it, or gate it with #[cfg(test)] when other \
+                         tests use it as a helper or oracle"
+                    ),
+                });
+            }
+        }
+        let stale: Vec<usize> = sup
+            .markers
+            .iter()
+            .filter(|m| m.rule == DEAD_EXPORT && !m.used && !in_test[m.line])
+            .map(|m| m.line)
+            .collect();
+        for line in stale {
+            if !sup.allows("stale-suppression", line) {
+                findings.push(stale_marker(rel, fm, line, DEAD_EXPORT));
+            }
+        }
+    }
+    findings
+}
+
+/// The `pub` items of a file's non-test code as `(0-based line, keyword,
+/// name)`. `pub(crate)` and narrower items are left to rustc's
+/// `dead_code` lint.
+fn exports<'a>(fm: &'a FileMap, in_test: &[bool]) -> Vec<(usize, &'static str, &'a str)> {
+    let toks = &fm.tokens;
+    let ident = |j: usize, names: &[&str]| {
+        toks.get(j).is_some_and(|t| names.iter().any(|n| t.is_ident(n)))
+    };
+    let mut out = Vec::new();
+    for k in 0..toks.len() {
+        if !toks[k].is_ident("pub") || in_test[toks[k].line - 1] {
+            continue;
+        }
+        // Qualifiers: `const fn`, `unsafe fn`, `async fn`, `extern "C" fn`.
+        let mut j = k + 1;
+        while ident(j, &["unsafe", "async", "extern"])
+            || toks.get(j).is_some_and(|t| t.kind == TokKind::Str)
+            || (ident(j, &["const"]) && ident(j + 1, &["fn", "unsafe", "async", "extern"]))
+        {
+            j += 1;
+        }
+        let Some(kind) = EXPORT_KINDS.iter().find(|&&kw| ident(j, &[kw])) else {
+            continue;
+        };
+        let at = if *kind == "static" && ident(j + 1, &["mut"]) { j + 2 } else { j + 1 };
+        if let Some(name) = toks.get(at).filter(|t| t.kind == TokKind::Ident && t.text != "_") {
+            out.push((name.line - 1, *kind, name.text.as_str()));
+        }
+    }
+    out
+}
+
+/// Identifiers the non-test code of a file names, as `(uses, imports)`:
+/// uses are outside `use` declarations, minus definitions' own names and
+/// `impl` self types; imports are the names `use` declarations list.
+fn used_names<'a>(fm: &'a FileMap, in_test: &[bool]) -> (Vec<&'a str>, Vec<&'a str>) {
+    let toks = &fm.tokens;
+    let idents = |ts: &'a [Tok]| {
+        ts.iter().filter(|t| t.kind == TokKind::Ident).map(|t| t.text.as_str())
+    };
+    let (mut out, mut imports) = (Vec::new(), Vec::new());
+    let mut k = 0;
+    while k < toks.len() {
+        let t = &toks[k];
+        if in_test[t.line - 1] {
+            k += 1;
+        } else if t.is_ident("use") {
+            let end = toks[k..].iter().position(|t| t.is_punct(";")).map_or(toks.len(), |p| k + p);
+            imports.extend(idents(&toks[k + 1..end]));
+            k = end + 1;
+        } else if t.is_ident("impl") && item_start(toks, k) {
+            let self_ty = impl_self_type(toks, k);
+            out.extend(idents(&toks[k + 1..self_ty.start]));
+            k = self_ty.end;
+        } else {
+            let defined = k > 0
+                && (DEFINING_KEYWORDS.iter().any(|kw| toks[k - 1].is_ident(kw))
+                    || (k > 1 && toks[k - 1].is_ident("mut") && toks[k - 2].is_ident("static")));
+            if t.kind == TokKind::Ident && !defined {
+                out.push(t.text.as_str());
+            } else if t.kind == TokKind::Str {
+                out.extend(inline_format_args(&t.text));
+            }
+            k += 1;
+        }
+    }
+    (out, imports)
+}
+
+/// Names a string literal may capture as inline format arguments: the `x`
+/// of `{x}` and `{x:?}`. Any literal counts, and so does an escaped
+/// `{{x}}`, so the rule errs toward a use.
+fn inline_format_args(lit: &str) -> impl Iterator<Item = &str> {
+    lit.split('{').skip(1).filter_map(|piece| {
+        let end = piece.find(|c: char| !(c == '_' || c.is_ascii_alphanumeric()))?;
+        let name = &piece[..end];
+        let starts_ident = name.starts_with(|c: char| c == '_' || c.is_ascii_alphabetic());
+        (starts_ident && matches!(piece[end..].chars().next(), Some('}' | ':'))).then_some(name)
+    })
+}
+
+/// True when token `k` starts an item: first in the file, or after an
+/// item or block boundary, an attribute, or `unsafe`.
+fn item_start(toks: &[Tok], k: usize) -> bool {
+    k == 0
+        || ["}", ";", "]", "{"].iter().any(|p| toks[k - 1].is_punct(p))
+        || toks[k - 1].is_ident("unsafe")
+}
+
+/// The token range of the self type of the `impl` block at `k`: after
+/// `for` in a trait impl, after the generic parameters otherwise, up to
+/// `where` or the opening brace.
+fn impl_self_type(toks: &[Tok], k: usize) -> Range<usize> {
+    let generics = toks.get(k + 1).is_some_and(|t| t.is_punct("<"));
+    let mut depth = 0i64;
+    let mut start = k + 1;
+    let mut j = k + 1;
+    while j < toks.len() {
+        let t = &toks[j];
+        match t.text.as_str() {
+            "<" => depth += 1,
+            "<<" => depth += 2,
+            ">" | ">>" => {
+                depth -= if t.text == ">" { 1 } else { 2 };
+                if generics && depth == 0 && start == k + 1 {
+                    start = j + 1;
+                }
+            }
+            "{" | "where" if depth == 0 => break,
+            "for" if depth == 0 && t.kind == TokKind::Ident => start = j + 1,
+            _ => {}
+        }
+        j += 1;
+    }
+    start..j
 }
 
 /// One entry of the unwrap allowlist.
@@ -394,8 +606,19 @@ pub fn load_allowlist_entries(root: &Path) -> Vec<AllowEntry> {
 /// and excluding the offline dependency shims under `shims/`.
 #[must_use]
 pub fn collect_sources(root: &Path) -> Vec<PathBuf> {
+    rs_files(root, &["crates", "src"])
+}
+
+/// True for a workspace-relative path [`collect_sources`] would return.
+fn in_lint_scope(rel: &str) -> bool {
+    (rel.starts_with("crates/") && !rel.starts_with("crates/analyze/")) || rel.starts_with("src/")
+}
+
+/// Every `.rs` file under the given directories of `root`, sorted;
+/// `target/` directories and `crates/analyze` below them are skipped.
+fn rs_files(root: &Path, dirs: &[&str]) -> Vec<PathBuf> {
     let mut out = Vec::new();
-    let mut stack = vec![root.join("crates"), root.join("src")];
+    let mut stack: Vec<PathBuf> = dirs.iter().map(|d| root.join(d)).collect();
     while let Some(dir) = stack.pop() {
         let Ok(entries) = std::fs::read_dir(&dir) else {
             continue;
@@ -418,6 +641,19 @@ pub fn collect_sources(root: &Path) -> Vec<PathBuf> {
     out
 }
 
+/// Read `paths` as `(workspace-relative path with `/` separators, source)`
+/// pairs; unreadable files are skipped.
+pub(crate) fn read_sources(root: &Path, paths: &[PathBuf]) -> Vec<(String, String)> {
+    paths
+        .iter()
+        .filter_map(|path| {
+            let source = std::fs::read_to_string(path).ok()?;
+            let rel = path.strip_prefix(root).unwrap_or(path).to_string_lossy().replace('\\', "/");
+            Some((rel, source))
+        })
+        .collect()
+}
+
 /// True when the file has at least one unwrap/expect outside test code —
 /// i.e. the unwrap-audit rule would have something to say about it.
 fn has_nontest_unwrap(fm: &FileMap) -> bool {
@@ -435,26 +671,21 @@ fn has_nontest_unwrap(fm: &FileMap) -> bool {
 pub fn lint_workspace(root: &Path) -> Vec<Finding> {
     let entries = load_allowlist_entries(root);
     let allow: Vec<String> = entries.iter().map(|e| e.path.clone()).collect();
+    let mut paths = collect_sources(root);
+    paths.extend(rs_files(root, &USE_ONLY_DIRS));
+    let files: Vec<(String, FileMap)> = read_sources(root, &paths)
+        .into_iter()
+        .map(|(rel, source)| (rel, FileMap::parse(&source)))
+        .collect();
     let mut findings = Vec::new();
     let mut live: Vec<&str> = Vec::new();
-    let mut files: Vec<(String, FileMap)> = Vec::new();
-    for path in collect_sources(root) {
-        let Ok(source) = std::fs::read_to_string(&path) else {
-            continue;
-        };
-        let rel = path
-            .strip_prefix(root)
-            .unwrap_or(&path)
-            .to_string_lossy()
-            .replace('\\', "/");
-        files.push((rel, FileMap::parse(&source)));
-    }
-    for (rel, fm) in &files {
+    for (rel, fm) in files.iter().filter(|(rel, _)| in_lint_scope(rel)) {
         findings.extend(lint_filemap(rel, fm, &allow));
         if allow.iter().any(|a| a == rel) && has_nontest_unwrap(fm) {
             live.push(rel);
         }
     }
+    findings.extend(dead_export(&files));
     for e in &entries {
         if !live.contains(&e.path.as_str()) {
             findings.push(Finding {
@@ -750,6 +981,101 @@ mod tests {
             "fn f() {}\n#[cfg(test)]\nmod tests {\n    fn t() { Some(1).unwrap(); }\n}\n",
         );
         assert!(!has_nontest_unwrap(&test_only));
+    }
+
+    // ------------------------------------------------------------------
+    // Dead-export rule (cross-file).
+    // ------------------------------------------------------------------
+
+    /// A workspace in miniature: `hot_core` defines, `hot_gravity` and the
+    /// benchmark harness use, and tests of every kind look on.
+    const DEAD_EXPORT_FIXTURE: [(&str, &str); 7] = [
+        (
+            "crates/core/src/lib.rs",
+            "pub fn only_tested() {}\n\
+             pub fn only_imported() {}\n\
+             pub struct OtherCratesTests;\n\
+             pub fn shared() {}\n\
+             pub const LOCAL: u32 = 1;\n\
+             fn private() -> u32 { LOCAL }\n\
+             pub fn benched() {}\n\
+             // hot-lint: allow(dead-export): reviewed\n\
+             pub fn kept() {}\n\
+             // hot-lint: allow(dead-export): nothing here to suppress\n\
+             pub(crate) fn narrow() {}\n\
+             pub static NAMED_IN_FORMAT: &str = \"x\";\n\
+             pub fn only_in_comments() {}\n\
+             pub struct OnlyImpl;\n\
+             impl std::fmt::Display for OnlyImpl {}\n\
+             pub trait MethodsOnly { fn go(&self) {} }\n\
+             #[cfg(test)]\n\
+             mod tests {\n    \
+                 fn t() { super::only_tested(); }\n\
+             }\n",
+        ),
+        (
+            "crates/gravity/src/lib.rs",
+            "use hot_core::{only_imported, shared, MethodsOnly};\n\
+             // only_in_comments() is mentioned here, which is no use\n\
+             pub fn step() -> String { shared(); format!(\"{NAMED_IN_FORMAT}\") }\n\
+             #[cfg(test)]\n\
+             mod tests {\n    \
+                 fn t() { let _ = hot_core::OtherCratesTests; }\n\
+             }\n",
+        ),
+        ("crates/gravity/tests/api.rs", "fn t() { let _ = hot_core::OtherCratesTests; }\n"),
+        ("benchmark/src/main.rs", "fn main() { hot_core::benched(); hot_gravity::step(); }\n"),
+        // Definitions outside lint's scope are never findings.
+        ("crates/analyze/src/lib.rs", "pub fn analyzer_only() {}\n"),
+        ("examples/demo.rs", "pub fn example_only() {}\n"),
+        // A test file's own items are tests, not exports.
+        ("crates/core/tests/props.rs", "pub fn helper() {}\n"),
+    ];
+
+    fn dead_export_hits(files: &[(&str, &str)]) -> Vec<(&'static str, String, usize)> {
+        let owned: Vec<(String, String)> =
+            files.iter().map(|(rel, src)| ((*rel).to_string(), (*src).to_string())).collect();
+        dead_exports(&owned).into_iter().map(|f| (f.rule, f.file, f.line)).collect()
+    }
+
+    #[test]
+    fn dead_export_flags_items_no_production_code_names() {
+        let core = "crates/core/src/lib.rs".to_string();
+        let hit = |rule, line| (rule, core.clone(), line);
+        assert_eq!(
+            dead_export_hits(&DEAD_EXPORT_FIXTURE),
+            [
+                hit("dead-export", 1),  // only its own test module calls it
+                hit("dead-export", 2),  // only a `use` line names it
+                hit("dead-export", 3),  // only another crate's tests use it
+                hit("dead-export", 13), // only a comment mentions it
+                hit("dead-export", 14), // only its own impl header names it
+                hit("stale-suppression", 10),
+            ]
+        );
+    }
+
+    #[test]
+    fn dead_export_messages_name_the_item() {
+        let owned: Vec<(String, String)> = DEAD_EXPORT_FIXTURE
+            .iter()
+            .map(|(rel, src)| ((*rel).to_string(), (*src).to_string()))
+            .collect();
+        let f = dead_exports(&owned);
+        assert!(f[0].message.contains("`pub fn only_tested`"), "{}", f[0].message);
+        assert!(f[2].message.contains("`pub struct OtherCratesTests`"), "{}", f[2].message);
+        assert!(f[5].message.contains("allow(dead-export)"), "{}", f[5].message);
+    }
+
+    #[test]
+    fn dead_export_is_cross_file_only() {
+        // Per file, nothing is known about uses elsewhere: `lint_source`
+        // neither flags a lone `pub fn` nor calls its marker stale.
+        let (rel, src) = DEAD_EXPORT_FIXTURE[0];
+        assert!(rules_hit(rel, src).is_empty(), "{:?}", rules_hit(rel, src));
+        // Without the crate that names `shared`, it is dead too.
+        let alone = dead_export_hits(&DEAD_EXPORT_FIXTURE[..1]);
+        assert!(alone.contains(&("dead-export", rel.to_string(), 4)), "{alone:?}");
     }
 
     // ------------------------------------------------------------------

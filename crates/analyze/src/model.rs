@@ -13,7 +13,9 @@ use crate::lexer::{FileMap, TokKind};
 /// Mark lines inside `#[cfg(test)] mod … { }` blocks (including the
 /// attribute line itself) by brace tracking over the *code view*, so
 /// braces inside string and char literals no longer confuse the count.
-/// A file-level inner attribute (`#![cfg(test)]`) exempts the whole file.
+/// A gated item without a body (a field, a `const`, a `use`) ends at the
+/// `,` or `;` closing its line outside parentheses. A file-level inner
+/// attribute (`#![cfg(test)]`) exempts the whole file.
 #[must_use]
 pub fn test_mask(fm: &FileMap) -> Vec<bool> {
     if fm.code.iter().any(|l| l.trim_start().starts_with("#![cfg(test)]")) {
@@ -24,6 +26,7 @@ pub fn test_mask(fm: &FileMap) -> Vec<bool> {
     while i < fm.code.len() {
         if fm.code[i].trim_start().starts_with("#[cfg(test)]") {
             let mut depth = 0i64;
+            let mut parens = 0i64;
             let mut opened = false;
             let mut j = i;
             while j < fm.code.len() {
@@ -35,10 +38,15 @@ pub fn test_mask(fm: &FileMap) -> Vec<bool> {
                             opened = true;
                         }
                         '}' => depth -= 1,
+                        '(' | '[' => parens += 1,
+                        ')' | ']' => parens -= 1,
                         _ => {}
                     }
                 }
-                if opened && depth <= 0 {
+                let line = fm.code[j].trim_end();
+                let bodiless =
+                    !opened && parens == 0 && (line.ends_with(';') || line.ends_with(','));
+                if (opened && depth <= 0) || bodiless {
                     break;
                 }
                 j += 1;
@@ -431,6 +439,16 @@ mod tests {
         let fm = FileMap::parse(src);
         let mask = test_mask(&fm);
         assert_eq!(&mask[..6], &[false, true, true, true, true, false]);
+    }
+
+    #[test]
+    fn test_mask_ends_a_bodiless_item_at_its_terminator() {
+        // A gated field or constant has no braces to track: the mask stops
+        // at its `,`/`;`, not at the end of the next braced item.
+        let src = "struct S {\n    #[cfg(test)]\n    hook: Vec<(\n        u32,\n    )>,\n    \
+                   live: u32,\n}\n#[cfg(test)]\nconst K: u32 = 1;\nfn prod() {}\n";
+        let mask = test_mask(&FileMap::parse(src));
+        assert_eq!(&mask[..10], &[false, true, true, true, true, false, false, true, true, false]);
     }
 
     #[test]

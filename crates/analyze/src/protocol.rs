@@ -35,7 +35,7 @@
 //! branch); match-arm `if` guards do not guard their arm body.
 
 use crate::lexer::{FileMap, TokKind};
-use crate::lint::{collect_sources, Finding};
+use crate::lint::{collect_sources, read_sources, Finding};
 use crate::model::{self, Suppressions};
 use std::collections::BTreeMap;
 use std::path::Path;
@@ -44,7 +44,7 @@ use std::path::Path;
 pub const RULES: [&str; 3] = ["collective-order", "tag-matching", "counter-discipline"];
 
 /// Collective entry points on `Comm` (see `crates/comm/src/collectives.rs`).
-const COLLECTIVES: [&str; 15] = [
+const COLLECTIVES: [&str; 14] = [
     "barrier",
     "bcast",
     "reduce",
@@ -52,7 +52,6 @@ const COLLECTIVES: [&str; 15] = [
     "allreduce_sum_f64",
     "allreduce_sum_u64",
     "allreduce_max_f64",
-    "allreduce_min_f64",
     "allreduce_sum_vec_f64",
     "gather",
     "allgather",
@@ -74,12 +73,10 @@ const SEND_FNS: [(&str, usize); 5] = [
 ];
 
 /// Receive family with the tag-argument index.
-const RECV_FNS: [(&str, usize); 11] = [
+const RECV_FNS: [(&str, usize); 9] = [
     ("recv", 1),
     ("recv_bytes", 1),
-    ("recv_any", 0),
     ("try_recv_bytes", 1),
-    ("try_recv_any", 0),
     ("drain_tag", 0),
     ("take_match", 1),
     ("has_match_or_poison", 1),
@@ -245,19 +242,7 @@ impl ProtocolReport {
 /// Check the workspace rooted at `root`.
 #[must_use]
 pub fn check_workspace(root: &Path) -> ProtocolReport {
-    let mut files = Vec::new();
-    for path in collect_sources(root) {
-        let Ok(source) = std::fs::read_to_string(&path) else {
-            continue;
-        };
-        let rel = path
-            .strip_prefix(root)
-            .unwrap_or(&path)
-            .to_string_lossy()
-            .replace('\\', "/");
-        files.push((rel, source));
-    }
-    check_files(&files)
+    check_files(&read_sources(root, &collect_sources(root)))
 }
 
 /// Per-file analysis state kept for cross-file rules.

@@ -174,8 +174,9 @@ mod tests {
             if c.rank() == 0 {
                 let mut acc = 0.0f64;
                 for _ in 1..c.size() {
-                    let (_, v) = c.recv_any::<f64>(9);
-                    acc += v; // arrival order = schedule order: nondeterministic
+                    let (_, v) = c.recv_bytes(None, 9);
+                    // Arrival order = schedule order: nondeterministic.
+                    acc += hot_comm::from_bytes::<f64>(v);
                 }
                 acc.to_bits()
             } else {

@@ -101,46 +101,6 @@ impl Aabb {
         !(self.min.x < self.max.x && self.min.y < self.max.y && self.min.z < self.max.z)
     }
 
-    /// Squared distance from `p` to the closest point of the box
-    /// (zero when inside).
-    #[inline]
-    pub fn distance2_to_point(&self, p: Vec3) -> f64 {
-        let mut d2 = 0.0;
-        for i in 0..3 {
-            let v = p[i];
-            if v < self.min[i] {
-                let d = self.min[i] - v;
-                d2 += d * d;
-            } else if v > self.max[i] {
-                let d = v - self.max[i];
-                d2 += d * d;
-            }
-        }
-        d2
-    }
-
-    /// Distance from `p` to the closest point of the box.
-    #[inline]
-    pub fn distance_to_point(&self, p: Vec3) -> f64 {
-        self.distance2_to_point(p).sqrt()
-    }
-
-    /// Squared distance between the closest points of two boxes
-    /// (zero when they overlap).
-    pub fn distance2_to_box(&self, other: &Aabb) -> f64 {
-        let mut d2 = 0.0;
-        for i in 0..3 {
-            if other.max[i] < self.min[i] {
-                let d = self.min[i] - other.max[i];
-                d2 += d * d;
-            } else if other.min[i] > self.max[i] {
-                let d = other.min[i] - self.max[i];
-                d2 += d * d;
-            }
-        }
-        d2
-    }
-
     /// The cube expanded to be a cube with edge `longest_edge`, sharing the
     /// same centre. Used to build a root cell enclosing arbitrary data.
     pub fn bounding_cube(&self) -> Aabb {
@@ -197,10 +157,6 @@ mod tests {
         let b = Aabb::containing(pts);
         assert_eq!(b.min, Vec3::new(0.0, -2.0, -1.0));
         assert_eq!(b.max, Vec3::new(1.0, 3.0, 0.5));
-        for p in pts {
-            // max corner is exclusive; the interior points must be inside
-            assert!(b.distance2_to_point(p) == 0.0);
-        }
     }
 
     #[test]
@@ -221,24 +177,6 @@ mod tests {
         assert!(b.is_empty());
         b.expand(Vec3::splat(0.7));
         assert!(!b.is_empty());
-    }
-
-    #[test]
-    fn point_distance() {
-        let b = Aabb::unit();
-        assert_eq!(b.distance2_to_point(Vec3::splat(0.5)), 0.0);
-        assert!((b.distance_to_point(Vec3::new(2.0, 0.5, 0.5)) - 1.0).abs() < 1e-15);
-        let d = b.distance_to_point(Vec3::new(2.0, 2.0, 0.5));
-        assert!((d - 2f64.sqrt()).abs() < 1e-15);
-    }
-
-    #[test]
-    fn box_distance() {
-        let a = Aabb::unit();
-        let b = Aabb::new(Vec3::new(2.0, 0.0, 0.0), Vec3::new(3.0, 1.0, 1.0));
-        assert!((a.distance2_to_box(&b) - 1.0).abs() < 1e-15);
-        let c = Aabb::new(Vec3::splat(0.5), Vec3::splat(2.5));
-        assert_eq!(a.distance2_to_box(&c), 0.0);
     }
 
     #[test]

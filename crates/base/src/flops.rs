@@ -178,18 +178,6 @@ impl FlopReport {
         self.mflops(elapsed) / 1e3
     }
 
-    /// Element-wise sum of two reports.
-    pub fn combined(&self, other: &FlopReport) -> FlopReport {
-        FlopReport {
-            grav_pp: self.grav_pp + other.grav_pp,
-            grav_pc_mono: self.grav_pc_mono + other.grav_pc_mono,
-            grav_pc_quad: self.grav_pc_quad + other.grav_pc_quad,
-            vortex_pp: self.vortex_pp + other.vortex_pp,
-            vortex_pc: self.vortex_pc + other.vortex_pc,
-            sph_pair: self.sph_pair + other.sph_pair,
-            raw_flops: self.raw_flops + other.raw_flops,
-        }
-    }
 }
 
 #[cfg(test)]

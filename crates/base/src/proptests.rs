@@ -61,18 +61,19 @@ proptest! {
         let v = v * 1e-3;
         let w = w * 1e-3;
         let m = SymMat3::outer(w);
-        let lhs = m.quad_form(v);
+        let lhs = v.dot(m.mul_vec(v));
         let rhs = v.dot(w) * v.dot(w);
         let scale = rhs.abs().max(1e-30);
         prop_assert!((lhs - rhs).abs() / scale < 1e-9);
     }
 
-    /// An AABB built to contain points really contains them (distance 0).
+    /// An AABB built to contain points really contains them, faces
+    /// included.
     #[test]
     fn aabb_contains_its_points(pts in proptest::collection::vec(any_vec3(), 1..40)) {
         let b = Aabb::containing(pts.iter().copied());
         for p in pts {
-            prop_assert!(b.distance2_to_point(p) <= 0.0 + 1e-18);
+            prop_assert!((0..3).all(|i| b.min[i] <= p[i] && p[i] <= b.max[i]));
         }
     }
 
@@ -88,18 +89,5 @@ proptest! {
             }
         }
         prop_assert_eq!(hits, 1);
-    }
-
-    /// Point-box distance is zero iff the point is inside-or-boundary.
-    #[test]
-    fn box_distance_consistency(p in any_vec3()) {
-        let b = Aabb::cube(Vec3::ZERO, 10.0);
-        let d2 = b.distance2_to_point(p);
-        let inside = p.x.abs() <= 10.0 && p.y.abs() <= 10.0 && p.z.abs() <= 10.0;
-        if inside {
-            prop_assert!(d2 == 0.0);
-        } else {
-            prop_assert!(d2 > 0.0);
-        }
     }
 }

@@ -180,6 +180,7 @@ pub fn rsqrt_lanes<const W: usize>(x: [f64; W]) -> [f64; W] {
 /// Maximum relative error of [`rsqrt`] observed across a deterministic sweep
 /// of the mantissa/exponent space. Used by the accuracy tests; kept here so
 /// the sweep logic lives next to the implementation.
+#[cfg(test)]
 pub fn max_relative_error_sweep(samples_per_octave: usize, octaves: std::ops::Range<i32>) -> f64 {
     let mut worst = 0.0f64;
     for e in octaves {

@@ -86,42 +86,6 @@ impl OnlineStats {
     }
 }
 
-/// Kahan compensated summation: long reductions over millions of particle
-/// contributions lose digits with naive accumulation.
-#[derive(Clone, Copy, Debug, Default)]
-pub struct KahanSum {
-    sum: f64,
-    c: f64,
-}
-
-impl KahanSum {
-    /// Fresh accumulator.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Add one term.
-    #[inline]
-    pub fn add(&mut self, x: f64) {
-        let y = x - self.c;
-        let t = self.sum + y;
-        self.c = (t - self.sum) - y;
-        self.sum = t;
-    }
-
-    /// Current compensated total.
-    pub fn total(&self) -> f64 {
-        self.sum
-    }
-}
-
-/// Relative error `|a - b| / max(|b|, floor)`, with a floor to avoid
-/// dividing by a vanishing reference.
-#[inline]
-pub fn relative_error(a: f64, b: f64, floor: f64) -> f64 {
-    (a - b).abs() / b.abs().max(floor)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -184,27 +148,5 @@ mod tests {
             st.push(-3.0);
         }
         assert!((st.rms() - 3.0).abs() < 1e-14);
-    }
-
-    #[test]
-    fn kahan_beats_naive() {
-        // 1 + 1e-16 added 10^7 times: naive summation drops all the tiny terms.
-        let mut k = KahanSum::new();
-        let mut naive = 0.0f64;
-        k.add(1.0);
-        naive += 1.0;
-        for _ in 0..10_000_000 {
-            k.add(1e-16);
-            naive += 1e-16;
-        }
-        let expect = 1.0 + 1e-9;
-        assert!((k.total() - expect).abs() < 1e-12);
-        assert!((naive - expect).abs() > 1e-10, "naive {naive}");
-    }
-
-    #[test]
-    fn relative_error_floor() {
-        assert_eq!(relative_error(1.0, 0.0, 1.0), 1.0);
-        assert!((relative_error(1.1, 1.0, 1e-30) - 0.1).abs() < 1e-12);
     }
 }

@@ -21,6 +21,7 @@ impl SymMat3 {
     pub const ZERO: SymMat3 = SymMat3 { m: [0.0; 6] };
 
     /// Identity matrix.
+    #[cfg(test)]
     pub const IDENTITY: SymMat3 = SymMat3 { m: [1.0, 1.0, 1.0, 0.0, 0.0, 0.0] };
 
     /// Construct from the six unique components.
@@ -52,36 +53,6 @@ impl SymMat3 {
         }
     }
 
-    /// Quadratic form `vᵀ M v`.
-    #[inline(always)]
-    pub fn quad_form(self, v: Vec3) -> f64 {
-        v.dot(self.mul_vec(v))
-    }
-
-    /// Frobenius norm, accounting for the duplicated off-diagonal entries.
-    #[inline]
-    pub fn frobenius(self) -> f64 {
-        let [xx, yy, zz, xy, xz, yz] = self.m;
-        (xx * xx + yy * yy + zz * zz + 2.0 * (xy * xy + xz * xz + yz * yz)).sqrt()
-    }
-
-    /// Remove the trace: `M - (tr M / 3) I`. Traceless quadrupoles are the
-    /// form that enters the multipole expansion.
-    #[inline]
-    pub fn deviatoric(self) -> SymMat3 {
-        let t = self.trace() / 3.0;
-        let mut out = self;
-        out.m[0] -= t;
-        out.m[1] -= t;
-        out.m[2] -= t;
-        out
-    }
-
-    /// Full 3×3 array form (row-major).
-    pub fn to_rows(self) -> [[f64; 3]; 3] {
-        let [xx, yy, zz, xy, xz, yz] = self.m;
-        [[xx, xy, xz], [xy, yy, yz], [xz, yz, zz]]
-    }
 }
 
 impl Add for SymMat3 {
@@ -129,24 +100,23 @@ mod tests {
     fn outer_product_matches_definition() {
         let v = Vec3::new(1.0, 2.0, 3.0);
         let o = SymMat3::outer(v);
-        let rows = o.to_rows();
-        for i in 0..3 {
-            for j in 0..3 {
-                assert!((rows[i][j] - v[i] * v[j]).abs() < 1e-15);
+        let basis = [Vec3::new(1.0, 0.0, 0.0), Vec3::new(0.0, 1.0, 0.0), Vec3::new(0.0, 0.0, 1.0)];
+        for (j, e) in basis.into_iter().enumerate() {
+            let column = o.mul_vec(e);
+            for i in 0..3 {
+                assert!((column[i] - v[i] * v[j]).abs() < 1e-15);
             }
         }
     }
 
     #[test]
-    fn mul_vec_and_quad_form() {
+    fn mul_vec_of_outer_product() {
         let v = Vec3::new(0.5, -1.0, 2.0);
         let w = Vec3::new(1.0, 2.0, -1.5);
         let m = SymMat3::outer(v);
         // (v v^T) w = v (v . w)
         let expect = v * v.dot(w);
         assert!((m.mul_vec(w) - expect).norm() < 1e-14);
-        // w^T (v v^T) w = (v.w)^2
-        assert!((m.quad_form(w) - v.dot(w) * v.dot(w)).abs() < 1e-12);
     }
 
     #[test]
@@ -154,14 +124,6 @@ mod tests {
         let w = Vec3::new(3.0, -2.0, 1.0);
         assert_eq!(SymMat3::IDENTITY.mul_vec(w), w);
         assert_eq!(SymMat3::IDENTITY.trace(), 3.0);
-    }
-
-    #[test]
-    fn deviatoric_is_traceless() {
-        let m = SymMat3::new(3.0, 5.0, -1.0, 0.3, 0.7, -2.0);
-        assert!(m.deviatoric().trace().abs() < 1e-14);
-        // Off-diagonals untouched.
-        assert_eq!(m.deviatoric().m[3..], m.m[3..]);
     }
 
     #[test]
@@ -176,9 +138,4 @@ mod tests {
         assert_eq!(c, a + b);
     }
 
-    #[test]
-    fn frobenius_counts_off_diagonals_twice() {
-        let m = SymMat3::new(0.0, 0.0, 0.0, 1.0, 0.0, 0.0);
-        assert!((m.frobenius() - 2.0_f64.sqrt()).abs() < 1e-15);
-    }
 }

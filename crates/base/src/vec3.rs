@@ -113,18 +113,6 @@ impl Vec3 {
         self.x.max(self.y).max(self.z)
     }
 
-    /// Smallest component.
-    #[inline(always)]
-    pub fn min_component(self) -> f64 {
-        self.x.min(self.y).min(self.z)
-    }
-
-    /// Distance between two points.
-    #[inline(always)]
-    pub fn distance(self, rhs: Vec3) -> f64 {
-        (self - rhs).norm()
-    }
-
     /// True when every component is finite.
     #[inline]
     pub fn is_finite(self) -> bool {
@@ -311,7 +299,6 @@ mod tests {
         assert_eq!(a.min(b), Vec3::new(1.0, 3.0, -2.0));
         assert_eq!(a.max(b), Vec3::new(2.0, 5.0, 4.0));
         assert_eq!(a.max_component(), 5.0);
-        assert_eq!(a.min_component(), -2.0);
         assert_eq!(a[0], 1.0);
         assert_eq!(a[1], 5.0);
         assert_eq!(a[2], -2.0);

@@ -135,6 +135,7 @@ pub struct FaultDecision {
 }
 
 /// A targeted, test-oriented injection: fault exactly one identified frame.
+#[cfg(test)]
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 struct Targeted {
     src: u32,
@@ -256,6 +257,7 @@ impl FaultMonitor {
 #[derive(Debug)]
 pub struct FaultPlan {
     config: FaultConfig,
+    #[cfg(test)]
     targeted: Vec<Targeted>,
     kill_ops: Vec<(u32, u64)>,
     kill_epochs: Vec<(u32, u64)>,
@@ -282,6 +284,7 @@ impl FaultPlan {
     pub fn new(config: FaultConfig) -> FaultPlan {
         FaultPlan {
             config,
+            #[cfg(test)]
             targeted: Vec::new(),
             kill_ops: Vec::new(),
             kill_epochs: Vec::new(),
@@ -298,6 +301,7 @@ impl FaultPlan {
     /// Test hook: additionally apply `decision` to the single frame
     /// identified by `(src, dst, seq)` on its first attempt. Targeted
     /// injections stack on top of (and override) the seeded decision.
+    #[cfg(test)]
     #[must_use]
     pub fn with_targeted(mut self, src: u32, dst: u32, seq: u64, decision: FaultDecision) -> Self {
         self.targeted.push(Targeted { src, dst, seq, decision });
@@ -394,6 +398,7 @@ impl FaultPlan {
                 d.duplicate = true;
             }
         }
+        #[cfg(test)]
         if attempt == 0 {
             for t in &self.targeted {
                 if t.src == src && t.dst == dst && t.seq == seq {

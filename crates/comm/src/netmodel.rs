@@ -103,7 +103,7 @@ mod tests {
     fn phase_time_is_max_over_ranks() {
         let m = loki();
         let quiet = TrafficStats::default();
-        let busy = TrafficStats { sends: 10, bytes_sent: 1_000_000, recvs: 10, bytes_recvd: 0, max_message: 100_000 };
+        let busy = TrafficStats { sends: 10, bytes_sent: 1_000_000, recvs: 10, bytes_recvd: 0 };
         let t = m.phase_comm_time(&[quiet, busy, quiet]);
         assert!((t - m.rank_comm_time(&busy)).abs() < 1e-12);
     }

@@ -284,27 +284,26 @@ fn relay_value(rank: u32) -> Vec<u8> {
     (0..len).map(|i| (rank as usize * 31 + i) as u8).collect()
 }
 
-/// Per-rank `(sends, bytes_sent, max_message)` of the Bruck allgather that
-/// encoded `have[..cnt]` afresh every round: round `d` sends a `Vec` of
-/// the `cnt` values of ranks `r, r + 1, …`.
-fn bruck_closed_form(np: u32, rank: u32) -> (u64, u64, u64) {
+/// Per-rank `(sends, bytes_sent)` of the Bruck allgather that encoded
+/// `have[..cnt]` afresh every round: round `d` sends a `Vec` of the `cnt`
+/// values of ranks `r, r + 1, …`.
+fn bruck_closed_form(np: u32, rank: u32) -> (u64, u64) {
     let size = |q: u32| relay_value(q % np).wire_size() as u64;
     let (mut len, mut d) = (1u32, 1u32);
-    let (mut sends, mut bytes, mut max) = (0, 0, 0);
+    let (mut sends, mut bytes) = (0, 0);
     while len < np {
         let cnt = d.min(np - len);
-        let msg = 8 + (0..cnt).map(|i| size(rank + i)).sum::<u64>();
-        (sends, bytes, max) = (sends + 1, bytes + msg, max.max(msg));
+        (sends, bytes) = (sends + 1, bytes + 8 + (0..cnt).map(|i| size(rank + i)).sum::<u64>());
         len += cnt;
         d <<= 1;
     }
-    (sends, bytes, max)
+    (sends, bytes)
 }
 
 /// The Bruck allgather relays what it received: on variable-length values
 /// (empty ones included) its result is the ring's, and its messages are
-/// those of encoding every block afresh — same count, same bytes, same
-/// largest message. np = 17 and 31 end on a partial round.
+/// those of encoding every block afresh — same count, same bytes.
+/// np = 17 and 31 end on a partial round.
 #[test]
 fn bruck_relay_matches_ring_and_parent_traffic() {
     type Out = (Vec<Vec<u8>>, crate::TrafficStats, Vec<Vec<u8>>);
@@ -321,7 +320,7 @@ fn bruck_relay_matches_ring_and_parent_traffic() {
             for (rank, (bruck, stats, ring)) in out.results.iter().enumerate() {
                 assert_eq!(bruck, ring, "np={np} rank={rank} {what}");
                 assert_eq!(bruck, &want, "np={np} rank={rank} {what}");
-                let got = (stats.sends, stats.bytes_sent, stats.max_message);
+                let got = (stats.sends, stats.bytes_sent);
                 assert_eq!(got, bruck_closed_form(np, rank as u32), "np={np} rank={rank} {what}");
             }
             assert!(out.undrained.is_empty(), "np={np} {what}");

@@ -62,8 +62,6 @@ pub struct TrafficStats {
     pub recvs: u64,
     /// Payload bytes received.
     pub bytes_recvd: u64,
-    /// Largest single message sent.
-    pub max_message: u64,
 }
 
 impl TrafficStats {
@@ -73,15 +71,9 @@ impl TrafficStats {
         self.bytes_sent += o.bytes_sent;
         self.recvs += o.recvs;
         self.bytes_recvd += o.bytes_recvd;
-        self.max_message = self.max_message.max(o.max_message);
     }
 
     /// Difference since an earlier snapshot (for per-phase accounting).
-    ///
-    /// `max_message` is a watermark, not a sum — a two-snapshot difference
-    /// cannot recover the interval's own maximum, so the field carries the
-    /// *absolute* high-water mark. Per-phase consumers (the trace ledger)
-    /// must ignore it; `hot_trace::Ledger::add_traffic` does.
     #[must_use]
     pub fn since(&self, earlier: &TrafficStats) -> TrafficStats {
         TrafficStats {
@@ -89,7 +81,6 @@ impl TrafficStats {
             bytes_sent: self.bytes_sent - earlier.bytes_sent,
             recvs: self.recvs - earlier.recvs,
             bytes_recvd: self.bytes_recvd - earlier.bytes_recvd,
-            max_message: self.max_message,
         }
     }
 }
@@ -162,17 +153,10 @@ impl Comm {
     /// Communication counters so far. These are *logical* counters — under
     /// a fault plan, retransmissions, duplicates, acks and frame overhead
     /// are excluded, so the numbers are bitwise-identical to a fault-free
-    /// run (see [`Comm::reliability_stats`] for the recovery traffic).
+    /// run (see [`RunOutput::reliability`] for the recovery traffic).
     #[must_use]
     pub fn stats(&self) -> TrafficStats {
         self.stats
-    }
-
-    /// Reliability counters attributed to this rank; all zero when the run
-    /// has no fault plan.
-    #[must_use]
-    pub fn reliability_stats(&self) -> ReliabilityStats {
-        self.machine.transport.as_ref().map(|t| t.stats(self.rank)).unwrap_or_default()
     }
 
     /// Drive reliable-transport progress for this rank: verify and
@@ -237,7 +221,6 @@ impl Comm {
         self.channel_op();
         self.stats.sends += 1;
         self.stats.bytes_sent += data.len() as u64;
-        self.stats.max_message = self.stats.max_message.max(data.len() as u64);
         match &self.machine.transport {
             // Poison is a teardown signal, not a message: it bypasses
             // framing and faults so a dying machine always unblocks.
@@ -382,12 +365,6 @@ impl Comm {
         from_bytes(data)
     }
 
-    /// Blocking typed receive from any source.
-    pub fn recv_any<T: Wire>(&mut self, tag: u32) -> (u32, T) {
-        let (src, data) = self.recv_bytes(None, tag);
-        (src, from_bytes(data))
-    }
-
     /// Non-blocking probe: pull one matching message if immediately
     /// available, else `None`.
     ///
@@ -408,11 +385,6 @@ impl Comm {
             }
             Scan::Empty => None,
         }
-    }
-
-    /// Typed non-blocking probe from any source.
-    pub fn try_recv_any<T: Wire>(&mut self, tag: u32) -> Option<(u32, T)> {
-        self.try_recv_bytes(None, tag).map(|(s, d)| (s, from_bytes(d)))
     }
 
     /// Exchange with a partner: send then receive (safe under the runtime's
@@ -1076,8 +1048,8 @@ mod tests {
             if c.rank() == 0 {
                 let mut sum = 0u64;
                 for _ in 0..3 {
-                    let (_, v) = c.recv_any::<u64>(9);
-                    sum += v;
+                    let (_, v) = c.recv_bytes(None, 9);
+                    sum += from_bytes::<u64>(v);
                 }
                 sum
             } else {
@@ -1096,9 +1068,9 @@ mod tests {
                 0u8
             } else {
                 loop {
-                    if let Some((src, v)) = c.try_recv_any::<u8>(3) {
+                    if let Some((src, v)) = c.try_recv_bytes(None, 3) {
                         assert_eq!(src, 0);
-                        return v;
+                        return from_bytes::<u8>(v);
                     }
                     std::hint::spin_loop();
                 }
@@ -1131,7 +1103,6 @@ mod tests {
             }
         });
         assert_eq!(out.stats[0].bytes_sent, 808);
-        assert_eq!(out.stats[0].max_message, 808);
         assert_eq!(out.stats[1].bytes_recvd, 808);
         assert_eq!(out.total_traffic().sends, 1);
     }

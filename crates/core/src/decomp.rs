@@ -118,6 +118,7 @@ impl KeyIntervals {
     }
 
     /// Does `rank` own `key`?
+    #[cfg(test)]
     pub fn owns(&self, rank: u32, key: Key) -> bool {
         self.owner(key) == rank
     }
@@ -405,6 +406,7 @@ fn cost_target(total: u64, np: usize, r: usize) -> u64 {
 /// distributively: bound `r` is one past the smallest key whose inclusive
 /// cost prefix reaches `ceil(total·r/np)`. Cuts fall only on key
 /// boundaries, so equal keys are never split across ranks.
+#[cfg(test)]
 pub fn cost_cut_bounds_serial(items: &[(u64, u64)], np: usize) -> Vec<u64> {
     debug_assert!(items.windows(2).all(|w| w[0].0 <= w[1].0), "items must be key-sorted");
     let total: u64 = items.iter().map(|&(_, c)| c).sum();
@@ -448,8 +450,8 @@ pub fn cost_cut_bounds_serial(items: &[(u64, u64)], np: usize) -> Vec<u64> {
 /// prefix range by scanning its equal-key groups, then one allgather
 /// assembles the bounds — no sampling, no bisection, and the result is a
 /// pure function of the global `(key, cost)` multiset (bitwise equal to
-/// [`cost_cut_bounds_serial`] on the gathered multiset; pinned by the
-/// property suite).
+/// the test-only serial reference `cost_cut_bounds_serial` on the gathered
+/// multiset; pinned by the property suite).
 pub fn cost_cut_bounds<C>(comm: &mut Comm, bodies: &[Body<C>], totals: &[u64]) -> KeyIntervals {
     let np = comm.size() as usize;
     let rank = comm.rank() as usize;

@@ -408,6 +408,7 @@ impl<M: Moments> DistTree<M> {
     }
 
     /// Total particles visible from the global root.
+    #[cfg(test)]
     pub fn global_n(&self) -> u64 {
         self.nodes[self.root as usize].n
     }
@@ -818,7 +819,11 @@ mod tests {
             center: Vec3::new(0.1, 0.2, 0.3),
             bmax: 0.05,
             wsum: 17.0,
-            moments: MassMoments { mass: 17.0, quad: hot_base::SymMat3::IDENTITY, b2: 3.0 },
+            moments: MassMoments {
+                mass: 17.0,
+                quad: hot_base::SymMat3::new(1.0, 1.0, 1.0, 0.0, 0.0, 0.0),
+                b2: 3.0,
+            },
         };
         for leaf in [false, true] {
             let node = DNode::remote(summary, 2, leaf);

@@ -81,6 +81,7 @@ impl KeyTable {
     }
 
     /// Current slot count.
+    #[cfg(test)]
     pub fn capacity(&self) -> usize {
         self.keys.len()
     }

@@ -8,8 +8,8 @@
 //! requirement the original codes shared: a resumed run must be
 //! **bitwise identical** to an uninterrupted one.
 //!
-//! That rules out the particle [`snapshot`](crate::snapshot) format as a
-//! carrier: snapshots store coordinate velocities `u = w/a²`, and the
+//! That rules out a particle snapshot as a carrier: snapshots store
+//! coordinate velocities `u = w/a²`, and the
 //! `w → u → w` round trip through two multiplications is not exact in
 //! IEEE-754. A checkpoint instead stores the raw canonical momenta `w`
 //! together with everything else a resume needs — scale factor, step
@@ -18,8 +18,8 @@
 //!
 //! ## Format (version 3)
 //!
-//! Little-endian throughout, `u64` sizes (the same >2³¹-byte discipline as
-//! the snapshot writer):
+//! Little-endian throughout, `u64` sizes (the paper's data files exceeded
+//! 2³¹ bytes):
 //!
 //! ```text
 //! magic   u64   "HOT97CKP"
@@ -524,16 +524,16 @@ mod tests {
         // panic — never resumed with rounded momenta.
         let dir = std::env::temp_dir().join("hot97_ckpt_v1");
         std::fs::create_dir_all(&dir).unwrap();
-        let base = dir.join("old");
-        let snap = crate::snapshot::Snapshot {
-            a: 0.5,
-            pos: vec![Vec3::ZERO],
-            vel: vec![Vec3::ZERO],
-            mass: vec![1.0],
-            id: vec![0],
-        };
-        crate::snapshot::write_stripe(&base, 0, &snap).unwrap();
-        let err = load(&base.with_extension("stripe0000")).unwrap_err();
+        let path = dir.join("old.stripe0000");
+        // The snapshot header: magic "HOT97SNP", version 1, rank 0, a = 0.5,
+        // one particle, its 64-byte payload size.
+        let mut bytes = 0x484F_5439_3753_4E50_u64.to_le_bytes().to_vec();
+        for word in [1, 0, 0.5f64.to_bits(), 1, 64] {
+            bytes.extend(u64::to_le_bytes(word));
+        }
+        bytes.resize(bytes.len() + 64, 0);
+        std::fs::write(&path, &bytes).unwrap();
+        let err = load(&path).unwrap_err();
         assert!(matches!(err, CheckpointError::BadMagic { .. }), "{err:?}");
         assert!(err.to_string().contains("magic"), "{err}");
         std::fs::remove_dir_all(&dir).ok();

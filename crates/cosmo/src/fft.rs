@@ -71,8 +71,8 @@ impl std::ops::Mul for Complex {
 }
 
 /// In-place iterative radix-2 FFT. `inverse` applies the conjugate
-/// transform *without* the 1/N normalization (call [`normalize`] after a
-/// round trip, or use [`ifft`]).
+/// transform *without* the 1/N normalization (a round trip returns the
+/// input scaled by N).
 ///
 /// # Panics
 ///
@@ -109,28 +109,6 @@ pub fn fft_inplace(data: &mut [Complex], inverse: bool) {
             }
         }
         len <<= 1;
-    }
-}
-
-/// Forward FFT of a buffer (convenience wrapper).
-pub fn fft(data: &mut [Complex]) {
-    fft_inplace(data, false);
-}
-
-/// Inverse FFT including the 1/N normalization.
-pub fn ifft(data: &mut [Complex]) {
-    fft_inplace(data, true);
-    let s = 1.0 / data.len() as f64;
-    for v in data.iter_mut() {
-        *v = v.scale(s);
-    }
-}
-
-/// Divide every element by `n`.
-pub fn normalize(data: &mut [Complex], n: f64) {
-    let s = 1.0 / n;
-    for v in data.iter_mut() {
-        *v = v.scale(s);
     }
 }
 
@@ -243,7 +221,7 @@ mod tests {
                 (0..n).map(|_| Complex::new(rng.gen::<f64>() - 0.5, rng.gen::<f64>() - 0.5)).collect();
             let want = naive_dft(&x);
             let mut got = x.clone();
-            fft(&mut got);
+            fft_inplace(&mut got, false);
             for (a, b) in got.iter().zip(&want) {
                 assert!((a.re - b.re).abs() < 1e-9 && (a.im - b.im).abs() < 1e-9, "n={n}");
             }
@@ -256,9 +234,10 @@ mod tests {
         let x: Vec<Complex> =
             (0..256).map(|_| Complex::new(rng.gen(), rng.gen())).collect();
         let mut y = x.clone();
-        fft(&mut y);
-        ifft(&mut y);
+        fft_inplace(&mut y, false);
+        fft_inplace(&mut y, true);
         for (a, b) in y.iter().zip(&x) {
+            let a = a.scale(1.0 / 256.0);
             assert!((a.re - b.re).abs() < 1e-12 && (a.im - b.im).abs() < 1e-12);
         }
     }
@@ -269,7 +248,7 @@ mod tests {
         let x: Vec<Complex> = (0..512).map(|_| Complex::new(rng.gen(), 0.0)).collect();
         let time_energy: f64 = x.iter().map(|v| v.norm2()).sum();
         let mut y = x;
-        fft(&mut y);
+        fft_inplace(&mut y, false);
         let freq_energy: f64 = y.iter().map(|v| v.norm2()).sum::<f64>() / 512.0;
         assert!((time_energy - freq_energy).abs() < 1e-9 * time_energy);
     }
@@ -278,7 +257,7 @@ mod tests {
     fn delta_transforms_to_constant() {
         let mut x = vec![Complex::ZERO; 64];
         x[0] = Complex::new(1.0, 0.0);
-        fft(&mut x);
+        fft_inplace(&mut x, false);
         for v in &x {
             assert!((v.re - 1.0).abs() < 1e-12 && v.im.abs() < 1e-12);
         }
@@ -288,7 +267,7 @@ mod tests {
     #[should_panic(expected = "power of two")]
     fn rejects_non_power_of_two() {
         let mut x = vec![Complex::ZERO; 12];
-        fft(&mut x);
+        fft_inplace(&mut x, false);
     }
 
     #[test]

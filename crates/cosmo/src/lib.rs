@@ -14,8 +14,6 @@
 //!   as force solver.
 //! * [`fof`] — friends-of-friends halo identification ("galaxies").
 //! * [`image`] — log projected-density imaging (Figures 1 and 2).
-//! * [`snapshot`] — striped binary particle dumps with 64-bit offsets
-//!   (the paper's >2³¹-byte files, written striped over the node disks).
 //! * [`checkpoint`] — schema-versioned, checksummed checkpoint/restart;
 //!   a resumed run is bitwise identical to an uninterrupted one.
 
@@ -29,7 +27,6 @@ pub mod image;
 pub mod power;
 mod proptests;
 pub mod sim;
-pub mod snapshot;
 pub mod supervisor;
 
 pub use checkpoint::CHECKPOINT_VERSION;

@@ -236,12 +236,6 @@ impl CosmoSim {
         f1
     }
 
-    /// Current coordinate velocities `u = w/a²`.
-    pub fn velocities(&self) -> Vec<Vec3> {
-        let inv_a2 = 1.0 / (self.a * self.a);
-        self.mom.iter().map(|&w| w * inv_a2).collect()
-    }
-
     /// Checkpoint the full resume state to `path` (see
     /// [`checkpoint`](crate::checkpoint) for the format). The paper's
     /// production runs leaned on exactly this ("no crashes, no restarts"

@@ -50,6 +50,7 @@ pub fn pp_acc_pot(d: Vec3, m: f64, eps2: f64) -> (Vec3, f64) {
 
 /// Monopole particle–cell interaction: identical to [`pp_acc`] with the
 /// cell's total mass at its center of mass.
+#[cfg(test)]
 #[inline(always)]
 pub fn pc_mono_acc(d: Vec3, m: f64, eps2: f64) -> Vec3 {
     pp_acc(d, m, eps2)
@@ -82,6 +83,7 @@ pub fn pc_quad_acc(d: Vec3, m: f64, quad: &SymMat3, eps2: f64) -> Vec3 {
 }
 
 /// Potential of the monopole + quadrupole expansion.
+#[cfg(test)]
 #[inline(always)]
 pub fn pc_quad_pot(d: Vec3, m: f64, quad: &SymMat3, eps2: f64) -> f64 {
     let r2 = d.norm2() + eps2;
@@ -231,7 +233,7 @@ impl<'a, I: Iterator<Item = Entry<'a>> + Clone> Span<'_, I> {
     /// offsets `part` of `acc`, `W` at a time, lane = sink.
     ///
     /// Every lane runs, entry by entry in list order, exactly the IEEE
-    /// operations of [`pp_acc`] / [`pc_quad_acc`] / [`pc_quad_pot`] on its
+    /// operations of [`pp_acc`] / [`pc_quad_acc`] / `pc_quad_pot` on its
     /// own sink (`a * b + c` is never contracted, nothing is reassociated
     /// across entries), so the result is bitwise the scalar kernels applied
     /// per sink, whatever `W`. `SUBSUM` is the P-P contract — the

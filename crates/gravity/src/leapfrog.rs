@@ -80,28 +80,9 @@ impl NBodySystem {
     }
 
     /// Total momentum.
+    #[cfg(test)]
     pub fn momentum(&self) -> Vec3 {
         self.vel.iter().zip(&self.mass).map(|(&v, &m)| v * m).sum()
-    }
-
-    /// Center of mass.
-    pub fn center_of_mass(&self) -> Vec3 {
-        let mtot: f64 = self.mass.iter().sum();
-        self.pos
-            .iter()
-            .zip(&self.mass)
-            .map(|(&p, &m)| p * m)
-            .fold(Vec3::ZERO, |a, b| a + b)
-            / mtot
-    }
-
-    /// Angular momentum about the origin.
-    pub fn angular_momentum(&self) -> Vec3 {
-        self.pos
-            .iter()
-            .zip(self.vel.iter().zip(&self.mass))
-            .map(|(&x, (&v, &m))| x.cross(v) * m)
-            .sum()
     }
 }
 
@@ -196,9 +177,6 @@ mod tests {
         );
         assert_eq!(sys.len(), 2);
         assert_eq!(sys.momentum(), Vec3::ZERO);
-        assert_eq!(sys.center_of_mass(), Vec3::ZERO);
         assert!((sys.kinetic_energy() - 2.0).abs() < 1e-14);
-        // L = Σ m r×v = 2·(1,0,0)×(0,1,0)·2 = (0,0,4)
-        assert!((sys.angular_momentum() - Vec3::new(0.0, 0.0, 4.0)).norm() < 1e-14);
     }
 }

@@ -4,6 +4,7 @@ use hot_base::{Aabb, Vec3};
 use rand::Rng;
 
 /// Uniform random points inside a sphere of `radius` about `center`.
+#[cfg(test)]
 pub fn uniform_sphere(
     rng: &mut impl Rng,
     n: usize,

@@ -5,8 +5,7 @@
 //! * [`cost`] — Tables 1 & 2 (Loki's parts list, August-1997 spot prices)
 //!   and the $/Mflop arithmetic of the price/performance prize entry.
 //! * [`specs`] — machine specifications with the paper's own measured
-//!   constants (ASCI Red, Janus, Loki, Hyglac, the SC'96 bridged pair,
-//!   vendor list prices for the NPB comparison).
+//!   constants (ASCI Red, Janus, Loki, Hyglac, the SC'96 bridged pair).
 //! * [`perf`] — the analytic predictor that converts counted interactions
 //!   and counted traffic from the simulated runs into predicted wall-clock
 //!   on the period hardware. See DESIGN.md for why this substitution

@@ -78,7 +78,6 @@ pub fn scale_traffic(
             bytes_sent: (t.bytes_sent as f64 * byte_scale) as u64,
             recvs: t.recvs,
             bytes_recvd: (t.bytes_recvd as f64 * byte_scale) as u64,
-            max_message: t.max_message,
         })
         .collect()
 }
@@ -142,7 +141,6 @@ mod tests {
                 bytes_sent: 50_000_000,
                 recvs: 1000,
                 bytes_recvd: 50_000_000,
-                max_message: 1_000_000,
             };
             4
         ];
@@ -159,7 +157,6 @@ mod tests {
             bytes_sent: 1_000_000,
             recvs: 100,
             bytes_recvd: 1_000_000,
-            max_message: 10_000,
         }];
         let scaled = scale_traffic(&t, 16, 1024);
         assert_eq!(scaled[0].sends, 100);

@@ -45,13 +45,6 @@ impl Key {
         (63 - self.0.leading_zeros()) / 3
     }
 
-    /// True if this is a syntactically valid key (placeholder bit in a
-    /// position that is a multiple of 3).
-    #[inline]
-    pub fn is_valid(self) -> bool {
-        self.0 != 0 && (63 - self.0.leading_zeros()).is_multiple_of(3)
-    }
-
     /// Parent cell key. The root is its own parent's child; calling this on
     /// the root is a logic error.
     #[inline(always)]
@@ -67,13 +60,6 @@ impl Key {
         debug_assert!(d < 8);
         debug_assert!(self.level() < MAX_DEPTH, "child of max-depth key");
         Key((self.0 << 3) | d as u64)
-    }
-
-    /// Which child of its parent this key is (0–7).
-    #[inline(always)]
-    pub fn octant_in_parent(self) -> u8 {
-        debug_assert!(self != Key::ROOT);
-        (self.0 & 7) as u8
     }
 
     /// Ancestor at `level`, which must be ≤ `self.level()`.
@@ -92,41 +78,12 @@ impl Key {
         la <= lb && other.ancestor_at(la) == self
     }
 
-    /// Deepest common ancestor of two keys.
-    pub fn common_ancestor(self, other: Key) -> Key {
-        let la = self.level();
-        let lb = other.level();
-        let l = la.min(lb);
-        let mut a = self.ancestor_at(l);
-        let mut b = other.ancestor_at(l);
-        // Strip digits until the keys agree.
-        let diff = a.0 ^ b.0;
-        if diff != 0 {
-            let digits = (63 - diff.leading_zeros()) / 3 + 1;
-            a = Key(a.0 >> (3 * digits));
-            b = Key(b.0 >> (3 * digits));
-            debug_assert_eq!(a, b);
-        }
-        a
-    }
-
     /// Smallest max-depth key covered by this cell (its own subtree range
     /// start). Keys of particles inside the cell fall in
-    /// `[range_begin(), range_end())` — the half-open interval used by the
-    /// domain decomposition.
+    /// `[range_begin(), range_last()]`.
     #[inline]
     pub fn range_begin(self) -> Key {
         Key(self.0 << (3 * (MAX_DEPTH - self.level())))
-    }
-
-    /// One past the largest max-depth key covered by this cell.
-    ///
-    /// For the very last cell of any level this wraps to `Key(0)`; prefer
-    /// the inclusive [`Key::range_last`] when the wrap matters.
-    #[inline]
-    pub fn range_end(self) -> Key {
-        let shift = 3 * (MAX_DEPTH - self.level());
-        Key(self.0.wrapping_add(1).wrapping_shl(shift))
     }
 
     /// Largest max-depth key covered by this cell (inclusive). Never wraps:
@@ -216,8 +173,6 @@ mod tests {
     #[test]
     fn root_properties() {
         assert_eq!(Key::ROOT.level(), 0);
-        assert!(Key::ROOT.is_valid());
-        assert!(!Key::INVALID.is_valid());
         assert_eq!(Key::ROOT.range_begin(), Key(1u64 << 63));
         assert_eq!(Key::ROOT.range_last(), Key(u64::MAX));
     }
@@ -226,9 +181,8 @@ mod tests {
     fn child_parent_roundtrip() {
         let k = Key::ROOT.child(5).child(0).child(7);
         assert_eq!(k.level(), 3);
-        assert_eq!(k.octant_in_parent(), 7);
-        assert_eq!(k.parent().octant_in_parent(), 0);
-        assert_eq!(k.parent().parent().octant_in_parent(), 5);
+        assert_eq!(k.parent().child(7), k);
+        assert_eq!(k.parent(), Key::ROOT.child(5).child(0));
         assert_eq!(k.parent().parent().parent(), Key::ROOT);
     }
 
@@ -241,10 +195,6 @@ mod tests {
         assert!(a.is_ancestor_of(a));
         assert!(!b.is_ancestor_of(a));
         assert_eq!(b.ancestor_at(1), a);
-        let c = Key::ROOT.child(4).child(1);
-        assert_eq!(b.common_ancestor(c), Key::ROOT);
-        assert_eq!(b.common_ancestor(a.child(1)), a.child(1));
-        assert_eq!(a.child(1).child(2).common_ancestor(a.child(1).child(3)), a.child(1));
     }
 
     #[test]
@@ -295,7 +245,7 @@ mod tests {
         assert!(b.range_last() <= a.range_last());
         // Sibling ranges tile the parent contiguously.
         for d in 0..7u8 {
-            assert_eq!(a.child(d).range_end().0, a.child(d + 1).range_begin().0);
+            assert_eq!(a.child(d).range_last().0 + 1, a.child(d + 1).range_begin().0);
         }
     }
 
@@ -314,7 +264,7 @@ mod tests {
             // The particle's max-depth cell must contain the point (up to
             // float rounding at the very edge of a 2^-21 cell).
             let b = k.cell_aabb(&unit());
-            prop_assert!(b.distance2_to_point(p) < 1e-24);
+            prop_assert!((0..3).all(|i| b.min[i] - 1e-12 <= p[i] && p[i] <= b.max[i] + 1e-12));
         }
 
         #[test]

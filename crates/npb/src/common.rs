@@ -70,13 +70,6 @@ pub struct BenchResult {
     pub verified: bool,
 }
 
-impl BenchResult {
-    /// Mop/s (the unit of Tables 3 and 4).
-    pub fn mops(&self) -> f64 {
-        self.ops as f64 / self.seconds / 1e6
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -122,11 +115,5 @@ mod tests {
         let mut a = NpbRng::new(42);
         let mut b = NpbRng::skip(42, 0);
         assert_eq!(a.next_f64(), b.next_f64());
-    }
-
-    #[test]
-    fn bench_result_mops() {
-        let r = BenchResult { name: "EP", class: "T", np: 4, ops: 2_000_000, seconds: 2.0, verified: true };
-        assert!((r.mops() - 1.0).abs() < 1e-12);
     }
 }

@@ -178,35 +178,6 @@ pub fn charges_rhs(n: usize, pairs: usize) -> Grid {
     v
 }
 
-/// Serial MG benchmark: `cycles` V-cycles on an n³ problem. Verification:
-/// the residual norm must shrink monotonically and by ≥ 2× overall.
-pub fn run_serial(n: usize, cycles: usize) -> BenchResult {
-    let v = charges_rhs(n, 8);
-    let mut u = Grid::zeros(n);
-    let t0 = Instant::now();
-    let r0 = residual(&u, &v).norm();
-    let mut flops = 0u64;
-    let mut prev = r0;
-    let mut monotone = true;
-    for _ in 0..cycles {
-        flops += v_cycle(&mut u, &v, 2, 2);
-        let r = residual(&u, &v).norm();
-        if r > prev * 1.000001 {
-            monotone = false;
-        }
-        prev = r;
-    }
-    let seconds = t0.elapsed().as_secs_f64().max(1e-9);
-    BenchResult {
-        name: "MG",
-        class: "custom",
-        np: 1,
-        ops: flops,
-        seconds,
-        verified: monotone && prev < 0.5 * r0,
-    }
-}
-
 /// Distributed MG: z-slab Jacobi smoothing with halo exchange, coarse
 /// solve agglomerated on rank 0 (reduced-fidelity reproduction of the NPB
 /// kernel's communication pattern).
@@ -363,13 +334,6 @@ mod tests {
         let v = charges_rhs(16, 8);
         let sum: f64 = v.data.iter().sum();
         assert!(sum.abs() < 1e-12);
-    }
-
-    #[test]
-    fn serial_benchmark_verifies() {
-        let r = run_serial(16, 3);
-        assert!(r.verified, "{r:?}");
-        assert!(r.ops > 0 && r.mops() > 0.0);
     }
 
     #[test]

@@ -5,7 +5,6 @@
 //! with 3000 lines" against the same treecode library).
 //!
 //! * [`kernel`] — the cubic-spline kernel in 1/2/3 dimensions.
-//! * [`neighbors`] — range queries on the hashed oct-tree.
 //! * [`hydro`] — summation density, symmetric pressure forces with
 //!   Monaghan viscosity, and the Sod shock-tube validation problem.
 
@@ -13,8 +12,6 @@
 
 pub mod hydro;
 pub mod kernel;
-pub mod neighbors;
 
 pub use hydro::{neighbors_1d, sod_shock_tube, SphSystem, Viscosity};
 pub use kernel::{dw_dr, w, Dim};
-pub use neighbors::{neighbor_lists, range_query};

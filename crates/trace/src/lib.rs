@@ -227,6 +227,7 @@ impl CounterSet {
     }
 
     /// Componentwise `self ≤ o`.
+    #[cfg(test)]
     pub fn le(&self, o: &CounterSet) -> bool {
         self.vals.iter().zip(&o.vals).all(|(a, b)| a <= b)
     }
@@ -292,7 +293,6 @@ impl ModelClock {
             bytes_sent: c.get(Counter::BytesSent),
             recvs: c.get(Counter::MsgsRecvd),
             bytes_recvd: c.get(Counter::BytesRecvd),
-            max_message: 0,
         };
         compute + self.network.rank_comm_time(&traffic)
     }
@@ -535,9 +535,6 @@ impl Ledger {
 
     /// Fold a `TrafficStats` *delta* (see `TrafficStats::since`) into the
     /// message/byte counters.
-    ///
-    /// `max_message` is deliberately dropped: it is an absolute watermark,
-    /// not a delta, and is schedule-dependent for batched traffic.
     pub fn add_traffic(&mut self, t: &TrafficStats) {
         self.add(Counter::MsgsSent, t.sends);
         self.add(Counter::BytesSent, t.bytes_sent);
@@ -650,20 +647,6 @@ mod tests {
         let mut l = Ledger::scratch();
         l.begin(Phase::Walk);
         let _ = l.rank_record(0);
-    }
-
-    #[test]
-    fn traffic_fold_drops_max_message() {
-        let mut l = Ledger::scratch();
-        let t = TrafficStats { sends: 3, bytes_sent: 120, recvs: 2, bytes_recvd: 80, max_message: 999 };
-        l.add_traffic(&t);
-        assert_eq!(l.totals().get(Counter::MsgsSent), 3);
-        assert_eq!(l.totals().get(Counter::BytesSent), 120);
-        assert_eq!(l.totals().get(Counter::MsgsRecvd), 2);
-        assert_eq!(l.totals().get(Counter::BytesRecvd), 80);
-        // max_message must not leak into any counter.
-        let sum: u64 = COUNTERS.iter().map(|&c| l.totals().get(c)).sum();
-        assert_eq!(sum, 3 + 120 + 2 + 80);
     }
 }
 

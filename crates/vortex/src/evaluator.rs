@@ -10,7 +10,7 @@
 //! kernel is the singular Biot–Savart kernel, so the approximation error
 //! is governed by the same `b2`-style bound the Salmon–Warren MAC tracks).
 
-use crate::kernel::{velocity_and_stretching, vortex_pc_batch, vortex_pp_batch};
+use crate::kernel::{vortex_pc_batch, vortex_pp_batch};
 use hot_base::flops::{FlopCounter, Kind};
 use hot_base::Vec3;
 use hot_core::ilist::{InteractionList, ListConsumer, Segment};
@@ -64,13 +64,15 @@ impl ListConsumer<VectorMoments> for VortexEvaluator<'_> {
     }
 }
 
-/// Direct O(N²) evaluation (reference / small-N baseline).
+/// Direct O(N²) evaluation (the treecode's reference).
+#[cfg(test)]
 pub fn direct_velocity_stretching(
     pos: &[Vec3],
     alpha: &[Vec3],
     sigma2: f64,
     counter: &FlopCounter,
 ) -> (Vec<Vec3>, Vec<Vec3>) {
+    use crate::kernel::velocity_and_stretching;
     let n = pos.len();
     counter.add(Kind::VortexPP, (n * n.saturating_sub(1)) as u64);
     let mut vel = vec![Vec3::ZERO; n];

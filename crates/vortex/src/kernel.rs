@@ -28,18 +28,6 @@ use hot_core::moments::VectorMoments;
 /// One-over-four-pi.
 pub const INV_4PI: f64 = 1.0 / (4.0 * std::f64::consts::PI);
 
-/// Velocity induced at displacement `r = x_sink − x_src` by a vortex
-/// particle of strength `alpha` with core size squared `sigma2`.
-#[inline(always)]
-pub fn velocity(r: Vec3, alpha: Vec3, sigma2: f64) -> Vec3 {
-    let r2 = r.norm2();
-    let rho2 = r2 + sigma2;
-    let rho = rho2.sqrt();
-    let rho5 = rho2 * rho2 * rho;
-    let g = (r2 + 2.5 * sigma2) / rho5;
-    r.cross(alpha) * (-INV_4PI * g)
-}
-
 /// Velocity and the stretching contribution `dα_sink/dt` for a sink
 /// particle with strength `alpha_i` due to a source `alpha_j` at
 /// displacement `r = x_i − x_j` (classical scheme).
@@ -111,6 +99,12 @@ pub fn vortex_pc_batch(
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// Velocity induced at displacement `r` by a source of strength
+    /// `alpha`: the velocity half of [`velocity_and_stretching`].
+    fn velocity(r: Vec3, alpha: Vec3, sigma2: f64) -> Vec3 {
+        velocity_and_stretching(r, Vec3::ZERO, alpha, sigma2).0
+    }
 
     #[test]
     fn far_field_matches_singular_biot_savart() {

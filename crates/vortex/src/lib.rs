@@ -8,8 +8,8 @@
 //! * [`kernel`] — regularized Biot–Savart velocity and vorticity
 //!   stretching with the Winckelmans–Leonard high-order algebraic core.
 //! * [`evaluator`] — the treecode
-//!   [`ListConsumer`](hot_core::ilist::ListConsumer) for vector charges,
-//!   plus the O(N²) reference.
+//!   [`ListConsumer`](hot_core::ilist::ListConsumer) for vector charges
+//!   (its O(N²) reference is test-only).
 //! * [`ring`] — vortex ring discretization and the inviscid invariants
 //!   (total vorticity, linear/angular impulse, Saffman's thin-ring speed).
 //! * [`remesh`] — M4' remeshing to maintain core overlap (the mechanism
@@ -24,7 +24,7 @@ pub mod remesh;
 pub mod ring;
 pub mod sim;
 
-pub use evaluator::{direct_velocity_stretching, tree_velocity_stretching, VortexEvaluator};
+pub use evaluator::{tree_velocity_stretching, VortexEvaluator};
 pub use remesh::remesh;
-pub use ring::{linear_impulse, make_ring, thin_ring_speed, total_vorticity, RingSpec};
+pub use ring::{linear_impulse, make_ring, total_vorticity, RingSpec};
 pub use sim::VortexSim;

@@ -89,6 +89,7 @@ pub fn linear_impulse(pos: &[Vec3], alpha: &[Vec3]) -> Vec3 {
 
 /// Thin-ring translation speed: `U = Γ/(4πR) · (ln(8R/a) − 0.558)`
 /// (Saffman), used to sanity-check the simulated propagation.
+#[cfg(test)]
 pub fn thin_ring_speed(circulation: f64, radius: f64, core: f64) -> f64 {
     circulation / (4.0 * std::f64::consts::PI * radius)
         * ((8.0 * radius / core).ln() - 0.558)

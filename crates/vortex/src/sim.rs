@@ -96,6 +96,7 @@ impl VortexSim {
 
     /// Kinetic-energy-like diagnostic `Σ|α|` (grows slowly under
     /// stretching; bounded in stable runs).
+    #[cfg(test)]
     pub fn total_strength(&self) -> f64 {
         self.alpha.iter().map(|a| a.norm()).sum()
     }
