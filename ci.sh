@@ -156,37 +156,39 @@ test -s "$smoke/results/BENCH_balance.json"
 echo "==> exp_recovery smoke (Daly cadence ≤ 5% overhead, bitwise recovery gate)"
 cargo run -q --offline --release -p hot-bench --bin exp_recovery -- 2 128 4
 
-echo "==> exp_cosmo_loki pins the serial cosmology trajectory (stdout must equal results/exp_cosmo_loki.txt)"
-# Kernels are bitwise scalar and the fan-out is bitwise under any thread
-# count, so this output does not depend on the host.
-(cd "$smoke" && cargo run -q --offline --release --manifest-path "$root/Cargo.toml" -p hot-bench --bin exp_cosmo_loki) > "$smoke/cosmo_loki.txt"
-if ! diff results/exp_cosmo_loki.txt "$smoke/cosmo_loki.txt" >&2; then
-  echo "ERROR: exp_cosmo_loki moved off results/exp_cosmo_loki.txt — the serial KDK changed, or the file is stale" >&2
-  exit 1
-fi
-
-echo "==> exp_force_accuracy pins RMS force error per MAC (stdout must equal results/exp_force_accuracy.txt)"
-# Host-independent for the same reason as exp_cosmo_loki.
-(cd "$smoke" && cargo run -q --offline --release --manifest-path "$root/Cargo.toml" -p hot-bench --bin exp_force_accuracy) > "$smoke/force_accuracy.txt"
-if ! diff results/exp_force_accuracy.txt "$smoke/force_accuracy.txt" >&2; then
-  echo "ERROR: exp_force_accuracy moved off results/exp_force_accuracy.txt — the walk, MAC or kernels changed, or the file is stale" >&2
-  exit 1
-fi
-
-echo "==> exp_costs pins Tables 1-2 and the price/performance arithmetic (stdout must equal results/exp_costs.txt)"
-(cd "$smoke" && cargo run -q --offline --release --manifest-path "$root/Cargo.toml" -p hot-bench --bin exp_costs) > "$smoke/costs.txt"
-if ! diff results/exp_costs.txt "$smoke/costs.txt" >&2; then
-  echo "ERROR: exp_costs moved off results/exp_costs.txt — the cost tables changed, or the file is stale" >&2
-  exit 1
-fi
-
-echo "==> exp_trace_phases 2 800 pins the np = 2 phase ledger (results/trace_phases_np2.json must match)"
-# Counters and model-clock seconds only: host-independent, like exp_cosmo_loki.
-(cd "$smoke" && cargo run -q --offline --release --manifest-path "$root/Cargo.toml" -p hot-bench --bin exp_trace_phases -- 2 800) > /dev/null
-if ! diff results/trace_phases_np2.json "$smoke/results/trace_phases_np2.json" >&2; then
-  echo "ERROR: exp_trace_phases 2 800 moved off results/trace_phases_np2.json — the traced pipeline changed, or the file is stale" >&2
-  exit 1
-fi
+# pin FILE BIN [ARGS...]: run hot-bench's BIN in a directory of its own and
+# fail unless results/FILE equals what the run produced — the file of that
+# name it wrote under results/ if it wrote one, its stdout otherwise. Every
+# pinned output is counts and model-clock seconds: the kernels are bitwise
+# scalar and the fan-out bitwise under any thread count, so none depends
+# on the host.
+pin() {
+  local file=$1 bin=$2
+  shift 2
+  local dir="$smoke/pin-$bin"
+  mkdir -p "$dir"
+  echo "==> $bin${*:+ $*} pins results/$file"
+  (cd "$dir" && cargo run -q --offline --release --manifest-path "$root/Cargo.toml" -p hot-bench --bin "$bin" -- "$@") > "$dir/stdout"
+  local got="$dir/stdout"
+  if [ -e "$dir/results/$file" ]; then
+    got="$dir/results/$file"
+  fi
+  if ! diff "results/$file" "$got" >&2; then
+    echo "ERROR: $bin${*:+ $*} moved off results/$file — the code it runs changed, or the file is stale" >&2
+    exit 1
+  fi
+}
+pin exp_cosmo_loki.txt exp_cosmo_loki
+pin exp_cosmo_asci.txt exp_cosmo_asci
+pin exp_force_accuracy.txt exp_force_accuracy
+pin exp_costs.txt exp_costs
+pin trace_phases_np2.json exp_trace_phases 2 800
+pin exp_algorithm_advantage.txt exp_algorithm_advantage
+pin exp_sc96.txt exp_sc96
+pin exp_loki_treecode.txt exp_loki_treecode
+pin exp_vortex_hyglac.txt exp_vortex_hyglac
+pin exp_npb_scaling.txt exp_npb_scaling
+pin BENCH_latency.json exp_latency
 
 echo "==> checkpoint/restart smoke (bitwise-identical resume)"
 cargo test -q --offline --release -p hot-cosmo checkpoint

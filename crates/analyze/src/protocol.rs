@@ -44,7 +44,7 @@ use std::path::Path;
 pub const RULES: [&str; 3] = ["collective-order", "tag-matching", "counter-discipline"];
 
 /// Collective entry points on `Comm` (see `crates/comm/src/collectives.rs`).
-const COLLECTIVES: [&str; 14] = [
+const COLLECTIVES: [&str; 12] = [
     "barrier",
     "bcast",
     "reduce",
@@ -55,8 +55,6 @@ const COLLECTIVES: [&str; 14] = [
     "allreduce_sum_vec_f64",
     "gather",
     "allgather",
-    "allgather_ring",
-    "allgather_bruck",
     "alltoall",
     "exscan_sum_u64",
 ];

@@ -1,7 +1,7 @@
 //! Collective operations built from point-to-point messages.
 //!
 //! Implementing collectives *on top of* send/recv (binomial trees,
-//! dissemination barriers, ring all-gathers) rather than as runtime magic
+//! dissemination barriers, Bruck all-gathers) rather than as runtime magic
 //! keeps the traffic counters honest: the machine models see exactly the
 //! messages a 1997 MPI implementation would have put on the wire.
 //!
@@ -19,20 +19,8 @@ pub(crate) const TAG_BARRIER: u32 = COLL_BASE;
 pub(crate) const TAG_BCAST: u32 = COLL_BASE + 0x100;
 pub(crate) const TAG_REDUCE: u32 = COLL_BASE + 0x200;
 pub(crate) const TAG_GATHER: u32 = COLL_BASE + 0x300;
-pub(crate) const TAG_ALLGATHER_RING: u32 = COLL_BASE + 0x400;
 pub(crate) const TAG_ALLTOALL: u32 = COLL_BASE + 0x500;
-pub(crate) const TAG_ALLGATHER_BRUCK: u32 = COLL_BASE + 0x600;
-
-/// Machine size at which [`Comm::allgather`] switches from the ring (the
-/// bandwidth-optimal pattern for the paper's switched-ethernet
-/// Loki/Hyglac class) to the Bruck log-round algorithm (latency-bound big
-/// machines). Allgather is the one collective with two shapes — barrier,
-/// bcast, reduce and allreduce are O(log p) throughout — and the two are
-/// *bitwise equivalent*: allgather moves bits, it never combines them, so
-/// switching by machine size perturbs no result. Every golden and
-/// pinned-traffic test runs below this bound, so their wire footprints
-/// are those of the ring.
-pub const AUTO_TREE_MIN_NP: u32 = 16;
+pub(crate) const TAG_ALLGATHER: u32 = COLL_BASE + 0x600;
 
 impl Comm {
     /// Dissemination barrier: `ceil(log2 np)` rounds, each rank sends one
@@ -168,54 +156,15 @@ impl Comm {
         }
     }
 
-    /// All ranks obtain every rank's value, indexed by rank. Dispatches on
-    /// machine size: the np−1-step ring ([`Comm::allgather_ring`]) below
-    /// [`AUTO_TREE_MIN_NP`] ranks, the ⌈log₂ np⌉-round Bruck doubling
-    /// algorithm ([`Comm::allgather_bruck`]) from there up. Both produce
-    /// bitwise identical results — allgather is pure data movement.
-    pub fn allgather<T: Wire + Clone>(&mut self, v: T) -> Vec<T> {
-        if self.size() >= AUTO_TREE_MIN_NP {
-            self.allgather_bruck(v)
-        } else {
-            self.allgather_ring(v)
-        }
-    }
-
-    /// Ring allgather: np−1 steps, each rank forwarding to its right
-    /// neighbour the block it received the step before — the
-    /// bandwidth-optimal pattern for switched ethernet, and the linear
-    /// reference the Bruck algorithm is checked bitwise against.
-    pub fn allgather_ring<T: Wire + Clone>(&mut self, v: T) -> Vec<T> {
-        let np = self.size();
-        let mut out: Vec<Option<T>> = (0..np).map(|_| None).collect();
-        out[self.rank() as usize] = Some(v.clone());
-        if np == 1 {
-            return out.into_iter().map(|o| o.expect("own slot")).collect();
-        }
-        let right = (self.rank() + 1) % np;
-        let left = (self.rank() + np - 1) % np;
-        // Pass blocks around the ring; at step s we forward the block that
-        // originated at rank (rank - s) mod np.
-        let mut current = v;
-        for s in 0..np - 1 {
-            // One tag suffices: the left neighbour's sends arrive FIFO, so
-            // step s matches the s-th message from it.
-            self.send(right, TAG_ALLGATHER_RING, &current);
-            let incoming: T = self.recv(left, TAG_ALLGATHER_RING);
-            let origin = (self.rank() + np - 1 - s) % np;
-            out[origin as usize] = Some(incoming.clone());
-            current = incoming;
-        }
-        out.into_iter().map(|o| o.expect("ring filled every slot")).collect()
-    }
-
-    /// Bruck allgather: ⌈log₂ np⌉ rounds of distance doubling. At the
-    /// start of a round each rank holds the values of `len` consecutive
-    /// ranks beginning with its own; it sends its first
-    /// `min(d, np − len)` blocks to rank `r − d` and appends the same
-    /// count received from rank `r + d`, doubling `d` each round. One
-    /// final local rotation restores rank order. O(log p) messages per
-    /// rank instead of the ring's O(p) — what makes np = 6800 tractable.
+    /// All ranks obtain every rank's value, indexed by rank, in Bruck's
+    /// ⌈log₂ np⌉ rounds of distance doubling. At the start of a round
+    /// each rank holds the values of `len` consecutive ranks beginning
+    /// with its own; it sends its first `min(d, np − len)` blocks to rank
+    /// `r − d` and appends the same count received from rank `r + d`,
+    /// doubling `d` each round. One final local rotation restores rank
+    /// order. O(log p) messages per rank instead of a ring's p − 1 — what
+    /// makes np = 6800 tractable — carrying the same payload bytes plus
+    /// an 8-byte count prefix per message.
     ///
     /// A round's message is a `Vec<T>` on the wire, but no rank encodes a
     /// block it only forwards: it encodes its own value once, keeps every
@@ -225,7 +174,7 @@ impl Comm {
     /// round's shorter message needs their boundaries anyway; until then a
     /// rank holds its blocks once, as bytes. Messages are byte-identical
     /// to encoding `have[..cnt]` afresh.
-    pub fn allgather_bruck<T: Wire + Clone>(&mut self, v: T) -> Vec<T> {
+    pub fn allgather<T: Wire>(&mut self, v: T) -> Vec<T> {
         let np = self.size();
         if np == 1 {
             return vec![v];
@@ -272,9 +221,9 @@ impl Comm {
             // One tag suffices: within one allgather each ordered pair
             // (src, dst) communicates in exactly one round (the distances
             // 1, 2, 4, … are distinct), and consecutive allgathers stay
-            // separated by per-(source, tag) FIFO as in the ring.
-            self.send_bytes(dst, TAG_ALLGATHER_BRUCK, msg);
-            let (_, mut data) = self.recv_bytes(Some(src), TAG_ALLGATHER_BRUCK);
+            // separated by per-(source, tag) FIFO.
+            self.send_bytes(dst, TAG_ALLGATHER, msg);
+            let (_, mut data) = self.recv_bytes(Some(src), TAG_ALLGATHER);
             let n = data.get_u64_le();
             debug_assert_eq!(n, u64::from(cnt), "bruck round count mismatch");
             if last {
@@ -347,7 +296,7 @@ mod tests {
     /// Pin bytes-on-wire for every collective at np = 4, derived from
     /// `Wire::wire_size` — the one source of truth shared by the traffic
     /// counters, the trace ledger, and the machine comm-cost model. Any
-    /// algorithm change (tree shape, ring direction, framing) that alters
+    /// algorithm change (tree shape, round order, framing) that alters
     /// the wire footprint must update these constants consciously.
     #[test]
     fn bytes_on_wire_pinned_per_collective() {
@@ -394,8 +343,9 @@ mod tests {
         assert_eq!(total(3), (2 * (npu - 1), 2 * (npu - 1) * w));
         // gather: every non-root sends one scalar to root.
         assert_eq!(total(4), (npu - 1, (npu - 1) * w));
-        // ring allgather: np−1 steps, every rank forwards one scalar.
-        assert_eq!(total(5), (npu * (npu - 1), npu * (npu - 1) * w));
+        // Bruck allgather: log2 np = 2 rounds a rank, relaying the other
+        // np−1 scalars in all, each message a Vec with an 8-byte count.
+        assert_eq!(total(5), (2 * npu, npu * (2 * 8 + (npu - 1) * w)));
         // alltoall: np−1 buckets per rank; a Vec<u64> of len 2 frames as
         // an 8-byte length prefix + 2 scalars.
         let bucket_bytes = vec![0u64; 2].wire_size() as u64;
@@ -500,13 +450,19 @@ mod tests {
         }
     }
 
+    /// One shape at every machine size: ⌈log₂ np⌉ messages a rank,
+    /// carrying the other np − 1 values plus a count prefix each, and the
+    /// values in rank order — powers of two or not.
     #[test]
-    fn allgather_ring() {
-        for np in [1u32, 2, 3, 4, 7] {
+    fn allgather_sends_log_rounds_at_every_np() {
+        for np in 1u32..=17 {
             let out = RunConfig::builder().np(np).run(|c| c.allgather(c.rank() as u64 * 3));
             let expect: Vec<u64> = (0..np as u64).map(|r| r * 3).collect();
-            for r in &out.results {
+            let rounds = u64::from(u32::BITS - (np - 1).leading_zeros());
+            for (r, stats) in out.results.iter().zip(&out.stats) {
                 assert_eq!(r, &expect, "np={np}");
+                assert_eq!(stats.sends, rounds, "np={np}");
+                assert_eq!(stats.bytes_sent, 8 * rounds + 8 * u64::from(np - 1), "np={np}");
             }
         }
     }

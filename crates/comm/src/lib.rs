@@ -13,8 +13,8 @@
 //! * [`collectives`] — barrier / bcast / reduce / allreduce / gather /
 //!   allgather / alltoall / prefix sums, all built from point-to-point
 //!   messages so the traffic counters reflect real wire activity;
-//!   allgather is a ring below np = [`AUTO_TREE_MIN_NP`] and the log-round
-//!   Bruck algorithm from there up, chosen by np.
+//!   each has one shape at every np (allgather is Bruck's log-round
+//!   algorithm).
 //! * [`abm`] — the paper's "asynchronous batched messages" active-message
 //!   layer with quiescence detection, used by the latency-hiding tree walk.
 //! * [`wire`] — explicit little-endian message encoding.
@@ -47,7 +47,6 @@ pub mod runtime;
 pub mod wire;
 
 pub use abm::{Abm, AbmStats};
-pub use collectives::AUTO_TREE_MIN_NP;
 pub use fault::{
     DetectionRecord, FaultConfig, FaultDecision, FaultMonitor, FaultPlan, InjectedFaults,
     KillRecord, KillSite,

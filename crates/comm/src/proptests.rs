@@ -25,6 +25,31 @@ fn alltoall_by_source<T: Wire>(c: &mut Comm, mut sends: Vec<Vec<T>>) -> Vec<Vec<
         .collect()
 }
 
+/// `Comm::allgather` as it was below 16 ranks: a ring of np − 1 steps,
+/// each rank forwarding to its right neighbour the block it received the
+/// step before. Kept as the linear oracle the Bruck rounds are checked
+/// against bitwise.
+fn allgather_ring<T: Wire + Clone>(c: &mut Comm, v: T) -> Vec<T> {
+    // A user tag: the oracle is a program on top of `Comm`, and its FIFO
+    // stream stays apart from the production allgather's.
+    const TAG_ALLGATHER_RING: u32 = 0x400;
+    let (me, np) = (c.rank(), c.size());
+    let mut out: Vec<Option<T>> = (0..np).map(|_| None).collect();
+    out[me as usize] = Some(v.clone());
+    let (right, left) = ((me + 1) % np, (me + np - 1) % np);
+    // At step s the block forwarded is the one that originated at rank
+    // (me − s) mod np; the left neighbour's sends arrive FIFO, so step s
+    // matches its s-th message.
+    let mut current = v;
+    for s in 0..np - 1 {
+        c.send(right, TAG_ALLGATHER_RING, &current);
+        let incoming: T = c.recv(left, TAG_ALLGATHER_RING);
+        out[((me + np - 1 - s) % np) as usize] = Some(incoming.clone());
+        current = incoming;
+    }
+    out.into_iter().map(|o| o.expect("ring filled every slot")).collect()
+}
+
 type Buckets = Vec<Vec<u64>>;
 type AllToAll = fn(&mut Comm, Buckets) -> Buckets;
 
@@ -303,18 +328,18 @@ fn bruck_closed_form(np: u32, rank: u32) -> (u64, u64) {
 /// The Bruck allgather relays what it received: on variable-length values
 /// (empty ones included) its result is the ring's, and its messages are
 /// those of encoding every block afresh — same count, same bytes.
-/// np = 17 and 31 end on a partial round.
+/// np = 3, 5, 17 and 31 end on a partial round.
 #[test]
 fn bruck_relay_matches_ring_and_parent_traffic() {
     type Out = (Vec<Vec<u8>>, crate::TrafficStats, Vec<Vec<u8>>);
     let body = |c: &mut Comm| -> Out {
-        let bruck = c.allgather_bruck(relay_value(c.rank()));
+        let bruck = c.allgather(relay_value(c.rank()));
         let stats = c.stats();
         // Zero-byte blocks: only the counts say where they are.
-        assert_eq!(c.allgather_bruck(()).len(), c.size() as usize);
-        (bruck, stats, c.allgather_ring(relay_value(c.rank())))
+        assert_eq!(c.allgather(()).len(), c.size() as usize);
+        (bruck, stats, allgather_ring(c, relay_value(c.rank())))
     };
-    for np in [16u32, 17, 31, 128] {
+    for np in [2u32, 3, 5, 16, 17, 31, 128] {
         let want: Vec<Vec<u8>> = (0..np).map(relay_value).collect();
         let check = |out: crate::RunOutput<Out>, what: &str| {
             for (rank, (bruck, stats, ring)) in out.results.iter().enumerate() {
@@ -356,10 +381,10 @@ impl Wire for Counted {
 /// np · (np − 1).
 #[test]
 fn bruck_encodes_each_value_once() {
-    for np in [16u32, 17, 31, 128] {
+    for np in [2u32, 3, 5, 16, 17, 31, 128] {
         RELAY_ENCODES.store(0, Relaxed);
         let value = |r: u32| Counted(relay_value(r));
-        let out = RunConfig::builder().np(np).run(|c| c.allgather_bruck(value(c.rank())));
+        let out = RunConfig::builder().np(np).run(|c| c.allgather(value(c.rank())));
         let want: Vec<Counted> = (0..np).map(value).collect();
         assert!(out.results.iter().all(|r| r == &want), "np={np}");
         assert_eq!(RELAY_ENCODES.load(Relaxed), u64::from(np), "np={np}");
@@ -373,8 +398,8 @@ proptest! {
     /// The ring and Bruck allgathers are pure data movement, so their
     /// results must be *bitwise* identical for arbitrary bit patterns —
     /// across machine sizes, production runs, and seeded schedules. This
-    /// is the license for `Comm::allgather` to switch algorithms on np
-    /// alone.
+    /// is the license for `Comm::allgather` to run Bruck rounds at every
+    /// np, the small machines the ring once served included.
     #[test]
     fn allgather_shapes_bitwise_equivalent(
         np in 2u32..10,
@@ -386,7 +411,7 @@ proptest! {
         // Both shapes run back to back in the same machine.
         let body = move |c: &mut Comm| {
             let v = base ^ (0x9E37_79B9_7F4A_7C15u64.wrapping_mul(u64::from(c.rank()) + 1));
-            (c.allgather_ring(v), c.allgather_bruck(v))
+            (allgather_ring(c, v), c.allgather(v))
         };
         let production = RunConfig::builder().np(np).run(body);
         for (ring, bruck) in &production.results {

@@ -481,8 +481,7 @@ impl fmt::Display for Undrained {
 #[must_use]
 pub fn tag_class_name(tag: u32) -> &'static str {
     use crate::collectives::{
-        TAG_ALLGATHER_BRUCK, TAG_ALLGATHER_RING, TAG_ALLTOALL, TAG_BARRIER, TAG_BCAST,
-        TAG_GATHER, TAG_REDUCE,
+        TAG_ALLGATHER, TAG_ALLTOALL, TAG_BARRIER, TAG_BCAST, TAG_GATHER, TAG_REDUCE,
     };
     match tag {
         POISON_TAG => "poison",
@@ -492,8 +491,7 @@ pub fn tag_class_name(tag: u32) -> &'static str {
         TAG_BCAST => "coll:bcast",
         TAG_REDUCE => "coll:reduce",
         TAG_GATHER => "coll:gather",
-        TAG_ALLGATHER_RING => "coll:allgather",
-        TAG_ALLGATHER_BRUCK => "coll:allgather",
+        TAG_ALLGATHER => "coll:allgather",
         TAG_ALLTOALL => "coll:alltoall",
         t if t <= MAX_USER_TAG => "user",
         _ => "internal",

@@ -272,6 +272,11 @@ where
 
 /// [`fan_out`]'s threads: `workers` (≥ 2) drain the queue of `(run, part)`
 /// chunks, each with a list of `lists`; results come back in chunk order.
+///
+/// Kept out of line: inlined, its thread scope enlarged `fan_out`'s frame,
+/// which sits on every rank fiber's stack on the one-thread path too
+/// (`dist_fine` peak RSS 37.5 → 38.0 MiB).
+#[inline(never)]
 fn run_parts<M, R>(
     workers: usize,
     runs: Vec<&[u32]>,

@@ -41,6 +41,7 @@ use hot_base::flops::FlopCounter;
 use hot_base::Vec3;
 use hot_comm::{Comm, FaultConfig, FaultMonitor, FaultPlan, NetworkModel, RunConfig};
 use hot_core::decomp::Body;
+use hot_core::walk::default_group_size;
 use hot_gravity::dist::{distributed_step_traced, DecompState, DistOptions};
 use hot_morton::Key;
 use hot_trace::{CounterSet, Ledger, Phase};
@@ -282,6 +283,7 @@ fn dist_options(sim: &CosmoSim) -> DistOptions {
     DistOptions {
         mac: sim.opts.mac,
         bucket: sim.opts.bucket,
+        group_size: default_group_size(sim.opts.bucket),
         eps2: sim.opts.eps2,
         quadrupole: sim.opts.quadrupole,
         ..DistOptions::default()
@@ -613,6 +615,17 @@ mod tests {
         for (net, every) in [(NetworkModel::loki(), loki), (NetworkModel::asci_red(), red)] {
             let f = checkpoint_overhead_fraction(&net, bytes, 1.0, every);
             assert!(f < 0.05, "overhead {f} at the Daly interval");
+        }
+    }
+
+    /// The distributed walk groups sinks as `CosmoSim`'s serial step
+    /// does, whatever the bucket.
+    #[test]
+    fn dist_options_group_like_the_serial_step() {
+        let mut sim = demo_state(8, 1);
+        for bucket in [4, 8, 16, 32] {
+            sim.opts.bucket = bucket;
+            assert_eq!(dist_options(&sim).group_size, default_group_size(bucket), "bucket {bucket}");
         }
     }
 

@@ -109,3 +109,13 @@ fn algorithmic_advantage_order_of_magnitude() {
         "advantage {advantage:.1e} should be ~1e5 as the paper claims"
     );
 }
+
+/// The trace ledger's Loki clock and the machine model's Loki spec hold
+/// the same 74.3 Mflops and network: each writes them out, so pin one to
+/// the other.
+#[test]
+fn paper_loki_clock_matches_the_loki_spec() {
+    let clock = hot_trace::ModelClock::paper_loki();
+    assert_eq!(clock.mflops_per_proc, LOKI.nbody_mflops_per_proc);
+    assert_eq!(clock.network, LOKI.network);
+}
