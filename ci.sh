@@ -156,6 +156,17 @@ test -s "$smoke/results/BENCH_balance.json"
 echo "==> exp_recovery smoke (Daly cadence ≤ 5% overhead, bitwise recovery gate)"
 cargo run -q --offline --release -p hot-bench --bin exp_recovery -- 2 128 4
 
+echo "==> cluster_shootout smoke (one run priced on every machine spec: four machine rows)"
+# Not pinned: it prices raw Comm::stats(), which include the walk's
+# schedule-dependent termination allreduces, so its digits move between runs.
+cargo run -q --offline --release --example cluster_shootout -- 4 500 > "$smoke/shootout.txt"
+rows=$(grep -cE ' [0-9]+ +[0-9]+\.[0-9]{4} +[0-9]+\.[0-9] +([0-9]+|-)$' "$smoke/shootout.txt" || true)
+if [ "$rows" -ne 4 ]; then
+  cat "$smoke/shootout.txt" >&2
+  echo "ERROR: cluster_shootout printed $rows machine rows, expected 4" >&2
+  exit 1
+fi
+
 # pin FILE BIN [ARGS...]: run hot-bench's BIN in a directory of its own and
 # fail unless results/FILE equals what the run produced — the file of that
 # name it wrote under results/ if it wrote one, its stdout otherwise. Every

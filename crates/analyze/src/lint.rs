@@ -90,7 +90,7 @@ const F32_SCOPE: [&str; 5] =
 
 /// Files whose map iteration order can leak into reduction results or wire
 /// bytes.
-const DETERMINISM_SCOPE: [&str; 11] = [
+const DETERMINISM_SCOPE: [&str; 10] = [
     "comm/src/collectives.rs",
     "comm/src/wire.rs",
     "comm/src/abm.rs",
@@ -99,7 +99,6 @@ const DETERMINISM_SCOPE: [&str; 11] = [
     "comm/src/reliable.rs",
     "core/src/dwalk.rs",
     "core/src/moments.rs",
-    "core/src/wirevec.rs",
     "vortex/src/remesh.rs",
     "cosmo/src/fof.rs",
 ];

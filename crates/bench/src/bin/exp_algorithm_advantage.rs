@@ -10,6 +10,7 @@ use hot_bench::{arg_usize, header};
 use hot_gravity::models::uniform_box;
 use hot_gravity::treecode::{ForceCalc, TreecodeOptions};
 use hot_machine::specs::ASCI_RED_6800;
+use hot_trace::ModelClock;
 use rand::SeedableRng;
 
 fn main() {
@@ -66,8 +67,8 @@ fn main() {
 
     // The 25-Exaflop equivalence: the treecode's useful update rate, recast
     // as the N² flop rate that special-purpose hardware would need.
-    let tree_step_s =
-        tree_total * FLOPS_PER_GRAV_INTERACTION as f64 / (ASCI_RED_6800.nbody_mflops() * 1e6);
+    let tree_flops = (tree_total * FLOPS_PER_GRAV_INTERACTION as f64) as u64;
+    let tree_step_s = ModelClock::of(&ASCI_RED_6800).phase_seconds(tree_flops, 0, &[]);
     let equiv_flops = n2_total * FLOPS_PER_GRAV_INTERACTION as f64 / tree_step_s;
     println!(
         "\n  one treecode step on 6800 PPros: {tree_step_s:.0} s -> {:.1e} particles/s (paper: 3e6/s)",

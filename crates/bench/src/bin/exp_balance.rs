@@ -111,7 +111,10 @@ fn run_arm(np: u32, n_per_rank: usize, steps: usize, adaptive: bool) -> Arm {
             assert_eq!(wf.len(), steps);
             assert_eq!(ff.len(), steps);
             let per_step: Vec<u64> = wf.iter().zip(&ff).map(|(w, f)| w + f).collect();
-            let flop_s = per_step.iter().sum::<u64>() as f64 / (clock.mflops_per_proc * 1e6);
+            // This rank's flops alone: the compute of a phase it is the
+            // busiest rank of, with no traffic.
+            let flops = per_step.iter().sum();
+            let flop_s = clock.phase_seconds(flops, flops, &[]);
             (
                 per_step,
                 t.get(Counter::RebalanceSteps),

@@ -25,6 +25,7 @@ use hot_bench::{arg_usize, clustered_bodies, header, rule};
 use hot_comm::{NetworkModel, RunConfig};
 use hot_core::Mac;
 use hot_gravity::{distributed_accelerations_traced, DistOptions};
+use hot_machine::LOKI;
 use hot_trace::{Counter, CounterSet, Ledger, ModelClock, Phase};
 
 /// The walk's counts, reduced across ranks.
@@ -47,7 +48,7 @@ struct WalkRun {
 fn walk_seconds(net: NetworkModel, cs: &CounterSet) -> f64 {
     // The walk span carries no flops (the force phase is separate), so the
     // per-proc rate only prices the traversal's bookkeeping terms.
-    ModelClock::new(net, 74.3).seconds(cs)
+    ModelClock::new(net, LOKI.nbody_mflops_per_proc).seconds(cs)
 }
 
 fn run_walk(n_total: usize, np: u32) -> WalkRun {

@@ -16,9 +16,9 @@ use hot_cosmo::sim::{growth_factor, zeldovich_velocity_factor, RHO_BAR};
 use hot_core::decomp::Body;
 use hot_gravity::dist::{distributed_accelerations, DistOptions};
 use hot_machine::cost::{dollars_per_mflop, loki_sept_1996};
-use hot_machine::perf::{predict, PhaseCount};
 use hot_machine::specs::LOKI;
 use hot_morton::Key;
+use hot_trace::ModelClock;
 use rand::SeedableRng;
 
 fn main() {
@@ -75,12 +75,12 @@ fn main() {
     println!("  30 steps: {inter30:.2e} interactions (paper measured 1.15e12)");
     let flops30 = (inter30 * FLOPS_PER_GRAV_INTERACTION as f64) as u64;
     let traffic: Vec<_> = out.results.iter().map(|&(_, s)| s).collect();
-    let phase = PhaseCount { flops: flops30, max_rank_flops: 0, traffic: traffic.clone() };
-    let p30 = predict(&LOKI, &phase);
+    let loki = ModelClock::of(&LOKI);
+    let s30 = loki.phase_seconds(flops30, 0, &traffic);
     println!(
         "  Loki model: {:.0} s -> {:.2} Gflops (paper: 36973 s, 1.19 Gflops)",
-        p30.serial_s,
-        p30.mflops / 1e3
+        s30,
+        flops30 as f64 / s30 / 1e9
     );
 
     // Ten-day production phase: clustering raises cost ~1.35x per
@@ -88,21 +88,18 @@ fn main() {
     let inter_10day = 1.97e13; // the paper's own count over 236 h
     let flops_10day = inter_10day * FLOPS_PER_GRAV_INTERACTION as f64;
     let imbalance = 1.35;
-    let phase = PhaseCount {
-        flops: flops_10day as u64,
-        max_rank_flops: (flops_10day / LOKI.procs() as f64 * imbalance) as u64,
-        traffic,
-    };
-    let p10 = predict(&LOKI, &phase);
+    let busiest_rank_flops = (flops_10day / LOKI.procs() as f64 * imbalance) as u64;
+    let s10 = loki.phase_seconds(flops_10day as u64, busiest_rank_flops, &traffic);
+    let mflops10 = flops_10day / s10 / 1e6;
     println!(
         "  ten-day phase model: {:.0} h -> {:.0} Mflops (paper: 236 h, 879 Mflops)",
-        p10.serial_s / 3600.0,
-        p10.mflops
+        s10 / 3600.0,
+        mflops10
     );
     let cost = loki_sept_1996().total();
     println!(
         "  price/performance: {:.0} $/Mflop (paper: $58/Mflop)",
-        dollars_per_mflop(cost, p10.mflops)
+        dollars_per_mflop(cost, mflops10)
     );
     // Full run total.
     let total_flops = 1.2e15;

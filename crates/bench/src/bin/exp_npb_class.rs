@@ -12,46 +12,15 @@
 //! observation.
 
 use hot_comm::RunConfig;
-use hot_bench::header;
-use hot_comm::{RunOutput, TrafficStats};
+use hot_bench::{header, npb_model_mops};
+use hot_comm::RunOutput;
 use hot_machine::specs::{JANUS_16, LOKI};
 use hot_npb::common::BenchResult;
 
-struct Row {
-    name: &'static str,
-    ops: u64,
-    measured_mops: f64,
-    traffic: Vec<TrafficStats>,
-}
-
-fn collect(out: &RunOutput<BenchResult>) -> Row {
+fn verified(out: RunOutput<BenchResult>) -> RunOutput<BenchResult> {
     let r = &out.results[0];
     assert!(out.results.iter().all(|x| x.verified), "{} failed verification", r.name);
-    Row {
-        name: r.name,
-        ops: r.ops,
-        measured_mops: r.ops as f64 / out.elapsed.as_secs_f64() / 1e6,
-        traffic: out.stats.clone(),
-    }
-}
-
-/// Arithmetic-intensity fidelity factor (see `exp_npb_scaling` / DESIGN.md):
-/// our reduced pseudo-apps do k x fewer flops per point than real NPB.
-fn fidelity(name: &str) -> f64 {
-    match name {
-        "BT" => 25.0,
-        "SP" => 8.0,
-        "LU" => 15.0,
-        "MG" => 5.0,
-        _ => 1.0,
-    }
-}
-
-fn predict_mops(row: &Row, per_proc_mops: f64, np: u32, net: &hot_comm::NetworkModel) -> f64 {
-    let ops = row.ops as f64 * fidelity(row.name);
-    let compute_s = ops / (np as f64 * per_proc_mops * 1e6);
-    let comm_s = net.phase_comm_time(&row.traffic);
-    ops / (compute_s + comm_s) / 1e6
+    out
 }
 
 fn main() {
@@ -61,34 +30,36 @@ fn main() {
     println!("(mini-NPB sizes; paper ran Class B — shapes, not magnitudes, compare)");
 
     let rows = vec![
-        collect(&RunConfig::builder().np(np).run(|c| hot_npb::apps::run_bt(c, n, 2))),
-        collect(&RunConfig::builder().np(np).run(|c| hot_npb::apps::run_sp(c, n, 2))),
-        collect(&RunConfig::builder().np(np).run(|c| hot_npb::apps::run_lu(c, n, 4))),
-        collect(&RunConfig::builder().np(np).run(|c| hot_npb::mg::run_distributed(c, n, 2))),
-        collect(&RunConfig::builder().np(np).run(|c| hot_npb::ft::run(c, n, 2))),
-        collect(&RunConfig::builder().np(np).run(|c| hot_npb::ep::run(c, 18).0)),
-        collect(&RunConfig::builder().np(np).run(|c| hot_npb::is::run(c, 18, 16))),
+        verified(RunConfig::builder().np(np).run(|c| hot_npb::apps::run_bt(c, n, 2))),
+        verified(RunConfig::builder().np(np).run(|c| hot_npb::apps::run_sp(c, n, 2))),
+        verified(RunConfig::builder().np(np).run(|c| hot_npb::apps::run_lu(c, n, 4))),
+        verified(RunConfig::builder().np(np).run(|c| hot_npb::mg::run_distributed(c, n, 2))),
+        verified(RunConfig::builder().np(np).run(|c| hot_npb::ft::run(c, n, 2))),
+        verified(RunConfig::builder().np(np).run(|c| hot_npb::ep::run(c, 18).0)),
+        verified(RunConfig::builder().np(np).run(|c| hot_npb::is::run(c, 18, 16))),
     ];
 
     println!(
         "\n{:>4} {:>12} {:>14} {:>12} {:>12} {:>12}",
         "", "ops", "measured Mops", "Loki", "ASCI Red", "SGI Origin"
     );
-    for row in &rows {
+    for out in &rows {
+        let r = &out.results[0];
         // Per-processor rates in each benchmark's own "Mops" convention:
         // stencil/solver flops for the grid codes, random pairs for EP
         // (PPro ≈ 0.55 Mop/s in NPB units), key ranks for IS (≈ 2.5).
-        let base: f64 = match row.name {
+        let base: f64 = match r.name {
             "EP" => 0.55,
             "IS" => 2.5,
             _ => 25.0,
         };
-        let loki = predict_mops(row, base, np, &LOKI.network);
-        let red = predict_mops(row, base * 1.16, np, &JANUS_16.network);
-        let sgi = predict_mops(row, base * 3.0, np, &JANUS_16.network);
+        let measured_mops = r.ops as f64 / out.elapsed.as_secs_f64() / 1e6;
+        let loki = npb_model_mops(out, LOKI.network, base);
+        let red = npb_model_mops(out, JANUS_16.network, base * 1.16);
+        let sgi = npb_model_mops(out, JANUS_16.network, base * 3.0);
         println!(
             "{:>4} {:>12} {:>14.1} {:>12.1} {:>12.1} {:>12.1}",
-            row.name, row.ops, row.measured_mops, loki, red, sgi
+            r.name, r.ops, measured_mops, loki, red, sgi
         );
     }
 

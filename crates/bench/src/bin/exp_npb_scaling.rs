@@ -7,34 +7,10 @@
 //! the series Figure 3 plots.
 
 use hot_comm::RunConfig;
-use hot_bench::header;
+use hot_bench::{header, npb_model_mops};
 use hot_comm::RunOutput;
 use hot_machine::specs::LOKI;
 use hot_npb::common::BenchResult;
-
-/// Arithmetic-intensity fidelity factor: our reduced kernels do k x fewer
-/// flops per grid point than the real NPB codes (BT factors 5x5 blocks,
-/// LU's SSOR touches 5-component jacobians, MG smooths with 27-point
-/// stencils). The model scales counted ops by k to restore Class-A
-/// intensity; the substitution is recorded in DESIGN.md.
-fn fidelity(name: &str) -> f64 {
-    match name {
-        "BT" => 25.0,
-        "SP" => 8.0,
-        "LU" => 15.0,
-        "MG" => 5.0,
-        _ => 1.0,
-    }
-}
-
-fn loki_mops(name: &str, out: &RunOutput<BenchResult>, per_proc_mops: f64) -> f64 {
-    let r = &out.results[0];
-    let np = r.np;
-    let ops = r.ops as f64 * fidelity(name);
-    let compute_s = ops / (np as f64 * per_proc_mops * 1e6);
-    let comm_s = LOKI.network.phase_comm_time(&out.stats);
-    ops / (compute_s + comm_s) / 1e6
-}
 
 fn main() {
     let n = hot_bench::arg_usize(1, 32).next_power_of_two();
@@ -59,7 +35,8 @@ fn main() {
                 _ => unreachable!(),
             };
             assert!(out.results.iter().all(|r| r.verified), "{name} at np={np}");
-            series.push(loki_mops(name, &out, if name == "EP" { 0.6 } else { 25.0 }));
+            let per_proc_mops = if name == "EP" { 0.6 } else { 25.0 };
+            series.push(npb_model_mops(&out, LOKI.network, per_proc_mops));
         }
         table.push((name, series));
     }

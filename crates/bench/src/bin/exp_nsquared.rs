@@ -10,8 +10,8 @@ use hot_base::flops::FlopCounter;
 use hot_base::Vec3;
 use hot_bench::{arg_usize, header};
 use hot_gravity::direct::direct_ring;
-use hot_machine::perf::{predict, PhaseCount};
 use hot_machine::specs::ASCI_RED_6800;
+use hot_trace::ModelClock;
 use rand::{Rng, SeedableRng};
 use std::time::Instant;
 
@@ -50,18 +50,18 @@ fn main() {
     // Model the paper's exact run: 1e6 bodies, 4 steps, 6800 processors.
     let n: u64 = 1_000_000;
     let paper_flops = n * n * 38 * 4;
-    let phase = PhaseCount { flops: paper_flops, max_rank_flops: 0, traffic: vec![] };
-    let p = predict(&ASCI_RED_6800, &phase);
+    let red = ModelClock::of(&ASCI_RED_6800);
+    let s = red.phase_seconds(paper_flops, 0, &[]);
     println!("\nASCI Red model at N = 1e6, 4 steps, 6800 processors:");
-    println!("  predicted time   {:>8.1} s   (paper: 239.3 s)", p.serial_s);
-    println!("  predicted rate   {:>8.1} Gflops (paper: 635)", p.mflops / 1e3);
+    println!("  predicted time   {s:>8.1} s   (paper: 239.3 s)");
+    println!("  predicted rate   {:>8.1} Gflops (paper: 635)", paper_flops as f64 / s / 1e9);
     // The paper's "52 particles/s" figure is N / (time for one full force
     // evaluation at science scale N = 322M):
-    let n322: f64 = 322_159_436.0;
-    let t_one_step = n322 * n322 * 38.0 / (ASCI_RED_6800.nbody_mflops() * 1e6);
+    let n322: u64 = 322_159_436;
+    let t_one_step = red.phase_seconds(n322 * n322 * 38, 0, &[]);
     println!(
         "  at N = 322M an N^2 step takes {:.2e} s -> {:.0} particles updated/s (paper: 52)",
         t_one_step,
-        n322 / t_one_step
+        n322 as f64 / t_one_step
     );
 }

@@ -11,8 +11,8 @@ use hot_base::{Aabb, FLOPS_PER_GRAV_INTERACTION};
 use hot_bench::{arg_usize, header, random_bodies};
 use hot_gravity::dist::{distributed_accelerations, DistOptions};
 use hot_machine::cost::{dollars_per_mflop, gflops_per_million_dollars, sc96_combined_total};
-use hot_machine::perf::{predict, scale_traffic, PhaseCount};
 use hot_machine::specs::LOKI_HYGLAC_SC96;
+use hot_trace::ModelClock;
 
 fn main() {
     let np = 32u32;
@@ -36,23 +36,20 @@ fn main() {
     let ipp_paper = ipp * (1.0 + (n_paper / n as f64).ln() / (n as f64).ln());
     let flops = (ipp_paper * n_paper * FLOPS_PER_GRAV_INTERACTION as f64) as u64;
     let traffic: Vec<_> = out.results.iter().map(|&(_, s)| s).collect();
-    let phase = PhaseCount {
-        flops,
-        max_rank_flops: 0,
-        traffic: scale_traffic(&traffic, np, LOKI_HYGLAC_SC96.procs()),
-    };
-    let p = predict(&LOKI_HYGLAC_SC96, &phase);
+    let traffic = LOKI_HYGLAC_SC96.scale_traffic(&traffic, np);
+    let s = ModelClock::of(&LOKI_HYGLAC_SC96).phase_seconds(flops, 0, &traffic);
+    let mflops = flops as f64 / s / 1e6;
     println!("\ncombined-machine model at N = 10M (one force evaluation):");
-    println!("  predicted rate: {:.2} Gflops (paper: 2.19)", p.mflops / 1e3);
+    println!("  predicted rate: {:.2} Gflops (paper: 2.19)", mflops / 1e3);
     let cost = sc96_combined_total();
     println!(
         "  price/performance: {:.0} $/Mflop on the ${:.0} system (paper: $47/Mflop)",
-        dollars_per_mflop(cost, p.mflops),
+        dollars_per_mflop(cost, mflops),
         cost
     );
     println!(
         "  equivalently {:.1} Gflops per million dollars (paper: 21)",
-        gflops_per_million_dollars(cost, p.mflops)
+        gflops_per_million_dollars(cost, mflops)
     );
     println!("\n(the paper notes this was \"about a factor of three better than last");
     println!(" year's Gordon Bell price/performance winner\")");

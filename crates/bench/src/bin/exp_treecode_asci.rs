@@ -24,6 +24,7 @@ use hot_machine::specs::{
     ASCI_RED_4096, ASCI_RED_6800, ASCI_RED_TREE_EARLY_MFLOPS_PER_PROC,
     ASCI_RED_TREE_SUSTAINED_MFLOPS_PER_PROC,
 };
+use hot_trace::ModelClock;
 use std::time::Instant;
 
 struct Sample {
@@ -175,19 +176,21 @@ fn main() {
     println!(
         "  5 timesteps: {inter_5_steps:.2e} interactions (paper measured 7.18e12)"
     );
-    let flops = inter_5_steps * FLOPS_PER_GRAV_INTERACTION as f64;
-    let last = &samples[samples.len() - 1];
+    let flops = (inter_5_steps * FLOPS_PER_GRAV_INTERACTION as f64) as u64;
     // Predict with the paper's own measured tree-phase per-processor rate
     // (our contribution is the counted work; our stack's software overhead,
     // printed above, reflects this implementation, not the 1997 code).
-    let t5 = flops / (ASCI_RED_6800.procs() as f64 * ASCI_RED_TREE_EARLY_MFLOPS_PER_PROC * 1e6);
+    let early = ModelClock {
+        mflops_per_proc: ASCI_RED_TREE_EARLY_MFLOPS_PER_PROC,
+        ..ModelClock::of(&ASCI_RED_6800)
+    };
+    let t5 = early.phase_seconds(flops, 0, &[]);
     println!(
         "  ASCI Red 6800-proc model: {:.0} s for 5 steps -> {:.0} Gflops",
         t5,
-        flops / t5 / 1e9
+        flops as f64 / t5 / 1e9
     );
     println!("  (paper: 632 s, 431 Gflops; the time ratio tracks the interaction-count ratio)");
-    let _ = last;
 
     // Clustered stage: imbalance + deeper traversals.
     println!("\nclustered (late-universe) stage:");
@@ -203,15 +206,18 @@ fn main() {
     );
     let ipp_cl = s.inter_per_particle / samples[samples.len() - 1].inter_per_particle * ipp;
     let inter_287 = ipp_cl * n322 * 287.0; // steps 150..437
-    let flops_cl = inter_287 * FLOPS_PER_GRAV_INTERACTION as f64;
+    let flops_cl = (inter_287 * FLOPS_PER_GRAV_INTERACTION as f64) as u64;
     // The sustained rate already folds in the paper's measured clustering
     // penalty; our measured imbalance shows the same mechanism at small np.
-    let t287 = flops_cl
-        / (ASCI_RED_4096.procs() as f64 * ASCI_RED_TREE_SUSTAINED_MFLOPS_PER_PROC * 1e6);
+    let sustained = ModelClock {
+        mflops_per_proc: ASCI_RED_TREE_SUSTAINED_MFLOPS_PER_PROC,
+        ..ModelClock::of(&ASCI_RED_4096)
+    };
+    let t287 = sustained.phase_seconds(flops_cl, 0, &[]);
     println!(
         "  ASCI Red 4096-proc model: {:.1} h for 287 steps -> {:.0} Gflops (paper: 9.4 h, 170 Gflops)",
         t287 / 3600.0,
-        flops_cl / t287 / 1e9
+        flops_cl as f64 / t287 / 1e9
     );
     println!(
         "  particles updated/second: {:.2e} (paper: 3e6/s; N^2 would do 52/s)",

@@ -9,8 +9,8 @@ use hot_base::flops::FlopCounter;
 use hot_base::Vec3;
 use hot_bench::{arg_usize, header};
 use hot_machine::cost::dollars_per_mflop;
-use hot_machine::perf::{predict, PhaseCount};
 use hot_machine::specs::HYGLAC;
+use hot_trace::ModelClock;
 use hot_vortex::ring::{linear_impulse, make_ring, total_vorticity, RingSpec};
 use hot_vortex::sim::VortexSim;
 
@@ -89,11 +89,12 @@ fn main() {
     let log_scale = (360_000.0f64).ln() / (sim.len() as f64).ln();
     let paper_inter = ipp * log_scale * 360_000.0 * 340.0;
     let flops = (paper_inter * hot_base::FLOPS_PER_VORTEX_INTERACTION as f64) as u64;
-    let p = predict(&HYGLAC, &PhaseCount { flops, max_rank_flops: 0, traffic: vec![] });
+    let s = ModelClock::of(&HYGLAC).phase_seconds(flops, 0, &[]);
+    let mflops = flops as f64 / s / 1e6;
     println!("\nHyglac model at paper scale (360k particles, 340 steps):");
-    println!("  predicted {:.1} h at {:.0} Mflops (paper: ~20 h at ~950 Mflops)", p.serial_s / 3600.0, p.mflops);
+    println!("  predicted {:.1} h at {mflops:.0} Mflops (paper: ~20 h at ~950 Mflops)", s / 3600.0);
     println!(
         "  price/performance: {:.0} $/Mflop on the $50,498 machine",
-        dollars_per_mflop(50_498.0, p.mflops)
+        dollars_per_mflop(50_498.0, mflops)
     );
 }

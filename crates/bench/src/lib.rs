@@ -11,8 +11,11 @@
 #![warn(missing_docs)]
 
 use hot_base::{Aabb, Vec3};
+use hot_comm::{NetworkModel, RunOutput};
 use hot_core::decomp::Body;
 use hot_morton::Key;
+use hot_npb::BenchResult;
+use hot_trace::ModelClock;
 use rand::{Rng, SeedableRng};
 
 /// Deterministic uniform random bodies for rank `rank` (each rank builds
@@ -68,6 +71,21 @@ pub fn clustered_bodies(rank: u32, n: usize, seed: u64, n_clumps: usize) -> Vec<
             }
         })
         .collect()
+}
+
+/// Model Mop/s of an NPB run on a machine with `network` and
+/// `mflops_per_proc` per processor: the run's Class-A operation count
+/// ([`BenchResult::class_ops`]) spread over its ranks, priced by the clock
+/// together with the traffic the run measured.
+pub fn npb_model_mops(
+    out: &RunOutput<BenchResult>,
+    network: NetworkModel,
+    mflops_per_proc: f64,
+) -> f64 {
+    let r = &out.results[0];
+    let clock = ModelClock { procs: r.np, ..ModelClock::new(network, mflops_per_proc) };
+    let ops = r.class_ops();
+    ops as f64 / clock.phase_seconds(ops, 0, &out.stats) / 1e6
 }
 
 /// Format a dollars value like the paper's tables.

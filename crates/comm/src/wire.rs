@@ -158,11 +158,13 @@ impl<A: Wire, B: Wire, C: Wire, D: Wire> Wire for (A, B, C, D) {
 }
 
 impl Wire for hot_base::Vec3 {
+    #[inline]
     fn encode(&self, buf: &mut BytesMut) {
         buf.put_f64_le(self.x);
         buf.put_f64_le(self.y);
         buf.put_f64_le(self.z);
     }
+    #[inline]
     fn decode(buf: &mut Bytes) -> Self {
         let x = buf.get_f64_le();
         let y = buf.get_f64_le();

@@ -71,14 +71,14 @@ pub struct Body<C> {
 impl<C: Wire> Wire for Body<C> {
     fn encode(&self, buf: &mut BytesMut) {
         buf.put_u64_le(self.key.0);
-        crate::wirevec::put_vec3(buf, self.pos);
+        self.pos.encode(buf);
         self.charge.encode(buf);
         buf.put_f32_le(self.work);
         buf.put_u64_le(self.id);
     }
     fn decode(buf: &mut Bytes) -> Self {
         let key = Key(buf.get_u64_le());
-        let pos = crate::wirevec::get_vec3(buf);
+        let pos = Vec3::decode(buf);
         let charge = C::decode(buf);
         let work = buf.get_f32_le();
         let id = buf.get_u64_le();

@@ -40,7 +40,6 @@ mod proptests;
 pub mod summary;
 pub mod tree;
 pub mod walk;
-pub mod wirevec;
 
 pub use htable::KeyTable;
 pub use ilist::{InteractionList, ListConsumer};

@@ -15,7 +15,6 @@
 //! build, so dipole terms vanish identically for scalar charges (Newton's
 //! point-mass insight, as the paper puts it).
 
-use crate::wirevec::{get_vec3, put_vec3};
 use bytes::{Buf, BufMut, Bytes, BytesMut};
 use hot_base::{SymMat3, Vec3};
 use hot_comm::Wire;
@@ -187,7 +186,7 @@ pub struct VectorMoments {
 
 impl Wire for VectorMoments {
     fn encode(&self, buf: &mut BytesMut) {
-        put_vec3(buf, self.alpha);
+        self.alpha.encode(buf);
         for row in &self.alpha_r {
             for &v in row {
                 buf.put_f64_le(v);
@@ -197,7 +196,7 @@ impl Wire for VectorMoments {
         buf.put_f64_le(self.b2);
     }
     fn decode(buf: &mut Bytes) -> Self {
-        let alpha = get_vec3(buf);
+        let alpha = Vec3::decode(buf);
         let mut alpha_r = [[0.0; 3]; 3];
         for row in &mut alpha_r {
             for v in row.iter_mut() {

@@ -18,7 +18,6 @@
 //! whichever rank forms the summary, and from which kind of cell.
 
 use crate::moments::Moments;
-use crate::wirevec::{get_vec3, put_vec3};
 use bytes::{Buf, BufMut, Bytes, BytesMut};
 use hot_base::{Aabb, Vec3};
 use hot_comm::Wire;
@@ -108,7 +107,7 @@ impl<M: Wire> Wire for Summary<M> {
     fn encode(&self, buf: &mut BytesMut) {
         buf.put_u64_le(self.key.0);
         buf.put_u64_le(self.n);
-        put_vec3(buf, self.center);
+        self.center.encode(buf);
         buf.put_f64_le(self.bmax);
         buf.put_f64_le(self.wsum);
         self.moments.encode(buf);
@@ -116,7 +115,7 @@ impl<M: Wire> Wire for Summary<M> {
     fn decode(buf: &mut Bytes) -> Self {
         let key = Key(buf.get_u64_le());
         let n = buf.get_u64_le();
-        let center = get_vec3(buf);
+        let center = Vec3::decode(buf);
         let bmax = buf.get_f64_le();
         let wsum = buf.get_f64_le();
         let moments = M::decode(buf);

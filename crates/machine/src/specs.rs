@@ -1,6 +1,6 @@
 //! 1997 machine specifications, with the paper's own measured constants.
 
-use hot_comm::NetworkModel;
+use hot_comm::{NetworkModel, TrafficStats};
 
 /// A parallel machine of the study.
 #[derive(Clone, Copy, Debug, PartialEq)]
@@ -33,9 +33,22 @@ impl MachineSpec {
         self.nodes * self.procs_per_node
     }
 
-    /// Aggregate sustained N-body rate in Mflops.
-    pub fn nbody_mflops(&self) -> f64 {
-        self.procs() as f64 * self.nbody_mflops_per_proc
+    /// Scale per-rank traffic measured on an `np_measured`-rank run to this
+    /// machine's rank count, assuming the per-rank message count stays
+    /// ~constant (true of tree codes: each rank talks to a bounded neighbour
+    /// set) and per-rank bytes shrink with surface-to-volume ∝
+    /// `(np_measured / procs)^{2/3}`.
+    pub fn scale_traffic(&self, traffic: &[TrafficStats], np_measured: u32) -> Vec<TrafficStats> {
+        let byte_scale = (np_measured as f64 / self.procs() as f64).powf(2.0 / 3.0);
+        traffic
+            .iter()
+            .map(|t| TrafficStats {
+                sends: t.sends,
+                bytes_sent: (t.bytes_sent as f64 * byte_scale) as u64,
+                recvs: t.recvs,
+                bytes_recvd: (t.bytes_recvd as f64 * byte_scale) as u64,
+            })
+            .collect()
     }
 }
 
@@ -127,6 +140,11 @@ pub const ASCI_RED_TREE_SUSTAINED_MFLOPS_PER_PROC: f64 = 20.8;
 mod tests {
     use super::*;
 
+    /// Aggregate sustained N-body rate in Mflops.
+    fn nbody_mflops(m: &MachineSpec) -> f64 {
+        f64::from(m.procs()) * m.nbody_mflops_per_proc
+    }
+
     #[test]
     fn asci_red_headline_consistency() {
         let m = ASCI_RED_6800;
@@ -134,7 +152,7 @@ mod tests {
         // 1.36 Tflops peak for the partial system.
         assert!((f64::from(m.procs()) * m.peak_mflops_per_proc - 1.36e6).abs() < 1e3);
         // The N² benchmark rate backs out of the spec: 6800 × 93.4 ≈ 635 G.
-        assert!((m.nbody_mflops() - 635_120.0).abs() < 1000.0);
+        assert!((nbody_mflops(&m) - 635_120.0).abs() < 1000.0);
     }
 
     #[test]
@@ -142,7 +160,7 @@ mod tests {
         let m = LOKI;
         assert_eq!(m.procs(), 16);
         // 16 × 74.3 ≈ 1189 Mflops ≈ the 1.19 Gflops initial-phase figure.
-        assert!((m.nbody_mflops() - 1_188.8).abs() < 1.0);
+        assert!((nbody_mflops(&m) - 1_188.8).abs() < 1.0);
         assert_eq!(m.price, Some(51_379.0));
     }
 
@@ -157,9 +175,23 @@ mod tests {
     }
 
     #[test]
+    fn traffic_scaling_shrinks_bytes_not_messages() {
+        let t = vec![TrafficStats {
+            sends: 100,
+            bytes_sent: 1_000_000,
+            recvs: 100,
+            bytes_recvd: 1_000_000,
+        }];
+        let on_1024 = MachineSpec { nodes: 1024, ..LOKI };
+        let scaled = on_1024.scale_traffic(&t, 16);
+        assert_eq!(scaled[0].sends, 100);
+        assert!(scaled[0].bytes_sent < 100_000, "bytes {}", scaled[0].bytes_sent);
+    }
+
+    #[test]
     fn sc96_machine() {
         assert_eq!(LOKI_HYGLAC_SC96.procs(), 32);
-        let gflops = LOKI_HYGLAC_SC96.nbody_mflops() / 1000.0;
+        let gflops = nbody_mflops(&LOKI_HYGLAC_SC96) / 1000.0;
         assert!((gflops - 2.19).abs() < 0.01, "SC96 rate {gflops}");
     }
 }

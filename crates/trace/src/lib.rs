@@ -8,9 +8,10 @@
 //! **everything recorded here is a pure function of inputs and seeds.**
 //!
 //! There is no wall clock anywhere in this crate. Span "times" are *model
-//! seconds*, derived from monotonic event counters through the same
-//! analytic cost model (`hot_comm::NetworkModel` + a sustained-Mflops rate)
-//! that `hot-machine` uses for its predictions. Consequently a ledger — and
+//! seconds*, derived from monotonic event counters through [`ModelClock`]
+//! (`hot_comm::NetworkModel` + a sustained-Mflops rate, built from a
+//! `hot_machine::MachineSpec`), the same clock that prices every predicted
+//! run on the 1997 machines. Consequently a ledger — and
 //! the JSON report reduced from it — is bitwise identical across repeated
 //! runs and across every seeded message schedule, which is exactly what the
 //! golden-snapshot suite and `hot-analyze schedules` assert.
@@ -20,7 +21,8 @@
 //! * [`Counter`] / [`CounterSet`] — a fixed vocabulary of monotonic event
 //!   counters (flops, P-P/P-C interactions, cells opened/built, hash
 //!   probes, requests, messages, bytes).
-//! * [`ModelClock`] — converts a [`CounterSet`] into model seconds.
+//! * [`ModelClock`] — converts a [`CounterSet`], or a whole-machine phase,
+//!   into model seconds.
 //! * [`Phase`] — the paper's phase names (decomp / tree build / walk /
 //!   force / comm / step).
 //! * [`Ledger`] — per-rank recorder: nested [`Phase`] spans, counters
@@ -37,6 +39,7 @@
 //! batch boundaries legitimately depend on arrival interleaving.
 
 use hot_comm::{NetworkModel, TrafficStats, Wire};
+use hot_machine::{MachineSpec, LOKI};
 
 pub mod faults;
 pub mod report;
@@ -258,43 +261,75 @@ impl Wire for CounterSet {
     }
 }
 
-/// Converts counters into deterministic *model seconds*.
+/// Converts counts into deterministic *model seconds* on one machine.
 ///
-/// Compute time charges recorded flops against a sustained per-processor
-/// Mflops rate; communication time charges recorded messages and bytes
-/// through [`NetworkModel::rank_comm_time`] — the same function
-/// `hot-machine` uses, so the ledger and the machine cost model can never
-/// disagree about what a byte on the wire costs.
+/// This is the one place counted work and counted traffic become time.
+/// Compute time charges flops against a sustained per-processor Mflops
+/// rate; communication time charges messages and bytes through
+/// [`NetworkModel::rank_comm_time`]. [`ModelClock::seconds`] prices one
+/// rank's counters (every ledger span); [`ModelClock::phase_seconds`]
+/// prices a phase of the whole machine, which waits for its busiest rank.
+/// Spread evenly over the processors, the two agree bit for bit.
 #[derive(Clone, Copy, Debug, PartialEq)]
 pub struct ModelClock {
     /// Network cost parameters.
     pub network: NetworkModel,
     /// Sustained N-body Mflops per processor.
     pub mflops_per_proc: f64,
+    /// Processors a phase's flops spread over in
+    /// [`ModelClock::phase_seconds`].
+    pub procs: u32,
 }
 
 impl ModelClock {
-    /// Clock over an explicit network model and compute rate.
+    /// One-processor clock over an explicit network model and compute rate.
     pub fn new(network: NetworkModel, mflops_per_proc: f64) -> Self {
-        ModelClock { network, mflops_per_proc }
+        ModelClock { network, mflops_per_proc, procs: 1 }
     }
 
-    /// The paper's measured Loki constants ([`NetworkModel::loki`] plus
-    /// 74.3 sustained Mflops/proc, as in `hot-machine::specs::LOKI`).
+    /// The clock of a machine: its network, its sustained N-body rate and
+    /// its processor count.
+    pub fn of(spec: &MachineSpec) -> Self {
+        ModelClock {
+            network: spec.network,
+            mflops_per_proc: spec.nbody_mflops_per_proc,
+            procs: spec.procs(),
+        }
+    }
+
+    /// Loki's clock ([`hot_machine::LOKI`]), the ledger's default.
     pub fn paper_loki() -> Self {
-        ModelClock { network: NetworkModel::loki(), mflops_per_proc: 74.3 }
+        ModelClock::of(&LOKI)
     }
 
     /// Model seconds for a counter set: compute + communication.
     pub fn seconds(&self, c: &CounterSet) -> f64 {
-        let compute = c.get(Counter::Flops) as f64 / (self.mflops_per_proc * 1e6);
         let traffic = TrafficStats {
             sends: c.get(Counter::MsgsSent),
             bytes_sent: c.get(Counter::BytesSent),
             recvs: c.get(Counter::MsgsRecvd),
             bytes_recvd: c.get(Counter::BytesRecvd),
         };
-        compute + self.network.rank_comm_time(&traffic)
+        self.compute_seconds(c.get(Counter::Flops) as f64) + self.network.rank_comm_time(&traffic)
+    }
+
+    /// Model seconds of a phase of the whole machine: the busiest rank's
+    /// compute plus the busiest rank's communication (compute and
+    /// communication do not overlap). The busiest rank computes
+    /// `max_rank_flops`, or, when that is 0, an even share of the total
+    /// `flops` over [`ModelClock::procs`]; `traffic` holds one entry per
+    /// rank.
+    pub fn phase_seconds(&self, flops: u64, max_rank_flops: u64, traffic: &[TrafficStats]) -> f64 {
+        let rank_flops = if max_rank_flops > 0 {
+            max_rank_flops as f64
+        } else {
+            flops as f64 / f64::from(self.procs.max(1))
+        };
+        self.compute_seconds(rank_flops) + self.network.phase_comm_time(traffic)
+    }
+
+    fn compute_seconds(&self, flops: f64) -> f64 {
+        flops / (self.mflops_per_proc * 1e6)
     }
 }
 
@@ -618,6 +653,90 @@ mod tests {
         m.add(Counter::MsgsSent, 2);
         // Two sends at 104 µs half-latency each.
         assert!((clock.seconds(&m) - 2.0 * 0.5 * 104e-6).abs() < 1e-15);
+    }
+
+    /// Why one clock is enough: a phase whose ranks do equal flops costs,
+    /// bit for bit, what its busiest rank's counters cost.
+    #[test]
+    fn phase_seconds_is_the_busiest_ranks_seconds() {
+        use hot_machine::{ASCI_RED_6800, HYGLAC, LOKI_HYGLAC_SC96};
+        for spec in [&LOKI, &HYGLAC, &LOKI_HYGLAC_SC96, &ASCI_RED_6800] {
+            let clock = ModelClock::of(spec);
+            let per_rank_flops = 38 * 123_457u64;
+            let mut ranks = Vec::new();
+            for r in 0..u64::from(clock.procs) {
+                let mut c = CounterSet::new();
+                c.add(Counter::Flops, per_rank_flops);
+                c.add(Counter::MsgsSent, 3 + r % 5);
+                c.add(Counter::BytesSent, 1_000 * (r * 7 % 11));
+                c.add(Counter::MsgsRecvd, 2 + r % 3);
+                c.add(Counter::BytesRecvd, 997 * (r * 5 % 13));
+                ranks.push(c);
+            }
+            let traffic: Vec<TrafficStats> = ranks
+                .iter()
+                .map(|c| TrafficStats {
+                    sends: c.get(Counter::MsgsSent),
+                    bytes_sent: c.get(Counter::BytesSent),
+                    recvs: c.get(Counter::MsgsRecvd),
+                    bytes_recvd: c.get(Counter::BytesRecvd),
+                })
+                .collect();
+            let busiest = ranks.iter().map(|c| clock.seconds(c)).fold(0.0, f64::max);
+            let total = per_rank_flops * u64::from(clock.procs);
+            assert_eq!(clock.phase_seconds(total, 0, &traffic).to_bits(), busiest.to_bits());
+            assert_eq!(
+                clock.phase_seconds(total, per_rank_flops, &traffic).to_bits(),
+                busiest.to_bits()
+            );
+        }
+    }
+
+    /// The paper's N² benchmark counts reproduce its 635 Gflops / 239 s
+    /// headline on ASCI Red (the ring's communication is negligible there).
+    #[test]
+    fn reproduces_nsquared_headline() {
+        let flops = 1_000_000u64 * 1_000_000 * 38 * 4;
+        let s = ModelClock::of(&hot_machine::ASCI_RED_6800).phase_seconds(flops, 0, &[]);
+        assert!((s - 239.3).abs() < 2.0, "predicted {s} s");
+        let gflops = flops as f64 / s / 1e9;
+        assert!((gflops - 635.0).abs() < 5.0, "predicted {gflops} Gflops");
+    }
+
+    /// Loki's initial-phase treecode: 1.15e12 interactions in 36973 s.
+    #[test]
+    fn reproduces_loki_initial_phase() {
+        let flops = (1.15e12 * 38.0) as u64;
+        let s = ModelClock::of(&LOKI).phase_seconds(flops, 0, &[]);
+        assert!((s - 36_973.0).abs() / 36_973.0 < 0.02, "predicted {s} s vs 36973");
+        let mflops = flops as f64 / s / 1e6;
+        assert!((mflops - 1_186.0).abs() < 30.0, "predicted {mflops} Mflops");
+    }
+
+    #[test]
+    fn imbalance_slows_the_machine() {
+        let clock = ModelClock::of(&LOKI);
+        let flops = 1_000_000_000u64;
+        let balanced = clock.phase_seconds(flops, 0, &[]);
+        // One rank holds 25% of all work.
+        let skewed = clock.phase_seconds(flops, flops / 4, &[]);
+        assert!(skewed > balanced * 3.0);
+    }
+
+    #[test]
+    fn comm_heavy_phase_prefers_fast_network() {
+        let traffic = vec![
+            TrafficStats {
+                sends: 1000,
+                bytes_sent: 50_000_000,
+                recvs: 1000,
+                bytes_recvd: 50_000_000,
+            };
+            4
+        ];
+        let on_loki = ModelClock::of(&LOKI).phase_seconds(0, 0, &traffic);
+        let on_red = ModelClock::of(&hot_machine::ASCI_RED_6800).phase_seconds(0, 0, &traffic);
+        assert!(on_loki > 5.0 * on_red);
     }
 
     #[test]

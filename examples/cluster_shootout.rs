@@ -11,9 +11,9 @@ use hot_base::{Aabb, Vec3, FLOPS_PER_GRAV_INTERACTION};
 use hot_core::decomp::Body;
 use hot_gravity::dist::{distributed_accelerations, DistOptions};
 use hot_machine::cost::dollars_per_mflop;
-use hot_machine::perf::{predict, scale_traffic, PhaseCount};
 use hot_machine::specs::{ASCI_RED_6800, HYGLAC, LOKI, LOKI_HYGLAC_SC96};
 use hot_morton::Key;
+use hot_trace::ModelClock;
 use rand::{Rng, SeedableRng};
 
 fn arg(idx: usize, default: usize) -> usize {
@@ -62,23 +62,13 @@ fn main() {
         "machine", "procs", "time (s)", "Mflops", "$/Mflop"
     );
     for m in [&ASCI_RED_6800, &LOKI, &HYGLAC, &LOKI_HYGLAC_SC96] {
-        let phase = PhaseCount {
-            flops,
-            max_rank_flops: 0,
-            traffic: scale_traffic(&traffic, np, m.procs()),
-        };
-        let p = predict(m, &phase);
+        let s = ModelClock::of(m).phase_seconds(flops, 0, &m.scale_traffic(&traffic, np));
+        let mflops = flops as f64 / s / 1e6;
         let price = m
             .price
-            .map(|c| format!("{:>12.0}", dollars_per_mflop(c, p.mflops)))
+            .map(|c| format!("{:>12.0}", dollars_per_mflop(c, mflops)))
             .unwrap_or_else(|| format!("{:>12}", "-"));
-        println!(
-            "{:>28} {:>7} {:>12.4} {:>12.1} {price}",
-            m.name,
-            m.procs(),
-            p.serial_s,
-            p.mflops
-        );
+        println!("{:>28} {:>7} {s:>12.4} {mflops:>12.1} {price}", m.name, m.procs());
     }
     println!("\n(the commodity machines lose on raw speed and win on $/Mflop —");
     println!(" the 1997 Gordon Bell double verdict)");

@@ -3,10 +3,12 @@
 //! paper's *qualitative* rankings (Table 3's shape), and the headline
 //! price/performance arithmetic must come out as printed.
 
-use hot97::comm::RunConfig;
+use hot97::comm::{RunConfig, RunOutput};
 use hot97::machine::cost::{dollars_per_mflop, loki_sept_1996};
-use hot97::machine::perf::{predict, PhaseCount};
 use hot97::machine::specs::{ASCI_RED_6800, JANUS_16, LOKI};
+use hot97::machine::MachineSpec;
+use hot97::npb::BenchResult;
+use hot_trace::ModelClock;
 
 /// IS is the benchmark where Loki loses hardest to ASCI Red (14.8 vs 38.0
 /// in Table 3), because it is message-bandwidth bound. EP barely cares.
@@ -19,17 +21,15 @@ fn table3_shape_is_worse_on_loki_than_ep() {
     assert!(is_out.results.iter().all(|r| r.verified));
     assert!(ep_out.results.iter().all(|r| r.verified));
 
-    let model = |ops: u64, traffic: &[hot97::comm::TrafficStats], per_proc: f64, m: &hot97::machine::MachineSpec| {
-        let compute = ops as f64 / (np as f64 * per_proc * 1e6);
-        let comm = m.network.phase_comm_time(traffic);
-        ops as f64 / (compute + comm) / 1e6
+    let model = |out: &RunOutput<BenchResult>, per_proc: f64, m: &MachineSpec| {
+        let clock = ModelClock { procs: np, ..ModelClock::new(m.network, per_proc) };
+        let ops = out.results[0].ops;
+        ops as f64 / clock.phase_seconds(ops, 0, &out.stats) / 1e6
     };
-    let is_ops = is_out.results[0].ops;
-    let ep_ops = ep_out.results[0].ops;
-    let is_loki = model(is_ops, &is_out.stats, 25.0, &LOKI);
-    let is_red = model(is_ops, &is_out.stats, 29.0, &JANUS_16);
-    let ep_loki = model(ep_ops, &ep_out.stats, 0.6, &LOKI);
-    let ep_red = model(ep_ops, &ep_out.stats, 0.6, &JANUS_16);
+    let is_loki = model(&is_out, 25.0, &LOKI);
+    let is_red = model(&is_out, 29.0, &JANUS_16);
+    let ep_loki = model(&ep_out, 0.6, &LOKI);
+    let ep_red = model(&ep_out, 0.6, &JANUS_16);
 
     let is_ratio = is_red / is_loki;
     let ep_ratio = ep_red / ep_loki;
@@ -46,23 +46,15 @@ fn table3_shape_is_worse_on_loki_than_ep() {
 #[test]
 fn headline_numbers_reproduce() {
     // N² benchmark: 1e6² × 38 × 4 flops in 239.3 s = 635 Gflops.
-    let phase = PhaseCount {
-        flops: 1_000_000u64 * 1_000_000 * 38 * 4,
-        max_rank_flops: 0,
-        traffic: vec![],
-    };
-    let p = predict(&ASCI_RED_6800, &phase);
-    assert!((p.serial_s - 239.3).abs() < 3.0, "{p:?}");
-    assert!((p.mflops / 1e3 - 635.0).abs() < 8.0);
+    let flops = 1_000_000u64 * 1_000_000 * 38 * 4;
+    let s = ModelClock::of(&ASCI_RED_6800).phase_seconds(flops, 0, &[]);
+    assert!((s - 239.3).abs() < 3.0, "{s} s");
+    assert!((flops as f64 / s / 1e9 - 635.0).abs() < 8.0);
 
     // Loki initial phase: 1.15e12 interactions in 36973 s = 1.19 Gflops.
-    let phase = PhaseCount {
-        flops: (1.15e12 * 38.0) as u64,
-        max_rank_flops: 0,
-        traffic: vec![],
-    };
-    let p = predict(&LOKI, &phase);
-    assert!((p.mflops / 1e3 - 1.19).abs() < 0.05, "{p:?}");
+    let flops = (1.15e12 * 38.0) as u64;
+    let s = ModelClock::of(&LOKI).phase_seconds(flops, 0, &[]);
+    assert!((flops as f64 / s / 1e9 - 1.19).abs() < 0.05, "{s} s");
 
     // $58/Mflop for the ten-day 879 Mflops run on the $51,379 machine.
     let dpm = dollars_per_mflop(loki_sept_1996().total(), 879.0);
@@ -108,14 +100,4 @@ fn algorithmic_advantage_order_of_magnitude() {
         (2e4..2e6).contains(&advantage),
         "advantage {advantage:.1e} should be ~1e5 as the paper claims"
     );
-}
-
-/// The trace ledger's Loki clock and the machine model's Loki spec hold
-/// the same 74.3 Mflops and network: each writes them out, so pin one to
-/// the other.
-#[test]
-fn paper_loki_clock_matches_the_loki_spec() {
-    let clock = hot_trace::ModelClock::paper_loki();
-    assert_eq!(clock.mflops_per_proc, LOKI.nbody_mflops_per_proc);
-    assert_eq!(clock.network, LOKI.network);
 }
