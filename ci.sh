@@ -201,6 +201,17 @@ pin exp_vortex_hyglac.txt exp_vortex_hyglac
 pin exp_npb_scaling.txt exp_npb_scaling
 pin BENCH_latency.json exp_latency
 
+echo "==> benchmark/run.sh on dist_fine and dist_coarse, seeds 1997 and 4242 (both passes, 2 s runs; a run judged not correct exits non-zero)"
+# A failed gate, a lost body or a child that died before @end makes the
+# harness exit 1. Building it may rewrite its lock file; put it back.
+cp benchmark/Cargo.lock "$smoke/benchmark.Cargo.lock"
+for workload in dist_fine dist_coarse; do
+  for seed in 1997 4242; do
+    benchmark/run.sh --workload "$workload" --seed "$seed" --seconds 2 --out "$smoke/bench"
+  done
+done
+cp "$smoke/benchmark.Cargo.lock" benchmark/Cargo.lock
+
 echo "==> checkpoint/restart smoke (bitwise-identical resume)"
 cargo test -q --offline --release -p hot-cosmo checkpoint
 

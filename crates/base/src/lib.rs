@@ -10,6 +10,8 @@
 //! * [`Vec3`] / [`SymMat3`] — small fixed-size linear algebra used by the
 //!   multipole machinery.
 //! * [`Aabb`] — axis-aligned bounding boxes for tree cells and domains.
+//! * [`fft`] — the complex type and the radix-2 line FFT that both the
+//!   cosmological initial conditions and the NAS FT benchmark run.
 //! * [`rsqrt`] — A. H. Karp's reciprocal square root built from adds and
 //!   multiplies only (table lookup + polynomial seed + Newton–Raphson),
 //!   exactly the trick the paper uses to reach 38 flops per gravitational
@@ -22,6 +24,7 @@
 #![warn(missing_docs)]
 
 pub mod aabb;
+pub mod fft;
 pub mod flops;
 #[cfg(test)]
 mod proptests;

@@ -14,7 +14,9 @@
 //! [`Abm::complete`] runs the exchange to global quiescence with a
 //! double-count termination protocol, so irregular request/reply cascades
 //! (tree walks!) terminate correctly without any a-priori knowledge of the
-//! traffic pattern.
+//! traffic pattern. The protocol is one collective step, [`Abm::settle`],
+//! which callers that park work between steps (the distributed tree walk)
+//! call themselves.
 
 use crate::runtime::Comm;
 use crate::wire::{crc32, to_bytes, Wire};
@@ -32,20 +34,17 @@ pub(crate) const ABM_TAG: u32 = 0x9000_0000;
 /// `logical_bytes_reconcile_with_wire_traffic` test).
 pub const ABM_MSG_HEADER_BYTES: u64 = 6;
 
-/// Wire overhead of one physical ABM batch: a `u64` batch sequence number,
-/// a `u64` piggybacked cumulative ack, and a `u32` CRC32 over the batch
-/// body, written little-endian ahead of the packed messages. Batch bytes
-/// on the wire are therefore
+/// Wire overhead of one physical ABM batch: a `u64` batch sequence number
+/// and a `u32` CRC32 over the batch body, written little-endian ahead of
+/// the packed messages. Batch bytes on the wire are therefore
 /// `bytes_posted + ABM_BATCH_HEADER_BYTES × batches_sent` — the wire
 /// reconciliation test pins this identity.
 ///
 /// The sequence number makes re-delivered batches idempotently
-/// suppressible, the ack word records how far the sender has consumed its
-/// peer's batch stream (nothing reads it back), and the CRC is an
-/// end-to-end integrity check *above* the transport's frame CRC: a
-/// corrupt batch reaching this layer means the reliability machinery
-/// itself failed, which is a panic, not a retry.
-pub const ABM_BATCH_HEADER_BYTES: u64 = 20;
+/// suppressible, and the CRC is an end-to-end integrity check *above* the
+/// transport's frame CRC: a corrupt batch reaching this layer means the
+/// reliability machinery itself failed, which is a panic, not a retry.
+pub const ABM_BATCH_HEADER_BYTES: u64 = 12;
 
 /// Counters describing an ABM session.
 ///
@@ -86,9 +85,24 @@ pub struct Abm<'a> {
     stats: AbmStats,
     /// Next batch sequence number per destination.
     out_seq: Vec<u64>,
-    /// Next in-order batch sequence expected per source; doubles as the
-    /// cumulative ack piggybacked on outgoing batches.
+    /// Next in-order batch sequence expected per source.
     in_expected: Vec<u64>,
+    /// The machine-wide (posted, delivered, parked) sums of the last
+    /// [`Abm::settle`] step.
+    settled: (u64, u64, u64),
+}
+
+/// Where one [`Abm::settle`] step finds the machine.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum Quiescence {
+    /// Some posted message has not been delivered yet.
+    InFlight,
+    /// Every posted message has been delivered, but work is parked or the
+    /// sums moved since the last step.
+    Quiet,
+    /// Quiet, nothing parked, and the sums equal the last step's: no
+    /// message can still be in flight, and the exchange is over.
+    Done,
 }
 
 impl<'a> Abm<'a> {
@@ -105,6 +119,7 @@ impl<'a> Abm<'a> {
             stats: AbmStats::default(),
             out_seq: vec![0; np],
             in_expected: vec![0; np],
+            settled: (u64::MAX, u64::MAX, u64::MAX),
         }
     }
 
@@ -121,13 +136,6 @@ impl<'a> Abm<'a> {
     /// Session counters.
     pub fn stats(&self) -> AbmStats {
         self.stats
-    }
-
-    /// Direct access to the underlying communicator, for callers that
-    /// interleave collectives with ABM traffic (e.g. custom termination
-    /// protocols). Messages already queued in ABM batches are unaffected.
-    pub fn comm_mut(&mut self) -> &mut Comm {
-        self.comm
     }
 
     /// Post a logical message of `kind` to `dst`. Local destinations are
@@ -149,7 +157,7 @@ impl<'a> Abm<'a> {
     }
 
     /// Ship the pending batch for `dst`, if any, framed with its sequence
-    /// number, a piggybacked cumulative ack, and a CRC32 over the body.
+    /// number and a CRC32 over the body.
     pub fn flush_one(&mut self, dst: u32) {
         let buf = &mut self.out[dst as usize];
         if buf.is_empty() {
@@ -161,7 +169,6 @@ impl<'a> Abm<'a> {
         self.out_seq[dst as usize] += 1;
         let mut framed = BytesMut::with_capacity(ABM_BATCH_HEADER_BYTES as usize + body.len());
         framed.put_u64_le(seq);
-        framed.put_u64_le(self.in_expected[dst as usize]);
         framed.put_u32_le(crc32(&body));
         framed.put_slice(&body);
         self.stats.batches_sent += 1;
@@ -199,7 +206,6 @@ impl<'a> Abm<'a> {
                 "ABM batch from rank {src} shorter than its header"
             );
             let seq = cursor.get_u64_le();
-            cursor.advance(8); // the piggybacked ack
             let stored_crc = cursor.get_u32_le();
             // End-to-end integrity above the transport's frame CRC: a bad
             // batch here means reliability itself is broken — a bug, not a
@@ -254,7 +260,7 @@ impl<'a> Abm<'a> {
     /// Run the exchange to global quiescence: flush, dispatch, and repeat
     /// until every posted message (including those posted by handlers while
     /// handling) has been delivered machine-wide and a full round passes
-    /// with no new traffic (double-count termination detection).
+    /// with no new traffic ([`Abm::settle`] with nothing parked).
     ///
     /// Every rank must call `complete` with its own handler; the call
     /// returns on all ranks together.
@@ -263,10 +269,9 @@ impl<'a> Abm<'a> {
     /// further service from its peers first — `complete` blocks in a
     /// collective between drain rounds, during which a rank serves
     /// nothing. Callers whose progress depends on replies (like the tree
-    /// walk) must instead interleave their own work with the drain/count
-    /// rounds; see `hot-core::dwalk` for that pattern.
+    /// walk) must instead interleave their own work with the drain rounds
+    /// and call [`Abm::settle`] themselves; see `hot-core::dwalk`.
     pub fn complete(&mut self, mut handler: impl FnMut(&mut Abm<'_>, u32, u16, Bytes)) {
-        let mut prev = (u64::MAX, u64::MAX);
         loop {
             // Dispatch until locally quiet, flushing replies as they are
             // posted so partners can make progress.
@@ -276,13 +281,29 @@ impl<'a> Abm<'a> {
                     break;
                 }
             }
-            let posted = self.stats.posted;
-            let delivered = self.stats.delivered;
-            let totals = self.comm.allreduce((posted, delivered), |a, b| (a.0 + b.0, a.1 + b.1));
-            if totals.0 == totals.1 && totals == prev {
+            if self.settle(0) == Quiescence::Done {
                 return;
             }
-            prev = totals;
+        }
+    }
+
+    /// One step of the double-count termination protocol. Collective:
+    /// every rank calls it with the work it holds `parked` until its
+    /// requests are answered, once it has drained what it can. Sums
+    /// (posted, delivered, parked) over the machine; every posted message
+    /// is delivered when the first two agree, and the exchange is over
+    /// when besides nothing is parked and the sums equal the last step's —
+    /// no rank posted or handled a message in between.
+    pub fn settle(&mut self, parked: u64) -> Quiescence {
+        let mine = (self.stats.posted, self.stats.delivered, parked);
+        let sums = self.comm.allreduce(mine, |a, b| (a.0 + b.0, a.1 + b.1, a.2 + b.2));
+        let last = std::mem::replace(&mut self.settled, sums);
+        if sums.0 != sums.1 {
+            Quiescence::InFlight
+        } else if sums.2 == 0 && sums == last {
+            Quiescence::Done
+        } else {
+            Quiescence::Quiet
         }
     }
 }
@@ -419,7 +440,7 @@ mod tests {
                 // What flush_all walks, in the order it walks it.
                 assert_eq!(abm.pending.iter().copied().collect::<Vec<_>>(), [1, 3, 5]);
                 abm.flush_all();
-                let sent = abm.comm_mut().stats().since(&before).sends;
+                let sent = abm.comm.stats().since(&before).sends;
                 assert_eq!((sent, abm.stats().batches_sent), (3, 3));
                 assert_eq!(abm.out_seq, [0, 1, 0, 1, 0, 1, 0, 0]);
                 assert!(abm.pending.is_empty());
@@ -451,7 +472,7 @@ mod tests {
             }
             abm.complete(|_, _, _, _| {});
             let stats = abm.stats();
-            let wire = abm.comm_mut().stats().since(&before);
+            let wire = abm.comm.stats().since(&before);
             (stats, wire)
         });
         let (s0, w0) = out.results[0];
@@ -461,20 +482,20 @@ mod tests {
         assert_eq!(s1.bytes_delivered, expect);
         assert_eq!(s1.bytes_posted, 0);
         // Wire traffic = ABM batches + the termination allreduce. Subtract
-        // the collective's own bytes (16 per allreduce message) by counting
+        // the collective's own bytes (24 per allreduce message) by counting
         // only the ABM-tag bytes: batches carry every posted byte plus one
-        // 20-byte seq/ack/CRC batch header each, nothing more. The
-        // allreduce sends 16-byte tuples, so bytes on the wire minus
-        // 16×(collective msgs) minus the batch headers must equal
-        // bytes_posted exactly.
+        // 12-byte seq/CRC batch header each, nothing more. The allreduce
+        // sends (posted, delivered, parked) as 24-byte tuples, so bytes on
+        // the wire minus 24×(collective msgs) minus the batch headers must
+        // equal bytes_posted exactly.
         let coll_msgs0 = w0.sends - s0.batches_sent;
         assert_eq!(
-            w0.bytes_sent - 16 * coll_msgs0 - ABM_BATCH_HEADER_BYTES * s0.batches_sent,
+            w0.bytes_sent - 24 * coll_msgs0 - ABM_BATCH_HEADER_BYTES * s0.batches_sent,
             s0.bytes_posted
         );
         let coll_msgs1 = w1.sends - s1.batches_sent;
         assert_eq!(
-            w1.bytes_sent - 16 * coll_msgs1 - ABM_BATCH_HEADER_BYTES * s1.batches_sent,
+            w1.bytes_sent - 24 * coll_msgs1 - ABM_BATCH_HEADER_BYTES * s1.batches_sent,
             s1.bytes_posted
         );
     }
@@ -486,15 +507,14 @@ mod tests {
     fn duplicate_batches_are_suppressed() {
         let out = RunConfig::builder().np(2).run(|c| {
             if c.rank() == 0 {
-                // Hand-build one batch (seq 0, ack 0, CRC over body) and
-                // deliver it twice, bypassing the Abm sender's sequencing.
+                // Hand-build one batch (seq 0, CRC over body) and deliver
+                // it twice, bypassing the Abm sender's sequencing.
                 let mut body = BytesMut::new();
                 body.put_u16_le(4);
                 body.put_u32_le(8);
                 body.put_u64_le(777);
                 let body = body.freeze();
                 let mut batch = BytesMut::new();
-                batch.put_u64_le(0);
                 batch.put_u64_le(0);
                 batch.put_u32_le(crc32(&body));
                 batch.put_slice(&body);
@@ -534,7 +554,6 @@ mod tests {
                 if c.rank() == 0 {
                     let mut batch = BytesMut::new();
                     batch.put_u64_le(0); // seq
-                    batch.put_u64_le(0); // ack
                     batch.put_u32_le(0xBAD_F00D); // wrong CRC for the body
                     batch.put_u16_le(1);
                     batch.put_u32_le(0);

@@ -46,7 +46,7 @@ pub mod reliable;
 pub mod runtime;
 pub mod wire;
 
-pub use abm::{Abm, AbmStats};
+pub use abm::{Abm, AbmStats, Quiescence};
 pub use fault::{
     DetectionRecord, FaultConfig, FaultDecision, FaultMonitor, FaultPlan, InjectedFaults,
     KillRecord, KillSite,
@@ -58,8 +58,7 @@ pub use runtime::{
     Undrained, MAX_USER_TAG, POISON_TAG,
 };
 pub use wire::{
-    crc32, frame_message, from_bytes, to_bytes, unframe_message, Frame, FrameError,
-    KeyBatchRequest, Wire,
+    crc32, frame_message, from_bytes, to_bytes, unframe_message, Frame, FrameError, Wire,
 };
 
 /// One-stop imports for SPMD programs on the simulated machine.

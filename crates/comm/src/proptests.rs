@@ -4,8 +4,7 @@
 #![cfg(test)]
 
 use crate::wire::{
-    crc32, crc32_bytewise, frame_message, from_bytes, to_bytes, unframe_message, KeyBatchRequest,
-    Wire,
+    crc32, crc32_bytewise, frame_message, from_bytes, to_bytes, unframe_message, Wire,
 };
 use crate::{Abm, Comm, FaultConfig, FaultDecision, FaultPlan, RunConfig};
 use proptest::prelude::*;
@@ -148,38 +147,6 @@ proptest! {
         prop_assert_eq!(f64::decode(&mut cur), b);
         prop_assert_eq!(u32::decode(&mut cur), c);
         prop_assert!(cur.is_empty());
-    }
-
-    /// A coalesced multi-key request built from arbitrary (duplicated,
-    /// unsorted) key sets roundtrips through the wire, covers exactly the
-    /// input key sets, and never carries a duplicate key.
-    #[test]
-    fn key_batch_request_canonical_over_arbitrary_sets(
-        cells in proptest::collection::vec(any::<u64>(), 0..80),
-        bodies in proptest::collection::vec(any::<u64>(), 0..80),
-    ) {
-        let req = KeyBatchRequest::new(cells.clone(), bodies.clone());
-        prop_assert!(roundtrip(&req));
-        prop_assert!(req.is_canonical());
-        // Strictly increasing ⇒ no duplicates within one request.
-        prop_assert!(req.cell_keys.windows(2).all(|w| w[0] < w[1]));
-        prop_assert!(req.body_keys.windows(2).all(|w| w[0] < w[1]));
-        // Same key *sets* as the input.
-        for k in &cells {
-            prop_assert!(req.cell_keys.binary_search(k).is_ok());
-        }
-        for k in &bodies {
-            prop_assert!(req.body_keys.binary_search(k).is_ok());
-        }
-        prop_assert!(req.cell_keys.iter().all(|k| cells.contains(k)));
-        prop_assert!(req.body_keys.iter().all(|k| bodies.contains(k)));
-        // Canonical form is insertion-order independent: the encoded bytes
-        // are a pure function of the key sets.
-        let mut rc = cells;
-        let mut rb = bodies;
-        rc.reverse();
-        rb.reverse();
-        prop_assert_eq!(&to_bytes(&req)[..], &to_bytes(&KeyBatchRequest::new(rc, rb))[..]);
     }
 
     /// Flipping any single bit of a framed message — header, payload, or

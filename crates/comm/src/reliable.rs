@@ -19,8 +19,7 @@
 //!   capped exponential backoff charge recorded in model units. Delivery
 //!   acks prune the sender's retransmission buffer (the simulated
 //!   machine's shared memory stands in for ack packets; on a real network
-//!   they would ride the reverse flow like the ABM layer's piggybacked
-//!   batch acks).
+//!   they would ride the reverse flow).
 //!
 //! Because recovery is deterministic given the fault seed and the
 //! schedule, `hot-analyze faults` can cross fault plans with seeded

@@ -194,73 +194,6 @@ impl Wire for hot_base::SymMat3 {
     }
 }
 
-/// One coalesced remote-data request: every cell-children key and every
-/// leaf-body key one rank wants from one owner in one service round,
-/// carried in a single logical message instead of one message per key.
-///
-/// Both key lists are canonical — strictly ascending, no duplicates —
-/// which [`KeyBatchRequest::new`] enforces by construction and
-/// [`KeyBatchRequest::is_canonical`] checks after decode. Canonical form
-/// matters beyond hygiene: the request bytes are then a pure function of
-/// the *set* of wanted keys, independent of the order walks happened to
-/// park, which is what keeps the coalesced walk's message traffic bitwise
-/// identical across message schedules.
-#[derive(Clone, Debug, PartialEq, Eq, Default)]
-pub struct KeyBatchRequest {
-    /// Keys whose children (cell summaries) are wanted.
-    pub cell_keys: Vec<u64>,
-    /// Keys whose leaf bodies are wanted.
-    pub body_keys: Vec<u64>,
-}
-
-impl KeyBatchRequest {
-    /// Build a canonical request from arbitrary key collections: each list
-    /// is sorted and deduplicated.
-    #[must_use]
-    pub fn new(mut cell_keys: Vec<u64>, mut body_keys: Vec<u64>) -> Self {
-        cell_keys.sort_unstable();
-        cell_keys.dedup();
-        body_keys.sort_unstable();
-        body_keys.dedup();
-        KeyBatchRequest { cell_keys, body_keys }
-    }
-
-    /// Total keys requested.
-    #[must_use]
-    pub fn len(&self) -> usize {
-        self.cell_keys.len() + self.body_keys.len()
-    }
-
-    /// True when no keys are requested (a protocol error if ever sent).
-    #[must_use]
-    pub fn is_empty(&self) -> bool {
-        self.cell_keys.is_empty() && self.body_keys.is_empty()
-    }
-
-    /// True when both lists are strictly ascending (so, duplicate-free).
-    #[must_use]
-    pub fn is_canonical(&self) -> bool {
-        let ascending = |v: &[u64]| v.windows(2).all(|w| w[0] < w[1]);
-        ascending(&self.cell_keys) && ascending(&self.body_keys)
-    }
-}
-
-impl Wire for KeyBatchRequest {
-    fn encode(&self, buf: &mut BytesMut) {
-        self.cell_keys.encode(buf);
-        self.body_keys.encode(buf);
-    }
-    fn decode(buf: &mut Bytes) -> Self {
-        KeyBatchRequest {
-            cell_keys: Vec::<u64>::decode(buf),
-            body_keys: Vec::<u64>::decode(buf),
-        }
-    }
-    fn wire_size(&self) -> usize {
-        self.cell_keys.wire_size() + self.body_keys.wire_size()
-    }
-}
-
 // ---------------------------------------------------------------------------
 // CRC32 framing: the integrity layer under reliable delivery.
 // ---------------------------------------------------------------------------
@@ -499,21 +432,6 @@ mod tests {
     fn nested_vec_size_accounting() {
         let v = vec![vec![1.0f64; 3]; 4];
         assert_eq!(v.wire_size(), 8 + 4 * (8 + 24));
-    }
-
-    #[test]
-    fn key_batch_request_canonicalizes_and_roundtrips() {
-        let req = KeyBatchRequest::new(vec![9, 1, 9, 4, 1], vec![7, 7, 2]);
-        assert_eq!(req.cell_keys, [1, 4, 9]);
-        assert_eq!(req.body_keys, [2, 7]);
-        assert!(req.is_canonical());
-        assert_eq!(req.len(), 5);
-        assert!(!req.is_empty());
-        roundtrip(&req);
-        assert!(KeyBatchRequest::default().is_empty());
-        // A hand-built unsorted request is detectably non-canonical.
-        let bad = KeyBatchRequest { cell_keys: vec![3, 1], body_keys: vec![] };
-        assert!(!bad.is_canonical());
     }
 
     #[test]

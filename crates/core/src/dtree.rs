@@ -39,7 +39,7 @@
 use crate::decomp::KeyIntervals;
 use crate::moments::Moments;
 use crate::summary::Summary;
-use crate::tree::{octants, Tree};
+use crate::tree::{octants, Cell, Tree};
 use crate::KeyTable;
 use bytes::{Buf, BufMut, Bytes, BytesMut};
 use hot_base::Vec3;
@@ -55,8 +55,12 @@ pub enum DChildren {
     LocalSubtree,
     /// Remote internal cell whose children have not been fetched yet.
     RemoteUnfetched,
-    /// Remote leaf cell: no children; its bodies can be fetched.
+    /// Remote leaf (or virtual branch) whose bodies have not been fetched
+    /// yet.
     RemoteLeaf,
+    /// An opened remote leaf: its bodies, a range of
+    /// `DistTree::fetched_pos` / `fetched_charge`.
+    Bodies(std::ops::Range<u32>),
     /// A shared node every sink group of this rank accepts, its subtree
     /// dropped by `DistTree::prune`. The summary stays the merge of
     /// what was below it; a walk that opens it panics.
@@ -129,8 +133,8 @@ impl std::fmt::Debug for Kids {
 /// One node of the global tree view: a cell's [`Summary`], whose it is,
 /// and how to reach what lies below it. Dereferences to the summary.
 ///
-/// A node is also what travels: the branch exchange and the walk's child
-/// fetch ship nodes as their receiver first holds them — a remote cell,
+/// A node is also what travels: the branch exchange and the walk's fetch
+/// ship nodes as their receiver first holds them — a remote cell,
 /// [`DChildren::RemoteLeaf`] or [`DChildren::RemoteUnfetched`] — encoded
 /// as the summary, the owner and a leaf flag.
 #[derive(Clone, Debug)]
@@ -180,6 +184,44 @@ impl<M: Wire> Wire for DNode<M> {
     }
 }
 
+/// What lies below a remote node, as its owner serves it to a rank
+/// opening it ([`DistTree::serve`], [`DistTree::open`]). On the wire a
+/// leaf flag comes first, as in a [`DNode`]: 1 for bodies, 0 for children.
+#[derive(Debug)]
+pub(crate) enum Below<M: Moments> {
+    /// An internal cell's children, as the opening rank will hold them.
+    Kids(Vec<DNode<M>>),
+    /// A leaf's (or a virtual branch's) bodies, as `(position, charge)`.
+    Bodies(Vec<(Vec3, M::Charge)>),
+}
+
+impl<M: Moments> Wire for Below<M> {
+    fn encode(&self, buf: &mut BytesMut) {
+        match self {
+            Below::Kids(kids) => {
+                buf.put_u8(0);
+                kids.encode(buf);
+            }
+            Below::Bodies(bodies) => {
+                buf.put_u8(1);
+                bodies.encode(buf);
+            }
+        }
+    }
+    fn decode(buf: &mut Bytes) -> Self {
+        match buf.get_u8() {
+            0 => Below::Kids(Vec::decode(buf)),
+            _ => Below::Bodies(Vec::decode(buf)),
+        }
+    }
+    fn wire_size(&self) -> usize {
+        1 + match self {
+            Below::Kids(kids) => kids.wire_size(),
+            Below::Bodies(bodies) => bodies.wire_size(),
+        }
+    }
+}
+
 /// Owner tag for shared top-tree nodes.
 pub const SHARED: u32 = u32::MAX;
 
@@ -198,8 +240,11 @@ pub struct DistTree<M: Moments> {
     pub table: KeyTable,
     /// Index of the global root in `nodes`.
     pub root: u32,
-    /// Fetched remote bodies, keyed by node index.
-    pub body_cache: std::collections::HashMap<u32, (Vec<Vec3>, Vec<M::Charge>)>,
+    /// Positions of the remote bodies the walk fetched; each opened remote
+    /// leaf holds its range ([`DChildren::Bodies`]).
+    pub(crate) fetched_pos: Vec<Vec3>,
+    /// Their charges, parallel to `fetched_pos`.
+    pub(crate) fetched_charge: Vec<M::Charge>,
 }
 
 impl<M: Moments> DistTree<M> {
@@ -240,7 +285,8 @@ impl<M: Moments> DistTree<M> {
             nodes: Vec::new(),
             table: KeyTable::with_capacity(0),
             root: 0,
-            body_cache: std::collections::HashMap::new(),
+            fetched_pos: Vec::new(),
+            fetched_charge: Vec::new(),
         };
         // Branch i is node i; this rank's own descend through its local
         // tree.
@@ -265,13 +311,10 @@ impl<M: Moments> DistTree<M> {
     /// compacted in place and the key table rebuilt for them. Returns the
     /// nodes kept and dropped.
     ///
-    /// Runs before the walk fetches anything (panics otherwise): fetched
-    /// bodies are cached by node index. Its caller, the distributed walk,
-    /// passes "the MAC rejects the sphere holding every sink group"; why
-    /// that keeps every node a group can open is in DESIGN.md, "The reach
-    /// of a rank's walk".
+    /// Its caller, the distributed walk, passes "the MAC rejects the
+    /// sphere holding every sink group"; why that keeps every node a group
+    /// can open is in DESIGN.md, "The reach of a rank's walk".
     pub(crate) fn prune(&mut self, opens: impl Fn(&Summary<M>) -> bool) -> (u64, u64) {
-        assert!(self.body_cache.is_empty(), "prune runs before the walk fetches");
         let before = self.nodes.len();
         // Kept nodes first get 0, then their new index.
         let mut remap = vec![u32::MAX; before];
@@ -355,15 +398,6 @@ impl<M: Moments> DistTree<M> {
         idx
     }
 
-    /// The children of one of *my* local cells, as the rank fetching them
-    /// will hold them. `None` when the key is not resident locally (a
-    /// protocol error by the requester).
-    pub fn children_nodes(&self, key: Key) -> Option<Vec<DNode<M>>> {
-        let cell = self.local.cell_by_key(key)?;
-        let kids = &self.local.cells[self.local.children(cell)];
-        Some(kids.iter().map(|k| DNode::remote(k.summary, self.rank, k.is_leaf())).collect())
-    }
-
     /// The local tree-order span of a key's range, by binary search on the
     /// sorted key array — answers "virtual" keys that have no resident
     /// cell too.
@@ -375,36 +409,59 @@ impl<M: Moments> DistTree<M> {
         i0..i1
     }
 
-    /// Bodies within a key's range, for serving a remote direct-sum
-    /// request.
-    pub fn bodies_of(&self, key: Key) -> Option<(Vec<Vec3>, Vec<M::Charge>)> {
-        let span = self.span_of(key);
-        if span.is_empty() {
-            return None;
+    /// What lies below one of *my* keys, served to a rank opening it: the
+    /// children of a resident internal cell, as that rank will hold them,
+    /// and otherwise the bodies in the key's range (a leaf or a virtual
+    /// branch). This matches the leaf flag the key's node travelled with.
+    pub(crate) fn serve(&self, key: Key) -> Below<M> {
+        match self.local.cell_by_key(key) {
+            Some(cell) if !cell.is_leaf() => {
+                let kids = &self.local.cells[self.local.children(cell)];
+                let remote = |k: &Cell<M>| DNode::remote(k.summary, self.rank, k.is_leaf());
+                Below::Kids(kids.iter().map(remote).collect())
+            }
+            _ => {
+                let span = self.span_of(key);
+                let (pos, charge) = (&self.local.pos[span.clone()], &self.local.charge[span]);
+                Below::Bodies(pos.iter().copied().zip(charge.iter().copied()).collect())
+            }
         }
-        Some((self.local.pos[span.clone()].to_vec(), self.local.charge[span].to_vec()))
     }
 
-    /// Install fetched children below node `parent_key` (a no-op when an
-    /// earlier reply already installed them). Panics when the reply carries
-    /// more than eight nodes: no octree cell has more children.
-    pub fn install_children(&mut self, parent_key: Key, kids: Vec<DNode<M>>) {
-        assert!(
-            kids.len() <= 8,
-            "install_children: {} children for {parent_key:?}, an octree cell has at most 8",
-            kids.len()
-        );
-        let pidx = self
-            .table
-            .get(parent_key)
-            // Protocol invariant: replies only arrive for requested parents.
-            // hot-lint: allow(unwrap-audit)
-            .expect("install_children: unknown parent") as usize;
-        if let DChildren::Nodes(_) = self.nodes[pidx].children {
-            return;
-        }
-        let idxs = kids.into_iter().map(|k| self.push_node(k)).collect();
-        self.nodes[pidx].children = DChildren::Nodes(idxs);
+    /// Open the unopened remote node `key` with what its owner served:
+    /// children become nodes of this tree ([`DChildren::Nodes`]), bodies
+    /// a range of the fetched arrays ([`DChildren::Bodies`]). Panics on a
+    /// protocol error: no node has the key, the node is not an unopened
+    /// remote one, the reply disagrees with its leaf flag, or it carries
+    /// more than eight children.
+    pub(crate) fn open(&mut self, key: Key, below: Below<M>) {
+        // Protocol invariant: replies only arrive for requested nodes.
+        // hot-lint: allow(unwrap-audit)
+        let ni = self.table.get(key).expect("a reply for a key with no node here") as usize;
+        let leaf = match &self.nodes[ni].children {
+            DChildren::RemoteLeaf => true,
+            DChildren::RemoteUnfetched => false,
+            held => panic!("a reply for {key:?}, which is not an unopened remote node: {held:?}"),
+        };
+        self.nodes[ni].children = match below {
+            Below::Kids(kids) if !leaf => {
+                let n = kids.len();
+                assert!(n <= 8, "{n} children for {key:?}, an octree cell has at most 8");
+                DChildren::Nodes(kids.into_iter().map(|k| self.push_node(k)).collect())
+            }
+            Below::Bodies(bodies) if leaf => {
+                let start = self.fetched_pos.len() as u32;
+                for (p, q) in bodies {
+                    self.fetched_pos.push(p);
+                    self.fetched_charge.push(q);
+                }
+                // No rank holds 2^32 bodies (96 GiB of positions alone).
+                // hot-lint: allow(unwrap-audit)
+                let end = u32::try_from(self.fetched_pos.len()).expect("under 2^32 bodies");
+                DChildren::Bodies(start..end)
+            }
+            _ => panic!("the reply for {key:?} disagrees with its leaf flag ({leaf})"),
+        };
     }
 
     /// Total particles visible from the global root.
@@ -850,8 +907,11 @@ mod tests {
         }
     }
 
+    /// Serving one of my keys gives its children when it is a resident
+    /// internal cell and its bodies otherwise — a leaf, or a key with no
+    /// resident cell — matching the leaf flag its node travels with.
     #[test]
-    fn serving_children_and_bodies() {
+    fn serve_gives_children_or_bodies_by_the_leaf_flag() {
         let out = RunConfig::builder().np(2).run(|c| {
             let mut rng = rand::rngs::StdRng::seed_from_u64(c.rank() as u64);
             let bodies: Vec<Body<f64>> = (0..300)
@@ -871,59 +931,94 @@ mod tests {
             let q: Vec<f64> = mine.iter().map(|b| b.charge).collect();
             let tree = Tree::<MassMoments>::build(Aabb::unit(), &pos, &q, 8);
             let dt = DistTree::build(c, tree, iv);
-            // Every local cell can be served.
-            let root_children = dt.children_nodes(Key::ROOT).expect("root is local");
-            let n_from_children: u64 = root_children.iter().map(|r| r.n).sum();
-            assert_eq!(n_from_children, dt.local.n_particles() as u64);
-            // Bodies of the first leaf.
+            let Below::Kids(kids) = dt.serve(Key::ROOT) else { panic!("the root is internal") };
+            assert_eq!(kids.iter().map(|k| k.n).sum::<u64>(), dt.local.n_particles() as u64);
             let leaf = dt.local.cells.iter().find(|c| c.is_leaf() && c.n > 0).expect("a leaf");
-            let (bp, bq) = dt.bodies_of(leaf.key).expect("leaf resident");
-            assert_eq!(bp.len(), leaf.n as usize);
-            assert_eq!(bq.len(), leaf.n as usize);
-            // Exercise the deep-key lookup path; the key may or may not be
-            // resident, so only the call itself is under test.
-            let _ = dt.children_nodes(Key::ROOT.child(0).child(0).child(0).child(0));
+            let Below::Bodies(got) = dt.serve(leaf.key) else { panic!("a leaf serves bodies") };
+            let want: Vec<(Vec3, f64)> =
+                leaf.span().map(|i| (dt.local.pos[i], dt.local.charge[i])).collect();
+            assert_eq!(got, want);
+            // A key below a leaf has no resident cell: its bodies, if any.
+            let below_leaf = leaf.key.child(0);
+            let Below::Bodies(got) = dt.serve(below_leaf) else { panic!("no cell serves bodies") };
+            assert_eq!(got.len(), dt.span_of(below_leaf).len());
             1u8
         });
         assert_eq!(out.results.len(), 2);
     }
 
+    /// One rank holding a fabricated remote cell of `n` bodies at
+    /// `Key::ROOT.child(7).child(7).child(7)`, unopened, and that key.
+    fn with_remote_node(c: &mut Comm, leaf: bool) -> (DistTree<MassMoments>, Key) {
+        let pos: Vec<Vec3> =
+            (0..50).map(|i| Vec3::new((i as f64 + 0.5) / 50.0, 0.5, 0.5)).collect();
+        let tree = Tree::<MassMoments>::build(Aabb::unit(), &pos, &[1.0; 50], 4);
+        let (_, iv) = decompose::<f64>(c, Vec::new(), 8);
+        let mut dt = DistTree::build(c, tree, iv);
+        let key = Key::ROOT.child(7).child(7).child(7);
+        let summary = Summary {
+            key,
+            n: 5,
+            center: Vec3::splat(0.9),
+            bmax: 0.01,
+            wsum: 5.0,
+            moments: MassMoments { mass: 5.0, ..Default::default() },
+        };
+        dt.push_node(DNode::remote(summary, 0, leaf));
+        (dt, key)
+    }
+
     #[test]
-    fn install_children_links_nodes() {
-        // Single-rank scenario faking a remote install.
+    fn open_links_children_and_ranges_bodies() {
         let out = RunConfig::builder().np(1).run(|c| {
-            let pos: Vec<Vec3> = (0..50)
-                .map(|i| Vec3::new((i as f64 + 0.5) / 50.0, 0.5, 0.5))
-                .collect();
-            let q = vec![1.0; 50];
-            let tree = Tree::<MassMoments>::build(Aabb::unit(), &pos, &q, 4);
-            let (_, iv) = decompose::<f64>(c, Vec::new(), 8);
-            let mut dt = DistTree::build(c, tree, iv);
-            // Fabricate a remote node and install children beneath it.
-            let fake_key = Key::ROOT.child(7).child(7).child(7);
-            let fake = Summary {
-                key: fake_key,
-                n: 5,
-                center: Vec3::splat(0.9),
-                bmax: 0.01,
-                wsum: 5.0,
-                moments: MassMoments { mass: 5.0, ..Default::default() },
-            };
-            let parent_idx = dt.push_node(DNode::remote(fake, 0, false));
-            let kid = DNode::remote(Summary { key: fake_key.child(1), ..fake }, 0, true);
-            dt.install_children(fake_key, vec![kid.clone()]);
-            let DChildren::Nodes(idxs) = dt.nodes[parent_idx as usize].children.clone() else {
-                panic!("install left the parent unlinked");
+            let (mut dt, key) = with_remote_node(c, false);
+            let ni = dt.table.get(key).expect("pushed") as usize;
+            let kid = DNode::remote(Summary { key: key.child(1), ..dt.nodes[ni].summary }, 0, true);
+            dt.open(key, Below::Kids(vec![kid]));
+            let DChildren::Nodes(idxs) = dt.nodes[ni].children.clone() else {
+                panic!("open left the cell unlinked");
             };
             assert_eq!(idxs.len(), 1);
-            assert_eq!(dt.nodes[idxs[0] as usize].key, fake_key.child(1));
-            // Second install is a no-op.
-            let before = dt.nodes.len();
-            dt.install_children(fake_key, vec![kid]);
-            assert_eq!(dt.nodes.len(), before);
+            assert_eq!(dt.nodes[idxs[0] as usize].key, key.child(1));
+            // The child is a leaf: its bodies go after any fetched before.
+            dt.fetched_pos.push(Vec3::ZERO);
+            dt.fetched_charge.push(0.0);
+            let bodies = vec![(Vec3::splat(0.91), 2.0), (Vec3::splat(0.92), 3.0)];
+            dt.open(key.child(1), Below::Bodies(bodies));
+            assert_eq!(dt.nodes[idxs[0] as usize].children, DChildren::Bodies(1..3));
+            assert_eq!(dt.fetched_charge, [0.0, 2.0, 3.0]);
             true
         });
         assert!(out.results[0]);
+    }
+
+    /// A reply whose kind disagrees with the leaf flag the node travelled
+    /// with is a protocol error, whichever way round.
+    #[test]
+    fn a_reply_against_the_leaf_flag_panics() {
+        for leaf in [false, true] {
+            let got = std::panic::catch_unwind(|| {
+                RunConfig::builder().np(1).run(move |c| {
+                    let (mut dt, key) = with_remote_node(c, leaf);
+                    let below =
+                        if leaf { Below::Kids(Vec::new()) } else { Below::Bodies(Vec::new()) };
+                    dt.open(key, below);
+                });
+            });
+            let err = got.expect_err("a mismatched reply must panic");
+            let msg = err.downcast_ref::<String>().map_or("", String::as_str);
+            assert!(msg.contains("disagrees with its leaf flag"), "leaf {leaf}: {msg}");
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "not an unopened remote node")]
+    fn opening_twice_panics() {
+        RunConfig::builder().np(1).run(|c| {
+            let (mut dt, key) = with_remote_node(c, true);
+            dt.open(key, Below::Bodies(Vec::new()));
+            dt.open(key, Below::Bodies(Vec::new()));
+        });
     }
 
     /// The count's spare byte values tag `DChildren`'s other variants, so
@@ -935,13 +1030,11 @@ mod tests {
 
     #[test]
     #[should_panic(expected = "an octree cell has at most 8")]
-    fn install_children_rejects_more_than_eight() {
+    fn open_rejects_more_than_eight_children() {
         RunConfig::builder().np(1).run(|c| {
-            let tree = Tree::<MassMoments>::build(Aabb::unit(), &[Vec3::splat(0.5)], &[1.0], 4);
-            let (_, iv) = decompose::<f64>(c, Vec::new(), 8);
-            let mut dt = DistTree::build(c, tree, iv);
-            let one = Summary::<MassMoments>::of_particles(Key::ROOT.child(0), &[], &[], &Aabb::unit());
-            dt.install_children(Key::ROOT, vec![DNode::remote(one, 0, true); 9]);
+            let (mut dt, key) = with_remote_node(c, false);
+            let one = Summary::<MassMoments>::of_particles(key.child(0), &[], &[], &Aabb::unit());
+            dt.open(key, Below::Kids(vec![DNode::remote(one, 0, true); 9]));
         });
     }
 }

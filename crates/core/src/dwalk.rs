@@ -6,21 +6,24 @@
 //!
 //! Each sink group carries an independent walk in two stages. *Resolve*
 //! MAC-tests the global nodes the group's traversal reaches and collects
-//! **every** one whose data is not resident — the children of a remote
-//! cell, or the bodies of a remote leaf — not just the first. A group with
-//! anything missing is *parked* and the rank switches to another group
-//! instead of stalling; a group with nothing missing *emits*: one
-//! uninterrupted depth-first traversal of the global nodes recording its
-//! accepted sources into the group's [`InteractionList`] — the distributed
-//! flavour of the list-build stage. Below a branch cell of the rank's own
-//! tree, emit hands over to the serial walk's local walk, so there is one
-//! local walk in the library.
+//! **every** remote node it must open but cannot yet — not just the first.
+//! Opening a remote node is one operation: its owner serves what lies
+//! below the key, the children of an internal cell or the bodies of a leaf,
+//! and the node then holds them ([`DChildren::Nodes`] or
+//! [`DChildren::Bodies`]). A group with anything missing is *parked* and
+//! the rank switches to another group instead of stalling; a group with
+//! nothing missing *emits*: one uninterrupted depth-first traversal of the
+//! global nodes recording its accepted sources into the group's
+//! [`InteractionList`] — the distributed flavour of the list-build stage.
+//! Below a branch cell of the rank's own tree, emit hands over to the
+//! serial walk's local walk, so there is one local walk in the library.
 //! The pipeline then hides the network latency two ways:
 //!
 //! * **Request coalescing** — the wants of all parked groups are gathered
 //!   per *round* and every distinct key wanted from one owner goes out in a
-//!   single multi-key [`KeyBatchRequest`] message, with replies batched the
-//!   same way. Since a group asks for its whole missing frontier at once, a
+//!   single request message, its keys in ascending order; the owner answers
+//!   every key in one reply kind, whatever lies below it, batched the same
+//!   way. Since a group asks for its whole missing frontier at once, a
 //!   round fetches one level of every remote subtree being descended, and
 //!   rounds number the remote trees' depth below the branch level — not the
 //!   count of remote cells opened. Rounds are globally synchronized: parked
@@ -50,8 +53,8 @@
 //! frozen as rows L1 and L2 of EXPERIMENTS.md; the overlapped apply that
 //! computed one finished list per poll-idle window before the ready batch
 //! replaced it is row D1. The whole exchange runs to quiescence with ABM's
-//! termination protocol, every rank serving its peers' fetch requests from
-//! its local tree throughout.
+//! termination protocol ([`Abm::settle`]), every rank serving its peers'
+//! requests from its local tree throughout.
 //!
 //! Before any of this the walk cuts the rank's top tree to its reach: every
 //! shared node the MAC accepts against one sphere holding all the rank's
@@ -60,7 +63,7 @@
 //! are those of the whole top tree, bit for bit; only the memory changes
 //! (DESIGN.md, "The reach of a rank's walk").
 
-use crate::dtree::{DChildren, DNode, DistTree};
+use crate::dtree::{Below, DChildren, DistTree};
 use crate::ilist::{InteractionList, ListConsumer};
 use crate::mac::Mac;
 use crate::moments::Moments;
@@ -68,19 +71,19 @@ use crate::tree::Tree;
 use crate::walk::{fan_out, walk_subtree, workers_for, WalkStats};
 use bytes::Bytes;
 use hot_base::Vec3;
-use hot_comm::{from_bytes, Abm, Comm, KeyBatchRequest, Wire};
+use hot_comm::{from_bytes, Abm, Comm, Quiescence, Wire};
 use hot_morton::Key;
 use std::collections::{BTreeMap, BTreeSet};
 
 // Message kinds on the ABM channel. Kinds 1–4 belonged to the retired
-// per-key protocol and stay unassigned.
+// per-key protocol and 7 to the retired separate body reply; they stay
+// unassigned.
 
-/// One multi-key request per (requester, owner) pair per round.
-const K_REQ_BATCH: u16 = 5;
-/// Batched children replies: `Vec<(parent key, child nodes)>`.
-const K_REP_CELL_BATCH: u16 = 6;
-/// Batched body replies: `Vec<(leaf key, bodies)>`.
-const K_REP_BODY_BATCH: u16 = 7;
+/// One request per (requester, owner) pair per round: the keys to open,
+/// ascending.
+const K_REQUEST: u16 = 5;
+/// Replies: `Vec<(key, what lies below it)>`.
+const K_REPLY: u16 = 6;
 
 /// ABM physical batch capacity in bytes (flush threshold), which also
 /// bounds the reply chunk size. A round carries a whole tree level per
@@ -103,14 +106,30 @@ struct GroupWalk {
     gi: u32,
     /// Global nodes the resolve stage has reached but not yet MAC-tested.
     untested: Vec<u32>,
-    /// Global nodes that failed the MAC and whose children (or bodies) are
-    /// not resident: what the group is parked on. Their data lands during
-    /// the round, so the next resolve goes straight to their children.
+    /// Remote nodes that failed the MAC and are not open yet: what the
+    /// group is parked on. They open during the round, so the next resolve
+    /// goes straight to their children.
     missing: Vec<u32>,
 }
 
-/// One round's new wants: per owner, the (cell keys, leaf keys) to request.
-type Wants = BTreeMap<u32, (Vec<u64>, Vec<u64>)>;
+/// One round's requests: per owner, the keys to open. The set both
+/// deduplicates the keys the round's groups want and orders them for
+/// [`request`].
+type Wants = BTreeMap<u32, BTreeSet<u64>>;
+
+/// The request to one owner: its wanted keys, ascending. The bytes are
+/// therefore a pure function of the *set* of keys, not of the order the
+/// groups parked in, which keeps the walk's message traffic bitwise
+/// identical across message schedules.
+fn request(keys: BTreeSet<u64>) -> Vec<u64> {
+    keys.into_iter().collect()
+}
+
+/// The sink groups of the rank's walk: the cells of its local tree holding
+/// at most `group_size` bodies.
+fn sink_groups<M: Moments>(dt: &DistTree<M>, group_size: usize) -> Vec<u32> {
+    dt.local.groups(group_size)
+}
 
 /// Statistics of one rank's distributed walk.
 #[derive(Clone, Debug, Default)]
@@ -167,9 +186,9 @@ pub struct DwalkStats {
 /// threads ([`Comm::compute_threads`]).
 ///
 /// The walk first cuts `dt`'s top tree to what its own sink groups can
-/// open under `mac` (see the module docs), so a tree serves one walk;
-/// walking it again panics once the first walk fetched anything. Build a
-/// fresh tree for another walk.
+/// open under `mac` (see the module docs), so a tree serves one walk: a
+/// second walk with other groups or another MAC may open a node the first
+/// cut pruned, and panics. Build a fresh tree for another walk.
 ///
 /// The walk phase must stay bitwise identical across message schedules, so
 /// the span records only *logical* quantities: cells opened, list entries,
@@ -219,7 +238,7 @@ fn dwalk_pipelined<M: Moments, C: ListConsumer<M>>(
     abm_batch: usize,
     workers: impl Fn(usize) -> usize,
 ) -> DwalkStats {
-    let groups = dt.local.groups(group_size);
+    let groups = sink_groups(dt, group_size);
     let sphere = reach(&dt.local, &groups);
     let (kept, dropped) = dt.prune(|s| sphere.is_some_and(|(c, r)| !mac.accepts(s, c, r)));
     let mut stats = walk_groups(comm, dt, mac, consumer, groups, abm_batch, workers);
@@ -258,18 +277,18 @@ fn reach<M: Moments>(local: &Tree<M>, groups: &[u32]) -> Option<(Vec3, f64)> {
 /// Structured as globally synchronized request rounds:
 ///
 /// 1. drain every runnable group. Its *resolve* stage MAC-tests the global
-///    nodes its traversal newly reaches and collects **every** one whose
-///    children or bodies are not resident — not just the first — into the
-///    round's wants per owner (deduplicated against what other groups
-///    already asked for this round). A group with nothing missing joins
-///    the round's ready batch; the others park;
-/// 2. post at most one [`KeyBatchRequest`] per owner and flush, then
-///    compute the ready batch (see [`compute_batch`]) while the requests
-///    travel;
+///    nodes its traversal newly reaches and collects **every** remote node
+///    it must open but cannot yet — not just the first — into the round's
+///    wants per owner (deduplicated against what other groups already
+///    asked for this round). A group with nothing missing joins the
+///    round's ready batch; the others park;
+/// 2. post at most one [`request`] per owner and flush, then compute the
+///    ready batch (see [`compute_batch`]) while the requests travel;
 /// 3. serve peers / absorb replies until no message is pollable;
-/// 4. join the round's count consensus. Parked groups reactivate **only**
-///    when the allreduce proves every posted message machine-wide has been
-///    delivered — i.e. all of this round's replies have landed everywhere.
+/// 4. take a step of ABM's termination protocol ([`Abm::settle`]). Parked
+///    groups reactivate **only** when it proves every posted message
+///    machine-wide has been delivered — i.e. all of this round's replies
+///    have landed everywhere.
 ///
 /// A round therefore requests one whole level of every remote subtree the
 /// parked groups reach, and rounds number the remote trees' depth below the
@@ -283,8 +302,8 @@ fn reach<M: Moments>(local: &Tree<M>, groups: &[u32]) -> Option<(Vec3, f64)> {
 /// arrival timing. (The *number of allreduce iterations* between
 /// rounds does vary with the schedule, which is why termination traffic is
 /// excluded from the trace.) The exchange terminates when the machine-wide
-/// (posted, delivered, parked) triple is stable at (n, n, 0) for two
-/// consecutive iterations.
+/// (posted, delivered, parked) sums are stable at (n, n, 0) for two
+/// consecutive steps.
 fn walk_groups<M: Moments, C: ListConsumer<M>>(
     comm: &mut Comm,
     dt: &mut DistTree<M>,
@@ -301,18 +320,14 @@ fn walk_groups<M: Moments, C: ListConsumer<M>>(
         .map(|gi| GroupWalk { gi, untested: vec![dt.root], missing: Vec::new() })
         .collect();
     let mut parked: Vec<GroupWalk> = Vec::new();
-    // Keys requested in the current round: dedups wants across groups.
-    let mut requested: BTreeSet<u64> = BTreeSet::new();
     let mut abm = Abm::new(comm, abm_batch);
-
-    let mut prev = (u64::MAX, u64::MAX, u64::MAX);
     loop {
         // (1) Resolve runnable groups; gather the round's new wants per
         // owner and its ready batch.
         let mut wants = Wants::new();
         let mut ready = Vec::new();
         while let Some(mut w) = active.pop() {
-            resolve(dt, mac, &mut w, &mut requested, &mut wants);
+            resolve(dt, mac, &mut w, &mut wants, &mut stats);
             if w.missing.is_empty() {
                 ready.push(w.gi);
             } else {
@@ -325,11 +340,9 @@ fn walk_groups<M: Moments, C: ListConsumer<M>>(
         if !wants.is_empty() {
             stats.rounds += 1;
         }
-        for (owner, (cells, bodies)) in wants {
-            stats.cell_requests += cells.len() as u64;
-            stats.body_requests += bodies.len() as u64;
+        for (owner, keys) in wants {
             stats.request_msgs += 1;
-            abm.post(owner, K_REQ_BATCH, &KeyBatchRequest::new(cells, bodies));
+            abm.post(owner, K_REQUEST, &request(keys));
         }
         abm.flush_all();
         compute_batch(dt, mac, consumer, &mut ready, &mut stats, &workers);
@@ -343,20 +356,11 @@ fn walk_groups<M: Moments, C: ListConsumer<M>>(
         }
         // (4) Round consensus: wake everything parked once the machine is
         // quiescent (every request answered, every reply delivered).
-        let s = abm.stats();
-        let totals = abm
-            .comm_mut()
-            .allreduce((s.posted, s.delivered, parked.len() as u64), |a, b| {
-                (a.0 + b.0, a.1 + b.1, a.2 + b.2)
-            });
-        if totals.0 == totals.1 {
-            if totals.2 == 0 && totals == prev {
-                break;
-            }
-            active.append(&mut parked);
-            requested.clear();
+        match abm.settle(parked.len() as u64) {
+            Quiescence::Done => break,
+            Quiescence::Quiet => active.append(&mut parked),
+            Quiescence::InFlight => {}
         }
-        prev = totals;
     }
     debug_assert!(active.is_empty() && parked.is_empty());
     stats.abm = abm.stats();
@@ -413,18 +417,19 @@ fn compute_batch<M: Moments, C: ListConsumer<M>>(
 }
 
 /// The resolve stage: MAC-test the global nodes this group's traversal has
-/// newly reached and record in `w.missing` every one whose children or
-/// bodies are not resident, adding each key nobody asked for yet this round
-/// to `wants`. Only global nodes are looked at — a `LocalSubtree` cannot
-/// miss — and each at most once per group: a node found missing has its
-/// data by the next call (rounds end quiescent), so that call starts from
-/// its children. Leaves `w.missing` empty iff [`emit`] can run.
+/// newly reached and record in `w.missing` every remote node it must open
+/// that is not open yet, adding each key nobody asked for yet this round
+/// to `wants` and counting it in `stats` as a cell or a body request. Only
+/// global nodes are looked at — a `LocalSubtree` cannot miss — and each at
+/// most once per group: a node found missing is open by the next call
+/// (rounds end quiescent), so that call starts from its children. Leaves
+/// `w.missing` empty iff [`emit`] can run.
 fn resolve<M: Moments>(
     dt: &DistTree<M>,
     mac: &Mac,
     w: &mut GroupWalk,
-    requested: &mut BTreeSet<u64>,
     wants: &mut Wants,
+    stats: &mut DwalkStats,
 ) {
     let g = &dt.local.cells[w.gi as usize];
     for ni in w.missing.drain(..) {
@@ -442,16 +447,14 @@ fn resolve<M: Moments>(
                 w.untested.extend_from_slice(kids);
                 continue;
             }
-            DChildren::LocalSubtree => continue,
-            DChildren::RemoteLeaf if dt.body_cache.contains_key(&ni) => continue,
+            DChildren::LocalSubtree | DChildren::Bodies(_) => continue,
             DChildren::RemoteLeaf => true,
             DChildren::RemoteUnfetched => false,
             DChildren::Pruned => panic!("a sink group opened {:?}, which the cut pruned", node.key),
         };
         w.missing.push(ni);
-        if requested.insert(node.key.0) {
-            let (cells, bodies) = wants.entry(node.owner).or_default();
-            if leaf { bodies } else { cells }.push(node.key.0);
+        if wants.entry(node.owner).or_default().insert(node.key.0) {
+            *if leaf { &mut stats.body_requests } else { &mut stats.cell_requests } += 1;
         }
     }
 }
@@ -510,17 +513,13 @@ fn emit<M: Moments>(
                     }
                 }
             },
-            DChildren::RemoteLeaf => {
-                let (bp, bq) = dt
-                    .body_cache
-                    .get(&ni)
-                    // hot-lint: allow(unwrap-audit)
-                    .expect("emit reached a remote leaf resolve left unfetched");
-                list.push_pp(bp, bq, None);
-                stats.pp += gn * bp.len() as u64;
+            DChildren::Bodies(r) => {
+                let r = r.start as usize..r.end as usize;
+                stats.pp += gn * r.len() as u64;
+                list.push_pp(&dt.fetched_pos[r.clone()], &dt.fetched_charge[r], None);
             }
-            DChildren::RemoteUnfetched => {
-                unreachable!("emit reached a remote cell resolve left unfetched")
+            DChildren::RemoteLeaf | DChildren::RemoteUnfetched => {
+                unreachable!("emit reached a remote node resolve left unopened")
             }
             DChildren::Pruned => panic!("emit opened {:?}, which the cut pruned", node.key),
         }
@@ -528,106 +527,52 @@ fn emit<M: Moments>(
     stats.pinned_to(list, &sinks, gi)
 }
 
-/// Install a body reply into the remote-leaf cache.
-fn install_bodies<M: Moments>(dt: &mut DistTree<M>, key: u64, pairs: Vec<(Vec3, M::Charge)>) {
-    let ni = dt
-        .table
-        .get(Key(key))
-        // Protocol invariant: body replies match a prior request.
-        // hot-lint: allow(unwrap-audit)
-        .expect("body reply for unknown node");
-    let mut pos = Vec::with_capacity(pairs.len());
-    let mut charge = Vec::with_capacity(pairs.len());
-    for (p, q) in pairs {
-        pos.push(p);
-        charge.push(q);
-    }
-    dt.body_cache.insert(ni, (pos, charge));
-}
-
-/// Serve one coalesced request: the children of every requested cell
-/// key, then all requested leaf bodies. Replies are chunked into logical
-/// messages of at most `limit` encoded bytes. The entire reply, chunk
-/// boundaries included, is a pure function of the request and the owner's
-/// local tree.
-fn serve_batch<M: Moments>(
+/// Serve one request: what lies below every requested key
+/// ([`DistTree::serve`]), in the request's order, packed greedily into
+/// reply messages of at most `limit` encoded bytes (always at least one
+/// entry each), so only one message's entries are held at a time. Entry
+/// order survives chunking because ABM delivery is in-order per flow, and
+/// the entire reply, chunk boundaries included, is a pure function of the
+/// request and the owner's local tree.
+fn serve_request<M: Moments>(
     dt: &DistTree<M>,
     ep: &mut Abm<'_>,
     src: u32,
-    req: &KeyBatchRequest,
+    keys: &[u64],
     limit: usize,
 ) {
-    assert!(req.is_canonical(), "non-canonical key batch from rank {src}");
-    if !req.cell_keys.is_empty() {
-        let entries: Vec<(u64, Vec<DNode<M>>)> = req
-            .cell_keys
-            .iter()
-            .map(|&k| (k, dt.children_nodes(Key(k)).unwrap_or_default()))
-            .collect();
-        post_chunked(ep, src, K_REP_CELL_BATCH, entries, limit);
-    }
-    if !req.body_keys.is_empty() {
-        let entries: Vec<BodyBatchEntry<M>> = req
-            .body_keys
-            .iter()
-            .map(|&k| {
-                let (pos, charge) = dt.bodies_of(Key(k)).unwrap_or_default();
-                (k, pos.into_iter().zip(charge).collect())
-            })
-            .collect();
-        post_chunked(ep, src, K_REP_BODY_BATCH, entries, limit);
-    }
-}
-
-/// One `K_REP_BODY_BATCH` entry: a leaf key and its `(position, charge)`
-/// pairs.
-type BodyBatchEntry<M> = (u64, Vec<(Vec3, <M as Moments>::Charge)>);
-
-/// Post `entries` as one or more `kind` messages, greedily packing whole
-/// entries up to `limit` encoded bytes per message (always at least one
-/// entry per message). Entry order survives chunking because ABM delivery
-/// is in-order per flow.
-fn post_chunked<T: Wire>(ep: &mut Abm<'_>, dst: u32, kind: u16, entries: Vec<T>, limit: usize) {
-    let mut chunk: Vec<T> = Vec::new();
+    assert!(keys.windows(2).all(|w| w[0] < w[1]), "non-canonical request from rank {src}");
+    let mut chunk: Vec<(u64, Below<M>)> = Vec::new();
     let mut size = 8usize; // the Vec length prefix
-    for e in entries {
-        let sz = e.wire_size();
+    for &k in keys {
+        let entry = (k, dt.serve(Key(k)));
+        let sz = entry.wire_size();
         if !chunk.is_empty() && size + sz > limit {
-            ep.post(dst, kind, &chunk);
+            ep.post(src, K_REPLY, &chunk);
             chunk.clear();
             size = 8;
         }
         size += sz;
-        chunk.push(e);
+        chunk.push(entry);
     }
     if !chunk.is_empty() {
-        ep.post(dst, kind, &chunk);
+        ep.post(src, K_REPLY, &chunk);
     }
 }
 
 /// The ABM handler: serves requests (replies chunked at `limit` bytes) and
-/// installs replies, but never reactivates walks — reactivation waits for
-/// the round boundary, which is what keeps request sets
-/// schedule-independent.
+/// opens the nodes replies answer, but never reactivates walks —
+/// reactivation waits for the round boundary, which is what keeps request
+/// sets schedule-independent.
 fn make_batch_handler<M: Moments>(
     dt: &mut DistTree<M>,
     limit: usize,
 ) -> impl FnMut(&mut Abm<'_>, u32, u16, Bytes) + '_ {
     move |ep, src, kind, payload| match kind {
-        K_REQ_BATCH => {
-            let req: KeyBatchRequest = from_bytes(payload);
-            serve_batch(dt, ep, src, &req, limit);
-        }
-        K_REP_CELL_BATCH => {
-            let entries: Vec<(u64, Vec<DNode<M>>)> = from_bytes(payload);
-            for (key, kids) in entries {
-                dt.install_children(Key(key), kids);
-            }
-        }
-        K_REP_BODY_BATCH => {
-            let entries: Vec<BodyBatchEntry<M>> = from_bytes(payload);
-            for (key, pairs) in entries {
-                install_bodies(dt, key, pairs);
+        K_REQUEST => serve_request(dt, ep, src, &from_bytes::<Vec<u64>>(payload), limit),
+        K_REPLY => {
+            for (key, below) in from_bytes::<Vec<(u64, Below<M>)>>(payload) {
+                dt.open(Key(key), below);
             }
         }
         other => panic!("unknown ABM message kind {other}"),
@@ -901,6 +846,41 @@ mod tests {
         assert!(out.results.iter().any(|r| r.2 > 0), "no rounds counted");
     }
 
+    /// Opening a node is one operation whatever lies below it: a request
+    /// that asks one owner for internal cells and leaves together is
+    /// answered by one reply message. θ = 0 accepts nothing, so the first
+    /// round asks for every remote branch, and with the cut inside an
+    /// octant each rank's peer has branches of both kinds; every reply
+    /// fits one ABM chunk, so the messages posted are the requests and one
+    /// reply to each.
+    #[test]
+    fn a_request_for_cells_and_leaves_gets_one_reply() {
+        let out = RunConfig::builder().np(2).run(|c| {
+            let (mine, iv) = decompose_unaligned(c, make_bodies(c, 64, 3, false), 32);
+            let pos: Vec<Vec3> = mine.iter().map(|b| b.pos).collect();
+            let q: Vec<f64> = mine.iter().map(|b| b.charge).collect();
+            let tree = Tree::<MassMoments>::build(Aabb::unit(), &pos, &q, 4);
+            let mut dt = DistTree::build(c, tree, iv);
+            let remote = |leaf: bool| {
+                dt.nodes.iter().any(|n| {
+                    let held =
+                        if leaf { DChildren::RemoteLeaf } else { DChildren::RemoteUnfetched };
+                    n.owner != dt.rank && n.n > 0 && n.children == held
+                })
+            };
+            let both = remote(false) && remote(true);
+            let mut cov = MassCoverage { seen: vec![0.0; dt.local.n_particles()] };
+            let s = walk_at(c, &mut dt, &Mac::BarnesHut { theta: 0.0 }, &mut cov, ABM_BATCH);
+            (both, s.request_msgs, s.abm.posted)
+        });
+        for (rank, &(both, ..)) in out.results.iter().enumerate() {
+            assert!(both, "rank {rank}: its peer's branches are not both cells and leaves");
+        }
+        let requests: u64 = out.results.iter().map(|r| r.1).sum();
+        let posted: u64 = out.results.iter().map(|r| r.2).sum();
+        assert_eq!(posted, 2 * requests, "{requests} requests");
+    }
+
     /// Two clumps in opposite corners, a third of the bodies in the first:
     /// ranks holding only the small clump accept every remote branch by the
     /// MAC, so their groups' closures are wholly local, while the ranks
@@ -1085,7 +1065,7 @@ mod tests {
             let mut dt =
                 DistTree::build(c, Tree::<MassMoments>::build(Aabb::unit(), &pos, &q, 8), iv);
             let rank = dt.rank;
-            let groups = dt.local.groups(16);
+            let groups = sink_groups(&dt, 16);
 
             // The oracle, and which groups can finish without any fetch,
             // both from the tree as the walk will first see it.
@@ -1272,7 +1252,7 @@ mod tests {
                 let mac = Mac::BarnesHut { theta: 0.6 };
                 let (mut serial, mut stats) = (Vec::new(), WalkStats::default());
                 let mut list = InteractionList::new();
-                for gi in dt.local.groups(16) {
+                for gi in sink_groups(&dt, 16) {
                     stats.merge(&crate::walk::walk_group_list(&dt.local, &mac, gi, &mut list));
                     serial.push((dt.local.cells[gi as usize].first as usize, list_bits(&list)));
                 }
@@ -1379,7 +1359,7 @@ mod tests {
                 assert_eq!(dt.validate(), Ok(()), "rank {} after the walk", c.rank());
                 s
             } else {
-                let groups = dt.local.groups(group_size);
+                let groups = sink_groups(&dt, group_size);
                 walk_groups(c, &mut dt, &mac, &mut forces, groups, ABM_BATCH, workers)
             };
             forces.lists.sort_unstable();
@@ -1445,7 +1425,7 @@ mod tests {
                 let q: Vec<f64> = mine.iter().map(|b| b.charge).collect();
                 let tree = Tree::<MassMoments>::build(Aabb::unit(), &pos, &q, 8);
                 let mut dt = DistTree::build(c, tree, iv);
-                let groups = dt.local.groups(group_size);
+                let groups = sink_groups(&dt, group_size);
                 let Some((center, _)) = reach(&dt.local, &groups) else { return false };
                 let cells = &dt.local.cells;
                 let r = groups.iter().map(|&gi| (cells[gi as usize].center - center).norm());
@@ -1454,7 +1434,7 @@ mod tests {
                 let resolved = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
                     for &gi in &groups {
                         let mut w = GroupWalk { gi, untested: vec![dt.root], missing: Vec::new() };
-                        resolve(&dt, &mac, &mut w, &mut BTreeSet::new(), &mut Wants::new());
+                        resolve(&dt, &mac, &mut w, &mut Wants::new(), &mut DwalkStats::default());
                     }
                 }));
                 match resolved {
@@ -1566,6 +1546,33 @@ mod tests {
             assert!(w.pp >= w.listed_pp.saturating_sub(1));
             assert!(w.pp <= w.listed_pp * 16);
             assert!(w.pc >= w.listed_pc && w.pc <= w.listed_pc * 16);
+        }
+    }
+
+    proptest::proptest! {
+        /// A round's request to an owner carries every key the groups
+        /// wanted from it once, ascending, and roundtrips through the
+        /// wire; its bytes depend only on the set of wanted keys, not on
+        /// the order or repetition the groups wanted them in.
+        #[test]
+        fn a_request_depends_only_on_the_wanted_set(
+            keys in proptest::collection::vec(proptest::prelude::any::<u64>(), 0..80),
+        ) {
+            let build = |keys: &mut dyn Iterator<Item = &u64>| {
+                let mut wants = Wants::new();
+                keys.for_each(|&k| {
+                    wants.entry(3).or_default().insert(k);
+                });
+                request(wants.remove(&3).unwrap_or_default())
+            };
+            let req = build(&mut keys.iter());
+            proptest::prop_assert!(req.windows(2).all(|w| w[0] < w[1]));
+            proptest::prop_assert!(keys.iter().all(|k| req.binary_search(k).is_ok()));
+            proptest::prop_assert!(req.iter().all(|k| keys.contains(k)));
+            let bytes = hot_comm::to_bytes(&req);
+            proptest::prop_assert_eq!(&from_bytes::<Vec<u64>>(bytes.clone()), &req);
+            let again = build(&mut keys.iter().rev().chain(&keys));
+            proptest::prop_assert_eq!(&bytes[..], &hot_comm::to_bytes(&again)[..]);
         }
     }
 }

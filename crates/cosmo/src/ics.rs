@@ -7,7 +7,8 @@
 //! Zel'dovich approximation. An Einstein–de Sitter background (Ω = 1, the
 //! standard CDM choice of the era) fixes the growth rates.
 
-use crate::fft::{Complex, Grid3};
+use crate::fft::Grid3;
+use hot_base::fft::Complex;
 use crate::power::CdmSpectrum;
 use hot_base::Vec3;
 use rand::Rng;

@@ -30,7 +30,7 @@ pub mod sim;
 pub mod supervisor;
 
 pub use checkpoint::CHECKPOINT_VERSION;
-pub use fft::{Complex, Grid3};
+pub use fft::Grid3;
 pub use fof::{friends_of_friends, Halo};
 pub use ics::{gaussian_field, sphere_with_buffer, zeldovich, DensityField, ZeldovichIcs};
 pub use image::{project_log_density, GrayImage};

@@ -8,61 +8,16 @@
 //! benchmark.
 
 use crate::common::{BenchResult, NpbRng, NPB_SEED};
+use hot_base::fft::{fft_inplace, Complex};
 use hot_comm::Comm;
 use std::time::Instant;
 
-/// A minimal complex pair (local to the benchmark).
-pub type C = (f64, f64);
-
-#[inline(always)]
-fn cmul(a: C, b: C) -> C {
-    (a.0 * b.0 - a.1 * b.1, a.0 * b.1 + a.1 * b.0)
-}
-
-#[inline(always)]
-fn cadd(a: C, b: C) -> C {
-    (a.0 + b.0, a.1 + b.1)
-}
-
-#[inline(always)]
-fn csub(a: C, b: C) -> C {
-    (a.0 - b.0, a.1 - b.1)
-}
-
-/// In-place radix-2 FFT of a line.
-pub fn fft_line(data: &mut [C], inverse: bool) {
-    let n = data.len();
-    assert!(n.is_power_of_two());
-    let bits = n.trailing_zeros();
-    for i in 0..n {
-        let j = i.reverse_bits() >> (usize::BITS - bits);
-        if j > i {
-            data.swap(i, j);
-        }
-    }
-    let sign = if inverse { 1.0 } else { -1.0 };
-    let mut len = 2;
-    while len <= n {
-        let ang = sign * 2.0 * std::f64::consts::PI / len as f64;
-        let wl = (ang.cos(), ang.sin());
-        for chunk in data.chunks_mut(len) {
-            let mut w = (1.0, 0.0);
-            for i in 0..len / 2 {
-                let u = chunk[i];
-                let v = cmul(chunk[i + len / 2], w);
-                chunk[i] = cadd(u, v);
-                chunk[i + len / 2] = csub(u, v);
-                w = cmul(w, wl);
-            }
-        }
-        len <<= 1;
-    }
+/// One line's transform, normalized by 1/n on the inverse as NPB's FT is.
+fn fft_line(data: &mut [Complex], inverse: bool) {
+    fft_inplace(data, inverse);
     if inverse {
-        let s = 1.0 / n as f64;
-        for v in data {
-            v.0 *= s;
-            v.1 *= s;
-        }
+        let s = 1.0 / data.len() as f64;
+        data.iter_mut().for_each(|v| *v = v.scale(s));
     }
 }
 
@@ -80,8 +35,8 @@ pub fn run(comm: &mut Comm, n: usize, steps: usize) -> BenchResult {
     // Initial field: NPB-style random complex values, each rank generating
     // its own slab deterministically.
     let mut rng = NpbRng::skip(NPB_SEED, (2 * z0 * n * n) as u64);
-    let mut slab: Vec<C> = (0..nz * n * n)
-        .map(|_| (rng.next_f64() - 0.5, rng.next_f64() - 0.5))
+    let mut slab: Vec<Complex> = (0..nz * n * n)
+        .map(|_| Complex::new(rng.next_f64() - 0.5, rng.next_f64() - 0.5))
         .collect();
     let initial = slab.clone();
 
@@ -90,7 +45,7 @@ pub fn run(comm: &mut Comm, n: usize, steps: usize) -> BenchResult {
     let line_flops = (5 * n * (n as f64).log2() as usize) as u64;
 
     // Helper: transform all x and y lines of the slab.
-    let xy_transform = |slab: &mut Vec<C>, inverse: bool| {
+    let xy_transform = |slab: &mut Vec<Complex>, inverse: bool| {
         for z in 0..nz {
             for y in 0..n {
                 let base = (z * n + y) * n;
@@ -98,7 +53,7 @@ pub fn run(comm: &mut Comm, n: usize, steps: usize) -> BenchResult {
             }
             // y lines: gather stride-n.
             for x in 0..n {
-                let mut line: Vec<C> = (0..n).map(|y| slab[(z * n + y) * n + x]).collect();
+                let mut line: Vec<Complex> = (0..n).map(|y| slab[(z * n + y) * n + x]).collect();
                 fft_line(&mut line, inverse);
                 for (y, v) in line.into_iter().enumerate() {
                     slab[(z * n + y) * n + x] = v;
@@ -109,7 +64,7 @@ pub fn run(comm: &mut Comm, n: usize, steps: usize) -> BenchResult {
 
     // Transpose: redistribute so each rank owns a y-slab with contiguous z
     // lines. Data for destination rank d: y in [d*ny, (d+1)*ny).
-    let transpose = |comm: &mut Comm, slab: &Vec<C>| -> Vec<C> {
+    let transpose = |comm: &mut Comm, slab: &Vec<Complex>| -> Vec<Complex> {
         let ny = n / np;
         let mut sends: Vec<Vec<f64>> = (0..np).map(|_| Vec::new()).collect();
         for (d, send) in sends.iter_mut().enumerate() {
@@ -117,15 +72,15 @@ pub fn run(comm: &mut Comm, n: usize, steps: usize) -> BenchResult {
                 for y in d * ny..(d + 1) * ny {
                     for x in 0..n {
                         let v = slab[(z * n + y) * n + x];
-                        send.push(v.0);
-                        send.push(v.1);
+                        send.push(v.re);
+                        send.push(v.im);
                     }
                 }
             }
         }
         let recvd = comm.alltoall(sends);
         // Assemble [y-local][x][z-global] lines: out[(ly*n + x)*n + z].
-        let mut out = vec![(0.0, 0.0); ny * n * n];
+        let mut out = vec![Complex::ZERO; ny * n * n];
         for (src, block) in recvd.into_iter().enumerate() {
             // Block layout from src: [z-local of src][y-local][x] pairs.
             let mut it = block.into_iter();
@@ -135,7 +90,7 @@ pub fn run(comm: &mut Comm, n: usize, steps: usize) -> BenchResult {
                     for x in 0..n {
                         let re = it.next().expect("even block");
                         let im = it.next().expect("odd block");
-                        out[(ly * n + x) * n + z] = (re, im);
+                        out[(ly * n + x) * n + z] = Complex::new(re, im);
                     }
                 }
             }
@@ -171,8 +126,8 @@ pub fn run(comm: &mut Comm, n: usize, steps: usize) -> BenchResult {
                     let f = (-4.0 * alpha * std::f64::consts::PI * std::f64::consts::PI * k2)
                         .exp();
                     let idx = (ly * n + x) * n + z;
-                    zlines[idx].0 *= f;
-                    zlines[idx].1 *= f;
+                    zlines[idx].re *= f;
+                    zlines[idx].im *= f;
                 }
             }
         }
@@ -194,14 +149,14 @@ pub fn run(comm: &mut Comm, n: usize, steps: usize) -> BenchResult {
                     for lz in 0..nz {
                         let z = d * nz + lz;
                         let v = zlines[(ly * n + x) * n + z];
-                        send.push(v.0);
-                        send.push(v.1);
+                        send.push(v.re);
+                        send.push(v.im);
                     }
                 }
             }
         }
         let recvd = comm.alltoall(sends);
-        let mut out = vec![(0.0, 0.0); nz * n * n];
+        let mut out = vec![Complex::ZERO; nz * n * n];
         for (src, block) in recvd.into_iter().enumerate() {
             let mut it = block.into_iter();
             for ly in 0..ny {
@@ -210,7 +165,7 @@ pub fn run(comm: &mut Comm, n: usize, steps: usize) -> BenchResult {
                     for lz in 0..nz {
                         let re = it.next().expect("even");
                         let im = it.next().expect("odd");
-                        out[(lz * n + y) * n + x] = (re, im);
+                        out[(lz * n + y) * n + x] = Complex::new(re, im);
                     }
                 }
             }
@@ -230,10 +185,10 @@ pub fn run(comm: &mut Comm, n: usize, steps: usize) -> BenchResult {
     let mut e_init = 0.0;
     let mut e_final = 0.0;
     for (a, b) in slab.iter().zip(&initial) {
-        let d = ((a.0 - b.0).powi(2) + (a.1 - b.1).powi(2)).sqrt();
+        let d = ((a.re - b.re).powi(2) + (a.im - b.im).powi(2)).sqrt();
         max_err = max_err.max(d);
-        e_final += a.0 * a.0 + a.1 * a.1;
-        e_init += b.0 * b.0 + b.1 * b.1;
+        e_final += a.re * a.re + a.im * a.im;
+        e_init += b.re * b.re + b.im * b.im;
     }
     let global_err = comm.allreduce_max_f64(max_err);
     let e_init = comm.allreduce_sum_f64(e_init);
@@ -260,13 +215,19 @@ mod tests {
     #[test]
     fn line_fft_roundtrip() {
         let mut rng = NpbRng::new(7);
-        let orig: Vec<C> = (0..64).map(|_| (rng.next_f64(), rng.next_f64())).collect();
+        let orig: Vec<Complex> =
+            (0..64).map(|_| Complex::new(rng.next_f64(), rng.next_f64())).collect();
         let mut x = orig.clone();
         fft_line(&mut x, false);
         fft_line(&mut x, true);
         for (a, b) in x.iter().zip(&orig) {
-            assert!((a.0 - b.0).abs() < 1e-12 && (a.1 - b.1).abs() < 1e-12);
+            assert!((a.re - b.re).abs() < 1e-12 && (a.im - b.im).abs() < 1e-12);
         }
+        // A one-point line is its own transform either way.
+        let mut one = [Complex::new(2.0, -3.0)];
+        fft_line(&mut one, false);
+        fft_line(&mut one, true);
+        assert_eq!(one, [Complex::new(2.0, -3.0)]);
     }
 
     #[test]
