@@ -86,6 +86,9 @@ if [ "$rc" -ne 1 ] || ! grep -q '\[dead-export\] `pub fn orphan`' "$smoke/dead_e
   exit 1
 fi
 
+echo "==> hot-analyze loc (non-blank non-test lines per crate; printed, not gated)"
+cargo run -q --offline --release -p hot-analyze -- loc
+
 echo "==> hot-analyze protocol (collective-order / tag-matching / counter-discipline)"
 cargo run -q --offline --release -p hot-analyze -- protocol
 

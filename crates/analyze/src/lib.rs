@@ -19,6 +19,8 @@
 //!   `crates/cosmo/src/supervisor.rs`), then enforces collective-order,
 //!   tag-matching, and counter-discipline over all np at once.
 //! * [`json`] — schema-versioned finding output for CI artifacts.
+//! * [`loc`] — per-crate counts of non-blank non-test lines, the measure
+//!   of the "net non-test lines" gates.
 //! * [`schedules`] — a dynamic checker that reruns the comm runtime's
 //!   collectives and ABM traversal under many seeded rank interleavings
 //!   (via [`hot_comm::RunConfigBuilder::event_seed`]) and asserts freedom
@@ -41,6 +43,7 @@
 //!
 //! Run as `cargo run -p hot-analyze -- lint`,
 //! `cargo run -p hot-analyze -- protocol`,
+//! `cargo run -p hot-analyze -- loc`,
 //! `cargo run -p hot-analyze -- schedules --seeds 32`,
 //! `cargo run -p hot-analyze -- faults --seeds 32`, and
 //! `cargo run -p hot-analyze -- kills --seeds 8`. All exit non-zero
@@ -52,6 +55,7 @@ pub mod json;
 pub mod kills;
 pub mod lexer;
 pub mod lint;
+pub mod loc;
 pub mod model;
 pub mod protocol;
 pub mod schedules;

@@ -615,7 +615,7 @@ fn in_lint_scope(rel: &str) -> bool {
 
 /// Every `.rs` file under the given directories of `root`, sorted;
 /// `target/` directories and `crates/analyze` below them are skipped.
-fn rs_files(root: &Path, dirs: &[&str]) -> Vec<PathBuf> {
+pub(crate) fn rs_files(root: &Path, dirs: &[&str]) -> Vec<PathBuf> {
     let mut out = Vec::new();
     let mut stack: Vec<PathBuf> = dirs.iter().map(|d| root.join(d)).collect();
     while let Some(dir) = stack.pop() {

@@ -3,15 +3,16 @@
 //! ```text
 //! hot-analyze lint [--root PATH] [--json]
 //! hot-analyze protocol [--root PATH] [--json]
+//! hot-analyze loc [--root PATH]
 //! hot-analyze schedules [--seeds N]
 //! hot-analyze faults [--seeds N]
 //! hot-analyze kills [--seeds N] [--planted-undetected]
 //! ```
 //!
-//! Every subcommand exits 0 when clean and 1 on findings, so they slot
-//! directly into `ci.sh`. See VERIFICATION.md for the rule catalog.
+//! Every checking subcommand exits 0 when clean and 1 on findings, so they
+//! slot directly into `ci.sh`; `loc` only reports. See VERIFICATION.md for the rule catalog.
 
-use hot_analyze::{faults, json, kills, lint, print_sweep, protocol, schedules};
+use hot_analyze::{faults, json, kills, lint, loc, print_sweep, protocol, schedules};
 use std::path::PathBuf;
 use std::process::ExitCode;
 
@@ -19,6 +20,7 @@ fn usage() -> ExitCode {
     eprintln!(
         "usage:\n  hot-analyze lint [--root PATH] [--json]      static invariant linter\n  \
          hot-analyze protocol [--root PATH] [--json]  static comm-protocol checker\n  \
+         hot-analyze loc [--root PATH]                non-test lines per crate\n  \
          hot-analyze schedules [--seeds N]            seeded schedule checker\n  \
          hot-analyze faults [--seeds N]               fault-plan × schedule checker\n  \
          hot-analyze kills [--seeds N]                crash-stop detection/recovery checker\n  \
@@ -35,6 +37,7 @@ fn main() -> ExitCode {
     match args.first().map(String::as_str) {
         Some("lint") => run_lint(&args[1..]),
         Some("protocol") => run_protocol(&args[1..]),
+        Some("loc") => run_loc(&args[1..]),
         Some("schedules") => run_schedules(&args[1..]),
         Some("faults") => run_faults(&args[1..]),
         Some("kills") => run_kills(&args[1..]),
@@ -131,6 +134,24 @@ fn run_protocol(args: &[String]) -> ExitCode {
         println!("hot-analyze protocol: {} finding(s)", rep.findings.len());
         ExitCode::FAILURE
     }
+}
+
+fn run_loc(args: &[String]) -> ExitCode {
+    let root = match parse_root("loc", args) {
+        Ok(r) => r,
+        Err(code) => return code,
+    };
+    let counts = loc::count_workspace(&root);
+    if counts.is_empty() {
+        eprintln!("hot-analyze loc: no crates under {}", root.join("crates").display());
+        return ExitCode::from(2);
+    }
+    println!("hot-analyze loc: non-blank lines outside #[cfg(test)] items and tests/");
+    for (name, lines) in &counts {
+        println!("  {name:<10} {lines:>7}");
+    }
+    println!("  {:<10} {:>7}", "total", counts.iter().map(|c| c.1).sum::<usize>());
+    ExitCode::SUCCESS
 }
 
 fn parse_seeds(cmd: &str, args: &[String]) -> Result<u64, ExitCode> {

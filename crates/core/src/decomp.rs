@@ -878,7 +878,7 @@ mod tests {
                 let q: Vec<f64> = mine.iter().map(|b| b.charge).collect();
                 let tree = Tree::<MassMoments>::build(Aabb::unit(), &pos, &q, 8);
                 let dt = DistTree::build(c, tree, iv.clone());
-                assert_eq!(dt.validate(), Ok(()));
+                assert_eq!(dt.local.validate(), Ok(()));
                 (dt.nodes.len(), iv)
             };
             let aligned = decompose(c, bodies.clone(), 64);

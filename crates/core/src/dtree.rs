@@ -1,4 +1,4 @@
-//! The distributed tree: local trees grafted into a global view.
+//! The distributed tree: every rank's canopy grafted into its one tree.
 //!
 //! After the domain decomposition each rank owns a contiguous Morton-key
 //! interval and has built a local [`Tree`] over its bodies. To traverse
@@ -10,169 +10,87 @@
 //!   holds matter in them) and collectively tile the occupied key space.
 //! * Branches are all-gathered; each rank builds the **top tree** of their
 //!   common ancestors, with exact merged moments (so the top-tree root
-//!   carries the total system mass). The distributed walk then drops the
-//!   subtrees its own sink groups cannot open (`DistTree::prune`).
-//! * Every node is a [`Summary`] with an owner and a child link. A branch
-//!   is its cell's summary as the local tree formed it (or, for part of a
-//!   leaf, its particles' summary), and a shared node merges its children's
-//!   with the local tree's own M2M, [`Summary::of_children`]. Where no leaf
-//!   straddles a cut, the top tree is therefore bit for bit the canopy of
-//!   one tree over every rank's bodies. What travels — branches in the
-//!   exchange, children in the walk's fetch — is the node itself.
+//!   carries the total system mass). The top tree and the branches are the
+//!   rank's *canopy*. The distributed walk then drops the subtrees its own
+//!   sink groups cannot open (`DistTree::prune`).
+//! * The canopy is grafted onto the end of the local tree's cell array and
+//!   into its key table, as in the paper's HOT library: one hashed oct-tree
+//!   per processor, whose table turns any key into a cell and catches
+//!   accesses to non-local data. Every local cell keeps its index. Another
+//!   rank's branch is an unopened remote cell ([`Below::Remote`]); a rank's
+//!   own branch is a copy of its local cell, or a body span for a
+//!   *virtual* branch (part of a leaf that straddles an interval
+//!   boundary); a shared node holds its children, one block after it in
+//!   Morton order. The rank's partial local cells above its branches stay
+//!   in the array as sink-group candidates, but the table leads their keys
+//!   to the shared nodes and no walk reaches them.
+//! * A branch is its cell's summary as the local tree formed it (or, for a
+//!   virtual branch, its particles' summary), and a shared node merges its
+//!   children's with the local tree's own M2M, [`Summary::of_children`].
+//!   Where no leaf straddles a cut, the top tree is therefore bit for bit
+//!   the canopy of one tree over every rank's bodies. What travels —
+//!   branches in the exchange, children in the walk's fetch — is a
+//!   [`DNode`]: the summary, the owner and a leaf flag.
 //! * The top tree is an octree: **one node per key**. Every rank lists its
 //!   branches depth-first and the intervals ascend with rank, so the
-//!   gathered branches arrive in ascending key-range order. One depth-first
-//!   pass groups a slice of them by the child octant of the current key
-//!   and recurses, so each shared key is built once, its children in
-//!   Morton order. (The level-by-level loop this replaced merged only
-//!   nodes that sat next to each other in level-major key order: a shallow
-//!   branch and its deeper cousins under one ancestor grew separate parent
-//!   chains, so a shared key could be built twice — one node in seven at
-//!   np = 128 × 32 uniform bodies, the root itself at np = 2 — and the
-//!   table kept only the last copy, a partial cell the walk treated as
-//!   whole.) [`DistTree::validate`] checks these invariants.
+//!   gathered branches arrive in ascending key-range order. One pass from
+//!   the root groups a slice of them by the child octant of the current
+//!   key, so each shared key is built once, its children in Morton order.
+//!   (The level-by-level loop this replaced merged only nodes that sat next
+//!   to each other in level-major key order: a shallow branch and its
+//!   deeper cousins under one ancestor grew separate parent chains, so a
+//!   shared key could be built twice — one node in seven at np = 128 × 32
+//!   uniform bodies, the root itself at np = 2 — and the table kept only
+//!   the last copy, a partial cell the walk treated as whole.)
+//!   [`Tree::validate`] checks the whole tree, canopy included, and the
+//!   walk's cut checks with the intervals that it pruned only shared nodes.
 //! * Cells *below* another rank's branch are fetched lazily during the
-//!   walk, through the global key name space: "request the children of key
-//!   K" is meaningful on every rank — that is what the hash-table
-//!   indirection buys.
+//!   walk, through the global key name space: "open key K" is meaningful
+//!   on every rank — that is what the hash-table indirection buys. They
+//!   are appended after the canopy, their bodies after the local ones.
 
 use crate::decomp::KeyIntervals;
 use crate::moments::Moments;
 use crate::summary::Summary;
-use crate::tree::{octants, Cell, Tree};
-use crate::KeyTable;
+use crate::tree::{octants, Below, Cell, Tree, TreeError, NO_BODIES};
 use bytes::{Buf, BufMut, Bytes, BytesMut};
 use hot_base::Vec3;
 use hot_comm::{Comm, Wire};
 use hot_morton::Key;
+use std::ops::Range;
 
-/// How a distributed node's children are reached.
-#[derive(Clone, Debug, PartialEq)]
-pub enum DChildren {
-    /// Fully-resolved children, indices into `DistTree::nodes`.
-    Nodes(Kids),
-    /// This is one of *my* branches: descend via the local tree.
-    LocalSubtree,
-    /// Remote internal cell whose children have not been fetched yet.
-    RemoteUnfetched,
-    /// Remote leaf (or virtual branch) whose bodies have not been fetched
-    /// yet.
-    RemoteLeaf,
-    /// An opened remote leaf: its bodies, a range of
-    /// `DistTree::fetched_pos` / `fetched_charge`.
-    Bodies(std::ops::Range<u32>),
-    /// A shared node every sink group of this rank accepts, its subtree
-    /// dropped by `DistTree::prune`. The summary stays the merge of
-    /// what was below it; a walk that opens it panics.
-    Pruned,
-}
-
-/// The child indices of one octree node, in place: at most eight, so a
-/// node's children cost no heap allocation. Dereferences to `&[u32]`.
-#[derive(Clone, Copy, Default)]
-pub struct Kids {
-    len: Len,
-    idx: [u32; 8],
-}
-
-/// A child count, 0 to 8. Its unused byte values leave `DChildren` room
-/// for its other variants, so the enum needs no tag of its own.
-#[derive(Clone, Copy, Default)]
-#[repr(u8)]
-enum Len {
-    #[default]
-    L0,
-    L1,
-    L2,
-    L3,
-    L4,
-    L5,
-    L6,
-    L7,
-    L8,
-}
-
-impl Kids {
-    /// Append a child index. Panics past eight: no octree cell has more.
-    fn push(&mut self, i: u32) {
-        use Len::*;
-        let n = self.len as usize;
-        assert!(n < 8, "an octree cell has at most 8 children");
-        self.idx[n] = i;
-        self.len = [L1, L2, L3, L4, L5, L6, L7, L8][n];
-    }
-}
-
-impl FromIterator<u32> for Kids {
-    fn from_iter<I: IntoIterator<Item = u32>>(iter: I) -> Kids {
-        let mut kids = Kids::default();
-        iter.into_iter().for_each(|i| kids.push(i));
-        kids
-    }
-}
-
-impl std::ops::Deref for Kids {
-    type Target = [u32];
-    fn deref(&self) -> &[u32] {
-        &self.idx[..self.len as usize]
-    }
-}
-
-impl PartialEq for Kids {
-    fn eq(&self, other: &Kids) -> bool {
-        **self == **other
-    }
-}
-
-impl std::fmt::Debug for Kids {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_list().entries(self.iter()).finish()
-    }
-}
-
-/// One node of the global tree view: a cell's [`Summary`], whose it is,
-/// and how to reach what lies below it. Dereferences to the summary.
-///
-/// A node is also what travels: the branch exchange and the walk's fetch
-/// ship nodes as their receiver first holds them — a remote cell,
-/// [`DChildren::RemoteLeaf`] or [`DChildren::RemoteUnfetched`] — encoded
-/// as the summary, the owner and a leaf flag.
+/// A node as it travels — in the branch exchange and as a child in the
+/// walk's fetch: a cell's [`Summary`], whose it is, and whether it is a
+/// leaf. Its receiver holds it as an unopened remote cell.
 #[derive(Clone, Debug)]
 pub struct DNode<M> {
     /// Key, particle count and multipole expansion.
     pub summary: Summary<M>,
-    /// Owning rank (`u32::MAX` for shared top-tree nodes).
+    /// Owning rank.
     pub owner: u32,
-    /// Child linkage.
-    pub children: DChildren,
-}
-
-impl<M> std::ops::Deref for DNode<M> {
-    type Target = Summary<M>;
-    #[inline]
-    fn deref(&self) -> &Summary<M> {
-        &self.summary
-    }
+    /// Whether the owner's cell is a leaf: what opening it fetches is
+    /// bodies, not children.
+    pub leaf: bool,
 }
 
 impl<M> DNode<M> {
-    /// The cell `summary` of rank `owner` as another rank first holds it:
-    /// a leaf's bodies, or an internal cell's children, still to fetch.
+    /// The cell `summary` of rank `owner`, a leaf or not.
     pub fn remote(summary: Summary<M>, owner: u32, leaf: bool) -> Self {
-        let children = if leaf { DChildren::RemoteLeaf } else { DChildren::RemoteUnfetched };
-        DNode { summary, owner, children }
+        DNode { summary, owner, leaf }
+    }
+
+    /// The cell its receiver holds for it: unopened.
+    fn held(self) -> Cell<M> {
+        let below = Below::Remote { owner: self.owner, leaf: self.leaf };
+        Cell { summary: self.summary, first: NO_BODIES, below }
     }
 }
 
 impl<M: Wire> Wire for DNode<M> {
     fn encode(&self, buf: &mut BytesMut) {
-        debug_assert!(
-            matches!(self.children, DChildren::RemoteLeaf | DChildren::RemoteUnfetched),
-            "only a node as its receiver first holds it travels"
-        );
         self.summary.encode(buf);
         buf.put_u32_le(self.owner);
-        buf.put_u8(matches!(self.children, DChildren::RemoteLeaf) as u8);
+        buf.put_u8(self.leaf as u8);
     }
     fn decode(buf: &mut Bytes) -> Self {
         let summary = Summary::decode(buf);
@@ -188,21 +106,21 @@ impl<M: Wire> Wire for DNode<M> {
 /// opening it ([`DistTree::serve`], [`DistTree::open`]). On the wire a
 /// leaf flag comes first, as in a [`DNode`]: 1 for bodies, 0 for children.
 #[derive(Debug)]
-pub(crate) enum Below<M: Moments> {
-    /// An internal cell's children, as the opening rank will hold them.
+pub(crate) enum Reply<M: Moments> {
+    /// An internal cell's children, as they travel.
     Kids(Vec<DNode<M>>),
     /// A leaf's (or a virtual branch's) bodies, as `(position, charge)`.
     Bodies(Vec<(Vec3, M::Charge)>),
 }
 
-impl<M: Moments> Wire for Below<M> {
+impl<M: Moments> Wire for Reply<M> {
     fn encode(&self, buf: &mut BytesMut) {
         match self {
-            Below::Kids(kids) => {
+            Reply::Kids(kids) => {
                 buf.put_u8(0);
                 kids.encode(buf);
             }
-            Below::Bodies(bodies) => {
+            Reply::Bodies(bodies) => {
                 buf.put_u8(1);
                 bodies.encode(buf);
             }
@@ -210,41 +128,31 @@ impl<M: Moments> Wire for Below<M> {
     }
     fn decode(buf: &mut Bytes) -> Self {
         match buf.get_u8() {
-            0 => Below::Kids(Vec::decode(buf)),
-            _ => Below::Bodies(Vec::decode(buf)),
+            0 => Reply::Kids(Vec::decode(buf)),
+            _ => Reply::Bodies(Vec::decode(buf)),
         }
     }
     fn wire_size(&self) -> usize {
         1 + match self {
-            Below::Kids(kids) => kids.wire_size(),
-            Below::Bodies(bodies) => bodies.wire_size(),
+            Reply::Kids(kids) => kids.wire_size(),
+            Reply::Bodies(bodies) => bodies.wire_size(),
         }
     }
 }
 
-/// Owner tag for shared top-tree nodes.
-pub const SHARED: u32 = u32::MAX;
-
-/// The global tree view of one rank.
-#[derive(Debug)]
+/// One rank's view of the global tree: its local tree with the canopy
+/// grafted on (module docs).
 pub struct DistTree<M: Moments> {
     /// This rank.
     pub rank: u32,
-    /// The rank's local tree.
+    /// The rank's one tree: local cells, then the canopy, then what the
+    /// walk fetched.
     pub local: Tree<M>,
     /// Global key ownership.
     pub intervals: KeyIntervals,
-    /// Global nodes: top tree + branches + lazily fetched remote cells.
-    pub nodes: Vec<DNode<M>>,
-    /// Key → node index.
-    pub table: KeyTable,
-    /// Index of the global root in `nodes`.
-    pub root: u32,
-    /// Positions of the remote bodies the walk fetched; each opened remote
-    /// leaf holds its range ([`DChildren::Bodies`]).
-    pub(crate) fetched_pos: Vec<Vec3>,
-    /// Their charges, parallel to `fetched_pos`.
-    pub(crate) fetched_charge: Vec<M::Charge>,
+    /// The canopy's index range in `local.cells`: the top-tree nodes and
+    /// the branches. Its first cell is the global root.
+    pub nodes: Range<usize>,
 }
 
 impl<M: Moments> DistTree<M> {
@@ -266,345 +174,254 @@ impl<M: Moments> DistTree<M> {
         dt
     }
 
-    /// Exchange branch cells and build the shared top tree.
-    /// Collective: every rank calls with its local tree and the (identical)
-    /// intervals from [`crate::decomp::decompose`]. After the exchange the
-    /// build is pure local computation over the gathered branches, so every
-    /// rank builds the same nodes.
-    pub fn build(comm: &mut Comm, local: Tree<M>, intervals: KeyIntervals) -> Self {
+    /// Exchange branch cells and graft the shared top tree over them onto
+    /// the local tree. Collective: every rank calls with its local tree and
+    /// the (identical) intervals from [`crate::decomp::decompose`]. After
+    /// the exchange the build is pure local computation over the gathered
+    /// branches, so every rank builds the same canopy.
+    pub fn build(comm: &mut Comm, mut local: Tree<M>, intervals: KeyIntervals) -> Self {
         let rank = comm.rank();
+        let mut own = branch_cells(&local, &intervals, rank);
+        let wire: Vec<DNode<M>> =
+            own.iter().map(|c| DNode::remote(c.summary, rank, c.is_leaf())).collect();
         // Each rank lists its branches depth-first inside its own key
         // interval and the intervals ascend with rank, so the gathered
-        // concatenation is the whole branch set depth-first — no sort.
-        let gathered = comm.allgather(branch_nodes(&local, &intervals, rank));
-        let n_branches = gathered.iter().map(Vec::len).sum();
-        let mut dt = DistTree {
-            rank,
-            local,
-            intervals,
-            nodes: Vec::new(),
-            table: KeyTable::with_capacity(0),
-            root: 0,
-            fetched_pos: Vec::new(),
-            fetched_charge: Vec::new(),
-        };
-        // Branch i is node i; this rank's own descend through its local
-        // tree.
-        for mut node in gathered.into_iter().flatten() {
-            if node.owner == rank {
-                node.children = DChildren::LocalSubtree;
+        // concatenation is the whole branch set depth-first — no sort. A
+        // rank's own branches stay the cells it made them from.
+        let mut branches = Vec::new();
+        for (r, nodes) in comm.allgather(wire).into_iter().enumerate() {
+            if r == rank as usize {
+                branches.append(&mut own);
+            } else {
+                branches.extend(nodes.into_iter().map(DNode::held));
             }
-            dt.nodes.push(node);
         }
         debug_assert!(
-            dt.nodes.windows(2).all(|w| w[0].key.range_last() < w[1].key.range_begin()),
+            branches.windows(2).all(|w| w[0].key.range_last() < w[1].key.range_begin()),
             "branches must be disjoint and in depth-first order"
         );
-        dt.root = dt.top_node(Key::ROOT, 0..n_branches);
-        dt.index_nodes();
-        dt
+        let nodes = graft(&mut local, &branches);
+        debug_assert_eq!(local.validate(), Ok(()));
+        DistTree { rank, local, intervals, nodes }
+    }
+
+    /// The global root's index.
+    pub(crate) fn root(&self) -> u32 {
+        self.nodes.start as u32
     }
 
     /// Drop the subtree below every shared node that no sink group of this
     /// rank can open, walking down from the root: a shared node for which
-    /// `opens` is false becomes [`DChildren::Pruned`]. The kept nodes are
-    /// compacted in place and the key table rebuilt for them. Returns the
-    /// nodes kept and dropped.
+    /// `opens` is false becomes [`Below::Pruned`]. The kept canopy is
+    /// compacted in place, the array's spare room freed and the key table
+    /// rebuilt for the cells held. Returns the canopy nodes kept and
+    /// dropped.
     ///
     /// Its caller, the distributed walk, passes "the MAC rejects the
     /// sphere holding every sink group"; why that keeps every node a group
-    /// can open is in DESIGN.md, "The reach of a rank's walk".
+    /// can open is in DESIGN.md, "The reach of a rank's walk". Such a
+    /// sphere holds every body of the rank, so no node over one of its own
+    /// branches is dropped, and every key it serves stays in the table.
     pub(crate) fn prune(&mut self, opens: impl Fn(&Summary<M>) -> bool) -> (u64, u64) {
-        let before = self.nodes.len();
-        // Kept nodes first get 0, then their new index.
-        let mut remap = vec![u32::MAX; before];
-        let mut stack = vec![self.root];
-        while let Some(ni) = stack.pop() {
-            remap[ni as usize] = 0;
-            let node = &mut self.nodes[ni as usize];
-            if node.owner != SHARED {
-                continue;
-            }
-            if !opens(&node.summary) {
-                node.children = DChildren::Pruned;
-            } else if let DChildren::Nodes(kids) = &node.children {
-                stack.extend_from_slice(kids);
-            }
-        }
-        let mut kept = 0;
-        for slot in remap.iter_mut().filter(|s| **s == 0) {
-            *slot = kept;
-            kept += 1;
-        }
-        if kept as usize == before {
-            return (kept.into(), 0);
-        }
-        let mut i = 0;
-        self.nodes.retain(|_| {
-            i += 1;
-            remap[i - 1] != u32::MAX
-        });
-        self.nodes.shrink_to_fit();
-        for node in &mut self.nodes {
-            if let DChildren::Nodes(kids) = &mut node.children {
-                *kids = kids.iter().map(|&k| remap[k as usize]).collect();
+        let Range { start, end } = self.nodes;
+        let cells = &mut self.local.cells;
+        debug_assert_eq!(end, cells.len(), "the cut comes before any fetch");
+        let mut kept = vec![false; end - start];
+        let mut stack = vec![start];
+        while let Some(ci) = stack.pop() {
+            kept[ci - start] = true;
+            let c = &mut cells[ci];
+            // A shared node: resident children and no bodies of its own.
+            let (Below::Kids { first, n }, NO_BODIES) = (c.below, c.first) else { continue };
+            if opens(&c.summary) {
+                stack.extend(first as usize..first as usize + usize::from(n));
+            } else {
+                c.below = Below::Pruned;
             }
         }
-        self.root = remap[self.root as usize];
-        self.index_nodes();
-        (kept.into(), (before - kept as usize) as u64)
-    }
-
-    /// A key table for exactly the nodes held, at load at most ½.
-    fn index_nodes(&mut self) {
-        self.table = KeyTable::with_capacity(self.nodes.len());
-        for (i, node) in self.nodes.iter().enumerate() {
-            self.table.insert(node.key, i as u32);
+        let n_kept = kept.iter().filter(|&&k| k).count();
+        if n_kept < kept.len() {
+            // Siblings are kept or dropped together, so a kept block stays
+            // one block, moved down by the dropped cells before it.
+            let remap: Vec<u32> = kept
+                .iter()
+                .scan(start as u32, |at, &k| {
+                    *at += u32::from(k);
+                    Some(*at - u32::from(k))
+                })
+                .collect();
+            for c in &mut cells[start..] {
+                if let (Below::Kids { first, .. }, NO_BODIES) = (&mut c.below, c.first) {
+                    *first = remap[*first as usize - start];
+                }
+            }
+            let mut i = 0;
+            cells.retain(|_| {
+                i += 1;
+                i <= start || kept[i - 1 - start]
+            });
+            cells.shrink_to_fit();
+            self.nodes = start..start + n_kept;
+            self.local.reindex();
         }
+        debug_assert_eq!(self.local.validate(), Ok(()));
+        debug_assert_eq!(self.validate_cut(), Ok(()));
+        (n_kept as u64, (kept.len() - n_kept) as u64)
     }
 
-    /// The node for `key`, whose key range holds exactly the branch nodes
-    /// `branches`: the branch itself when it is `key`, else a shared node
-    /// over the child octants that hold branches, built depth-first in
-    /// Morton order (with no branches at all, an empty root). Recursion
-    /// depth is at most [`hot_morton::MAX_DEPTH`].
-    fn top_node(&mut self, key: Key, branches: std::ops::Range<usize>) -> u32 {
-        if branches.len() == 1 && self.nodes[branches.start].key == key {
-            return branches.start as u32;
-        }
-        let level = key.level() + 1;
-        let mut kids = Kids::default();
-        let mut i = branches.start;
-        while i < branches.end {
-            let child = self.nodes[i].key.ancestor_at(level);
-            let j = i + self.nodes[i..branches.end]
-                .partition_point(|b| b.key.ancestor_at(level) == child);
-            kids.push(self.top_node(child, i..j));
-            i = j;
-        }
-        let summary = Summary::of_children(
-            key,
-            kids.iter().map(|&k| &self.nodes[k as usize].summary),
-            &self.local.domain,
-        );
-        self.nodes.push(DNode { summary, owner: SHARED, children: DChildren::Nodes(kids) });
-        self.nodes.len() as u32 - 1
-    }
-
-    fn push_node(&mut self, node: DNode<M>) -> u32 {
-        let idx = self.nodes.len() as u32;
-        self.table.insert(node.key, idx);
-        self.nodes.push(node);
-        idx
-    }
-
-    /// The local tree-order span of a key's range, by binary search on the
-    /// sorted key array — answers "virtual" keys that have no resident
-    /// cell too.
-    pub fn span_of(&self, key: Key) -> std::ops::Range<usize> {
-        let begin = key.range_begin();
-        let last = key.range_last();
-        let i0 = self.local.keys.partition_point(|&k| k < begin);
-        let i1 = i0 + self.local.keys[i0..].partition_point(|&k| k <= last);
-        i0..i1
+    /// Check that only shared nodes are pruned, which [`Tree::validate`]
+    /// cannot tell without the intervals: a node with bodies of its own is
+    /// not shared, nor is one whose key range lies inside one rank's
+    /// interval, as a branch's and every cell's below it does (a shared
+    /// node's never does, or that rank would have made it a branch).
+    fn validate_cut(&self) -> Result<(), TreeError> {
+        let owner = |k: Key| self.intervals.owner(k);
+        let owned = |c: &&Cell<M>| c.first != NO_BODIES || owner(c.key.range_begin()) == owner(c.key.range_last());
+        let mut pruned = self.local.cells.iter().filter(|c| c.below == Below::Pruned);
+        pruned.find(owned).map_or(Ok(()), |c| Err(TreeError::PrunedNotShared { key: c.key }))
     }
 
     /// What lies below one of *my* keys, served to a rank opening it: the
-    /// children of a resident internal cell, as that rank will hold them,
-    /// and otherwise the bodies in the key's range (a leaf or a virtual
-    /// branch). This matches the leaf flag the key's node travelled with.
-    pub(crate) fn serve(&self, key: Key) -> Below<M> {
-        match self.local.cell_by_key(key) {
-            Some(cell) if !cell.is_leaf() => {
+    /// children of an internal cell, as they travel, or the bodies of a
+    /// leaf or virtual branch. This matches the leaf flag the key's node
+    /// travelled with. Panics on a protocol error: no node here has the
+    /// key, or it is not mine.
+    pub(crate) fn serve(&self, key: Key) -> Reply<M> {
+        // Protocol invariant: requests only name keys this rank sent out.
+        // hot-lint: allow(unwrap-audit)
+        let ci = self.local.table.get(key).expect("a request for a key with no node here");
+        let cell = &self.local.cells[ci as usize];
+        let span = cell.span();
+        assert!(
+            cell.first != NO_BODIES && span.end <= self.local.n_particles(),
+            "a request for {key:?}, which is not this rank's"
+        );
+        match cell.below {
+            Below::Kids { .. } => {
                 let kids = &self.local.cells[self.local.children(cell)];
-                let remote = |k: &Cell<M>| DNode::remote(k.summary, self.rank, k.is_leaf());
-                Below::Kids(kids.iter().map(remote).collect())
+                let travel = |k: &Cell<M>| DNode::remote(k.summary, self.rank, k.is_leaf());
+                Reply::Kids(kids.iter().map(travel).collect())
             }
             _ => {
-                let span = self.span_of(key);
                 let (pos, charge) = (&self.local.pos[span.clone()], &self.local.charge[span]);
-                Below::Bodies(pos.iter().copied().zip(charge.iter().copied()).collect())
+                Reply::Bodies(pos.iter().copied().zip(charge.iter().copied()).collect())
             }
         }
     }
 
     /// Open the unopened remote node `key` with what its owner served:
-    /// children become nodes of this tree ([`DChildren::Nodes`]), bodies
-    /// a range of the fetched arrays ([`DChildren::Bodies`]). Panics on a
-    /// protocol error: no node has the key, the node is not an unopened
-    /// remote one, the reply disagrees with its leaf flag, or it carries
-    /// more than eight children.
-    pub(crate) fn open(&mut self, key: Key, below: Below<M>) {
+    /// children are appended to the tree as unopened remote cells, one
+    /// block, and bodies after the tree's bodies, as the node's span.
+    /// Panics on a protocol error: no node has the key, the node is not an
+    /// unopened remote one, the reply disagrees with its leaf flag or its
+    /// count, or it carries more than eight children.
+    pub(crate) fn open(&mut self, key: Key, reply: Reply<M>) {
+        let tree = &mut self.local;
         // Protocol invariant: replies only arrive for requested nodes.
         // hot-lint: allow(unwrap-audit)
-        let ni = self.table.get(key).expect("a reply for a key with no node here") as usize;
-        let leaf = match &self.nodes[ni].children {
-            DChildren::RemoteLeaf => true,
-            DChildren::RemoteUnfetched => false,
+        let ci = tree.table.get(key).expect("a reply for a key with no node here") as usize;
+        let leaf = match tree.cells[ci].below {
+            Below::Remote { leaf, .. } => leaf,
             held => panic!("a reply for {key:?}, which is not an unopened remote node: {held:?}"),
         };
-        self.nodes[ni].children = match below {
-            Below::Kids(kids) if !leaf => {
+        match reply {
+            Reply::Kids(kids) if !leaf => {
                 let n = kids.len();
                 assert!(n <= 8, "{n} children for {key:?}, an octree cell has at most 8");
-                DChildren::Nodes(kids.into_iter().map(|k| self.push_node(k)).collect())
-            }
-            Below::Bodies(bodies) if leaf => {
-                let start = self.fetched_pos.len() as u32;
-                for (p, q) in bodies {
-                    self.fetched_pos.push(p);
-                    self.fetched_charge.push(q);
+                let first = tree.cells.len() as u32;
+                for kid in kids {
+                    tree.push(kid.held());
                 }
+                tree.cells[ci].below = Below::Kids { first, n: n as u8 };
+            }
+            Reply::Bodies(bodies) if leaf => {
+                let n = tree.cells[ci].n;
+                assert_eq!(bodies.len() as u64, n, "the reply for {key:?} disagrees with its count");
                 // No rank holds 2^32 bodies (96 GiB of positions alone).
                 // hot-lint: allow(unwrap-audit)
-                let end = u32::try_from(self.fetched_pos.len()).expect("under 2^32 bodies");
-                DChildren::Bodies(start..end)
+                let first = u32::try_from(tree.pos.len()).expect("under 2^32 bodies");
+                // Grow by the fetched bodies held, as if they had arrays of
+                // their own: doubling the local bodies along with them
+                // raised `dist_coarse`'s peak RSS.
+                if tree.pos.len() + bodies.len() > tree.pos.capacity() {
+                    let grow = bodies.len().max(tree.pos.len() - tree.n_particles());
+                    tree.pos.reserve_exact(grow);
+                    tree.charge.reserve_exact(grow);
+                }
+                for (p, q) in bodies {
+                    tree.pos.push(p);
+                    tree.charge.push(q);
+                }
+                (tree.cells[ci].first, tree.cells[ci].below) = (first, Below::Bodies);
             }
             _ => panic!("the reply for {key:?} disagrees with its leaf flag ({leaf})"),
-        };
+        }
     }
 
     /// Total particles visible from the global root.
     #[cfg(test)]
     pub fn global_n(&self) -> u64 {
-        self.nodes[self.root as usize].n
-    }
-
-    /// Check the top tree is an octree over a tiling of branches: one node
-    /// per key, each found by the table; every shared node's children are
-    /// distinct child octants of it in ascending order, and its summary is
-    /// bit for bit [`Summary::of_children`] of theirs (so the root counts
-    /// every branch's particles); the branches below the shared nodes are
-    /// disjoint. After `DistTree::prune` a shared node either keeps all
-    /// its children or is [`DChildren::Pruned`], and only a shared node
-    /// may be; a pruned node's summary is not checked, as what it merged
-    /// is gone. Remote cells installed by a walk below a branch are
-    /// checked for key uniqueness only.
-    pub fn validate(&self) -> Result<(), TopTreeError> {
-        for (i, node) in self.nodes.iter().enumerate() {
-            match self.table.get(node.key) {
-                Some(j) if j as usize == i => {}
-                Some(j) if self.nodes[j as usize].key == node.key => {
-                    return Err(TopTreeError::DuplicateKey { key: node.key })
-                }
-                _ => return Err(TopTreeError::NotInTable { key: node.key }),
-            }
-            if node.children == DChildren::Pruned && node.owner != SHARED {
-                return Err(TopTreeError::PrunedNotShared { key: node.key });
-            }
-        }
-        let mut branches = Vec::new();
-        let mut stack = vec![self.root];
-        while let Some(ni) = stack.pop() {
-            let node = &self.nodes[ni as usize];
-            if node.owner != SHARED {
-                branches.push(node.key);
-                continue;
-            }
-            let kids: &[u32] = match &node.children {
-                DChildren::Nodes(kids) => kids,
-                DChildren::Pruned => continue,
-                _ => &[],
-            };
-            let mut prev: Option<Key> = None;
-            for &k in kids {
-                let c = &self.nodes[k as usize];
-                let octant = c.key.level() == node.key.level() + 1 && c.key.parent() == node.key;
-                if !octant || prev.is_some_and(|p| p >= c.key) {
-                    return Err(TopTreeError::MisplacedChild { parent: node.key, child: c.key });
-                }
-                prev = Some(c.key);
-            }
-            let merged = Summary::of_children(
-                node.key,
-                kids.iter().map(|&k| &self.nodes[k as usize].summary),
-                &self.local.domain,
-            );
-            if !node.summary.same_bits(&merged) {
-                return Err(TopTreeError::NotSummaryOfChildren { key: node.key });
-            }
-            stack.extend_from_slice(kids);
-        }
-        branches.sort_unstable_by_key(|k| k.range_begin());
-        if let Some(w) = branches.windows(2).find(|w| w[0].range_last() >= w[1].range_begin()) {
-            return Err(TopTreeError::BranchesOverlap { a: w[0], b: w[1] });
-        }
-        Ok(())
+        self.local.cells[self.nodes.start].n
     }
 }
 
-/// Why [`DistTree::validate`] rejected a top tree.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum TopTreeError {
-    /// Two nodes carry this key.
-    DuplicateKey {
-        /// The repeated key.
-        key: Key,
-    },
-    /// The key table does not lead to the node carrying this key.
-    NotInTable {
-        /// The node's key.
-        key: Key,
-    },
-    /// A shared node's child is not one of its octants, or the children
-    /// are not strictly ascending.
-    MisplacedChild {
-        /// The shared node.
-        parent: Key,
-        /// The offending child.
-        child: Key,
-    },
-    /// A shared node's summary is not, bit for bit, the merge of its
-    /// children's.
-    NotSummaryOfChildren {
-        /// The shared node.
-        key: Key,
-    },
-    /// Two branches under the top tree share key range.
-    BranchesOverlap {
-        /// The branch starting first.
-        a: Key,
-        /// The branch it overlaps.
-        b: Key,
-    },
-    /// A branch or a remote cell is marked [`DChildren::Pruned`]: only a
-    /// shared node's subtree may be dropped.
-    PrunedNotShared {
-        /// The marked node.
-        key: Key,
-    },
-}
-
-impl std::fmt::Display for TopTreeError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            TopTreeError::DuplicateKey { key } => write!(f, "two top-tree nodes carry {key:?}"),
-            TopTreeError::NotInTable { key } => write!(f, "the key table does not find {key:?}"),
-            TopTreeError::MisplacedChild { parent, child } => {
-                write!(f, "{child:?} is not the next child octant of {parent:?}")
-            }
-            TopTreeError::NotSummaryOfChildren { key } => {
-                write!(f, "{key:?}: the summary is not its children's")
-            }
-            TopTreeError::BranchesOverlap { a, b } => write!(f, "branches {a:?} and {b:?} overlap"),
-            TopTreeError::PrunedNotShared { key } => write!(f, "{key:?} is pruned but not shared"),
+/// Graft the canopy over `branches` (ascending key ranges) onto the end of
+/// `tree`: the branches and, for every key with branches strictly below
+/// it, a shared node over the child octants that hold them, its children
+/// one block after it in Morton order (with no branches at all, an empty
+/// root). The cells are laid out from the global root down, as
+/// [`Tree::build`] carves. The table is then rebuilt once for every cell
+/// held, each canopy key taking over the key of a local cell above or at
+/// a branch: growing the local tree's table one canopy key at a time
+/// rehashed it several times a step at `dist_fine`'s grain. Returns the
+/// canopy's index range.
+fn graft<M: Moments>(tree: &mut Tree<M>, branches: &[Cell<M>]) -> Range<usize> {
+    let start = tree.cells.len();
+    let mut shared = Vec::new();
+    tree.cells.push(Cell::unsummarised(Key::ROOT, NO_BODIES, 0));
+    let mut stack = vec![(start as u32, 0..branches.len())];
+    while let Some((ci, range)) = stack.pop() {
+        let key = tree.cells[ci as usize].key;
+        if range.len() == 1 && branches[range.start].key == key {
+            tree.cells[ci as usize] = branches[range.start].clone();
+            continue;
         }
+        let level = key.level() + 1;
+        let first = tree.cells.len() as u32;
+        let mut i = range.start;
+        while i < range.end {
+            let child = branches[i].key.ancestor_at(level);
+            let j = i + branches[i..range.end].partition_point(|b| b.key.ancestor_at(level) == child);
+            stack.push((tree.cells.len() as u32, i..j));
+            tree.cells.push(Cell::unsummarised(child, NO_BODIES, 0));
+            i = j;
+        }
+        let n = (tree.cells.len() as u32 - first) as u8;
+        tree.cells[ci as usize].below = Below::Kids { first, n };
+        shared.push(ci as usize);
     }
+    // Children follow their parent, so the reverse merges children first.
+    for &ci in shared.iter().rev() {
+        let kids = tree.cells[tree.children(&tree.cells[ci])].iter().map(|k| &k.summary);
+        let summary = Summary::of_children(tree.cells[ci].key, kids, &tree.domain);
+        tree.cells[ci].summary = summary;
+    }
+    tree.reindex();
+    start..tree.cells.len()
 }
 
-impl std::error::Error for TopTreeError {}
-
-/// Extract this rank's branch cells, as every rank will first hold them:
-/// the coarsest cells (by key range) fully inside the rank's interval, in
-/// ascending key-range (depth-first) order.
+/// Extract this rank's branch cells: the coarsest cells (by key range)
+/// fully inside the rank's interval, in ascending key-range (depth-first)
+/// order.
 ///
 /// Works on key *ranges* over the sorted particle array rather than on the
 /// built cells, because a local leaf may straddle an interval boundary: the
 /// leaf then splits into "virtual" branch cells that exist in key space but
-/// not in the local cell store, summarised from their particles. A resident
-/// cell ships its own summary. The resulting branch set is an antichain
-/// that tiles the occupied key space — the invariant the top tree needs.
-fn branch_nodes<M: Moments>(local: &Tree<M>, intervals: &KeyIntervals, rank: u32) -> Vec<DNode<M>> {
+/// not in the local cell store, summarised from their particles and held as
+/// body spans. A resident cell's branch is a copy of it. The resulting
+/// branch set is an antichain that tiles the occupied key space — the
+/// invariant the top tree needs.
+fn branch_cells<M: Moments>(local: &Tree<M>, intervals: &KeyIntervals, rank: u32) -> Vec<Cell<M>> {
     let mut out = Vec::new();
     if local.n_particles() == 0 {
         return out;
@@ -621,11 +438,12 @@ fn branch_nodes<M: Moments>(local: &Tree<M>, intervals: &KeyIntervals, rank: u32
             out.push(match local.cell_by_key(key) {
                 Some(c) => {
                     debug_assert_eq!(c.span(), span);
-                    DNode::remote(c.summary, rank, c.is_leaf())
+                    c.clone()
                 }
                 None => {
-                    let (pos, charge) = (&local.pos[span.clone()], &local.charge[span]);
-                    DNode::remote(Summary::of_particles(key, pos, charge, &local.domain), rank, true)
+                    let (pos, charge) = (&local.pos[span.clone()], &local.charge[span.clone()]);
+                    let summary = Summary::of_particles(key, pos, charge, &local.domain);
+                    Cell { summary, first: span.start as u32, below: Below::Bodies }
                 }
             });
             continue;
@@ -645,7 +463,7 @@ fn branch_nodes<M: Moments>(local: &Tree<M>, intervals: &KeyIntervals, rank: u32
 mod tests {
     use hot_comm::RunConfig;
     use super::*;
-    use crate::decomp::{decompose, Body};
+    use crate::decomp::{decompose, decompose_unaligned, Body};
     use crate::moments::MassMoments;
     use hot_base::Aabb;
     use rand::{Rng, SeedableRng};
@@ -671,10 +489,10 @@ mod tests {
             let tree = Tree::<MassMoments>::build(Aabb::unit(), &pos, &q, 8);
             assert_eq!(tree.validate(), Ok(()));
             let dt = DistTree::build(c, tree, iv);
-            assert_eq!(dt.validate(), Ok(()));
+            assert_eq!(dt.local.validate(), Ok(()));
             DistInfo {
                 global_n: dt.global_n(),
-                root_mass: dt.nodes[dt.root as usize].moments.mass,
+                root_mass: dt.local.cells[dt.nodes.start].moments.mass,
                 local_mass: dt.local.root().moments.mass,
                 n_nodes: dt.nodes.len(),
                 branches_disjoint: check_branch_antichain(&dt),
@@ -691,19 +509,14 @@ mod tests {
         branches_disjoint: bool,
     }
 
+    /// A canopy node that is not a branch: resident children, no bodies.
+    fn shared<M>(c: &Cell<M>) -> bool {
+        matches!(c.below, Below::Kids { .. }) && c.first == NO_BODIES
+    }
+
     fn check_branch_antichain<M: Moments>(dt: &DistTree<M>) -> bool {
-        // Collect the branch keys (nodes that are LocalSubtree / Remote*).
-        let branch_keys: Vec<Key> = dt
-            .nodes
-            .iter()
-            .filter(|n| {
-                matches!(
-                    n.children,
-                    DChildren::LocalSubtree | DChildren::RemoteLeaf | DChildren::RemoteUnfetched
-                )
-            })
-            .map(|n| n.key)
-            .collect();
+        let canopy = &dt.local.cells[dt.nodes.clone()];
+        let branch_keys: Vec<Key> = canopy.iter().filter(|c| !shared(c)).map(|c| c.key).collect();
         for (i, &a) in branch_keys.iter().enumerate() {
             for &b in &branch_keys[i + 1..] {
                 if a.is_ancestor_of(b) || b.is_ancestor_of(a) {
@@ -773,7 +586,7 @@ mod tests {
                     let q: Vec<f64> = mine.iter().map(|b| b.charge).collect();
                     let tree = Tree::<MassMoments>::build(Aabb::unit(), &pos, &q, 4);
                     let dt = DistTree::build(c, tree, iv);
-                    ((dt.validate(), dt.global_n(), dt.nodes.len()), mine.is_empty())
+                    ((dt.local.validate(), dt.global_n(), dt.nodes.len()), mine.is_empty())
                 });
                 let n_total: u64 = match input {
                     "sparse" => u64::from(np / 2),
@@ -818,11 +631,12 @@ mod tests {
                 let (pos, q): (Vec<Vec3>, Vec<f64>) = all.iter().filter(owned).copied().unzip();
                 let local = Tree::<MassMoments>::build(Aabb::unit(), &pos, &q, 4);
                 let dt = DistTree::build(c, local, iv.clone());
-                let same = |n: &&DNode<MassMoments>| {
+                let same = |n: &&Cell<MassMoments>| {
                     serial.cell_by_key(n.key).is_some_and(|s| s.summary.same_bits(&n.summary))
                 };
-                let differ: Vec<Key> = dt.nodes.iter().filter(|n| !same(n)).map(|n| n.key).collect();
-                (differ, dt.nodes.iter().filter(|n| n.owner == SHARED).count())
+                let canopy = &dt.local.cells[dt.nodes.clone()];
+                let differ: Vec<Key> = canopy.iter().filter(|n| !same(n)).map(|n| n.key).collect();
+                (differ, canopy.iter().filter(|n| shared(n)).count())
             });
             for (rank, (differ, shared)) in out.results.iter().enumerate() {
                 assert!(differ.is_empty(), "np={np} rank={rank}: {differ:?} differ from the serial tree");
@@ -832,8 +646,9 @@ mod tests {
     }
 
     /// A kept shared node must have all its children or be pruned, and
-    /// only a shared node may be pruned: the validator names each breach
-    /// with its own error.
+    /// only a shared node may be pruned ([`DistTree::validate_cut`]), not
+    /// the rank's own branch, another rank's, or a local cell: each breach
+    /// is named with its own error.
     #[test]
     fn validate_learns_the_pruned_canopy() {
         let out = RunConfig::builder().np(4).run(|c| {
@@ -842,23 +657,28 @@ mod tests {
             let q: Vec<f64> = mine.iter().map(|b| b.charge).collect();
             let local = Tree::<MassMoments>::build(Aabb::unit(), &pos, &q, 4);
             let mut dt = DistTree::build(c, local, iv);
-            let root = dt.root as usize;
-            let branch = dt.nodes.iter().position(|n| n.owner != SHARED).expect("a branch");
-            let DChildren::Nodes(kids) = dt.nodes[root].children else { panic!("a bare root") };
-            let check = |dt: &mut DistTree<MassMoments>, i: usize, mark: DChildren| {
-                let was = std::mem::replace(&mut dt.nodes[i].children, mark);
-                let got = dt.validate();
-                dt.nodes[i].children = was;
+            let root = dt.nodes.start;
+            let own = dt.nodes.clone().find(|&i| dt.local.cells[i].first != NO_BODIES).expect("a branch");
+            let remote = |c: &Cell<MassMoments>| matches!(c.below, Below::Remote { .. });
+            let other = dt.nodes.clone().find(|&i| remote(&dt.local.cells[i])).expect("a remote branch");
+            let Below::Kids { first, n } = dt.local.cells[root].below else { panic!("a bare root") };
+            let check = |dt: &mut DistTree<MassMoments>, i: usize, mark: Below| {
+                let was = std::mem::replace(&mut dt.local.cells[i].below, mark);
+                let got = dt.local.validate().and_then(|()| dt.validate_cut());
+                dt.local.cells[i].below = was;
                 got
             };
-            let short = DChildren::Nodes(kids[1..].iter().copied().collect());
-            let misplaced = TopTreeError::PrunedNotShared { key: dt.nodes[branch].key };
-            let partial = TopTreeError::NotSummaryOfChildren { key: Key::ROOT };
+            let short = Below::Kids { first: first + 1, n: n - 1 };
+            let pruned = |i: usize| Err(TreeError::PrunedNotShared { key: dt.local.cells[i].key });
+            let (misplaced, foreign, local) = (pruned(own), pruned(other), pruned(0));
+            let partial = TreeError::NotItsSummary { key: Key::ROOT };
             [
-                (check(&mut dt, root, DChildren::Pruned), Ok(())),
-                (check(&mut dt, branch, DChildren::Pruned), Err(misplaced)),
+                (check(&mut dt, root, Below::Pruned), Ok(())),
+                (check(&mut dt, own, Below::Pruned), misplaced),
+                (check(&mut dt, other, Below::Pruned), foreign),
+                (check(&mut dt, 0, Below::Pruned), local),
                 (check(&mut dt, root, short), Err(partial)),
-                (dt.validate(), Ok(())),
+                (dt.local.validate().and_then(|()| dt.validate_cut()), Ok(())),
             ]
         });
         for (rank, checks) in out.results.iter().enumerate() {
@@ -866,6 +686,44 @@ mod tests {
                 assert_eq!(got, want, "rank {rank}, check {i}");
             }
         }
+    }
+
+    /// The graft keeps every local cell as it was, at its index; the table
+    /// leads each key to exactly one node, a local cell above or at a
+    /// branch giving its key up to the canopy; and a canopy copy of one of
+    /// the rank's own branches is its local cell bit for bit.
+    #[test]
+    fn the_graft_keeps_the_local_tree_and_one_node_per_key() {
+        let out = RunConfig::builder().np(3).run(|c| {
+            let (mine, iv) = decompose_unaligned(c, sweep_bodies("clustered", c.rank(), 3), 16);
+            let pos: Vec<Vec3> = mine.iter().map(|b| b.pos).collect();
+            let q: Vec<f64> = mine.iter().map(|b| b.charge).collect();
+            let local = Tree::<MassMoments>::build(Aabb::unit(), &pos, &q, 4);
+            let before = local.cells.clone();
+            let dt = DistTree::build(c, local, iv);
+            let cells = &dt.local.cells;
+            let same = |a: &Cell<MassMoments>, b: &Cell<MassMoments>| {
+                a.summary.same_bits(&b.summary) && (a.first, a.below) == (b.first, b.below)
+            };
+            assert!(before.iter().zip(cells).all(|(a, b)| same(a, b)), "a local cell moved");
+            assert_eq!(dt.nodes.start, before.len());
+            let mut keys = std::collections::BTreeSet::new();
+            for i in dt.nodes.clone() {
+                assert!(keys.insert(cells[i].key.0), "two canopy nodes carry {:?}", cells[i].key);
+                assert_eq!(dt.local.table.get(cells[i].key), Some(i as u32));
+            }
+            let mut copies = 0;
+            for (ci, c) in before.iter().enumerate() {
+                let found = dt.local.table.get(c.key).expect("every key is held") as usize;
+                assert!(found == ci || dt.nodes.contains(&found), "{:?}", c.key);
+                if found != ci && cells[found].first != NO_BODIES {
+                    assert!(same(c, &cells[found]), "the copy of {:?} differs", c.key);
+                    copies += 1;
+                }
+            }
+            copies
+        });
+        assert!(out.results.iter().all(|&n| n > 0), "no own branch is a local cell: {:?}", out.results);
     }
 
     #[test]
@@ -887,7 +745,7 @@ mod tests {
             // The size `exp_event_scale`'s traffic bound counts per branch.
             assert_eq!(node.wire_size(), 125);
             let back: DNode<MassMoments> = hot_comm::from_bytes(hot_comm::to_bytes(&node));
-            assert_eq!((back.summary, back.owner, back.children), (summary, 2, node.children));
+            assert_eq!((back.summary, back.owner, back.leaf), (summary, 2, leaf));
         }
     }
 
@@ -907,44 +765,46 @@ mod tests {
         }
     }
 
-    /// Serving one of my keys gives its children when it is a resident
-    /// internal cell and its bodies otherwise — a leaf, or a key with no
-    /// resident cell — matching the leaf flag its node travels with.
+    /// Serving one of my keys gives its children when it is an internal
+    /// cell and its bodies when it is a leaf, matching the leaf flag its
+    /// node travels with.
     #[test]
     fn serve_gives_children_or_bodies_by_the_leaf_flag() {
         let out = RunConfig::builder().np(2).run(|c| {
-            let mut rng = rand::rngs::StdRng::seed_from_u64(c.rank() as u64);
-            let bodies: Vec<Body<f64>> = (0..300)
-                .map(|i| {
-                    let pos = Vec3::new(rng.gen(), rng.gen(), rng.gen());
-                    Body {
-                        key: Key::from_point(pos, &Aabb::unit()),
-                        pos,
-                        charge: 1.0,
-                        work: 1.0,
-                        id: i,
-                    }
-                })
-                .collect();
-            let (mine, iv) = decompose(c, bodies, 32);
+            let (mine, iv) = decompose(c, sweep_bodies("uniform", c.rank(), 2), 16);
             let pos: Vec<Vec3> = mine.iter().map(|b| b.pos).collect();
             let q: Vec<f64> = mine.iter().map(|b| b.charge).collect();
-            let tree = Tree::<MassMoments>::build(Aabb::unit(), &pos, &q, 8);
+            let tree = Tree::<MassMoments>::build(Aabb::unit(), &pos, &q, 4);
             let dt = DistTree::build(c, tree, iv);
-            let Below::Kids(kids) = dt.serve(Key::ROOT) else { panic!("the root is internal") };
-            assert_eq!(kids.iter().map(|k| k.n).sum::<u64>(), dt.local.n_particles() as u64);
-            let leaf = dt.local.cells.iter().find(|c| c.is_leaf() && c.n > 0).expect("a leaf");
-            let Below::Bodies(got) = dt.serve(leaf.key) else { panic!("a leaf serves bodies") };
+            let mine = |c: &&Cell<MassMoments>| dt.local.cell_by_key(c.key).is_some_and(|t| t.first != NO_BODIES);
+            let cells = &dt.local.cells[..dt.nodes.start];
+            let inner = cells.iter().filter(mine).find(|c| !c.is_leaf()).expect("an internal cell");
+            let Reply::Kids(kids) = dt.serve(inner.key) else { panic!("an internal cell serves kids") };
+            assert_eq!(kids.iter().map(|k| k.summary.n).sum::<u64>(), inner.n);
+            assert!(kids.iter().all(|k| k.owner == dt.rank));
+            let leaf = cells.iter().filter(mine).find(|c| c.is_leaf()).expect("a leaf");
+            let Reply::Bodies(got) = dt.serve(leaf.key) else { panic!("a leaf serves bodies") };
             let want: Vec<(Vec3, f64)> =
                 leaf.span().map(|i| (dt.local.pos[i], dt.local.charge[i])).collect();
             assert_eq!(got, want);
-            // A key below a leaf has no resident cell: its bodies, if any.
-            let below_leaf = leaf.key.child(0);
-            let Below::Bodies(got) = dt.serve(below_leaf) else { panic!("no cell serves bodies") };
-            assert_eq!(got.len(), dt.span_of(below_leaf).len());
             1u8
         });
         assert_eq!(out.results.len(), 2);
+    }
+
+    /// Every key a rank serves is a node in its table, so a request for a
+    /// key with no node is a protocol error.
+    #[test]
+    #[should_panic(expected = "a request for a key with no node here")]
+    fn serving_a_key_with_no_node_panics() {
+        RunConfig::builder().np(1).run(|c| {
+            let pos: Vec<Vec3> = (0..20).map(|i| Vec3::splat((i as f64 + 0.5) / 20.0)).collect();
+            let tree = Tree::<MassMoments>::build(Aabb::unit(), &pos, &[1.0; 20], 4);
+            let (_, iv) = decompose::<f64>(c, Vec::new(), 8);
+            let dt = DistTree::build(c, tree, iv);
+            let leaf = dt.local.cells.iter().find(|c| c.is_leaf()).expect("a leaf").key;
+            dt.serve(leaf.child(0));
+        });
     }
 
     /// One rank holding a fabricated remote cell of `n` bodies at
@@ -964,7 +824,7 @@ mod tests {
             wsum: 5.0,
             moments: MassMoments { mass: 5.0, ..Default::default() },
         };
-        dt.push_node(DNode::remote(summary, 0, leaf));
+        dt.local.push(DNode::remote(summary, 0, leaf).held());
         (dt, key)
     }
 
@@ -972,21 +832,26 @@ mod tests {
     fn open_links_children_and_ranges_bodies() {
         let out = RunConfig::builder().np(1).run(|c| {
             let (mut dt, key) = with_remote_node(c, false);
-            let ni = dt.table.get(key).expect("pushed") as usize;
-            let kid = DNode::remote(Summary { key: key.child(1), ..dt.nodes[ni].summary }, 0, true);
-            dt.open(key, Below::Kids(vec![kid]));
-            let DChildren::Nodes(idxs) = dt.nodes[ni].children.clone() else {
-                panic!("open left the cell unlinked");
-            };
-            assert_eq!(idxs.len(), 1);
-            assert_eq!(dt.nodes[idxs[0] as usize].key, key.child(1));
-            // The child is a leaf: its bodies go after any fetched before.
-            dt.fetched_pos.push(Vec3::ZERO);
-            dt.fetched_charge.push(0.0);
+            let ni = dt.local.table.get(key).expect("pushed") as usize;
+            let summary = Summary { key: key.child(1), n: 2, ..dt.local.cells[ni].summary };
+            dt.open(key, Reply::Kids(vec![DNode::remote(summary, 0, true)]));
+            let first = dt.local.cells.len() as u32 - 1;
+            assert_eq!(dt.local.cells[ni].below, Below::Kids { first, n: 1 });
+            let kid = first as usize;
+            assert_eq!(dt.local.cells[kid].key, key.child(1));
+            assert_eq!(dt.local.table.get(key.child(1)), Some(first));
+            // The child is a leaf: its bodies go after the local ones.
             let bodies = vec![(Vec3::splat(0.91), 2.0), (Vec3::splat(0.92), 3.0)];
-            dt.open(key.child(1), Below::Bodies(bodies));
-            assert_eq!(dt.nodes[idxs[0] as usize].children, DChildren::Bodies(1..3));
-            assert_eq!(dt.fetched_charge, [0.0, 2.0, 3.0]);
+            dt.open(key.child(1), Reply::Bodies(bodies));
+            assert_eq!(dt.local.cells[kid].below, Below::Bodies);
+            assert_eq!(dt.local.cells[kid].span(), 50..52);
+            assert_eq!(dt.local.charge[50..], [2.0, 3.0]);
+            assert_eq!(dt.local.n_particles(), 50);
+            // An opened remote cell lies inside its owner's interval: never
+            // shared, so never pruned.
+            assert_eq!(dt.validate_cut(), Ok(()));
+            dt.local.cells[ni].below = Below::Pruned;
+            assert_eq!(dt.validate_cut(), Err(TreeError::PrunedNotShared { key }));
             true
         });
         assert!(out.results[0]);
@@ -1000,9 +865,9 @@ mod tests {
             let got = std::panic::catch_unwind(|| {
                 RunConfig::builder().np(1).run(move |c| {
                     let (mut dt, key) = with_remote_node(c, leaf);
-                    let below =
-                        if leaf { Below::Kids(Vec::new()) } else { Below::Bodies(Vec::new()) };
-                    dt.open(key, below);
+                    let reply =
+                        if leaf { Reply::Kids(Vec::new()) } else { Reply::Bodies(Vec::new()) };
+                    dt.open(key, reply);
                 });
             });
             let err = got.expect_err("a mismatched reply must panic");
@@ -1016,16 +881,9 @@ mod tests {
     fn opening_twice_panics() {
         RunConfig::builder().np(1).run(|c| {
             let (mut dt, key) = with_remote_node(c, true);
-            dt.open(key, Below::Bodies(Vec::new()));
-            dt.open(key, Below::Bodies(Vec::new()));
+            dt.open(key, Reply::Bodies(vec![(Vec3::splat(0.9), 1.0); 5]));
+            dt.open(key, Reply::Bodies(vec![(Vec3::splat(0.9), 1.0); 5]));
         });
-    }
-
-    /// The count's spare byte values tag `DChildren`'s other variants, so
-    /// a node's children cost the eight indices and one byte, padded.
-    #[test]
-    fn children_need_no_tag() {
-        assert_eq!(std::mem::size_of::<DChildren>(), 36);
     }
 
     #[test]
@@ -1034,7 +892,7 @@ mod tests {
         RunConfig::builder().np(1).run(|c| {
             let (mut dt, key) = with_remote_node(c, false);
             let one = Summary::<MassMoments>::of_particles(key.child(0), &[], &[], &Aabb::unit());
-            dt.open(key, Below::Kids(vec![DNode::remote(one, 0, true); 9]));
+            dt.open(key, Reply::Kids(vec![DNode::remote(one, 0, true); 9]));
         });
     }
 }

@@ -4,20 +4,22 @@
 //! traversal phase of the algorithm is critical. To avoid stalls during
 //! non-local data access, we effectively do explicit 'context switching'."*
 //!
-//! Each sink group carries an independent walk in two stages. *Resolve*
-//! MAC-tests the global nodes the group's traversal reaches and collects
-//! **every** remote node it must open but cannot yet — not just the first.
-//! Opening a remote node is one operation: its owner serves what lies
-//! below the key, the children of an internal cell or the bodies of a leaf,
-//! and the node then holds them ([`DChildren::Nodes`] or
-//! [`DChildren::Bodies`]). A group with anything missing is *parked* and
-//! the rank switches to another group instead of stalling; a group with
-//! nothing missing *emits*: one uninterrupted depth-first traversal of the
-//! global nodes recording its accepted sources into the group's
-//! [`InteractionList`] — the distributed flavour of the list-build stage.
-//! Below a branch cell of the rank's own tree, emit hands over to the
-//! serial walk's local walk, so there is one local walk in the library.
-//! The pipeline then hides the network latency two ways:
+//! The rank walks its one tree ([`DistTree`]: local cells, the canopy
+//! grafted after them, and what it fetches after that) with the library's
+//! one walk ([`crate::walk`]), in two stages per sink group. *Resolve* is
+//! the walk that writes no list: it MAC-tests the nodes the group's
+//! traversal reaches and collects **every** remote node it must open but
+//! cannot yet — not just the first — and never descends a subtree whose
+//! bodies are all resident. Opening a remote node is one operation: its
+//! owner serves what lies below the key, the children of an internal cell
+//! or the bodies of a leaf, and the rank appends them to its tree. A group
+//! with anything missing is *parked* and the rank switches to another
+//! group instead of stalling; a group with nothing missing *emits*: the
+//! walk that writes the group's [`InteractionList`], one uninterrupted
+//! depth-first traversal from the global root — the distributed flavour of
+//! the list-build stage. Below the rank's own branches it walks the local
+//! cells exactly as the serial walk does. The pipeline then hides the
+//! network latency two ways:
 //!
 //! * **Request coalescing** — the wants of all parked groups are gathered
 //!   per *round* and every distinct key wanted from one owner goes out in a
@@ -56,19 +58,19 @@
 //! termination protocol ([`Abm::settle`]), every rank serving its peers'
 //! requests from its local tree throughout.
 //!
-//! Before any of this the walk cuts the rank's top tree to its reach: every
+//! Before any of this the walk cuts the rank's canopy to its reach: every
 //! shared node the MAC accepts against one sphere holding all the rank's
 //! sink groups is accepted by each group, so its subtree is dropped
 //! (`DistTree::prune`) and a group that opened it would panic. The lists
-//! are those of the whole top tree, bit for bit; only the memory changes
+//! are those of the whole canopy, bit for bit; only the memory changes
 //! (DESIGN.md, "The reach of a rank's walk").
 
-use crate::dtree::{Below, DChildren, DistTree};
+use crate::dtree::{DistTree, Reply};
 use crate::ilist::{InteractionList, ListConsumer};
 use crate::mac::Mac;
 use crate::moments::Moments;
-use crate::tree::Tree;
-use crate::walk::{fan_out, walk_subtree, workers_for, WalkStats};
+use crate::tree::{Below, Cell, Tree};
+use crate::walk::{fan_out, walk, workers_for, Visit, WalkStats};
 use bytes::Bytes;
 use hot_base::Vec3;
 use hot_comm::{from_bytes, Abm, Comm, Quiescence, Wire};
@@ -104,7 +106,7 @@ pub struct WalkConfig;
 struct GroupWalk {
     /// Index of the group cell in the local tree.
     gi: u32,
-    /// Global nodes the resolve stage has reached but not yet MAC-tested.
+    /// Nodes the resolve stage has reached but not yet MAC-tested.
     untested: Vec<u32>,
     /// Remote nodes that failed the MAC and are not open yet: what the
     /// group is parked on. They open during the round, so the next resolve
@@ -317,7 +319,7 @@ fn walk_groups<M: Moments, C: ListConsumer<M>>(
     // One walk per sink group, all starting at the global root.
     let mut active: Vec<GroupWalk> = groups
         .into_iter()
-        .map(|gi| GroupWalk { gi, untested: vec![dt.root], missing: Vec::new() })
+        .map(|gi| GroupWalk { gi, untested: vec![dt.root()], missing: Vec::new() })
         .collect();
     let mut parked: Vec<GroupWalk> = Vec::new();
     let mut abm = Abm::new(comm, abm_batch);
@@ -416,14 +418,15 @@ fn compute_batch<M: Moments, C: ListConsumer<M>>(
     }
 }
 
-/// The resolve stage: MAC-test the global nodes this group's traversal has
-/// newly reached and record in `w.missing` every remote node it must open
-/// that is not open yet, adding each key nobody asked for yet this round
-/// to `wants` and counting it in `stats` as a cell or a body request. Only
-/// global nodes are looked at — a `LocalSubtree` cannot miss — and each at
-/// most once per group: a node found missing is open by the next call
-/// (rounds end quiescent), so that call starts from its children. Leaves
-/// `w.missing` empty iff [`emit`] can run.
+/// The resolve stage: the one walk over the nodes this group's traversal
+/// has newly reached, writing no list, recording in `w.missing` every
+/// remote node it must open that is not open yet, adding each key nobody
+/// asked for yet this round to `wants` and counting it in `stats` as a cell
+/// or a body request. It never descends a subtree whose bodies are all
+/// resident — nothing there can miss — and looks at each node at most once
+/// per group: a node found missing is open by the next call (rounds end
+/// quiescent), so that call starts from its children. Leaves `w.missing`
+/// empty iff [`emit`] can run.
 fn resolve<M: Moments>(
     dt: &DistTree<M>,
     mac: &Mac,
@@ -431,39 +434,38 @@ fn resolve<M: Moments>(
     wants: &mut Wants,
     stats: &mut DwalkStats,
 ) {
-    let g = &dt.local.cells[w.gi as usize];
+    let tree = &dt.local;
     for ni in w.missing.drain(..) {
-        if let DChildren::Nodes(kids) = &dt.nodes[ni as usize].children {
-            w.untested.extend_from_slice(kids);
-        }
+        w.untested.extend(tree.children(&tree.cells[ni as usize]).map(|k| k as u32));
     }
-    while let Some(ni) = w.untested.pop() {
-        let node = &dt.nodes[ni as usize];
-        if node.n == 0 || mac.accepts(node, g.center, g.bmax) {
-            continue;
-        }
-        let leaf = match &node.children {
-            DChildren::Nodes(kids) => {
-                w.untested.extend_from_slice(kids);
-                continue;
-            }
-            DChildren::LocalSubtree | DChildren::Bodies(_) => continue,
-            DChildren::RemoteLeaf => true,
-            DChildren::RemoteUnfetched => false,
-            DChildren::Pruned => panic!("a sink group opened {:?}, which the cut pruned", node.key),
-        };
-        w.missing.push(ni);
-        if wants.entry(node.owner).or_default().insert(node.key.0) {
-            *if leaf { &mut stats.body_requests } else { &mut stats.cell_requests } += 1;
+    walk(tree, mac, w.gi, &mut w.untested, &mut Resolve { missing: &mut w.missing, wants, stats });
+}
+
+/// The resolve stage's [`Visit`]: a missing node is parked on and its key
+/// wanted from its owner.
+struct Resolve<'a> {
+    missing: &'a mut Vec<u32>,
+    wants: &'a mut Wants,
+    stats: &'a mut DwalkStats,
+}
+
+impl<M: Moments> Visit<M> for Resolve<'_> {
+    const LISTS: bool = false;
+    fn cell(&mut self, _: &Cell<M>) {}
+    fn bodies(&mut self, _: &[Vec3], _: &[M::Charge], _: Option<usize>) {}
+    fn miss(&mut self, ci: u32, c: &Cell<M>) {
+        let Below::Remote { owner, leaf } = c.below else { unreachable!("only a remote node misses") };
+        self.missing.push(ci);
+        if self.wants.entry(owner).or_default().insert(c.key.0) {
+            *if leaf { &mut self.stats.body_requests } else { &mut self.stats.cell_requests } += 1;
         }
     }
 }
 
-/// The emit stage: one uninterrupted depth-first traversal recording group
-/// `gi`'s accepted sources into `list` (cleared first), returning the
-/// walk's counts, pinned against the list. It walks the global nodes; at a
-/// branch cell of this rank's own tree the one local walk
-/// ([`walk_subtree`]) lists the subtree below it. Runs only once
+/// The emit stage: the one walk from the global root, recording group
+/// `gi`'s accepted sources into `list` (cleared first) and returning the
+/// walk's counts, pinned against the list. Below the rank's own branches
+/// it walks the local cells as the serial walk does. Runs only once
 /// [`resolve`] found everything it reaches resident, so the list is
 /// written in the one canonical order whatever round its data arrived in.
 fn emit<M: Moments>(
@@ -473,58 +475,8 @@ fn emit<M: Moments>(
     list: &mut InteractionList<M>,
 ) -> WalkStats {
     list.clear();
-    let mut stats = WalkStats::default();
-    let local = &dt.local;
-    let g = &local.cells[gi as usize];
-    let (gc, gr, sinks, gn) = (g.center, g.bmax, g.span(), g.n);
-    let mut stack = vec![dt.root];
-    while let Some(ni) = stack.pop() {
-        let node = &dt.nodes[ni as usize];
-        if node.n == 0 {
-            continue;
-        }
-        if mac.accepts(node, gc, gr) {
-            list.push_pc(node.center, &node.moments);
-            stats.pc += gn;
-            continue;
-        }
-        match &node.children {
-            DChildren::Nodes(kids) => {
-                stats.opened += 1;
-                stack.extend_from_slice(kids);
-            }
-            DChildren::LocalSubtree => match local.table.get(node.key) {
-                Some(ci) => stats.merge(&walk_subtree(local, mac, gi, ci, list)),
-                None => {
-                    // Virtual branch (no resident cell): its particles live
-                    // in a span of the local arrays, possibly aliasing the
-                    // sink span — src_start lets the apply stage exclude
-                    // self pairs. When the span *is* the sink span, count
-                    // like the self-interaction case: gn·(len−1) pairs.
-                    let span = dt.span_of(node.key);
-                    if !span.is_empty() {
-                        list.push_pp(
-                            &local.pos[span.clone()],
-                            &local.charge[span.clone()],
-                            Some(span.start),
-                        );
-                        let len = span.len() as u64;
-                        stats.pp += if span == sinks { gn * (len - 1) } else { gn * len };
-                    }
-                }
-            },
-            DChildren::Bodies(r) => {
-                let r = r.start as usize..r.end as usize;
-                stats.pp += gn * r.len() as u64;
-                list.push_pp(&dt.fetched_pos[r.clone()], &dt.fetched_charge[r], None);
-            }
-            DChildren::RemoteLeaf | DChildren::RemoteUnfetched => {
-                unreachable!("emit reached a remote node resolve left unopened")
-            }
-            DChildren::Pruned => panic!("emit opened {:?}, which the cut pruned", node.key),
-        }
-    }
-    stats.pinned_to(list, &sinks, gi)
+    let sinks = dt.local.cells[gi as usize].span();
+    walk(&dt.local, mac, gi, &mut vec![dt.root()], list).pinned_to(list, &sinks, gi)
 }
 
 /// Serve one request: what lies below every requested key
@@ -542,7 +494,7 @@ fn serve_request<M: Moments>(
     limit: usize,
 ) {
     assert!(keys.windows(2).all(|w| w[0] < w[1]), "non-canonical request from rank {src}");
-    let mut chunk: Vec<(u64, Below<M>)> = Vec::new();
+    let mut chunk: Vec<(u64, Reply<M>)> = Vec::new();
     let mut size = 8usize; // the Vec length prefix
     for &k in keys {
         let entry = (k, dt.serve(Key(k)));
@@ -571,8 +523,8 @@ fn make_batch_handler<M: Moments>(
     move |ep, src, kind, payload| match kind {
         K_REQUEST => serve_request(dt, ep, src, &from_bytes::<Vec<u64>>(payload), limit),
         K_REPLY => {
-            for (key, below) in from_bytes::<Vec<(u64, Below<M>)>>(payload) {
-                dt.open(Key(key), below);
+            for (key, reply) in from_bytes::<Vec<(u64, Reply<M>)>>(payload) {
+                dt.open(Key(key), reply);
             }
         }
         other => panic!("unknown ABM message kind {other}"),
@@ -862,10 +814,8 @@ mod tests {
             let tree = Tree::<MassMoments>::build(Aabb::unit(), &pos, &q, 4);
             let mut dt = DistTree::build(c, tree, iv);
             let remote = |leaf: bool| {
-                dt.nodes.iter().any(|n| {
-                    let held =
-                        if leaf { DChildren::RemoteLeaf } else { DChildren::RemoteUnfetched };
-                    n.owner != dt.rank && n.n > 0 && n.children == held
+                dt.local.cells[dt.nodes.clone()].iter().any(|n| {
+                    n.n > 0 && matches!(n.below, Below::Remote { leaf: l, .. } if l == leaf)
                 })
             };
             let both = remote(false) && remote(true);
@@ -945,7 +895,7 @@ mod tests {
 
         fn node(&mut self, ni: u32) {
             let dt = self.dt;
-            let node = &dt.nodes[ni as usize];
+            let node = &dt.local.cells[ni as usize];
             let (gc, gr, gn) = (
                 self.group().center,
                 self.group().bmax,
@@ -959,19 +909,20 @@ mod tests {
                 self.mass += node.moments.mass;
                 return;
             }
-            if let DChildren::Nodes(kids) = &node.children {
+            if let (Below::Kids { .. }, crate::tree::NO_BODIES) = (node.below, node.first) {
                 self.opened += 1;
-                kids.iter().for_each(|&k| self.node(k));
+                dt.local.children(node).for_each(|k| self.node(k as u32));
                 return;
             }
-            // A branch: continue in its owner's tree. A branch carries its
-            // cell's summary, so `cell` repeats the MAC test just failed.
-            let remote = node.owner != dt.rank;
-            let tree = if remote {
-                &self.trees[node.owner as usize]
-            } else {
-                &dt.local
+            // A branch: continue in its owner's tree, the one every rank
+            // built over the owner's bodies. A branch carries its cell's
+            // summary, so `cell` repeats the MAC test just failed.
+            let owner = match node.below {
+                Below::Remote { owner, .. } => owner,
+                _ => dt.rank,
             };
+            let remote = owner != dt.rank;
+            let tree = &self.trees[owner as usize];
             if let Some(ci) = tree.table.get(node.key) {
                 return self.cell(tree, ci, remote);
             }
@@ -1086,7 +1037,7 @@ mod tests {
             };
             for &gi in &groups {
                 (o.gi, o.mass, o.remote_uses) = (gi, 0.0, 0);
-                o.node(dt.root);
+                o.node(dt.root());
                 for i in o.group().span() {
                     want_seen[i] = o.mass.to_bits();
                 }
@@ -1098,10 +1049,9 @@ mod tests {
             let (cell_keys, body_keys) = (o.cell_keys, o.body_keys);
             let level = |k: &u64| Key(*k).level();
             let deepest = cell_keys.iter().chain(&body_keys).map(level).max();
-            let shallowest = dt
-                .nodes
+            let shallowest = dt.local.cells[dt.nodes.clone()]
                 .iter()
-                .filter(|n| n.owner != rank && n.owner != crate::dtree::SHARED)
+                .filter(|n| matches!(n.below, Below::Remote { .. }))
                 .map(|n| n.key.level())
                 .min();
 
@@ -1356,7 +1306,7 @@ mod tests {
             let s = if cut {
                 let s =
                     dwalk_pipelined(c, &mut dt, &mac, &mut forces, group_size, ABM_BATCH, workers);
-                assert_eq!(dt.validate(), Ok(()), "rank {} after the walk", c.rank());
+                assert_eq!(dt.local.validate(), Ok(()), "rank {} after the walk", c.rank());
                 s
             } else {
                 let groups = sink_groups(&dt, group_size);
@@ -1433,7 +1383,7 @@ mod tests {
                 dt.prune(|s| !mac.accepts(s, center, r));
                 let resolved = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
                     for &gi in &groups {
-                        let mut w = GroupWalk { gi, untested: vec![dt.root], missing: Vec::new() };
+                        let mut w = GroupWalk { gi, untested: vec![dt.root()], missing: Vec::new() };
                         resolve(&dt, &mac, &mut w, &mut Wants::new(), &mut DwalkStats::default());
                     }
                 }));

@@ -122,18 +122,27 @@ impl KeyTable {
     /// Look a key up.
     #[inline]
     pub fn get(&self, key: Key) -> Option<u32> {
+        let (val, probed) = self.find(key);
+        self.probes.fetch_add(probed, Ordering::Relaxed);
+        val
+    }
+
+    /// Look a key up without counting: the value and the slots examined.
+    /// A check that must leave the probe diagnostic as it found it (the
+    /// tree validator, which debug builds run inside `Tree::build`) reads
+    /// through this.
+    #[inline]
+    pub(crate) fn find(&self, key: Key) -> (Option<u32>, u64) {
         debug_assert!(key != Key::INVALID);
         let mut i = self.slot_of(key);
         let mut probed = 1u64;
         loop {
             let k = self.keys[i];
             if k == key {
-                self.probes.fetch_add(probed, Ordering::Relaxed);
-                return Some(self.vals[i]);
+                return (Some(self.vals[i]), probed);
             }
             if k == Key::INVALID {
-                self.probes.fetch_add(probed, Ordering::Relaxed);
-                return None;
+                return (None, probed);
             }
             i = (i + 1) & self.mask;
             probed += 1;

@@ -182,6 +182,9 @@ impl<M: Moments> InteractionList<M> {
     /// Append one accepted cell. Consecutive cells coalesce into a single
     /// P-C segment — bitwise-safe, because P-C contributions are added to
     /// the sink directly, one cell at a time, in either shape.
+    /// Inlined: out of line, the walk's call per accepted cell cost the
+    /// list build 4–8 % per interaction (EXPERIMENTS.md Z1).
+    #[inline]
     pub fn push_pc(&mut self, center: Vec3, m: &M) {
         let at = self.pc_x.len() as u32;
         self.pc_x.push(center.x);

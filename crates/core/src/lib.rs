@@ -14,12 +14,15 @@
 //!    sample sort splits the key line into one contiguous interval per
 //!    processor.
 //! 3. **Tree build** ([`tree`]) — each rank builds its local hashed
-//!    oct-tree; [`dtree`] exchanges *branch* cells and grafts every rank's
-//!    canopy into a globally consistent top tree. Every kind of cell
-//!    carries one [`Summary`], formed by the same two functions.
-//! 4. **Traversal** ([`walk`] serially, [`dwalk`] distributed) — per
-//!    sink-group walks with a multipole acceptance criterion ([`mac`])
-//!    write each group's interaction list ([`ilist`]); non-local cells are
+//!    oct-tree; [`dtree`] exchanges *branch* cells and grafts the global
+//!    tree's canopy (the shared top tree over every rank's branches) onto
+//!    it, so a rank holds one tree: one cell array, one key table. Every
+//!    kind of cell carries one [`Summary`], formed by the same two
+//!    functions.
+//! 4. **Traversal** ([`walk`], the one walk, run serially and by [`dwalk`]
+//!    distributed) — per sink-group walks with a multipole acceptance
+//!    criterion ([`mac`]) write each group's interaction list
+//!    ([`ilist`]); non-local cells are
 //!    fetched on demand over the ABM active-message layer with the paper's
 //!    "explicit context switching" to hide latency.
 //!
@@ -46,5 +49,5 @@ pub use ilist::{InteractionList, ListConsumer};
 pub use mac::Mac;
 pub use moments::{MassMoments, Moments, MonoMoments, VectorMoments};
 pub use summary::Summary;
-pub use tree::{Cell, Tree, NO_CHILD};
+pub use tree::{Cell, Tree};
 pub use walk::{walk_lists, WalkStats};

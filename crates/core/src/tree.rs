@@ -1,4 +1,5 @@
-//! Adaptive hashed oct-tree construction over a particle set.
+//! Adaptive hashed oct-tree construction over a particle set, and the
+//! one node array a rank walks.
 //!
 //! Particles are keyed at maximum depth, sorted into Morton order, and the
 //! tree is carved out of the sorted array top-down: a cell is a contiguous
@@ -11,8 +12,15 @@
 //! [`Summary`]: leaf cells form expansions about their charge-weighted
 //! centroid (P2M), internal cells merge shifted child expansions (M2M) and
 //! bound `bmax`, the largest distance from the expansion center to
-//! contained matter, used by the acceptance criteria. The distributed top
-//! tree forms its branches and shared nodes with the same two functions.
+//! contained matter, used by the acceptance criteria.
+//!
+//! A rank keeps one such tree per step. The distributed step
+//! ([`crate::dtree`]) grafts the canopy of the global tree onto the end of
+//! the same array and table, and the walk appends what it fetches from
+//! other ranks after that, their bodies after the local ones. So every node
+//! is a [`Cell`], and [`Below`] says what lies under it: resident children,
+//! a span of resident bodies, a remote cell or leaf not fetched yet, or
+//! nothing, pruned by the walk's cut.
 
 use crate::htable::KeyTable;
 use crate::moments::Moments;
@@ -21,22 +29,50 @@ use hot_base::{Aabb, Vec3};
 use hot_morton::{Key, MAX_DEPTH};
 use std::ops::Range;
 
-/// Sentinel for "no children".
-pub const NO_CHILD: u32 = u32::MAX;
+/// [`Cell::first`] of a node whose bodies are not all resident: a shared
+/// node of the canopy, or a cell fetched from (or still held by) another
+/// rank.
+pub(crate) const NO_BODIES: u32 = u32::MAX;
 
-/// One tree cell: its [`Summary`] plus where its particles and children
-/// sit in the tree's arrays. Dereferences to the summary, so `cell.key`,
-/// `cell.n`, `cell.center`, `cell.bmax` and `cell.moments` read it.
+/// What lies below a [`Cell`].
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum Below {
+    /// `n` resident children, one block from index `first` in Morton order.
+    Kids {
+        /// Index of the first child.
+        first: u32,
+        /// Number of children, at most eight.
+        n: u8,
+    },
+    /// No children: the cell's bodies are its span ([`Cell::span`]).
+    Bodies,
+    /// A cell of rank `owner` not opened yet: its children, or the bodies
+    /// of a leaf (`leaf`), are still to fetch.
+    Remote {
+        /// The rank that holds what lies below.
+        owner: u32,
+        /// Whether the owner's cell is a leaf.
+        leaf: bool,
+    },
+    /// A shared node every sink group of this rank accepts, its subtree
+    /// dropped by the walk's cut. The summary stays the merge of what was
+    /// below it; a walk that opens it panics.
+    Pruned,
+}
+
+/// One tree node: its [`Summary`], where its bodies sit in the tree's
+/// arrays, and what lies below it. Dereferences to the summary, so
+/// `cell.key`, `cell.n`, `cell.center`, `cell.bmax` and `cell.moments`
+/// read it.
 #[derive(Clone, Debug)]
 pub struct Cell<M> {
     /// Key, particle count and multipole expansion.
     pub summary: Summary<M>,
-    /// First particle of the span (index into the tree's sorted arrays).
+    /// First body of the span (index into the tree's body arrays), or
+    /// `u32::MAX` when the node's bodies are not all resident.
     pub first: u32,
-    /// Index of the first child cell, or [`NO_CHILD`] for leaves.
-    pub first_child: u32,
-    /// Number of children (1–8 for internal cells).
-    pub nchild: u8,
+    /// Resident children, a body span, an unopened remote cell, or pruned.
+    pub below: Below,
 }
 
 impl<M> std::ops::Deref for Cell<M> {
@@ -48,36 +84,48 @@ impl<M> std::ops::Deref for Cell<M> {
 }
 
 impl<M> Cell<M> {
-    /// Is this a leaf (no children)?
+    /// Is this a leaf (its bodies resident, no children)?
     #[inline]
     pub fn is_leaf(&self) -> bool {
-        self.first_child == NO_CHILD
+        self.below == Below::Bodies
     }
 
-    /// The particle span as a `usize` range.
+    /// The particle span as a `usize` range: meaningful for a cell whose
+    /// bodies are resident.
     #[inline]
     pub fn span(&self) -> Range<usize> {
         self.first as usize..self.first as usize + self.summary.n as usize
     }
 }
 
+impl<M: Moments> Cell<M> {
+    /// A cell for `key` whose summary is still to be formed, with `n`
+    /// bodies from `first` and nothing below them yet.
+    pub(crate) fn unsummarised(key: Key, first: u32, n: u64) -> Self {
+        let summary =
+            Summary { key, n, center: Vec3::ZERO, bmax: 0.0, wsum: 0.0, moments: M::default() };
+        Cell { summary, first, below: Below::Bodies }
+    }
+}
+
 /// An adaptive oct-tree over one particle set (one rank's local particles,
-/// or the whole problem when run single-image).
+/// or the whole problem when run single-image). In a distributed step the
+/// same arrays also hold the canopy and the fetched cells (module docs).
 #[derive(Debug)]
 pub struct Tree<M: Moments> {
     /// Root cube containing every particle.
     pub domain: Aabb,
     /// Leaf bucket size used for this build.
     pub bucket: usize,
-    /// Morton keys, sorted ascending.
+    /// Morton keys of the local bodies, sorted ascending.
     pub keys: Vec<Key>,
     /// `order[i]` = original index of the i-th sorted particle.
     pub order: Vec<u32>,
-    /// Positions in sorted order.
+    /// Positions in sorted order, then those of any fetched bodies.
     pub pos: Vec<Vec3>,
-    /// Charges in sorted order.
+    /// Charges, parallel to `pos`.
     pub charge: Vec<M::Charge>,
-    /// Cell records; index 0 is the root.
+    /// Cell records; index 0 is the root of the local bodies.
     pub cells: Vec<Cell<M>>,
     /// Key → cell-index table.
     pub table: KeyTable,
@@ -116,27 +164,29 @@ impl<M: Moments> Tree<M> {
             cells: Vec::new(),
             table: KeyTable::with_capacity((2 * n / bucket.max(1)).max(64)),
         };
-        tree.push_cell(Key::ROOT, 0, n as u32);
+        tree.push(Cell::unsummarised(Key::ROOT, 0, n as u64));
         tree.carve();
         tree.summarise();
+        debug_assert_eq!(tree.validate(), Ok(()));
         tree
     }
 
-    /// Append a cell for the key `key` over the particles `first..first +
-    /// n`, as a leaf whose summary [`Tree::summarise`] fills in later.
-    fn push_cell(&mut self, key: Key, first: u32, n: u32) -> u32 {
-        let idx = self.cells.len() as u32;
-        let summary = Summary {
-            key,
-            n: u64::from(n),
-            center: Vec3::ZERO,
-            bmax: 0.0,
-            wsum: 0.0,
-            moments: M::default(),
-        };
-        self.cells.push(Cell { summary, first, first_child: NO_CHILD, nchild: 0 });
+    /// Append `cell` and enter its key in the table; returns its index.
+    pub(crate) fn push(&mut self, cell: Cell<M>) -> u32 {
+        let (idx, key) = (self.cells.len() as u32, cell.key);
+        self.cells.push(cell);
         self.table.insert(key, idx);
         idx
+    }
+
+    /// Rebuild the key table for the cells held, at load at most ½: a
+    /// cell's key leads to it unless a later cell carries the key too
+    /// (the canopy taking over a local cell's key).
+    pub(crate) fn reindex(&mut self) {
+        self.table = KeyTable::with_capacity(self.cells.len());
+        for (i, c) in self.cells.iter().enumerate() {
+            self.table.insert(c.key, i as u32);
+        }
     }
 
     /// Split the root (and, transitively, the children this creates) by the
@@ -151,14 +201,13 @@ impl<M: Moments> Tree<M> {
             if c.n as usize <= self.bucket || key.level() >= MAX_DEPTH {
                 continue;
             }
-            let first_child = self.cells.len() as u32;
+            let first = self.cells.len() as u32;
             let kids: Vec<_> = octants(&self.keys, key, c.span()).collect();
             for (child, span) in &kids {
-                stack.push(self.push_cell(*child, span.start as u32, span.len() as u32));
+                let cell = Cell::unsummarised(*child, span.start as u32, span.len() as u64);
+                stack.push(self.push(cell));
             }
-            let c = &mut self.cells[ci as usize];
-            c.first_child = first_child;
-            c.nchild = kids.len() as u8;
+            self.cells[ci as usize].below = Below::Kids { first, n: kids.len() as u8 };
         }
     }
 
@@ -173,21 +222,22 @@ impl<M: Moments> Tree<M> {
         }
     }
 
-    /// What `cell`'s summary must be: its particles' for a leaf, its
-    /// children's for an internal cell.
+    /// What `cell`'s summary must be: its bodies' for a body span, its
+    /// children's for resident children. (Not called on a remote or pruned
+    /// node.)
     fn summary_of(&self, cell: &Cell<M>) -> Summary<M> {
-        if cell.is_leaf() {
-            let span = cell.span();
-            Summary::of_particles(cell.key, &self.pos[span.clone()], &self.charge[span], &self.domain)
-        } else {
+        if let Below::Kids { .. } = cell.below {
             let kids = self.cells[self.children(cell)].iter().map(|k| &k.summary);
             Summary::of_children(cell.key, kids, &self.domain)
+        } else {
+            let span = cell.span();
+            Summary::of_particles(cell.key, &self.pos[span.clone()], &self.charge[span], &self.domain)
         }
     }
 
-    /// Number of particles.
+    /// Number of local particles (fetched bodies are not counted).
     pub fn n_particles(&self) -> usize {
-        self.pos.len()
+        self.keys.len()
     }
 
     /// Number of cells.
@@ -215,12 +265,12 @@ impl<M: Moments> Tree<M> {
         self.table.get(key).map(|i| &self.cells[i as usize])
     }
 
-    /// Child cell indices of `cell`.
+    /// Child cell indices of `cell` (empty unless its children are
+    /// resident).
     pub fn children(&self, cell: &Cell<M>) -> Range<usize> {
-        if cell.is_leaf() {
-            0..0
-        } else {
-            cell.first_child as usize..cell.first_child as usize + cell.nchild as usize
+        match cell.below {
+            Below::Kids { first, n } => first as usize..first as usize + usize::from(n),
+            _ => 0..0,
         }
     }
 
@@ -247,43 +297,74 @@ impl<M: Moments> Tree<M> {
         out
     }
 
-    /// Check the tree against its definition: the root is [`Key::ROOT`]
-    /// over every particle; the table finds each cell; each cell's
-    /// particles lie in its key range; an internal cell's children are
-    /// non-empty octants of it that tile its span in order, and a leaf
-    /// holds at most a bucket unless at maximum depth; every summary is,
-    /// bit for bit, what its particles (leaf) or children (internal cell)
-    /// give; and each `bmax` bounds the cell's particles. Cells are checked
-    /// children first, so a damaged summary is named at its own cell, not
-    /// at an ancestor whose merge it spoils.
+    /// Check the tree against its definition — the local tree, and the
+    /// canopy and fetched cells a distributed step appends (module docs):
+    ///
+    /// * cell 0 is [`Key::ROOT`] over every local body; a second root, if
+    ///   there is one, starts the canopy, and every cell from it on is a
+    ///   canopy or fetched node;
+    /// * the table leads a canopy or fetched node's key to that node, so
+    ///   no two of them share a key, and a local cell's key to the cell or
+    ///   to the canopy node that took the key over;
+    /// * resident children are distinct child octants of their parent, in
+    ///   ascending order; below a local body span they are exactly its
+    ///   non-empty octants, tiling the span in order;
+    /// * a local body span's particles lie in its key range, and a local
+    ///   leaf holds at most a bucket unless at maximum depth;
+    /// * every summary is, bit for bit, what its bodies or its children
+    ///   give (a remote node's is its owner's, and a pruned node's merged
+    ///   what is gone), and its `bmax` bounds its resident bodies;
+    /// * which nodes may be pruned needs the intervals: `DistTree::validate_cut`.
+    ///
+    /// Cells are checked from the last to the first, so children before
+    /// parents: a damaged summary is named at its own cell, not at an
+    /// ancestor whose merge it spoils.
     pub fn validate(&self) -> Result<(), TreeError> {
         let root = &self.cells[0];
-        if root.key != Key::ROOT || root.n != self.n_particles() as u64 {
+        let locals = self.n_particles();
+        if root.key != Key::ROOT || root.n != locals as u64 || root.first != 0 {
             return Err(TreeError::BadRoot);
         }
+        let canopy = self.cells[1..].iter().position(|c| c.key == Key::ROOT);
+        let canopy = canopy.map_or(self.cells.len(), |i| i + 1);
         for (ci, c) in self.cells.iter().enumerate().rev() {
             let key = c.key;
-            if self.table.get(key) != Some(ci as u32) {
+            let found = self.table.find(key).0.map(|t| t as usize);
+            let taken_over = |t: usize| ci < canopy && t >= canopy && self.cells[t].key == key;
+            if found != Some(ci) && !found.is_some_and(taken_over) {
                 return Err(TreeError::NotInTable { key });
             }
-            if let Some(particle) = c.span().find(|&i| !key.is_ancestor_of(self.keys[i])) {
+            let bodies = (c.first != NO_BODIES).then(|| c.span());
+            let local = bodies.clone().filter(|span| span.end <= locals);
+            let outside = |&i: &usize| !key.is_ancestor_of(self.keys[i]);
+            if let Some(particle) = local.clone().and_then(|mut span| span.find(outside)) {
                 return Err(TreeError::ParticleOutside { key, particle });
             }
-            if c.is_leaf() {
-                if c.n as usize > self.bucket && key.level() < MAX_DEPTH {
-                    return Err(TreeError::OversizedLeaf { key });
+            match c.below {
+                Below::Kids { .. } => {
+                    let bad = TreeError::ChildrenDoNotTile { key };
+                    let kids = self.cells.get(self.children(c)).ok_or(bad)?;
+                    let octant = |k: &Cell<M>| k.key.level() == key.level() + 1 && k.key.parent() == key;
+                    let tiled = match local {
+                        Some(span) => kids.iter().map(|k| (k.key, k.span())).eq(octants(&self.keys, key, span)),
+                        None => kids.iter().all(octant) && kids.windows(2).all(|w| w[0].key < w[1].key),
+                    };
+                    if !tiled {
+                        return Err(bad);
+                    }
                 }
-            } else {
-                let kids = self.cells[self.children(c)].iter().map(|k| (k.key, k.span()));
-                if !kids.eq(octants(&self.keys, key, c.span())) {
-                    return Err(TreeError::ChildrenDoNotTile { key });
+                Below::Bodies => {
+                    if ci < canopy && c.n as usize > self.bucket && key.level() < MAX_DEPTH {
+                        return Err(TreeError::OversizedLeaf { key });
+                    }
                 }
+                Below::Remote { .. } | Below::Pruned => continue,
             }
             if !c.summary.same_bits(&self.summary_of(c)) {
                 return Err(TreeError::NotItsSummary { key });
             }
-            let outside = |&i: &usize| (self.pos[i] - c.center).norm() > c.bmax * (1.0 + 1e-12) + 1e-300;
-            if let Some(particle) = c.span().find(outside) {
+            let beyond = |&i: &usize| (self.pos[i] - c.center).norm() > c.bmax * (1.0 + 1e-12) + 1e-300;
+            if let Some(particle) = bodies.and_then(|mut span| span.find(beyond)) {
                 return Err(TreeError::BmaxViolated { key, particle });
             }
         }
@@ -335,8 +416,8 @@ pub enum TreeError {
         /// The leaf.
         key: Key,
     },
-    /// A child is not a non-empty octant of the cell, or the children do
-    /// not tile its span in order.
+    /// A child is not an octant of the cell, the children are not
+    /// ascending, or below a local body span they do not tile it in order.
     ChildrenDoNotTile {
         /// The internal cell.
         key: Key,
@@ -353,13 +434,19 @@ pub enum TreeError {
         /// The particle's tree-order index.
         particle: usize,
     },
+    /// A node that is not shared is pruned: only a shared node's subtree
+    /// may be dropped.
+    PrunedNotShared {
+        /// The pruned node.
+        key: Key,
+    },
 }
 
 impl std::fmt::Display for TreeError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
             TreeError::BadRoot => write!(f, "cell 0 is not the root over every particle"),
-            TreeError::NotInTable { key } => write!(f, "the key table does not find {key:?}"),
+            TreeError::NotInTable { key } => write!(f, "the key table does not lead to {key:?}"),
             TreeError::ParticleOutside { key, particle } => {
                 write!(f, "particle {particle} lies outside {key:?}")
             }
@@ -373,6 +460,7 @@ impl std::fmt::Display for TreeError {
             TreeError::BmaxViolated { key, particle } => {
                 write!(f, "particle {particle} lies beyond bmax of {key:?}")
             }
+            TreeError::PrunedNotShared { key } => write!(f, "{key:?} is pruned but not shared"),
         }
     }
 }
@@ -421,7 +509,8 @@ mod tests {
         t.cells[inner].summary.wsum *= 2.0;
         assert_eq!(t.validate(), Err(TreeError::NotItsSummary { key: ik }));
         let mut t = build();
-        t.cells[inner].nchild -= 1;
+        let Below::Kids { first, n } = t.cells[inner].below else { unreachable!() };
+        t.cells[inner].below = Below::Kids { first, n: n - 1 };
         assert_eq!(t.validate(), Err(TreeError::ChildrenDoNotTile { key: ik }));
         let mut t = build();
         t.cells[0].summary.n -= 1;
@@ -434,6 +523,13 @@ mod tests {
         let mut t = build();
         t.bucket = 1;
         assert!(matches!(t.validate(), Err(TreeError::OversizedLeaf { .. })));
+    }
+
+    /// Every node a rank holds, local, canopy or fetched, is one `Cell`:
+    /// what lies below it fits the bytes its summary pads to.
+    #[test]
+    fn one_node_is_136_bytes() {
+        assert_eq!(std::mem::size_of::<Cell<MassMoments>>(), 136);
     }
 
     #[test]

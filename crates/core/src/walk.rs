@@ -5,15 +5,20 @@
 //! nearby particles): one pass down the tree decides, for the whole group,
 //! which cells interact as multipoles and which leaves must be evaluated
 //! particle-by-particle, and writes those decisions straight into the
-//! group's [`InteractionList`]. Physics modules apply finished lists
-//! through [`ListConsumer`] — the tree neither knows nor cares whether it
-//! is computing gravity, vorticity or SPH neighbour lists, which is
-//! precisely the paper's library/application split.
+//! group's [`InteractionList`]. There is one walk ([`walk`]): the serial
+//! walk runs it over a local tree, and the distributed walk runs it over
+//! the rank's one tree of local, canopy and fetched cells, both to find
+//! the remote nodes a group is missing (resolve, which writes no list)
+//! and to write the list once nothing is (emit). Physics modules apply
+//! finished lists through [`ListConsumer`] — the tree neither knows nor
+//! cares whether it is computing gravity, vorticity or SPH neighbour
+//! lists, which is precisely the paper's library/application split.
 
 use crate::ilist::{InteractionList, ListConsumer};
 use crate::mac::Mac;
 use crate::moments::Moments;
-use crate::tree::Tree;
+use crate::tree::{Below, Cell, Tree, NO_BODIES};
+use hot_base::Vec3;
 use std::ops::Range;
 use std::sync::{Mutex, PoisonError};
 
@@ -86,43 +91,92 @@ impl WalkStats {
     }
 }
 
-/// The one local walk: descend `tree` from the cell `from`, appending to
-/// `list` every source the sink group `gi` takes from that subtree, in
-/// depth-first stack order, and return the walk's counts.
-/// [`walk_group_list`] starts it at the root; the distributed walk starts
-/// it at each of its own branch cells the top tree leads it to, so a
-/// local subtree is listed the same way by both.
-pub(crate) fn walk_subtree<M: Moments>(
+/// What one walk does with what it finds. A list writer ([`InteractionList`]:
+/// the serial walk and the distributed walk's emit) records every accepted
+/// cell and every opened body span; the distributed walk's resolve writes
+/// nothing and only collects the remote nodes it must open.
+pub(crate) trait Visit<M: Moments> {
+    /// Whether the walk lists sources, and so descends into subtrees whose
+    /// bodies are all resident. A walk that only looks for what is missing
+    /// stops at them: nothing below them can miss.
+    const LISTS: bool;
+    /// A cell the MAC accepted.
+    fn cell(&mut self, c: &Cell<M>);
+    /// An opened body span; `start` is its first body's index when the
+    /// bodies are local (they may be the sinks).
+    fn bodies(&mut self, pos: &[Vec3], charge: &[M::Charge], start: Option<usize>);
+    /// An unopened remote node `ci` the walk must open.
+    fn miss(&mut self, ci: u32, c: &Cell<M>);
+}
+
+impl<M: Moments> Visit<M> for InteractionList<M> {
+    const LISTS: bool = true;
+    #[inline]
+    fn cell(&mut self, c: &Cell<M>) {
+        self.push_pc(c.center, &c.moments);
+    }
+    #[inline]
+    fn bodies(&mut self, pos: &[Vec3], charge: &[M::Charge], start: Option<usize>) {
+        self.push_pp(pos, charge, start);
+    }
+    fn miss(&mut self, _: u32, c: &Cell<M>) {
+        unreachable!("a list walk reached {:?}, a remote node nothing opened", c.key)
+    }
+}
+
+/// The one walk: pop the cells of `stack` and test them for the sink group
+/// `gi` until the stack is empty, in depth-first stack order, handing what
+/// it takes to `v` and returning the walk's counts. The serial walk starts
+/// it at the local root, the distributed walk at the global root (emit) or
+/// at the children of what it last opened (resolve).
+///
+/// The group itself — the group cell, its copy in the canopy, or a virtual
+/// branch holding all of a leaf group's bodies — interacts directly,
+/// without self-pairs.
+pub(crate) fn walk<M: Moments, V: Visit<M>>(
     tree: &Tree<M>,
     mac: &Mac,
     gi: u32,
-    from: u32,
-    list: &mut InteractionList<M>,
+    stack: &mut Vec<u32>,
+    v: &mut V,
 ) -> WalkStats {
     let g = &tree.cells[gi as usize];
-    let (gc, gr, sinks, gn) = (g.center, g.bmax, g.span(), g.n);
+    let (gc, gr, sinks, gn, gkey) = (g.center, g.bmax, g.span(), g.n, g.key);
+    let locals = tree.n_particles();
     let mut stats = WalkStats::default();
-    let mut stack = vec![from as usize];
     while let Some(ci) = stack.pop() {
-        if ci == gi as usize {
-            // The group against itself: direct sum without self-pairs.
-            list.push_pp(&tree.pos[sinks.clone()], &tree.charge[sinks.clone()], Some(sinks.start));
-            stats.pp += gn * (gn - 1);
-            continue;
-        }
-        let c = &tree.cells[ci];
+        let c = &tree.cells[ci as usize];
         if c.n == 0 {
             continue;
         }
+        // The MAC never accepts the group against itself (its distance is
+        // `-bmax`), so the group is found among the cells it rejects.
         if mac.accepts(c, gc, gr) {
-            list.push_pc(c.center, &c.moments);
+            v.cell(c);
             stats.pc += gn;
-        } else if c.is_leaf() {
-            list.push_pp(&tree.pos[c.span()], &tree.charge[c.span()], Some(c.first as usize));
-            stats.pp += gn * c.n;
-        } else {
-            stats.opened += 1;
-            stack.extend(tree.children(c));
+            continue;
+        }
+        if !V::LISTS && c.first != NO_BODIES {
+            continue;
+        }
+        if c.first as usize == sinks.start && (c.key == gkey || (c.is_leaf() && c.n == gn)) {
+            v.bodies(&tree.pos[sinks.clone()], &tree.charge[sinks.clone()], Some(sinks.start));
+            stats.pp += gn * (gn - 1);
+            continue;
+        }
+        match c.below {
+            Below::Kids { first, n } => {
+                stats.opened += 1;
+                stack.extend(first..first + u32::from(n));
+            }
+            Below::Bodies => {
+                let span = c.span();
+                let start = (span.start < locals).then_some(span.start);
+                v.bodies(&tree.pos[span.clone()], &tree.charge[span], start);
+                stats.pp += gn * c.n;
+            }
+            Below::Remote { .. } => v.miss(ci, c),
+            Below::Pruned => panic!("a sink group opened {:?}, which the cut pruned", c.key),
         }
     }
     stats
@@ -140,7 +194,7 @@ pub fn walk_group_list<M: Moments>(
     list: &mut InteractionList<M>,
 ) -> WalkStats {
     list.clear();
-    walk_subtree(tree, mac, gi, 0, list).pinned_to(list, &tree.cells[gi as usize].span(), gi)
+    walk(tree, mac, gi, &mut vec![0], list).pinned_to(list, &tree.cells[gi as usize].span(), gi)
 }
 
 /// The two-stage evaluation: build each sink group's interaction list,
