@@ -27,12 +27,15 @@ cargo test -q --offline --workspace
 
 echo "==> cargo test --release -p hot-base -p hot-core -p hot-gravity -p hot-cosmo -p hot-comm -p bytes (vector code, the threaded walk and the wire field reads only run optimised here)"
 cargo test -q --offline --release -p hot-base -p hot-core -p hot-gravity -p hot-cosmo -p hot-comm -p bytes
-# Which instantiation of the span kernels the step above exercised on this host.
-cargo test -q --offline --release -p hot-gravity span_instantiation -- --nocapture | grep "span kernels:"
-# How many threads ForceCalc fanned its sink groups out over in the step above.
-cargo test -q --offline --release -p hot-gravity fan_out_public -- --nocapture | grep "force threads:"
-# How many threads a rank's distributed walk computed its ready batches on.
-cargo test -q --offline --release -p hot-gravity fan_out_distributed -- --nocapture | grep "dwalk compute threads:"
+# One run of three tests, each line required: which instantiation of the
+# span kernels the step above exercised on this host, how many threads
+# ForceCalc fanned its sink groups out over, and how many threads a rank's
+# distributed walk computed its ready batches on.
+lines=$(cargo test -q --offline --release -p hot-gravity --lib -- --nocapture \
+    span_instantiation fan_out_public fan_out_distributed)
+for want in "span kernels:" "force threads:" "dwalk compute threads:"; do
+  grep "$want" <<<"$lines"
+done
 
 echo "==> fan-out tests pinned to one CPU (the public compute paths with one available thread)"
 cpu=$(taskset -cp $$ | sed 's/.*: *//; s/[,-].*//')

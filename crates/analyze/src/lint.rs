@@ -135,7 +135,7 @@ const SELF_TIMING_CRATES: [&str; 2] = ["crates/npb/", "crates/bench/"];
 const RUNTIME_EXEMPT: [&str; 2] = ["comm/src/events.rs", "comm/src/fiber.rs"];
 
 /// The one file allowed `thread::scope(` outside the substrate: it owns
-/// the *compute*-thread fan-out (`hot_core::walk::fan_out`, spreading the
+/// the *compute*-thread fan-out (`hot_core::walk::walk_apply`, spreading the
 /// sink groups of one `ForceCalc` evaluation, or of one distributed-walk
 /// round's ready batch, over the hardware threads). The rule exists to
 /// keep *rank* concurrency inside `RunConfig`; compute threads perform no

@@ -148,9 +148,7 @@ fn ablation_decomp() {
                 work: &mut work,
                 base: 0,
             };
-            let mut scratch = hot_core::ilist::InteractionList::new();
-            let stats =
-                hot_core::walk::walk_lists(&tree, &Mac::BarnesHut { theta: 0.7 }, &mut ev, &mut scratch);
+            let stats = hot_core::walk::walk_lists(&tree, &Mac::BarnesHut { theta: 0.7 }, &mut ev);
             stats.interactions()
         });
         let max = *out.results.iter().max().unwrap() as f64;

@@ -33,6 +33,10 @@ use std::time::{Duration, Instant};
 /// collectives and runtime control traffic.
 pub const MAX_USER_TAG: u32 = 0x7fff_ffff;
 
+/// How the panic of a rank that a peer's poison reached ends: the panic is
+/// a consequence, and [`finish`] re-raises the one that caused it.
+const POISONED: &str = "died (poison received)";
+
 /// Tag carried by teardown poison messages emitted when a rank panics.
 /// Public so checkers can distinguish expected post-panic poison from a
 /// genuinely dropped message when auditing mailboxes at teardown.
@@ -318,7 +322,7 @@ impl Comm {
             match take(mbox) {
                 Scan::Matched(m) => return m,
                 Scan::Poisoned { src } => {
-                    panic!("rank {}: peer rank {src} died (poison received)", self.rank);
+                    panic!("rank {}: peer rank {src} {POISONED}", self.rank);
                 }
                 Scan::Empty => {}
             }
@@ -381,7 +385,7 @@ impl Comm {
                 Some((e.src, e.data))
             }
             Scan::Poisoned { src } => {
-                panic!("rank {}: peer rank {src} died (poison received)", self.rank)
+                panic!("rank {}: peer rank {src} {POISONED}", self.rank)
             }
             Scan::Empty => None,
         }
@@ -583,7 +587,8 @@ impl RunConfig {
 
     /// Execute the SPMD closure `f` on this configuration's machine and
     /// gather results. A panic on any rank poisons the others and
-    /// propagates out (lowest-rank panic wins when several fire).
+    /// propagates out: the lowest rank's own panic when several fire, not
+    /// one the poison caused.
     pub fn run<T, F>(self, f: F) -> RunOutput<T>
     where
         T: Send,
@@ -749,7 +754,7 @@ where
             // teardown Drop observes `thread::panicking()`, then catch the
             // unwind again at this frame: it must not cross the fiber
             // boundary, and deferring the propagation to `finish` keeps
-            // "lowest panicking rank wins" deterministic.
+            // which rank's panic wins deterministic.
             let p2 = std::panic::catch_unwind(std::panic::AssertUnwindSafe(move || {
                 let _comm = comm;
                 std::panic::resume_unwind(p)
@@ -785,8 +790,9 @@ where
     finish(np, machine, exits, t0.elapsed())
 }
 
-/// Epilogue: propagate panics (lowest rank first), audit undetected
-/// kills, sweep mailboxes for undrained traffic, and collect results.
+/// Epilogue: propagate panics (the lowest rank's own panic first, else
+/// the lowest rank's), audit undetected kills, sweep mailboxes for
+/// undrained traffic, and collect results.
 fn finish<T>(
     np: u32,
     machine: &Arc<Machine>,
@@ -795,14 +801,15 @@ fn finish<T>(
 ) -> RunOutput<T> {
     let mut collected = Vec::with_capacity(np as usize);
     for (rank, slot) in exits.into_iter().enumerate() {
-        let exit = slot
-            .into_inner()
-            .expect("exit slot")
-            .unwrap_or_else(|| panic!("rank {rank} never ran to an exit"));
-        if let RankExit::Panicked(p) = exit {
-            std::panic::resume_unwind(p);
-        }
-        collected.push(exit);
+        let exit = slot.into_inner().expect("exit slot");
+        collected.push(exit.unwrap_or_else(|| panic!("rank {rank} never ran to an exit")));
+    }
+    // A panic that a peer's poison caused names only that peer.
+    let poisoned = |p: &Box<dyn std::any::Any + Send>| p.downcast_ref::<String>().is_some_and(|m| m.ends_with(POISONED));
+    let panicked = |own: bool| collected.iter().position(|e| matches!(e, RankExit::Panicked(p) if own != poisoned(p)));
+    if let Some(at) = panicked(true).or_else(|| panicked(false)) {
+        let RankExit::Panicked(p) = collected.swap_remove(at) else { unreachable!("a panicked rank") };
+        std::panic::resume_unwind(p);
     }
 
     // Undetected-kill invariant: if a crash-stop kill fired, some
@@ -895,6 +902,22 @@ mod tests {
             .cloned()
             .or_else(|| payload.downcast_ref::<&str>().map(|s| (*s).to_string()))
             .unwrap_or_else(|| "non-string panic".into())
+    }
+
+    /// The panic that reaches the caller is the one a rank raised itself,
+    /// not the poison it caused in a lower rank waiting on it.
+    #[test]
+    fn a_ranks_own_panic_outranks_the_poison_it_caused() {
+        let result = std::panic::catch_unwind(|| {
+            RunConfig::builder().np(3).run(|c| {
+                if c.rank() == 2 {
+                    panic!("rank 2 found a bad body");
+                }
+                c.barrier();
+            });
+        });
+        let msg = panic_text(&result.expect_err("a rank panicked"));
+        assert_eq!(msg, "rank 2 found a bad body");
     }
 
     /// A rank's compute share is the available threads over the ranks that

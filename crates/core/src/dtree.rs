@@ -42,8 +42,10 @@
 //!   shared key could be built twice — one node in seven at np = 128 × 32
 //!   uniform bodies, the root itself at np = 2 — and the table kept only
 //!   the last copy, a partial cell the walk treated as whole.)
-//!   [`Tree::validate`] checks the whole tree, canopy included, and the
-//!   walk's cut checks with the intervals that it pruned only shared nodes.
+//!   [`Tree::validate`] checks the whole tree, canopy included, and
+//!   `DistTree::validate_cut` checks with the intervals that only shared
+//!   nodes are pruned and that every remote node lies in its owner's
+//!   interval. The tree starts its walks at the grafted global root.
 //! * Cells *below* another rank's branch are fetched lazily during the
 //!   walk, through the global key name space: "open key K" is meaningful
 //!   on every rank — that is what the hash-table indirection buys. They
@@ -201,13 +203,10 @@ impl<M: Moments> DistTree<M> {
             "branches must be disjoint and in depth-first order"
         );
         let nodes = graft(&mut local, &branches);
-        debug_assert_eq!(local.validate(), Ok(()));
-        DistTree { rank, local, intervals, nodes }
-    }
-
-    /// The global root's index.
-    pub(crate) fn root(&self) -> u32 {
-        self.nodes.start as u32
+        let dt = DistTree { rank, local, intervals, nodes };
+        debug_assert_eq!(dt.local.validate(), Ok(()));
+        debug_assert_eq!(dt.validate_cut(), Ok(()));
+        dt
     }
 
     /// Drop the subtree below every shared node that no sink group of this
@@ -232,8 +231,10 @@ impl<M: Moments> DistTree<M> {
             kept[ci - start] = true;
             let c = &mut cells[ci];
             // A shared node: resident children and no bodies of its own.
+            // Without any (the root of an empty universe) it has nothing
+            // to drop.
             let (Below::Kids { first, n }, NO_BODIES) = (c.below, c.first) else { continue };
-            if opens(&c.summary) {
+            if n == 0 || opens(&c.summary) {
                 stack.extend(first as usize..first as usize + usize::from(n));
             } else {
                 c.below = Below::Pruned;
@@ -269,16 +270,21 @@ impl<M: Moments> DistTree<M> {
         (n_kept as u64, (kept.len() - n_kept) as u64)
     }
 
-    /// Check that only shared nodes are pruned, which [`Tree::validate`]
-    /// cannot tell without the intervals: a node with bodies of its own is
-    /// not shared, nor is one whose key range lies inside one rank's
+    /// Check what [`Tree::validate`] cannot tell without the intervals:
+    /// that only shared nodes are pruned, and that a remote node's key
+    /// range lies inside its owner's interval. A node with bodies of its
+    /// own is not shared, nor is one whose key range lies inside one rank's
     /// interval, as a branch's and every cell's below it does (a shared
     /// node's never does, or that rank would have made it a branch).
     fn validate_cut(&self) -> Result<(), TreeError> {
         let owner = |k: Key| self.intervals.owner(k);
-        let owned = |c: &&Cell<M>| c.first != NO_BODIES || owner(c.key.range_begin()) == owner(c.key.range_last());
-        let mut pruned = self.local.cells.iter().filter(|c| c.below == Below::Pruned);
-        pruned.find(owned).map_or(Ok(()), |c| Err(TreeError::PrunedNotShared { key: c.key }))
+        let one = |c: &Cell<M>| Some(owner(c.key.range_begin())).filter(|&r| r == owner(c.key.range_last()));
+        let wrong = self.local.cells.iter().find_map(|c| match c.below {
+            Below::Pruned if c.first != NO_BODIES || one(c).is_some() => Some(TreeError::PrunedNotShared { key: c.key }),
+            Below::Remote { owner, .. } if one(c) != Some(owner) => Some(TreeError::NotItsOwners { key: c.key, owner }),
+            _ => None,
+        });
+        wrong.map_or(Ok(()), Err)
     }
 
     /// What lies below one of *my* keys, served to a rank opening it: the
@@ -314,14 +320,15 @@ impl<M: Moments> DistTree<M> {
     /// block, and bodies after the tree's bodies, as the node's span.
     /// Panics on a protocol error: no node has the key, the node is not an
     /// unopened remote one, the reply disagrees with its leaf flag or its
-    /// count, or it carries more than eight children.
+    /// count, or it carries more than eight children or a child of another
+    /// owner.
     pub(crate) fn open(&mut self, key: Key, reply: Reply<M>) {
         let tree = &mut self.local;
         // Protocol invariant: replies only arrive for requested nodes.
         // hot-lint: allow(unwrap-audit)
         let ci = tree.table.get(key).expect("a reply for a key with no node here") as usize;
-        let leaf = match tree.cells[ci].below {
-            Below::Remote { leaf, .. } => leaf,
+        let (owner, leaf) = match tree.cells[ci].below {
+            Below::Remote { owner, leaf } => (owner, leaf),
             held => panic!("a reply for {key:?}, which is not an unopened remote node: {held:?}"),
         };
         match reply {
@@ -330,6 +337,8 @@ impl<M: Moments> DistTree<M> {
                 assert!(n <= 8, "{n} children for {key:?}, an octree cell has at most 8");
                 let first = tree.cells.len() as u32;
                 for kid in kids {
+                    let k = kid.owner;
+                    assert_eq!(k, owner, "a child of {key:?} from rank {k}, not from its owner");
                     tree.push(kid.held());
                 }
                 tree.cells[ci].below = Below::Kids { first, n: n as u8 };
@@ -686,6 +695,55 @@ mod tests {
                 assert_eq!(got, want, "rank {rank}, check {i}");
             }
         }
+    }
+
+    /// A remote node resolves to its owner: one that names a rank whose
+    /// interval does not hold its key range — an owner planted wrong on a
+    /// remote branch, and on a fetched child below it — is named by
+    /// [`DistTree::validate_cut`] with its key and the owner it names.
+    #[test]
+    fn a_remote_node_outside_its_owners_interval_is_named() {
+        let out = RunConfig::builder().np(4).run(|c| {
+            let (mine, iv) = decompose(c, sweep_bodies("uniform", c.rank(), 4), 16);
+            let pos: Vec<Vec3> = mine.iter().map(|b| b.pos).collect();
+            let q: Vec<f64> = mine.iter().map(|b| b.charge).collect();
+            let local = Tree::<MassMoments>::build(Aabb::unit(), &pos, &q, 4);
+            let mut dt = DistTree::build(c, local, iv);
+            let remote = |c: &Cell<MassMoments>| matches!(c.below, Below::Remote { leaf: false, .. });
+            let other = dt.nodes.clone().find(|&i| remote(&dt.local.cells[i])).expect("a remote branch");
+            let Below::Remote { owner, leaf } = dt.local.cells[other].below else { unreachable!() };
+            let wrong = (owner + 1) % 4;
+            let key = dt.local.cells[other].key;
+            dt.local.cells[other].below = Below::Remote { owner: wrong, leaf };
+            let planted = dt.validate_cut();
+            dt.local.cells[other].below = Below::Remote { owner, leaf };
+            // Its first child, as a correct owner serves it, then planted.
+            let kid = Summary { key: key.child(0), ..dt.local.cells[other].summary };
+            dt.open(key, Reply::Kids(vec![DNode::remote(kid, owner, true)]));
+            let first = dt.local.cells.len() - 1;
+            dt.local.cells[first].below = Below::Remote { owner: wrong, leaf: true };
+            let fetched = dt.validate_cut();
+            dt.local.cells[first].below = Below::Remote { owner, leaf: true };
+            let want = |key| Err(TreeError::NotItsOwners { key, owner: wrong });
+            [(planted, want(key)), (fetched, want(key.child(0))), (dt.validate_cut(), Ok(()))]
+        });
+        for (rank, checks) in out.results.iter().enumerate() {
+            for (i, (got, want)) in checks.iter().enumerate() {
+                assert_eq!(got, want, "rank {rank}, check {i}");
+            }
+        }
+    }
+
+    /// A child served by a rank other than its parent's owner is a forged
+    /// reply: opening with it panics.
+    #[test]
+    #[should_panic(expected = "not from its owner")]
+    fn a_child_from_another_owner_panics() {
+        RunConfig::builder().np(1).run(|c| {
+            let (mut dt, key) = with_remote_node(c, false);
+            let kid = Summary::<MassMoments>::of_particles(key.child(0), &[], &[], &Aabb::unit());
+            dt.open(key, Reply::Kids(vec![DNode::remote(kid, 1, true)]));
+        });
     }
 
     /// The graft keeps every local cell as it was, at its index; the table

@@ -15,11 +15,11 @@
 //! or the bodies of a leaf, and the rank appends them to its tree. A group
 //! with anything missing is *parked* and the rank switches to another
 //! group instead of stalling; a group with nothing missing *emits*: the
-//! walk that writes the group's [`InteractionList`], one uninterrupted
-//! depth-first traversal from the global root — the distributed flavour of
-//! the list-build stage. Below the rank's own branches it walks the local
-//! cells exactly as the serial walk does. The pipeline then hides the
-//! network latency two ways:
+//! walk that writes the group's [`InteractionList`](crate::ilist::InteractionList)
+//! ([`crate::walk::walk_group_list`]), one uninterrupted depth-first
+//! traversal from the global root, where the rank's tree starts its walks.
+//! Below the rank's own branches it walks the local cells exactly as the
+//! serial walk does. The pipeline then hides the network latency two ways:
 //!
 //! * **Request coalescing** — the wants of all parked groups are gathered
 //!   per *round* and every distinct key wanted from one owner goes out in a
@@ -40,12 +40,14 @@
 //!   round's requests are posted and flushed, so they travel while the
 //!   rank computes the batch — each group emitted, its interaction counts
 //!   pinned, and its list handed to the rank's [`ListConsumer`] — and only
-//!   then serves and absorbs messages. The batch runs in tree order through
-//!   [`crate::walk::fan_out`] on the rank's share of the hardware threads
-//!   ([`Comm::compute_threads`]): compute threads touch no channel and are
-//!   joined before the rank serves. Sink groups are disjoint and each
-//!   group's list is its own, so accelerations stay bitwise identical
-//!   under any thread count.
+//!   then serves and absorbs messages. The batch runs through the one
+//!   group loop, [`crate::walk::walk_apply`], as `ForceCalc` runs a whole
+//!   tree: in tree order, on the rank's share of the hardware threads
+//!   ([`Comm::compute_threads`]), each thread with a list that lives for
+//!   the batch only. Compute threads touch no channel and are joined
+//!   before the rank serves. Sink groups are disjoint and each group's
+//!   list is its own, so accelerations stay bitwise identical under any
+//!   thread count.
 //!
 //! Emit never starts before everything it will touch is resident, so each
 //! group's list is written in the one canonical depth-first order no matter
@@ -66,11 +68,11 @@
 //! (DESIGN.md, "The reach of a rank's walk").
 
 use crate::dtree::{DistTree, Reply};
-use crate::ilist::{InteractionList, ListConsumer};
+use crate::ilist::ListConsumer;
 use crate::mac::Mac;
 use crate::moments::Moments;
 use crate::tree::{Below, Cell, Tree};
-use crate::walk::{fan_out, walk, workers_for, Visit, WalkStats};
+use crate::walk::{walk, walk_apply, workers_for, Visit, WalkStats};
 use bytes::Bytes;
 use hot_base::Vec3;
 use hot_comm::{from_bytes, Abm, Comm, Quiescence, Wire};
@@ -102,7 +104,7 @@ const ABM_BATCH: usize = 16384;
 pub struct WalkConfig;
 
 /// One sink group's resolve stage. Once nothing is missing the group joins
-/// its round's ready batch, which emits and applies it in one go.
+/// its round's ready batch, which writes and applies its list in one go.
 struct GroupWalk {
     /// Index of the group cell in the local tree.
     gi: u32,
@@ -285,7 +287,8 @@ fn reach<M: Moments>(local: &Tree<M>, groups: &[u32]) -> Option<(Vec3, f64)> {
 ///    asked for this round). A group with nothing missing joins the
 ///    round's ready batch; the others park;
 /// 2. post at most one [`request`] per owner and flush, then compute the
-///    ready batch (see [`compute_batch`]) while the requests travel;
+///    ready batch ([`walk_apply`] on `workers(sinks in the batch)`
+///    threads) while the requests travel;
 /// 3. serve peers / absorb replies until no message is pollable;
 /// 4. take a step of ABM's termination protocol ([`Abm::settle`]). Parked
 ///    groups reactivate **only** when it proves every posted message
@@ -319,7 +322,7 @@ fn walk_groups<M: Moments, C: ListConsumer<M>>(
     // One walk per sink group, all starting at the global root.
     let mut active: Vec<GroupWalk> = groups
         .into_iter()
-        .map(|gi| GroupWalk { gi, untested: vec![dt.root()], missing: Vec::new() })
+        .map(|gi| GroupWalk { gi, untested: vec![dt.local.walk_root()], missing: Vec::new() })
         .collect();
     let mut parked: Vec<GroupWalk> = Vec::new();
     let mut abm = Abm::new(comm, abm_batch);
@@ -347,7 +350,11 @@ fn walk_groups<M: Moments, C: ListConsumer<M>>(
             abm.post(owner, K_REQUEST, &request(keys));
         }
         abm.flush_all();
-        compute_batch(dt, mac, consumer, &mut ready, &mut stats, &workers);
+        // The batch's lists live for the batch only: kept across rounds,
+        // every parked rank fiber would hold them.
+        let sinks = ready.iter().map(|&gi| dt.local.cells[gi as usize].n as usize).sum();
+        let costs = &mut stats.group_costs;
+        stats.walk.merge(&walk_apply(&dt.local, mac, &mut ready, consumer, workers(sinks), &mut Vec::new(), costs));
         // (3) Serve and absorb until locally idle.
         loop {
             abm.flush_all();
@@ -370,54 +377,6 @@ fn walk_groups<M: Moments, C: ListConsumer<M>>(
     stats
 }
 
-/// What one chunk of a ready batch hands back to be merged.
-#[derive(Default)]
-struct BatchOut {
-    walk: WalkStats,
-    group_costs: Vec<(u32, u64)>,
-}
-
-/// Compute one round's ready batch: per group, [`emit`] its list (its
-/// counts pinned against the list) and hand the list to `consumer` (the
-/// apply stage). The groups run in tree
-/// order through [`fan_out`] on `workers(sinks in the batch)` threads,
-/// each with a list of its own that lives for this batch only. Sink groups
-/// are disjoint, so neither the order nor the thread of a group's apply can
-/// change a per-sink sum.
-fn compute_batch<M: Moments, C: ListConsumer<M>>(
-    dt: &DistTree<M>,
-    mac: &Mac,
-    consumer: &mut C,
-    ready: &mut [u32],
-    stats: &mut DwalkStats,
-    workers: impl Fn(usize) -> usize,
-) {
-    let cells = &dt.local.cells;
-    ready.sort_unstable_by_key(|&gi| cells[gi as usize].first);
-    let sinks = ready.iter().map(|&gi| cells[gi as usize].n as usize).sum();
-    let outs = fan_out(
-        workers(sinks),
-        ready,
-        |gi| cells[gi as usize].span(),
-        consumer,
-        &mut Vec::new(),
-        |groups, part, list| {
-            let mut out = BatchOut::default();
-            for &gi in groups {
-                let walk = emit(dt, mac, gi, list);
-                out.walk.merge(&walk);
-                out.group_costs.push((gi, walk.opened));
-                part.consume(&dt.local.pos, &dt.local.charge, cells[gi as usize].span(), list);
-            }
-            out
-        },
-    );
-    for out in outs {
-        stats.walk.merge(&out.walk);
-        stats.group_costs.extend(out.group_costs);
-    }
-}
-
 /// The resolve stage: the one walk over the nodes this group's traversal
 /// has newly reached, writing no list, recording in `w.missing` every
 /// remote node it must open that is not open yet, adding each key nobody
@@ -426,7 +385,7 @@ fn compute_batch<M: Moments, C: ListConsumer<M>>(
 /// resident — nothing there can miss — and looks at each node at most once
 /// per group: a node found missing is open by the next call (rounds end
 /// quiescent), so that call starts from its children. Leaves `w.missing`
-/// empty iff [`emit`] can run.
+/// empty iff the group's list can be written.
 fn resolve<M: Moments>(
     dt: &DistTree<M>,
     mac: &Mac,
@@ -460,23 +419,6 @@ impl<M: Moments> Visit<M> for Resolve<'_> {
             *if leaf { &mut self.stats.body_requests } else { &mut self.stats.cell_requests } += 1;
         }
     }
-}
-
-/// The emit stage: the one walk from the global root, recording group
-/// `gi`'s accepted sources into `list` (cleared first) and returning the
-/// walk's counts, pinned against the list. Below the rank's own branches
-/// it walks the local cells as the serial walk does. Runs only once
-/// [`resolve`] found everything it reaches resident, so the list is
-/// written in the one canonical order whatever round its data arrived in.
-fn emit<M: Moments>(
-    dt: &DistTree<M>,
-    mac: &Mac,
-    gi: u32,
-    list: &mut InteractionList<M>,
-) -> WalkStats {
-    list.clear();
-    let sinks = dt.local.cells[gi as usize].span();
-    walk(&dt.local, mac, gi, &mut vec![dt.root()], list).pinned_to(list, &sinks, gi)
 }
 
 /// Serve one request: what lies below every requested key
@@ -536,7 +478,7 @@ mod tests {
     use hot_comm::RunConfig;
     use super::*;
     use crate::decomp::{decompose, decompose_unaligned, Body};
-    use crate::ilist::Segment;
+    use crate::ilist::{InteractionList, Segment};
     use crate::moments::MassMoments;
     use crate::tree::Tree;
     use hot_base::Aabb;
@@ -849,7 +791,7 @@ mod tests {
     /// What one rank's walk must compute, worked out by recursing over the
     /// rank's global view with *every* rank's local tree in hand, so nothing
     /// is ever missing: the list is a pure function of trees + MAC. Shares
-    /// no code with `resolve`/`emit`. Recursion order differs from the
+    /// no code with the walk. Recursion order differs from the
     /// walk's stack order, which the mass sums cannot see: every charge is
     /// a multiple of 0.5, so they are exact in any order.
     struct Oracle<'a> {
@@ -1037,7 +979,7 @@ mod tests {
             };
             for &gi in &groups {
                 (o.gi, o.mass, o.remote_uses) = (gi, 0.0, 0);
-                o.node(dt.root());
+                o.node(dt.local.walk_root());
                 for i in o.group().span() {
                     want_seen[i] = o.mass.to_bits();
                 }
@@ -1383,7 +1325,7 @@ mod tests {
                 dt.prune(|s| !mac.accepts(s, center, r));
                 let resolved = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
                     for &gi in &groups {
-                        let mut w = GroupWalk { gi, untested: vec![dt.root()], missing: Vec::new() };
+                        let mut w = GroupWalk { gi, untested: vec![dt.local.walk_root()], missing: Vec::new() };
                         resolve(&dt, &mac, &mut w, &mut Wants::new(), &mut DwalkStats::default());
                     }
                 }));

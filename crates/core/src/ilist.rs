@@ -288,7 +288,7 @@ pub trait ListConsumer<M: Moments> {
     /// consume the groups inside their ranges on different threads and do
     /// exactly what `self` would. The default, `None`, means the consumer
     /// cannot be split, and callers run it inline. This is how the compute
-    /// fan-out ([`crate::walk::fan_out`]) divides outputs between threads.
+    /// fan-out ([`crate::walk::walk_apply`]) divides outputs between threads.
     fn split(
         &mut self,
         parts: &[Range<usize>],

@@ -63,13 +63,12 @@ proptest! {
         bucket in 1usize..24,
         theta in 0.2f64..1.2,
     ) {
-        use crate::ilist::InteractionList;
         use crate::walk::{tests::Coverage, walk_lists};
         let masses = vec![1.0; pts.len()];
         let tree = Tree::<MassMoments>::build(Aabb::unit(), &pts, &masses, bucket);
         let mut seen = vec![0.0; pts.len()];
         let mac = crate::Mac::BarnesHut { theta };
-        walk_lists(&tree, &mac, &mut Coverage { seen: &mut seen, base: 0 }, &mut InteractionList::new());
+        walk_lists(&tree, &mac, &mut Coverage { seen: &mut seen, base: 0 });
         let n = pts.len() as f64;
         for &s in &seen {
             prop_assert!((s - n).abs() < 1e-9 * n, "saw {s}, want {n}");

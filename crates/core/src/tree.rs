@@ -134,7 +134,9 @@ pub struct Tree<M: Moments> {
 impl<M: Moments> Tree<M> {
     /// Build a tree over `pos`/`charge` (parallel arrays) inside `domain`
     /// (must be a cube containing all positions). `bucket` is the maximum
-    /// leaf occupancy.
+    /// leaf occupancy. Panics, naming the body, on a position that is not
+    /// finite: its key would be a clamped corner of the domain, and every
+    /// force it touches NaN.
     pub fn build(domain: Aabb, pos: &[Vec3], charge: &[M::Charge], bucket: usize) -> Self {
         assert_eq!(pos.len(), charge.len(), "positions and charges must pair up");
         assert!(bucket >= 1);
@@ -145,7 +147,10 @@ impl<M: Moments> Tree<M> {
         let mut keyed: Vec<(Key, u32)> = pos
             .iter()
             .enumerate()
-            .map(|(i, &p)| (Key::from_point(p, &domain), i as u32))
+            .map(|(i, &p)| {
+                assert!(p.is_finite(), "Tree::build: body {i} is at {p:?}, not a finite position");
+                (Key::from_point(p, &domain), i as u32)
+            })
             .collect();
         keyed.sort_unstable_by_key(|&(k, _)| k);
 
@@ -258,6 +263,14 @@ impl<M: Moments> Tree<M> {
     /// The root cell.
     pub fn root(&self) -> &Cell<M> {
         &self.cells[0]
+    }
+
+    /// Where every walk starts: the node the table leads [`Key::ROOT`] to —
+    /// the local root, cell 0, until `DistTree::build` grafts a canopy,
+    /// whose global root then takes the key over.
+    #[inline]
+    pub(crate) fn walk_root(&self) -> u32 {
+        self.table.find(Key::ROOT).0.unwrap_or(0)
     }
 
     /// Look a cell up by key.
@@ -440,6 +453,13 @@ pub enum TreeError {
         /// The pruned node.
         key: Key,
     },
+    /// A remote node's key range is not inside its owner's interval.
+    NotItsOwners {
+        /// The remote node.
+        key: Key,
+        /// The rank it names as its owner.
+        owner: u32,
+    },
 }
 
 impl std::fmt::Display for TreeError {
@@ -461,6 +481,9 @@ impl std::fmt::Display for TreeError {
                 write!(f, "particle {particle} lies beyond bmax of {key:?}")
             }
             TreeError::PrunedNotShared { key } => write!(f, "{key:?} is pruned but not shared"),
+            TreeError::NotItsOwners { key, owner } => {
+                write!(f, "remote {key:?} lies outside the interval of its owner, rank {owner}")
+            }
         }
     }
 }

@@ -5,14 +5,19 @@
 //! nearby particles): one pass down the tree decides, for the whole group,
 //! which cells interact as multipoles and which leaves must be evaluated
 //! particle-by-particle, and writes those decisions straight into the
-//! group's [`InteractionList`]. There is one walk ([`walk`]): the serial
-//! walk runs it over a local tree, and the distributed walk runs it over
-//! the rank's one tree of local, canopy and fetched cells, both to find
-//! the remote nodes a group is missing (resolve, which writes no list)
-//! and to write the list once nothing is (emit). Physics modules apply
-//! finished lists through [`ListConsumer`] — the tree neither knows nor
-//! cares whether it is computing gravity, vorticity or SPH neighbour
-//! lists, which is precisely the paper's library/application split.
+//! group's [`InteractionList`]. There is one walk ([`walk`]), started where
+//! the tree's walks start: the serial walk runs it over a local tree, and
+//! the distributed walk runs it over the rank's one tree of local, canopy
+//! and fetched cells, both to find the remote nodes a group is missing
+//! (resolve, which writes no list) and to write the list once nothing is.
+//! There is one group loop ([`walk_apply`]): per group, write the list and
+//! hand it to a [`ListConsumer`], the apply stage, fanned out over threads.
+//! `ForceCalc` runs it over a whole tree, the distributed walk over each
+//! round's ready batch, and [`walk_lists`] over a whole tree on one thread.
+//! Physics modules apply finished lists through [`ListConsumer`] — the tree
+//! neither knows nor cares whether it is computing gravity, vorticity or
+//! SPH neighbour lists, which is precisely the paper's library/application
+//! split.
 
 use crate::ilist::{InteractionList, ListConsumer};
 use crate::mac::Mac;
@@ -91,10 +96,10 @@ impl WalkStats {
     }
 }
 
-/// What one walk does with what it finds. A list writer ([`InteractionList`]:
-/// the serial walk and the distributed walk's emit) records every accepted
-/// cell and every opened body span; the distributed walk's resolve writes
-/// nothing and only collects the remote nodes it must open.
+/// What one walk does with what it finds. A list writer ([`InteractionList`],
+/// through [`walk_group_list`]) records every accepted cell and every
+/// opened body span; the distributed walk's resolve writes nothing and only
+/// collects the remote nodes it must open.
 pub(crate) trait Visit<M: Moments> {
     /// Whether the walk lists sources, and so descends into subtrees whose
     /// bodies are all resident. A walk that only looks for what is missing
@@ -126,13 +131,18 @@ impl<M: Moments> Visit<M> for InteractionList<M> {
 
 /// The one walk: pop the cells of `stack` and test them for the sink group
 /// `gi` until the stack is empty, in depth-first stack order, handing what
-/// it takes to `v` and returning the walk's counts. The serial walk starts
-/// it at the local root, the distributed walk at the global root (emit) or
-/// at the children of what it last opened (resolve).
+/// it takes to `v` and returning the walk's counts. A list walk starts it
+/// where the tree's walks start ([`walk_group_list`]), the distributed
+/// walk's resolve there or at the children of what it last opened.
 ///
 /// The group itself — the group cell, its copy in the canopy, or a virtual
 /// branch holding all of a leaf group's bodies — interacts directly,
 /// without self-pairs.
+///
+/// Kept out of line: inlined into its one list-writing caller,
+/// [`walk_group_list`], it built lists ≈ 20–35 % slower per interaction
+/// (`walk.list_ns_per_ixn`).
+#[inline(never)]
 pub(crate) fn walk<M: Moments, V: Visit<M>>(
     tree: &Tree<M>,
     mac: &Mac,
@@ -183,7 +193,9 @@ pub(crate) fn walk<M: Moments, V: Visit<M>>(
 }
 
 /// Walk one sink group (`gi` indexes `tree.cells`) into an interaction
-/// list (list-build stage). `list` is cleared first and holds exactly
+/// list (list-build stage), from where the tree's walks start: the local
+/// root, or the global root of a rank's tree once its canopy is grafted —
+/// the distributed walk's emit. `list` is cleared first and holds exactly
 /// this group's accepted sources afterwards, in traversal order. The
 /// returned stats carry the list-entry counts and are pinned against the
 /// list.
@@ -194,45 +206,84 @@ pub fn walk_group_list<M: Moments>(
     list: &mut InteractionList<M>,
 ) -> WalkStats {
     list.clear();
-    walk(tree, mac, gi, &mut vec![0], list).pinned_to(list, &tree.cells[gi as usize].span(), gi)
+    let sinks = tree.cells[gi as usize].span();
+    walk(tree, mac, gi, &mut vec![tree.walk_root()], list).pinned_to(list, &sinks, gi)
 }
 
-/// The two-stage evaluation: build each sink group's interaction list,
-/// then hand it to `consumer` (the apply stage). `scratch` is the reused
-/// list buffer — steady state allocates nothing.
-pub fn walk_lists<M: Moments, C: ListConsumer<M> + ?Sized>(
+/// The two-stage evaluation over every sink group of `tree`, on the
+/// calling thread: [`walk_apply`] with one worker.
+pub fn walk_lists<M: Moments>(tree: &Tree<M>, mac: &Mac, consumer: &mut dyn ListConsumer<M>) -> WalkStats {
+    let mut groups = tree.groups(default_group_size(tree.bucket));
+    walk_apply(tree, mac, &mut groups, consumer, 1, &mut Vec::new(), &mut Vec::new())
+}
+
+/// The one group loop, run by `ForceCalc` over a whole tree, by the
+/// distributed walk over each round's ready batch, and by [`walk_lists`]:
+/// per sink group of `groups`, sorted into tree order first, build its list
+/// ([`walk_group_list`]) and hand it to `consumer` (the apply stage).
+/// Returns the summed counts, and appends each group's cells opened to
+/// `opened` as `(gi, opened)`, in tree order.
+///
+/// Groups are independent units of work (a group's list and its sinks'
+/// outputs depend on no other group), so they are cut into contiguous
+/// chunks; `consumer` is [split](ListConsumer::split) into one part per
+/// chunk, owning the sinks from the chunk's first group to its last; and
+/// the chunks run on the calling thread and `workers - 1` scoped threads
+/// that pull them from a shared queue, each owning one list of `lists`
+/// (grown to the workers used, never shrunk). With one worker, one chunk,
+/// or a consumer that cannot split, the groups run inline with `consumer`
+/// itself. Workers share the tree read-only and own their part, their list
+/// and their chunk's slots of `opened`; counts merge as integer sums, so
+/// any thread count and schedule gives bitwise the one-worker outcome. The
+/// threads perform no channel operation and are joined before this
+/// returns; a worker's panic is re-raised in the caller, after every
+/// thread has stopped.
+pub fn walk_apply<M: Moments>(
     tree: &Tree<M>,
     mac: &Mac,
-    consumer: &mut C,
-    scratch: &mut InteractionList<M>,
+    groups: &mut [u32],
+    consumer: &mut dyn ListConsumer<M>,
+    workers: usize,
+    lists: &mut Vec<InteractionList<M>>,
+    opened: &mut Vec<(u32, u64)>,
 ) -> WalkStats {
-    let groups = tree.groups(default_group_size(tree.bucket));
-    walk_lists_of(tree, mac, &groups, consumer, scratch)
+    groups.sort_unstable_by_key(|&gi| tree.cells[gi as usize].first);
+    if lists.is_empty() {
+        lists.push(InteractionList::new());
+    }
+    let at = opened.len();
+    opened.resize(at + groups.len(), (0, 0));
+    let opened = &mut opened[at..];
+    match run_parts(workers, tree, mac, groups, opened, consumer, lists) {
+        Some(stats) => stats,
+        None => walk_run(tree, mac, groups, opened, consumer, &mut lists[0]),
+    }
 }
 
-/// [`walk_lists`] over the sink groups `groups` only. This is the one
-/// group loop: groups are independent units of work (a group's list and
-/// its sinks' outputs depend on no other group), so a caller may hand
-/// disjoint runs of groups to consumers that own disjoint outputs — in
-/// any order, on any thread — and add the returned stats.
-pub fn walk_lists_of<M: Moments, C: ListConsumer<M> + ?Sized>(
+/// [`walk_apply`] over one chunk of groups, `run`, on one thread, each
+/// group's `(gi, opened)` written to `opened`. Inlined into both callers,
+/// so no frame sits between the loop and the consumer on a rank fiber.
+#[inline(always)]
+fn walk_run<M: Moments>(
     tree: &Tree<M>,
     mac: &Mac,
-    groups: &[u32],
-    consumer: &mut C,
-    scratch: &mut InteractionList<M>,
+    run: &[u32],
+    opened: &mut [(u32, u64)],
+    part: &mut dyn ListConsumer<M>,
+    list: &mut InteractionList<M>,
 ) -> WalkStats {
     let mut stats = WalkStats::default();
-    for &gi in groups {
-        stats.merge(&walk_group_list(tree, mac, gi, scratch));
-        let sinks = tree.cells[gi as usize].span();
-        consumer.consume(&tree.pos, &tree.charge, sinks, scratch);
+    for (&gi, cost) in run.iter().zip(opened) {
+        let group = walk_group_list(tree, mac, gi, list);
+        stats.merge(&group);
+        *cost = (gi, group.opened);
+        part.consume(&tree.pos, &tree.charge, tree.cells[gi as usize].span(), list);
     }
     stats
 }
 
 /// Sinks a thread must have to itself before another one pays for its
-/// spawn and join — one constant for both callers of [`fan_out`]. Measured
+/// spawn and join — one constant for every caller of [`walk_apply`]. Measured
 /// (release, 2 hardware threads, group size 32, walk + apply only; the
 /// median of 7 alternating series of two workers against one — single
 /// series ran 0.6–2.6×, the host being shared): "whole" is an N-body
@@ -269,110 +320,70 @@ pub fn workers_for(n: usize, available: usize) -> usize {
     available.min(n / MIN_SINKS_PER_THREAD).max(1)
 }
 
-/// The compute fan-out: the one queue-and-scope driver, used by
-/// `ForceCalc` over a whole tree and by the distributed walk over each
-/// round's ready sink groups.
+/// [`walk_apply`]'s threads: `groups` cut into chunks, `consumer` split
+/// into one part per chunk, and `workers` threads draining the queue of
+/// `(run, opened, part)` chunks, each with a list of `lists`; their counts
+/// are summed. `None` when the groups run inline: one worker, one chunk,
+/// or a consumer that cannot split.
 ///
-/// `groups` (in tree order, so their sink spans `span(g)` ascend) are cut
-/// into contiguous chunks; `consumer` is [split](ListConsumer::split) into
-/// one part per chunk, owning the sinks from the chunk's first span to its
-/// last; and `job(chunk, part, list)` runs every chunk, on the calling
-/// thread and `workers - 1` scoped threads that pull chunks from a shared
-/// queue, each owning one list of `lists` (grown to the workers used,
-/// never shrunk). With one worker, one chunk, or a consumer that cannot
-/// split, one job runs inline over all of `groups` with `consumer` itself.
-///
-/// Returns the jobs' results in chunk order. Workers share `job`'s
-/// captures read-only and own their part and list; nothing else is touched
-/// before the join, so a caller whose results merge by integer sums and
-/// set operations gets bitwise the one-worker outcome under any thread
-/// count and schedule. The threads perform no channel operation and are
-/// joined before this returns. A worker's panic is re-raised in the
-/// caller, after every thread has stopped.
-pub fn fan_out<M, R>(
+/// Kept out of line: inlined, its thread scope and chunk bookkeeping
+/// enlarged the group loop's frame, which sits on every rank fiber's stack
+/// on the one-thread path too (`dist_fine` peak RSS 37.5 → 38.0 MiB).
+#[inline(never)]
+fn run_parts<M: Moments>(
     workers: usize,
+    tree: &Tree<M>,
+    mac: &Mac,
     groups: &[u32],
-    span: impl Fn(u32) -> Range<usize>,
+    opened: &mut [(u32, u64)],
     consumer: &mut dyn ListConsumer<M>,
     lists: &mut Vec<InteractionList<M>>,
-    job: impl Fn(&[u32], &mut dyn ListConsumer<M>, &mut InteractionList<M>) -> R + Sync,
-) -> Vec<R>
-where
-    M: Moments,
-    R: Send,
-{
-    if lists.is_empty() {
-        lists.push(InteractionList::new());
-    }
+) -> Option<WalkStats> {
     let per_chunk = groups.len().div_ceil(workers.max(1) * CHUNKS_PER_WORKER).max(1);
-    let runs: Vec<&[u32]> = groups.chunks(per_chunk).collect();
-    if workers > 1 && runs.len() > 1 {
-        let mut end = 0;
-        let ranges: Vec<Range<usize>> = runs
-            .iter()
-            .map(|run| {
-                let (first, last) = (span(run[0]), span(run[run.len() - 1]));
-                assert!(first.start >= end, "sink groups must be disjoint and in tree order");
-                end = last.end;
-                first.start..last.end
-            })
-            .collect();
-        if let Some(parts) = consumer.split(&ranges) {
-            return run_parts(workers.min(runs.len()), runs, parts, lists, &job);
-        }
+    if workers < 2 || groups.len() <= per_chunk {
+        return None;
     }
-    vec![job(groups, consumer, &mut lists[0])]
-}
-
-/// [`fan_out`]'s threads: `workers` (≥ 2) drain the queue of `(run, part)`
-/// chunks, each with a list of `lists`; results come back in chunk order.
-///
-/// Kept out of line: inlined, its thread scope enlarged `fan_out`'s frame,
-/// which sits on every rank fiber's stack on the one-thread path too
-/// (`dist_fine` peak RSS 37.5 → 38.0 MiB).
-#[inline(never)]
-fn run_parts<M, R>(
-    workers: usize,
-    runs: Vec<&[u32]>,
-    parts: Vec<Box<dyn ListConsumer<M> + Send + '_>>,
-    lists: &mut Vec<InteractionList<M>>,
-    job: &(impl Fn(&[u32], &mut dyn ListConsumer<M>, &mut InteractionList<M>) -> R + Sync),
-) -> Vec<R>
-where
-    M: Moments,
-    R: Send,
-{
+    let (cells, mut end) = (&tree.cells, 0);
+    let ranges: Vec<Range<usize>> = groups
+        .chunks(per_chunk)
+        .map(|run| {
+            let (first, last) = (cells[run[0] as usize].span(), cells[run[run.len() - 1] as usize].span());
+            assert!(first.start >= end, "sink groups must be disjoint");
+            end = last.end;
+            first.start..last.end
+        })
+        .collect();
+    let parts = consumer.split(&ranges)?;
+    let workers = workers.min(ranges.len());
     if lists.len() < workers {
         lists.resize_with(workers, InteractionList::new);
     }
-    let queue = Mutex::new(runs.into_iter().zip(parts).enumerate());
+    let queue = Mutex::new(groups.chunks(per_chunk).zip(opened.chunks_mut(per_chunk)).zip(parts));
     let drain = |list: &mut InteractionList<M>| {
-        let mut done = Vec::new();
+        let mut stats = WalkStats::default();
         loop {
             // The guard is dropped at the end of this statement, so the
             // lock is never held while a chunk runs; `next` cannot panic,
             // so a poisoned lock still guards a valid queue.
             let next = queue.lock().unwrap_or_else(PoisonError::into_inner).next();
-            let Some((k, (run, mut part))) = next else { return done };
-            done.push((k, job(run, &mut *part, list)));
+            let Some(((run, opened), mut part)) = next else { return stats };
+            stats.merge(&walk_run(tree, mac, run, opened, &mut *part, list));
         }
     };
     let [own, helpers @ ..] = &mut lists[..workers] else {
         unreachable!("two or more workers here")
     };
-    let mut done = std::thread::scope(|s| {
+    Some(std::thread::scope(|s| {
         let handles: Vec<_> = helpers.iter_mut().map(|list| s.spawn(|| drain(list))).collect();
-        let mut done = drain(own);
+        let mut stats = drain(own);
         for h in handles {
             match h.join() {
-                Ok(d) => done.extend(d),
+                Ok(d) => stats.merge(&d),
                 Err(payload) => std::panic::resume_unwind(payload),
             }
         }
-        done
-    });
-    done.sort_unstable_by_key(|&(k, _)| k);
-    done.into_iter().map(|(_, r)| r).collect()
+        stats
+    }))
 }
 
 /// Group size heuristic: a few leaf buckets per walk amortizes traversal
@@ -443,7 +454,7 @@ pub(crate) mod tests {
     fn coverage(tree: &Tree<MassMoments>, mac: &Mac) -> (Vec<f64>, WalkStats) {
         let mut seen = vec![0.0; tree.n_particles()];
         let mut cov = Coverage { seen: &mut seen, base: 0 };
-        let stats = walk_lists(tree, mac, &mut cov, &mut InteractionList::new());
+        let stats = walk_lists(tree, mac, &mut cov);
         (seen, stats)
     }
 
@@ -562,32 +573,25 @@ pub(crate) mod tests {
         (tree, groups)
     }
 
-    /// `fan_out` of the list pipeline over `groups`: coverage bits, the
-    /// per-chunk stats summed, and the lists it ended up holding.
+    /// The group loop over `groups` on `workers` threads: coverage bits,
+    /// the summed stats, the group costs, and the lists it ended up holding.
     fn fan_out_run(
         tree: &Tree<MassMoments>,
         groups: &[u32],
         workers: usize,
-    ) -> (Vec<u64>, WalkStats, usize) {
+    ) -> (Vec<u64>, WalkStats, Vec<(u32, u64)>, usize) {
         let mac = Mac::BarnesHut { theta: 0.5 };
         let mut seen = vec![0.0; tree.n_particles()];
-        let mut lists = Vec::new();
-        let per_chunk = fan_out(
-            workers,
-            groups,
-            |gi| tree.cells[gi as usize].span(),
-            &mut Coverage { seen: &mut seen, base: 0 },
-            &mut lists,
-            |run, part, list| walk_lists_of(tree, &mac, run, part, list),
-        );
-        let mut stats = WalkStats::default();
-        per_chunk.iter().for_each(|s| stats.merge(s));
-        (seen.iter().map(|s| s.to_bits()).collect(), stats, lists.len())
+        let (mut lists, mut costs) = (Vec::new(), Vec::new());
+        let mut cov = Coverage { seen: &mut seen, base: 0 };
+        let stats = walk_apply(tree, &mac, &mut groups.to_vec(), &mut cov, workers, &mut lists, &mut costs);
+        (seen.iter().map(|s| s.to_bits()).collect(), stats, costs, lists.len())
     }
 
-    /// Any worker count gives the one-worker coverage and stats bitwise —
-    /// on all groups, and on every other group, where the parts have gaps
-    /// that no part may touch.
+    /// Any worker count gives the one-worker coverage, stats and group
+    /// costs bitwise — on all groups, and on every other group, where the
+    /// parts have gaps that no part may touch — and groups handed over in
+    /// any order are walked in tree order.
     #[test]
     fn fan_out_is_bitwise_for_any_worker_count() {
         for pos in [random_points(3000, 51), clumped_points(3000, 52)] {
@@ -595,11 +599,13 @@ pub(crate) mod tests {
             let alternate: Vec<u32> = groups.iter().copied().step_by(2).collect();
             for gs in [&groups, &alternate] {
                 let one = fan_out_run(&tree, gs, 1);
-                assert_eq!(one.2, 1);
+                assert_eq!(one.3, 1);
+                assert!(one.2.iter().map(|c| c.0).eq(gs.iter().copied()), "costs in tree order");
+                let reversed: Vec<u32> = gs.iter().rev().copied().collect();
                 for workers in [2, 3, 8] {
-                    let many = fan_out_run(&tree, gs, workers);
-                    assert_eq!((&many.0, many.1), (&one.0, one.1), "{workers} workers");
-                    assert_eq!(many.2, workers, "one list per worker");
+                    let many = fan_out_run(&tree, &reversed, workers);
+                    assert_eq!((&many.0, many.1, &many.2), (&one.0, one.1, &one.2), "{workers} workers");
+                    assert_eq!(many.3, workers, "one list per worker");
                 }
             }
             let skipped: Vec<usize> =
@@ -619,15 +625,11 @@ pub(crate) mod tests {
                 self.0.push(std::thread::current().id());
             }
         }
-        let (tree, groups) = grouped(&random_points(2000, 53));
+        let (tree, mut groups) = grouped(&random_points(2000, 53));
         let mac = Mac::BarnesHut { theta: 0.7 };
         let mut inline = Inline(Vec::new());
         let mut lists = Vec::new();
-        let runs = fan_out(8, &groups, |gi| tree.cells[gi as usize].span(), &mut inline, &mut lists, |run, part, list| {
-            walk_lists_of(&tree, &mac, run, part, list);
-            run.len()
-        });
-        assert_eq!(runs, [groups.len()]);
+        walk_apply(&tree, &mac, &mut groups, &mut inline, 8, &mut lists, &mut Vec::new());
         assert_eq!(lists.len(), 1);
         let caller = std::thread::current().id();
         assert!(inline.0.len() == groups.len() && inline.0.iter().all(|&t| t == caller));
@@ -679,7 +681,7 @@ pub(crate) mod tests {
     /// "a scoped thread panicked", not a poisoned-lock message.
     #[test]
     fn fan_out_reraises_a_workers_panic() {
-        let (tree, groups) = grouped(&random_points(2000, 40));
+        let (tree, mut groups) = grouped(&random_points(2000, 40));
         let mac = Mac::BarnesHut { theta: 0.7 };
         for on_caller in [false, true] {
             let both_busy = std::sync::Barrier::new(2);
@@ -687,14 +689,7 @@ pub(crate) mod tests {
             let caller = std::thread::current().id();
             let mut failing = Failing { caller, on_caller, both_busy: &both_busy, waited: &waited };
             let caught = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                fan_out(
-                    2,
-                    &groups,
-                    |gi| tree.cells[gi as usize].span(),
-                    &mut failing,
-                    &mut Vec::new(),
-                    |run, part, list| walk_lists_of(&tree, &mac, run, part, list),
-                )
+                walk_apply(&tree, &mac, &mut groups, &mut failing, 2, &mut Vec::new(), &mut Vec::new())
             }));
             let payload = caught.expect_err("the panic must surface");
             let text = payload.downcast_ref::<&str>();

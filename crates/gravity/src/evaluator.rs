@@ -117,6 +117,16 @@ fn carve<'s, T>(rest: &mut &'s mut [T], skip: usize, len: usize) -> &'s mut [T] 
     head
 }
 
+/// `sorted`, in tree order, back in the original order `order` gives —
+/// the last step of `ForceCalc` and of the distributed step alike.
+pub(crate) fn unsort<T: Copy + Default>(order: &[u32], sorted: &[T]) -> Vec<T> {
+    let mut out = vec![T::default(); sorted.len()];
+    for (&orig, &x) in order.iter().zip(sorted) {
+        out[orig as usize] = x;
+    }
+    out
+}
+
 /// Record the force-phase counters for one walk's worth of interactions:
 /// a [`hot_trace::Phase::Force`] span holding the particle–particle and
 /// particle–cell interaction counts plus the flops they cost.
@@ -163,8 +173,7 @@ mod tests {
             work: &mut [],
             base: 0,
         };
-        let mut scratch = InteractionList::new();
-        walk_lists(&tree, &Mac::BarnesHut { theta: 0.5 }, &mut ev, &mut scratch);
+        walk_lists(&tree, &Mac::BarnesHut { theta: 0.5 }, &mut ev);
         // F = 1/0.5^2 = 4, pointing toward each other.
         let i0 = tree.order.iter().position(|&o| o == 0).unwrap();
         let i1 = tree.order.iter().position(|&o| o == 1).unwrap();
@@ -191,8 +200,7 @@ mod tests {
             work: &mut work,
             base: 0,
         };
-        let mut scratch = InteractionList::new();
-        walk_lists(&tree, &Mac::BarnesHut { theta: 0.6 }, &mut ev, &mut scratch);
+        walk_lists(&tree, &Mac::BarnesHut { theta: 0.6 }, &mut ev);
         assert!(pot.iter().all(|&p| p < 0.0), "potentials attractive: {pot:?}");
         assert!(work.iter().all(|&w| w > 0.0), "work tracked: {work:?}");
     }
@@ -223,9 +231,9 @@ mod tests {
             work: &mut [],
             base: 0,
         };
-        let mut scratch = InteractionList::new();
         let mac = Mac::BarnesHut { theta: 0.7 };
-        walk_lists(&tree, &mac, &mut ev, &mut scratch);
+        walk_lists(&tree, &mac, &mut ev);
+        let mut scratch = InteractionList::new();
 
         for gi in tree.groups(hot_core::walk::default_group_size(tree.bucket)) {
             let sinks = tree.cells[gi as usize].span();
@@ -253,7 +261,7 @@ mod tests {
     /// leave the gaps alone.
     #[test]
     fn split_parts_equal_the_whole_evaluator() {
-        use hot_core::walk::walk_lists_of;
+        use hot_core::walk::walk_apply;
         let mut rng = <rand::rngs::StdRng as rand::SeedableRng>::seed_from_u64(11);
         let n = 600;
         let pos: Vec<Vec3> = (0..n)
@@ -268,7 +276,6 @@ mod tests {
         let mut groups = tree.groups(8);
         groups.sort_unstable_by_key(|&gi| tree.cells[gi as usize].first);
         let span = |gi: u32| tree.cells[gi as usize].span();
-        let mut scratch = InteractionList::new();
         // Every other group from the third on, in parts of three groups.
         let kept: Vec<u32> = groups[2..].iter().copied().step_by(2).collect();
         let runs: Vec<&[u32]> = kept.chunks(3).collect();
@@ -289,7 +296,7 @@ mod tests {
                 work: if tally { &mut work[..] } else { &mut [] },
                 base: 0,
             };
-            walk_lists_of(&tree, &mac, &kept, &mut whole, &mut scratch);
+            walk_apply(&tree, &mac, &mut kept.clone(), &mut whole, 1, &mut Vec::new(), &mut Vec::new());
 
             let len = n - base;
             let (mut acc_p, mut pot_p, mut work_p) =
@@ -306,7 +313,7 @@ mod tests {
             let mut parts = cut.split(&ranges).expect("the gravity evaluator splits");
             assert_eq!(parts.len(), runs.len());
             for (run, part) in runs.iter().zip(&mut parts) {
-                walk_lists_of(&tree, &mac, run, &mut **part, &mut scratch);
+                walk_apply(&tree, &mac, &mut run.to_vec(), &mut **part, 1, &mut Vec::new(), &mut Vec::new());
             }
             drop(parts);
             let bits = |v: Vec3| [v.x.to_bits(), v.y.to_bits(), v.z.to_bits()];

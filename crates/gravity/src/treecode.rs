@@ -8,13 +8,13 @@
 //! `_traced` variant attributes phases to a [`Ledger`]. Every sink's
 //! accumulation order is fixed by its group's list.
 
-use crate::evaluator::{record_force_phase, GravityEvaluator};
+use crate::evaluator::{record_force_phase, unsort, GravityEvaluator};
 use hot_base::flops::FlopCounter;
 use hot_base::{available_threads, Aabb, Vec3};
 use hot_core::ilist::InteractionList;
 use hot_core::moments::MassMoments;
 use hot_core::tree::Tree;
-use hot_core::walk::{default_group_size, fan_out, walk_lists_of, workers_for, WalkStats};
+use hot_core::walk::{default_group_size, walk_apply, workers_for, WalkStats};
 use hot_core::Mac;
 use hot_trace::{Ledger, Phase};
 
@@ -93,9 +93,9 @@ pub struct ForceResult {
 /// interaction-list buffers that are reused across calls and substeps so
 /// steady-state evaluation does not allocate list storage.
 ///
-/// The sink groups of one evaluation are fanned out
-/// ([`hot_core::walk::fan_out`]) over every hardware thread the process
-/// may use ([`hot_base::available_threads`] — a fact about the machine,
+/// The sink groups of one evaluation run through the library's one group
+/// loop ([`hot_core::walk::walk_apply`]), fanned out over every hardware
+/// thread the process may use ([`hot_base::available_threads`] — a fact about the machine,
 /// like the lane body's run-time AVX2 choice, not an option). Workers
 /// *share*, read-only, the tree, the options and the (atomic)
 /// [`FlopCounter`]; each worker *owns* one interaction list of `lists`
@@ -179,60 +179,26 @@ impl ForceCalc {
         trace.end();
 
         let n = pos.len();
-        // Tree order, so that consecutive groups cover consecutive sinks.
         let mut groups = tree.groups(default_group_size(opts.bucket));
-        groups.sort_unstable_by_key(|&gi| tree.cells[gi as usize].first);
-        let flops_before = counter.report().flops();
-        trace.begin(Phase::Walk);
-        let mut acc_sorted = vec![Vec3::ZERO; n];
-        let mut pot_sorted = vec![0.0f64; if want_pot { n } else { 0 }];
-        let mut work_sorted = vec![0.0f32; n];
+        let (mut acc, mut pot, mut work) = (vec![Vec3::ZERO; n], vec![0.0; if want_pot { n } else { 0 }], vec![0.0; n]);
         let mut ev = GravityEvaluator {
-            acc: &mut acc_sorted,
-            pot: want_pot.then_some(&mut pot_sorted[..]),
+            acc: &mut acc,
+            pot: want_pot.then_some(&mut pot[..]),
             eps2: opts.eps2,
             quadrupole: opts.quadrupole,
             counter,
-            work: &mut work_sorted,
+            work: &mut work,
             base: 0,
         };
-        let mut stats = WalkStats::default();
-        for chunk in fan_out(
-            workers,
-            &groups,
-            |gi| tree.cells[gi as usize].span(),
-            &mut ev,
-            &mut self.lists,
-            |run, part, list| walk_lists_of(&tree, &opts.mac, run, part, list),
-        ) {
-            stats.merge(&chunk);
-        }
+        let flops_before = counter.report().flops();
+        trace.begin(Phase::Walk);
+        let stats = walk_apply(&tree, &opts.mac, &mut groups, &mut ev, workers, &mut self.lists, &mut Vec::new());
         stats.record_traversal(trace);
         trace.end();
         record_force_phase(trace, &stats, counter.report().flops() - flops_before);
-        unsort(&tree, &acc_sorted, &pot_sorted, &work_sorted, stats)
+        let order = &tree.order;
+        ForceResult { acc: unsort(order, &acc), pot: unsort(order, &pot), work: unsort(order, &work), stats }
     }
-}
-
-fn unsort(
-    tree: &Tree<MassMoments>,
-    acc_sorted: &[Vec3],
-    pot_sorted: &[f64],
-    work_sorted: &[f32],
-    stats: WalkStats,
-) -> ForceResult {
-    let mut acc = vec![Vec3::ZERO; acc_sorted.len()];
-    let mut pot = vec![0.0; pot_sorted.len()];
-    let mut work = vec![0.0f32; work_sorted.len()];
-    for (sorted_i, &orig) in tree.order.iter().enumerate() {
-        acc[orig as usize] = acc_sorted[sorted_i];
-        work[orig as usize] = work_sorted[sorted_i];
-    }
-    // Empty unless potentials were asked for.
-    for (&orig, &p) in tree.order.iter().zip(pot_sorted) {
-        pot[orig as usize] = p;
-    }
-    ForceResult { acc, pot, work, stats }
 }
 
 #[cfg(test)]
@@ -482,12 +448,7 @@ mod tests {
             let tree = Tree::<MassMoments>::build(Aabb::unit(), &pos, &mass, opts.bucket);
             let mut acc_sorted = vec![Vec3::ZERO; pos.len()];
             let mut oracle = ScalarApply { acc: &mut acc_sorted, eps2: opts.eps2, quadrupole };
-            let stats = hot_core::walk::walk_lists(
-                &tree,
-                &opts.mac,
-                &mut oracle,
-                &mut InteractionList::new(),
-            );
+            let stats = hot_core::walk::walk_lists(&tree, &opts.mac, &mut oracle);
             assert_eq!((stats.pp, stats.pc), (res.stats.pp, res.stats.pc));
             let bits = |v: Vec3| [v.x.to_bits(), v.y.to_bits(), v.z.to_bits()];
             for (sorted_i, &orig) in tree.order.iter().enumerate() {

@@ -113,7 +113,6 @@ pub fn tree_velocity_stretching(
     let n = pos.len();
     let mut vel_s = vec![Vec3::ZERO; n];
     let mut da_s = vec![Vec3::ZERO; n];
-    let mut scratch = InteractionList::new();
     let stats = {
         let mut ev = VortexEvaluator {
             vel: &mut vel_s,
@@ -121,7 +120,7 @@ pub fn tree_velocity_stretching(
             sigma2,
             counter,
         };
-        walk_lists(&tree, &hot_core::Mac::BarnesHut { theta }, &mut ev, &mut scratch)
+        walk_lists(&tree, &hot_core::Mac::BarnesHut { theta }, &mut ev)
     };
     let mut vel = vec![Vec3::ZERO; n];
     let mut dalpha = vec![Vec3::ZERO; n];
