@@ -159,8 +159,16 @@ echo "==> exp_balance smoke (adaptive decomposition skew/migration gates)"
 (cd "$smoke" && cargo run -q --offline --release --manifest-path "$root/Cargo.toml" -p hot-bench --bin exp_balance -- 64)
 test -s "$smoke/results/BENCH_balance.json"
 
-echo "==> exp_recovery smoke (Daly cadence ≤ 5% overhead, bitwise recovery gate)"
-cargo run -q --offline --release -p hot-bench --bin exp_recovery -- 2 128 4
+echo "==> exp_recovery smoke (Daly cadence ≤ 5% overhead, bitwise recovery gate; the fault-free digest pins the multi-step path)"
+# The run prints host wall times, so only its fault-free golden digest is
+# compared: any bit the supervised distributed KDK moves, or a stale
+# results/exp_recovery_digest.txt, fails here.
+cargo run -q --offline --release -p hot-bench --bin exp_recovery -- 2 128 4 | tee "$smoke/recovery.txt"
+awk '/^fault-free golden/ {print $NF}' "$smoke/recovery.txt" > "$smoke/recovery_digest.txt"
+if ! diff results/exp_recovery_digest.txt "$smoke/recovery_digest.txt" >&2; then
+  echo "ERROR: exp_recovery 2 128 4's fault-free digest moved off results/exp_recovery_digest.txt (or its line is missing)" >&2
+  exit 1
+fi
 
 echo "==> cluster_shootout smoke (one run priced on every machine spec: four machine rows)"
 # Not pinned: it prices raw Comm::stats(), which include the walk's

@@ -122,9 +122,10 @@ pub(crate) fn traced_pipeline(c: &mut Comm) -> PipelineOut {
 
 /// Adaptive-rebalance pipeline: a clustered multi-step run through
 /// `distributed_step_traced`, clustered enough that the feedback loop
-/// fires at the production trigger — step 0 bootstraps a cost-exact
-/// decomposition, later steps re-cost from the trace ledger, move the
-/// interval cuts and migrate the key-range diff through one all-to-all.
+/// fires at the production trigger — step 0 is the one-shot step's
+/// work-weighted sample sort, later steps re-cost from the interaction
+/// counts, move the interval cuts and migrate the key-range diff through
+/// one all-to-all.
 /// A pass proves the rebalance
 /// (including the RebalanceSteps/MigratedBodies/MigratedBytes counters) is
 /// bitwise independent of schedule and fault plan.

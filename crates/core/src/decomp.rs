@@ -22,15 +22,16 @@
 //!
 //! # Feedback-driven decomposition across steps
 //!
-//! The sample sort above re-sorts the whole key space from scratch and
-//! costs bodies with whatever `work` weight the caller left in them: it is
-//! the one-shot decomposition. A multi-step run closes the loop against
-//! the trace ledger instead:
+//! The sample sort above re-sorts the whole key space and weights bodies
+//! with whatever `work` the caller left in them: it is a step's cold
+//! decomposition, and the distributed step sets each body's `work` to the
+//! interactions it cost there. Each later step of a multi-step run keeps
+//! the previous step's cuts and closes the loop on the same measurement:
 //!
 //! * [`blend_cost`] — deterministic integer EWMA of per-body cost, fed from
-//!   the previous step's measured interactions + cells opened per sink
-//!   group. Costs are exact integers `1..=2^24` stored in `Body::work`
-//!   (exactly representable in the `f32`, so the wire format is unchanged).
+//!   the previous step's measured interaction count. Costs are exact
+//!   integers `1..=2^24` stored in `Body::work` (exactly representable in
+//!   the `f32`, so the wire format is unchanged).
 //! * [`rebalance_traced`] — the incremental repartition: first migrate the
 //!   *drift diff* (bodies whose keys left their owner's interval), then
 //!   compare the max/mean cost skew against the trigger
@@ -41,10 +42,9 @@
 //!   minimal key-range diff, one [`Body`] bucket per peer through the same
 //!   all-to-all the sample sort uses.
 //!
-//! Both cut computations are pure functions of the global `(key, cost)`
-//! multiset, so an incremental rebalance lands on bitwise the same
-//! intervals and per-rank body sets as a from-scratch
-//! [`decompose_costed_traced`] at the same costs (pinned by the property
+//! The exact cuts are a pure function of the global `(key, cost)` multiset,
+//! so a forced rebalance lands on bitwise the same intervals and per-rank
+//! body sets from any partition of the same bodies (pinned by the property
 //! suite).
 
 use bytes::{Buf, BufMut, Bytes, BytesMut};
@@ -198,9 +198,8 @@ pub fn decompose_traced<C: Wire + Copy + Send>(
     sample_sort(comm, bodies, oversample, ALIGN_SLACK_MILLI, trace)
 }
 
-/// [`decompose`] with every cut left at its work quantile, as
-/// [`decompose_costed_traced`] starts: for tests that need cuts inside an
-/// octant.
+/// [`decompose`] with every cut left at its work quantile: for tests that
+/// need cuts inside an octant.
 #[cfg(test)]
 pub(crate) fn decompose_unaligned<C: Wire + Copy + Send>(
     comm: &mut Comm,
@@ -210,9 +209,9 @@ pub(crate) fn decompose_unaligned<C: Wire + Copy + Send>(
     sample_sort(comm, bodies, oversample, 0, &mut Ledger::scratch())
 }
 
-/// The sample sort behind [`decompose_traced`] and the cold start of
-/// [`decompose_costed_traced`], its cuts aligned within `slack_milli` (see
-/// [`splitters`]).
+/// The sample sort behind [`decompose_traced`], its cuts aligned within
+/// `slack_milli` (see [`splitters`]); the test-only `decompose_unaligned`
+/// passes 0.
 fn sample_sort<C: Wire + Copy + Send>(
     comm: &mut Comm,
     mut bodies: Vec<Body<C>>,
@@ -619,31 +618,6 @@ pub fn rebalance_traced<C: Wire + Copy + Send>(
     debug_assert_eq!(intervals.validate(), Ok(()));
     trace.end();
     (mine, intervals, Rebalance { repartitioned: repartition, skew_milli })
-}
-
-/// From-scratch decomposition at exact integer costs (collective): the
-/// sample sort co-locates equal keys, then [`cost_cut_bounds`] +
-/// [`migrate_traced`] land on the exact cost quantiles. This is the
-/// reference the incremental [`rebalance_traced`] must match bitwise at
-/// the same costs (property suite), and a multi-step run's cold start.
-/// The sample sort's cuts stay at their quantiles: the exact cuts replace
-/// them at once, and aligning them would only widen the diff that moves.
-pub fn decompose_costed_traced<C: Wire + Copy + Send>(
-    comm: &mut Comm,
-    bodies: Vec<Body<C>>,
-    oversample: usize,
-    trace: &mut Ledger,
-) -> (Vec<Body<C>>, KeyIntervals) {
-    let (mine, _) = sample_sort(comm, bodies, oversample, 0, trace);
-    trace.begin(Phase::Decomp);
-    let wire_before = comm.stats();
-    let local: u64 = mine.iter().map(body_cost).sum();
-    let totals: Vec<u64> = comm.allgather(local);
-    let iv = cost_cut_bounds(comm, &mine, &totals);
-    trace.add_traffic(&comm.stats().since(&wire_before));
-    let mine = migrate_traced(comm, mine, &iv, trace);
-    trace.end();
-    (mine, iv)
 }
 
 #[cfg(test)]
@@ -1111,36 +1085,33 @@ mod tests {
         assert_eq!(out.results.iter().sum::<usize>(), 3 * 500);
     }
 
+    /// A forced rebalance (threshold 0) from a deliberately bad partition,
+    /// equal key ranges the bodies do not even respect yet, lands on the
+    /// exact cost cuts of the global multiset and on the body sets they
+    /// give.
     #[test]
-    fn incremental_rebalance_matches_from_scratch_bitwise() {
+    fn forced_rebalance_lands_on_the_exact_cost_cuts() {
         let np = 4u32;
-        let run_incremental = RunConfig::builder().np(np).run(move |c| {
+        let out = RunConfig::builder().np(np).run(move |c| {
             let bodies = costed_bodies(c.rank(), 350, 47);
-            // Start from a deliberately bad partition: equal key ranges.
             let step = u64::MAX / np as u64;
             let iv = KeyIntervals {
-                bounds: (0..np as u64)
-                    .map(|r| r * step)
-                    .chain(std::iter::once(u64::MAX))
-                    .collect(),
+                bounds: (0..np as u64).map(|r| r * step).chain(std::iter::once(u64::MAX)).collect(),
             };
-            let mut trace = Ledger::scratch();
-            // Threshold 0 always fires.
-            let (mine, iv2, r) = rebalance_traced(c, bodies, iv, 0, &mut trace);
+            let (mine, iv2, r) = rebalance_traced(c, bodies, iv, 0, &mut Ledger::scratch());
             assert!(r.repartitioned);
-            let ids: Vec<(u64, u64)> = mine.iter().map(|b| (b.key.0, b.id)).collect();
-            (ids, iv2)
+            (mine.iter().map(|b| (b.key.0, b.id)).collect::<Vec<_>>(), iv2)
         });
-        let run_scratch = RunConfig::builder().np(np).run(move |c| {
-            let bodies = costed_bodies(c.rank(), 350, 47);
-            let (mine, iv) =
-                decompose_costed_traced(c, bodies, 32, &mut Ledger::scratch());
-            let ids: Vec<(u64, u64)> = mine.iter().map(|b| (b.key.0, b.id)).collect();
-            (ids, iv)
-        });
-        assert_eq!(run_incremental.results, run_scratch.results);
-        for (_, iv) in &run_scratch.results {
-            assert_eq!(iv.validate(), Ok(()));
+        let all: Vec<Body<f64>> = (0..np).flat_map(|r| costed_bodies(r, 350, 47)).collect();
+        let mut global: Vec<(u64, u64)> = all.iter().map(|b| (b.key.0, body_cost(b))).collect();
+        global.sort_unstable();
+        let want = cost_cut_bounds_serial(&global, np as usize);
+        for (rank, (ids, iv)) in out.results.iter().enumerate() {
+            assert_eq!(iv.bounds, want, "rank {rank}");
+            let mut owned: Vec<(u64, u64)> =
+                all.iter().filter(|b| iv.owner(b.key) == rank as u32).map(|b| (b.key.0, b.id)).collect();
+            owned.sort_unstable();
+            assert_eq!(ids, &owned, "rank {rank}: body set");
         }
     }
 

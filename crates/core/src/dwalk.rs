@@ -140,13 +140,6 @@ fn sink_groups<M: Moments>(dt: &DistTree<M>, group_size: usize) -> Vec<u32> {
 pub struct DwalkStats {
     /// Interaction counts (paper units), including the list-entry counts.
     pub walk: WalkStats,
-    /// Cells opened per sink group, as `(group cell index, opened)` sorted
-    /// by group index. Each group's walk — and so its opened count — is a
-    /// pure function of the tree (schedule-independent); only the
-    /// *completion* order varies, which the sort erases. This is the
-    /// traversal-cost half of the adaptive decomposition's feedback (the
-    /// interaction half rides in the per-sink `work` tally).
-    pub group_costs: Vec<(u32, u64)>,
     /// Distinct cell-children keys requested.
     pub cell_requests: u64,
     /// Distinct leaf-body keys requested.
@@ -353,8 +346,7 @@ fn walk_groups<M: Moments, C: ListConsumer<M>>(
         // The batch's lists live for the batch only: kept across rounds,
         // every parked rank fiber would hold them.
         let sinks = ready.iter().map(|&gi| dt.local.cells[gi as usize].n as usize).sum();
-        let costs = &mut stats.group_costs;
-        stats.walk.merge(&walk_apply(&dt.local, mac, &mut ready, consumer, workers(sinks), &mut Vec::new(), costs));
+        stats.walk.merge(&walk_apply(&dt.local, mac, &mut ready, consumer, workers(sinks), &mut Vec::new()));
         // (3) Serve and absorb until locally idle.
         loop {
             abm.flush_all();
@@ -373,7 +365,6 @@ fn walk_groups<M: Moments, C: ListConsumer<M>>(
     }
     debug_assert!(active.is_empty() && parked.is_empty());
     stats.abm = abm.stats();
-    stats.group_costs.sort_unstable();
     stats
 }
 
@@ -656,10 +647,10 @@ mod tests {
     }
 
     /// What one rank's walk must give under any compute thread count:
-    /// coverage bits, walk counts, sorted group costs, and
+    /// coverage bits, walk counts, and
     /// `[cell requests, body requests, request messages, rounds, parks]`;
     /// beside them, the rank's largest ready batch.
-    type Forced = (Vec<u64>, WalkStats, Vec<(u32, u64)>, [u64; 5], usize);
+    type Forced = (Vec<u64>, WalkStats, [u64; 5], usize);
 
     /// Walk with a splittable consumer, every ready batch forced onto
     /// `workers` threads through the crate-private entry.
@@ -687,14 +678,14 @@ mod tests {
             );
             let counts = [s.cell_requests, s.body_requests, s.request_msgs, s.rounds, s.parks];
             let bits = seen.iter().map(|x| x.to_bits()).collect();
-            (bits, s.walk, s.group_costs, counts, biggest.get())
+            (bits, s.walk, counts, biggest.get())
         });
         out.results
     }
 
     /// Ready batches computed on 2, 3 or 8 threads give the one-thread
-    /// walk bit for bit — coverage, counts, group costs, requests, rounds
-    /// and parks — on uniform and clustered bodies, in batches the public
+    /// walk bit for bit — coverage, counts, requests, rounds and parks —
+    /// on uniform and clustered bodies, in batches the public
     /// rule would fan out.
     #[test]
     fn dwalk_fan_out_is_bitwise_for_any_worker_count() {
@@ -702,7 +693,7 @@ mod tests {
             for clustered in [false, true] {
                 let one = forced_workers_run(np, clustered, 1);
                 let tag = format!("np={np} clustered={clustered}");
-                let biggest: Vec<usize> = one.iter().map(|r| r.4).collect();
+                let biggest: Vec<usize> = one.iter().map(|r| r.3).collect();
                 assert!(
                     biggest.iter().any(|&b| b >= 2 * crate::walk::MIN_SINKS_PER_THREAD),
                     "{tag}: no ready batch above the fan-out threshold: {biggest:?}"
@@ -1204,10 +1195,9 @@ mod tests {
     }
 
     /// One rank's walk, in bits: its lists by first sink, its forces, its
-    /// walk counts and group costs, `[cell requests, body requests,
-    /// request messages, rounds, parks]`; beside them, the top-tree nodes
-    /// the cut dropped.
-    type Walked = ((Lists, Vec<[u64; 3]>, WalkStats, Vec<(u32, u64)>, [u64; 5]), u64);
+    /// walk counts, `[cell requests, body requests, request messages,
+    /// rounds, parks]`; beside them, the top-tree nodes the cut dropped.
+    type Walked = ((Lists, Vec<[u64; 3]>, WalkStats, [u64; 5]), u64);
 
     /// A rank's lists, as `(first sink, bits)`.
     type Lists = Vec<(usize, Vec<u64>)>;
@@ -1257,7 +1247,7 @@ mod tests {
             forces.lists.sort_unstable();
             let acc = forces.acc.iter().map(|a| [a.x, a.y, a.z].map(f64::to_bits)).collect();
             let counts = [s.cell_requests, s.body_requests, s.request_msgs, s.rounds, s.parks];
-            ((forces.lists, acc, s.walk, s.group_costs, counts), s.top_nodes_dropped)
+            ((forces.lists, acc, s.walk, counts), s.top_nodes_dropped)
         });
         out.results
     }
@@ -1285,9 +1275,9 @@ mod tests {
     }
 
     /// Cutting the top tree to the reach of the rank's groups changes
-    /// nothing a walk computes: lists, forces, counts, group costs,
-    /// requests, rounds and parks are bit for bit those of the walk over
-    /// the whole top tree, on every rank of every cut case. At np = 64
+    /// nothing a walk computes: lists, forces, counts, requests, rounds and
+    /// parks are bit for bit those of the walk over the whole top tree, on
+    /// every rank of every cut case. At np = 64
     /// each case drops nodes.
     #[test]
     fn the_cut_walk_is_the_whole_trees_walk() {

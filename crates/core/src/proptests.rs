@@ -115,12 +115,12 @@ proptest! {
     // moderate.
     #![proptest_config(ProptestConfig::with_cases(12))]
 
-    /// The tentpole balance invariant, fuzzed: starting from an arbitrary
-    /// count-based partition, a forced incremental rebalance (threshold 0)
-    /// must land on body sets and `KeyIntervals` bitwise identical to a
-    /// from-scratch cost-exact decomposition at the same costs — for
-    /// arbitrary positions, cost vectors and rank counts. Both reduce to
-    /// the same pure function of the global (key, cost) multiset.
+    /// The balance invariant, fuzzed: a forced rebalance (threshold 0)
+    /// lands on body sets and `KeyIntervals` that are a pure function of
+    /// the global (key, cost) multiset — bitwise the same from two
+    /// different partitions of the same bodies (the aligned sample sort
+    /// and the unaligned one), and equal to the serial exact cost cuts —
+    /// for arbitrary positions, cost vectors and rank counts.
     #[test]
     fn incremental_rebalance_equals_from_scratch(
         pts in proptest::collection::vec(
@@ -130,7 +130,9 @@ proptest! {
         np in 1u32..6,
         dup in 0usize..6,
     ) {
-        use crate::decomp::{decompose, decompose_costed_traced, rebalance_traced, Body};
+        use crate::decomp::{
+            body_cost, cost_cut_bounds_serial, decompose, decompose_unaligned, rebalance_traced, Body,
+        };
         use hot_comm::RunConfig;
         use hot_trace::Ledger;
 
@@ -158,24 +160,30 @@ proptest! {
                     }
                 })
                 .collect();
-            // Arbitrary (count-quantile) starting partition.
-            let (mine, iv) = decompose(c, bodies, 16);
-            // Incremental: force a repartition from wherever we are.
-            let mut t1 = Ledger::scratch();
-            let (inc_bodies, inc_iv, reb) =
-                rebalance_traced(c, mine.clone(), iv, 0, &mut t1);
-            assert!(reb.repartitioned, "threshold 0 must always repartition");
-            // From scratch at the same costs.
-            let mut t2 = Ledger::scratch();
-            let (fs_bodies, fs_iv) = decompose_costed_traced(c, mine, 16, &mut t2);
             let ids = |v: &[Body<f64>]| -> Vec<(u64, u64)> {
                 v.iter().map(|b| (b.key.0, b.id)).collect()
             };
-            (ids(&inc_bodies), ids(&fs_bodies), inc_iv, fs_iv)
+            let costs: Vec<(u64, u64)> = bodies.iter().map(|b| (b.key.0, body_cost(b))).collect();
+            // Two starting partitions of the same bodies, each forced to
+            // repartition from wherever it is.
+            let (aligned, aligned_iv) = decompose(c, bodies.clone(), 16);
+            let (unaligned, unaligned_iv) = decompose_unaligned(c, bodies, 16);
+            let mut forced = |mine, iv| {
+                let (b, iv, reb) = rebalance_traced(c, mine, iv, 0, &mut Ledger::scratch());
+                assert!(reb.repartitioned, "threshold 0 must always repartition");
+                (b, iv)
+            };
+            let (a_bodies, a_iv) = forced(aligned, aligned_iv);
+            let (u_bodies, u_iv) = forced(unaligned, unaligned_iv);
+            (ids(&a_bodies), ids(&u_bodies), a_iv, u_iv, c.allgather(costs))
         });
-        for (inc, fs, inc_iv, fs_iv) in out.results {
-            prop_assert_eq!(inc, fs, "body sets diverged");
-            prop_assert_eq!(inc_iv, fs_iv, "intervals diverged");
+        let mut global: Vec<(u64, u64)> = out.results[0].4.iter().flatten().copied().collect();
+        global.sort_unstable();
+        let want = cost_cut_bounds_serial(&global, np as usize);
+        for (a, u, a_iv, u_iv, _) in out.results {
+            prop_assert_eq!(a, u, "body sets diverged");
+            prop_assert_eq!(&a_iv, &u_iv, "intervals diverged");
+            prop_assert_eq!(&a_iv.bounds, &want, "not the serial exact cost cuts");
         }
     }
 }

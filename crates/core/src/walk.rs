@@ -214,15 +214,14 @@ pub fn walk_group_list<M: Moments>(
 /// calling thread: [`walk_apply`] with one worker.
 pub fn walk_lists<M: Moments>(tree: &Tree<M>, mac: &Mac, consumer: &mut dyn ListConsumer<M>) -> WalkStats {
     let mut groups = tree.groups(default_group_size(tree.bucket));
-    walk_apply(tree, mac, &mut groups, consumer, 1, &mut Vec::new(), &mut Vec::new())
+    walk_apply(tree, mac, &mut groups, consumer, 1, &mut Vec::new())
 }
 
 /// The one group loop, run by `ForceCalc` over a whole tree, by the
 /// distributed walk over each round's ready batch, and by [`walk_lists`]:
 /// per sink group of `groups`, sorted into tree order first, build its list
 /// ([`walk_group_list`]) and hand it to `consumer` (the apply stage).
-/// Returns the summed counts, and appends each group's cells opened to
-/// `opened` as `(gi, opened)`, in tree order.
+/// Returns the summed counts.
 ///
 /// Groups are independent units of work (a group's list and its sinks'
 /// outputs depend on no other group), so they are cut into contiguous
@@ -232,9 +231,9 @@ pub fn walk_lists<M: Moments>(tree: &Tree<M>, mac: &Mac, consumer: &mut dyn List
 /// that pull them from a shared queue, each owning one list of `lists`
 /// (grown to the workers used, never shrunk). With one worker, one chunk,
 /// or a consumer that cannot split, the groups run inline with `consumer`
-/// itself. Workers share the tree read-only and own their part, their list
-/// and their chunk's slots of `opened`; counts merge as integer sums, so
-/// any thread count and schedule gives bitwise the one-worker outcome. The
+/// itself. Workers share the tree read-only and own their part and their
+/// list; counts merge as integer sums, so any thread count and schedule
+/// gives bitwise the one-worker outcome. The
 /// threads perform no channel operation and are joined before this
 /// returns; a worker's panic is re-raised in the caller, after every
 /// thread has stopped.
@@ -245,38 +244,31 @@ pub fn walk_apply<M: Moments>(
     consumer: &mut dyn ListConsumer<M>,
     workers: usize,
     lists: &mut Vec<InteractionList<M>>,
-    opened: &mut Vec<(u32, u64)>,
 ) -> WalkStats {
     groups.sort_unstable_by_key(|&gi| tree.cells[gi as usize].first);
     if lists.is_empty() {
         lists.push(InteractionList::new());
     }
-    let at = opened.len();
-    opened.resize(at + groups.len(), (0, 0));
-    let opened = &mut opened[at..];
-    match run_parts(workers, tree, mac, groups, opened, consumer, lists) {
+    match run_parts(workers, tree, mac, groups, consumer, lists) {
         Some(stats) => stats,
-        None => walk_run(tree, mac, groups, opened, consumer, &mut lists[0]),
+        None => walk_run(tree, mac, groups, consumer, &mut lists[0]),
     }
 }
 
-/// [`walk_apply`] over one chunk of groups, `run`, on one thread, each
-/// group's `(gi, opened)` written to `opened`. Inlined into both callers,
-/// so no frame sits between the loop and the consumer on a rank fiber.
+/// [`walk_apply`] over one chunk of groups, `run`, on one thread. Inlined
+/// into both callers, so no frame sits between the loop and the consumer
+/// on a rank fiber.
 #[inline(always)]
 fn walk_run<M: Moments>(
     tree: &Tree<M>,
     mac: &Mac,
     run: &[u32],
-    opened: &mut [(u32, u64)],
     part: &mut dyn ListConsumer<M>,
     list: &mut InteractionList<M>,
 ) -> WalkStats {
     let mut stats = WalkStats::default();
-    for (&gi, cost) in run.iter().zip(opened) {
-        let group = walk_group_list(tree, mac, gi, list);
-        stats.merge(&group);
-        *cost = (gi, group.opened);
+    for &gi in run {
+        stats.merge(&walk_group_list(tree, mac, gi, list));
         part.consume(&tree.pos, &tree.charge, tree.cells[gi as usize].span(), list);
     }
     stats
@@ -322,7 +314,7 @@ pub fn workers_for(n: usize, available: usize) -> usize {
 
 /// [`walk_apply`]'s threads: `groups` cut into chunks, `consumer` split
 /// into one part per chunk, and `workers` threads draining the queue of
-/// `(run, opened, part)` chunks, each with a list of `lists`; their counts
+/// `(run, part)` chunks, each with a list of `lists`; their counts
 /// are summed. `None` when the groups run inline: one worker, one chunk,
 /// or a consumer that cannot split.
 ///
@@ -335,7 +327,6 @@ fn run_parts<M: Moments>(
     tree: &Tree<M>,
     mac: &Mac,
     groups: &[u32],
-    opened: &mut [(u32, u64)],
     consumer: &mut dyn ListConsumer<M>,
     lists: &mut Vec<InteractionList<M>>,
 ) -> Option<WalkStats> {
@@ -358,7 +349,7 @@ fn run_parts<M: Moments>(
     if lists.len() < workers {
         lists.resize_with(workers, InteractionList::new);
     }
-    let queue = Mutex::new(groups.chunks(per_chunk).zip(opened.chunks_mut(per_chunk)).zip(parts));
+    let queue = Mutex::new(groups.chunks(per_chunk).zip(parts));
     let drain = |list: &mut InteractionList<M>| {
         let mut stats = WalkStats::default();
         loop {
@@ -366,8 +357,8 @@ fn run_parts<M: Moments>(
             // lock is never held while a chunk runs; `next` cannot panic,
             // so a poisoned lock still guards a valid queue.
             let next = queue.lock().unwrap_or_else(PoisonError::into_inner).next();
-            let Some(((run, opened), mut part)) = next else { return stats };
-            stats.merge(&walk_run(tree, mac, run, opened, &mut *part, list));
+            let Some((run, mut part)) = next else { return stats };
+            stats.merge(&walk_run(tree, mac, run, &mut *part, list));
         }
     };
     let [own, helpers @ ..] = &mut lists[..workers] else {
@@ -574,24 +565,25 @@ pub(crate) mod tests {
     }
 
     /// The group loop over `groups` on `workers` threads: coverage bits,
-    /// the summed stats, the group costs, and the lists it ended up holding.
+    /// the summed stats, the groups in the order it walked them, and the
+    /// lists it ended up holding.
     fn fan_out_run(
         tree: &Tree<MassMoments>,
         groups: &[u32],
         workers: usize,
-    ) -> (Vec<u64>, WalkStats, Vec<(u32, u64)>, usize) {
+    ) -> (Vec<u64>, WalkStats, Vec<u32>, usize) {
         let mac = Mac::BarnesHut { theta: 0.5 };
         let mut seen = vec![0.0; tree.n_particles()];
-        let (mut lists, mut costs) = (Vec::new(), Vec::new());
+        let (mut lists, mut walked) = (Vec::new(), groups.to_vec());
         let mut cov = Coverage { seen: &mut seen, base: 0 };
-        let stats = walk_apply(tree, &mac, &mut groups.to_vec(), &mut cov, workers, &mut lists, &mut costs);
-        (seen.iter().map(|s| s.to_bits()).collect(), stats, costs, lists.len())
+        let stats = walk_apply(tree, &mac, &mut walked, &mut cov, workers, &mut lists);
+        (seen.iter().map(|s| s.to_bits()).collect(), stats, walked, lists.len())
     }
 
-    /// Any worker count gives the one-worker coverage, stats and group
-    /// costs bitwise — on all groups, and on every other group, where the
-    /// parts have gaps that no part may touch — and groups handed over in
-    /// any order are walked in tree order.
+    /// Any worker count gives the one-worker coverage and stats bitwise —
+    /// on all groups, and on every other group, where the parts have gaps
+    /// that no part may touch — and groups handed over in any order are
+    /// walked in tree order.
     #[test]
     fn fan_out_is_bitwise_for_any_worker_count() {
         for pos in [random_points(3000, 51), clumped_points(3000, 52)] {
@@ -600,7 +592,7 @@ pub(crate) mod tests {
             for gs in [&groups, &alternate] {
                 let one = fan_out_run(&tree, gs, 1);
                 assert_eq!(one.3, 1);
-                assert!(one.2.iter().map(|c| c.0).eq(gs.iter().copied()), "costs in tree order");
+                assert_eq!(&one.2, gs, "groups walked in tree order");
                 let reversed: Vec<u32> = gs.iter().rev().copied().collect();
                 for workers in [2, 3, 8] {
                     let many = fan_out_run(&tree, &reversed, workers);
@@ -629,7 +621,7 @@ pub(crate) mod tests {
         let mac = Mac::BarnesHut { theta: 0.7 };
         let mut inline = Inline(Vec::new());
         let mut lists = Vec::new();
-        walk_apply(&tree, &mac, &mut groups, &mut inline, 8, &mut lists, &mut Vec::new());
+        walk_apply(&tree, &mac, &mut groups, &mut inline, 8, &mut lists);
         assert_eq!(lists.len(), 1);
         let caller = std::thread::current().id();
         assert!(inline.0.len() == groups.len() && inline.0.iter().all(|&t| t == caller));
@@ -689,7 +681,7 @@ pub(crate) mod tests {
             let caller = std::thread::current().id();
             let mut failing = Failing { caller, on_caller, both_busy: &both_busy, waited: &waited };
             let caught = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                walk_apply(&tree, &mac, &mut groups, &mut failing, 2, &mut Vec::new(), &mut Vec::new())
+                walk_apply(&tree, &mac, &mut groups, &mut failing, 2, &mut Vec::new())
             }));
             let payload = caught.expect_err("the panic must surface");
             let text = payload.downcast_ref::<&str>();

@@ -170,42 +170,30 @@ impl CosmoSim {
     /// step, two when the kept force cannot be reused (the kick/drift
     /// arithmetic itself is the step span's exclusive time).
     pub fn step_traced(&mut self, da: f64, counter: &FlopCounter, trace: &mut Ledger) -> u64 {
-        trace.begin(Phase::Step);
-        let mut interactions = 0;
-        let mut last = 0;
-        let f1 = self.kdk(da, |sim| {
-            let (acc, n) = match sim.end_force.take().filter(|f| f.computed_from(sim)) {
-                Some(kept) => (kept.acc, kept.interactions),
-                None => {
-                    let f = sim.accelerations_traced(counter, trace);
-                    (f.acc, f.stats.interactions())
-                }
-            };
-            interactions += n;
-            last = n;
-            acc
-        });
-        self.end_force = Some(EndForce {
-            acc: f1,
-            interactions: last,
-            pos: self.pos.clone(),
-            mass: self.mass.clone(),
-            center: self.center,
-            opts: self.opts,
-        });
-        trace.end();
-        interactions
+        self.kdk(da, trace, |sim, trace, _| {
+            let f = sim.accelerations_traced(counter, trace);
+            (f.acc, f.stats.interactions())
+        })
     }
 
-    /// One KDK step from `a` to `a + da` with peculiar accelerations from
-    /// `force`, which is asked for two: at the current state, and after
-    /// the drift with `a` already advanced to `a + da`. Returns the second,
-    /// the force at the state the step ends in.
+    /// One KDK step from `a` to `a + da` in a `Step` span of `trace`, with
+    /// peculiar accelerations and their interaction count from `force`: the
+    /// serial step passes the treecode, the supervised run its replicated
+    /// distributed evaluation. Returns the interactions of the two forces
+    /// the step applied.
+    ///
+    /// `force` is asked for the opening force at the current state (its
+    /// flag `false`) unless the force the last step closed with is kept and
+    /// every input of it is bitwise unchanged, and for the closing force
+    /// after the drift, with `a` already advanced to `a + da` (flag
+    /// `true`). The closing force is kept for the next step.
     pub(crate) fn kdk(
         &mut self,
         da: f64,
-        mut force: impl FnMut(&mut CosmoSim) -> Vec<Vec3>,
-    ) -> Vec<Vec3> {
+        trace: &mut Ledger,
+        mut force: impl FnMut(&mut CosmoSim, &mut Ledger, bool) -> (Vec<Vec3>, u64),
+    ) -> u64 {
+        trace.begin(Phase::Step);
         let a0 = self.a;
         let a1 = a0 + da;
         let t0 = cosmic_time(a0);
@@ -214,7 +202,10 @@ impl CosmoSim {
         let a_mid = ((t0 + 0.5 * dt) * 1.5).powf(2.0 / 3.0);
 
         // Kick (half, at a0).
-        let f0 = force(self);
+        let (f0, n0) = match self.end_force.take().filter(|f| f.computed_from(self)) {
+            Some(kept) => (kept.acc, kept.interactions),
+            None => force(self, trace, false),
+        };
         for (w, acc) in self.mom.iter_mut().zip(&f0) {
             *w += *acc * (0.5 * dt / a0);
         }
@@ -228,12 +219,21 @@ impl CosmoSim {
         }
         // Kick (half, at a1).
         self.a = a1;
-        let f1 = force(self);
+        let (f1, n1) = force(self, trace, true);
         for (w, acc) in self.mom.iter_mut().zip(&f1) {
             *w += *acc * (0.5 * dt / a1);
         }
         self.steps += 1;
-        f1
+        self.end_force = Some(EndForce {
+            acc: f1,
+            interactions: n1,
+            pos: self.pos.clone(),
+            mass: self.mass.clone(),
+            center: self.center,
+            opts: self.opts,
+        });
+        trace.end();
+        n0 + n1
     }
 
     /// Checkpoint the full resume state to `path` (see

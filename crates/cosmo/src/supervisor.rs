@@ -26,14 +26,18 @@
 //!   **bitwise-identical final state and trace totals** vs the fault-free
 //!   golden ([`state_digest`] pins this).
 //!
-//! The integration itself is a replicated-state distributed KDK: every
-//! rank holds the full particle state, computes forces for the bodies it
-//! owns through [`distributed_step_traced`] — a segment starts from the
-//! index partition, and each later evaluation keeps the bodies and
-//! measured costs the rank owned after the previous one's migration — and
-//! an `allreduce` rebuilds the full acceleration array on every rank, so
-//! all replicas integrate identically and any `np − 1` survivors hold the
-//! complete state a rollback needs.
+//! The integration itself is a replicated-state distributed KDK, the one
+//! [`CosmoSim::step`] runs with the distributed force in place of the
+//! treecode: every rank holds the full particle state, computes forces for
+//! the bodies it owns through [`distributed_step_traced`] — a segment
+//! starts from the index partition, and each later evaluation keeps the
+//! bodies and measured costs the rank owned after the previous one's
+//! migration — and an `allreduce` rebuilds the full acceleration array on
+//! every rank, so all replicas integrate identically and any `np − 1`
+//! survivors hold the complete state a rollback needs. A step's closing
+//! force opens the next step, so a step evaluates one force after a
+//! segment's first; each segment attempt starts without a kept force, so a
+//! rerun from the checkpoint evaluates what the fault-free run did.
 
 use crate::checkpoint::CheckpointError;
 use crate::sim::{domain_for, CosmoSim, RHO_BAR};
@@ -44,7 +48,7 @@ use hot_core::decomp::Body;
 use hot_core::walk::default_group_size;
 use hot_gravity::dist::{distributed_step_traced, DecompState, DistOptions};
 use hot_morton::Key;
-use hot_trace::{CounterSet, Ledger, Phase};
+use hot_trace::{CounterSet, Ledger};
 use std::collections::BTreeSet;
 use std::fmt;
 use std::path::PathBuf;
@@ -114,9 +118,9 @@ pub struct KillSpec {
     /// Global step index (0-based, over the whole supervised run) at which
     /// the kill fires.
     pub step: u64,
-    /// `false`: the rank dies at the top of the step, before its first
-    /// force evaluation. `true`: it dies *mid-step*, between the two KDK
-    /// force evaluations — after the drift, holding half-updated momenta.
+    /// `false`: the rank dies at the top of the step, before its opening
+    /// force, kept or evaluated. `true`: it dies *mid-step*, before the
+    /// closing force — after the drift, holding half-updated momenta.
     pub mid_step: bool,
 }
 
@@ -301,11 +305,11 @@ struct SegmentState {
 }
 
 /// Peculiar accelerations of the *full* replicated state, computed
-/// cooperatively: this rank contributes its bodies to the distributed
-/// treecode, then an element-wise `allreduce` (each body owned by exactly
-/// one rank, so the sum is exact) rebuilds the complete array everywhere,
-/// and the uniform-background correction is applied identically on every
-/// replica (collective call).
+/// cooperatively, and this rank's interaction count: this rank contributes
+/// its bodies to the distributed treecode, then an element-wise
+/// `allreduce` (each body owned by exactly one rank, so the sum is exact)
+/// rebuilds the complete array everywhere, and the uniform-background
+/// correction is applied identically on every replica (collective call).
 ///
 /// A segment's first evaluation contributes the index partition. Each
 /// later one keeps the bodies the rank owned after the previous
@@ -318,7 +322,7 @@ fn replicated_accelerations(
     seg: &mut SegmentState,
     counter: &FlopCounter,
     trace: &mut Ledger,
-) -> Vec<Vec3> {
+) -> (Vec<Vec3>, u64) {
     let n = sim.pos.len();
     let domain = domain_for(&sim.pos);
     let bodies: Vec<Body<f64>> = match seg.bodies.take() {
@@ -357,38 +361,15 @@ fn replicated_accelerations(
         flat[i + 2] = a.z;
     }
     seg.bodies = Some(res.bodies);
+    let interactions = res.stats.walk.interactions();
     let all = c.allreduce_sum_vec_f64(flat);
     let k = 4.0 * std::f64::consts::PI / 3.0 * RHO_BAR;
-    (0..n)
+    let acc = (0..n)
         .map(|i| {
             Vec3::new(all[3 * i], all[3 * i + 1], all[3 * i + 2]) + (sim.pos[i] - sim.center) * k
         })
-        .collect()
-}
-
-/// One [`CosmoSim::kdk`] step of the replicated state with both force
-/// evaluations distributed. `step` is the global step index; the two
-/// crash-stop kill epochs of the step fire here: `2·step` before the first
-/// force evaluation, `2·step + 1` before the second, after the drift.
-/// Unlike [`CosmoSim::step`], the step's closing force is not kept for the
-/// next step: each evaluation is a kill epoch of its own.
-fn step_replicated(
-    c: &mut Comm,
-    sim: &mut CosmoSim,
-    da: f64,
-    step: u64,
-    seg: &mut SegmentState,
-    counter: &FlopCounter,
-    trace: &mut Ledger,
-) {
-    trace.begin(Phase::Step);
-    let mut epoch = step * 2;
-    sim.kdk(da, |sim| {
-        c.kill_point(epoch);
-        epoch += 1;
-        replicated_accelerations(c, sim, seg, counter, trace)
-    });
-    trace.end();
+        .collect();
+    (acc, interactions)
 }
 
 /// Per-rank product of one segment attempt.
@@ -480,10 +461,20 @@ pub fn run_supervised(
                 let counter = FlopCounter::new();
                 let mut trace = Ledger::scratch();
                 // Fresh per attempt: a rerun after rollback starts from the
-                // same cold decomposition state the aborted attempt did.
+                // same cold decomposition state, and without a kept force,
+                // as the aborted attempt did.
                 let mut seg = SegmentState::default();
+                local.end_force = None;
                 for s in step..seg_end {
-                    step_replicated(c, &mut local, da, s, &mut seg, &counter, &mut trace);
+                    // The step's kill epochs (`KillSpec::epoch`): `2·s` at
+                    // the top, `2·s + 1` before the closing force.
+                    c.kill_point(2 * s);
+                    local.kdk(da, &mut trace, |sim, trace, closing| {
+                        if closing {
+                            c.kill_point(2 * s + 1);
+                        }
+                        replicated_accelerations(c, sim, &mut seg, &counter, trace)
+                    });
                 }
                 SegmentOut {
                     digest: state_digest(&local),
@@ -720,8 +711,8 @@ mod tests {
             ..SupervisorConfig::golden(2, 1, f64::NAN, 1, tmp("bug.ckpt"))
         };
         let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            // NaN da => NaN positions => `domain_for` asserts (in release
-            // builds too: the tree build's own check is debug-only).
+            // NaN da => NaN positions => `domain_for` asserts, naming the
+            // body, before the tree build's own release-build check.
             run_supervised(demo_state(64, 5), &cfg)
         }));
         assert!(result.is_err(), "genuine bug was 'recovered'");

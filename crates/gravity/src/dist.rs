@@ -3,13 +3,13 @@
 //! headline runs exercise (322M particles on ASCI Red, 9.75M on Loki),
 //! here over the simulated message-passing machine.
 
-use crate::evaluator::{record_force_phase, unsort, GravityEvaluator};
+use crate::evaluator::{record_force_phase, refuse_coincident, unsort, GravityEvaluator};
 use hot_base::flops::FlopCounter;
 use hot_base::{Aabb, Vec3};
 use hot_comm::Comm;
 use hot_core::decomp::{
-    blend_cost, body_cost, decompose_costed_traced, decompose_traced, rebalance_traced, Body,
-    KeyIntervals, Rebalance, REBALANCE_THRESHOLD_MILLI,
+    blend_cost, body_cost, decompose_traced, rebalance_traced, Body, KeyIntervals, Rebalance,
+    REBALANCE_THRESHOLD_MILLI,
 };
 use hot_core::dtree::DistTree;
 use hot_core::dwalk::{dwalk_with_traced, DwalkStats, WalkConfig};
@@ -104,9 +104,8 @@ pub struct DistForces {
     pub stats: DwalkStats,
     /// Key ownership after this decomposition.
     pub intervals: KeyIntervals,
-    /// Outcome of the skew-triggered rebalance, when this step went
-    /// through [`distributed_step_traced`] with a warm state (`None` on
-    /// one-shot or bootstrap steps).
+    /// Outcome of the skew-triggered rebalance of a warm step (`None` on a
+    /// cold step, which every one-shot call is).
     pub rebalance: Option<Rebalance>,
 }
 
@@ -127,6 +126,9 @@ pub fn distributed_accelerations(
 /// `Decomp` / `TreeBuild` / `Walk` / `Force` spans of `trace`. Every
 /// counter recorded is schedule-independent, so the resulting ledger is
 /// bitwise identical across message-delivery orders (collective call).
+///
+/// This is the cold step of [`distributed_step_traced`]: the work-weighted
+/// sample sort, then every body's `work` set to its interaction count.
 pub fn distributed_accelerations_traced(
     comm: &mut Comm,
     bodies: Vec<Body<f64>>,
@@ -135,20 +137,13 @@ pub fn distributed_accelerations_traced(
     counter: &FlopCounter,
     trace: &mut Ledger,
 ) -> DistForces {
-    let (mut bodies, intervals) = decompose_traced(comm, bodies, opts.oversample, trace);
-    let (dt, acc, work_sorted, stats) =
-        build_and_walk(comm, &bodies, intervals, domain, opts, counter, trace);
-    // Refresh the work weights with this step's interaction counts.
-    for (&orig, &w) in dt.local.order.iter().zip(&work_sorted) {
-        bodies[orig as usize].work = w.max(1.0);
-    }
-    DistForces { bodies, acc, stats, intervals: dt.intervals, rebalance: None }
+    distributed_step_traced(comm, bodies, domain, opts, counter, &mut DecompState::default(), trace)
 }
 
-/// The step after the decomposition, shared by both entry points: local
-/// tree and branch exchange in one `TreeBuild` span, then the walk and
-/// force phase (collective call). Returns the distributed tree, the
-/// accelerations in `bodies` order, and per-sink interactions in tree order.
+/// The step after the decomposition: local tree and branch exchange in one
+/// `TreeBuild` span, then the walk and force phase (collective call).
+/// Returns the distributed tree, the accelerations in `bodies` order, and
+/// per-sink interactions in tree order.
 fn build_and_walk(
     comm: &mut Comm,
     bodies: &[Body<f64>],
@@ -158,10 +153,15 @@ fn build_and_walk(
     counter: &FlopCounter,
     trace: &mut Ledger,
 ) -> (DistTree<MassMoments>, Vec<Vec3>, Vec<f32>, DwalkStats) {
-    let pos: Vec<Vec3> = bodies.iter().map(|b| b.pos).collect();
-    let mass: Vec<f64> = bodies.iter().map(|b| b.charge).collect();
     trace.begin(Phase::TreeBuild);
-    let tree = Tree::<MassMoments>::build(domain, &pos, &mass, opts.bucket);
+    // The tree keeps its own sorted copies: the unsorted ones go before
+    // the exchange and the walk, which every rank runs at once.
+    let tree = {
+        let pos: Vec<Vec3> = bodies.iter().map(|b| b.pos).collect();
+        let mass: Vec<f64> = bodies.iter().map(|b| b.charge).collect();
+        Tree::<MassMoments>::build(domain, &pos, &mass, opts.bucket)
+    };
+    refuse_coincident(&tree, opts.eps2, |i| bodies[i as usize].id);
     tree.record_build(trace);
     let mut dt = DistTree::build_traced(comm, tree, intervals, trace);
     trace.end();
@@ -187,21 +187,19 @@ fn build_and_walk(
     (dt, acc, work, stats)
 }
 
-/// One step of a multi-step run, carrying the decomposition across steps
-/// (collective call). The one-shot [`distributed_accelerations_traced`] is
-/// the static decomposition; this is the paper's feedback loop.
+/// One distributed step, carrying the decomposition across steps
+/// (collective call): the paper's feedback loop, where each step's cuts
+/// are weighted by the work its bodies cost in the step before.
 ///
-/// A cold `state` bootstraps with a cost-exact decomposition; each later
-/// step runs the skew-triggered incremental rebalance at
-/// [`REBALANCE_THRESHOLD_MILLI`], moving cut points and migrating only the
-/// key-range diff. After the walk it re-costs every body with
-/// [`blend_cost`]: the previous smoothed cost against this step's measured
-/// walk work (interactions from the evaluator's work array plus a per-sink
-/// share of the group's cells opened — all integer arithmetic, so costs
-/// are bitwise schedule-independent).
-///
-/// Between the decomposition and the re-costing both entry points run the
-/// same code: a fresh local tree, the full branch exchange and the walk.
+/// A cold `state` decomposes with the work-weighted sample sort
+/// ([`decompose_traced`]) and sets every body's `work` to this step's
+/// interaction count (at least 1). A warm one runs the skew-triggered
+/// incremental rebalance at [`REBALANCE_THRESHOLD_MILLI`], moving cut
+/// points and migrating only the key-range diff, and blends each body's
+/// cost with this step's interaction count ([`blend_cost`]: integer
+/// arithmetic, so costs are bitwise schedule-independent). Between the
+/// decomposition and the refresh both run the same code: a fresh local
+/// tree, the full branch exchange and the walk.
 pub fn distributed_step_traced(
     comm: &mut Comm,
     bodies: Vec<Body<f64>>,
@@ -218,35 +216,18 @@ pub fn distributed_step_traced(
             (b, iv, Some(r))
         }
         None => {
-            let (b, iv) = decompose_costed_traced(comm, bodies, opts.oversample, trace);
+            let (b, iv) = decompose_traced(comm, bodies, opts.oversample, trace);
             (b, iv, None)
         }
     };
     let (dt, acc, work_sorted, stats) =
         build_and_walk(comm, &bodies, intervals, domain, opts, counter, trace);
-
-    // Spread each sink group's cells-opened count over its sinks (integer
-    // share, remainder to the leading sinks) so traversal cost lands in
-    // the per-body measurement alongside the interaction count.
-    let mut opened = vec![0u64; acc.len()];
-    for &(gi, op) in &stats.group_costs {
-        let span = dt.local.cells[gi as usize].span();
-        let len = span.len() as u64;
-        if len == 0 {
-            continue;
-        }
-        let share = op / len;
-        let rem = (op % len) as usize;
-        for (j, i) in span.enumerate() {
-            opened[i] += share + u64::from(j < rem);
-        }
-    }
-
-    // Blend the smoothed cost, in body order.
-    for (sorted_i, &orig) in dt.local.order.iter().enumerate() {
+    for (&orig, &w) in dt.local.order.iter().zip(&work_sorted) {
         let b = &mut bodies[orig as usize];
-        let measured = work_sorted[sorted_i] as u64 + opened[sorted_i];
-        b.work = blend_cost(body_cost(b), measured) as f32;
+        b.work = match rebalance {
+            Some(_) => blend_cost(body_cost(b), w as u64) as f32,
+            None => w.max(1.0),
+        };
     }
     state.intervals = Some(dt.intervals.clone());
     DistForces { bodies, acc, stats, intervals: dt.intervals, rebalance }
@@ -382,11 +363,98 @@ mod tests {
         }
     }
 
+    /// The one-shot step composed from its public layers, call by call, as
+    /// the benchmark harness composes it: `decompose_traced`, `Tree::build`,
+    /// `DistTree::build_traced`, `dwalk_with_traced` into a
+    /// `GravityEvaluator`, then every body's `work` set to its interaction
+    /// count, at least 1.
+    fn composed_step(
+        c: &mut Comm,
+        bodies: Vec<Body<f64>>,
+        opts: &DistOptions,
+        counter: &FlopCounter,
+        trace: &mut Ledger,
+    ) -> DistForces {
+        let (mut bodies, intervals) = decompose_traced(c, bodies, opts.oversample, trace);
+        let pos: Vec<Vec3> = bodies.iter().map(|b| b.pos).collect();
+        let mass: Vec<f64> = bodies.iter().map(|b| b.charge).collect();
+        trace.begin(Phase::TreeBuild);
+        let tree = Tree::<MassMoments>::build(Aabb::unit(), &pos, &mass, opts.bucket);
+        tree.record_build(trace);
+        let mut dt = DistTree::build_traced(c, tree, intervals.clone(), trace);
+        trace.end();
+        let n = bodies.len();
+        let (mut acc_sorted, mut work) = (vec![Vec3::ZERO; n], vec![0.0f32; n]);
+        let flops_before = counter.report().flops();
+        let stats = {
+            let mut ev = GravityEvaluator {
+                acc: &mut acc_sorted,
+                pot: None,
+                eps2: opts.eps2,
+                quadrupole: opts.quadrupole,
+                counter,
+                work: &mut work,
+                base: 0,
+            };
+            dwalk_with_traced(c, &mut dt, &opts.mac, &mut ev, opts.group_size, &opts.walk, trace)
+        };
+        record_force_phase(trace, &stats.walk, counter.report().flops() - flops_before);
+        let mut acc = vec![Vec3::ZERO; n];
+        for (sorted_i, &orig) in dt.local.order.iter().enumerate() {
+            acc[orig as usize] = acc_sorted[sorted_i];
+            bodies[orig as usize].work = work[sorted_i].max(1.0);
+        }
+        DistForces { bodies, acc, stats, intervals, rebalance: None }
+    }
+
+    /// `distributed_accelerations` is its public layers: at np = 1, 3 and
+    /// 8, over two steps on clustered bodies (the second weighted by the
+    /// work the first refreshed), the one-shot call and [`composed_step`]
+    /// give the same bodies, ids, work, accelerations, interaction counts,
+    /// intervals and ledger totals, bit for bit. The library-side twin of
+    /// the benchmark's `composed_equals_distributed_accelerations` gate.
+    #[test]
+    fn one_shot_step_is_its_public_layers() {
+        for np in [1u32, 3, 8] {
+            let out = RunConfig::builder().np(np).run(move |c| {
+                let opts = DistOptions { eps2: 1e-6, ..Default::default() };
+                let mut steps = Vec::new();
+                let mut bodies = [clustered_bodies(c.rank(), np, 1200, 5), clustered_bodies(c.rank(), np, 1200, 5)];
+                for _ in 0..2 {
+                    let mut got = Vec::new();
+                    for (composed, b) in [false, true].into_iter().zip(&mut bodies) {
+                        let (counter, mut trace) = (FlopCounter::new(), Ledger::scratch());
+                        let input = std::mem::take(b);
+                        let res = if composed {
+                            composed_step(c, input, &opts, &counter, &mut trace)
+                        } else {
+                            distributed_accelerations_traced(c, input, Aabb::unit(), &opts, &counter, &mut trace)
+                        };
+                        let acc: Vec<[u64; 3]> = res.acc.iter().map(|a| [a.x, a.y, a.z].map(f64::to_bits)).collect();
+                        let work: Vec<u32> = res.bodies.iter().map(|b| b.work.to_bits()).collect();
+                        let counts = (res.stats.walk, res.stats.rounds, res.stats.request_msgs, counter.report().flops());
+                        got.push((acc, work, counts, res.intervals.clone(), res.rebalance, *trace.totals()));
+                        *b = res.bodies;
+                    }
+                    assert!(bodies[0] == bodies[1], "rank {}: bodies or ids differ", c.rank());
+                    steps.push(got);
+                }
+                steps
+            });
+            for (rank, steps) in out.results.iter().enumerate() {
+                for (step, got) in steps.iter().enumerate() {
+                    assert!(got[0] == got[1], "np={np} rank {rank} step {step}: the one-shot step is not its layers");
+                }
+            }
+        }
+    }
+
     /// Hostile inputs through both entries, the distributed one at np = 1,
     /// 3 and 8: no bodies, one body, fewer bodies than ranks (empty ranks),
     /// and every body at one point (softened, so direct sum is finite) all
     /// match direct sum within the treecode's tolerance; a NaN position
-    /// panics, naming the body, in release builds too.
+    /// panics, naming the body, and so do coincident bodies without
+    /// softening, naming both — in release builds too.
     #[test]
     fn hostile_inputs_through_both_entries() {
         let eps2 = 1e-6;
@@ -419,20 +487,31 @@ mod tests {
                 close(&distributed_by_id(np, &pos, &mass, dist_opts).0, &format!("np={np}"));
             }
         }
-        let mut pos = spread(40);
-        pos[17].y = f64::NAN;
+        let mut nan = spread(40);
+        nan[17].y = f64::NAN;
+        let mut pair = spread(40);
+        pair[23] = pair[7];
+        let unsoftened = (TreecodeOptions::default(), DistOptions::default());
+        let refused = [
+            (nan, (serial_opts, dist_opts), "not a finite position"),
+            (vec![Vec3::splat(0.3); 40], unsoftened, "are both at"),
+            (pair, unsoftened, "bodies 7 and 23 are both at"),
+        ];
         let mass = vec![1.0; 40];
-        let named = |p: Box<dyn std::any::Any + Send>, tag: &str| {
-            let msg = p.downcast_ref::<String>().map_or("", String::as_str);
-            assert!(msg.contains("not a finite position"), "{tag}: {msg}");
-        };
-        let serial = std::panic::catch_unwind(|| {
-            ForceCalc::new().compute(Aabb::unit(), &pos, &mass, &serial_opts, &FlopCounter::new(), false)
-        });
-        named(serial.expect_err("a NaN position must panic"), "serial");
-        for np in [1u32, 3, 8] {
-            let dist = std::panic::catch_unwind(|| distributed_by_id(np, &pos, &mass, dist_opts));
-            named(dist.expect_err("a NaN position must panic"), &format!("np={np}"));
+        for (pos, (serial_opts, dist_opts), want) in refused {
+            let named = |p: Result<_, Box<dyn std::any::Any + Send>>, tag: &str| {
+                let p = p.err().unwrap_or_else(|| panic!("{tag}: {want:?} must panic"));
+                let msg = p.downcast_ref::<String>().map_or("", String::as_str);
+                assert!(msg.contains(want), "{tag}: {msg}");
+            };
+            let serial = std::panic::catch_unwind(|| {
+                ForceCalc::new().compute(Aabb::unit(), &pos, &mass, &serial_opts, &FlopCounter::new(), false)
+            });
+            named(serial.map(drop), "serial");
+            for np in [1u32, 3, 8] {
+                let dist = std::panic::catch_unwind(|| distributed_by_id(np, &pos, &mass, dist_opts));
+                named(dist.map(drop), &format!("np={np}"));
+            }
         }
     }
 
@@ -470,7 +549,7 @@ mod tests {
                 out.sort_unstable();
                 let s = &res.stats;
                 let counts = [s.cell_requests, s.body_requests, s.rounds, s.parks];
-                (c.compute_threads(), out, s.walk, s.group_costs.clone(), counts)
+                (c.compute_threads(), out, s.walk, counts)
             })
             .results
         };
@@ -483,7 +562,7 @@ mod tests {
         );
         for (rank, (a, b)) in one.iter().zip(&all).enumerate() {
             assert!(a.1 == b.1, "rank {rank}: accelerations or work differ");
-            assert_eq!((a.2, &a.3, a.4), (b.2, &b.3, b.4), "rank {rank}: walk counts differ");
+            assert_eq!((a.2, a.3), (b.2, b.3), "rank {rank}: walk counts differ");
         }
     }
 

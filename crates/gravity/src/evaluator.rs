@@ -13,7 +13,8 @@ use crate::kernels::apply_segment;
 use hot_base::flops::{FlopCounter, Kind};
 use hot_base::Vec3;
 use hot_core::ilist::{InteractionList, ListConsumer};
-use hot_core::moments::MassMoments;
+use hot_core::moments::{MassMoments, Moments};
+use hot_core::tree::Tree;
 use std::ops::Range;
 
 /// Accumulates accelerations into `acc` for the sink groups it is handed.
@@ -125,6 +126,34 @@ pub(crate) fn unsort<T: Copy + Default>(order: &[u32], sorted: &[T]) -> Vec<T> {
         out[orig as usize] = x;
     }
     out
+}
+
+/// Panics, naming both bodies, when `eps2` is 0 and two bodies of `tree`
+/// sit at one position: their pair force is 0/0, and every force it
+/// touches NaN. `ForceCalc` and the distributed step call it after their
+/// tree build, `name` turning an original index of `tree.order` into the
+/// caller's name for the body. Coincident bodies share a key, so only runs
+/// of equal keys in the tree's key order are compared (and a decomposition
+/// never splits one); a run is sorted by position, `-0.0` read as `0.0`.
+#[inline(never)]
+pub(crate) fn refuse_coincident<M: Moments>(tree: &Tree<M>, eps2: f64, name: impl Fn(u32) -> u64) {
+    if eps2 != 0.0 {
+        return;
+    }
+    let at = |i: usize| [tree.pos[i].x + 0.0, tree.pos[i].y + 0.0, tree.pos[i].z + 0.0].map(f64::to_bits);
+    let mut first = 0;
+    for run in tree.keys.chunk_by(|a, b| a == b) {
+        first += run.len();
+        if run.len() == 1 {
+            continue;
+        }
+        let mut span: Vec<usize> = (first - run.len()..first).collect();
+        span.sort_unstable_by_key(|&i| at(i));
+        if let Some(w) = span.windows(2).find(|w| at(w[0]) == at(w[1])) {
+            let (a, b) = (name(tree.order[w[0]]), name(tree.order[w[1]]));
+            panic!("bodies {a} and {b} are both at {:?}: with eps2 = 0 their force is not finite", tree.pos[w[0]]);
+        }
+    }
 }
 
 /// Record the force-phase counters for one walk's worth of interactions:
@@ -296,7 +325,7 @@ mod tests {
                 work: if tally { &mut work[..] } else { &mut [] },
                 base: 0,
             };
-            walk_apply(&tree, &mac, &mut kept.clone(), &mut whole, 1, &mut Vec::new(), &mut Vec::new());
+            walk_apply(&tree, &mac, &mut kept.clone(), &mut whole, 1, &mut Vec::new());
 
             let len = n - base;
             let (mut acc_p, mut pot_p, mut work_p) =
@@ -313,7 +342,7 @@ mod tests {
             let mut parts = cut.split(&ranges).expect("the gravity evaluator splits");
             assert_eq!(parts.len(), runs.len());
             for (run, part) in runs.iter().zip(&mut parts) {
-                walk_apply(&tree, &mac, &mut run.to_vec(), &mut **part, 1, &mut Vec::new(), &mut Vec::new());
+                walk_apply(&tree, &mac, &mut run.to_vec(), &mut **part, 1, &mut Vec::new());
             }
             drop(parts);
             let bits = |v: Vec3| [v.x.to_bits(), v.y.to_bits(), v.z.to_bits()];

@@ -8,7 +8,7 @@
 //! `_traced` variant attributes phases to a [`Ledger`]. Every sink's
 //! accumulation order is fixed by its group's list.
 
-use crate::evaluator::{record_force_phase, unsort, GravityEvaluator};
+use crate::evaluator::{record_force_phase, refuse_coincident, unsort, GravityEvaluator};
 use hot_base::flops::FlopCounter;
 use hot_base::{available_threads, Aabb, Vec3};
 use hot_core::ilist::InteractionList;
@@ -175,6 +175,7 @@ impl ForceCalc {
         assert_eq!(pos.len(), mass.len(), "ForceCalc: positions and masses must pair up");
         trace.begin(Phase::TreeBuild);
         let tree = Tree::<MassMoments>::build(domain, pos, mass, opts.bucket);
+        refuse_coincident(&tree, opts.eps2, u64::from);
         tree.record_build(trace);
         trace.end();
 
@@ -192,7 +193,7 @@ impl ForceCalc {
         };
         let flops_before = counter.report().flops();
         trace.begin(Phase::Walk);
-        let stats = walk_apply(&tree, &opts.mac, &mut groups, &mut ev, workers, &mut self.lists, &mut Vec::new());
+        let stats = walk_apply(&tree, &opts.mac, &mut groups, &mut ev, workers, &mut self.lists);
         stats.record_traversal(trace);
         trace.end();
         record_force_phase(trace, &stats, counter.report().flops() - flops_before);
