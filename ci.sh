@@ -118,6 +118,9 @@ fi
 echo "==> events migration stress (np=128, two workers, 600 launches)"
 cargo test -q --offline --release -p hot-comm --test events_migration -- --ignored
 
+echo "==> distributed step stress (np=128 x 32, two workers, 100 launches, each bitwise one worker's)"
+cargo test -q --offline --release -p hot-gravity --test dist_stress -- --ignored
+
 echo "==> exp_latency smoke (>= 8 keys per request message, <= 16 request rounds)"
 (cd "$smoke" && cargo run -q --offline --release --manifest-path "$root/Cargo.toml" -p hot-bench --bin exp_latency -- 8192 4)
 test -s "$smoke/results/BENCH_latency.json"
@@ -172,7 +175,8 @@ fi
 
 echo "==> cluster_shootout smoke (one run priced on every machine spec: four machine rows)"
 # Not pinned: it prices raw Comm::stats(), which include the walk's
-# schedule-dependent termination allreduces, so its digits move between runs.
+# termination waves (two or three, by schedule), so its digits move between
+# runs.
 cargo run -q --offline --release --example cluster_shootout -- 4 500 > "$smoke/shootout.txt"
 rows=$(grep -cE ' [0-9]+ +[0-9]+\.[0-9]{4} +[0-9]+\.[0-9] +([0-9]+|-)$' "$smoke/shootout.txt" || true)
 if [ "$rows" -ne 4 ]; then

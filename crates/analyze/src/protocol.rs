@@ -61,13 +61,15 @@ const COLLECTIVES: [&str; 12] = [
 
 /// Point-to-point send family with the 0-based index of the tag/kind
 /// argument (`post_chunked` is the dwalk batching helper whose kind rides
-/// in position 2).
-const SEND_FNS: [(&str, usize); 5] = [
+/// in position 2; `enqueue` packs every ABM message, posted or the
+/// termination waves' own).
+const SEND_FNS: [(&str, usize); 6] = [
     ("send", 1),
     ("send_bytes", 1),
     ("sendrecv", 2),
     ("post", 1),
     ("post_chunked", 2),
+    ("enqueue", 1),
 ];
 
 /// Receive family with the tag-argument index.
@@ -84,8 +86,9 @@ const RECV_FNS: [(&str, usize); 9] = [
     ("has_each_or_poison", 0),
 ];
 
-/// Poll-side entry points (tagless: they drain the ABM stream).
-const POLL_FNS: [&str; 3] = ["poll", "poll_once", "complete"];
+/// Poll-side entry points (tagless: they drain the ABM stream;
+/// `wait_once` blocks for its next batch).
+const POLL_FNS: [&str; 3] = ["poll", "wait_once", "complete"];
 
 /// Driver files outside `crates/comm` that speak the protocol.
 const DRIVER_FILES: [&str; 4] = [

@@ -19,10 +19,10 @@
 //! whose request rounds follow the key count instead of the tree depth).
 //! The treecode step also records its traffic — the machine's total bytes
 //! sent and the most bytes any one rank received — and bounds the latter,
-//! its peak resident set, and the top-tree nodes the ranks kept and dropped
+//! its peak resident set, the top-tree nodes the ranks kept and dropped
 //! when each cut its top tree to what its own walk can reach (at np ≥ 256
-//! some must be dropped). Everything is written to
-//! `results/BENCH_event_scale.json`.
+//! some must be dropped), and the termination waves ending each walk (at
+//! most three). Everything is written to `results/BENCH_event_scale.json`.
 //!
 //! Args: `exp_event_scale [np_collectives] [np_treecode] [n_per_rank]`
 //! (defaults 6800, 1024, 24).
@@ -91,6 +91,8 @@ struct Treecode {
     /// ranks.
     top_kept: u64,
     top_dropped: u64,
+    /// The most termination waves a rank's walk took.
+    max_waves: u64,
     max_sends: u64,
     /// Payload bytes sent, summed over the machine.
     bytes_sent: u64,
@@ -144,12 +146,14 @@ fn treecode_at(np: u32, n_per_rank: usize) -> Treecode {
             let opts = DistOptions { eps2: 1e-8, ..Default::default() };
             let res = distributed_accelerations(c, bodies, Aabb::unit(), &opts, &counter);
             let s = res.stats;
-            (s.walk.interactions(), s.top_nodes_kept, s.top_nodes_dropped)
+            (s.walk.interactions(), s.top_nodes_kept, s.top_nodes_dropped, s.abm.waves)
         });
     let wall = t0.elapsed().as_secs_f64();
     let peak_rss_mib = peak_rss_mib().filter(|_| reset);
     let top_kept = out.results.iter().map(|r| r.1).sum();
     let top_dropped = out.results.iter().map(|r| r.2).sum();
+    let max_waves = out.results.iter().map(|r| r.3).max().unwrap_or(0);
+    assert!(max_waves <= 3, "a rank's walk took {max_waves} termination waves at np = {np}");
     // At np = 256 a rank's groups sit in 1/256 of the cube: the shared
     // nodes far from it pass the MAC against all of them at once.
     assert!(
@@ -159,11 +163,10 @@ fn treecode_at(np: u32, n_per_rank: usize) -> Treecode {
     let max_sends = out.stats.iter().map(|s| s.sends).max().unwrap_or(0);
     // A step is a few exchanges with every peer (the sample sort's
     // alltoall; one coalesced request and its replies per owner per walk
-    // round) plus O(log p) collectives, one quiescence allreduce per walk
-    // round among them — measured 563 sends at np = 256, 2107 at np = 1024.
-    // A walk that spends a round per missing key multiplies the allreduce
-    // term by the keys a group opens (28 110 and 184 185 sends at the same
-    // sizes), which the wall-clock budget is far too loose to notice.
+    // round) plus O(log p) collectives and the walk's termination waves —
+    // measured 2103 sends at np = 1024. A walk that spends a round per
+    // missing key multiplies the request term by the keys a group opens,
+    // which the wall-clock budget is far too loose to notice.
     let bound = 4 * u64::from(np) + 64 * ceil_log2(np);
     assert!(
         max_sends <= bound,
@@ -186,6 +189,7 @@ fn treecode_at(np: u32, n_per_rank: usize) -> Treecode {
         interactions: out.results.iter().map(|r| r.0).sum(),
         top_kept,
         top_dropped,
+        max_waves,
         max_sends,
         bytes_sent,
         max_bytes_recvd,
@@ -217,6 +221,7 @@ fn main() {
         interactions,
         top_kept,
         top_dropped,
+        max_waves,
         max_sends: tree_sends,
         bytes_sent,
         max_bytes_recvd,
@@ -230,7 +235,7 @@ fn main() {
     );
     println!(
         "          peak RSS {peak}; top-tree nodes kept {top_kept}, dropped {top_dropped} \
-         (summed over ranks)"
+         (summed over ranks); at most {max_waves} termination waves per rank"
     );
     rule();
 
@@ -258,7 +263,8 @@ fn main() {
          \"wall_s\": {tree_wall:.3}, \"interactions\": {interactions}, \
          \"max_sends_per_rank\": {tree_sends}, \"bytes_sent\": {bytes_sent}, \
          \"max_bytes_recvd_per_rank\": {max_bytes_recvd}, \"peak_rss_mib\": {}, \
-         \"top_nodes_kept\": {top_kept}, \"top_nodes_dropped\": {top_dropped}}}\n}}\n",
+         \"top_nodes_kept\": {top_kept}, \"top_nodes_dropped\": {top_dropped}, \
+         \"max_waves_per_rank\": {max_waves}}}\n}}\n",
         peak_rss_mib.map_or("null".to_string(), |m| format!("{m:.1}"))
     ));
     let path = std::path::Path::new("results").join("BENCH_event_scale.json");

@@ -14,17 +14,21 @@
 //! [`Abm::complete`] runs the exchange to global quiescence with a
 //! double-count termination protocol, so irregular request/reply cascades
 //! (tree walks!) terminate correctly without any a-priori knowledge of the
-//! traffic pattern. The protocol is one collective step, [`Abm::settle`],
-//! which callers that park work between steps (the distributed tree walk)
-//! call themselves.
+//! traffic pattern. Its waves are ABM messages too, and a rank serves its
+//! peers while it waits for them.
 
 use crate::runtime::Comm;
-use crate::wire::{crc32, to_bytes, Wire};
+use crate::wire::{crc32, from_bytes, to_bytes, Wire};
 use bytes::{Buf, BufMut, Bytes, BytesMut};
-use std::collections::BTreeSet;
+use std::collections::BTreeMap;
 
 /// Internal tag for ABM batch traffic.
 pub(crate) const ABM_TAG: u32 = 0x9000_0000;
+
+/// Kind of a termination wave's `(posted, delivered)` sums (see
+/// [`Abm::complete`]): never handed to a handler, never counted in
+/// [`AbmStats`]' logical fields.
+const K_WAVE: u16 = u16::MAX;
 
 /// Wire overhead of one logical ABM message: a `u16` kind plus a `u32`
 /// payload length, written little-endian ahead of the payload. This is the
@@ -37,8 +41,8 @@ pub const ABM_MSG_HEADER_BYTES: u64 = 6;
 /// Wire overhead of one physical ABM batch: a `u64` batch sequence number
 /// and a `u32` CRC32 over the batch body, written little-endian ahead of
 /// the packed messages. Batch bytes on the wire are therefore
-/// `bytes_posted + ABM_BATCH_HEADER_BYTES × batches_sent` — the wire
-/// reconciliation test pins this identity.
+/// `bytes_posted + ABM_BATCH_HEADER_BYTES × batches_sent` plus the waves'
+/// messages — the wire reconciliation test pins this identity.
 ///
 /// The sequence number makes re-delivered batches idempotently
 /// suppressible, and the CRC is an end-to-end integrity check *above* the
@@ -50,9 +54,9 @@ pub const ABM_BATCH_HEADER_BYTES: u64 = 12;
 ///
 /// `posted`/`delivered` and both byte counters are *logical* quantities: a
 /// pure function of the message pattern, independent of arrival
-/// interleaving. `batches_sent` is not — batch boundaries depend on when
-/// flushes trigger relative to arrivals — so schedule-independent consumers
-/// (the trace ledger) must use the logical fields only.
+/// interleaving. `batches_sent` and `waves` are not — they depend on when
+/// flushes and work end relative to arrivals — so schedule-independent
+/// consumers (the trace ledger) must use the logical fields only.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct AbmStats {
     /// Logical messages posted by this rank.
@@ -72,37 +76,44 @@ pub struct AbmStats {
     /// suppressed. Always zero in normal operation — the transport dedups
     /// first — but the ABM layer defends end-to-end regardless.
     pub dup_batches: u64,
+    /// Termination waves this rank took part in, two or three a
+    /// [`Abm::complete`]; schedule-dependent like `batches_sent`.
+    pub waves: u64,
 }
 
 /// An active-message endpoint over a [`Comm`].
 pub struct Abm<'a> {
     comm: &'a mut Comm,
     batch_capacity: usize,
-    out: Vec<BytesMut>,
-    /// Destinations whose `out` buffer holds unsent bytes, so a flush
-    /// visits only those (ascending) instead of all `np`.
-    pending: BTreeSet<u32>,
+    /// Unsent bytes, kept only for destinations that have some: a flush
+    /// visits those (ascending), and a rank holds no buffer per peer.
+    out: BTreeMap<u32, BytesMut>,
     stats: AbmStats,
     /// Next batch sequence number per destination.
     out_seq: Vec<u64>,
     /// Next in-order batch sequence expected per source.
     in_expected: Vec<u64>,
-    /// The machine-wide (posted, delivered, parked) sums of the last
-    /// [`Abm::settle`] step.
-    settled: (u64, u64, u64),
+    /// The current termination wave at this rank: its children's reports,
+    /// summed, until it reports; then the machine's sums, once `verdict`.
+    wave: Wave,
 }
 
-/// Where one [`Abm::settle`] step finds the machine.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum Quiescence {
-    /// Some posted message has not been delivered yet.
-    InFlight,
-    /// Every posted message has been delivered, but work is parked or the
-    /// sums moved since the last step.
-    Quiet,
-    /// Quiet, nothing parked, and the sums equal the last step's: no
-    /// message can still be in flight, and the exchange is over.
-    Done,
+#[derive(Default)]
+struct Wave {
+    reports: u32,
+    verdict: bool,
+    sums: (u64, u64),
+}
+
+/// `rank`'s children in the wave tree over `np` ranks, a binomial tree
+/// rooted at rank 0: `rank + 2^k` for each `2^k` below `rank`'s lowest set
+/// bit. Rank `r > 0`'s parent is `r & (r - 1)`.
+fn wave_children(rank: u32, np: u32) -> impl Iterator<Item = u32> {
+    let below = if rank == 0 { np } else { rank & rank.wrapping_neg() };
+    (0..u32::BITS)
+        .map(|k| 1 << k)
+        .take_while(move |&b| b < below && rank + b < np)
+        .map(move |b| rank + b)
 }
 
 impl<'a> Abm<'a> {
@@ -114,12 +125,11 @@ impl<'a> Abm<'a> {
         Abm {
             comm,
             batch_capacity: batch_capacity.max(16),
-            out: (0..np).map(|_| BytesMut::new()).collect(),
-            pending: BTreeSet::new(),
+            out: BTreeMap::new(),
             stats: AbmStats::default(),
             out_seq: vec![0; np],
             in_expected: vec![0; np],
-            settled: (u64::MAX, u64::MAX, u64::MAX),
+            wave: Wave::default(),
         }
     }
 
@@ -139,32 +149,35 @@ impl<'a> Abm<'a> {
     }
 
     /// Post a logical message of `kind` to `dst`. Local destinations are
-    /// legal and loop back through the same dispatch path.
+    /// legal and loop back through the same dispatch path. Kind `u16::MAX`
+    /// is the waves'.
     pub fn post<T: Wire>(&mut self, dst: u32, kind: u16, payload: &T) {
+        assert_ne!(kind, K_WAVE, "ABM kind {kind} is reserved for termination");
         let data = to_bytes(payload);
-        let buf = &mut self.out[dst as usize];
-        if buf.is_empty() {
-            self.pending.insert(dst);
-        }
-        buf.put_u16_le(kind);
-        buf.put_u32_le(data.len() as u32);
-        buf.put_slice(&data);
         self.stats.posted += 1;
         self.stats.bytes_posted += ABM_MSG_HEADER_BYTES + data.len() as u64;
-        if buf.len() >= self.batch_capacity {
+        if self.enqueue(dst, kind, &data) >= self.batch_capacity {
             self.flush_one(dst);
         }
+    }
+
+    /// Append one message of `kind` to `dst`'s pending batch; returns the
+    /// batch's length.
+    fn enqueue(&mut self, dst: u32, kind: u16, data: &[u8]) -> usize {
+        let buf = self.out.entry(dst).or_default();
+        buf.put_u16_le(kind);
+        buf.put_u32_le(data.len() as u32);
+        buf.put_slice(data);
+        buf.len()
     }
 
     /// Ship the pending batch for `dst`, if any, framed with its sequence
     /// number and a CRC32 over the body.
     pub fn flush_one(&mut self, dst: u32) {
-        let buf = &mut self.out[dst as usize];
-        if buf.is_empty() {
+        let Some(body) = self.out.remove(&dst) else {
             return;
-        }
-        self.pending.remove(&dst);
-        let body = buf.split().freeze();
+        };
+        let body = body.freeze();
         let seq = self.out_seq[dst as usize];
         self.out_seq[dst as usize] += 1;
         let mut framed = BytesMut::with_capacity(ABM_BATCH_HEADER_BYTES as usize + body.len());
@@ -177,28 +190,46 @@ impl<'a> Abm<'a> {
 
     /// Ship every pending batch, in ascending destination order.
     pub fn flush_all(&mut self) {
-        while let Some(dst) = self.pending.first().copied() {
+        while let Some(&dst) = self.out.keys().next() {
             self.flush_one(dst);
         }
     }
 
     /// Dispatch at most one incoming batch through `handler`. Returns the
     /// number of logical messages handled (0 when nothing was waiting).
+    #[cfg(test)]
+    fn poll_once(&mut self, handler: &mut impl FnMut(&mut Abm<'_>, u32, u16, Bytes)) -> u64 {
+        self.dispatch(false, handler).unwrap_or(0)
+    }
+
+    /// Ship every pending batch, then sleep in the runtime until a batch
+    /// arrives and dispatch it through `handler`.
     ///
     /// The handler receives `(endpoint, source, kind, payload)` and may post
     /// replies — that is the active-message pattern the tree walk uses.
+    pub fn wait_once(&mut self, handler: &mut impl FnMut(&mut Abm<'_>, u32, u16, Bytes)) {
+        self.flush_all();
+        self.dispatch(true, handler);
+    }
+
+    /// Take one incoming batch, blocking until one arrives when `block`,
+    /// and hand its messages to `handler`, a wave's to [`Abm::complete`].
+    /// `None` when nothing was waiting, else the logical messages handled.
     ///
     /// Kept out of line: inlined, it pulled the distributed walk's round
     /// loop out of its caller, which deepened every rank fiber's stack
     /// (`dist_fine` peak RSS 37.6 → 38.0 MiB).
     #[inline(never)]
-    pub fn poll_once(
+    fn dispatch(
         &mut self,
+        block: bool,
         handler: &mut impl FnMut(&mut Abm<'_>, u32, u16, Bytes),
-    ) -> u64 {
+    ) -> Option<u64> {
         let (src, mut cursor) = loop {
-            let Some((src, batch)) = self.comm.try_recv_bytes(None, ABM_TAG) else {
-                return 0;
+            let (src, batch) = if block {
+                self.comm.recv_bytes(None, ABM_TAG)
+            } else {
+                self.comm.try_recv_bytes(None, ABM_TAG)?
             };
             let mut cursor = batch;
             assert!(
@@ -236,75 +267,73 @@ impl<'a> Abm<'a> {
             let kind = cursor.get_u16_le();
             let len = cursor.get_u32_le() as usize;
             let payload = cursor.split_to(len);
+            if kind == K_WAVE {
+                // Children report from above this rank, the parent's
+                // verdict comes from below.
+                let (posted, delivered): (u64, u64) = from_bytes(payload);
+                let w = &mut self.wave;
+                w.sums = (w.sums.0 + posted, w.sums.1 + delivered);
+                w.reports += u32::from(src > self.comm.rank());
+                w.verdict |= src < self.comm.rank();
+                continue;
+            }
             handled_bytes += ABM_MSG_HEADER_BYTES + len as u64;
             handler(self, src, kind, payload);
             handled += 1;
         }
         self.stats.delivered += handled;
         self.stats.bytes_delivered += handled_bytes;
-        handled
+        Some(handled)
     }
 
-    /// Drain all immediately available batches.
-    pub fn poll(&mut self, handler: &mut impl FnMut(&mut Abm<'_>, u32, u16, Bytes)) -> u64 {
-        let mut n = 0;
-        loop {
-            let h = self.poll_once(handler);
-            if h == 0 {
-                return n;
-            }
-            n += h;
-        }
-    }
-
-    /// Run the exchange to global quiescence: flush, dispatch, and repeat
-    /// until every posted message (including those posted by handlers while
-    /// handling) has been delivered machine-wide and a full round passes
-    /// with no new traffic ([`Abm::settle`] with nothing parked).
+    /// Run the exchange to global quiescence, serving `handler` throughout,
+    /// and return once every message posted machine-wide — handlers'
+    /// replies included — has been delivered and none can follow.
     ///
-    /// Every rank must call `complete` with its own handler; the call
-    /// returns on all ranks together.
-    ///
-    /// Caveat: every rank must *enter* `complete` without requiring
-    /// further service from its peers first — `complete` blocks in a
-    /// collective between drain rounds, during which a rank serves
-    /// nothing. Callers whose progress depends on replies (like the tree
-    /// walk) must instead interleave their own work with the drain rounds
-    /// and call [`Abm::settle`] themselves; see `hot-core::dwalk`.
+    /// Every rank calls it once, when its own work is done; it may enter
+    /// while peers still need its replies. The termination is Mattern's
+    /// double count in waves of `(posted, delivered)` sums, up a binomial
+    /// tree to rank 0 and back down as [`K_WAVE`] messages, until two
+    /// consecutive waves agree with nothing in flight: two waves or three
+    /// (DESIGN.md, "One termination step"). Ranks return at different
+    /// times, and a rank still inside takes every ABM batch that lands, so
+    /// a following session on the same [`Comm`] may post only after a
+    /// collective no rank leaves before all have entered it (a barrier,
+    /// allreduce, allgather or alltoall).
     pub fn complete(&mut self, mut handler: impl FnMut(&mut Abm<'_>, u32, u16, Bytes)) {
+        let (rank, np) = (self.rank(), self.size());
+        let children = wave_children(rank, np).count() as u32;
+        let mut last = None;
         loop {
-            // Dispatch until locally quiet, flushing replies as they are
-            // posted so partners can make progress.
-            loop {
+            // Serve, flushing replies as they are posted, until every child
+            // has reported and nothing more has arrived.
+            self.flush_all();
+            while self.dispatch(self.wave.reports < children, &mut handler).is_some() {
                 self.flush_all();
-                if self.poll(&mut handler) == 0 {
-                    break;
-                }
             }
-            if self.settle(0) == Quiescence::Done {
+            let (posted, delivered) = std::mem::take(&mut self.wave).sums;
+            let mut sums = (posted + self.stats.posted, delivered + self.stats.delivered);
+            self.stats.waves += 1;
+            if rank > 0 {
+                self.send_wave(rank & (rank - 1), sums);
+                while !self.wave.verdict {
+                    self.wait_once(&mut handler);
+                }
+                sums = std::mem::take(&mut self.wave).sums;
+            }
+            for child in wave_children(rank, np) {
+                self.send_wave(child, sums);
+            }
+            if last.replace(sums) == Some(sums) && sums.0 == sums.1 {
                 return;
             }
         }
     }
 
-    /// One step of the double-count termination protocol. Collective:
-    /// every rank calls it with the work it holds `parked` until its
-    /// requests are answered, once it has drained what it can. Sums
-    /// (posted, delivered, parked) over the machine; every posted message
-    /// is delivered when the first two agree, and the exchange is over
-    /// when besides nothing is parked and the sums equal the last step's —
-    /// no rank posted or handled a message in between.
-    pub fn settle(&mut self, parked: u64) -> Quiescence {
-        let mine = (self.stats.posted, self.stats.delivered, parked);
-        let sums = self.comm.allreduce(mine, |a, b| (a.0 + b.0, a.1 + b.1, a.2 + b.2));
-        let last = std::mem::replace(&mut self.settled, sums);
-        if sums.0 != sums.1 {
-            Quiescence::InFlight
-        } else if sums.2 == 0 && sums == last {
-            Quiescence::Done
-        } else {
-            Quiescence::Quiet
-        }
+    /// Send one wave message to `dst` at once.
+    fn send_wave(&mut self, dst: u32, sums: (u64, u64)) {
+        self.enqueue(dst, K_WAVE, &to_bytes(&sums));
+        self.flush_one(dst);
     }
 }
 
@@ -406,7 +435,8 @@ mod tests {
         let (s1, c1) = out.results[1];
         assert_eq!(c1, 1000);
         assert_eq!(s0.posted, 1000);
-        assert_eq!(s0.batches_sent, 1, "all posts must ride one batch");
+        // Beside the posts' batch, rank 0 sends each wave's verdict.
+        assert_eq!(s0.batches_sent - s0.waves, 1, "all posts must ride one batch");
         assert_eq!(s1.delivered, 1000);
     }
 
@@ -438,12 +468,12 @@ mod tests {
                     abm.post(dst, 2, &u64::from(dst));
                 }
                 // What flush_all walks, in the order it walks it.
-                assert_eq!(abm.pending.iter().copied().collect::<Vec<_>>(), [1, 3, 5]);
+                assert_eq!(abm.out.keys().copied().collect::<Vec<_>>(), [1, 3, 5]);
                 abm.flush_all();
                 let sent = abm.comm.stats().since(&before).sends;
                 assert_eq!((sent, abm.stats().batches_sent), (3, 3));
                 assert_eq!(abm.out_seq, [0, 1, 0, 1, 0, 1, 0, 0]);
-                assert!(abm.pending.is_empty());
+                assert!(abm.out.is_empty());
                 abm.flush_all();
                 assert_eq!(abm.stats().batches_sent, 3, "nothing pending, nothing sent");
             }
@@ -475,29 +505,41 @@ mod tests {
             let wire = abm.comm.stats().since(&before);
             (stats, wire)
         });
-        let (s0, w0) = out.results[0];
-        let (s1, w1) = out.results[1];
         let expect = 37 * (ABM_MSG_HEADER_BYTES + 16);
+        let (s0, s1) = (out.results[0].0, out.results[1].0);
         assert_eq!(s0.bytes_posted, expect);
         assert_eq!(s1.bytes_delivered, expect);
         assert_eq!(s1.bytes_posted, 0);
-        // Wire traffic = ABM batches + the termination allreduce. Subtract
-        // the collective's own bytes (24 per allreduce message) by counting
-        // only the ABM-tag bytes: batches carry every posted byte plus one
-        // 12-byte seq/CRC batch header each, nothing more. The allreduce
-        // sends (posted, delivered, parked) as 24-byte tuples, so bytes on
-        // the wire minus 24×(collective msgs) minus the batch headers must
-        // equal bytes_posted exactly.
-        let coll_msgs0 = w0.sends - s0.batches_sent;
-        assert_eq!(
-            w0.bytes_sent - 24 * coll_msgs0 - ABM_BATCH_HEADER_BYTES * s0.batches_sent,
-            s0.bytes_posted
-        );
-        let coll_msgs1 = w1.sends - s1.batches_sent;
-        assert_eq!(
-            w1.bytes_sent - 24 * coll_msgs1 - ABM_BATCH_HEADER_BYTES * s1.batches_sent,
-            s1.bytes_posted
-        );
+        // Every message on the wire is an ABM batch: no collective runs.
+        // Batches carry every posted byte plus one 12-byte seq/CRC header
+        // each, and the termination: at np = 2 each rank sends one wave
+        // message a wave (rank 1 its report, rank 0 the verdict), a 6-byte
+        // header and 16 bytes of sums.
+        for (s, wire) in out.results {
+            assert_eq!(wire.sends, s.batches_sent);
+            let waves = (ABM_MSG_HEADER_BYTES + 16) * s.waves;
+            assert_eq!(wire.bytes_sent, s.bytes_posted + ABM_BATCH_HEADER_BYTES * s.batches_sent + waves);
+            assert!((2..=3).contains(&s.waves), "{} waves", s.waves);
+        }
+    }
+
+    /// The wave tree is a binomial tree over every rank: each rank but 0
+    /// is the child of exactly its parent `r & (r - 1)`, and no child is
+    /// out of range.
+    #[test]
+    fn wave_tree_spans_every_rank_once() {
+        for np in [1u32, 2, 3, 5, 8, 13, 64, 100, 1024, 6800] {
+            let mut parent = vec![None; np as usize];
+            for r in 0..np {
+                for c in wave_children(r, np) {
+                    assert!(c < np && parent[c as usize].replace(r).is_none(), "np={np}: child {c} of {r}");
+                }
+            }
+            assert_eq!(parent[0], None, "np={np}");
+            for r in 1..np {
+                assert_eq!(parent[r as usize], Some(r & (r - 1)), "np={np}: rank {r}");
+            }
+        }
     }
 
     /// A batch wearing an already-consumed sequence number must be

@@ -46,7 +46,7 @@ pub mod reliable;
 pub mod runtime;
 pub mod wire;
 
-pub use abm::{Abm, AbmStats, Quiescence};
+pub use abm::{Abm, AbmStats};
 pub use fault::{
     DetectionRecord, FaultConfig, FaultDecision, FaultMonitor, FaultPlan, InjectedFaults,
     KillRecord, KillSite,

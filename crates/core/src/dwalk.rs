@@ -28,12 +28,12 @@
 //!   way. Since a group asks for its whole missing frontier at once, a
 //!   round fetches one level of every remote subtree being descended, and
 //!   rounds number the remote trees' depth below the branch level — not the
-//!   count of remote cells opened. Rounds are globally synchronized: parked
-//!   groups resume only at a machine-wide quiescent point (every
-//!   outstanding request answered), which makes the per-round request sets
-//!   — and therefore every logical message and byte count — a pure function
-//!   of the walk, independent of message schedules. Each key is fetched
-//!   exactly once, and only because some group's walk needs it.
+//!   count of remote cells opened. Rounds are the rank's own: its parked
+//!   groups resume once a reply entry has answered every key it asked for,
+//!   so the per-round request sets — and therefore every logical message
+//!   and byte count — are a pure function of the walk, independent of
+//!   message schedules. Each key is fetched exactly once, and only because
+//!   some group's walk needs it.
 //! * **Resolve → post → compute the ready batch → serve** — a round first
 //!   only *resolves* groups; those with nothing missing (all of round 0
 //!   for a wholly local closure) form the round's *ready batch*. The
@@ -56,9 +56,9 @@
 //! walk and the one-key-per-group-per-round walk this pipeline replaced are
 //! frozen as rows L1 and L2 of EXPERIMENTS.md; the overlapped apply that
 //! computed one finished list per poll-idle window before the ready batch
-//! replaced it is row D1. The whole exchange runs to quiescence with ABM's
-//! termination protocol ([`Abm::settle`]), every rank serving its peers'
-//! requests from its local tree throughout.
+//! replaced it is row D1. A rank waiting for replies serves its peers
+//! ([`Abm::wait_once`]); once its walk is done it serves on in ABM's one
+//! termination step ([`Abm::complete`]).
 //!
 //! Before any of this the walk cuts the rank's canopy to its reach: every
 //! shared node the MAC accepts against one sphere holding all the rank's
@@ -75,7 +75,7 @@ use crate::tree::{Below, Cell, Tree};
 use crate::walk::{walk, walk_apply, workers_for, Visit, WalkStats};
 use bytes::Bytes;
 use hot_base::Vec3;
-use hot_comm::{from_bytes, Abm, Comm, Quiescence, Wire};
+use hot_comm::{from_bytes, Abm, Comm, Wire};
 use hot_morton::Key;
 use std::collections::{BTreeMap, BTreeSet};
 
@@ -152,8 +152,8 @@ pub struct DwalkStats {
     /// Coalesced multi-key request messages sent (≤ one per owner per
     /// round).
     pub request_msgs: u64,
-    /// Request rounds this rank participated in with at least one request
-    /// of its own. A round asks for every key any parked group is missing,
+    /// Request rounds of this rank's walk: rounds that posted at least one
+    /// request. A round asks for every key any parked group is missing,
     /// so this is bounded by the depth of the remote trees below the branch
     /// level (plus one for leaf bodies), not by how many remote cells the
     /// walks open.
@@ -177,7 +177,7 @@ pub struct DwalkStats {
 /// Run the distributed traversal, recording a `Walk` span into `trace`.
 /// Collective: every rank calls with its [`DistTree`] and its own list
 /// consumer (the apply stage); returns when the machine-wide exchange is
-/// quiescent. `group_size` is the sink-group particle bound (see
+/// over. `group_size` is the sink-group particle bound (see
 /// [`crate::walk::default_group_size`]); `_cfg` carries nothing (see
 /// [`WalkConfig`]). Ready batches run on the rank's share of the hardware
 /// threads ([`Comm::compute_threads`]).
@@ -193,8 +193,8 @@ pub struct DwalkStats {
 /// and the ABM layer's posted/delivered message and byte counts — all pure
 /// functions of the walk thanks to the round structure (see the module
 /// docs). Raw `TrafficStats` deltas are deliberately **not** folded in
-/// here: the number of termination-detection rounds — and therefore the
-/// allreduce traffic — depends on arrival interleaving, as do batch counts.
+/// here: the number of termination waves — and therefore their messages —
+/// depends on arrival interleaving, as do batch counts.
 #[allow(clippy::too_many_arguments)]
 pub fn dwalk_with_traced<M: Moments, C: ListConsumer<M>>(
     comm: &mut Comm,
@@ -271,7 +271,7 @@ fn reach<M: Moments>(local: &Tree<M>, groups: &[u32]) -> Option<(Vec3, f64)> {
 /// `workers` maps a ready batch's sink count to the threads it is computed
 /// on.
 ///
-/// Structured as globally synchronized request rounds:
+/// Structured as the rank's own request rounds:
 ///
 /// 1. drain every runnable group. Its *resolve* stage MAC-tests the global
 ///    nodes its traversal newly reaches and collects **every** remote node
@@ -282,26 +282,18 @@ fn reach<M: Moments>(local: &Tree<M>, groups: &[u32]) -> Option<(Vec3, f64)> {
 /// 2. post at most one [`request`] per owner and flush, then compute the
 ///    ready batch ([`walk_apply`] on `workers(sinks in the batch)`
 ///    threads) while the requests travel;
-/// 3. serve peers / absorb replies until no message is pollable;
-/// 4. take a step of ABM's termination protocol ([`Abm::settle`]). Parked
-///    groups reactivate **only** when it proves every posted message
-///    machine-wide has been delivered — i.e. all of this round's replies
-///    have landed everywhere.
+/// 3. serve peers and open what replies answer ([`Abm::wait_once`]) until
+///    a reply entry has answered every key the round asked for; then the
+///    parked groups resume.
 ///
 /// A round therefore requests one whole level of every remote subtree the
 /// parked groups reach, and rounds number the remote trees' depth below the
-/// branch level rather than the count of remote cells opened.
-///
-/// Step 4 is the determinism keystone, and the reason discovery happens in
-/// step 1 only, never between polls in step 3: because the tree a resolve
-/// sees changes only at globally agreed quiescent points, which keys each
-/// round requests, how many rounds there are, and every logical
-/// message/byte count is a pure function of the walk state, never of reply
-/// arrival timing. (The *number of allreduce iterations* between
-/// rounds does vary with the schedule, which is why termination traffic is
-/// excluded from the trace.) The exchange terminates when the machine-wide
-/// (posted, delivered, parked) sums are stable at (n, n, 0) for two
-/// consecutive steps.
+/// branch level rather than the count of remote cells opened. Discovery
+/// happens in step 1 only, on a tree that changes by whole rounds of the
+/// rank's own replies, so the request sets and every logical count are a
+/// pure function of the walk, never of arrival timing. With nothing parked
+/// the rank serves on in ABM's one termination step ([`Abm::complete`]);
+/// its waves vary with the schedule and stay out of the trace.
 fn walk_groups<M: Moments, C: ListConsumer<M>>(
     comm: &mut Comm,
     dt: &mut DistTree<M>,
@@ -319,6 +311,8 @@ fn walk_groups<M: Moments, C: ListConsumer<M>>(
         .collect();
     let mut parked: Vec<GroupWalk> = Vec::new();
     let mut abm = Abm::new(comm, abm_batch);
+    // Keys this rank asked for that no reply entry has answered yet.
+    let mut unanswered = 0u64;
     loop {
         // (1) Resolve runnable groups; gather the round's new wants per
         // owner and its ready batch.
@@ -340,6 +334,7 @@ fn walk_groups<M: Moments, C: ListConsumer<M>>(
         }
         for (owner, keys) in wants {
             stats.request_msgs += 1;
+            unanswered += keys.len() as u64;
             abm.post(owner, K_REQUEST, &request(keys));
         }
         abm.flush_all();
@@ -347,23 +342,16 @@ fn walk_groups<M: Moments, C: ListConsumer<M>>(
         // every parked rank fiber would hold them.
         let sinks = ready.iter().map(|&gi| dt.local.cells[gi as usize].n as usize).sum();
         stats.walk.merge(&walk_apply(&dt.local, mac, &mut ready, consumer, workers(sinks), &mut Vec::new()));
-        // (3) Serve and absorb until locally idle.
-        loop {
-            abm.flush_all();
-            let handled = abm.poll(&mut make_batch_handler(dt, abm_batch));
-            if handled == 0 {
-                break;
-            }
+        if parked.is_empty() {
+            break;
         }
-        // (4) Round consensus: wake everything parked once the machine is
-        // quiescent (every request answered, every reply delivered).
-        match abm.settle(parked.len() as u64) {
-            Quiescence::Done => break,
-            Quiescence::Quiet => active.append(&mut parked),
-            Quiescence::InFlight => {}
+        // (3) Serve and absorb until the round's every key is answered.
+        while unanswered > 0 {
+            abm.wait_once(&mut make_batch_handler(dt, abm_batch, &mut unanswered));
         }
+        active.append(&mut parked);
     }
-    debug_assert!(active.is_empty() && parked.is_empty());
+    abm.complete(make_batch_handler(dt, abm_batch, &mut unanswered));
     stats.abm = abm.stats();
     stats
 }
@@ -374,9 +362,9 @@ fn walk_groups<M: Moments, C: ListConsumer<M>>(
 /// asked for yet this round to `wants` and counting it in `stats` as a cell
 /// or a body request. It never descends a subtree whose bodies are all
 /// resident — nothing there can miss — and looks at each node at most once
-/// per group: a node found missing is open by the next call (rounds end
-/// quiescent), so that call starts from its children. Leaves `w.missing`
-/// empty iff the group's list can be written.
+/// per group: a node found missing is open by the next call (a round ends
+/// when all its keys are answered), so that call starts from its children.
+/// Leaves `w.missing` empty iff the group's list can be written.
 fn resolve<M: Moments>(
     dt: &DistTree<M>,
     mac: &Mac,
@@ -446,18 +434,20 @@ fn serve_request<M: Moments>(
 }
 
 /// The ABM handler: serves requests (replies chunked at `limit` bytes) and
-/// opens the nodes replies answer, but never reactivates walks —
-/// reactivation waits for the round boundary, which is what keeps request
-/// sets schedule-independent.
-fn make_batch_handler<M: Moments>(
-    dt: &mut DistTree<M>,
+/// opens the nodes replies answer, counting each off `unanswered`, but
+/// never reactivates walks — reactivation waits for the round boundary,
+/// which is what keeps request sets schedule-independent.
+fn make_batch_handler<'a, M: Moments>(
+    dt: &'a mut DistTree<M>,
     limit: usize,
-) -> impl FnMut(&mut Abm<'_>, u32, u16, Bytes) + '_ {
+    unanswered: &'a mut u64,
+) -> impl FnMut(&mut Abm<'_>, u32, u16, Bytes) + 'a {
     move |ep, src, kind, payload| match kind {
         K_REQUEST => serve_request(dt, ep, src, &from_bytes::<Vec<u64>>(payload), limit),
         K_REPLY => {
             for (key, reply) in from_bytes::<Vec<(u64, Reply<M>)>>(payload) {
                 dt.open(Key(key), reply);
+                *unanswered -= 1;
             }
         }
         other => panic!("unknown ABM message kind {other}"),
@@ -703,6 +693,37 @@ mod tests {
                     for (rank, (a, b)) in one.iter().zip(&many).enumerate() {
                         assert!(a == b, "{tag}: rank {rank} differs on {workers} workers");
                     }
+                }
+            }
+        }
+    }
+
+    /// The walk meets the whole machine once: whatever its round count, a
+    /// rank's walk ends in one termination step of at most three waves —
+    /// at np = 2, 8 and 64, under the production executor and under 8
+    /// seeded schedules, on bodies whose walk takes at least 3 rounds.
+    #[test]
+    fn the_walk_meets_the_machine_once() {
+        for np in [2u32, 8, 64] {
+            for seed in [None].into_iter().chain((0..8).map(Some)) {
+                let mut run = RunConfig::builder().np(np);
+                if let Some(seed) = seed {
+                    run = run.event_seed(seed);
+                }
+                let out = run.run(|c| {
+                    let (mine, iv) = decompose(c, make_bodies(c, 4096 / c.size() as usize, 5, false), 32);
+                    let pos: Vec<Vec3> = mine.iter().map(|b| b.pos).collect();
+                    let q: Vec<f64> = mine.iter().map(|b| b.charge).collect();
+                    let mut dt = DistTree::build(c, Tree::<MassMoments>::build(Aabb::unit(), &pos, &q, 8), iv);
+                    let mut cov = MassCoverage { seen: vec![0.0; dt.local.n_particles()] };
+                    let s = walk_at(c, &mut dt, &Mac::BarnesHut { theta: 0.5 }, &mut cov, ABM_BATCH);
+                    (s.rounds, s.abm.waves)
+                });
+                let tag = format!("np={np} seed={seed:?}");
+                let rounds = out.results.iter().map(|r| r.0).max();
+                assert!(rounds >= Some(3), "{tag}: the walk took {rounds:?} rounds");
+                for (rank, &(_, waves)) in out.results.iter().enumerate() {
+                    assert!((2..=3).contains(&waves), "{tag}: rank {rank} took {waves} waves");
                 }
             }
         }

@@ -3,7 +3,7 @@
 //! headline runs exercise (322M particles on ASCI Red, 9.75M on Loki),
 //! here over the simulated message-passing machine.
 
-use crate::evaluator::{record_force_phase, refuse_coincident, unsort, GravityEvaluator};
+use crate::evaluator::{record_force_phase, refuse_coincident, refuse_non_finite, unsort, GravityEvaluator};
 use hot_base::flops::FlopCounter;
 use hot_base::{Aabb, Vec3};
 use hot_comm::Comm;
@@ -158,6 +158,7 @@ fn build_and_walk(
     // the exchange and the walk, which every rank runs at once.
     let tree = {
         let pos: Vec<Vec3> = bodies.iter().map(|b| b.pos).collect();
+        refuse_non_finite(&pos, |i| bodies[i as usize].id);
         let mass: Vec<f64> = bodies.iter().map(|b| b.charge).collect();
         Tree::<MassMoments>::build(domain, &pos, &mass, opts.bucket)
     };
@@ -453,7 +454,7 @@ mod tests {
     /// 3 and 8: no bodies, one body, fewer bodies than ranks (empty ranks),
     /// and every body at one point (softened, so direct sum is finite) all
     /// match direct sum within the treecode's tolerance; a NaN position
-    /// panics, naming the body, and so do coincident bodies without
+    /// panics, naming the body by its id, and so do coincident bodies without
     /// softening, naming both — in release builds too.
     #[test]
     fn hostile_inputs_through_both_entries() {
@@ -493,7 +494,7 @@ mod tests {
         pair[23] = pair[7];
         let unsoftened = (TreecodeOptions::default(), DistOptions::default());
         let refused = [
-            (nan, (serial_opts, dist_opts), "not a finite position"),
+            (nan, (serial_opts, dist_opts), "body 17 is at"),
             (vec![Vec3::splat(0.3); 40], unsoftened, "are both at"),
             (pair, unsoftened, "bodies 7 and 23 are both at"),
         ];

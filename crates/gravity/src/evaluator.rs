@@ -128,6 +128,16 @@ pub(crate) fn unsort<T: Copy + Default>(order: &[u32], sorted: &[T]) -> Vec<T> {
     out
 }
 
+/// Panics, naming the body by `name(index in pos)`, when a position is not
+/// finite; `ForceCalc` and the distributed step call it before their tree
+/// build, whose own check can name only the index.
+#[inline(never)]
+pub(crate) fn refuse_non_finite(pos: &[Vec3], name: impl Fn(u32) -> u64) {
+    if let Some(i) = pos.iter().position(|p| !p.is_finite()) {
+        panic!("body {} is at {:?}, not a finite position", name(i as u32), pos[i]);
+    }
+}
+
 /// Panics, naming both bodies, when `eps2` is 0 and two bodies of `tree`
 /// sit at one position: their pair force is 0/0, and every force it
 /// touches NaN. `ForceCalc` and the distributed step call it after their

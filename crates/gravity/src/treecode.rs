@@ -8,7 +8,7 @@
 //! `_traced` variant attributes phases to a [`Ledger`]. Every sink's
 //! accumulation order is fixed by its group's list.
 
-use crate::evaluator::{record_force_phase, refuse_coincident, unsort, GravityEvaluator};
+use crate::evaluator::{record_force_phase, refuse_coincident, refuse_non_finite, unsort, GravityEvaluator};
 use hot_base::flops::FlopCounter;
 use hot_base::{available_threads, Aabb, Vec3};
 use hot_core::ilist::InteractionList;
@@ -174,6 +174,7 @@ impl ForceCalc {
     ) -> ForceResult {
         assert_eq!(pos.len(), mass.len(), "ForceCalc: positions and masses must pair up");
         trace.begin(Phase::TreeBuild);
+        refuse_non_finite(pos, u64::from);
         let tree = Tree::<MassMoments>::build(domain, pos, mass, opts.bucket);
         refuse_coincident(&tree, opts.eps2, u64::from);
         tree.record_build(trace);

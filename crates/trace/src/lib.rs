@@ -90,10 +90,9 @@ pub enum Counter {
     PpListed,
     /// P-C accepted-cell entries pushed into interaction lists.
     PcListed,
-    /// Globally synchronized request rounds of the coalesced walk: drains
-    /// that produced at least one multi-key request on this rank. A round
-    /// boundary is a machine-wide quiescent point (every outstanding
-    /// request answered), so the count is a pure function of the walk.
+    /// Request rounds of the coalesced walk: drains that produced at least
+    /// one multi-key request on this rank. A round ends when every key it
+    /// asked for is answered, so the count is a pure function of the walk.
     WalkRounds,
     /// Steps on which the multi-step decomposition actually moved interval
     /// cut points (the skew trigger fired). Zero on one-shot evaluations.
